@@ -16,7 +16,6 @@ from .geometry import (
     canonical_ray,
     contains_point,
     enumerate_vertices,
-    index_set,
     normal_cone,
     polyhedron_from_dict,
     polyhedron_to_dict,

@@ -184,7 +184,7 @@ def _cmd_solve(args):
     return (0 if sol.status != "Infeasible" else 2), report
 
 
-def _stability_dict(P: Polyhedron, sol) -> list[dict]:
+def _stability_dict(sol) -> list[dict]:
     cones = []
     for v in sol.optimal_vertices:
         sc = stability_cone(sol.solved_on, v)
@@ -209,7 +209,7 @@ def _cmd_sensitivity(args):
             entry = {"status": sol.status}
             if sol.status == "Attained":
                 entry["value"] = format_rational(sol.value)
-                entry["stability_cones"] = _stability_dict(piece, sol)
+                entry["stability_cones"] = _stability_dict(sol)
             out["pieces"].append(entry)
         return 0, out
     P = polyhedron_from_dict(data)
@@ -222,7 +222,7 @@ def _cmd_sensitivity(args):
     sol = solve_glp(P, _parse_cost(args.cost), args.sense)
     if sol.status != "Attained":
         return 2, {"status": sol.status}
-    return 0, {"status": sol.status, "stability_cones": _stability_dict(P, sol)}
+    return 0, {"status": sol.status, "stability_cones": _stability_dict(sol)}
 
 
 def _cmd_bounded(args):

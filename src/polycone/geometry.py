@@ -11,14 +11,14 @@ concurrent use needs no coordination; outputs are deterministically sorted.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint
-from .linalg import Vector, dot, solve_square
+from .linalg import Vector, dot
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
 
 IndexSet = tuple[int, ...]
@@ -26,11 +26,6 @@ IndexSet = tuple[int, ...]
 
 def _coerce_vector(values: Iterable) -> Vector:
     return tuple(Fraction(v) for v in values)
-
-
-def index_set(indices: Iterable[int]) -> IndexSet:
-    """Sorted, duplicate-free constraint index tuple."""
-    return tuple(sorted(set(indices)))
 
 
 @dataclass(frozen=True)
@@ -209,113 +204,118 @@ def tangent_cone(P: Polyhedron, x: Sequence) -> Cone:
 
 def normal_cone(P: Polyhedron, x: Sequence) -> Cone:
     """Normal cone at a feasible point: nonnegative span of active normals."""
-    act = active_set(P, x)
+    return Cone(P.n, generators=active_normals(P, active_set(P, x)))
+
+
+def active_normals(P: Polyhedron, active: Iterable[int]) -> tuple[Vector, ...]:
+    """The distinct normals of the given rows, in row order.
+
+    Normals are stored L-infinity canonical, so equal rays are equal tuples.
+    """
     gens: list[Vector] = []
-    for i in act:
-        g = canonical_ray(P.halfspaces[i].a)
-        if g not in gens:
-            gens.append(g)
-    return Cone(P.n, generators=tuple(gens))
+    for i in active:
+        a = P.halfspaces[i].a
+        if a not in gens:
+            gens.append(a)
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
 # Vertex enumeration
 
 
-def _integer_rows(P: Polyhedron) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row-wise: returns integer (A, b) describing P."""
-    A: list[list[int]] = []
-    b: list[int] = []
+def _integer_rows(P: Polyhedron) -> list[list[int]]:
+    """Clear denominators row-wise: integer rows ``[a..., b]`` describing P."""
+    rows = []
     for hs in P.halfspaces:
-        scale = hs.b.denominator
-        for x in hs.a:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        A.append([int(x * scale) for x in hs.a])
-        b.append(int(hs.b * scale))
-    return A, b
-
-
-def _cramer(A: list[list[int]], b: list[int], combo: tuple[int, ...]):
-    """Integer Cramer solve of the selected square subsystem.
-
-    Returns (det, numerators) with the solution x_j = numerators[j]/det,
-    det == 0 meaning singular; None for sizes without a closed form.
-    """
-    n = len(combo)
-    if n == 1:
-        (i,) = combo
-        return A[i][0], [b[i]]
-    if n == 2:
-        i, j = combo
-        a11, a12 = A[i]
-        a21, a22 = A[j]
-        det = a11 * a22 - a12 * a21
-        if det == 0:
-            return 0, []
-        return det, [b[i] * a22 - a12 * b[j], a11 * b[j] - b[i] * a21]
-    if n == 3:
-        i, j, k = combo
-        r1, r2, r3 = A[i], A[j], A[k]
-        d1, d2, d3 = b[i], b[j], b[k]
-        c1 = r2[1] * r3[2] - r2[2] * r3[1]
-        c2 = r2[0] * r3[2] - r2[2] * r3[0]
-        c3 = r2[0] * r3[1] - r2[1] * r3[0]
-        det = r1[0] * c1 - r1[1] * c2 + r1[2] * c3
-        if det == 0:
-            return 0, []
-        n1 = d1 * c1 - r1[1] * (d2 * r3[2] - r2[2] * d3) + r1[2] * (d2 * r3[1] - r2[1] * d3)
-        n2 = r1[0] * (d2 * r3[2] - r2[2] * d3) - d1 * c2 + r1[2] * (r2[0] * d3 - d2 * r3[0])
-        n3 = r1[0] * (r2[1] * d3 - d2 * r3[1]) - r1[1] * (r2[0] * d3 - d2 * r3[0]) + d1 * c3
-        return det, [n1, n2, n3]
-    return None
+        scale = math.lcm(hs.b.denominator, *(x.denominator for x in hs.a))
+        rows.append([x.numerator * (scale // x.denominator) for x in hs.a + (hs.b,)])
+    return rows
 
 
 def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
-    """All extremal points, via the n x n nonsingular active subsystems.
+    """All extremal points, each with its full active set and a witness.
 
-    Brute force over the C(m, n) constraint subsets: exact solve, keep
-    feasible solutions, deduplicate by point.  O(C(m,n) n^3) — fine at desk
-    scale (m up to ~25), and the documented scalability boundary.
-    Deterministic: output sorted by point, ``defining`` is the
-    lexicographically smallest witnessing subset.  Denominators are cleared
-    once so the subset loop runs in integer arithmetic.
+    One integer kernel for every n.  The lexicographic (n-1)-row prefixes
+    are walked depth first, each new row eliminated fraction-free (Bareiss
+    1968) against the prefix it extends; a rank-deficient prefix prunes its
+    subtree.  A full-rank prefix spans a line, one pass over all m rows cuts
+    it to its feasible segment, and only the segment's endpoints can be
+    vertices.  An endpoint is kept from the first prefix with a later row
+    tight there, the smallest such row completing ``defining`` (so it is the
+    lexicographically smallest nonsingular n-subset solving to the point);
+    ``active`` is read off the same pass.  Cost O(C(m, n-1) m n): at n = 4
+    0.03 s for m = 20, 0.12 s for m = 30 (CPython 3.11, 2 shared vCPUs).
+    Output sorted by point.
     """
     n, m = P.n, P.m
     if m < n:
         return []
-    A, b = _integer_rows(P)
-    rows = P.row_matrix()
-    rhs = [hs.b for hs in P.halfspaces]
-    seen: dict[Vector, IndexSet] = {}
-    for combo in itertools.combinations(range(m), n):
-        solved = _cramer(A, b, combo)
-        if solved is None:
-            sol = solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
-            if sol is None or sol in seen or not contains_point(P, sol):
-                continue
-            seen[sol] = combo
-            continue
-        det, nums = solved
-        if det == 0:
-            continue
+    aug = _integer_rows(P)
+    found: dict[Vector, tuple[IndexSet, IndexSet]] = {}
+
+    def walk(prefix: IndexSet, echelon: list[list[int]], pivots: tuple[int, ...], det: int) -> None:
+        # echelon: the prefix's fraction-free RREF, det (pivot minor) at each pivot
+        if len(prefix) == n - 1:
+            cut(prefix, echelon, pivots, det)
+            return
+        for j in range(prefix[-1] + 1 if prefix else 0, m - n + len(prefix) + 1):
+            new = aug[j]
+            v = [det * x for x in new]
+            for row, c in zip(echelon, pivots):
+                if new[c]:
+                    v = [x - new[c] * y for x, y in zip(v, row)]
+            col = next((c for c in range(n) if v[c]), None)
+            if col is not None:
+                q = v[col]
+                rows = [[(q * x - row[col] * y) // det for x, y in zip(row, v)] for row in echelon]
+                walk(prefix + (j,), rows + [v], pivots + (col,), q)
+
+    def cut(prefix: IndexSet, echelon: list[list[int]], pivots: tuple[int, ...], det: int) -> None:
+        # the prefix's line: x = (N + s d) / det with s = x[free]
+        free = next(c for c in range(n) if c not in pivots)
+        N, d = [0] * n, [0] * n
+        for row, c in zip(echelon, pivots):
+            N[c], d[c] = row[n], -row[free]
+        d[free] = det
         if det < 0:
-            det = -det
-            nums = [-v for v in nums]
-        feasible = True
-        for i in range(m):
-            Ai = A[i]
-            if sum(Ai[j] * nums[j] for j in range(n)) > det * b[i]:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        point = tuple(Fraction(v, det) for v in nums)
-        if point not in seen:
-            seen[point] = combo
-    out = []
-    for point in sorted(seen):
-        out.append(Vertex(point=point, active=active_set(P, point), defining=seen[point]))
-    return out
+            N, d, det = [-x for x in N], [-x for x in d], -det
+        d.append(0)
+        offset = [-x for x in N] + [det]
+        # row i reads e s <= g on the line, so s <= g/e or -s <= g/|e|; each
+        # side keeps [g, |e|, rows] of its least bound (|e| == 0: none yet)
+        hi, lo, flat = [0, 0, []], [0, 0, []], []
+        for i, row in enumerate(aug):
+            e = sum(map(mul, row, d))
+            g = sum(map(mul, row, offset))
+            if e:
+                side = hi if e > 0 else lo
+                e = abs(e)
+                if not side[1] or g * side[1] < side[0] * e:
+                    side[:] = g, e, [i]
+                    if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] < 0:
+                        return
+                elif g * side[1] == side[0] * e:
+                    side[2].append(i)
+            elif g < 0:
+                return
+            elif not g:
+                flat.append(i)
+        ends = [(hi[0], hi[1], hi[2]), (-lo[0], lo[1], lo[2])]
+        if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] == 0:
+            ends = [(hi[0], hi[1], hi[2] + lo[2])]
+        last = prefix[-1] if prefix else -1
+        for g, e, crossing in ends:
+            # a crossing row below the prefix's last: an earlier prefix kept it
+            witness = min(crossing, default=None)
+            if witness is None or witness < last:
+                continue
+            point = tuple(Fraction(e * x + g * y, e * det) for x, y in zip(N, d))
+            if point not in found:
+                found[point] = (tuple(sorted(flat + crossing)), prefix + (witness,))
+
+    walk((), [], (), 1)
+    return [Vertex(point=p, active=found[p][0], defining=found[p][1]) for p in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from ..linprog import is_feasible
 from ..optimality import solve_glp
 from ..rationals import float_to_fraction, format_rational, format_vector, simplest_within
 from ..structure import is_bounded, remove_redundant
-from .limits import PolyhedronTrajectory, _classify_tail, _tail
+from .limits import PolyhedronTrajectory, _classify_tail, _tail, _unit_row
 
 DEFAULT_SEED = 42
 DEFAULT_EXTRA_DIRECTIONS = 64
@@ -513,12 +513,6 @@ def _estimate_cost_limit(vectors: Sequence[FloatVector], eps: float) -> list[flo
     return out
 
 
-def _unit_row(hs: HalfSpace) -> tuple[float, ...]:
-    a = [float(v) for v in hs.a]
-    norm = math.sqrt(sum(v * v for v in a))
-    return tuple(v / norm for v in a) + (float(hs.b) / norm,)
-
-
 def boundary_convergence(
     T: PolyhedronTrajectory,
     limit: Polyhedron,
@@ -538,8 +532,13 @@ def boundary_convergence(
     """
     radius = default_window(limit) if R is None else float(R)
     directions = default_directions(T.n, seed, extra)
+
+    def match_key(hs: HalfSpace) -> FloatVector:
+        unit, offset = _unit_row(hs.a, hs.b)
+        return unit + (offset,)
+
     limit_min = remove_redundant(limit)
-    limit_rows = [_unit_row(hs) for hs in limit_min.halfspaces]
+    limit_rows = [match_key(hs) for hs in limit_min.halfspaces]
     limit_facets = [
         limit_min.with_rows([hs.flipped()]) for hs in limit_min.halfspaces
     ]
@@ -547,7 +546,7 @@ def boundary_convergence(
     metrics = []
     for k in range(T.sample_count):
         Pk = remove_redundant(T.sample_polyhedron(k))
-        rows_k = [_unit_row(hs) for hs in Pk.halfspaces]
+        rows_k = [match_key(hs) for hs in Pk.halfspaces]
         facets_k = [Pk.with_rows([hs.flipped()]) for hs in Pk.halfspaces]
         worst = 0.0
         any_match = False

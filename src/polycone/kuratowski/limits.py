@@ -58,11 +58,13 @@ PLUS_INFINITY = _PlusInfinity()
 DIVERGENT = _Divergent()
 
 
-def _unit(vec: Sequence[float]) -> tuple[FloatVector, float]:
+def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
+    """The row ``<a, x> <= b`` in binary64, scaled to a Euclidean unit normal."""
+    vec = [float(v) for v in a]
     norm = math.sqrt(sum(v * v for v in vec))
     if norm == 0.0:
         raise ValueError("zero normal in trajectory sample")
-    return tuple(v / norm for v in vec), norm
+    return tuple(v / norm for v in vec), float(b) / norm
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,10 @@ class ConstraintTrajectory:
             raise TooFewSamples(f"need >= 3 samples, got {len(rows)}")
         idx, normals, offsets = [], [], []
         for k, a, b in rows:
-            unit, norm = _unit([float(v) for v in a])
+            unit, offset = _unit_row(a, b)
             idx.append(float(k))
             normals.append(unit)
-            offsets.append(float(b) / norm)
+            offsets.append(offset)
         object.__setattr__(self, "indices", tuple(idx))
         object.__setattr__(self, "normals", tuple(normals))
         object.__setattr__(self, "offsets", tuple(offsets))
@@ -220,8 +222,8 @@ def classify_offset(t: ConstraintTrajectory, eps_limit: float = DEFAULT_EPS_LIMI
     if t.declared_limit is PLUS_INFINITY:
         return OffsetLimit("plus_infinity", declared=True)
     if isinstance(t.declared_limit, HalfSpace):
-        norm = math.sqrt(sum(float(v) ** 2 for v in t.declared_limit.a))
-        return OffsetLimit("finite", value=float(t.declared_limit.b) / norm, declared=True)
+        _, offset = _unit_row(t.declared_limit.a, t.declared_limit.b)
+        return OffsetLimit("finite", value=offset, declared=True)
     return _classify_tail(t.offsets, eps_limit)
 
 
@@ -272,16 +274,6 @@ def rationalize_row(
 # Inverse-equivalent pairs and bisector limits
 
 
-def _as_unit_row(row) -> tuple[FloatVector, float]:
-    if isinstance(row, HalfSpace):
-        vec = [float(v) for v in row.a]
-        unit, norm = _unit(vec)
-        return unit, float(row.b) / norm
-    a, b = row
-    unit, norm = _unit([float(v) for v in a])
-    return unit, float(b) / norm
-
-
 def detect_ie_pairs(
     limits: Sequence,
     eps: float = DEFAULT_EPS_LIMIT,
@@ -294,7 +286,9 @@ def detect_ie_pairs(
     parallelism: the pair is parallel i-e when the normals are opposite at
     every sample, in which case no bisector constraint exists.
     """
-    unit_rows = [_as_unit_row(r) for r in limits]
+    unit_rows = [
+        _unit_row(r.a, r.b) if isinstance(r, HalfSpace) else _unit_row(*r) for r in limits
+    ]
     pairs = []
     for i in range(len(unit_rows)):
         ai, bi = unit_rows[i]
@@ -464,8 +458,7 @@ def construct_limit(
             raise OffsetOscillates(f"row {i}: offsets have no limit along the sampled tail")
         if isinstance(t.declared_limit, HalfSpace):
             row = t.declared_limit
-            unit, norm = _unit([float(v) for v in row.a])
-            a_float, b_float = unit, float(row.b) / norm
+            a_float, b_float = _unit_row(row.a, row.b)
         else:
             a_float = _coordinate_limits(t.normals, eps_limit, f"row {i} normal", warnings)
             b_float = cls.value

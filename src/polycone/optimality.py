@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotAttained, NotAVertex
-from .geometry import HalfSpace, Polyhedron, Vertex, enumerate_vertices, normal_cone
+from .geometry import HalfSpace, Polyhedron, Vertex, active_normals, enumerate_vertices
 from .linalg import Vector, dot, nullspace, solve_square, vec_neg
 from .linprog import ConeMembership, cone_member, solve_lp
 
@@ -24,7 +24,7 @@ _ZERO = Fraction(0)
 class GLPSolution:
     """Solution of the general (possibly non-compact) LP.
 
-    status: "Attained" | "UnboundedBelow" | "Infeasible" | "NoVertexPath".
+    status: "Attained" | "UnboundedBelow" | "Infeasible".
     When Attained, every listed vertex w carries a ConeMembership proving
     ``-c in N_w`` and satisfies ``<c, w> == value``; ``argmin_face`` is the
     full optimal face of the *original* polyhedron.  ``solved_on`` is the
@@ -101,7 +101,7 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     vertices = enumerate_vertices(work)
     if not vertices:
         # The slice is pointed, so an empty vertex set certifies emptiness of
-        # P itself; NoVertexPath is unreachable by construction (asserted).
+        # P itself (asserted against the oracle).
         if solve_lp(P, cv, sense).status != "Infeasible":
             raise AssertionError("pointed feasible polyhedron without vertices")
         return GLPSolution(status="Infeasible", solved_on=work, lineality_basis=lineality)
@@ -121,8 +121,7 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     proofs: list[ConeMembership] = []
     minus_c = vec_neg(cmin)
     for v in vertices:
-        gens = normal_cone(work, v.point).generators
-        membership = cone_member(gens, minus_c)
+        membership = cone_member(active_normals(work, v.active), minus_c)
         if membership.member:
             winners.append(v)
             proofs.append(membership)
@@ -176,5 +175,4 @@ def stability_cone(P: Polyhedron, w: Vertex | Sequence) -> StabilityCone:
     match = next((v for v in enumerate_vertices(P) if v.point == point), None)
     if match is None:
         raise NotAVertex(f"{point} is not a vertex of the polyhedron")
-    gens = normal_cone(P, match.point).generators
-    return StabilityCone(vertex=match, generators=gens)
+    return StabilityCone(vertex=match, generators=active_normals(P, match.active))

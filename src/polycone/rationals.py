@@ -42,16 +42,9 @@ def format_vector(vec: Sequence[Fraction]) -> list[str]:
     return [format_rational(v) for v in vec]
 
 
-def float_to_fraction(x: float, max_denominator: int | None = None) -> Fraction:
-    """Exact binary64-to-rational conversion, optionally capped.
-
-    With a cap this is the continued-fraction best approximation with
-    denominator <= max_denominator; without one it is exact.
-    """
-    f = Fraction(x)
-    if max_denominator is not None:
-        f = f.limit_denominator(max_denominator)
-    return f
+def float_to_fraction(x: float) -> Fraction:
+    """Exact binary64-to-rational conversion."""
+    return Fraction(x)
 
 
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
 from .geometry import (
@@ -80,29 +80,30 @@ def is_bounded(P: Polyhedron) -> bool:
     return True
 
 
-def _drop_index(P: Polyhedron, keep: list[int], skip: int) -> Polyhedron | None:
-    rows = [P.halfspaces[i] for i in keep if i != skip]
-    if not rows:
-        return None
-    return Polyhedron(P.n, rows)
+def _irredundant(P: Polyhedron, fixed: Sequence[int] = ()) -> list[int]:
+    """Indices of a minimal sub-description of P, order-stable.
+
+    Constraints are tested one at a time against the surviving rest (the
+    one-at-a-time discipline keeps duplicate rows from deleting each other);
+    rows in ``fixed`` are never dropped.
+    """
+    keep = list(range(P.m))
+    for i in range(P.m):
+        if i in fixed:
+            continue
+        rest = [P.halfspaces[k] for k in keep if k != i]
+        if not rest:
+            continue
+        res = solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max")
+        if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
+            keep.remove(i)
+    return keep
 
 
 def remove_redundant(P: Polyhedron) -> Polyhedron:
-    """Minimal sub-description with the identical point set, order-stable.
-
-    Constraints are tested one at a time against the surviving rest (the
-    one-at-a-time discipline keeps duplicate rows from deleting each other).
-    """
+    """Minimal sub-description with the identical point set, order-stable."""
     _require_feasible(P)
-    keep = list(range(P.m))
-    for i in range(P.m):
-        rest = _drop_index(P, keep, i)
-        if rest is None:
-            continue
-        res = solve_lp(rest, P.halfspaces[i].a, "max")
-        if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
-            keep.remove(i)
-    return Polyhedron(P.n, [P.halfspaces[i] for i in keep])
+    return Polyhedron(P.n, [P.halfspaces[i] for i in _irredundant(P)])
 
 
 def structure(P: Polyhedron) -> StructureReport:
@@ -121,17 +122,7 @@ def structure(P: Polyhedron) -> StructureReport:
     eq_rows = [P.halfspaces[i].a for i in eq]
     dimension = P.n - rank(eq_rows, P.n)
 
-    keep = list(range(P.m))
-    for i in range(P.m):
-        if i in eq:
-            continue
-        rest = _drop_index(P, keep, i)
-        if rest is None:
-            continue
-        res = solve_lp(rest, P.halfspaces[i].a, "max")
-        if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
-            keep.remove(i)
-    facet_count = len([i for i in keep if i not in eq])
+    facet_count = len([i for i in _irredundant(P, eq) if i not in eq])
 
     return StructureReport(
         implicit_equalities=tuple(eq),

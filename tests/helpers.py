@@ -55,6 +55,31 @@ def random_feasible_pointed(rng: random.Random) -> Polyhedron:
             return P
 
 
+def random_degenerate_polyhedron(rng: random.Random, n: int) -> Polyhedron:
+    """A small-integer polyhedron in R^n with degenerate vertices.
+
+    About half the draws are clipped by the box [-2, 2]^n, so vertices
+    exist in every dimension; rows with coefficients in {-1, 0, 1} and
+    offsets in {0, 1, 2} meet in many degenerate vertices, one random row
+    is duplicated, and about a third of the draws (n > 1) drop the last
+    coordinate from every row, which leaves a lineality line and no
+    vertices at all.
+    """
+    rows = []
+    if rng.random() < 0.5:
+        for j in range(n):
+            e = tuple(int(i == j) for i in range(n))
+            rows += [(e, 2), (tuple(-x for x in e), 2)]
+    while len(rows) < 2 * n + 3:
+        a = tuple(rng.randint(-1, 1) for _ in range(n))
+        if any(a):
+            rows.append((a, rng.randint(0, 2)))
+    rows.insert(rng.randrange(len(rows) + 1), rows[rng.randrange(len(rows))])
+    if n > 1 and rng.random() < 1 / 3:
+        rows = [(a[:-1] + (0,), b) for a, b in rows if any(a[:-1])]
+    return Polyhedron.from_rows(n, rows)
+
+
 def brute_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     """Independent re-enumeration straight from the defining property:
     feasible solutions of nonsingular n-subsystems, deduplicated."""
@@ -66,6 +91,19 @@ def brute_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
         if sol is not None and contains_point(P, sol):
             points.add(sol)
     return sorted(points)
+
+
+def lex_witness(P: Polyhedron, point) -> tuple[int, ...] | None:
+    """The lexicographically smallest n-subset whose rows form a
+    nonsingular square system solving to point (only rows tight at the
+    point can take part, so only those are combined)."""
+    rows = P.row_matrix()
+    rhs = [hs.b for hs in P.halfspaces]
+    tight = [i for i, hs in enumerate(P.halfspaces) if hs.slack(point) == 0]
+    for combo in itertools.combinations(tight, P.n):
+        if solve_square([rows[i] for i in combo], [rhs[i] for i in combo]) == point:
+            return combo
+    return None
 
 
 def sufficiently_small_eps(P: Polyhedron, x, v) -> Fraction:

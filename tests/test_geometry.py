@@ -25,7 +25,9 @@ from helpers import (
     Y1,
     STRIP,
     brute_vertices,
+    lex_witness,
     rand_direction,
+    random_degenerate_polyhedron,
     random_feasible_pointed,
     sufficiently_small_eps,
 )
@@ -127,10 +129,17 @@ class TestEnumerateVertices:
         assert origin.active == (0, 1, 2)
 
     def test_exhaustive_against_brute_force(self):
+        # points against the brute-force oracle, active sets against
+        # active_set, witnesses against the lexicographic subset search
         rng = random.Random(7)
-        for _ in range(25):
-            P = random_feasible_pointed(rng)
-            assert [v.point for v in enumerate_vertices(P)] == brute_vertices(P)
+        cases = [random_feasible_pointed(rng) for _ in range(25)]
+        cases += [random_degenerate_polyhedron(rng, n) for n in range(1, 6) for _ in range(6)]
+        for P in cases:
+            verts = enumerate_vertices(P)
+            assert [v.point for v in verts] == brute_vertices(P)
+            for v in verts:
+                assert v.active == active_set(P, v.point)
+                assert v.defining == lex_witness(P, v.point)
 
 
 class TestTangentCone:
