@@ -10,6 +10,7 @@ friends), 1 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -18,6 +19,7 @@ from fractions import Fraction
 from . import errors
 from .geometry import (
     Polyhedron,
+    active_normals,
     normal_cone,
     polyhedron_from_dict,
     polyhedron_to_dict,
@@ -32,7 +34,6 @@ from .kuratowski import (
     track_vertices,
     trajectory_from_dict,
     verify_convergence,
-    ConvergenceReport,
 )
 from .optimality import solve_glp, stability_cone
 from .rationals import format_rational, format_vector, parse_rational
@@ -185,13 +186,15 @@ def _cmd_solve(args):
 
 
 def _stability_dict(sol) -> list[dict]:
-    cones = []
-    for v in sol.optimal_vertices:
-        sc = stability_cone(sol.solved_on, v)
-        cones.append(
-            {"vertex": format_vector(v.point), "generators": [format_vector(g) for g in sc.generators]}
-        )
-    return cones
+    # optimal vertices come from enumerating sol.solved_on, so their active
+    # rows give the stability cones without proving vertex-ness again
+    return [
+        {
+            "vertex": format_vector(v.point),
+            "generators": [format_vector(g) for g in active_normals(sol.solved_on, v.active)],
+        }
+        for v in sol.optimal_vertices
+    ]
 
 
 def _cmd_sensitivity(args):
@@ -268,14 +271,7 @@ def _cmd_track(args):
         for t in tracks.tracks
         if t.converged
     )
-    full = ConvergenceReport(
-        window_radius=base.window_radius,
-        distances=base.distances,
-        converged=base.converged,
-        vertex_count_check=base.vertex_count_check,
-        vertex_tracks=tracks,
-        cone_distances=cones,
-    )
+    full = dataclasses.replace(base, vertex_tracks=tracks, cone_distances=cones)
     return 0, full.to_dict()
 
 
@@ -284,14 +280,7 @@ def _cmd_argmax(args):
     candidate = _candidate_limit(args, traj)
     base = verify_convergence(traj, candidate, args.window, args.tol, args.seed)
     rep = argmax_convergence(traj, candidate, args.window, args.tol, args.eps_limit, args.seed)
-    full = ConvergenceReport(
-        window_radius=base.window_radius,
-        distances=base.distances,
-        converged=base.converged,
-        vertex_count_check=base.vertex_count_check,
-        argmax=rep,
-    )
-    return 0, full.to_dict()
+    return 0, dataclasses.replace(base, argmax=rep).to_dict()
 
 
 def _cmd_boundary(args):

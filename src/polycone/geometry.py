@@ -337,9 +337,8 @@ def polyhedron_from_dict(data: dict) -> Polyhedron:
         rows = data["constraints"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polyhedron JSON: {exc}") from exc
-    halfspaces = []
-    for row in rows:
-        a = parse_vector(row["a"])
-        b = parse_rational(row["b"])
-        halfspaces.append(HalfSpace(a, b))
+    try:
+        halfspaces = [HalfSpace(parse_vector(row["a"]), parse_rational(row["b"])) for row in rows]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed polyhedron JSON: {exc}") from exc
     return Polyhedron(n, halfspaces)

@@ -6,7 +6,17 @@ fixed direction set (the +/- coordinate directions plus seeded pseudorandom
 unit vectors).  Support values come from exact optimization over the
 box-truncated polytope (vertex enumeration of an exact rational polytope),
 converted to binary64 only at the very end, so identical inputs and seeds
-give byte-identical reports.
+give byte-identical reports.  Each diagnostic validates its window and
+computes the support vectors of the limit side once, before its sample loop.
+
+The metric stands in for the rho-distances of Rockafellar-Wets (Variational
+Analysis, ch. 4), which compare distance functions on the ball of radius rho
+and metrize Painleve-Kuratowski convergence of closed sets.  Over all unit
+directions the support gap of two compact convex sets is their Hausdorff
+distance, so the sampled directions give a lower bound on the Hausdorff
+distance of the two box truncations.  Unlike the rho-distances, truncating
+the sets themselves can make the value jump when a set meets the box
+boundary.
 """
 from __future__ import annotations
 
@@ -81,51 +91,12 @@ def _box_rows(n: int, R: Fraction) -> list[HalfSpace]:
     return rows
 
 
-def _window_points(obj: Polyhedron | Cone, R: Fraction) -> list[Vector]:
-    """Exact extreme points of ``obj`` intersected with the window box.
-
-    Polyhedra and H-form cones are truncated directly; a generator cone is
-    handled through its coefficient polytope (lambda >= 0 with the image
-    box-bounded), whose vertex images cover the truncation's extreme
-    points.  An empty list means the truncated set is empty.
-    """
-    if isinstance(obj, Polyhedron):
-        boxed = Polyhedron(obj.n, tuple(obj.halfspaces) + tuple(_box_rows(obj.n, R)))
-        return [v.point for v in enumerate_vertices(boxed)]
-    if obj.hform is not None:
-        rows = tuple(obj.hform) + tuple(_box_rows(obj.n, R))
-        return [v.point for v in enumerate_vertices(Polyhedron(obj.n, rows))]
-    gens = obj.generators
-    if not gens:
-        return [tuple(Fraction(0) for _ in range(obj.n))]
-    r = len(gens)
-    lam_rows = []
-    for i in range(r):
-        lam_rows.append(
-            HalfSpace(tuple(Fraction(-1) if k == i else Fraction(0) for k in range(r)), 0)
-        )
-    for j in range(obj.n):
-        col = tuple(g[j] for g in gens)
-        if all(v == 0 for v in col):
-            continue
-        lam_rows.append(HalfSpace(col, R))
-        lam_rows.append(HalfSpace(tuple(-v for v in col), R))
-    points = []
-    seen = set()
-    for v in enumerate_vertices(Polyhedron(r, lam_rows)):
-        x = tuple(sum(v.point[i] * gens[i][j] for i in range(r)) for j in range(obj.n))
-        if x not in seen:
-            seen.add(x)
-            points.append(x)
-    return points
-
-
-def _supports(points: Sequence[Vector], directions: Sequence[FloatVector]) -> list[float]:
-    fpoints = [tuple(float(x) for x in p) for p in points]
-    return [max(sum(u * x for u, x in zip(d, p)) for p in fpoints) for d in directions]
-
-
-def _check_directions(n: int, directions: Sequence[FloatVector]) -> None:
+def _checked_window(R: float, n: int, m: int, directions: Sequence[FloatVector]) -> Fraction:
+    """Validate a window between sets in R^n and R^m; return the exact radius."""
+    if not (isinstance(R, (int, float)) and R > 0 and math.isfinite(R)):
+        raise BadWindow(f"window radius must be positive and finite, got {R!r}")
+    if m != n:
+        raise BadWindow("window operands disagree on dimension")
     if len(directions) < 2 * n:
         raise BadWindow(f"need at least {2 * n} directions, got {len(directions)}")
     for j in range(n):
@@ -133,6 +104,56 @@ def _check_directions(n: int, directions: Sequence[FloatVector]) -> None:
             target = tuple(sign if k == j else 0.0 for k in range(n))
             if not any(d == target for d in directions):
                 raise BadWindow("direction set must include +/- coordinate directions")
+    return float_to_fraction(float(R))
+
+
+def _window_support(
+    obj: Polyhedron | Cone, R: Fraction, directions: Sequence[FloatVector]
+) -> list[float] | None:
+    """Support values of ``obj`` intersected with [-R, R]^n, or None if that is empty.
+
+    Polyhedra and H-form cones are truncated directly; a generator cone is
+    handled through its coefficient polytope (lambda >= 0 with the image
+    box-bounded), whose vertex images cover the truncation's extreme
+    points.  The maximum over those exact points is taken in binary64.
+    """
+    rows = obj.halfspaces if isinstance(obj, Polyhedron) else obj.hform
+    if rows is not None:
+        boxed = Polyhedron(obj.n, tuple(rows) + tuple(_box_rows(obj.n, R)))
+        points = [v.point for v in enumerate_vertices(boxed)]
+    elif not obj.generators:
+        points = [tuple(Fraction(0) for _ in range(obj.n))]
+    else:
+        gens = obj.generators
+        r = len(gens)
+        lam_rows = []
+        for i in range(r):
+            lam_rows.append(
+                HalfSpace(tuple(Fraction(-1) if k == i else Fraction(0) for k in range(r)), 0)
+            )
+        for j in range(obj.n):
+            col = tuple(g[j] for g in gens)
+            if all(v == 0 for v in col):
+                continue
+            lam_rows.append(HalfSpace(col, R))
+            lam_rows.append(HalfSpace(tuple(-v for v in col), R))
+        points = [
+            tuple(sum(v.point[i] * gens[i][j] for i in range(r)) for j in range(obj.n))
+            for v in enumerate_vertices(Polyhedron(r, lam_rows))
+        ]
+    if not points:
+        return None
+    fpoints = [tuple(float(x) for x in p) for p in points]
+    return [max(sum(u * x for u, x in zip(d, p)) for p in fpoints) for d in directions]
+
+
+def _support_gap(hp: list[float] | None, hq: list[float] | None) -> WindowDistance:
+    """Largest support gap; two empty windows give 0 and one gives infinity, flagged."""
+    if hp is None and hq is None:
+        return WindowDistance(0.0, both_empty=True)
+    if hp is None or hq is None:
+        return WindowDistance(math.inf, one_empty=True)
+    return WindowDistance(max(abs(a - b) for a, b in zip(hp, hq)))
 
 
 def window_distance(
@@ -140,33 +161,19 @@ def window_distance(
     Q: Polyhedron | Cone,
     R: float,
     directions: Sequence[FloatVector] | None = None,
-    seed: int = DEFAULT_SEED,
-    extra: int = DEFAULT_EXTRA_DIRECTIONS,
 ) -> WindowDistance:
     """Truncated-window support-function pseudo-metric between two sets.
 
     Both sets are intersected with [-R, R]^n; the value is the maximum
-    absolute support gap over the sampled directions.  Two empty windows
-    give distance 0 (flagged), one empty window gives infinity.
+    absolute support gap over the sampled directions, by default
+    ``default_directions(n)``.  Two empty windows give distance 0 (flagged),
+    one empty window gives infinity.
     """
-    if not (isinstance(R, (int, float)) and R > 0 and math.isfinite(R)):
-        raise BadWindow(f"window radius must be positive and finite, got {R!r}")
-    n = P.n
-    if Q.n != n:
-        raise BadWindow("window operands disagree on dimension")
     if directions is None:
-        directions = default_directions(n, seed, extra)
-    _check_directions(n, directions)
-    rr = float_to_fraction(float(R))
-    pts_p = _window_points(P, rr)
-    pts_q = _window_points(Q, rr)
-    if not pts_p and not pts_q:
-        return WindowDistance(0.0, both_empty=True)
-    if not pts_p or not pts_q:
-        return WindowDistance(math.inf, one_empty=True)
-    hp = _supports(pts_p, directions)
-    hq = _supports(pts_q, directions)
-    return WindowDistance(max(abs(a - b) for a, b in zip(hp, hq)))
+        directions = default_directions(P.n)
+    window = _checked_window(R, P.n, Q.n, directions)
+    hp = _window_support(P, window, directions)
+    return _support_gap(hp, _window_support(Q, window, directions))
 
 
 def _trend_converged(values: Sequence[float], tol: float) -> bool:
@@ -329,12 +336,14 @@ def verify_convergence(
         raise EmptyPolyhedron("candidate limit is empty")
     radius = default_window(candidate) if R is None else float(R)
     directions = default_directions(T.n, seed, extra)
+    window = _checked_window(radius, T.n, candidate.n, directions)
+    h_limit = _window_support(candidate, window, directions)
     distances = []
     counts = []
     limit_count = len(enumerate_vertices(candidate))
     for k in range(T.sample_count):
         Pk = T.sample_polyhedron(k)
-        d = window_distance(Pk, candidate, radius, directions)
+        d = _support_gap(_window_support(Pk, window, directions), h_limit)
         distances.append((T.indices[k], d.value))
         counts.append((T.indices[k], len(enumerate_vertices(Pk)), limit_count))
     return ConvergenceReport(
@@ -369,18 +378,12 @@ def track_vertices(
             if not verts:
                 matches.append((T.indices[k], (), math.inf))
                 continue
-            best = min(
-                verts,
-                key=lambda v: (
-                    math.sqrt(
-                        sum((float(x) - y) ** 2 for x, y in zip(v.point, lf))
-                    ),
-                    v.point,
-                ),
+            dist, point = min(
+                (math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(v.point, lf))), v.point)
+                for v in verts
             )
-            dist = math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(best.point, lf)))
-            matched[k].add(best.point)
-            matches.append((T.indices[k], best.point, dist))
+            matched[k].add(point)
+            matches.append((T.indices[k], point, dist))
         track = VertexTrack(
             limit_vertex=lv.point,
             matches=tuple(matches),
@@ -414,19 +417,22 @@ def cone_convergence(
     c_limit = tangent_cone(limit, track.limit_vertex)
     n_limit = normal_cone(limit, track.limit_vertex)
     directions = default_directions(T.n, seed, extra)
+    window = _checked_window(R, T.n, limit.n, directions)
+    h_tangent = _window_support(c_limit, window, directions)
+    h_normal = _window_support(n_limit, window, directions)
     tangent_seq = []
     normal_seq = []
     for k in range(T.sample_count):
-        Pk = T.sample_polyhedron(k)
         point = track.matches[k][1]
         if not point:  # sample had no vertices to match
             tangent_seq.append((T.indices[k], math.inf))
             normal_seq.append((T.indices[k], math.inf))
             continue
-        ck = tangent_cone(Pk, point)
-        nk = normal_cone(Pk, point)
-        tangent_seq.append((T.indices[k], window_distance(ck, c_limit, R, directions).value))
-        normal_seq.append((T.indices[k], window_distance(nk, n_limit, R, directions).value))
+        Pk = T.sample_polyhedron(k)
+        hk = _window_support(tangent_cone(Pk, point), window, directions)
+        tangent_seq.append((T.indices[k], _support_gap(hk, h_tangent).value))
+        hk = _window_support(normal_cone(Pk, point), window, directions)
+        normal_seq.append((T.indices[k], _support_gap(hk, h_normal).value))
     converged = _trend_converged([d for _, d in tangent_seq], tol) and _trend_converged(
         [d for _, d in normal_seq], tol
     )
@@ -469,7 +475,8 @@ def argmax_convergence(
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
     radius = default_window(limit) if R is None else float(R)
     directions = default_directions(T.n, seed, extra)
-    limit_face = sol_limit.argmin_face
+    window = _checked_window(radius, T.n, limit.n, directions)
+    h_face = _window_support(sol_limit.argmin_face, window, directions)
     limit_count = len(enumerate_vertices(limit))
 
     per_max = []
@@ -482,9 +489,8 @@ def argmax_convergence(
         if sol.status != "Attained":
             raise MaxNotAttained(T.indices[k], f"objective not attained at sample {T.indices[k]}")
         per_max.append((T.indices[k], float(sol.value)))
-        face_dists.append(
-            (T.indices[k], window_distance(sol.argmin_face, limit_face, radius, directions).value)
-        )
+        hk = _window_support(sol.argmin_face, window, directions)
+        face_dists.append((T.indices[k], _support_gap(hk, h_face).value))
         counts_equal.append(len(enumerate_vertices(Pk)) == limit_count)
 
     limit_max = float(sol_limit.value)
@@ -538,9 +544,11 @@ def boundary_convergence(
         return unit + (offset,)
 
     limit_min = remove_redundant(limit)
+    window = _checked_window(radius, T.n, limit.n, directions)
     limit_rows = [match_key(hs) for hs in limit_min.halfspaces]
-    limit_facets = [
-        limit_min.with_rows([hs.flipped()]) for hs in limit_min.halfspaces
+    h_facets = [
+        _window_support(limit_min.with_rows([hs.flipped()]), window, directions)
+        for hs in limit_min.halfspaces
     ]
     warnings: list[str] = []
     metrics = []
@@ -562,10 +570,8 @@ def boundary_convergence(
                 )
                 continue
             any_match = True
-            worst = max(
-                worst,
-                window_distance(facets_k[best_j], limit_facets[li], radius, directions).value,
-            )
+            hk = _window_support(facets_k[best_j], window, directions)
+            worst = max(worst, _support_gap(hk, h_facets[li]).value)
         metrics.append((T.indices[k], worst if any_match else math.inf))
         if not any_match:
             warnings.append(f"k={T.indices[k]}: no limit facet matched any sample facet")

@@ -61,10 +61,13 @@ DIVERGENT = _Divergent()
 def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
     """The row ``<a, x> <= b`` in binary64, scaled to a Euclidean unit normal."""
     vec = [float(v) for v in a]
+    offset = float(b)
+    if not all(math.isfinite(v) for v in vec + [offset]):
+        raise ValueError("non-finite value in trajectory sample")
     norm = math.sqrt(sum(v * v for v in vec))
     if norm == 0.0:
         raise ValueError("zero normal in trajectory sample")
-    return tuple(v / norm for v in vec), float(b) / norm
+    return tuple(v / norm for v in vec), offset / norm
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,8 @@ class CostTrajectory:
             raise TooFewSamples(f"need >= 3 samples, got {len(rows)}")
         idx = [float(k) for k, _ in rows]
         vecs = [tuple(float(v) for v in c) for _, c in rows]
+        if not all(math.isfinite(v) for vec in vecs for v in vec):
+            raise ValueError("non-finite value in cost sample")
         limit = None if declared_limit is None else tuple(Fraction(v) for v in declared_limit)
         object.__setattr__(self, "indices", tuple(idx))
         object.__setattr__(self, "vectors", tuple(vecs))
@@ -527,30 +532,33 @@ def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trajectory JSON: {exc}") from exc
     constraints = []
-    for entry in raw_constraints:
-        rows = entry["rows"]
-        if len(rows) != len(sample_idx):
-            raise ValueError("constraint row count does not match sample count")
-        samples = []
-        for k, row in zip(sample_idx, rows):
-            if len(row) != n + 1:
-                raise ValueError(f"constraint row needs {n + 1} entries, got {len(row)}")
-            samples.append((k, row[:n], row[n]))
-        declared = entry.get("limit")
-        if declared == "+inf":
-            declared = PLUS_INFINITY
-        elif declared is not None:
-            declared = HalfSpace(parse_vector(declared["a"]), parse_rational(declared["b"]))
-        constraints.append(ConstraintTrajectory(samples, declared_limit=declared))
     cost = None
-    if data.get("cost") is not None:
-        centry = data["cost"]
-        rows = centry["rows"]
-        if len(rows) != len(sample_idx):
-            raise ValueError("cost row count does not match sample count")
-        declared = centry.get("limit")
-        declared = None if declared is None else parse_vector(declared)
-        cost = CostTrajectory(list(zip(sample_idx, rows)), declared_limit=declared)
+    try:
+        for entry in raw_constraints:
+            rows = entry["rows"]
+            if len(rows) != len(sample_idx):
+                raise ValueError("constraint row count does not match sample count")
+            samples = []
+            for k, row in zip(sample_idx, rows):
+                if len(row) != n + 1:
+                    raise ValueError(f"constraint row needs {n + 1} entries, got {len(row)}")
+                samples.append((k, row[:n], row[n]))
+            declared = entry.get("limit")
+            if declared == "+inf":
+                declared = PLUS_INFINITY
+            elif declared is not None:
+                declared = HalfSpace(parse_vector(declared["a"]), parse_rational(declared["b"]))
+            constraints.append(ConstraintTrajectory(samples, declared_limit=declared))
+        if data.get("cost") is not None:
+            centry = data["cost"]
+            rows = centry["rows"]
+            if len(rows) != len(sample_idx):
+                raise ValueError("cost row count does not match sample count")
+            declared = centry.get("limit")
+            declared = None if declared is None else parse_vector(declared)
+            cost = CostTrajectory(list(zip(sample_idx, rows)), declared_limit=declared)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trajectory JSON: {exc}") from exc
     return PolyhedronTrajectory(n=n, constraints=tuple(constraints), cost=cost)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,12 @@ def run_cli(args):
     with contextlib.redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue()
+
+
+def _footnote_with_offset(sample, value):
+    data = trajectory_to_dict(footnote_trajectory())
+    data["constraints"][0]["rows"][sample][2] = value
+    return data
 
 
 @pytest.fixture()
@@ -43,6 +50,12 @@ def files(tmp_path):
             {"n": 1, "constraints": [{"a": ["one"], "b": "0"}]},
         ),
         "footnote": dump("footnote.json", trajectory_to_dict(footnote_trajectory())),
+        "nan_offset": dump("nan_offset.json", _footnote_with_offset(0, math.nan)),
+        "inf_offset": dump("inf_offset.json", _footnote_with_offset(-1, math.inf)),
+        "string_rows": dump("string_rows.json", {"n": 2, "constraints": "abc"}),
+        "string_traj": dump(
+            "string_traj.json", {"n": 2, "samples": [1.0, 2.0, 3.0], "constraints": "abc"}
+        ),
         "remark": dump("remark.json", trajectory_to_dict(remark_trajectory())),
         "oscillating": dump(
             "oscillating.json",
@@ -191,6 +204,32 @@ class TestExitCodes:
         code, out = run_cli(["vertices", files["badrat"]])
         assert code == 1
         assert "'one'" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "verb, name, prefix",
+        [
+            ("vertices", "string_rows", "malformed polyhedron JSON"),
+            ("limit", "string_traj", "malformed trajectory JSON"),
+        ],
+    )
+    def test_malformed_rows_are_parse_errors(self, files, verb, name, prefix):
+        code, out = run_cli([verb, files[name]])
+        rep = json.loads(out)
+        assert code == 1 and rep["kind"] == "ValueError"
+        assert rep["error"].startswith(prefix)
+
+    def test_nan_offset_rejected(self, files):
+        code, out = run_cli(["limit", files["nan_offset"]])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "non-finite value in trajectory sample",
+            "kind": "ValueError",
+        }
+
+    def test_infinite_offset_rejected(self, files):
+        code, out = run_cli(["limit", files["inf_offset"]])
+        assert code == 1
+        assert json.loads(out)["error"] == "non-finite value in trajectory sample"
 
     def test_missing_file(self):
         code, out = run_cli(["vertices", "/nonexistent/f.json"])

@@ -21,8 +21,12 @@ from polycone import (
     detect_ie_pairs,
     enumerate_vertices,
     errors,
+    normal_cone,
     poly_contains,
+    remove_redundant,
+    solve_glp,
     solve_lp,
+    tangent_cone,
     track_vertices,
     trajectory_from_dict,
     trajectory_to_dict,
@@ -30,6 +34,7 @@ from polycone import (
     window_distance,
 )
 from polycone.kuratowski.convergence import default_directions, default_window
+from polycone.kuratowski.limits import _unit_row
 
 from helpers import HALF_LINE, TRIANGLE, X_AXIS
 from families import (
@@ -89,6 +94,12 @@ class TestClassifyOffset:
         )
         cls = classify_offset(t)
         assert cls.kind == "plus_infinity" and cls.declared
+
+    def test_non_finite_samples_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ConstraintTrajectory([(k, (1.0, 0.0), math.nan) for k in (1, 2, 3)])
+        with pytest.raises(ValueError, match="non-finite"):
+            CostTrajectory([(k, (math.inf, 0.0)) for k in (1, 2, 3)])
 
     def test_too_few_samples(self):
         with pytest.raises(errors.TooFewSamples):
@@ -519,3 +530,94 @@ class TestTrajectoryCodec:
     def test_default_window_clamps(self):
         assert default_window(TRIANGLE) == 4.0  # max vertex norm 1
         assert default_window(X_AXIS) == 2.0  # no vertices
+
+
+FAMILIES = {
+    "footnote": footnote_trajectory,
+    "remark": remark_trajectory,
+    "ex31": ex31_trajectory,
+    "ex32": ex32_trajectory,
+    "triangle": constant_triangle_trajectory,
+    "plus_inf": plus_infinity_drop_trajectory,
+}
+
+
+def _row_gap(hs, g):
+    (a, b), (c, d) = _unit_row(hs.a, hs.b), _unit_row(g.a, g.b)
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a + (b,), c + (d,))))
+
+
+class TestDiagnosticsAgainstWindowDistance:
+    """Every diagnostic equals, float for float, direct window_distance calls."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_per_sample_values(self, name):
+        T = FAMILIES[name]()
+        limit = construct_limit(T).limit
+        radius = default_window(limit)
+        dirs = default_directions(T.n)
+        samples = [T.sample_polyhedron(k) for k in range(T.sample_count)]
+
+        def direct(P, Q, R=radius):
+            return window_distance(P, Q, R, dirs).value
+
+        rep = verify_convergence(T, limit)
+        assert [d for _, d in rep.distances] == [direct(P, limit) for P in samples]
+
+        for track in track_vertices(T, limit, tol=1e-3).tracks:
+            if not track.converged:
+                continue
+            cc = cone_convergence(T, limit, track, tol=1e-3)
+            lv = track.limit_vertex
+            expected_t, expected_n = [], []
+            for P, (_, point, _) in zip(samples, track.matches):
+                if not point:
+                    expected_t.append(math.inf)
+                    expected_n.append(math.inf)
+                    continue
+                expected_t.append(direct(tangent_cone(P, point), tangent_cone(limit, lv), 1.0))
+                expected_n.append(direct(normal_cone(P, point), normal_cone(limit, lv), 1.0))
+            assert [d for _, d in cc.tangent] == expected_t
+            assert [d for _, d in cc.normal] == expected_n
+
+        if T.cost is not None:
+            rep = argmax_convergence(T, limit)
+            face = solve_glp(limit, T.cost.declared_limit, "max").argmin_face
+            assert [d for _, d in rep.face_distances] == [
+                direct(solve_glp(P, T.sample_cost(k), "max").argmin_face, face)
+                for k, P in enumerate(samples)
+            ]
+
+        rep = boundary_convergence(T, limit)
+        limit_min = remove_redundant(limit)
+        expected = []
+        for P in samples:
+            Pk = remove_redundant(P)
+            gaps = []
+            for hs in limit_min.halfspaces:
+                gap, j = min((_row_gap(hs, g), j) for j, g in enumerate(Pk.halfspaces))
+                if gap <= 0.5:
+                    facet = Pk.with_rows([Pk.halfspaces[j].flipped()])
+                    gaps.append(direct(facet, limit_min.with_rows([hs.flipped()])))
+            expected.append(max(gaps) if gaps else math.inf)
+        assert [d for _, d in rep.metrics] == expected
+
+    @pytest.mark.parametrize("diagnostic", [verify_convergence, boundary_convergence])
+    def test_limit_of_wrong_dimension(self, diagnostic):
+        segment = Polyhedron.from_rows(1, [((1,), 1), ((-1,), 0)])
+        with pytest.raises(errors.BadWindow, match="window operands disagree on dimension"):
+            diagnostic(footnote_trajectory(), segment)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_non_positive_radius(self, R):
+        T = ex31_trajectory()
+        track = next(t for t in track_vertices(T, Y1).tracks if t.converged)
+        diagnostics = (
+            lambda: verify_convergence(T, Y1, R=R),
+            lambda: cone_convergence(T, Y1, track, R=R),
+            lambda: argmax_convergence(T, Y1, R=R),
+            lambda: boundary_convergence(T, Y1, R=R),
+        )
+        for run in diagnostics:
+            with pytest.raises(errors.BadWindow, match="positive and finite"):
+                run()
