@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -101,6 +102,8 @@ def _glp_dict(sol) -> dict:
         out["argmin_face"] = polyhedron_to_dict(sol.argmin_face)
     elif sol.status == "UnboundedBelow":
         out["ray"] = format_vector(sol.ray)
+    else:
+        out["farkas"] = format_vector(sol.farkas)
     return out
 
 
@@ -291,6 +294,19 @@ def _cmd_boundary(args):
 
 
 # ---------------------------------------------------------------------------
+# JSON output
+
+
+def _strict(obj):
+    """The report with infinite distances spelled ``"+inf"`` (RFC 8259 JSON has no literal)."""
+    if isinstance(obj, dict):
+        return {key: _strict(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(val) for val in obj]
+    return "+inf" if obj == math.inf else obj
+
+
+# ---------------------------------------------------------------------------
 # Text rendering (human-oriented, lossy; JSON is the contract)
 
 
@@ -395,7 +411,7 @@ def main(argv=None) -> int:
         report = {"error": str(exc), "kind": "OSError"}
         code = 1
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(_strict(report), indent=2, allow_nan=False))
     else:
         print(_render_text(report))
     return code

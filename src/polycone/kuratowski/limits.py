@@ -70,6 +70,13 @@ def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
     return tuple(v / norm for v in vec), offset / norm
 
 
+def _sample_index(k) -> float:
+    idx = float(k)
+    if not math.isfinite(idx):
+        raise ValueError("non-finite sample index")
+    return idx
+
+
 @dataclass(frozen=True)
 class ConstraintTrajectory:
     """One constraint row sampled along the family, toward the limit.
@@ -91,7 +98,7 @@ class ConstraintTrajectory:
         idx, normals, offsets = [], [], []
         for k, a, b in rows:
             unit, offset = _unit_row(a, b)
-            idx.append(float(k))
+            idx.append(_sample_index(k))
             normals.append(unit)
             offsets.append(offset)
         object.__setattr__(self, "indices", tuple(idx))
@@ -120,7 +127,7 @@ class CostTrajectory:
         rows = list(samples)
         if len(rows) < 3:
             raise TooFewSamples(f"need >= 3 samples, got {len(rows)}")
-        idx = [float(k) for k, _ in rows]
+        idx = [_sample_index(k) for k, _ in rows]
         vecs = [tuple(float(v) for v in c) for _, c in rows]
         if not all(math.isfinite(v) for vec in vecs for v in vec):
             raise ValueError("non-finite value in cost sample")

@@ -106,6 +106,17 @@ def lex_witness(P: Polyhedron, point) -> tuple[int, ...] | None:
     return None
 
 
+def is_farkas(P: Polyhedron, y) -> bool:
+    """y >= 0 over the rows of P with y.A = 0 and y.b < 0: a proof that P is empty."""
+    rows = P.halfspaces
+    return (
+        len(y) == P.m
+        and all(v >= 0 for v in y)
+        and all(sum(yi * hs.a[j] for yi, hs in zip(y, rows)) == 0 for j in range(P.n))
+        and sum(yi * hs.b for yi, hs in zip(y, rows)) < 0
+    )
+
+
 def sufficiently_small_eps(P: Polyhedron, x, v) -> Fraction:
     """An eps = 1/2^k below every inactive slack-to-velocity ratio at x."""
     bounds = []

@@ -35,6 +35,7 @@ from helpers import (
     HALF_LINE,
     X_AXIS,
     Y1,
+    is_farkas,
     rand_direction,
     random_cost,
     random_feasible_pointed,
@@ -128,6 +129,11 @@ def test_criterion_4_theorem_oracle_equivalence():
                     for j in range(P.n)
                 )
                 assert recombined == minus_c
+        elif glp.status == "Infeasible":
+            assert is_farkas(P, glp.farkas)
+        else:
+            assert all(dot(hs.a, glp.ray) <= 0 for hs in P.halfspaces)
+            assert dot(c, glp.ray) < 0
         agreements += 1
     assert agreements == 1000
     _report(4, "normal-cone GLP vs simplex oracle: 1000/1000 status+value, certificates exact")

@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from polycone import polyhedron_to_dict, trajectory_to_dict
+from polycone import polyhedron_from_dict, polyhedron_to_dict, trajectory_to_dict
+from polycone.rationals import parse_rational
 from polycone.cli import main
 
-from helpers import HALF_LINE, QUADRANT, TRIANGLE, Y1, Y2
+from helpers import HALF_LINE, QUADRANT, TRIANGLE, Y1, Y2, is_farkas
 from families import footnote_trajectory, remark_trajectory
 
 
@@ -22,6 +23,12 @@ def run_cli(args):
 def _footnote_with_offset(sample, value):
     data = trajectory_to_dict(footnote_trajectory())
     data["constraints"][0]["rows"][sample][2] = value
+    return data
+
+
+def _footnote_with_first_index(value):
+    data = trajectory_to_dict(footnote_trajectory())
+    data["samples"][0] = value
     return data
 
 
@@ -52,6 +59,7 @@ def files(tmp_path):
         "footnote": dump("footnote.json", trajectory_to_dict(footnote_trajectory())),
         "nan_offset": dump("nan_offset.json", _footnote_with_offset(0, math.nan)),
         "inf_offset": dump("inf_offset.json", _footnote_with_offset(-1, math.inf)),
+        "nan_index": dump("nan_index.json", _footnote_with_first_index(math.nan)),
         "string_rows": dump("string_rows.json", {"n": 2, "constraints": "abc"}),
         "string_traj": dump(
             "string_traj.json", {"n": 2, "samples": [1.0, 2.0, 3.0], "constraints": "abc"}
@@ -188,7 +196,11 @@ class TestExitCodes:
     def test_infeasible_is_domain_error(self, files):
         code, out = run_cli(["solve", files["empty"], "--cost", "1"])
         assert code == 2
-        assert json.loads(out)["status"] == "Infeasible"
+        rep = json.loads(out)
+        assert rep["status"] == "Infeasible"
+        with open(files["empty"], encoding="utf-8") as fh:
+            P = polyhedron_from_dict(json.load(fh))
+        assert is_farkas(P, [parse_rational(v) for v in rep["farkas"]])
 
     def test_empty_polyhedron_errors(self, files):
         code, out = run_cli(["bounded", files["empty"]])
@@ -230,6 +242,21 @@ class TestExitCodes:
         code, out = run_cli(["limit", files["inf_offset"]])
         assert code == 1
         assert json.loads(out)["error"] == "non-finite value in trajectory sample"
+
+    @pytest.mark.parametrize("verb", ["limit", "track"])
+    def test_nan_sample_index_rejected(self, files, verb):
+        code, out = run_cli([verb, files["nan_index"]])
+        assert code == 1
+        assert json.loads(out) == {"error": "non-finite sample index", "kind": "ValueError"}
+
+    def test_infinite_distance_is_strict_json(self, files):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, out = run_cli(["argmax", files["remark"]])
+        assert code == 0
+        json.loads(out, parse_constant=reject)
+        assert out.count('"distance": "+inf"') == 8
 
     def test_missing_file(self):
         code, out = run_cli(["vertices", "/nonexistent/f.json"])

@@ -101,6 +101,13 @@ class TestClassifyOffset:
         with pytest.raises(ValueError, match="non-finite"):
             CostTrajectory([(k, (math.inf, 0.0)) for k in (1, 2, 3)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_index_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite sample index"):
+            ConstraintTrajectory([(k, (1.0, 0.0), 0.0) for k in (bad, 2, 3)])
+        with pytest.raises(ValueError, match="non-finite sample index"):
+            CostTrajectory([(k, (1.0, 0.0)) for k in (1, 2, bad)])
+
     def test_too_few_samples(self):
         with pytest.raises(errors.TooFewSamples):
             ConstraintTrajectory([(1, (1.0,), 0.0), (2, (1.0,), 0.0)])

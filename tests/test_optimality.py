@@ -23,7 +23,9 @@ from helpers import (
     STRIP,
     TRIANGLE,
     Y1,
+    is_farkas,
     random_cost,
+    random_degenerate_polyhedron,
     random_polyhedron,
 )
 
@@ -57,7 +59,15 @@ class TestSolveGLP:
 
     def test_infeasible(self):
         P = Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)])
-        assert solve_glp(P, (1, 1)).status == "Infeasible"
+        sol = solve_glp(P, (1, 1))
+        assert sol.status == "Infeasible"
+        assert sol.farkas == (1, 1) and sol.solved_on == P
+
+    def test_max_sense_ray_normalised(self):
+        sol = solve_glp(QUADRANT, (1, 2), "max")
+        assert sol.status == "UnboundedBelow"
+        assert dot((1, 2), sol.ray) == 1
+        assert all(dot(hs.a, sol.ray) <= 0 for hs in QUADRANT.halfspaces)
 
     def test_max_sense_sugar(self):
         as_max = solve_glp(Y1, (1, 4), "max")
@@ -94,6 +104,51 @@ class TestLinealityQuotient:
     def test_infeasible_with_lineality(self):
         P = Polyhedron.from_rows(2, [((0, 1), -1), ((0, -1), 0)])
         assert solve_glp(P, (0, 1)).status == "Infeasible"
+
+
+def _assert_certified(P, c, sol):
+    if sol.status == "Attained":
+        assert len(sol.certificate) == len(sol.optimal_vertices)
+        for v, cert in zip(sol.optimal_vertices, sol.certificate):
+            assert dot(c, v.point) == sol.value
+            gens = normal_cone(sol.solved_on, v.point).generators
+            combo = tuple(sum(lam * g[j] for lam, g in zip(cert.multipliers, gens)) for j in range(P.n))
+            assert combo == vec_neg(c)
+    elif sol.status == "UnboundedBelow":
+        assert all(dot(hs.a, sol.ray) <= 0 for hs in P.halfspaces)
+        assert dot(c, sol.ray) < 0
+    else:
+        assert is_farkas(P, sol.farkas)
+
+
+class TestWithoutSimplex:
+    @pytest.fixture(autouse=True)
+    def no_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_glp ran the simplex")
+
+        monkeypatch.setattr("polycone.linprog.solve_lp", refuse, raising=False)
+        monkeypatch.setattr("polycone.optimality.solve_lp", refuse, raising=False)
+
+    @pytest.mark.parametrize(
+        "P, c, status",
+        [
+            (TRIANGLE, (1, 1), "Attained"),
+            (TRIANGLE, (0, 1), "Attained"),
+            (QUADRANT, (-1, 0), "UnboundedBelow"),
+            (Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)]), (1, 1), "Infeasible"),
+            (STRIP, (0, 1), "Attained"),
+            (STRIP, (1, 0), "UnboundedBelow"),
+            (Polyhedron.from_rows(2, [((0, -1), 0)]), (0, -1), "UnboundedBelow"),
+            (Polyhedron.from_rows(2, [((0, 1), -1), ((0, -1), 0)]), (0, 1), "Infeasible"),
+        ],
+        ids=["pointed-attained", "pointed-tied", "pointed-unbounded", "pointed-empty", "strip-attained",
+             "strip-lineality-ray", "halfplane-slice-ray", "non-pointed-empty"],
+    )
+    def test_each_status_certified(self, P, c, status):
+        sol = solve_glp(P, c)
+        assert sol.status == status
+        _assert_certified(P, c, sol)
 
 
 class TestOracleAgreement:
@@ -152,6 +207,22 @@ class TestStabilityCone:
     def test_not_a_vertex(self):
         with pytest.raises(errors.NotAVertex):
             stability_cone(TRIANGLE, (F(1, 4), F(1, 4)))
+
+    @pytest.mark.parametrize("point", [(5, 5), (0, 0, 0), (F(1, 2), 0)])
+    def test_infeasible_or_edge_point_is_not_a_vertex(self, point):
+        with pytest.raises(errors.NotAVertex):
+            stability_cone(TRIANGLE, point)
+
+    def test_rank_test_matches_enumeration(self):
+        rng = random.Random(61)
+        checked = 0
+        for n in range(1, 6):
+            for _ in range(16):
+                P = random_degenerate_polyhedron(rng, n)
+                for v in enumerate_vertices(P):
+                    assert stability_cone(P, v.point).vertex == v
+                    checked += 1
+        assert checked > 300
 
     def test_contract_costs_inside_keep_vertex_optimal(self):
         rng = random.Random(47)
