@@ -1,16 +1,24 @@
-"""Exact rational simplex: the independent optimization/feasibility oracle.
+"""Exact simplex: the independent optimization/feasibility oracle.
 
 Inequality problems are solved through a standard-form tableau over
 ``z = (x+, x-, s)`` with Bland's rule everywhere — degeneracy is endemic in
 the fixtures this package targets, so termination is bought with
-determinism rather than speed.  No revised simplex, no LU updates; every
-entry is a Fraction and every returned certificate is re-verified exactly
+determinism rather than speed.  No revised simplex, no LU updates.
+
+The tableau is fraction-free (integer pivoting after Edmonds and Bareiss,
+as in Avis' lrs): each input row is scaled once to integers, and every
+entry, the cost row and the right-hand side are Python ints over one
+common denominator, the basis determinant.  Each pivot is an exact integer
+update, and Bland's ratio test compares by cross-multiplication.
+Fractions appear only when the point, ray, value and Farkas reduced costs
+are read out; every returned certificate is then re-verified exactly
 before it leaves this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch
@@ -50,63 +58,75 @@ class ConeMembership:
 
 # ---------------------------------------------------------------------------
 # Tableau core: min c.z  s.t.  M z = d, z >= 0
+#
+# Each tableau row is a list of ints, the p column entries followed by the
+# right-hand side; the cost row has the same layout with -objective last.
+# Every stored entry is D times the true (rational) tableau entry, where D > 0
+# is the absolute determinant of the current basis in the integer-scaled
+# system.  Artificial columns are never read once built (only original
+# columns may enter), so only their basis labels p, p+1, ... are kept.
 
 
-def _pivot(tab, rhs, basis, cost, obj, li, ej):
-    piv = tab[li][ej]
-    if piv != 1:
-        inv = _ONE / piv
-        tab[li] = [v * inv for v in tab[li]]
-        rhs[li] *= inv
-    row = tab[li]
-    t = rhs[li]
-    for i in range(len(tab)):
-        if i != li and tab[i][ej] != 0:
-            f = tab[i][ej]
-            tab[i] = [a - f * b for a, b in zip(tab[i], row)]
-            rhs[i] -= f * t
-    f = cost[ej]
+def _scaled(values) -> tuple[list[int], int]:
+    """values times the lcm L of their denominators, as ints, and L."""
+    # a list, not a generator: a star-argument generator grows its tuple by
+    # resizing, which moves one tuple per call onto CPython's per-size tuple
+    # free lists (2000 per size, about 2 MB of peak memory after a few
+    # thousand LPs)
+    L = lcm(*[v.denominator for v in values])
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def _eliminate(row, prow, s, p, D):
+    f = row[s]
     if f:
-        cost[:] = [a - f * b for a, b in zip(cost, row)]
-        obj += f * t
-    basis[li] = ej
-    return obj
+        return [(a * p - f * b) // D for a, b in zip(row, prow)]
+    if p != D:
+        return [a * p // D for a in row]
+    return row
 
 
-def _bland(tab, rhs, basis, cost, obj, allowed):
-    """Run Bland's rule to optimality or unboundedness."""
+def _pivot(tab, cost, basis, D, r, s):
+    """Integer pivot on (r, s); returns the new denominator.
+
+    ``T[i] = (T[i] * p - T[i][s] * T[r]) // D`` is exact (Bareiss), and the
+    pivot row itself is kept, sign-adjusted so the new denominator |p| > 0.
+    """
+    prow = tab[r]
+    p = prow[s]
+    if p < 0:
+        p = -p
+        prow = tab[r] = [-v for v in prow]
+    for i in range(len(tab)):
+        if i != r:
+            tab[i] = _eliminate(tab[i], prow, s, p, D)
+    if cost is not None:
+        cost[:] = _eliminate(cost, prow, s, p, D)
+    basis[r] = s
+    return p
+
+
+def _bland(tab, basis, cost, D, p):
+    """Run Bland's rule to optimality or unboundedness; returns
+    (status, entering column or -1, denominator)."""
     while True:
-        enter = -1
-        for j in allowed:
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(p) if cost[j] < 0), -1)
         if enter < 0:
-            return "optimal", -1, obj
+            return "optimal", -1, D
         leave = -1
-        best = None
-        for i in range(len(tab)):
-            t = tab[i][enter]
+        for i, row in enumerate(tab):
+            t = row[enter]
             if t > 0:
-                r = rhs[i] / t
-                if best is None or r < best or (r == best and basis[i] < basis[leave]):
-                    best = r
-                    leave = i
+                if leave < 0:
+                    leave, lt, lr = i, t, row[-1]
+                    continue
+                # rhs_i / t against rhs_leave / lt, by cross-multiplication
+                x, y = row[-1] * lt, lr * t
+                if x < y or (x == y and basis[i] < basis[leave]):
+                    leave, lt, lr = i, t, row[-1]
         if leave < 0:
-            return "unbounded", enter, obj
-        obj = _pivot(tab, rhs, basis, cost, obj, leave, enter)
-
-
-def _reduced_costs(tab, rhs, basis, full_cost):
-    cost = list(full_cost)
-    obj = _ZERO
-    for i, bi in enumerate(basis):
-        cb = full_cost[bi]
-        if cb:
-            obj += cb * rhs[i]
-            row = tab[i]
-            cost = [a - cb * b for a, b in zip(cost, row)]
-    return cost, obj
+            return "unbounded", enter, D
+        D = _pivot(tab, cost, basis, D, leave, enter)
 
 
 def _standard_simplex(
@@ -123,75 +143,83 @@ def _standard_simplex(
     variables (and phase 1 entirely, when no row needed negating) are
     reserved for the rows that actually require them.
 
+    Each row (negated when its right-hand side is negative) is scaled once
+    by the lcm L_i of its denominators.  A hinted column is divided by its
+    row's L_i, so it stays a unit column, and each phase-1 artificial is
+    weighted 1/L_i, so phase 1 minimizes the same sum as on the unscaled
+    rows.  Positive row and column scalings keep every sign and every ratio
+    order that Bland's rule reads, so the pivots are those of the rational
+    tableau; the scalings are undone when the result is read out.
+
     Returns a dict with keys: status ("optimal" | "unbounded" | "infeasible"),
     and per status: point/value, point/ray, or phase1_costs (reduced costs
     over the original columns, for Farkas extraction).
     """
     m = len(rows)
     p = len(rows[0]) if m else len(costs)
-    tab: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    negated: list[bool] = []
-    for i in range(m):
-        row = list(rows[i])
-        d = rhs_in[i]
-        if d < 0:
-            row = [-v for v in row]
-            d = -d
-            negated.append(True)
-        else:
-            negated.append(False)
-        tab.append(row)
-        rhs.append(d)
+    tab: list[list[int]] = []
+    row_scale: list[int] = []
+    for row, d in zip(rows, rhs_in):
+        ints, L = _scaled([*row, d])
+        tab.append([-v for v in ints] if d < 0 else ints)
+        row_scale.append(L)
+    col_scale = [1] * p
+    if basis_hint is not None:
+        for i, j in enumerate(basis_hint):
+            col_scale[j] = row_scale[i]
+            tab[i][j] //= row_scale[i]
 
-    art_rows = [i for i in range(m) if negated[i] or basis_hint is None]
+    art_rows = [i for i in range(m) if rhs_in[i] < 0 or basis_hint is None]
     art_col = {row_i: p + idx for idx, row_i in enumerate(art_rows)}
-    n_art = len(art_rows)
-    for i in range(m):
-        tab[i].extend(_ONE if i == k else _ZERO for k in art_rows)
     basis = [art_col[i] if i in art_col else basis_hint[i] for i in range(m)]
-    allowed = list(range(p))
+    D = 1
 
-    if n_art:
-        # phase 1: drive the artificial variables to zero
-        cost = [_ZERO] * (p + n_art)
-        for j in range(p):
-            cost[j] = -sum(tab[i][j] for i in art_rows)
-        obj = sum((rhs[i] for i in art_rows), _ZERO)
-        if obj > 0:
-            status, _, obj = _bland(tab, rhs, basis, cost, obj, allowed)
+    if art_rows:
+        # phase 1: drive the artificial variables to zero; K scales the
+        # weights 1/L_i to ints, and the cost row is priced out
+        K = lcm(*[row_scale[i] for i in art_rows])
+        cost = [0] * (p + 1)
+        for i in art_rows:
+            w = K // row_scale[i]
+            cost = [c - w * t for c, t in zip(cost, tab[i])]
+        if cost[p] < 0:
+            status, _, D = _bland(tab, basis, cost, D, p)
             if status != "optimal":  # phase 1 is bounded below by zero
                 raise AssertionError("phase-1 simplex reported unbounded")
-            if obj > 0:
-                return {"status": "infeasible", "phase1_costs": cost[:p]}
+            if cost[p] < 0:
+                return {
+                    "status": "infeasible",
+                    "phase1_costs": [Fraction(cost[j] * col_scale[j], D * K) for j in range(p)],
+                }
         # pivot leftover artificials out (degenerate) or drop dependent rows;
-        # the cost row no longer matters, a zero row keeps _pivot happy
-        cost = [_ZERO] * (p + n_art)
-        obj = _ZERO
+        # a dropped row is zero in every column that can still pivot, so the
+        # other rows' exact updates do not depend on it
         for i in range(m - 1, -1, -1):
             if i < len(basis) and basis[i] >= p:
                 ej = next((j for j in range(p) if tab[i][j] != 0), -1)
                 if ej < 0:
-                    del tab[i], rhs[i], basis[i]
+                    del tab[i], basis[i]
                 else:
-                    obj = _pivot(tab, rhs, basis, cost, obj, i, ej)
+                    D = _pivot(tab, None, basis, D, i, ej)
 
-    full_cost = list(costs) + [_ZERO] * (len(tab[0]) - p if tab else 0)
-    cost, obj = _reduced_costs(tab, rhs, basis, full_cost)
-    status, enter, obj = _bland(tab, rhs, basis, cost, obj, allowed)
+    # a hinted column was divided by its scale, and so is its cost
+    c_int, K = _scaled([Fraction(c, sc) if c and sc != 1 else c for c, sc in zip(costs, col_scale)])
+    cost = [D * c for c in c_int] + [0]
+    for i, bi in enumerate(basis):
+        if c_int[bi]:
+            cost = [a - c_int[bi] * t for a, t in zip(cost, tab[i])]
+    status, enter, D = _bland(tab, basis, cost, D, p)
 
     point = [_ZERO] * p
     for i, bi in enumerate(basis):
-        if bi < p:
-            point[bi] = rhs[i]
+        point[bi] = Fraction(tab[i][p], D * col_scale[bi])
     if status == "unbounded":
         ray = [_ZERO] * p
         ray[enter] = _ONE
         for i, bi in enumerate(basis):
-            if bi < p:
-                ray[bi] = -tab[i][enter]
+            ray[bi] = Fraction(-tab[i][enter] * col_scale[enter], D * col_scale[bi])
         return {"status": "unbounded", "point": point, "ray": ray}
-    return {"status": "optimal", "point": point, "value": obj}
+    return {"status": "optimal", "point": point, "value": Fraction(-cost[p], D * K)}
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,11 @@ def structure(P: Polyhedron) -> StructureReport:
     offset; the facet count is the number of inequalities surviving
     redundancy removal relative to the affine hull.
     """
-    _require_feasible(P)
     eq = []
     for i, hs in enumerate(P.halfspaces):
         res = solve_lp(P, hs.a, "min")
+        if res.status == "Infeasible":  # only the first LP can find P empty
+            raise EmptyPolyhedron("operation requires a nonempty polyhedron")
         if res.status == "Optimal" and res.value == hs.b:
             eq.append(i)
     eq_rows = [P.halfspaces[i].a for i in eq]
@@ -141,10 +142,10 @@ def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
-    if find_feasible_point(Q) is None:
-        return Containment(True, None)
     for hs in P.halfspaces:
         res = solve_lp(Q, hs.a, "max")
+        if res.status == "Infeasible":  # Q is empty
+            return Containment(True, None)
         if res.status == "Optimal":
             if res.value <= hs.b:
                 continue

@@ -142,3 +142,156 @@ def rand_direction(rng: random.Random, n: int) -> tuple[Fraction, ...]:
 
 def euclid(p, q) -> float:
     return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(p, q)))
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex: the same pivots over a tableau of Fractions
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _ref_pivot(tab, rhs, basis, cost, obj, li, ej):
+    piv = tab[li][ej]
+    if piv != 1:
+        inv = _ONE / piv
+        tab[li] = [v * inv for v in tab[li]]
+        rhs[li] *= inv
+    row = tab[li]
+    t = rhs[li]
+    for i in range(len(tab)):
+        if i != li and tab[i][ej] != 0:
+            f = tab[i][ej]
+            tab[i] = [a - f * b for a, b in zip(tab[i], row)]
+            rhs[i] -= f * t
+    f = cost[ej]
+    if f:
+        cost[:] = [a - f * b for a, b in zip(cost, row)]
+        obj += f * t
+    basis[li] = ej
+    return obj
+
+
+def _ref_bland(tab, rhs, basis, cost, obj, allowed):
+    """Run Bland's rule to optimality or unboundedness."""
+    while True:
+        enter = -1
+        for j in allowed:
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", -1, obj
+        leave = -1
+        best = None
+        for i in range(len(tab)):
+            t = tab[i][enter]
+            if t > 0:
+                r = rhs[i] / t
+                if best is None or r < best or (r == best and basis[i] < basis[leave]):
+                    best = r
+                    leave = i
+        if leave < 0:
+            return "unbounded", enter, obj
+        obj = _ref_pivot(tab, rhs, basis, cost, obj, leave, enter)
+
+
+def _ref_reduced_costs(tab, rhs, basis, full_cost):
+    cost = list(full_cost)
+    obj = _ZERO
+    for i, bi in enumerate(basis):
+        cb = full_cost[bi]
+        if cb:
+            obj += cb * rhs[i]
+            row = tab[i]
+            cost = [a - cb * b for a, b in zip(cost, row)]
+    return cost, obj
+
+
+def reference_standard_simplex(
+    rows: list[list[Fraction]],
+    rhs_in: list[Fraction],
+    costs: list[Fraction],
+    basis_hint: list[int] | None = None,
+) -> dict:
+    """Reference for ``polycone.linprog._standard_simplex``: the same
+    two-phase Bland simplex on a tableau of Fractions.
+
+    Same arguments and result; ``tests/test_linprog.py`` swaps it in and
+    requires field-for-field equal ``solve_lp`` and ``cone_member`` results.
+
+    ``basis_hint`` names, per row, a column that is a unit column (+1 in
+    that row, 0 elsewhere); such columns serve as the initial basis for
+    rows whose right-hand side is already nonnegative, so artificial
+    variables (and phase 1 entirely, when no row needed negating) are
+    reserved for the rows that actually require them.
+
+    Returns a dict with keys: status ("optimal" | "unbounded" | "infeasible"),
+    and per status: point/value, point/ray, or phase1_costs (reduced costs
+    over the original columns, for Farkas extraction).
+    """
+    m = len(rows)
+    p = len(rows[0]) if m else len(costs)
+    tab: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    negated: list[bool] = []
+    for i in range(m):
+        row = list(rows[i])
+        d = rhs_in[i]
+        if d < 0:
+            row = [-v for v in row]
+            d = -d
+            negated.append(True)
+        else:
+            negated.append(False)
+        tab.append(row)
+        rhs.append(d)
+
+    art_rows = [i for i in range(m) if negated[i] or basis_hint is None]
+    art_col = {row_i: p + idx for idx, row_i in enumerate(art_rows)}
+    n_art = len(art_rows)
+    for i in range(m):
+        tab[i].extend(_ONE if i == k else _ZERO for k in art_rows)
+    basis = [art_col[i] if i in art_col else basis_hint[i] for i in range(m)]
+    allowed = list(range(p))
+
+    if n_art:
+        # phase 1: drive the artificial variables to zero
+        cost = [_ZERO] * (p + n_art)
+        for j in range(p):
+            cost[j] = -sum(tab[i][j] for i in art_rows)
+        obj = sum((rhs[i] for i in art_rows), _ZERO)
+        if obj > 0:
+            status, _, obj = _ref_bland(tab, rhs, basis, cost, obj, allowed)
+            if status != "optimal":  # phase 1 is bounded below by zero
+                raise AssertionError("phase-1 simplex reported unbounded")
+            if obj > 0:
+                return {"status": "infeasible", "phase1_costs": cost[:p]}
+        # pivot leftover artificials out (degenerate) or drop dependent rows;
+        # the cost row no longer matters, a zero row keeps _ref_pivot happy
+        cost = [_ZERO] * (p + n_art)
+        obj = _ZERO
+        for i in range(m - 1, -1, -1):
+            if i < len(basis) and basis[i] >= p:
+                ej = next((j for j in range(p) if tab[i][j] != 0), -1)
+                if ej < 0:
+                    del tab[i], rhs[i], basis[i]
+                else:
+                    obj = _ref_pivot(tab, rhs, basis, cost, obj, i, ej)
+
+    full_cost = list(costs) + [_ZERO] * (len(tab[0]) - p if tab else 0)
+    cost, obj = _ref_reduced_costs(tab, rhs, basis, full_cost)
+    status, enter, obj = _ref_bland(tab, rhs, basis, cost, obj, allowed)
+
+    point = [_ZERO] * p
+    for i, bi in enumerate(basis):
+        if bi < p:
+            point[bi] = rhs[i]
+    if status == "unbounded":
+        ray = [_ZERO] * p
+        ray[enter] = _ONE
+        for i, bi in enumerate(basis):
+            if bi < p:
+                ray[bi] = -tab[i][enter]
+        return {"status": "unbounded", "point": point, "ray": ray}
+    return {"status": "optimal", "point": point, "value": obj}

@@ -10,6 +10,7 @@ from polycone import (
     contains_point,
     errors,
     find_feasible_point,
+    linprog,
     solve_lp,
 )
 from polycone.linalg import dot, rank
@@ -17,10 +18,12 @@ from polycone.linalg import dot, rank
 from helpers import (
     QUADRANT,
     TRIANGLE,
+    is_farkas,
     rand_direction,
     random_cost,
     random_feasible_pointed,
     random_polyhedron,
+    reference_standard_simplex,
 )
 
 F = Fraction
@@ -178,3 +181,190 @@ class TestConeMember:
             gens = [rand_direction(rng, 2) for _ in range(rng.randint(1, 2))]
             target = rand_direction(rng, 2)
             assert cone_member(gens, target).member == _member_by_angles(gens, target)
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau against the rational reference tableau
+
+
+def _on_reference(fn, *args):
+    """fn(*args) with the Fraction reference tableau in place of the kernel."""
+    kernel = linprog._standard_simplex
+    linprog._standard_simplex = reference_standard_simplex
+    try:
+        return fn(*args)
+    finally:
+        linprog._standard_simplex = kernel
+
+
+def _same_as_reference(fn, *args):
+    got = fn(*args)
+    # repr compares every field and the type of every number
+    assert repr(got) == repr(_on_reference(fn, *args)), args
+    return got
+
+
+def _random_lp(rng: random.Random):
+    """n in 1..5, m in 1..10, drawn from one of three kinds: homogeneous
+    (b = 0), mixed denominators with rhs of either sign, or small-integer
+    rows whose vertices are often degenerate."""
+    n, m = rng.randint(1, 5), rng.randint(1, 10)
+    kind = rng.choice(("homogeneous", "mixed", "degenerate"))
+    dens = (1, 2, 3, 5, 7, 11)
+    rows = []
+    while len(rows) < m:
+        if kind == "degenerate":
+            a = tuple(rng.randint(-1, 1) for _ in range(n))
+            b = rng.choice((0, 0, 1, 1, 2, -1))
+        else:
+            a = tuple(F(rng.randint(-6, 6), rng.choice(dens)) for _ in range(n))
+            b = 0 if kind == "homogeneous" else F(rng.randint(-6, 6), rng.choice(dens))
+        if any(a):
+            rows.append((a, b))
+    c = tuple(F(rng.randint(-6, 6), rng.choice(dens)) for _ in range(n))
+    return Polyhedron.from_rows(n, rows), c
+
+
+class TestIntegerTableau:
+    def test_identical_to_reference_tableau(self):
+        rng = random.Random(2024)
+        statuses = {}
+        degenerate = 0
+        for _ in range(500):
+            P, c = _random_lp(rng)
+            for sense in ("min", "max"):
+                res = _same_as_reference(solve_lp, P, c, sense)
+                statuses[res.status] = statuses.get(res.status, 0) + 1
+                if res.status == "Optimal":
+                    active = sum(hs.slack(res.point) == 0 for hs in P.halfspaces)
+                    degenerate += active > P.n
+            gens = [hs.a for hs in P.halfspaces]
+            target = c if rng.random() < 0.5 else tuple(map(sum, zip(*gens[:2], c)))
+            res = _same_as_reference(cone_member, gens, target)
+            statuses[res.member] = statuses.get(res.member, 0) + 1
+        for key in ("Optimal", "Unbounded", "Infeasible", True, False):
+            assert statuses.get(key, 0) >= 50, statuses
+        assert degenerate >= 50
+
+    def test_costs_on_hinted_columns(self):
+        # solve_lp prices its slack columns at zero; the kernel takes any cost
+        rng = random.Random(8)
+        for _ in range(300):
+            m, q = rng.randint(1, 6), rng.randint(1, 4)
+            frac = lambda: F(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+            rows = [[frac() for _ in range(q)] + [F(int(i == j)) for j in range(m)] for i in range(m)]
+            rhs = [frac() for _ in range(m)]
+            costs = [frac() for _ in range(q + m)]
+            hint = [q + i for i in range(m)]
+            got = linprog._standard_simplex(rows, rhs, costs, hint)
+            assert repr(got) == repr(reference_standard_simplex(rows, rhs, costs, hint))
+
+    def test_beale_cycling_example(self):
+        # Beale (1955): cycles under the textbook largest-coefficient rule
+        rows = [
+            [F(1, 4), -60, F(-1, 25), 9, 1, 0, 0],
+            [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0],
+            [0, 0, 1, 0, 0, 0, 1],
+        ]
+        rhs = [0, 0, 1]
+        costs = [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0]
+        res = linprog._standard_simplex(rows, rhs, costs, basis_hint=[4, 5, 6])
+        assert res["status"] == "optimal"
+        assert res["value"] == F(-1, 20)
+        assert res["point"] == [F(1, 25), 0, 1, 0, F(3, 100), 0, 0]
+        assert res == reference_standard_simplex(rows, rhs, costs, basis_hint=[4, 5, 6])
+        P = Polyhedron.from_rows(
+            4,
+            [(r[:4], b) for r, b in zip(rows, rhs)]
+            + [(tuple(-int(i == j) for i in range(4)), 0) for j in range(4)],
+        )
+        res = _same_as_reference(solve_lp, P, costs[:4])
+        assert res.status == "Optimal" and res.value == F(-1, 20)
+
+    def test_big_integer_entries(self):
+        rng = random.Random(41)
+        big = lambda: F(10**40 + rng.randint(-10**6, 10**6), 7**30 + rng.randint(1, 10**6))
+        seen = set()
+        for _ in range(30):
+            n, m = rng.randint(2, 4), rng.randint(3, 7)
+            rows = [
+                (tuple(rng.choice((-1, 1)) * big() for _ in range(n)), rng.choice((-1, 1)) * big())
+                for _ in range(m)
+            ]
+            P = Polyhedron.from_rows(n, rows)
+            c = tuple(rng.choice((-1, 1)) * big() for _ in range(n))
+            for sense in ("min", "max"):
+                res = _same_as_reference(solve_lp, P, c, sense)
+                seen.add(res.status)
+                if res.status == "Infeasible":
+                    assert is_farkas(P, res.certificate)
+                elif res.status == "Optimal":
+                    assert contains_point(P, res.point)
+            _same_as_reference(cone_member, [hs.a for hs in P.halfspaces], c)
+        assert {"Optimal", "Unbounded", "Infeasible"} <= seen
+
+    def test_mixed_denominator_farkas_golden(self):
+        # weighting every artificial 1 instead of 1/L_i gives 9 times this
+        rows = [
+            ((-1, F(-1, 5)), F(3, 10)),
+            ((F(4, 7), -1), 4),
+            ((F(8, 21), -1), F(-2, 9)),
+            ((1, F(2, 9)), -2),
+            ((1, F(3, 32)), F(1, 2)),
+            ((1, F(5, 14)), F(8, 7)),
+            ((1, F(-1, 2)), 0),
+            ((F(2, 9), -1), 0),
+        ]
+        P = Polyhedron.from_rows(2, rows)
+        res = _same_as_reference(solve_lp, P, (0, 0))
+        assert res.status == "Infeasible"
+        assert res.certificate == (F(1025, 1017), 0, F(7, 339), 1, 0, 0, 0, 0)
+        assert is_farkas(P, res.certificate)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a float LP solver (test-only dependency)
+
+
+def test_against_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 30)
+        # two in three draws keep b > 0, so that the origin is feasible
+        lo = rng.choice((1, 1, -3))
+        rows = []
+        while len(rows) < m:
+            a = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+            if any(a):
+                rows.append((a, F(rng.randint(lo, 9), rng.randint(1, 4))))
+        P = Polyhedron.from_rows(n, rows)
+        c = random_cost(rng, n)
+        sense = rng.choice(("min", "max"))
+        res = solve_lp(P, c, sense)
+        cmin = c if sense == "min" else tuple(-v for v in c)
+        ref = optimize.linprog(
+            [float(v) for v in cmin],
+            A_ub=[[float(v) for v in hs.a] for hs in P.halfspaces],
+            b_ub=[float(hs.b) for hs in P.halfspaces],
+            bounds=(None, None),
+            method="highs",
+        )
+        seen.add(res.status)
+        assert ref.status == {"Optimal": 0, "Infeasible": 2, "Unbounded": 3}[res.status]
+        # every exact certificate is re-checked here, apart from solve_lp's own checks
+        if res.status == "Infeasible":
+            assert is_farkas(P, res.certificate)
+            continue
+        assert contains_point(P, res.point)
+        if res.status == "Unbounded":
+            assert all(dot(hs.a, res.ray) <= 0 for hs in P.halfspaces)
+            assert dot(cmin, res.ray) < 0
+            continue
+        assert res.value == dot(c, res.point)
+        assert abs(float(dot(cmin, res.point)) - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
+        # the optimality certificate: -c lies in the normal cone at the point
+        active = [hs.a for hs in P.halfspaces if hs.slack(res.point) == 0]
+        assert cone_member(active, tuple(-v for v in cmin)).member
+    assert seen == {"Optimal", "Unbounded", "Infeasible"}

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -101,6 +102,27 @@ class TestStructure:
         assert rep.vertex_count == 0
         assert rep.lineality_basis == ((1, 0),)
         assert rep.facet_count == 2
+
+    def test_empty_raises(self):
+        with pytest.raises(errors.EmptyPolyhedron, match="^operation requires a nonempty polyhedron$"):
+            structure(EMPTY)
+
+
+def test_emptiness_read_from_first_support_lp(monkeypatch):
+    """structure, poly_contains and reconstruct_check run no separate
+    feasibility LP; is_bounded, whose LPs are over the recession cone, does."""
+    module = importlib.import_module("polycone.structure")
+    calls = []
+    real = module.find_feasible_point
+    monkeypatch.setattr(module, "find_feasible_point", lambda P: calls.append(P) or real(P))
+    empty = Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)])
+    assert structure(TRIANGLE).vertex_count == 3
+    assert reconstruct_check(TRIANGLE)
+    assert poly_contains(TRIANGLE, empty) == (True, None)
+    with pytest.raises(errors.EmptyPolyhedron):
+        structure(empty)
+    assert calls == []
+    assert is_bounded(TRIANGLE) and len(calls) == 1
 
 
 class TestRemoveRedundant:
