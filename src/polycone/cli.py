@@ -5,7 +5,8 @@ Unions of polyhedra are a CLI-level convenience for `solve` and
 reported separately); the core modules stay strictly convex.
 
 Exit codes: 0 success, 2 domain errors (infeasible, diverging offsets and
-friends), 1 usage or parse errors.
+friends), 1 usage or parse errors, 3 a broken internal invariant, such as
+a certificate failing its own exact check (a bug; kind "InternalError").
 """
 from __future__ import annotations
 
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         report = {"error": str(exc), "kind": "OSError"}
         code = 1
+    except AssertionError as exc:
+        report = {"error": str(exc), "kind": "InternalError"}
+        code = 3
     if args.format == "json":
         print(json.dumps(_strict(report), indent=2, allow_nan=False))
     else:

@@ -11,14 +11,13 @@ concurrent use needs no coordination; outputs are deterministically sorted.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint
-from .linalg import Vector, dot
+from .linalg import Vector, dot, extend, null_direction, scaled
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
 
 IndexSet = tuple[int, ...]
@@ -55,9 +54,6 @@ class HalfSpace:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def value(self, x: Sequence[Fraction]) -> Fraction:
-        return dot(self.a, x)
 
     def slack(self, x: Sequence[Fraction]) -> Fraction:
         return self.b - dot(self.a, x)
@@ -226,11 +222,7 @@ def active_normals(P: Polyhedron, active: Iterable[int]) -> tuple[Vector, ...]:
 
 def _integer_rows(P: Polyhedron) -> list[list[int]]:
     """Clear denominators row-wise: integer rows ``[a..., b]`` describing P."""
-    rows = []
-    for hs in P.halfspaces:
-        scale = math.lcm(hs.b.denominator, *(x.denominator for x in hs.a))
-        rows.append([x.numerator * (scale // x.denominator) for x in hs.a + (hs.b,)])
-    return rows
+    return [scaled(hs.a + (hs.b,))[0] for hs in P.halfspaces]
 
 
 def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
@@ -251,71 +243,62 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     n, m = P.n, P.m
     if m < n:
         return []
-    aug = _integer_rows(P)
     found: dict[Vector, tuple[IndexSet, IndexSet]] = {}
-
-    def walk(prefix: IndexSet, echelon: list[list[int]], pivots: tuple[int, ...], det: int) -> None:
-        # echelon: the prefix's fraction-free RREF, det (pivot minor) at each pivot
-        if len(prefix) == n - 1:
-            cut(prefix, echelon, pivots, det)
-            return
-        for j in range(prefix[-1] + 1 if prefix else 0, m - n + len(prefix) + 1):
-            new = aug[j]
-            v = [det * x for x in new]
-            for row, c in zip(echelon, pivots):
-                if new[c]:
-                    v = [x - new[c] * y for x, y in zip(v, row)]
-            col = next((c for c in range(n) if v[c]), None)
-            if col is not None:
-                q = v[col]
-                rows = [[(q * x - row[col] * y) // det for x, y in zip(row, v)] for row in echelon]
-                walk(prefix + (j,), rows + [v], pivots + (col,), q)
-
-    def cut(prefix: IndexSet, echelon: list[list[int]], pivots: tuple[int, ...], det: int) -> None:
-        # the prefix's line: x = (N + s d) / det with s = x[free]
-        free = next(c for c in range(n) if c not in pivots)
-        N, d = [0] * n, [0] * n
-        for row, c in zip(echelon, pivots):
-            N[c], d[c] = row[n], -row[free]
-        d[free] = det
-        if det < 0:
-            N, d, det = [-x for x in N], [-x for x in d], -det
-        d.append(0)
-        offset = [-x for x in N] + [det]
-        # row i reads e s <= g on the line, so s <= g/e or -s <= g/|e|; each
-        # side keeps [g, |e|, rows] of its least bound (|e| == 0: none yet)
-        hi, lo, flat = [0, 0, []], [0, 0, []], []
-        for i, row in enumerate(aug):
-            e = sum(map(mul, row, d))
-            g = sum(map(mul, row, offset))
-            if e:
-                side = hi if e > 0 else lo
-                e = abs(e)
-                if not side[1] or g * side[1] < side[0] * e:
-                    side[:] = g, e, [i]
-                    if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] < 0:
-                        return
-                elif g * side[1] == side[0] * e:
-                    side[2].append(i)
-            elif g < 0:
-                return
-            elif not g:
-                flat.append(i)
-        ends = [(hi[0], hi[1], hi[2]), (-lo[0], lo[1], lo[2])]
-        if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] == 0:
-            ends = [(hi[0], hi[1], hi[2] + lo[2])]
-        last = prefix[-1] if prefix else -1
-        for g, e, crossing in ends:
-            # a crossing row below the prefix's last: an earlier prefix kept it
-            witness = min(crossing, default=None)
-            if witness is None or witness < last:
-                continue
-            point = tuple(Fraction(e * x + g * y, e * det) for x, y in zip(N, d))
-            if point not in found:
-                found[point] = (tuple(sorted(flat + crossing)), prefix + (witness,))
-
-    walk((), [], (), 1)
+    _walk(_integer_rows(P), n, (), [], (), 1, found)
     return [Vertex(point=p, active=found[p][0], defining=found[p][1]) for p in sorted(found)]
+
+
+def _walk(aug: list[list[int]], n: int, prefix: IndexSet, echelon, pivots, det, found) -> None:
+    """Extend the prefix, with its echelon form, by each later row, depth first."""
+    if len(prefix) == n - 1:
+        _cut(aug, n, prefix, echelon, pivots, det, found)
+        return
+    for j in range(prefix[-1] + 1 if prefix else 0, len(aug) - n + len(prefix) + 1):
+        grown = extend(echelon, pivots, det, aug[j], n)
+        if grown is not None:
+            _walk(aug, n, prefix + (j,), *grown, found)
+
+
+def _cut(aug, n, prefix: IndexSet, echelon, pivots, det, found) -> None:
+    """Cut the full-rank prefix's line to its feasible segment and keep the
+    endpoints that this prefix is the first to reach."""
+    # the prefix's line: x = (s d - offset) / det with s = x[free], from the
+    # null directions of the rows [a, b] at the free and right-hand columns
+    free = next(c for c in range(n) if c not in pivots)
+    d = null_direction(echelon, pivots, det, free, n + 1)
+    offset = null_direction(echelon, pivots, det, n, n + 1)
+    det = offset[n]
+    # row i reads e s <= g on the line, so s <= g/e or -s <= g/|e|; each
+    # side keeps [g, |e|, rows] of its least bound (|e| == 0: none yet)
+    hi, lo, flat = [0, 0, []], [0, 0, []], []
+    for i, row in enumerate(aug):
+        e = sum(map(mul, row, d))
+        g = sum(map(mul, row, offset))
+        if e:
+            side = hi if e > 0 else lo
+            e = abs(e)
+            if not side[1] or g * side[1] < side[0] * e:
+                side[:] = g, e, [i]
+                if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] < 0:
+                    return
+            elif g * side[1] == side[0] * e:
+                side[2].append(i)
+        elif g < 0:
+            return
+        elif not g:
+            flat.append(i)
+    ends = [(hi[0], hi[1], hi[2]), (-lo[0], lo[1], lo[2])]
+    if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] == 0:
+        ends = [(hi[0], hi[1], hi[2] + lo[2])]
+    last = prefix[-1] if prefix else -1
+    for g, e, crossing in ends:
+        # a crossing row below the prefix's last: an earlier prefix kept it
+        witness = min(crossing, default=None)
+        if witness is None or witness < last:
+            continue
+        point = tuple(Fraction(g * y - e * x, e * det) for x, y in zip(offset[:n], d))
+        if point not in found:
+            found[point] = (tuple(sorted(flat + crossing)), prefix + (witness,))
 
 
 # ---------------------------------------------------------------------------

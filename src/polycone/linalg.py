@@ -1,18 +1,20 @@
-"""Exact dense linear algebra over Fractions.
+"""Exact dense linear algebra, fraction-free.
 
-Everything here targets the small systems of desk-scale polyhedra
-(n <= ~4, m <= ~25); no pivot-size heuristics are needed because the
-arithmetic is exact.
+Every elimination is one step, ``extend``: add an integer row to a
+fraction-free reduced echelon form (Bareiss 1968).  Its rows share one
+denominator, the pivot minor ``det``, and ``row / det`` is a row of the
+unique reduced row echelon form.  Rational rows are scaled to integers
+once (``scaled``), and Fractions appear only when a result is read out.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -23,65 +25,75 @@ def vec_neg(a: Sequence[Fraction]) -> Vector:
     return tuple(-x for x in a)
 
 
-def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
-    """Solve the n x n system exactly; None when the matrix is singular."""
-    n = len(rows)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = _ONE / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
+def scaled(values) -> tuple[list[int], int]:
+    """values times the lcm L of their denominators, as ints, and L."""
+    # a list, not a generator: star-unpacking a generator grows the argument
+    # tuple by resizing, which parks one tuple per call on CPython's per-size
+    # free lists (2000 per size, about 2 MB of peak memory after a few thousand LPs)
+    L = lcm(*[v.denominator for v in values])
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
-def _rref(rows: Sequence[Sequence[Fraction]], width: int):
-    """Reduced row echelon form; returns (reduced rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = _ONE / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+def extend(echelon: list[list[int]], pivots: tuple[int, ...], det: int, new, width: int):
+    """Add the integer row ``new`` to a fraction-free echelon form.
+
+    Each echelon row holds ``det`` at its own pivot column and 0 at the
+    other rows' pivots.  Pivots are sought among the first ``width``
+    columns; later entries (a right-hand side) are carried along.  Returns
+    the extended ``(echelon, pivots, det)``, or None when ``new`` depends
+    on the rows already there.  The empty echelon is ``([], (), 1)``.
+    """
+    v = [det * x for x in new]
+    for row, c in zip(echelon, pivots):
+        if new[c]:
+            v = [x - new[c] * y for x, y in zip(v, row)]
+    col = next((c for c in range(width) if v[c]), None)
+    if col is None:
+        return None
+    q = v[col]
+    rows = [[(q * x - row[col] * y) // det for x, y in zip(row, v)] for row in echelon]
+    rows.append(v)
+    return rows, pivots + (col,), q
+
+
+def null_direction(echelon, pivots, det: int, free: int, width: int) -> list[int]:
+    """The null vector of the echelon with 1 at the non-pivot column
+    ``free``, times |det|: an integer positive multiple."""
+    v = [0] * width
+    v[free] = det
+    for row, c in zip(echelon, pivots):
+        v[c] = -row[free]
+    return v if det > 0 else [-x for x in v]
+
+
+def _echelon(rows: Sequence[Sequence], width: int):
+    echelon = ([], (), 1)
+    for row in rows:
+        echelon = extend(*echelon, scaled(row)[0], width) or echelon
+    return echelon
 
 
 def rank(rows: Sequence[Sequence[Fraction]], width: int) -> int:
-    if not rows:
-        return 0
-    return len(_rref(rows, width)[1])
+    return len(_echelon(rows, width)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[Vector]:
     """Exact basis of {v : rows . v = 0}, one vector per free column."""
-    if not rows:
-        return [tuple(_ONE if j == i else _ZERO for j in range(width)) for i in range(width)]
-    reduced, pivots = _rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * width
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return basis
+    echelon = _echelon(rows, width)
+    det = abs(echelon[2])
+    return [
+        tuple(Fraction(x, det) for x in null_direction(*echelon, free, width))
+        for free in range(width)
+        if free not in echelon[1]
+    ]
+
+
+def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
+    """Solve the n x n system exactly; None when the matrix is singular."""
+    n = len(rows)
+    echelon = _echelon([[*row, -b] for row, b in zip(rows, rhs)], n)
+    if len(echelon[1]) < n:
+        return None
+    # the null direction of [A, -b] at the right-hand column is |det| (x, 1)
+    v = null_direction(*echelon, n, n + 1)
+    return tuple(Fraction(x, v[n]) for x in v[:n])

@@ -6,24 +6,26 @@ the fixtures this package targets, so termination is bought with
 determinism rather than speed.  No revised simplex, no LU updates.
 
 The tableau is fraction-free (integer pivoting after Edmonds and Bareiss,
-as in Avis' lrs): each input row is scaled once to integers, and every
-entry, the cost row and the right-hand side are Python ints over one
-common denominator, the basis determinant.  Each pivot is an exact integer
-update, and Bland's ratio test compares by cross-multiplication.
-Fractions appear only when the point, ray, value and Farkas reduced costs
-are read out; every returned certificate is then re-verified exactly
-before it leaves this module.
+as in Avis' lrs): built from the input's integer rows, every entry, the
+cost row and the right-hand side are Python ints over one common
+denominator, the basis determinant.  Each pivot is an exact integer
+update, and Bland's ratio test compares by cross-multiplication.  An
+optimal vertex is read off the final basis (see ``_purify``).  Fractions
+appear only when the point, ray, value and Farkas reduced costs are read
+out; every returned certificate is then re-verified exactly before it
+leaves this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .geometry import Polyhedron
-from .linalg import Vector, dot, nullspace, vec_neg
+from .geometry import Polyhedron, _integer_rows
+from .linalg import Vector, dot, extend, null_direction, scaled, vec_neg
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -34,11 +36,11 @@ class LPResult:
     """Outcome of one exact LP solve.
 
     status is "Optimal", "Unbounded" or "Infeasible".  ``point`` is an
-    attaining feasible point when Optimal (purified so that, for pointed
-    polyhedra, its active rows contain a nonsingular n-subsystem) and a
-    feasible base point when Unbounded.  ``ray`` is a recession direction
-    strictly improving the objective.  ``certificate`` holds Farkas
-    multipliers y >= 0 with y.A = 0 and y.b < 0 when Infeasible.
+    attaining feasible point when Optimal (read off the final basis so
+    that, for pointed polyhedra, its active rows contain a nonsingular
+    n-subsystem) and a feasible base point when Unbounded.  ``ray`` is a
+    recession direction strictly improving the objective.  ``certificate``
+    holds Farkas multipliers y >= 0 with y.A = 0 and y.b < 0 when Infeasible.
     """
 
     status: str
@@ -65,16 +67,6 @@ class ConeMembership:
 # is the absolute determinant of the current basis in the integer-scaled
 # system.  Artificial columns are never read once built (only original
 # columns may enter), so only their basis labels p, p+1, ... are kept.
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """values times the lcm L of their denominators, as ints, and L."""
-    # a list, not a generator: a star-argument generator grows its tuple by
-    # resizing, which moves one tuple per call onto CPython's per-size tuple
-    # free lists (2000 per size, about 2 MB of peak memory after a few
-    # thousand LPs)
-    L = lcm(*[v.denominator for v in values])
-    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def _eliminate(row, prow, s, p, D):
@@ -130,46 +122,43 @@ def _bland(tab, basis, cost, D, p):
 
 
 def _standard_simplex(
-    rows: list[list[Fraction]],
-    rhs_in: list[Fraction],
+    rows: list[list[int]],
+    scales: list[int],
     costs: list[Fraction],
     basis_hint: list[int] | None = None,
 ) -> dict:
     """Two-phase simplex on equality form; all inputs copied, all exact.
 
-    ``basis_hint`` names, per row, a column that is a unit column (+1 in
-    that row, 0 elsewhere); such columns serve as the initial basis for
-    rows whose right-hand side is already nonnegative, so artificial
-    variables (and phase 1 entirely, when no row needed negating) are
-    reserved for the rows that actually require them.
-
-    Each row (negated when its right-hand side is negative) is scaled once
-    by the lcm L_i of its denominators.  A hinted column is divided by its
-    row's L_i, so it stays a unit column, and each phase-1 artificial is
-    weighted 1/L_i, so phase 1 minimizes the same sum as on the unscaled
-    rows.  Positive row and column scalings keep every sign and every ratio
-    order that Bland's rule reads, so the pivots are those of the rational
-    tableau; the scalings are undone when the result is read out.
+    Row i is the integer row ``rows[i]``, right-hand side last, standing
+    for the rational row ``rows[i] / scales[i]`` (``scales[i] > 0``).
+    ``basis_hint`` names, per row, a unit column of the rational rows;
+    such columns serve as the initial basis for rows whose right-hand side
+    is nonnegative, so artificial variables (and phase 1 entirely, when no
+    row needed negating) are reserved for the rows that require them.
+    A row with a negative right-hand side is negated.  A hinted column is
+    divided by its row's scale, so it stays a unit column, and each phase-1
+    artificial is weighted ``1 / scales[i]``, so phase 1 minimizes the same
+    sum as on the rational rows.  Positive row and column scalings keep
+    every sign and ratio order that Bland's rule reads, so the pivots are
+    those of the rational tableau; the scalings are undone on read-out.
 
     Returns a dict with keys: status ("optimal" | "unbounded" | "infeasible"),
-    and per status: point/value, point/ray, or phase1_costs (reduced costs
-    over the original columns, for Farkas extraction).
+    and per status: point/value/basis/zero, point/ray, or phase1_costs
+    (reduced costs over the original columns, for Farkas extraction).
+    ``basis`` is each row's final basic column; ``zero`` lists the columns
+    zero at the optimum: the non-basic ones and the basic ones whose
+    right-hand side is 0.
     """
     m = len(rows)
-    p = len(rows[0]) if m else len(costs)
-    tab: list[list[int]] = []
-    row_scale: list[int] = []
-    for row, d in zip(rows, rhs_in):
-        ints, L = _scaled([*row, d])
-        tab.append([-v for v in ints] if d < 0 else ints)
-        row_scale.append(L)
+    p = len(rows[0]) - 1 if m else len(costs)
+    tab = [[-v for v in row] if row[p] < 0 else list(row) for row in rows]
     col_scale = [1] * p
     if basis_hint is not None:
         for i, j in enumerate(basis_hint):
-            col_scale[j] = row_scale[i]
-            tab[i][j] //= row_scale[i]
+            col_scale[j] = scales[i]
+            tab[i][j] //= scales[i]
 
-    art_rows = [i for i in range(m) if rhs_in[i] < 0 or basis_hint is None]
+    art_rows = [i for i in range(m) if rows[i][p] < 0 or basis_hint is None]
     art_col = {row_i: p + idx for idx, row_i in enumerate(art_rows)}
     basis = [art_col[i] if i in art_col else basis_hint[i] for i in range(m)]
     D = 1
@@ -177,10 +166,10 @@ def _standard_simplex(
     if art_rows:
         # phase 1: drive the artificial variables to zero; K scales the
         # weights 1/L_i to ints, and the cost row is priced out
-        K = lcm(*[row_scale[i] for i in art_rows])
+        K = lcm(*[scales[i] for i in art_rows])
         cost = [0] * (p + 1)
         for i in art_rows:
-            w = K // row_scale[i]
+            w = K // scales[i]
             cost = [c - w * t for c, t in zip(cost, tab[i])]
         if cost[p] < 0:
             status, _, D = _bland(tab, basis, cost, D, p)
@@ -203,7 +192,7 @@ def _standard_simplex(
                     D = _pivot(tab, None, basis, D, i, ej)
 
     # a hinted column was divided by its scale, and so is its cost
-    c_int, K = _scaled([Fraction(c, sc) if c and sc != 1 else c for c, sc in zip(costs, col_scale)])
+    c_int, K = scaled([Fraction(c, sc) if c and sc != 1 else c for c, sc in zip(costs, col_scale)])
     cost = [D * c for c in c_int] + [0]
     for i, bi in enumerate(basis):
         if c_int[bi]:
@@ -219,44 +208,59 @@ def _standard_simplex(
         for i, bi in enumerate(basis):
             ray[bi] = Fraction(-tab[i][enter] * col_scale[enter], D * col_scale[bi])
         return {"status": "unbounded", "point": point, "ray": ray}
-    return {"status": "optimal", "point": point, "value": Fraction(-cost[p], D * K)}
+    value = Fraction(-cost[p], D * K)
+    nonzero = {bi for row, bi in zip(tab, basis) if row[p]}
+    zero = [j for j in range(p) if j not in nonzero]
+    return {"status": "optimal", "point": point, "value": value, "basis": basis, "zero": zero}
 
 
 # ---------------------------------------------------------------------------
 # Public oracle
 
 
-def _purify(P: Polyhedron, x: Vector, c: Vector) -> Vector:
-    """Slide an optimal point along active-set null directions to a face
-    with a full-rank active system (a vertex when P is pointed).
-
-    Any null direction of the active rows keeps the objective value (else x
-    was not optimal), and each slide strictly grows the active-row rank, so
-    this terminates within n steps.
+def _purify(P: Polyhedron, x: Vector, c: Vector, res: dict) -> Vector:
+    """The optimum x of the kernel's result ``res`` over ``z = (x+, x-, s)``,
+    moved if need be to a face with a full-rank active system (a vertex
+    when P is pointed).  When n x columns are basic, the n non-basic slack
+    rows are nonsingular, so x is a vertex.  Otherwise the rows with zero
+    slack enter an echelon, and while its rank is below n, x slides along
+    the null direction of its first free column to the nearest rows, which
+    join it.  That direction keeps the objective (else x was not optimal),
+    and each slide grows the rank, so this ends within n steps.
     """
+    n = P.n
+    if sum(j < 2 * n for j in res["basis"]) == n:
+        return x
+    aug = _integer_rows(P)
+    X, q = scaled(x)  # x = X / q, and row i's integer slack is q b_i - a_i . X
+    echelon = ([], (), 1)
+    hit = [j - 2 * n for j in res["zero"] if j >= 2 * n]
     while True:
-        act_rows = [hs.a for hs in P.halfspaces if hs.slack(x) == 0]
-        null = nullspace(act_rows, P.n)
-        if not null:
-            return x
-        v = null[0]
+        for i in hit:
+            echelon = extend(*echelon, aug[i], n) or echelon
+        pivots = echelon[1]
+        if len(pivots) == n:
+            break
+        v = null_direction(*echelon, next(j for j in range(n) if j not in pivots), n)
         if dot(c, v) != 0:
             raise AssertionError("null direction changes an optimal objective")
-        moved = False
-        for w in (v, vec_neg(v)):
-            t_best = None
-            for hs in P.halfspaces:
-                d = dot(hs.a, w)
-                if d > 0:
-                    t = hs.slack(x) / d
-                    if t_best is None or t < t_best:
-                        t_best = t
-            if t_best is not None:
-                x = tuple(xi + t_best * wi for xi, wi in zip(x, w))
-                moved = True
+        for w in (v, [-t for t in v]):
+            # the least ratio g / e over the rows with e = a . w > 0
+            g, e, hit = 0, 0, []
+            for i, row in enumerate(aug):
+                ei = sum(map(mul, row, w))
+                if ei > 0:
+                    gi = q * row[n] - sum(map(mul, row, X))
+                    if not hit or gi * e < g * ei:
+                        g, e, hit = gi, ei, [i]
+                    elif gi * e == g * ei:
+                        hit.append(i)
+            if hit:
+                X, q = [e * xi + g * wi for xi, wi in zip(X, w)], q * e
                 break
-        if not moved:
-            return x  # P contains the whole line x + R v
+        else:
+            break  # P contains the whole line x + R v
+    return tuple(Fraction(xi, q) for xi in X)
 
 
 def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
@@ -274,23 +278,24 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
     cmin = cv if sense == "min" else vec_neg(cv)
 
     n, m = P.n, P.m
-    rows = []
+    # row i: L_i (a_i x+ - a_i x- + s_i) = L_i b_i, scaled to integers
+    rows, scales = [], []
     for i, hs in enumerate(P.halfspaces):
-        row = list(hs.a)
-        row.extend(-v for v in hs.a)
-        row.extend(_ONE if k == i else _ZERO for k in range(m))
-        rows.append(row)
-    rhs = [hs.b for hs in P.halfspaces]
-    costs = list(cmin) + [-v for v in cmin] + [_ZERO] * m
+        ints, L = scaled(hs.a + (hs.b,))
+        slack = [0] * m
+        slack[i] = L
+        rows.append(ints[:n] + [-v for v in ints[:n]] + slack + ints[n:])
+        scales.append(L)
+    costs = list(cmin) + [-v for v in cmin] + [0] * m
 
-    res = _standard_simplex(rows, rhs, costs, basis_hint=[2 * n + i for i in range(m)])
+    res = _standard_simplex(rows, scales, costs, basis_hint=[2 * n + i for i in range(m)])
 
     if res["status"] == "infeasible":
         mu = tuple(res["phase1_costs"][2 * n + i] for i in range(m))
         if any(v < 0 for v in mu):
             raise AssertionError("negative Farkas multiplier")
         combo = [sum(mu[i] * P.halfspaces[i].a[j] for i in range(m)) for j in range(n)]
-        if any(v != 0 for v in combo) or dot(mu, rhs) >= 0:
+        if any(v != 0 for v in combo) or dot(mu, [hs.b for hs in P.halfspaces]) >= 0:
             raise AssertionError("Farkas certificate failed verification")
         return LPResult(status="Infeasible", certificate=mu)
 
@@ -300,11 +305,13 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
     if res["status"] == "unbounded":
         ray = to_x(res["ray"])
         point = to_x(res["point"])
-        if any(dot(hs.a, ray) > 0 for hs in P.halfspaces) or dot(cmin, ray) >= 0:
+        # checked over the integer rows, with a positive multiple of the ray
+        R = scaled(ray)[0]
+        if any(sum(map(mul, row, R)) > 0 for row in rows) or dot(cmin, ray) >= 0:
             raise AssertionError("unbounded ray failed verification")
         return LPResult(status="Unbounded", point=point, ray=ray)
 
-    x = _purify(P, to_x(res["point"]), cmin)
+    x = _purify(P, to_x(res["point"]), cmin, res)
     return LPResult(status="Optimal", point=x, value=dot(cv, x))
 
 
@@ -333,8 +340,8 @@ def cone_member(generators: Sequence[Sequence], target: Sequence) -> ConeMembers
             raise DimensionMismatch("generator dimension mismatch")
         if all(v == 0 for v in g):
             raise ValueError("cone generators must be nonzero")
-    rows = [[g[i] for g in gens] for i in range(n)]
-    res = _standard_simplex(rows, list(tv), [_ZERO] * len(gens))
+    rows, scales = zip(*[scaled([*[g[i] for g in gens], tv[i]]) for i in range(n)])
+    res = _standard_simplex(list(rows), list(scales), [0] * len(gens))
     if res["status"] == "infeasible":
         return ConeMembership(member=False)
     lam = tuple(res["point"])

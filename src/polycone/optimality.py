@@ -21,11 +21,8 @@ from .geometry import (
     active_set,
     enumerate_vertices,
 )
-from .linalg import Vector, dot, nullspace, rank, solve_square, vec_neg
+from .linalg import Vector, dot, extend, nullspace, scaled, solve_square, vec_neg
 from .linprog import ConeMembership, cone_member
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     vertices = enumerate_vertices(P)
     if not vertices:
         # Farkas: y >= 0 with y.A = 0 and y.b = -1 proves P empty
-        farkas = cone_member([hs.a + (hs.b,) for hs in P.halfspaces], (_ZERO,) * P.n + (-_ONE,))
+        farkas = cone_member([hs.a + (hs.b,) for hs in P.halfspaces], (0,) * P.n + (-1,))
         if farkas.member:
             return GLPSolution(status="Infeasible", farkas=farkas.multipliers, solved_on=P)
         # P is nonempty without a vertex, so not pointed: quotient out the
@@ -211,8 +208,11 @@ def stability_cone(P: Polyhedron, w: Vertex | Sequence) -> StabilityCone:
     # greedy over the active rows in index order: the lexicographically
     # smallest nonsingular subsystem, which is the enumeration's witness
     defining: list[int] = []
+    echelon, pivots, det = [], (), 1
     for i in active:
-        if rank([P.halfspaces[j].a for j in defining + [i]], P.n) > len(defining):
+        grown = extend(echelon, pivots, det, scaled(P.halfspaces[i].a)[0], P.n)
+        if grown is not None:
+            echelon, pivots, det = grown
             defining.append(i)
             if len(defining) == P.n:
                 vertex = Vertex(point=point, active=active, defining=tuple(defining))

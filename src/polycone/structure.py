@@ -21,9 +21,6 @@ from .geometry import (
 from .linalg import Vector, dot, nullspace, rank
 from .linprog import find_feasible_point, solve_lp
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -48,11 +45,6 @@ def _require_feasible(P: Polyhedron) -> Vector:
     return point
 
 
-def recession_polyhedron(P: Polyhedron) -> Polyhedron:
-    """The recession cone {v : A v <= 0} written as an H-polyhedron."""
-    return Polyhedron(P.n, [hs.homogeneous() for hs in P.halfspaces])
-
-
 def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
     """Recession cone in H-form and an exact basis of the lineality space."""
     _require_feasible(P)
@@ -68,10 +60,10 @@ def is_bounded(P: Polyhedron) -> bool:
     {A v <= 0} must be zero (a cone objective is either 0 or unbounded).
     """
     _require_feasible(P)
-    rec = recession_polyhedron(P)
+    rec = Polyhedron(P.n, [hs.homogeneous() for hs in P.halfspaces])  # {v : A v <= 0}
     for j in range(P.n):
-        for sign in (_ONE, -_ONE):
-            c = tuple(sign if k == j else _ZERO for k in range(P.n))
+        for sign in (1, -1):
+            c = tuple(sign if k == j else 0 for k in range(P.n))
             res = solve_lp(rec, c, "max")
             if res.status != "Optimal":
                 return False

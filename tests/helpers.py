@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from polycone import Polyhedron, contains_point
-from polycone.linalg import dot, solve_square
+from polycone.linalg import dot, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 QUADRANT = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0)])
@@ -45,11 +45,10 @@ def random_cost(rng: random.Random, n: int) -> tuple[Fraction, ...]:
 
 def random_feasible_pointed(rng: random.Random) -> Polyhedron:
     from polycone import is_feasible
-    from polycone.linalg import nullspace
 
     while True:
         P = random_polyhedron(rng)
-        if nullspace(P.row_matrix(), P.n):
+        if reference_nullspace(P.row_matrix(), P.n):
             continue
         if is_feasible(P):
             return P
@@ -87,7 +86,7 @@ def brute_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     rows = P.row_matrix()
     rhs = [hs.b for hs in P.halfspaces]
     for combo in itertools.combinations(range(P.m), P.n):
-        sol = solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
+        sol = reference_solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
         if sol is not None and contains_point(P, sol):
             points.add(sol)
     return sorted(points)
@@ -101,7 +100,7 @@ def lex_witness(P: Polyhedron, point) -> tuple[int, ...] | None:
     rhs = [hs.b for hs in P.halfspaces]
     tight = [i for i, hs in enumerate(P.halfspaces) if hs.slack(point) == 0]
     for combo in itertools.combinations(tight, P.n):
-        if solve_square([rows[i] for i in combo], [rhs[i] for i in combo]) == point:
+        if reference_solve_square([rows[i] for i in combo], [rhs[i] for i in combo]) == point:
             return combo
     return None
 
@@ -145,10 +144,116 @@ def euclid(p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reference simplex: the same pivots over a tableau of Fractions
+# Reference linear algebra: Gauss-Jordan over Fractions
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def reference_solve_square(rows, rhs):
+    """Reference for ``polycone.linalg.solve_square``: the n x n system
+    solved by Gauss-Jordan over Fractions; None when it is singular."""
+    n = len(rows)
+    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        inv = _ONE / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return tuple(m[i][n] for i in range(n))
+
+
+def _ref_rref(rows, width: int):
+    """Reduced row echelon form; returns (reduced rows, pivot column list)."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = _ONE / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def reference_rank(rows, width: int) -> int:
+    """Reference for ``polycone.linalg.rank``."""
+    if not rows:
+        return 0
+    return len(_ref_rref(rows, width)[1])
+
+
+def reference_nullspace(rows, width: int) -> list[tuple[Fraction, ...]]:
+    """Reference for ``polycone.linalg.nullspace``: one basis vector per
+    free column of the reduced row echelon form."""
+    if not rows:
+        return [tuple(_ONE if j == i else _ZERO for j in range(width)) for i in range(width)]
+    reduced, pivots = _ref_rref(rows, width)
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [_ZERO] * width
+        v[fc] = _ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_purify(P: Polyhedron, x, c, res=None):
+    """Reference for ``polycone.linprog._purify``: recompute every slack
+    and a Fraction nullspace of the active rows, ignoring the kernel's
+    basis, and slide an optimal point along active-set null directions to a
+    face with a full-rank active system (a vertex when P is pointed).
+
+    Any null direction of the active rows keeps the objective value (else x
+    was not optimal), and each slide strictly grows the active-row rank, so
+    this terminates within n steps.
+    """
+    while True:
+        act_rows = [hs.a for hs in P.halfspaces if hs.slack(x) == 0]
+        null = reference_nullspace(act_rows, P.n)
+        if not null:
+            return x
+        v = null[0]
+        if dot(c, v) != 0:
+            raise AssertionError("null direction changes an optimal objective")
+        moved = False
+        for w in (v, vec_neg(v)):
+            t_best = None
+            for hs in P.halfspaces:
+                d = dot(hs.a, w)
+                if d > 0:
+                    t = hs.slack(x) / d
+                    if t_best is None or t < t_best:
+                        t_best = t
+            if t_best is not None:
+                x = tuple(xi + t_best * wi for xi, wi in zip(x, w))
+                moved = True
+                break
+        if not moved:
+            return x  # P contains the whole line x + R v
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex: the same pivots over a tableau of Fractions
 
 
 def _ref_pivot(tab, rhs, basis, cost, obj, li, ej):
@@ -209,8 +314,8 @@ def _ref_reduced_costs(tab, rhs, basis, full_cost):
 
 
 def reference_standard_simplex(
-    rows: list[list[Fraction]],
-    rhs_in: list[Fraction],
+    rows: list[list[int]],
+    scales: list[int],
     costs: list[Fraction],
     basis_hint: list[int] | None = None,
 ) -> dict:
@@ -219,6 +324,8 @@ def reference_standard_simplex(
 
     Same arguments and result; ``tests/test_linprog.py`` swaps it in and
     requires field-for-field equal ``solve_lp`` and ``cone_member`` results.
+    Row i stands for the rational row ``rows[i] / scales[i]``, right-hand
+    side last; the rational rows are all this reference reads.
 
     ``basis_hint`` names, per row, a column that is a unit column (+1 in
     that row, 0 elsewhere); such columns serve as the initial basis for
@@ -227,17 +334,19 @@ def reference_standard_simplex(
     reserved for the rows that actually require them.
 
     Returns a dict with keys: status ("optimal" | "unbounded" | "infeasible"),
-    and per status: point/value, point/ray, or phase1_costs (reduced costs
-    over the original columns, for Farkas extraction).
+    and per status: point/value/basis/zero, point/ray, or phase1_costs
+    (reduced costs over the original columns, for Farkas extraction).
+    ``basis`` is the final basic column of each row and ``zero`` lists the
+    columns that are zero at the optimum.
     """
     m = len(rows)
-    p = len(rows[0]) if m else len(costs)
+    p = len(rows[0]) - 1 if m else len(costs)
     tab: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     negated: list[bool] = []
     for i in range(m):
-        row = list(rows[i])
-        d = rhs_in[i]
+        row = [Fraction(v, scales[i]) for v in rows[i][:p]]
+        d = Fraction(rows[i][p], scales[i])
         if d < 0:
             row = [-v for v in row]
             d = -d
@@ -294,4 +403,10 @@ def reference_standard_simplex(
             if bi < p:
                 ray[bi] = -tab[i][enter]
         return {"status": "unbounded", "point": point, "ray": ray}
-    return {"status": "optimal", "point": point, "value": obj}
+    return {
+        "status": "optimal",
+        "point": point,
+        "value": obj,
+        "basis": basis,
+        "zero": [j for j in range(p) if point[j] == 0],
+    }

@@ -7,6 +7,7 @@ import pytest
 
 from polycone import polyhedron_from_dict, polyhedron_to_dict, trajectory_to_dict
 from polycone.rationals import parse_rational
+from polycone import cli
 from polycone.cli import main
 
 from helpers import HALF_LINE, QUADRANT, TRIANGLE, Y1, Y2, is_farkas
@@ -271,6 +272,18 @@ class TestExitCodes:
         code, out = run_cli(["contains", files["y1"], files["empty"]])
         assert code == 1
         assert json.loads(out)["kind"] == "DimensionMismatch"
+
+    def test_broken_invariant_is_exit_3(self, files, monkeypatch):
+        def broken(args):
+            raise AssertionError("Farkas certificate failed verification")
+
+        monkeypatch.setattr(cli, "_cmd_solve", broken)
+        code, out = run_cli(["solve", files["y1"], "--cost", "1,1"])
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "Farkas certificate failed verification",
+            "kind": "InternalError",
+        }
 
     def test_not_a_vertex(self, files):
         code, out = run_cli(["sensitivity", files["y1"], "--vertex", "5,5"])

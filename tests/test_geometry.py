@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from polycone import (
     normal_cone,
     polyhedron_from_dict,
     polyhedron_to_dict,
+    structure,
     tangent_cone,
 )
 from polycone.linalg import dot
@@ -140,6 +142,18 @@ class TestEnumerateVertices:
             for v in verts:
                 assert v.active == active_set(P, v.point)
                 assert v.defining == lex_witness(P, v.point)
+
+    def test_leaves_no_reference_cycle(self):
+        # with the cyclic collector off, nothing is left for it to collect
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_vertices(TRIANGLE)
+            assert gc.collect() == 0
+            structure(TRIANGLE)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTangentCone:

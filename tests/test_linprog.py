@@ -13,7 +13,7 @@ from polycone import (
     linprog,
     solve_lp,
 )
-from polycone.linalg import dot, rank
+from polycone.linalg import dot, scaled
 
 from helpers import (
     QUADRANT,
@@ -23,6 +23,9 @@ from helpers import (
     random_cost,
     random_feasible_pointed,
     random_polyhedron,
+    reference_nullspace,
+    reference_purify,
+    reference_rank,
     reference_standard_simplex,
 )
 
@@ -112,7 +115,7 @@ class TestSolveLP:
             if res.status != "Optimal":
                 continue
             act = [hs.a for hs in P.halfspaces if hs.slack(res.point) == 0]
-            assert rank(act, P.n) == P.n
+            assert reference_rank(act, P.n) == P.n
 
     def test_find_feasible_point(self):
         assert find_feasible_point(TRIANGLE) is not None
@@ -188,13 +191,37 @@ class TestConeMember:
 
 
 def _on_reference(fn, *args):
-    """fn(*args) with the Fraction reference tableau in place of the kernel."""
-    kernel = linprog._standard_simplex
-    linprog._standard_simplex = reference_standard_simplex
+    """fn(*args) with the Fraction reference tableau in place of the kernel
+    and the Fraction reference purification in place of the basis readout."""
+    kernel, purify = linprog._standard_simplex, linprog._purify
+    linprog._standard_simplex, linprog._purify = reference_standard_simplex, reference_purify
     try:
         return fn(*args)
     finally:
-        linprog._standard_simplex = kernel
+        linprog._standard_simplex, linprog._purify = kernel, purify
+
+
+def _integer_system(rows, rhs):
+    """Rational rows and right-hand sides as the kernel's integer rows and scales."""
+    pairs = [scaled([*row, d]) for row, d in zip(rows, rhs)]
+    return [ints for ints, _ in pairs], [L for _, L in pairs]
+
+
+def _count_readouts(monkeypatch) -> dict:
+    """Count the kernel's optima whose basis hides the vertex, and those
+    whose point the readout moves; the reference runs are not counted."""
+    readout = {"hidden": 0, "moved": 0}
+    purify = linprog._purify
+
+    def counted(P, x, c, res):
+        # the basis shows a vertex when n of the x+/x- columns are basic
+        readout["hidden"] += sum(j < 2 * P.n for j in res["basis"]) < P.n
+        point = purify(P, x, c, res)
+        readout["moved"] += point != x
+        return point
+
+    monkeypatch.setattr(linprog, "_purify", counted)
+    return readout
 
 
 def _same_as_reference(fn, *args):
@@ -205,31 +232,52 @@ def _same_as_reference(fn, *args):
 
 
 def _random_lp(rng: random.Random):
-    """n in 1..5, m in 1..10, drawn from one of three kinds: homogeneous
-    (b = 0), mixed denominators with rhs of either sign, or small-integer
-    rows whose vertices are often degenerate."""
+    """n in 1..5, m in 1..10, drawn from one of four kinds: homogeneous
+    (b = 0), mixed denominators with rhs of either sign, small-integer rows
+    whose vertices are often degenerate, or small-integer rows orthogonal
+    to a line (n >= 2), so the polyhedron is never pointed, with a cost
+    bounded below on it (minus a nonnegative row combination, often 0)."""
     n, m = rng.randint(1, 5), rng.randint(1, 10)
-    kind = rng.choice(("homogeneous", "mixed", "degenerate"))
+    kind = rng.choice(("homogeneous", "mixed", "degenerate", "lineal"))
     dens = (1, 2, 3, 5, 7, 11)
+    if kind == "lineal":
+        n = max(n, 2)
+        line = [0] * n
+        while not any(line):
+            line = [rng.randint(-1, 1) for _ in range(n)]
     rows = []
     while len(rows) < m:
         if kind == "degenerate":
             a = tuple(rng.randint(-1, 1) for _ in range(n))
             b = rng.choice((0, 0, 1, 1, 2, -1))
+        elif kind == "lineal":
+            r = [rng.randint(-2, 2) for _ in range(n)]
+            # r minus its component along the line, times |line|^2
+            a = tuple(dot(line, line) * x - dot(r, line) * y for x, y in zip(r, line))
+            b = rng.choice((0, 1, 2, -1))
         else:
             a = tuple(F(rng.randint(-6, 6), rng.choice(dens)) for _ in range(n))
             b = 0 if kind == "homogeneous" else F(rng.randint(-6, 6), rng.choice(dens))
         if any(a):
             rows.append((a, b))
-    c = tuple(F(rng.randint(-6, 6), rng.choice(dens)) for _ in range(n))
+    if kind == "lineal":
+        # minus a nonnegative combination of the rows
+        weights = [rng.choice((0, 0, 0, 1, 2)) for _ in rows]
+        c = tuple(-sum(w * a[j] for w, (a, _) in zip(weights, rows)) for j in range(n))
+    elif kind == "degenerate":
+        # zero entries leave coordinates the simplex need not make basic
+        c = tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(n))
+    else:
+        c = tuple(F(rng.randint(-6, 6), rng.choice(dens)) for _ in range(n))
     return Polyhedron.from_rows(n, rows), c
 
 
 class TestIntegerTableau:
-    def test_identical_to_reference_tableau(self):
+    def test_identical_to_reference_tableau(self, monkeypatch):
+        readout = _count_readouts(monkeypatch)
         rng = random.Random(2024)
         statuses = {}
-        degenerate = 0
+        degenerate = non_pointed = 0
         for _ in range(500):
             P, c = _random_lp(rng)
             for sense in ("min", "max"):
@@ -238,6 +286,7 @@ class TestIntegerTableau:
                 if res.status == "Optimal":
                     active = sum(hs.slack(res.point) == 0 for hs in P.halfspaces)
                     degenerate += active > P.n
+                    non_pointed += bool(reference_nullspace(P.row_matrix(), P.n))
             gens = [hs.a for hs in P.halfspaces]
             target = c if rng.random() < 0.5 else tuple(map(sum, zip(*gens[:2], c)))
             res = _same_as_reference(cone_member, gens, target)
@@ -245,6 +294,37 @@ class TestIntegerTableau:
         for key in ("Optimal", "Unbounded", "Infeasible", True, False):
             assert statuses.get(key, 0) >= 50, statuses
         assert degenerate >= 50
+        assert non_pointed >= 50
+        assert readout["hidden"] >= 50 and readout["moved"] >= 20, readout
+
+    def test_slides_against_reference(self, monkeypatch):
+        # boxed small-integer polytopes with sparse costs: the simplex often
+        # stops at a point that is not a vertex, and the readout must slide
+        # from it to the reference's vertex, ties between rows included
+        readout = _count_readouts(monkeypatch)
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            rows = []
+            for j in range(n):
+                e = tuple(int(i == j) for i in range(n))
+                rows += [(e, 1), (tuple(-x for x in e), 1)]
+            while len(rows) < 2 * n + 3:
+                a = tuple(rng.randint(-1, 1) for _ in range(n))
+                if any(a):
+                    rows.append((a, rng.randint(0, 2)))
+            rng.shuffle(rows)
+            P = Polyhedron.from_rows(n, rows)
+            c = tuple(rng.choice((0, 0, 0, 1, -1)) for _ in range(n))
+            _same_as_reference(solve_lp, P, c)
+        assert readout["moved"] >= 100, readout
+
+    def test_slide_meets_two_rows_at_once(self):
+        # from the origin along +x, x + y <= 1 and x <= 1 are met together;
+        # both join the active rows, so the point is the vertex (1, 0)
+        P = Polyhedron.from_rows(2, [((-1, 0), 1), ((0, -1), 1), ((1, 1), 1), ((0, 1), 1), ((1, 0), 1)])
+        res = _same_as_reference(solve_lp, P, (0, 0))
+        assert res.point == (1, 0)
 
     def test_costs_on_hinted_columns(self):
         # solve_lp prices its slack columns at zero; the kernel takes any cost
@@ -256,8 +336,9 @@ class TestIntegerTableau:
             rhs = [frac() for _ in range(m)]
             costs = [frac() for _ in range(q + m)]
             hint = [q + i for i in range(m)]
-            got = linprog._standard_simplex(rows, rhs, costs, hint)
-            assert repr(got) == repr(reference_standard_simplex(rows, rhs, costs, hint))
+            ints, scales = _integer_system(rows, rhs)
+            got = linprog._standard_simplex(ints, scales, costs, hint)
+            assert repr(got) == repr(reference_standard_simplex(ints, scales, costs, hint))
 
     def test_beale_cycling_example(self):
         # Beale (1955): cycles under the textbook largest-coefficient rule
@@ -268,11 +349,12 @@ class TestIntegerTableau:
         ]
         rhs = [0, 0, 1]
         costs = [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0]
-        res = linprog._standard_simplex(rows, rhs, costs, basis_hint=[4, 5, 6])
+        ints, scales = _integer_system(rows, rhs)
+        res = linprog._standard_simplex(ints, scales, costs, basis_hint=[4, 5, 6])
         assert res["status"] == "optimal"
         assert res["value"] == F(-1, 20)
         assert res["point"] == [F(1, 25), 0, 1, 0, F(3, 100), 0, 0]
-        assert res == reference_standard_simplex(rows, rhs, costs, basis_hint=[4, 5, 6])
+        assert res == reference_standard_simplex(ints, scales, costs, basis_hint=[4, 5, 6])
         P = Polyhedron.from_rows(
             4,
             [(r[:4], b) for r, b in zip(rows, rhs)]
