@@ -126,6 +126,7 @@ def _standard_simplex(
     scales: list[int],
     costs: list[Fraction],
     basis_hint: list[int] | None = None,
+    read: int | None = None,
 ) -> dict:
     """Two-phase simplex on equality form; all inputs copied, all exact.
 
@@ -147,7 +148,8 @@ def _standard_simplex(
     (reduced costs over the original columns, for Farkas extraction).
     ``basis`` is each row's final basic column; ``zero`` lists the columns
     zero at the optimum: the non-basic ones and the basic ones whose
-    right-hand side is 0.
+    right-hand side is 0.  ``point`` and ``ray`` hold only the first
+    ``read`` columns (all of them when ``read`` is None).
     """
     m = len(rows)
     p = len(rows[0]) - 1 if m else len(costs)
@@ -199,14 +201,16 @@ def _standard_simplex(
             cost = [a - c_int[bi] * t for a, t in zip(cost, tab[i])]
     status, enter, D = _bland(tab, basis, cost, D, p)
 
-    point = [_ZERO] * p
+    read = p if read is None else read
+    point = [_ZERO] * read
     for i, bi in enumerate(basis):
-        point[bi] = Fraction(tab[i][p], D * col_scale[bi])
+        if bi < read:
+            point[bi] = Fraction(tab[i][p], D * col_scale[bi])
     if status == "unbounded":
-        ray = [_ZERO] * p
-        ray[enter] = _ONE
+        ray = [_ONE if j == enter else _ZERO for j in range(read)]
         for i, bi in enumerate(basis):
-            ray[bi] = Fraction(-tab[i][enter] * col_scale[enter], D * col_scale[bi])
+            if bi < read:
+                ray[bi] = Fraction(-tab[i][enter] * col_scale[enter], D * col_scale[bi])
         return {"status": "unbounded", "point": point, "ray": ray}
     value = Fraction(-cost[p], D * K)
     nonzero = {bi for row, bi in zip(tab, basis) if row[p]}
@@ -288,7 +292,7 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
         scales.append(L)
     costs = list(cmin) + [-v for v in cmin] + [0] * m
 
-    res = _standard_simplex(rows, scales, costs, basis_hint=[2 * n + i for i in range(m)])
+    res = _standard_simplex(rows, scales, costs, [2 * n + i for i in range(m)], read=2 * n)
 
     if res["status"] == "infeasible":
         mu = tuple(res["phase1_costs"][2 * n + i] for i in range(m))
@@ -345,7 +349,9 @@ def cone_member(generators: Sequence[Sequence], target: Sequence) -> ConeMembers
     if res["status"] == "infeasible":
         return ConeMembership(member=False)
     lam = tuple(res["point"])
-    recombined = [sum(lam[j] * gens[j][i] for j in range(len(gens))) for i in range(n)]
-    if tuple(recombined) != tv:
+    # with lam = Lam / q, row i of the integer system, L_i (g[i], t[i]),
+    # recombines exactly when sum_j row[j] Lam[j] == row[-1] q
+    Lam, q = scaled(lam)
+    if any(sum(map(mul, row, Lam)) != row[-1] * q for row in rows):
         raise AssertionError("cone multipliers failed to recombine")
     return ConeMembership(member=True, multipliers=lam)

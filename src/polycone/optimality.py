@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint, NotAttained, NotAVertex
@@ -17,11 +18,12 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     Vertex,
+    _integer_rows,
+    _vertices,
     active_normals,
     active_set,
-    enumerate_vertices,
 )
-from .linalg import Vector, dot, extend, nullspace, scaled, solve_square, vec_neg
+from .linalg import Vector, dot, extend, null_direction, nullspace, scaled, vec_neg
 from .linprog import ConeMembership, cone_member
 
 
@@ -36,10 +38,11 @@ class GLPSolution:
       a ConeMembership in ``certificate`` proving ``-c in N_w``;
       ``argmin_face`` is the full optimal face of the *original* polyhedron.
     - UnboundedBelow: ``ray`` is a recession direction of P that strictly
-      improves the objective.  On a pointed slice it is an extreme ray
-      normalised to ``<c_min, ray> = -1``, where ``c_min`` is c for
-      minimization and -c for maximization; when c has a component along
-      the lineality space, it is minus that component.
+      improves the objective.  When c has a component along the lineality
+      space, it is minus that component.  Otherwise it is, of the extreme
+      rays r of ``solved_on``'s recession cone with ``<c_min, r> < 0``
+      normalised to ``<c_min, r> = -1``, the lexicographically smallest;
+      ``c_min`` is c for minimization and -c for maximization.
     - Infeasible: ``farkas`` holds multipliers y >= 0 over
       ``P.halfspaces`` (the canonical rows) with ``y.A = 0`` and
       ``y.b = -1``.
@@ -69,17 +72,19 @@ class StabilityCone:
 
 
 def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
-    """Exact orthogonal projection of c onto span(basis) via normal equations."""
-    k = len(basis)
-    gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-    rhs = [dot(basis[i], c) for i in range(k)]
-    coeffs = solve_square(gram, rhs)
-    if coeffs is None:
-        raise AssertionError("Gram matrix of a basis is nonsingular")
-    n = len(c)
-    return tuple(
-        sum(coeffs[i] * basis[i][j] for i in range(k)) for j in range(n)
-    )
+    """Exact orthogonal projection of c onto span(basis) via normal equations,
+    formed over the integer-scaled basis and c."""
+    B = [scaled(v)[0] for v in basis]
+    C, L = scaled(c)
+    echelon = ([], (), 1)
+    for u in B:
+        row = [sum(map(mul, u, w)) for w in B] + [-sum(map(mul, u, C))]
+        echelon = extend(*echelon, row, len(B))
+        if echelon is None:
+            raise AssertionError("Gram matrix of a basis is nonsingular")
+    # the null direction at the right-hand column is |det| (y, 1), G y = B C
+    y = null_direction(*echelon, len(B), len(B) + 1)
+    return tuple(Fraction(sum(map(mul, y, col)), y[-1] * L) for col in zip(*B))
 
 
 def _lineality_slice(P: Polyhedron, basis: Sequence[Vector]) -> Polyhedron:
@@ -91,28 +96,15 @@ def _lineality_slice(P: Polyhedron, basis: Sequence[Vector]) -> Polyhedron:
     return P.with_rows(extra)
 
 
-def _recession_ray(work: Polyhedron, cmin: Vector) -> Vector | None:
-    """An extreme improving ray of pointed ``work``, normalised to ``<cmin, d> = -1``.
-
-    The first vertex of ``{d : A d <= 0, <cmin, d> <= -1}``: that set is
-    pointed because ``work`` is, it is nonempty exactly when the objective
-    is unbounded on nonempty ``work``, and each of its vertices lies on the
-    hyperplane ``<cmin, d> = -1`` (the origin is the only vertex of the
-    cone ``A d <= 0``).
-    """
-    rows = [hs.homogeneous() for hs in work.halfspaces]
-    rays = enumerate_vertices(Polyhedron(work.n, rows + [HalfSpace(cmin, -1)]))
-    return rays[0].point if rays else None
-
-
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
-    The optimum is attained iff ``-c`` (for minimization) lies in some
-    vertex normal cone, and then it lies in the cone of every vertex of
-    minimal value; one membership test at the first such vertex decides
-    attainment.  No simplex runs: each verdict carries its own certificate,
-    checked exactly before it is returned (see ``GLPSolution``).
+    One walk lists the vertices and extreme rays of P (of its lineality
+    slice if P is not pointed).  The objective is unbounded iff it falls
+    along an extreme ray; else ``-c`` (for minimization) lies in the normal
+    cone of every vertex of minimal value, one membership test each.  No
+    simplex runs: each verdict carries its own certificate, checked exactly
+    before it is returned (see ``GLPSolution`` for the ray rule).
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:
@@ -120,40 +112,41 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
     cmin = cv if sense == "min" else vec_neg(cv)
+    C, L = scaled(cmin)
 
     work, lineality = P, ()
-    vertices = enumerate_vertices(P)
+    rows, rays = _integer_rows(P), []
+    vertices = _vertices(P, rows, rays)
     if not vertices:
         # Farkas: y >= 0 with y.A = 0 and y.b = -1 proves P empty
         farkas = cone_member([hs.a + (hs.b,) for hs in P.halfspaces], (0,) * P.n + (-1,))
         if farkas.member:
             return GLPSolution(status="Infeasible", farkas=farkas.multipliers, solved_on=P)
-        # P is nonempty without a vertex, so not pointed: quotient out the
-        # lineality space, and the pointed slice has a vertex
+        # P is nonempty without a vertex (or ray), so not pointed: quotient
+        # out the lineality space, and the pointed slice has a vertex
         lineality = tuple(nullspace(P.row_matrix(), P.n))
         work = _lineality_slice(P, lineality)
-        vertices = enumerate_vertices(work)
+        vertices = _vertices(work, _integer_rows(work), rays)
         if not vertices:
             raise AssertionError("nonempty lineality slice without vertices")
 
     if lineality:
         c_lin = _project_onto_span(lineality, cmin)
         if any(v != 0 for v in c_lin):
-            return _unbounded(P, cmin, vec_neg(c_lin), work, lineality)
+            return _unbounded(rows, C, vec_neg(c_lin), work, lineality)
+
+    # an improving extreme ray r, as r / -<c_min, r> = L r / -<C, r>
+    falls = [(r, -sum(map(mul, C, r))) for r in rays]
+    improving = [tuple(Fraction(L * x, e) for x in r) for r, e in falls if e > 0]
+    if improving:
+        return _unbounded(rows, C, min(improving), work, lineality)
 
     values = [dot(cmin, v.point) for v in vertices]
     best = min(values)
     tied = [v for v, value in zip(vertices, values) if value == best]
     minus_c = vec_neg(cmin)
-    first = cone_member(active_normals(work, tied[0].active), minus_c)
-    if not first.member:
-        ray = _recession_ray(work, cmin)
-        if ray is None:
-            raise AssertionError("objective neither attained nor unbounded")
-        return _unbounded(P, cmin, ray, work, lineality)
-
-    proofs = [first]
-    for v in tied[1:]:
+    proofs = []
+    for v in tied:
         membership = cone_member(active_normals(work, v.active), minus_c)
         if not membership.member:
             raise AssertionError("a minimum-value vertex misses the normal cone")
@@ -170,11 +163,11 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     )
 
 
-def _unbounded(
-    P: Polyhedron, cmin: Vector, ray: Vector, work: Polyhedron, lineality: tuple[Vector, ...]
-) -> GLPSolution:
-    """The UnboundedBelow verdict, once ray is checked to be an improving recession direction of P."""
-    if any(dot(hs.a, ray) > 0 for hs in P.halfspaces) or dot(cmin, ray) >= 0:
+def _unbounded(rows, C, ray: Vector, work: Polyhedron, lineality) -> GLPSolution:
+    """The UnboundedBelow verdict, once ray is checked to be an improving
+    recession direction over P's integer rows with the integer cost C."""
+    R = scaled(ray)[0]
+    if any(sum(map(mul, row, R)) > 0 for row in rows) or sum(map(mul, C, R)) >= 0:
         raise AssertionError("unbounded ray failed verification")
     return GLPSolution(status="UnboundedBelow", ray=ray, solved_on=work, lineality_basis=lineality)
 

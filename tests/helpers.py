@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from polycone import Polyhedron, contains_point
+from polycone import HalfSpace, Polyhedron, contains_point, enumerate_vertices
 from polycone.linalg import dot, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
@@ -253,6 +253,42 @@ def reference_purify(P: Polyhedron, x, c, res=None):
 
 
 # ---------------------------------------------------------------------------
+# Reference rays and projections for solve_glp
+
+
+def reference_improving_rays(work: Polyhedron, cmin) -> list[tuple[Fraction, ...]]:
+    """The extreme rays d of pointed ``work``'s recession cone with
+    ``<cmin, d> < 0``, normalised to ``<cmin, d> = -1``, sorted.
+
+    They are the vertices of the ray polyhedron ``{d : A d <= 0,
+    <cmin, d> <= -1}``: that set is pointed because ``work`` is, it is
+    nonempty exactly when the objective is unbounded on nonempty ``work``,
+    and each of its vertices lies on the hyperplane ``<cmin, d> = -1`` (the
+    origin is the only vertex of the cone ``A d <= 0``).
+    """
+    if not any(cmin):
+        return []
+    rows = [hs.homogeneous() for hs in work.halfspaces]
+    return [v.point for v in enumerate_vertices(Polyhedron(work.n, rows + [HalfSpace(cmin, -1)]))]
+
+
+def reference_recession_ray(work: Polyhedron, cmin):
+    """Reference for ``solve_glp``'s extreme-ray certificate: the first
+    vertex of the ray polyhedron, or None when the objective is bounded."""
+    rays = reference_improving_rays(work, cmin)
+    return rays[0] if rays else None
+
+
+def reference_project_onto_span(basis, c):
+    """Reference for ``polycone.optimality._project_onto_span``: the normal
+    equations over Fractions, solved by Gauss-Jordan."""
+    k = len(basis)
+    gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
+    coeffs = reference_solve_square(gram, [dot(basis[i], c) for i in range(k)])
+    return tuple(sum(coeffs[i] * basis[i][j] for i in range(k)) for j in range(len(c)))
+
+
+# ---------------------------------------------------------------------------
 # Reference simplex: the same pivots over a tableau of Fractions
 
 
@@ -318,6 +354,7 @@ def reference_standard_simplex(
     scales: list[int],
     costs: list[Fraction],
     basis_hint: list[int] | None = None,
+    read: int | None = None,
 ) -> dict:
     """Reference for ``polycone.linprog._standard_simplex``: the same
     two-phase Bland simplex on a tableau of Fractions.
@@ -337,7 +374,8 @@ def reference_standard_simplex(
     and per status: point/value/basis/zero, point/ray, or phase1_costs
     (reduced costs over the original columns, for Farkas extraction).
     ``basis`` is the final basic column of each row and ``zero`` lists the
-    columns that are zero at the optimum.
+    columns that are zero at the optimum.  ``point`` and ``ray`` hold the
+    first ``read`` columns (all of them when ``read`` is None).
     """
     m = len(rows)
     p = len(rows[0]) - 1 if m else len(costs)
@@ -402,10 +440,10 @@ def reference_standard_simplex(
         for i, bi in enumerate(basis):
             if bi < p:
                 ray[bi] = -tab[i][enter]
-        return {"status": "unbounded", "point": point, "ray": ray}
+        return {"status": "unbounded", "point": point[:read], "ray": ray[:read]}
     return {
         "status": "optimal",
-        "point": point,
+        "point": point[:read],
         "value": obj,
         "basis": basis,
         "zero": [j for j in range(p) if point[j] == 0],

@@ -10,9 +10,11 @@ from polycone import (
     HalfSpace,
     Polyhedron,
     active_set,
+    canonical_ray,
     contains_point,
     enumerate_vertices,
     errors,
+    geometry,
     normal_cone,
     polyhedron_from_dict,
     polyhedron_to_dict,
@@ -154,6 +156,50 @@ class TestEnumerateVertices:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestRaysFromTheWalk:
+    def _walk(self, P):
+        rays = []
+        verts = geometry._vertices(P, geometry._integer_rows(P), rays)
+        return verts, {canonical_ray(r) for r in rays}
+
+    def test_quadrant_rays_on_one_row_each(self):
+        # (1, 0) lies on the last row alone, a prefix with no later row
+        verts, rays = self._walk(QUADRANT)
+        assert [v.point for v in verts] == [(0, 0)]
+        assert rays == {(0, 1), (1, 0)}
+
+    def test_bounded_and_non_pointed_have_none(self):
+        assert self._walk(TRIANGLE)[1] == set()
+        assert self._walk(STRIP) == ([], set())
+
+    def test_producer_piece(self):
+        # Y1's two unbounded edges leave (-2, 1) along y = 1 and (0, 0)
+        # down along 2x + y = 0
+        assert self._walk(Y1)[1] == {(-1, 0), (F(1, 2), -1)}
+
+    def test_vertices_unchanged_by_the_ray_prefixes(self, monkeypatch):
+        # enumerate_vertices does not ask for rays, so it skips the prefixes
+        # that end at the last row; asking for rays adds exactly those
+        cuts, cut = [], geometry._cut
+
+        def counted(aug, n, prefix, *rest):
+            cuts.append(prefix)
+            return cut(aug, n, prefix, *rest)
+
+        monkeypatch.setattr(geometry, "_cut", counted)
+        rng = random.Random(13)
+        for n in range(1, 5):
+            for _ in range(5):
+                P = random_degenerate_polyhedron(rng, n)
+                cuts.clear()
+                verts = enumerate_vertices(P)
+                plain = list(cuts)
+                cuts.clear()
+                assert self._walk(P)[0] == verts
+                assert all(prefix[-1] < P.m - 1 for prefix in plain if prefix)
+                assert [prefix for prefix in cuts if not prefix or prefix[-1] < P.m - 1] == plain
 
 
 class TestTangentCone:

@@ -178,6 +178,24 @@ class TestConeMember:
                 ]
                 assert tuple(recon) == target
 
+    @pytest.mark.parametrize("shift", [0, F(1, 3), F(-1, 3)])
+    def test_tampered_multipliers_are_refused(self, monkeypatch, shift):
+        # the check over the integer rows refuses multipliers that miss the
+        # target; with shift 0 it must pass the same multipliers over q = 2
+        kernel = linprog._standard_simplex
+
+        def tampered(*args, **kwargs):
+            res = kernel(*args, **kwargs)
+            res["point"][1] += shift
+            return res
+
+        monkeypatch.setattr(linprog, "_standard_simplex", tampered)
+        if shift:
+            with pytest.raises(AssertionError, match="recombine"):
+                cone_member([(1, 0), (0, 1)], (F(1, 2), 1))
+        else:
+            assert cone_member([(1, 0), (0, 1)], (F(1, 2), 1)).multipliers == (F(1, 2), 1)
+
     def test_against_planar_angle_oracle(self):
         rng = random.Random(29)
         for _ in range(300):
@@ -339,6 +357,10 @@ class TestIntegerTableau:
             ints, scales = _integer_system(rows, rhs)
             got = linprog._standard_simplex(ints, scales, costs, hint)
             assert repr(got) == repr(reference_standard_simplex(ints, scales, costs, hint))
+            # the first q columns alone, the way solve_lp reads its x columns
+            got = linprog._standard_simplex(ints, scales, costs, hint, q)
+            assert len(got.get("point", ())) in (0, q)
+            assert repr(got) == repr(reference_standard_simplex(ints, scales, costs, hint, q))
 
     def test_beale_cycling_example(self):
         # Beale (1955): cycles under the textbook largest-coefficient rule

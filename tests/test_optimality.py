@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycone import (
+    HalfSpace,
     Polyhedron,
     argmin_face,
     cone_member,
     contains_point,
     enumerate_vertices,
     errors,
+    geometry,
     normal_cone,
+    optimality,
     poly_contains,
     solve_glp,
     solve_lp,
@@ -27,6 +31,9 @@ from helpers import (
     random_cost,
     random_degenerate_polyhedron,
     random_polyhedron,
+    reference_improving_rays,
+    reference_project_onto_span,
+    reference_recession_ray,
 )
 
 F = Fraction
@@ -106,17 +113,18 @@ class TestLinealityQuotient:
         assert solve_glp(P, (0, 1)).status == "Infeasible"
 
 
-def _assert_certified(P, c, sol):
+def _assert_certified(P, c, sol, sense="min"):
+    cmin = c if sense == "min" else vec_neg(c)
     if sol.status == "Attained":
         assert len(sol.certificate) == len(sol.optimal_vertices)
         for v, cert in zip(sol.optimal_vertices, sol.certificate):
             assert dot(c, v.point) == sol.value
             gens = normal_cone(sol.solved_on, v.point).generators
             combo = tuple(sum(lam * g[j] for lam, g in zip(cert.multipliers, gens)) for j in range(P.n))
-            assert combo == vec_neg(c)
+            assert combo == vec_neg(cmin)
     elif sol.status == "UnboundedBelow":
         assert all(dot(hs.a, sol.ray) <= 0 for hs in P.halfspaces)
-        assert dot(c, sol.ray) < 0
+        assert dot(cmin, sol.ray) < 0
     else:
         assert is_farkas(P, sol.farkas)
 
@@ -185,6 +193,149 @@ class TestOracleAgreement:
                 checked += 1
             else:
                 checked += 1
+
+
+def _ray_corpus():
+    """1000 (P, c) pairs: 600 from the acceptance distribution and 400 from
+    ``random_degenerate_polyhedron`` at n = 1..5 (fewer as the walks grow
+    dearer), about a third of whose draws (n > 1) have the lineality line
+    e_n; half of the degenerate costs are orthogonal to e_n, so non-pointed
+    draws reach the extreme rays of their slice too."""
+    rng = random.Random(71)
+    for _ in range(600):
+        P = random_polyhedron(rng)
+        yield P, random_cost(rng, P.n)
+    for n, count in zip(range(1, 6), (160, 150, 70, 15, 5)):
+        for _ in range(count):
+            P = random_degenerate_polyhedron(rng, n)
+            c = [rng.randint(-2, 2) for _ in range(n)]
+            if rng.random() < 0.5:
+                c[-1] = 0
+            yield P, tuple(F(v) for v in c)
+
+
+def _normalised(rays, cmin):
+    """The distinct rays r with <cmin, r> < 0, scaled to <cmin, r> = -1, sorted."""
+    return sorted({tuple(F(x) / -dot(cmin, r) for x in r) for r in rays if dot(cmin, r) < 0})
+
+
+class TestRaysAgainstRayPolyhedron:
+    def test_against_reference_recession_ray(self, monkeypatch):
+        # the ray polyhedron {d : A d <= 0, <c_min, d> <= -1} is the
+        # reference: its first vertex is the certificate, and its vertex set
+        # is every improving extreme ray, which the walk must find in full
+        walked, walk = {}, optimality._vertices
+
+        def kept(work, aug, rays):
+            walked["rays"] = rays
+            return walk(work, aug, rays)
+
+        monkeypatch.setattr(optimality, "_vertices", kept)
+        seen = {"extreme": 0, "lineality": 0, "Attained": 0, "Infeasible": 0, "slices": 0}
+        for P, c in _ray_corpus():
+            for sense in ("min", "max"):
+                sol = solve_glp(P, c, sense)
+                cmin = c if sense == "min" else vec_neg(c)
+                _assert_certified(P, c, sol, sense)
+                if sol.status == "Infeasible":
+                    seen["Infeasible"] += 1
+                    continue
+                work, rays = sol.solved_on, walked["rays"]
+                if sol.lineality_basis:
+                    seen["slices"] += 1
+                    got = optimality._project_onto_span(sol.lineality_basis, cmin)
+                    projection = reference_project_onto_span(sol.lineality_basis, cmin)
+                    assert repr(got) == repr(projection)
+                    if any(projection):
+                        seen["lineality"] += 1
+                        assert repr(sol.ray) == repr(vec_neg(projection))
+                        continue
+                assert _normalised(rays, cmin) == reference_improving_rays(work, cmin)
+                ray = reference_recession_ray(work, cmin)
+                if sol.status == "UnboundedBelow":
+                    seen["extreme"] += 1
+                    assert repr(sol.ray) == repr(ray)
+                else:
+                    seen["Attained"] += 1
+                    assert ray is None
+        assert seen.pop("lineality") >= 50 and min(seen.values()) >= 100, seen
+
+
+class TestWorkBudget:
+    """Walks and cone tests per verdict, counted where solve_glp calls them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"walks": 0, "cone tests": 0}
+        walk, cone = optimality._vertices, optimality.cone_member
+
+        def counted_walk(*args):
+            counts["walks"] += 1
+            return walk(*args)
+
+        def counted_cone(*args):
+            counts["cone tests"] += 1
+            return cone(*args)
+
+        monkeypatch.setattr(optimality, "_vertices", counted_walk)
+        monkeypatch.setattr(optimality, "cone_member", counted_cone)
+        return counts
+
+    def test_unbounded_ray_on_the_last_row_alone(self, counts):
+        # the improving ray (1, 0) is QUADRANT's edge along its last row
+        sol = solve_glp(QUADRANT, (-1, 0))
+        assert sol.status == "UnboundedBelow" and sol.ray == (1, 0)
+        assert counts == {"walks": 1, "cone tests": 0}
+
+    @pytest.mark.parametrize("P, c, tied", [(TRIANGLE, (1, 1), 1), (TRIANGLE, (0, 1), 2),
+                                            (TRIANGLE, (0, 0), 3), (QUADRANT, (1, 0), 1)])
+    def test_attained_one_cone_test_per_tied_vertex(self, counts, P, c, tied):
+        sol = solve_glp(P, c)
+        assert sol.status == "Attained" and len(sol.optimal_vertices) == tied
+        assert counts == {"walks": 1, "cone tests": tied}
+
+    def test_infeasible(self, counts):
+        sol = solve_glp(Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)]), (1, 1))
+        assert sol.status == "Infeasible"
+        assert counts == {"walks": 1, "cone tests": 1}
+
+    @pytest.mark.parametrize("c, status, cone_tests", [((1, 0), "UnboundedBelow", 1), ((0, 1), "Attained", 2)])
+    def test_lineality_walks_its_slice(self, counts, c, status, cone_tests):
+        # the Farkas test finds STRIP nonempty, then its slice x = 0 is walked
+        assert solve_glp(STRIP, c).status == status
+        assert counts == {"walks": 2, "cone tests": cone_tests}
+
+
+@pytest.mark.parametrize("ray", [(1, -1), (0, 1), (0, 0)], ids=["leaves-P", "not-improving", "zero"])
+def test_unverified_ray_is_refused(ray):
+    # QUADRANT with cost (-1, 0): only rays inside it that raise x improve,
+    # and (1, -1) improves but leaves it
+    rows = geometry._integer_rows(QUADRANT)
+    with pytest.raises(AssertionError, match="ray"):
+        optimality._unbounded(rows, [-1, 0], tuple(map(F, ray)), QUADRANT, ())
+
+
+def _rescaled_permutation(data, P):
+    """P's rows in a drawn order, each times a drawn positive rational (which
+    HalfSpace's canonical form absorbs, so only the order reaches the walk)."""
+    order = data.draw(st.permutations(range(P.m)))
+    scales = data.draw(st.lists(st.fractions(F(1, 9), 9), min_size=P.m, max_size=P.m))
+    rows = [P.halfspaces[i] for i in order]
+    return Polyhedron(P.n, [HalfSpace([t * x for x in hs.a], t * hs.b) for hs, t in zip(rows, scales)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), degenerate=st.booleans(), data=st.data())
+def test_row_order_and_scale_leave_the_solution(seed, degenerate, data):
+    rng = random.Random(seed)
+    P = random_degenerate_polyhedron(rng, rng.randint(1, 3)) if degenerate else random_polyhedron(rng)
+    c = random_cost(rng, P.n)
+    Q = _rescaled_permutation(data, P)
+    for sense in ("min", "max"):
+        a, b = solve_glp(P, c, sense), solve_glp(Q, c, sense)
+        assert (a.status, a.value, a.ray) == (b.status, b.value, b.ray)
+        assert [v.point for v in a.optimal_vertices] == [v.point for v in b.optimal_vertices]
+        _assert_certified(Q, c, b, sense)
 
 
 class TestStabilityCone:
