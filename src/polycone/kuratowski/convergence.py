@@ -40,10 +40,13 @@ from ..linprog import is_feasible
 from ..optimality import solve_glp
 from ..rationals import float_to_fraction, format_rational, format_vector, simplest_within
 from ..structure import is_bounded, remove_redundant
-from .limits import PolyhedronTrajectory, _classify_tail, _tail, _unit_row
+from .limits import PolyhedronTrajectory, _coordinate_limits, _tail, _unit_row
 
 DEFAULT_SEED = 42
 DEFAULT_EXTRA_DIRECTIONS = 64
+# boundary_convergence pairs a limit facet only with a sample facet whose
+# normalized (normal, offset) row lies within this Euclidean distance
+MATCH_RADIUS = 0.5
 
 FloatVector = tuple[float, ...]
 
@@ -56,16 +59,14 @@ class WindowDistance(NamedTuple):
     one_empty: bool = False
 
 
-def default_directions(
-    n: int, seed: int = DEFAULT_SEED, extra: int = DEFAULT_EXTRA_DIRECTIONS
-) -> list[FloatVector]:
+def default_directions(n: int, seed: int = DEFAULT_SEED) -> list[FloatVector]:
     """The +/- coordinate directions plus seeded pseudorandom unit vectors."""
     dirs: list[FloatVector] = []
     for j in range(n):
         dirs.append(tuple(1.0 if k == j else 0.0 for k in range(n)))
         dirs.append(tuple(-1.0 if k == j else 0.0 for k in range(n)))
     rng = random.Random(seed)
-    while len(dirs) < 2 * n + extra:
+    while len(dirs) < 2 * n + DEFAULT_EXTRA_DIRECTIONS:
         raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
         norm = math.sqrt(sum(v * v for v in raw))
         if norm < 1e-9:
@@ -324,7 +325,6 @@ def verify_convergence(
     R: float | None = None,
     tol: float = 1e-6,
     seed: int = DEFAULT_SEED,
-    extra: int = DEFAULT_EXTRA_DIRECTIONS,
 ) -> ConvergenceReport:
     """Window distances from each sampled polyhedron to the candidate limit.
 
@@ -335,7 +335,7 @@ def verify_convergence(
     if not is_feasible(candidate):
         raise EmptyPolyhedron("candidate limit is empty")
     radius = default_window(candidate) if R is None else float(R)
-    directions = default_directions(T.n, seed, extra)
+    directions = default_directions(T.n, seed)
     window = _checked_window(radius, T.n, candidate.n, directions)
     h_limit = _window_support(candidate, window, directions)
     distances = []
@@ -409,14 +409,13 @@ def cone_convergence(
     R: float = 1.0,
     tol: float = 1e-6,
     seed: int = DEFAULT_SEED,
-    extra: int = DEFAULT_EXTRA_DIRECTIONS,
 ) -> ConeConvergenceReport:
     """Tangent- and normal-cone window metrics along a converged track."""
     if not track.converged:
         raise TrackNotConverged("cone diagnostics need a converged vertex track")
     c_limit = tangent_cone(limit, track.limit_vertex)
     n_limit = normal_cone(limit, track.limit_vertex)
-    directions = default_directions(T.n, seed, extra)
+    directions = default_directions(T.n, seed)
     window = _checked_window(R, T.n, limit.n, directions)
     h_tangent = _window_support(c_limit, window, directions)
     h_normal = _window_support(n_limit, window, directions)
@@ -451,7 +450,6 @@ def argmax_convergence(
     tol: float = 1e-6,
     eps_limit: float = 1e-3,
     seed: int = DEFAULT_SEED,
-    extra: int = DEFAULT_EXTRA_DIRECTIONS,
 ) -> ArgmaxReport:
     """Maximizer convergence for the family's cost trajectory.
 
@@ -467,14 +465,14 @@ def argmax_convergence(
         c_limit = T.cost.declared_limit
     else:
         c_limit = tuple(
-            simplest_within(seq, eps_limit)
-            for seq in _estimate_cost_limit(T.cost.vectors, eps_limit)
+            simplest_within(v, eps_limit)
+            for v in _coordinate_limits(T.cost.vectors, eps_limit, "cost", [])
         )
     sol_limit = solve_glp(limit, c_limit, "max")
     if sol_limit.status != "Attained":
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
     radius = default_window(limit) if R is None else float(R)
-    directions = default_directions(T.n, seed, extra)
+    directions = default_directions(T.n, seed)
     window = _checked_window(radius, T.n, limit.n, directions)
     h_face = _window_support(sol_limit.argmin_face, window, directions)
     limit_count = len(enumerate_vertices(limit))
@@ -510,34 +508,23 @@ def argmax_convergence(
     )
 
 
-def _estimate_cost_limit(vectors: Sequence[FloatVector], eps: float) -> list[float]:
-    out = []
-    for j in range(len(vectors[0])):
-        seq = [v[j] for v in vectors]
-        cls = _classify_tail(seq, eps)
-        out.append(cls.value if cls.kind == "finite" else seq[-1])
-    return out
-
-
 def boundary_convergence(
     T: PolyhedronTrajectory,
     limit: Polyhedron,
     R: float | None = None,
     tol: float = 1e-6,
-    match_radius: float = 0.5,
     seed: int = DEFAULT_SEED,
-    extra: int = DEFAULT_EXTRA_DIRECTIONS,
 ) -> BoundaryReport:
     """Boundary metric: window distances between matched facet polyhedra.
 
     Boundaries are approximated by the facet polyhedra of the minimal
     descriptions.  Every limit facet is matched with the sample facet whose
     normalized (normal, offset) row is nearest; pairs farther apart than
-    match_radius are excluded and reported, since a lower-dimensional limit
-    can legitimately have facets with no aligned sample counterpart.
+    ``MATCH_RADIUS`` are excluded and reported, since a lower-dimensional
+    limit can legitimately have facets with no aligned sample counterpart.
     """
     radius = default_window(limit) if R is None else float(R)
-    directions = default_directions(T.n, seed, extra)
+    directions = default_directions(T.n, seed)
 
     def match_key(hs: HalfSpace) -> FloatVector:
         unit, offset = _unit_row(hs.a, hs.b)
@@ -564,7 +551,7 @@ def boundary_convergence(
                 d = math.sqrt(sum((x - y) ** 2 for x, y in zip(lrow, row)))
                 if d < best_d:
                     best_j, best_d = j, d
-            if best_d > match_radius:
+            if best_d > MATCH_RADIUS:
                 warnings.append(
                     f"k={T.indices[k]}: limit facet {li} unmatched (nearest row gap {best_d:.3g})"
                 )

@@ -11,15 +11,9 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import (
-    Cone,
-    HalfSpace,
-    IndexSet,
-    Polyhedron,
-    enumerate_vertices,
-)
+from .geometry import Cone, IndexSet, Polyhedron, enumerate_vertices
 from .linalg import Vector, dot, nullspace, rank
-from .linprog import find_feasible_point, solve_lp
+from .linprog import cone_member, find_feasible_point, solve_lp
 
 
 @dataclass(frozen=True)
@@ -54,22 +48,17 @@ def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
 
 
 def is_bounded(P: Polyhedron) -> bool:
-    """True iff the recession cone is trivial.
+    """True iff the recession cone ``{d : A d <= 0}`` is trivial.
 
-    Decided by 2n homogeneous LPs: max of each +/- coordinate over
-    {A v <= 0} must be zero (a cone objective is either 0 or unbounded).
+    Stiemke's alternative: that cone is {0} exactly when ``rank A = n`` and
+    ``y A = 0`` for some ``y > 0``.  Writing ``y = 1 + z`` with ``z >= 0``
+    makes the second half one cone test: minus the sum of the rows lies in
+    the cone of the rows (``cone_member`` checks its multipliers exactly).
     """
     _require_feasible(P)
-    rec = Polyhedron(P.n, [hs.homogeneous() for hs in P.halfspaces])  # {v : A v <= 0}
-    for j in range(P.n):
-        for sign in (1, -1):
-            c = tuple(sign if k == j else 0 for k in range(P.n))
-            res = solve_lp(rec, c, "max")
-            if res.status != "Optimal":
-                return False
-            if res.value != 0:
-                raise AssertionError("homogeneous LP with nonzero finite optimum")
-    return True
+    rows = P.row_matrix()
+    target = tuple(-sum(col) for col in zip(*rows))
+    return rank(rows, P.n) == P.n and cone_member(rows, target).member
 
 
 def _irredundant(P: Polyhedron, fixed: Sequence[int] = ()) -> list[int]:
@@ -156,21 +145,15 @@ def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
 def reconstruct_check(P: Polyhedron) -> bool:
     """Verify ``P == intersection over vertices w of (C_w(P) + w)`` exactly.
 
-    Each tangent-cone row ``A_i v <= 0`` is translated to ``A_i x <= A_i w``;
-    the two inclusions are then decided by the LP oracle.
+    A tangent-cone row ``A_i v <= 0`` of vertex w translates to
+    ``A_i x <= A_i w = b_i``, P's own row i, so the intersection R is the
+    set of rows active at some vertex.  Hence ``P ⊆ R`` always, and
+    ``R ⊆ P`` needs an LP only for the rows that no vertex makes active.
     """
     vertices = enumerate_vertices(P)
     if not vertices:
         raise NoVertices("reconstruction needs at least one vertex")
-    rows: list[HalfSpace] = []
-    seen = set()
-    for v in vertices:
-        for i in v.active:
-            a = P.halfspaces[i].a
-            translated = HalfSpace(a, dot(a, v.point))
-            key = (translated.a, translated.b)
-            if key not in seen:
-                seen.add(key)
-                rows.append(translated)
-    R = Polyhedron(P.n, rows)
-    return poly_contains(R, P).holds and poly_contains(P, R).holds
+    used = {i for v in vertices for i in v.active}
+    R = Polyhedron(P.n, [hs for i, hs in enumerate(P.halfspaces) if i in used])
+    rest = [hs for i, hs in enumerate(P.halfspaces) if i not in used]
+    return not rest or poly_contains(Polyhedron(P.n, rest), R).holds

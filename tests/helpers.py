@@ -6,7 +6,16 @@ import math
 import random
 from fractions import Fraction
 
-from polycone import HalfSpace, Polyhedron, contains_point, enumerate_vertices
+from polycone import (
+    HalfSpace,
+    Polyhedron,
+    contains_point,
+    enumerate_vertices,
+    find_feasible_point,
+    poly_contains,
+    solve_lp,
+)
+from polycone.errors import EmptyPolyhedron, NoVertices
 from polycone.linalg import dot, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
@@ -286,6 +295,49 @@ def reference_project_onto_span(basis, c):
     gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
     coeffs = reference_solve_square(gram, [dot(basis[i], c) for i in range(k)])
     return tuple(sum(coeffs[i] * basis[i][j] for i in range(k)) for j in range(len(c)))
+
+
+# ---------------------------------------------------------------------------
+# Reference structure checks: the long way round
+
+
+def reference_is_bounded(P: Polyhedron) -> bool:
+    """Reference for ``polycone.is_bounded``: 2n homogeneous LPs, the max
+    of each +/- coordinate over ``{A v <= 0}`` must be zero (a cone
+    objective is either 0 or unbounded)."""
+    if find_feasible_point(P) is None:
+        raise EmptyPolyhedron("operation requires a nonempty polyhedron")
+    rec = Polyhedron(P.n, [hs.homogeneous() for hs in P.halfspaces])
+    for j in range(P.n):
+        for sign in (1, -1):
+            c = tuple(sign if k == j else 0 for k in range(P.n))
+            res = solve_lp(rec, c, "max")
+            if res.status != "Optimal":
+                return False
+            if res.value != 0:
+                raise AssertionError("homogeneous LP with nonzero finite optimum")
+    return True
+
+
+def reference_reconstruct_check(P: Polyhedron) -> bool:
+    """Reference for ``polycone.reconstruct_check``: translate every
+    tangent-cone row ``A_i v <= 0`` of vertex w to ``A_i x <= A_i w`` and
+    decide both inclusions between P and the intersection by LPs."""
+    vertices = enumerate_vertices(P)
+    if not vertices:
+        raise NoVertices("reconstruction needs at least one vertex")
+    rows = []
+    seen = set()
+    for v in vertices:
+        for i in v.active:
+            a = P.halfspaces[i].a
+            translated = HalfSpace(a, dot(a, v.point))
+            key = (translated.a, translated.b)
+            if key not in seen:
+                seen.add(key)
+                rows.append(translated)
+    R = Polyhedron(P.n, rows)
+    return poly_contains(R, P).holds and poly_contains(P, R).holds
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polycone import (
+    HalfSpace,
     Polyhedron,
     contains_point,
     enumerate_vertices,
@@ -16,16 +17,22 @@ from polycone import (
     remove_redundant,
     structure,
 )
+from polycone.linalg import vec_neg
 
+import helpers
 from helpers import (
     HALF_LINE,
     QUADRANT,
     STRIP,
     TRIANGLE,
+    random_degenerate_polyhedron,
     random_feasible_pointed,
+    reference_is_bounded,
+    reference_reconstruct_check,
 )
 
 F = Fraction
+structure_module = importlib.import_module("polycone.structure")
 
 EMPTY = Polyhedron.from_rows(1, [((1,), -1), ((-1,), 0)])
 
@@ -110,11 +117,13 @@ class TestStructure:
 
 def test_emptiness_read_from_first_support_lp(monkeypatch):
     """structure, poly_contains and reconstruct_check run no separate
-    feasibility LP; is_bounded, whose LPs are over the recession cone, does."""
-    module = importlib.import_module("polycone.structure")
+    feasibility LP; is_bounded, whose cone test does not see P's offsets,
+    does."""
     calls = []
-    real = module.find_feasible_point
-    monkeypatch.setattr(module, "find_feasible_point", lambda P: calls.append(P) or real(P))
+    real = structure_module.find_feasible_point
+    monkeypatch.setattr(
+        structure_module, "find_feasible_point", lambda P: calls.append(P) or real(P)
+    )
     empty = Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)])
     assert structure(TRIANGLE).vertex_count == 3
     assert reconstruct_check(TRIANGLE)
@@ -191,3 +200,91 @@ class TestReconstruct:
             P = random_feasible_pointed(rng)
             if enumerate_vertices(P):
                 assert reconstruct_check(P)
+
+
+class TestWorkBudget:
+    """LPs and cone tests run by is_bounded and reconstruct_check, counted
+    where polycone.structure calls them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"find_feasible_point": 0, "cone_member": 0, "solve_lp": 0}
+        for name in counts:
+            real = getattr(structure_module, name)
+
+            def counted(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(structure_module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("P, bounded", [(TRIANGLE, True), (QUADRANT, False)])
+    def test_is_bounded_one_cone_test(self, counts, P, bounded):
+        assert is_bounded(P) is bounded
+        assert counts == {"find_feasible_point": 1, "cone_member": 1, "solve_lp": 0}
+
+    def test_reconstruct_without_unused_rows_runs_no_lp(self, counts):
+        assert reconstruct_check(TRIANGLE)
+        assert counts == {"find_feasible_point": 0, "cone_member": 0, "solve_lp": 0}
+
+    def test_reconstruct_tests_only_the_unused_row(self, counts):
+        # x <= 5 is active at no vertex of the triangle
+        P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
+        assert reconstruct_check(P)
+        assert counts == {"find_feasible_point": 0, "cone_member": 0, "solve_lp": 1}
+
+
+def test_reconstruct_catches_a_missing_vertex(monkeypatch):
+    # without vertex (0, 1) of {x >= 0, y >= 0, x + y >= 1}, row x >= 0 is
+    # active at no listed vertex, and the listed rows allow x -> -infinity
+    P = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((-1, -1), -1)])
+    listed = [v for v in enumerate_vertices(P) if v.point != (0, 1)]
+    assert len(listed) == 1
+    monkeypatch.setattr(structure_module, "enumerate_vertices", lambda Q: listed)
+    assert not reconstruct_check(P)
+
+
+def _differential_corpus(rng):
+    """Acceptance-distribution pointed draws, then degenerate draws at
+    n = 1-5 (non-pointed included); every seventh degenerate draw gains
+    the rows a.x <= -1 and a.x >= 1, which make it empty."""
+    draws = [random_feasible_pointed(rng) for _ in range(250)]
+    for n, count in ((1, 450), (2, 200), (3, 65), (4, 25), (5, 10)):
+        for i in range(count):
+            P = random_degenerate_polyhedron(rng, n)
+            if i % 7 == 3:
+                a = P.halfspaces[rng.randrange(P.m)].a
+                P = P.with_rows([HalfSpace(a, -1), HalfSpace(vec_neg(a), -1)])
+            draws.append(P)
+    return draws
+
+
+def _outcome(check, P):
+    try:
+        return check(P)
+    except (errors.EmptyPolyhedron, errors.NoVertices) as exc:
+        return type(exc).__name__
+
+
+def test_agrees_with_reference_oracles(monkeypatch):
+    """is_bounded and reconstruct_check return the verdicts, or raise the
+    exception types, of the long-way oracles in helpers.  Both checks see
+    one vertex list per draw; every third list with two or more vertices
+    misses one, so reconstruct_check's False verdicts are compared too."""
+    shown = {}
+    monkeypatch.setattr(structure_module, "enumerate_vertices", shown.__getitem__)
+    monkeypatch.setattr(helpers, "enumerate_vertices", shown.__getitem__)
+    seen = {}
+    for k, P in enumerate(_differential_corpus(random.Random(83))):
+        vertices = enumerate_vertices(P)
+        if k % 3 == 0 and len(vertices) > 1:
+            del vertices[k % len(vertices)]
+        shown[P] = vertices
+        for check, reference in ((is_bounded, reference_is_bounded),
+                                 (reconstruct_check, reference_reconstruct_check)):
+            got = _outcome(check, P)
+            assert got == _outcome(reference, P), (P, check.__name__)
+            key = (check.__name__, got)
+            seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 50, seen
