@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .geometry import Polyhedron, _integer_rows
+from .geometry import Polyhedron, _coerce_vector, _integer_rows
 from .linalg import Vector, dot, extend, null_direction, scaled, vec_neg
 
 _ZERO = Fraction(0)
@@ -334,8 +334,8 @@ def cone_member(generators: Sequence[Sequence], target: Sequence) -> ConeMembers
 
     Multipliers, when returned, recombine to the target exactly.
     """
-    tv = tuple(Fraction(v) for v in target)
-    gens = [tuple(Fraction(v) for v in g) for g in generators]
+    tv = _coerce_vector(target)
+    gens = [_coerce_vector(g) for g in generators]
     if not gens:
         return ConeMembership(member=all(v == 0 for v in tv), multipliers=())
     n = len(tv)

@@ -19,6 +19,7 @@ from .geometry import (
     Polyhedron,
     Vertex,
     _integer_rows,
+    _lex_basis,
     _vertices,
     active_normals,
     active_set,
@@ -198,16 +199,9 @@ def stability_cone(P: Polyhedron, w: Vertex | Sequence) -> StabilityCone:
         active = active_set(P, point)
     except (DimensionMismatch, InfeasiblePoint) as exc:
         raise NotAVertex(f"{point} is not a vertex of the polyhedron") from exc
-    # greedy over the active rows in index order: the lexicographically
-    # smallest nonsingular subsystem, which is the enumeration's witness
-    defining: list[int] = []
-    echelon, pivots, det = [], (), 1
-    for i in active:
-        grown = extend(echelon, pivots, det, scaled(P.halfspaces[i].a)[0], P.n)
-        if grown is not None:
-            echelon, pivots, det = grown
-            defining.append(i)
-            if len(defining) == P.n:
-                vertex = Vertex(point=point, active=active, defining=tuple(defining))
-                return StabilityCone(vertex=vertex, generators=active_normals(P, active))
-    raise NotAVertex(f"{point} is not a vertex of the polyhedron")
+    # the lexicographically smallest nonsingular subsystem: the enumeration's witness
+    defining = _lex_basis(_integer_rows(P), active, P.n)
+    if defining is None:
+        raise NotAVertex(f"{point} is not a vertex of the polyhedron")
+    vertex = Vertex(point=point, active=active, defining=defining)
+    return StabilityCone(vertex=vertex, generators=active_normals(P, active))

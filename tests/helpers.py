@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from polycone import (
     HalfSpace,
@@ -88,17 +89,145 @@ def random_degenerate_polyhedron(rng: random.Random, n: int) -> Polyhedron:
     return Polyhedron.from_rows(n, rows)
 
 
+def random_polytope4(rng: random.Random, m: int, empty: bool = False) -> Polyhedron:
+    """A bounded polytope in R^4 with m rows: a box cut by rows through a
+    neighbourhood of the origin.
+
+    Of the extra rows, every fourth lies beyond the box (redundant), every
+    fifth repeats an earlier cut scaled by 2 (a duplicate), and every
+    seventh supports the box at one corner (a redundant row through a
+    vertex of the box), so the draws have degenerate vertices.  With
+    ``empty``, the last two rows are ``a.x <= -1`` and ``a.x >= 1`` for a
+    random a, which leaves the empty set.
+    """
+    n = 4
+    box = [Fraction(rng.randint(1, 3)) for _ in range(n)]
+    rows = []
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        rows += [(e, box[j]), (tuple(-x for x in e), box[j])]
+    cuts = []
+    extra = 0
+    while len(rows) < m - 2 * empty:
+        extra += 1
+        if extra % 5 == 0 and cuts:
+            a, b = rng.choice(cuts)
+            rows.append((tuple(2 * x for x in a), 2 * b))
+            continue
+        a = rand_direction(rng, n)
+        if extra % 7 == 0:
+            rows.append((a, sum(abs(x) * s for x, s in zip(a, box))))
+        elif extra % 4 == 0:
+            rows.append((a, sum(abs(x) * s for x, s in zip(a, box)) + 1))
+        else:
+            b = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+            cuts.append((a, b))
+            rows.append((a, b))
+    if empty:
+        a = rand_direction(rng, n)
+        rows += [(a, -1), (vec_neg(a), -1)]
+    return Polyhedron.from_rows(n, rows)
+
+
+def polygon_product(k1: int, k2: int, tangent: bool = False) -> tuple[Polyhedron, set]:
+    """The product of a k1-gon and a k2-gon in R^4 and its k1 k2 vertices.
+
+    Each polygon takes k of the twelve lattice points on the circle of
+    radius 5, so every point is a vertex; the product's vertices are the
+    pairs and its edges join a vertex of one factor to an edge of the other,
+    2 k1 k2 in all.  With ``tangent`` the second polygon gets one more row,
+    touching it only at its first vertex, so the k1 vertices above that one
+    have five active rows.
+    """
+    circle = sorted(
+        ((x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25),
+        key=lambda p: math.atan2(p[1], p[0]),
+    )
+
+    def polygon(k):
+        points = [circle[12 * i // k] for i in range(k)]
+        # the outward normal of the edge p -> q, counter-clockwise
+        rows = [
+            ((q[1] - p[1], p[0] - q[0]), (q[1] - p[1]) * p[0] + (p[0] - q[0]) * p[1])
+            for p, q in zip(points, points[1:] + points[:1])
+        ]
+        return points, rows
+
+    points1, rows1 = polygon(k1)
+    points2, rows2 = polygon(k2)
+    if tangent:
+        # the sum of the two normals at the first vertex supports it alone
+        (a1, _), (a2, _) = rows2[-1], rows2[0]
+        a = (a1[0] + a2[0], a1[1] + a2[1])
+        rows2.append((a, a[0] * points2[0][0] + a[1] * points2[0][1]))
+    rows = [((a[0], a[1], 0, 0), b) for a, b in rows1] + [((0, 0, a[0], a[1]), b) for a, b in rows2]
+    vertices = {tuple(Fraction(x) for x in p + q) for p in points1 for q in points2}
+    return Polyhedron.from_rows(4, rows), vertices
+
+
+def _float_solve(rows, rhs):
+    """Gaussian elimination with partial pivoting in binary64; None when a
+    pivot falls below 1e-9.  For the rows drawn in these tests (entries of
+    magnitude at most 1 with denominators at most 30, n <= 5) a nonsingular
+    system has determinant above 1e-5 and so every pivot above 1e-7."""
+    n = len(rows)
+    t = [row + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(t[r][col]))
+        if abs(t[piv][col]) < 1e-9:
+            return None
+        t[col], t[piv] = t[piv], t[col]
+        for r in range(col + 1, n):
+            f = t[r][col] / t[col][col]
+            if f:
+                t[r] = [x - f * y for x, y in zip(t[r], t[col])]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (t[i][n] - sum(t[i][j] * x[j] for j in range(i + 1, n))) / t[i][i]
+    return x
+
+
 def brute_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     """Independent re-enumeration straight from the defining property:
-    feasible solutions of nonsingular n-subsystems, deduplicated."""
+    feasible solutions of nonsingular n-subsystems, deduplicated.
+
+    Each subsystem is first solved in binary64, and dropped when it is
+    singular there or a row is violated by more than 1e-6 (rounding stays
+    below 1e-12 at these sizes); every other one is solved and checked
+    exactly."""
     points = set()
     rows = P.row_matrix()
     rhs = [hs.b for hs in P.halfspaces]
+    frows = [[float(v) for v in row] for row in rows]
+    frhs = [float(b) for b in rhs]
     for combo in itertools.combinations(range(P.m), P.n):
+        x = _float_solve([frows[i] for i in combo], [frhs[i] for i in combo])
+        if x is None or any(sum(map(mul, row, x)) - b > 1e-6 for row, b in zip(frows, frhs)):
+            continue
         sol = reference_solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
         if sol is not None and contains_point(P, sol):
             points.add(sol)
     return sorted(points)
+
+
+def reference_extreme_rays(P: Polyhedron) -> set[tuple[Fraction, ...]]:
+    """The extreme rays of the recession cone ``{d : A d <= 0}`` of P, each
+    scaled to max |d_j| = 1, when the rows of P have rank n: the null
+    directions of the rank-(n-1) row subsets that no row rises along, or
+    their negatives.  (Empty when rank A < n.)"""
+    rows = P.row_matrix()
+    if reference_rank(rows, P.n) < P.n:
+        return set()
+    rays = set()
+    for combo in itertools.combinations(rows, P.n - 1):
+        null = reference_nullspace(list(combo), P.n)
+        if len(null) != 1:
+            continue
+        for d in (null[0], vec_neg(null[0])):
+            if all(dot(a, d) <= 0 for a in rows):
+                scale = max(abs(x) for x in d)
+                rays.add(tuple(x / scale for x in d))
+    return rays
 
 
 def lex_witness(P: Polyhedron, point) -> tuple[int, ...] | None:

@@ -15,6 +15,7 @@ from polycone import (
     enumerate_vertices,
     errors,
     geometry,
+    is_feasible,
     normal_cone,
     polyhedron_from_dict,
     polyhedron_to_dict,
@@ -30,9 +31,12 @@ from helpers import (
     STRIP,
     brute_vertices,
     lex_witness,
+    polygon_product,
     rand_direction,
     random_degenerate_polyhedron,
     random_feasible_pointed,
+    random_polytope4,
+    reference_extreme_rays,
     sufficiently_small_eps,
 )
 
@@ -179,27 +183,91 @@ class TestRaysFromTheWalk:
         # down along 2x + y = 0
         assert self._walk(Y1)[1] == {(-1, 0), (F(1, 2), -1)}
 
-    def test_vertices_unchanged_by_the_ray_prefixes(self, monkeypatch):
-        # enumerate_vertices does not ask for rays, so it skips the prefixes
-        # that end at the last row; asking for rays adds exactly those
-        cuts, cut = [], geometry._cut
-
-        def counted(aug, n, prefix, *rest):
-            cuts.append(prefix)
-            return cut(aug, n, prefix, *rest)
-
-        monkeypatch.setattr(geometry, "_cut", counted)
+    def test_rays_change_no_vertex_and_are_the_extreme_rays(self):
+        # asking for rays leaves the vertices as enumerate_vertices gives
+        # them, and the rays are the recession cone's extreme rays
         rng = random.Random(13)
         for n in range(1, 5):
             for _ in range(5):
                 P = random_degenerate_polyhedron(rng, n)
-                cuts.clear()
-                verts = enumerate_vertices(P)
-                plain = list(cuts)
-                cuts.clear()
-                assert self._walk(P)[0] == verts
-                assert all(prefix[-1] < P.m - 1 for prefix in plain if prefix)
-                assert [prefix for prefix in cuts if not prefix or prefix[-1] < P.m - 1] == plain
+                rays = []
+                verts = geometry._vertices(P, geometry._integer_rows(P), rays)
+                assert verts == enumerate_vertices(P)
+                expected = reference_extreme_rays(P) if verts else set()
+                assert {canonical_ray(r) for r in rays} == expected
+
+
+class TestOutputSensitive:
+    """The walk ratio-tests each edge of the vertex graph once, however
+    many (n-1)-row subsets the rows have."""
+
+    def _walk(self, monkeypatch, P):
+        """The vertices, each ratio test's endpoints and the candidate lines."""
+        edges, lines = [], []
+        pivot, null_lines = geometry._pivot, geometry._null_lines
+
+        def counted_pivot(A, X, D, S, d):
+            neighbour = pivot(A, X, D, S, d)
+            ends = {tuple(F(x, D) for x in X)}
+            if neighbour is not None:
+                ends.add(tuple(F(x, neighbour[2]) for x in neighbour[1]))
+            edges.append(frozenset(ends))
+            return neighbour
+
+        def counted_lines(rows, n):
+            found = list(null_lines(rows, n))
+            lines.extend(found)
+            return iter(found)
+
+        monkeypatch.setattr(geometry, "_pivot", counted_pivot)
+        monkeypatch.setattr(geometry, "_null_lines", counted_lines)
+        return enumerate_vertices(P), edges, lines
+
+    @pytest.mark.parametrize("k1, k2", [(3, 3), (4, 6), (6, 7), (8, 8)])
+    def test_polygon_products(self, monkeypatch, k1, k2):
+        P, expected = polygon_product(k1, k2)
+        verts, edges, _ = self._walk(monkeypatch, P)
+        assert {v.point for v in verts} == expected
+        assert len(edges) == len(set(edges)) == 2 * k1 * k2
+
+    def test_degenerate_vertex_gives_each_edge_once(self, monkeypatch):
+        # a row touching the second polygon at one vertex gives the five
+        # vertices above it five active rows; several 3-row subsets of
+        # those meet in one edge, and the edge is still tested once
+        P, expected = polygon_product(5, 6, tangent=True)
+        verts, edges, lines = self._walk(monkeypatch, P)
+        assert {v.point for v in verts} == expected
+        assert sum(len(v.active) == 5 for v in verts) == 5
+        assert len(lines) > 4 * len(verts)
+        assert len(edges) == len(set(edges)) == 2 * 5 * 6
+
+
+class TestBeyondAcceptance:
+    """Bounded n = 4 draws up to m = 30 with duplicated, redundant and
+    corner-touching rows, against the brute-force oracle."""
+
+    def test_against_brute_force(self):
+        rng = random.Random(29)
+        degenerate = 0
+        for m in (12, 16, 20, 30):
+            P = random_polytope4(rng, m)
+            verts = enumerate_vertices(P)
+            assert [v.point for v in verts] == brute_vertices(P)
+            for v in verts:
+                assert v.active == active_set(P, v.point)
+                assert v.defining == lex_witness(P, v.point)
+                degenerate += len(v.active) > 4
+        assert degenerate
+
+    def test_empty_sets_have_no_vertex_or_ray(self):
+        # a.x <= -1 and a.x >= 1 together: the start search finds nothing
+        rng = random.Random(31)
+        for m in (8, 12, 20):
+            P = random_polytope4(rng, m, empty=True)
+            rays = []
+            assert geometry._vertices(P, geometry._integer_rows(P), rays) == []
+            assert rays == []
+            assert not is_feasible(P)
 
 
 class TestTangentCone:

@@ -31,6 +31,7 @@ from helpers import (
     random_cost,
     random_degenerate_polyhedron,
     random_polyhedron,
+    random_polytope4,
     reference_improving_rays,
     reference_project_onto_span,
     reference_recession_ray,
@@ -111,6 +112,24 @@ class TestLinealityQuotient:
     def test_infeasible_with_lineality(self):
         P = Polyhedron.from_rows(2, [((0, 1), -1), ((0, -1), 0)])
         assert solve_glp(P, (0, 1)).status == "Infeasible"
+
+
+class TestBeyondAcceptance:
+    def test_n4_draws_certified(self):
+        # bounded n = 4 draws up to m = 30 are Attained at the simplex's
+        # value; with the row pair a.x <= -1, a.x >= 1 added they are
+        # Infeasible, with Farkas multipliers
+        rng = random.Random(37)
+        for m in (12, 20, 30):
+            for empty in (False, True):
+                P = random_polytope4(rng, m, empty)
+                c = random_cost(rng, 4)
+                sol = solve_glp(P, c)
+                _assert_certified(P, c, sol)
+                if empty:
+                    assert sol.status == "Infeasible"
+                else:
+                    assert sol.status == "Attained" and sol.value == solve_lp(P, c).value
 
 
 def _assert_certified(P, c, sol, sense="min"):
