@@ -64,15 +64,25 @@ _PARSE_ERRORS = (
 )
 
 
+_NEGATIVE = re.compile(r"-\d")
+_LONG_OPTION = re.compile(r"--[^=]+")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract here is 1.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # let values like "-1,-4" (cost vectors) reach their options
-        self._negative_number_matcher = re.compile(r"^-\d")
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a value like "-1,-4" (a cost vector) as an option
+        # string, so it is joined to the option before it: "--cost=-1,-4"
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and _NEGATIVE.match(arg) and _LONG_OPTION.fullmatch(joined[-1]):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _load_json(path: str):

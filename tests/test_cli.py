@@ -268,6 +268,27 @@ class TestExitCodes:
             run_cli(["solve", files["y1"]])  # --cost missing
         assert exc.value.code == 1
 
+    def test_negative_vectors_reach_their_options(self, files):
+        # written apart or joined by "=", before or after the input file
+        code, out = run_cli(["cones", files["y1"], "--point", "-2,1"])
+        assert code == 0
+        assert json.loads(out)["normal_generators"] == [["0", "1"], ["1/2", "1"]]
+        reports = {
+            run_cli(args)
+            for args in (
+                ["solve", files["y1"], "--cost", "-1,-4"],
+                ["solve", files["y1"], "--cost=-1,-4"],
+                ["solve", "--cost", "-1,-4", files["y1"]],
+                ["--format", "json", "solve", files["y1"], "--cost", "-1,-4", "--sense", "min"],
+            )
+        }
+        assert len(reports) == 1 and reports.pop()[0] == 0
+
+    def test_negative_value_for_a_missing_option_is_a_usage_error(self, files):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", files["y1"], "--price", "-1,-4"])
+        assert exc.value.code == 1
+
     def test_dimension_mismatch_is_parse_error(self, files):
         code, out = run_cli(["contains", files["y1"], files["empty"]])
         assert code == 1

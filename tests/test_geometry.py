@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polycone import (
     Cone,
@@ -199,11 +199,13 @@ class TestRaysFromTheWalk:
 
 class TestOutputSensitive:
     """The walk ratio-tests each edge of the vertex graph once, however
-    many (n-1)-row subsets the rows have."""
+    many (n-1)-row subsets the rows have, and searches those subsets only
+    at vertices whose distinct active rows number more than n."""
 
     def _walk(self, monkeypatch, P):
-        """The vertices, each ratio test's endpoints and the candidate lines."""
-        edges, lines = [], []
+        """The vertices, each ratio test's endpoints, and the rows of each
+        subset search with the lines it found."""
+        edges, searches = [], []
         pivot, null_lines = geometry._pivot, geometry._null_lines
 
         def counted_pivot(A, X, D, S, d):
@@ -216,30 +218,77 @@ class TestOutputSensitive:
 
         def counted_lines(rows, n):
             found = list(null_lines(rows, n))
-            lines.extend(found)
+            searches.append((rows, found))
             return iter(found)
 
         monkeypatch.setattr(geometry, "_pivot", counted_pivot)
         monkeypatch.setattr(geometry, "_null_lines", counted_lines)
-        return enumerate_vertices(P), edges, lines
+        return enumerate_vertices(P), edges, searches
 
     @pytest.mark.parametrize("k1, k2", [(3, 3), (4, 6), (6, 7), (8, 8)])
     def test_polygon_products(self, monkeypatch, k1, k2):
+        # every vertex is simple: its edges are its adjugate's columns
         P, expected = polygon_product(k1, k2)
-        verts, edges, _ = self._walk(monkeypatch, P)
+        verts, edges, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
         assert len(edges) == len(set(edges)) == 2 * k1 * k2
+        assert searches == []
+
+    def test_doubled_rows_merge(self, monkeypatch):
+        # each row again times 2 is the same canonical row, so every vertex
+        # has eight active rows but four distinct ones
+        P, expected = polygon_product(4, 6)
+        Q = Polyhedron.from_rows(4, [(hs.a, hs.b) for hs in P.halfspaces] + [
+            ([2 * x for x in hs.a], 2 * hs.b) for hs in P.halfspaces
+        ])
+        undoubled = [v.point for v in enumerate_vertices(P)]
+        verts, edges, searches = self._walk(monkeypatch, Q)
+        assert [v.point for v in verts] == undoubled
+        assert set(undoubled) == expected
+        for v in verts:
+            assert len(v.active) == 8
+            assert {i % P.m for i in v.active} == set(v.active[:4])
+            assert v.defining == lex_witness(Q, v.point)
+        assert len(edges) == len(set(edges)) == 2 * 4 * 6
+        assert searches == []
 
     def test_degenerate_vertex_gives_each_edge_once(self, monkeypatch):
         # a row touching the second polygon at one vertex gives the five
         # vertices above it five active rows; several 3-row subsets of
         # those meet in one edge, and the edge is still tested once
         P, expected = polygon_product(5, 6, tangent=True)
-        verts, edges, lines = self._walk(monkeypatch, P)
+        verts, edges, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
-        assert sum(len(v.active) == 5 for v in verts) == 5
-        assert len(lines) > 4 * len(verts)
+        degenerate = [v for v in verts if len(v.active) == 5]
+        assert len(degenerate) == 5
+        # the subset search runs at those five alone, and finds more lines
+        # than their 4 * 5 edge slots
+        aug = geometry._integer_rows(P)
+        assert sorted(rows for rows, _ in searches) == sorted(
+            [tuple(aug[i][:4]) for i in v.active] for v in degenerate
+        )
+        assert sum(len(found) for _, found in searches) > 4 * len(degenerate)
         assert len(edges) == len(set(edges)) == 2 * 5 * 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), duplicate=st.booleans(), data=st.data())
+def test_row_permutation_permutes_the_vertices(seed, n, duplicate, data):
+    # the same points; each active set maps through the permutation and
+    # each witness is the smallest in the new row order
+    rng = random.Random(seed)
+    P = random_degenerate_polyhedron(rng, n)
+    if duplicate:
+        hs = P.halfspaces[rng.randrange(P.m)]
+        P = P.with_rows([HalfSpace([3 * x for x in hs.a], 3 * hs.b)])
+    order = data.draw(st.permutations(range(P.m)))
+    Q = Polyhedron(P.n, [P.halfspaces[i] for i in order])
+    moved = {i: k for k, i in enumerate(order)}
+    before, after = enumerate_vertices(P), enumerate_vertices(Q)
+    assert [v.point for v in after] == [v.point for v in before]
+    for v, w in zip(before, after):
+        assert w.active == tuple(sorted(moved[i] for i in v.active))
+        assert w.defining == lex_witness(Q, w.point)
 
 
 class TestBeyondAcceptance:

@@ -1,0 +1,47 @@
+"""The geometry kernel stays independent of the simplex.
+
+``geometry`` and ``linalg`` must import nothing from ``linprog``,
+``optimality`` or ``structure``, so the simplex in ``linprog`` remains an
+independent oracle for what the vertex walk finds.
+"""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polycone"
+SIMPLEX_SIDE = {"linprog", "optimality", "structure"}
+
+
+def _imported(source: str) -> set[str]:
+    """Every module name part an import in source can reach, including the
+    names of ``from . import x`` and ``from polycone import x``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            if node.module in (None, "polycone"):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["geometry.py", "linalg.py"])
+def test_kernel_imports_nothing_from_the_simplex_side(module):
+    assert not _imported((SRC / module).read_text(encoding="utf-8")) & SIMPLEX_SIDE
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from .linprog import solve_lp",
+        "from . import optimality",
+        "import polycone.structure",
+        "from polycone import linprog",
+        "def f():\n    from .optimality import solve_glp",
+    ],
+)
+def test_guard_sees_each_import_form(line):
+    assert _imported(line) & SIMPLEX_SIDE

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -355,6 +356,24 @@ def test_row_order_and_scale_leave_the_solution(seed, degenerate, data):
         assert (a.status, a.value, a.ray) == (b.status, b.value, b.ray)
         assert [v.point for v in a.optimal_vertices] == [v.point for v in b.optimal_vertices]
         _assert_certified(Q, c, b, sense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), degenerate=st.booleans())
+def test_max_is_min_of_the_negated_cost(seed, degenerate):
+    # the same verdict and certificates, the value negated; the level face
+    # lists its two rows in the other order
+    rng = random.Random(seed)
+    P = random_degenerate_polyhedron(rng, rng.randint(1, 3)) if degenerate else random_polyhedron(rng)
+    c = random_cost(rng, P.n)
+    a, b = solve_glp(P, c, "max"), solve_glp(P, vec_neg(c), "min")
+    assert replace(a, value=None, argmin_face=None) == replace(b, value=None, argmin_face=None)
+    if a.status == "Attained":
+        assert a.value == -b.value
+        assert a.argmin_face.n == b.argmin_face.n
+        assert set(a.argmin_face.halfspaces) == set(b.argmin_face.halfspaces)
+    else:
+        assert a.value is b.value is None and a.argmin_face is b.argmin_face is None
 
 
 class TestStabilityCone:
