@@ -85,6 +85,16 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+def _check_positive(args) -> None:
+    """--tol and --eps-limit, where the verb has them, must be positive and
+    finite (as the window radius must)."""
+    for name in ("tol", "eps_limit"):
+        value = getattr(args, name, None)
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            option = "--" + name.replace("_", "-")
+            raise ValueError(f"{option} must be positive and finite, got {value!r}")
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -411,6 +421,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_positive(args)
         code, report = args.func(args)
     except _DOMAIN_ERRORS as exc:
         report = {"error": str(exc), "kind": type(exc).__name__}

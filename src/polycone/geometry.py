@@ -516,7 +516,9 @@ def polyhedron_to_dict(P: Polyhedron) -> dict:
 
 def polyhedron_from_dict(data: dict) -> Polyhedron:
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:  # a JSON integer: not 1.9, "1" or true
+            raise ValueError(f"n must be an integer, got {n!r}")
         rows = data["constraints"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polyhedron JSON: {exc}") from exc

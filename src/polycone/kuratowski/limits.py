@@ -533,7 +533,9 @@ def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
     "cost": {"rows": [[c...] per sample], "limit": [...] | null}?}``
     """
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:  # a JSON integer: not 1.9, "1" or true
+            raise ValueError(f"n must be an integer, got {n!r}")
         sample_idx = [float(k) for k in data["samples"]]
         raw_constraints = data["constraints"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,9 +2,9 @@
 
 The attainment theorem needs a pointed feasible region; inputs with a
 nontrivial lineality space are quotiented by slicing with the orthogonal
-complement of the lineality space (the constraint normals already live
-there, so the slice realizes the quotient in ambient coordinates and every
-certificate stays verifiable against the original data).
+complement of the lineality space (the slice realizes the quotient in
+ambient coordinates, and every certificate stays verifiable against the
+original data).
 """
 from __future__ import annotations
 
@@ -88,24 +88,36 @@ def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
     return tuple(Fraction(sum(map(mul, y, col)), y[-1] * L) for col in zip(*B))
 
 
-def _lineality_slice(P: Polyhedron, basis: Sequence[Vector]) -> Polyhedron:
-    """Intersect P with the orthogonal complement of its lineality space."""
-    extra = []
-    for v in basis:
-        extra.append(HalfSpace(v, 0))
-        extra.append(HalfSpace(vec_neg(v), 0))
-    return P.with_rows(extra)
+def _minkowski_weyl(P: Polyhedron):
+    """P as ``conv V + cone R + lin L`` from one walk: ``(work, lineality,
+    vertices, rays, farkas)``, rays as integer directions.  Without a
+    vertex P is empty (``farkas`` as in ``GLPSolution``) or not pointed;
+    then ``work`` is P cut to the orthogonal complement of L, which the
+    normals already span, and is walked instead.  Else ``work`` is P.
+    """
+    rays = []
+    vertices = _vertices(P, _integer_rows(P), rays)
+    if vertices:
+        return P, (), vertices, rays, None
+    farkas = cone_member([hs.a + (hs.b,) for hs in P.halfspaces], (0,) * P.n + (-1,))
+    if farkas.member:
+        return P, (), [], [], farkas.multipliers
+    lineality = tuple(nullspace(P.row_matrix(), P.n))
+    work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
+    vertices = _vertices(work, _integer_rows(work), rays)
+    if not vertices:
+        raise AssertionError("nonempty lineality slice without vertices")
+    return work, lineality, vertices, rays, None
 
 
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
-    One walk lists the vertices and extreme rays of P (of its lineality
-    slice if P is not pointed).  The objective is unbounded iff it falls
-    along an extreme ray; else ``-c`` (for minimization) lies in the normal
-    cone of every vertex of minimal value, one membership test each.  No
-    simplex runs: each verdict carries its own certificate, checked exactly
-    before it is returned (see ``GLPSolution`` for the ray rule).
+    One walk writes P as ``conv V + cone R + lin L``.  The objective is
+    unbounded iff it falls along L or a ray in R; else ``-c`` (for
+    minimization) lies in the normal cone of every vertex of minimal value,
+    one membership test each.  No simplex runs: each verdict carries its
+    own certificate, checked exactly before it is returned.
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:
@@ -115,43 +127,27 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     cmin = cv if sense == "min" else vec_neg(cv)
     C, L = scaled(cmin)
 
-    work, lineality = P, ()
-    rows, rays = _integer_rows(P), []
-    vertices = _vertices(P, rows, rays)
-    if not vertices:
-        # Farkas: y >= 0 with y.A = 0 and y.b = -1 proves P empty
-        farkas = cone_member([hs.a + (hs.b,) for hs in P.halfspaces], (0,) * P.n + (-1,))
-        if farkas.member:
-            return GLPSolution(status="Infeasible", farkas=farkas.multipliers, solved_on=P)
-        # P is nonempty without a vertex (or ray), so not pointed: quotient
-        # out the lineality space, and the pointed slice has a vertex
-        lineality = tuple(nullspace(P.row_matrix(), P.n))
-        work = _lineality_slice(P, lineality)
-        vertices = _vertices(work, _integer_rows(work), rays)
-        if not vertices:
-            raise AssertionError("nonempty lineality slice without vertices")
-
+    work, lineality, vertices, rays, farkas = _minkowski_weyl(P)
+    if farkas is not None:
+        return GLPSolution(status="Infeasible", farkas=farkas, solved_on=P)
     if lineality:
         c_lin = _project_onto_span(lineality, cmin)
         if any(v != 0 for v in c_lin):
-            return _unbounded(rows, C, vec_neg(c_lin), work, lineality)
+            return _unbounded(_integer_rows(P), C, vec_neg(c_lin), work, lineality)
 
     # an improving extreme ray r, as r / -<c_min, r> = L r / -<C, r>
     falls = [(r, -sum(map(mul, C, r))) for r in rays]
     improving = [tuple(Fraction(L * x, e) for x in r) for r, e in falls if e > 0]
     if improving:
-        return _unbounded(rows, C, min(improving), work, lineality)
+        return _unbounded(_integer_rows(P), C, min(improving), work, lineality)
 
     values = [dot(cmin, v.point) for v in vertices]
     best = min(values)
     tied = [v for v, value in zip(vertices, values) if value == best]
     minus_c = vec_neg(cmin)
-    proofs = []
-    for v in tied:
-        membership = cone_member(active_normals(work, v.active), minus_c)
-        if not membership.member:
-            raise AssertionError("a minimum-value vertex misses the normal cone")
-        proofs.append(membership)
+    proofs = [cone_member(active_normals(work, v.active), minus_c) for v in tied]
+    if not all(proof.member for proof in proofs):
+        raise AssertionError("a minimum-value vertex misses the normal cone")
     value = best if sense == "min" else -best
     return GLPSolution(
         status="Attained",

@@ -1,19 +1,22 @@
-"""Global polyhedron analyses backed by the exact LP oracle.
+"""Global polyhedron analyses read off one Minkowski–Weyl walk.
 
-Covers recession/lineality geometry, boundedness, minimal descriptions and
-the vertex-reconstruction check.  Everything is exact; operations that need
-a nonempty polyhedron raise EmptyPolyhedron instead of guessing.
+``solve_glp``'s walk writes a nonempty P as ``conv V + cone R + lin L``;
+boundedness, implicit equalities, dimension, facets and a minimal
+description follow (Schrijver 1986, ch. 8), and only ``poly_contains``
+runs the simplex.  Operations that need a nonempty P raise EmptyPolyhedron.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import Cone, IndexSet, Polyhedron, enumerate_vertices
-from .linalg import Vector, dot, nullspace, rank
-from .linprog import cone_member, find_feasible_point, solve_lp
+from .geometry import Cone, IndexSet, Polyhedron, _integer_rows, enumerate_vertices
+from .linalg import Vector, dot, rank
+from .linprog import cone_member, solve_lp
+from .optimality import _minkowski_weyl
 
 
 @dataclass(frozen=True)
@@ -32,87 +35,86 @@ class Containment(NamedTuple):
     witness: Vector | None
 
 
-def _require_feasible(P: Polyhedron) -> Vector:
-    point = find_feasible_point(P)
-    if point is None:
+def _nonempty(P: Polyhedron):
+    """The lineality basis, vertices and rays of nonempty P (``_minkowski_weyl``)."""
+    _, lineality, vertices, rays, farkas = _minkowski_weyl(P)
+    if farkas is not None:
         raise EmptyPolyhedron("operation requires a nonempty polyhedron")
-    return point
+    return lineality, vertices, rays
 
 
 def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
     """Recession cone in H-form and an exact basis of the lineality space."""
-    _require_feasible(P)
-    rec = Cone(P.n, hform=tuple(hs.homogeneous() for hs in P.halfspaces))
-    basis = tuple(nullspace(P.row_matrix(), P.n))
-    return rec, basis
+    lineality = _nonempty(P)[0]
+    return Cone(P.n, hform=tuple(hs.homogeneous() for hs in P.halfspaces)), lineality
 
 
 def is_bounded(P: Polyhedron) -> bool:
     """True iff the recession cone ``{d : A d <= 0}`` is trivial.
 
-    Stiemke's alternative: that cone is {0} exactly when ``rank A = n`` and
-    ``y A = 0`` for some ``y > 0``.  Writing ``y = 1 + z`` with ``z >= 0``
-    makes the second half one cone test: minus the sum of the rows lies in
-    the cone of the rows (``cone_member`` checks its multipliers exactly).
+    Stiemke's alternative: that is so exactly when P has no lineality and
+    ``y A = 0`` for some ``y > 0``; with ``y = 1 + z``, ``z >= 0``, the
+    latter is one cone test: minus the sum of the rows is in their cone.
     """
-    _require_feasible(P)
     rows = P.row_matrix()
     target = tuple(-sum(col) for col in zip(*rows))
-    return rank(rows, P.n) == P.n and cone_member(rows, target).member
+    return not _nonempty(P)[0] and cone_member(rows, target).member
 
 
-def _irredundant(P: Polyhedron, fixed: Sequence[int] = ()) -> list[int]:
-    """Indices of a minimal sub-description of P, order-stable.
+def _structure(P: Polyhedron) -> tuple[StructureReport, list[list[int]]]:
+    """P's structure report and, per facet, the rows defining it.
 
-    Constraints are tested one at a time against the surviving rest (the
-    one-at-a-time discipline keeps duplicate rows from deleting each other);
-    rows in ``fixed`` are never dropped.
+    Row i's face is the vertices and rays it is tight at: all of them iff
+    row i is an implicit equality, else a facet iff it has a vertex and
+    rank one less than ``{v - v0} ∪ R``, whose rank plus |L| is dim P.
     """
-    keep = list(range(P.m))
-    for i in range(P.m):
-        if i in fixed:
-            continue
-        rest = [P.halfspaces[k] for k in keep if k != i]
-        if not rest:
-            continue
-        res = solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max")
-        if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
-            keep.remove(i)
-    return keep
+    lineality, vertices, rays = _nonempty(P)
+    faces = [(tuple(k for k, v in enumerate(vertices) if i in v.active),
+              tuple(k for k, r in enumerate(rays) if not sum(map(mul, row, r))))
+             for i, row in enumerate(_integer_rows(P))]
+    whole = (tuple(range(len(vertices))), tuple(range(len(rays))))
 
+    def span(face):
+        p = vertices[face[0][0]].point
+        moves = [tuple(x - y for x, y in zip(vertices[k].point, p)) for k in face[0][1:]]
+        return rank(moves + [rays[k] for k in face[1]], P.n)
 
-def remove_redundant(P: Polyhedron) -> Polyhedron:
-    """Minimal sub-description with the identical point set, order-stable."""
-    _require_feasible(P)
-    return Polyhedron(P.n, [P.halfspaces[i] for i in _irredundant(P)])
+    full = span(whole)
+    groups: dict = {}
+    for i, face in enumerate(faces):
+        if face != whole and face[0]:
+            groups.setdefault(face, []).append(i)
+    facets = [rows for face, rows in groups.items() if span(face) == full - 1]
+    return StructureReport(
+        implicit_equalities=tuple(i for i, face in enumerate(faces) if face == whole),
+        dimension=full + len(lineality),
+        lineality_basis=lineality,
+        facet_count=len(facets),
+        vertex_count=0 if lineality else len(vertices),
+    ), facets
 
 
 def structure(P: Polyhedron) -> StructureReport:
-    """Implicit equalities, dimension, lineality, facet and vertex counts.
+    """Implicit equalities, dimension, lineality, facet and vertex counts."""
+    return _structure(P)[0]
 
-    A constraint is an implicit equality when its minimum over P equals its
-    offset; the facet count is the number of inequalities surviving
-    redundancy removal relative to the affine hull.
+
+def remove_redundant(P: Polyhedron) -> Polyhedron:
+    """Minimal sub-description with the identical point set, order-stable.
+
+    Rows drop one at a time, in row order, while the rest describe P: each
+    facet keeps the last row defining it, and an implicit equality goes
+    when its normal is in the cone of the other equality normals kept (at a
+    relative-interior point only they are tight, so that test is global).
     """
-    eq = []
-    for i, hs in enumerate(P.halfspaces):
-        res = solve_lp(P, hs.a, "min")
-        if res.status == "Infeasible":  # only the first LP can find P empty
-            raise EmptyPolyhedron("operation requires a nonempty polyhedron")
-        if res.status == "Optimal" and res.value == hs.b:
-            eq.append(i)
-    eq_rows = [P.halfspaces[i].a for i in eq]
-    dimension = P.n - rank(eq_rows, P.n)
-
-    facet_count = len([i for i in _irredundant(P, eq) if i not in eq])
-
-    return StructureReport(
-        implicit_equalities=tuple(eq),
-        dimension=dimension,
-        lineality_basis=tuple(nullspace(P.row_matrix(), P.n)),
-        facet_count=facet_count,
-        vertex_count=len(enumerate_vertices(P)),
-    )
+    report, facets = _structure(P)
+    kept = list(report.implicit_equalities)
+    for i in report.implicit_equalities:
+        others = [P.halfspaces[k].a for k in kept if k != i]
+        if cone_member(others, P.halfspaces[i].a).member:
+            kept.remove(i)
+    kept += [rows[-1] for rows in facets]
+    return Polyhedron(P.n, [P.halfspaces[i] for i in sorted(kept)])
 
 
 def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:

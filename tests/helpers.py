@@ -10,6 +10,7 @@ from operator import mul
 from polycone import (
     HalfSpace,
     Polyhedron,
+    StructureReport,
     contains_point,
     enumerate_vertices,
     find_feasible_point,
@@ -467,6 +468,52 @@ def reference_reconstruct_check(P: Polyhedron) -> bool:
                 rows.append(translated)
     R = Polyhedron(P.n, rows)
     return poly_contains(R, P).holds and poly_contains(P, R).holds
+
+
+def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:
+    """Indices of a minimal sub-description of P, order-stable: each row
+    not in ``fixed``, in row order, is dropped when an LP shows that the
+    surviving rest implies it (one at a time, so duplicate rows do not
+    delete each other)."""
+    keep = list(range(P.m))
+    for i in range(P.m):
+        if i in fixed:
+            continue
+        rest = [P.halfspaces[k] for k in keep if k != i]
+        if not rest:
+            continue
+        res = solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max")
+        if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
+            keep.remove(i)
+    return keep
+
+
+def reference_remove_redundant(P: Polyhedron) -> Polyhedron:
+    """Reference for ``polycone.remove_redundant``: one LP per row."""
+    if find_feasible_point(P) is None:
+        raise EmptyPolyhedron("operation requires a nonempty polyhedron")
+    return Polyhedron(P.n, [P.halfspaces[i] for i in _reference_irredundant(P)])
+
+
+def reference_structure(P: Polyhedron) -> StructureReport:
+    """Reference for ``polycone.structure``: a row is an implicit equality
+    when its LP minimum over P equals its offset; the facet count is the
+    number of other rows surviving LP redundancy removal with the
+    equalities fixed."""
+    eq = []
+    for i, hs in enumerate(P.halfspaces):
+        res = solve_lp(P, hs.a, "min")
+        if res.status == "Infeasible":  # only the first LP can find P empty
+            raise EmptyPolyhedron("operation requires a nonempty polyhedron")
+        if res.status == "Optimal" and res.value == hs.b:
+            eq.append(i)
+    return StructureReport(
+        implicit_equalities=tuple(eq),
+        dimension=P.n - reference_rank([P.halfspaces[i].a for i in eq], P.n),
+        lineality_basis=tuple(reference_nullspace(P.row_matrix(), P.n)),
+        facet_count=len([i for i in _reference_irredundant(P, eq) if i not in eq]),
+        vertex_count=len(enumerate_vertices(P)),
+    )
 
 
 # ---------------------------------------------------------------------------

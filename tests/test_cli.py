@@ -250,6 +250,42 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out) == {"error": "non-finite sample index", "kind": "ValueError"}
 
+    @pytest.mark.parametrize(
+        "verb, option, value",
+        [
+            ("limit", "--eps-limit", "inf"),
+            ("limit", "--eps-limit", "-1"),
+            ("limit", "--eps-limit", "nan"),
+            ("track", "--tol", "nan"),
+            ("track", "--tol", "-1"),
+        ],
+    )
+    def test_out_of_range_option_rejected(self, files, verb, option, value):
+        code, out = run_cli([verb, files["remark"], option, value])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"{option} must be positive and finite, got {float(value)!r}",
+            "kind": "ValueError",
+        }
+
+    @pytest.mark.parametrize("n", [1.9, True, "1"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize(
+        "verb, what, data",
+        [
+            ("vertices", "polyhedron", {"constraints": [{"a": ["1"], "b": "1"}]}),
+            ("limit", "trajectory", trajectory_to_dict(footnote_trajectory())),
+        ],
+    )
+    def test_non_integer_n_rejected(self, tmp_path, verb, what, data, n):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**data, "n": n}))
+        code, out = run_cli([verb, str(path)])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"malformed {what} JSON: n must be an integer, got {n!r}",
+            "kind": "ValueError",
+        }
+
     def test_infinite_distance_is_strict_json(self, files):
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")

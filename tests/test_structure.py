@@ -25,14 +25,19 @@ from helpers import (
     QUADRANT,
     STRIP,
     TRIANGLE,
+    X_AXIS,
     random_degenerate_polyhedron,
     random_feasible_pointed,
     reference_is_bounded,
     reference_reconstruct_check,
+    reference_remove_redundant,
+    reference_structure,
 )
 
 F = Fraction
 structure_module = importlib.import_module("polycone.structure")
+linprog_module = importlib.import_module("polycone.linprog")
+optimality_module = importlib.import_module("polycone.optimality")
 
 EMPTY = Polyhedron.from_rows(1, [((1,), -1), ((-1,), 0)])
 
@@ -115,25 +120,6 @@ class TestStructure:
             structure(EMPTY)
 
 
-def test_emptiness_read_from_first_support_lp(monkeypatch):
-    """structure, poly_contains and reconstruct_check run no separate
-    feasibility LP; is_bounded, whose cone test does not see P's offsets,
-    does."""
-    calls = []
-    real = structure_module.find_feasible_point
-    monkeypatch.setattr(
-        structure_module, "find_feasible_point", lambda P: calls.append(P) or real(P)
-    )
-    empty = Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)])
-    assert structure(TRIANGLE).vertex_count == 3
-    assert reconstruct_check(TRIANGLE)
-    assert poly_contains(TRIANGLE, empty) == (True, None)
-    with pytest.raises(errors.EmptyPolyhedron):
-        structure(empty)
-    assert calls == []
-    assert is_bounded(TRIANGLE) and len(calls) == 1
-
-
 class TestRemoveRedundant:
     def test_extra_box_row_dropped(self):
         P = TRIANGLE.with_rows([Polyhedron.from_rows(2, [((1, 0), 5)]).halfspaces[0]])
@@ -150,6 +136,14 @@ class TestRemoveRedundant:
     def test_duplicate_rows_keep_one(self):
         P = Polyhedron.from_rows(1, [((1,), 1), ((1,), 1)])
         assert remove_redundant(P).m == 1
+
+    def test_equality_in_the_cone_of_the_others_dropped(self):
+        # all four rows, no two alike, are implicit equalities of {0}; only
+        # x <= 0 goes, its normal (1, 0) = (1, 1) + (0, -1) in the cone of
+        # the rows kept before it
+        P = Polyhedron.from_rows(2, [((1, 1), 0), ((0, -1), 0), ((-1, 0), 0), ((1, 0), 0)])
+        assert remove_redundant(P) == Polyhedron(P.n, P.halfspaces[:3])
+        assert structure(P).implicit_equalities == (0, 1, 2, 3)
 
     def test_point_set_preserved(self):
         rng = random.Random(31)
@@ -202,37 +196,73 @@ class TestReconstruct:
                 assert reconstruct_check(P)
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    """LPs and cone tests, counted where the library calls them: solve_lp
+    in polycone.structure and polycone.linprog (so feasibility LPs count
+    too), cone_member in polycone.structure and polycone.optimality (so
+    the walk's Farkas test counts too)."""
+    counts = {"cone_member": 0, "solve_lp": 0}
+    for module, name in ((structure_module, "solve_lp"), (linprog_module, "solve_lp"),
+                         (structure_module, "cone_member"), (optimality_module, "cone_member")):
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 class TestWorkBudget:
-    """LPs and cone tests run by is_bounded and reconstruct_check, counted
-    where polycone.structure calls them."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"find_feasible_point": 0, "cone_member": 0, "solve_lp": 0}
-        for name in counts:
-            real = getattr(structure_module, name)
-
-            def counted(*args, name=name, real=real):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(structure_module, name, counted)
-        return counts
+    """The structure layer reads the walk: no LP runs outside
+    poly_contains and the unused rows of reconstruct_check."""
 
     @pytest.mark.parametrize("P, bounded", [(TRIANGLE, True), (QUADRANT, False)])
     def test_is_bounded_one_cone_test(self, counts, P, bounded):
         assert is_bounded(P) is bounded
-        assert counts == {"find_feasible_point": 1, "cone_member": 1, "solve_lp": 0}
+        assert counts == {"cone_member": 1, "solve_lp": 0}
+
+    @pytest.mark.parametrize("P", [TRIANGLE, QUADRANT, HALF_LINE, STRIP, X_AXIS],
+                             ids=["triangle", "quadrant", "half-line", "strip", "x-axis"])
+    def test_no_lp(self, counts, P):
+        structure(P)
+        remove_redundant(P)
+        recession_and_lineality(P)
+        is_bounded(P)
+        assert counts["solve_lp"] == 0
+
+    @pytest.mark.parametrize("P, kept, cone_tests", [(TRIANGLE.with_rows([HalfSpace((1, 0), 5)]), 3, 0),
+                                                     (QUADRANT, 2, 0), (STRIP, 2, 1)],
+                             ids=["triangle", "quadrant", "strip"])
+    def test_remove_redundant_full_dimensional_no_equality_cone_test(self, counts, P, kept, cone_tests):
+        # no implicit equality, so no cone test of remove_redundant's own;
+        # STRIP's one is the walk's Farkas test, which finds it nonempty
+        assert remove_redundant(P).m == kept
+        assert counts == {"cone_member": cone_tests, "solve_lp": 0}
 
     def test_reconstruct_without_unused_rows_runs_no_lp(self, counts):
         assert reconstruct_check(TRIANGLE)
-        assert counts == {"find_feasible_point": 0, "cone_member": 0, "solve_lp": 0}
+        assert counts == {"cone_member": 0, "solve_lp": 0}
 
     def test_reconstruct_tests_only_the_unused_row(self, counts):
         # x <= 5 is active at no vertex of the triangle
         P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
         assert reconstruct_check(P)
-        assert counts == {"find_feasible_point": 0, "cone_member": 0, "solve_lp": 1}
+        assert counts == {"cone_member": 0, "solve_lp": 1}
+
+
+def test_emptiness_read_from_the_walk(counts):
+    """structure, remove_redundant, is_bounded and recession_and_lineality
+    take emptiness from the walk's Farkas test, one cone test each and no
+    LP; poly_contains reads it off its first support LP."""
+    for check in (structure, remove_redundant, is_bounded, recession_and_lineality):
+        with pytest.raises(errors.EmptyPolyhedron, match="^operation requires a nonempty polyhedron$"):
+            check(EMPTY)
+    assert counts == {"cone_member": 4, "solve_lp": 0}
+    assert poly_contains(TRIANGLE, Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)])) == (True, None)
+    assert counts == {"cone_member": 4, "solve_lp": 1}
 
 
 def test_reconstruct_catches_a_missing_vertex(monkeypatch):
@@ -248,7 +278,9 @@ def test_reconstruct_catches_a_missing_vertex(monkeypatch):
 def _differential_corpus(rng):
     """Acceptance-distribution pointed draws, then degenerate draws at
     n = 1-5 (non-pointed included); every seventh degenerate draw gains
-    the rows a.x <= -1 and a.x >= 1, which make it empty."""
+    the rows a.x <= -1 and a.x >= 1, which make it empty.  Last come
+    flattened draws: degenerate draws with a vertex that gain the flip of
+    a row tight there, which cuts them to that row's hyperplane."""
     draws = [random_feasible_pointed(rng) for _ in range(250)]
     for n, count in ((1, 450), (2, 200), (3, 65), (4, 25), (5, 10)):
         for i in range(count):
@@ -257,6 +289,14 @@ def _differential_corpus(rng):
                 a = P.halfspaces[rng.randrange(P.m)].a
                 P = P.with_rows([HalfSpace(a, -1), HalfSpace(vec_neg(a), -1)])
             draws.append(P)
+    for n, count in ((1, 20), (2, 50), (3, 30)):
+        while count:
+            P = random_degenerate_polyhedron(rng, n)
+            vertices = enumerate_vertices(P)
+            if vertices:
+                active = rng.choice(vertices).active
+                draws.append(P.with_rows([P.halfspaces[rng.choice(active)].flipped()]))
+                count -= 1
     return draws
 
 
@@ -267,16 +307,33 @@ def _outcome(check, P):
         return type(exc).__name__
 
 
+def _kind(P, report):
+    if isinstance(report, str):
+        return report
+    if report.lineality_basis:
+        return "non-pointed"
+    return "pointed, dimension " + ("n" if report.dimension == P.n else "< n")
+
+
 def test_agrees_with_reference_oracles(monkeypatch):
-    """is_bounded and reconstruct_check return the verdicts, or raise the
-    exception types, of the long-way oracles in helpers.  Both checks see
-    one vertex list per draw; every third list with two or more vertices
-    misses one, so reconstruct_check's False verdicts are compared too."""
+    """structure and remove_redundant return the results, or raise the
+    exception types, of the long-way oracles in helpers on every draw, and
+    so do is_bounded and reconstruct_check on all but the flattened ones.
+    These two see one vertex list per draw; every third list with two or
+    more vertices misses one, so reconstruct_check's False verdicts are
+    compared too."""
+    corpus = _differential_corpus(random.Random(83))
+    seen = {}
+    for P in corpus:
+        got = _outcome(structure, P)
+        assert got == _outcome(reference_structure, P), P
+        assert _outcome(remove_redundant, P) == _outcome(reference_remove_redundant, P), P
+        key = ("structure", _kind(P, got))
+        seen[key] = seen.get(key, 0) + 1
     shown = {}
     monkeypatch.setattr(structure_module, "enumerate_vertices", shown.__getitem__)
     monkeypatch.setattr(helpers, "enumerate_vertices", shown.__getitem__)
-    seen = {}
-    for k, P in enumerate(_differential_corpus(random.Random(83))):
+    for k, P in enumerate(corpus[:1000]):
         vertices = enumerate_vertices(P)
         if k % 3 == 0 and len(vertices) > 1:
             del vertices[k % len(vertices)]
@@ -287,4 +344,4 @@ def test_agrees_with_reference_oracles(monkeypatch):
             assert got == _outcome(reference, P), (P, check.__name__)
             key = (check.__name__, got)
             seen[key] = seen.get(key, 0) + 1
-    assert len(seen) == 6 and min(seen.values()) >= 50, seen
+    assert len(seen) == 10 and min(seen.values()) >= 50, seen
