@@ -71,7 +71,7 @@ def _cases():
 def write_fixtures(directory) -> dict:
     """Write every fixture as JSON into directory; name -> path."""
     files = {}
-    for name, data in [(k, v[0]) for k, v in POLYHEDRA.items()] + list(TRAJECTORIES.items()):
+    for name, data in ({k: poly for k, (poly, _) in POLYHEDRA.items()} | TRAJECTORIES).items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps(data))
         files[name] = str(path)
