@@ -16,7 +16,12 @@ from polycone import Polyhedron, polyhedron_to_dict, trajectory_to_dict
 from polycone.cli import main
 
 from helpers import HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2
-from families import footnote_trajectory, remark_trajectory
+from families import (
+    constant_triangle_trajectory,
+    ex31_trajectory,
+    footnote_trajectory,
+    remark_trajectory,
+)
 
 # a triangle in the plane z = 0 of R^3, whose row x + y + z <= 1 repeats
 # the facet x + y <= 1: lower-dimensional, pointed, with a duplicate facet
@@ -40,6 +45,8 @@ POLYHEDRA = {
 TRAJECTORIES = {
     "remark": trajectory_to_dict(remark_trajectory()),
     "footnote": trajectory_to_dict(footnote_trajectory()),
+    "ex31": trajectory_to_dict(ex31_trajectory()),
+    "constant_triangle": trajectory_to_dict(constant_triangle_trajectory()),
 }
 CONTAINS = [
     ("quadrant", "triangle"),
@@ -161,6 +168,14 @@ DIGESTS = {
     'track footnote': (0, 'a525120accff34117ce23b3c7b50de7bf599ddf556b6016f48ec4458d4ed3a22'),
     'argmax footnote': (1, '51a23b5fef1f4eceedc3e66144ba31564253dbcd55fb12851d869982367a8fc4'),
     'boundary footnote': (0, '47b72d312512ebfb6e60aad513a9ff18b243bd15f9c4493813b08951555c8a6e'),
+    'limit ex31': (0, 'bba810a99460c0b071c9dbf88c365d6e51871be8bfb6cbaf3feb50b1c5861aa1'),
+    'track ex31': (0, 'debbfee14faa54763ac852906e4afa873695de0635afd8abbd49e8a73606b4f1'),
+    'argmax ex31': (0, 'a0affadabd3ddefa70c60673ab9781dcda1bbf9a6787e9f5a7c1e750d8845a8d'),
+    'boundary ex31': (0, 'a7acb4cba8f87a072070f1bf09bc0324977697eec2da67640de98db0df67c37a'),
+    'limit constant_triangle': (0, '03927daefccb6ee7ae7caab19077b26f7a1b1f437400531a4a780012dcb8ac4e'),
+    'track constant_triangle': (0, '39e2d4f89d814dd85166fceb0652f502b02bc1d7fb961199f2fbdb2c0a5d93c1'),
+    'argmax constant_triangle': (0, '64b752ebd914c1987927c258101c9ade423901521483cfd3dfd88ae44acaa2ec'),
+    'boundary constant_triangle': (0, 'd8e6b0be127a875a4ce2d23c13aee1b0cfe6d53b23700096e116349b858f1648'),
 }
 
 
