@@ -291,7 +291,7 @@ def _cmd_track(args):
     base = verify_convergence(traj, candidate, args.window, args.tol, args.seed)
     tracks = track_vertices(traj, candidate, args.tol)
     cones = tuple(
-        cone_convergence(traj, candidate, t, 1.0, args.tol, args.seed)
+        cone_convergence(traj, candidate, t, args.tol, args.seed)
         for t in tracks.tracks
         if t.converged
     )
@@ -359,10 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common_kuratowski(p):
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--window", type=float, default=None)
-        p.add_argument("--seed", type=int, default=42)
+    def limit_options(p):
+        p.add_argument("input")
         p.add_argument("--max-denominator", dest="max_denominator", type=int, default=10**6)
         p.add_argument("--eps-limit", dest="eps_limit", type=float, default=1e-3)
 
@@ -402,16 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_contains)
 
     p = sub.add_parser("limit")
-    p.add_argument("input")
-    common_kuratowski(p)
+    limit_options(p)
     p.set_defaults(func=_cmd_limit)
 
     for verb, fn in (("track", _cmd_track), ("argmax", _cmd_argmax), ("boundary", _cmd_boundary)):
         p = sub.add_parser(verb)
-        p.add_argument("input")
+        limit_options(p)
         p.add_argument("--limit", dest="limit", default=None,
                        help="candidate limit polyhedron JSON (default: constructed)")
-        common_kuratowski(p)
+        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--window", type=float, default=None)
+        p.add_argument("--seed", type=int, default=42)
         p.set_defaults(func=fn)
 
     return parser

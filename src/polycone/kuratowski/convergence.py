@@ -1,10 +1,10 @@
 """Numeric convergence diagnostics for sampled polyhedron families.
 
 The Kuratowski distance surrogate is a truncated-window support-function
-metric: both sets are intersected with the box [-R, R]^n and compared on a
-fixed direction set (the +/- coordinate directions plus seeded pseudorandom
-unit vectors).  Support values come from exact optimization over the
-box-truncated polytope (vertex enumeration of an exact rational polytope),
+metric: both sets are cut to the box [-R, R]^n as H-rows (a generator cone
+through its polar) and compared on a fixed direction set (the +/- coordinate
+directions plus seeded pseudorandom unit vectors).  Support values come from
+the vertices of the box-truncated polytope, exact rational points
 converted to binary64 only at the very end, so identical inputs and seeds
 give byte-identical reports.  Each diagnostic validates its window and
 computes the support vectors of the limit side once, before its sample loop.
@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ..errors import BadWindow, EmptyPolyhedron, MaxNotAttained, NoVertices, TrackNotConverged
+from ..errors import (
+    BadWindow, DimensionMismatch, EmptyPolyhedron, MaxNotAttained, NoVertices, TrackNotConverged
+)
 from ..geometry import (
     Cone,
     HalfSpace,
@@ -35,10 +37,9 @@ from ..geometry import (
     normal_cone,
     tangent_cone,
 )
-from ..linalg import Vector
-from ..linprog import is_feasible
-from ..optimality import solve_glp
-from ..rationals import float_to_fraction, format_rational, format_vector, simplest_within
+from ..linalg import Vector, vec_neg
+from ..optimality import _minkowski_weyl, solve_glp
+from ..rationals import format_rational, format_vector, simplest_within
 from ..structure import is_bounded, remove_redundant
 from .limits import PolyhedronTrajectory, _coordinate_limits, _tail, _unit_row
 
@@ -92,20 +93,13 @@ def _box_rows(n: int, R: Fraction) -> list[HalfSpace]:
     return rows
 
 
-def _checked_window(R: float, n: int, m: int, directions: Sequence[FloatVector]) -> Fraction:
+def _checked_window(R: float, n: int, m: int) -> Fraction:
     """Validate a window between sets in R^n and R^m; return the exact radius."""
     if not (isinstance(R, (int, float)) and R > 0 and math.isfinite(R)):
         raise BadWindow(f"window radius must be positive and finite, got {R!r}")
     if m != n:
         raise BadWindow("window operands disagree on dimension")
-    if len(directions) < 2 * n:
-        raise BadWindow(f"need at least {2 * n} directions, got {len(directions)}")
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            target = tuple(sign if k == j else 0.0 for k in range(n))
-            if not any(d == target for d in directions):
-                raise BadWindow("direction set must include +/- coordinate directions")
-    return float_to_fraction(float(R))
+    return Fraction(float(R))
 
 
 def _window_support(
@@ -113,39 +107,23 @@ def _window_support(
 ) -> list[float] | None:
     """Support values of ``obj`` intersected with [-R, R]^n, or None if that is empty.
 
-    Polyhedra and H-form cones are truncated directly; a generator cone is
-    handled through its coefficient polytope (lambda >= 0 with the image
-    box-bounded), whose vertex images cover the truncation's extreme
-    points.  The maximum over those exact points is taken in binary64.
+    Every set is cut to the box as H-rows and its vertices are enumerated;
+    the maximum over those exact points is taken in binary64.  One walk
+    writes the polar ``{y : g.y <= 0}`` of a generator cone as ``lin L +
+    cone D``, so cone(G) = ``{x : d.x <= 0, l.x = 0}`` (bipolar theorem).
     """
     rows = obj.halfspaces if isinstance(obj, Polyhedron) else obj.hform
-    if rows is not None:
-        boxed = Polyhedron(obj.n, tuple(rows) + tuple(_box_rows(obj.n, R)))
-        points = [v.point for v in enumerate_vertices(boxed)]
-    elif not obj.generators:
-        points = [tuple(Fraction(0) for _ in range(obj.n))]
-    else:
-        gens = obj.generators
-        r = len(gens)
-        lam_rows = []
-        for i in range(r):
-            lam_rows.append(
-                HalfSpace(tuple(Fraction(-1) if k == i else Fraction(0) for k in range(r)), 0)
-            )
-        for j in range(obj.n):
-            col = tuple(g[j] for g in gens)
-            if all(v == 0 for v in col):
-                continue
-            lam_rows.append(HalfSpace(col, R))
-            lam_rows.append(HalfSpace(tuple(-v for v in col), R))
-        points = [
-            tuple(sum(v.point[i] * gens[i][j] for i in range(r)) for j in range(obj.n))
-            for v in enumerate_vertices(Polyhedron(r, lam_rows))
-        ]
+    if rows is None and not obj.generators:
+        rows = _box_rows(obj.n, Fraction(0))
+    elif rows is None:
+        polar = Polyhedron(obj.n, (HalfSpace(g, 0) for g in obj.generators))
+        _, lines, _, rays, _ = _minkowski_weyl(polar)
+        rows = [HalfSpace(d, 0) for d in (*rays, *lines, *map(vec_neg, lines))]
+    boxed = Polyhedron(obj.n, (*rows, *_box_rows(obj.n, R)))
+    points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(boxed)]
     if not points:
         return None
-    fpoints = [tuple(float(x) for x in p) for p in points]
-    return [max(sum(u * x for u, x in zip(d, p)) for p in fpoints) for d in directions]
+    return [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in directions]
 
 
 def _support_gap(hp: list[float] | None, hq: list[float] | None) -> WindowDistance:
@@ -157,22 +135,16 @@ def _support_gap(hp: list[float] | None, hq: list[float] | None) -> WindowDistan
     return WindowDistance(max(abs(a - b) for a, b in zip(hp, hq)))
 
 
-def window_distance(
-    P: Polyhedron | Cone,
-    Q: Polyhedron | Cone,
-    R: float,
-    directions: Sequence[FloatVector] | None = None,
-) -> WindowDistance:
+def window_distance(P: Polyhedron | Cone, Q: Polyhedron | Cone, R: float) -> WindowDistance:
     """Truncated-window support-function pseudo-metric between two sets.
 
-    Both sets are intersected with [-R, R]^n; the value is the maximum
-    absolute support gap over the sampled directions, by default
-    ``default_directions(n)``.  Two empty windows give distance 0 (flagged),
-    one empty window gives infinity.
+    Both sets are cut to [-R, R]^n as H-rows (a generator cone through its
+    polar); the value is the maximum absolute support gap over
+    ``default_directions(n)``.  Two empty windows give distance 0
+    (flagged), one empty window gives infinity.
     """
-    if directions is None:
-        directions = default_directions(P.n)
-    window = _checked_window(R, P.n, Q.n, directions)
+    window = _checked_window(R, P.n, Q.n)
+    directions = default_directions(P.n)
     hp = _window_support(P, window, directions)
     return _support_gap(hp, _window_support(Q, window, directions))
 
@@ -328,15 +300,16 @@ def verify_convergence(
 ) -> ConvergenceReport:
     """Window distances from each sampled polyhedron to the candidate limit.
 
+    An empty candidate fails the walk's Farkas test, as in ``solve_glp``.
     Converged means the final distance is below tol with a non-increasing
     tail.  Also checks the vertex-count inequality data (the limit cannot
     have more vertices than the tail members).
     """
-    if not is_feasible(candidate):
+    if _minkowski_weyl(candidate)[4] is not None:
         raise EmptyPolyhedron("candidate limit is empty")
     radius = default_window(candidate) if R is None else float(R)
     directions = default_directions(T.n, seed)
-    window = _checked_window(radius, T.n, candidate.n, directions)
+    window = _checked_window(radius, T.n, candidate.n)
     h_limit = _window_support(candidate, window, directions)
     distances = []
     counts = []
@@ -365,6 +338,8 @@ def track_vertices(
     sample vertices matched by no track are escapees, reported with their
     norms so vertices wandering to infinity are visible.
     """
+    if limit.n != T.n:
+        raise DimensionMismatch(f"limit dimension {limit.n} != trajectory dimension {T.n}")
     limit_vertices = enumerate_vertices(limit)
     if not limit_vertices:
         raise NoVertices("limit polyhedron has no vertices to track")
@@ -406,17 +381,17 @@ def cone_convergence(
     T: PolyhedronTrajectory,
     limit: Polyhedron,
     track: VertexTrack,
-    R: float = 1.0,
     tol: float = 1e-6,
     seed: int = DEFAULT_SEED,
 ) -> ConeConvergenceReport:
-    """Tangent- and normal-cone window metrics along a converged track."""
+    """Tangent- and normal-cone window metrics along a converged track, at
+    radius 1: a cone cut to [-R, R]^n is R times the cone cut to [-1, 1]^n."""
     if not track.converged:
         raise TrackNotConverged("cone diagnostics need a converged vertex track")
     c_limit = tangent_cone(limit, track.limit_vertex)
     n_limit = normal_cone(limit, track.limit_vertex)
     directions = default_directions(T.n, seed)
-    window = _checked_window(R, T.n, limit.n, directions)
+    window = _checked_window(1.0, T.n, limit.n)
     h_tangent = _window_support(c_limit, window, directions)
     h_normal = _window_support(n_limit, window, directions)
     tangent_seq = []
@@ -473,7 +448,7 @@ def argmax_convergence(
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
     radius = default_window(limit) if R is None else float(R)
     directions = default_directions(T.n, seed)
-    window = _checked_window(radius, T.n, limit.n, directions)
+    window = _checked_window(radius, T.n, limit.n)
     h_face = _window_support(sol_limit.argmin_face, window, directions)
     limit_count = len(enumerate_vertices(limit))
 
@@ -531,7 +506,7 @@ def boundary_convergence(
         return unit + (offset,)
 
     limit_min = remove_redundant(limit)
-    window = _checked_window(radius, T.n, limit.n, directions)
+    window = _checked_window(radius, T.n, limit.n)
     limit_rows = [match_key(hs) for hs in limit_min.halfspaces]
     h_facets = [
         _window_support(limit_min.with_rows([hs.flipped()]), window, directions)

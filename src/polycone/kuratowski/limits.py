@@ -26,7 +26,6 @@ from ..errors import (
 )
 from ..geometry import HalfSpace, Polyhedron
 from ..rationals import (
-    float_to_fraction,
     format_rational,
     format_vector,
     parse_rational,
@@ -178,14 +177,14 @@ class PolyhedronTrajectory:
         """
         rows = []
         for t in self.constraints:
-            a = tuple(float_to_fraction(v) for v in t.normals[k])
-            rows.append(HalfSpace(a, float_to_fraction(t.offsets[k])))
+            a = tuple(Fraction(v) for v in t.normals[k])
+            rows.append(HalfSpace(a, Fraction(t.offsets[k])))
         return Polyhedron(self.n, rows)
 
     def sample_cost(self, k: int) -> tuple[Fraction, ...]:
         if self.cost is None:
             raise ValueError("trajectory has no cost component")
-        return tuple(float_to_fraction(v) for v in self.cost.vectors[k])
+        return tuple(Fraction(v) for v in self.cost.vectors[k])
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +524,29 @@ def construct_limit(
 # JSON codec
 
 
+def _numbers(values) -> list:
+    """values, each a JSON number: not true, "1" or null."""
+    values = list(values)
+    for v in values:
+        if type(v) not in (int, float):
+            raise TypeError(f"expected a JSON number, got {v!r}")
+    return values
+
+
 def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
     """Parse the trajectory wire format.
 
     ``{"n": int, "samples": [k...], "constraints": [{"rows": [[a..., b]
     per sample], "limit": {"a": [...], "b": ...} | "+inf" | null}],
     "cost": {"rows": [[c...] per sample], "limit": [...] | null}?}``
+
+    Samples and rows are JSON numbers; declared limits are rational strings.
     """
     try:
         n = data["n"]
         if type(n) is not int:  # a JSON integer: not 1.9, "1" or true
             raise ValueError(f"n must be an integer, got {n!r}")
-        sample_idx = [float(k) for k in data["samples"]]
+        sample_idx = [float(k) for k in _numbers(data["samples"])]
         raw_constraints = data["constraints"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trajectory JSON: {exc}") from exc
@@ -551,6 +561,7 @@ def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
             for k, row in zip(sample_idx, rows):
                 if len(row) != n + 1:
                     raise ValueError(f"constraint row needs {n + 1} entries, got {len(row)}")
+                row = _numbers(row)
                 samples.append((k, row[:n], row[n]))
             declared = entry.get("limit")
             if declared == "+inf":
@@ -565,6 +576,7 @@ def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
                 raise ValueError("cost row count does not match sample count")
             declared = centry.get("limit")
             declared = None if declared is None else parse_vector(declared)
+            rows = [_numbers(row) for row in rows]
             cost = CostTrajectory(list(zip(sample_idx, rows)), declared_limit=declared)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trajectory JSON: {exc}") from exc

@@ -24,7 +24,7 @@ from .geometry import (
     active_normals,
     active_set,
 )
-from .linalg import Vector, dot, extend, null_direction, nullspace, scaled, vec_neg
+from .linalg import Vector, dot, nullspace, scaled, solve_square, vec_neg
 from .linprog import ConeMembership, cone_member
 
 
@@ -73,19 +73,11 @@ class StabilityCone:
 
 
 def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
-    """Exact orthogonal projection of c onto span(basis) via normal equations,
-    formed over the integer-scaled basis and c."""
-    B = [scaled(v)[0] for v in basis]
-    C, L = scaled(c)
-    echelon = ([], (), 1)
-    for u in B:
-        row = [sum(map(mul, u, w)) for w in B] + [-sum(map(mul, u, C))]
-        echelon = extend(*echelon, row, len(B))
-        if echelon is None:
-            raise AssertionError("Gram matrix of a basis is nonsingular")
-    # the null direction at the right-hand column is |det| (y, 1), G y = B C
-    y = null_direction(*echelon, len(B), len(B) + 1)
-    return tuple(Fraction(sum(map(mul, y, col)), y[-1] * L) for col in zip(*B))
+    """Exact orthogonal projection of c onto span(basis) by the Gram normal equations."""
+    y = solve_square([[dot(u, w) for w in basis] for u in basis], [dot(u, c) for u in basis])
+    if y is None:
+        raise AssertionError("Gram matrix of a basis is nonsingular")
+    return tuple(dot(y, col) for col in zip(*basis))
 
 
 def _minkowski_weyl(P: Polyhedron):

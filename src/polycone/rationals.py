@@ -42,11 +42,6 @@ def format_vector(vec: Sequence[Fraction]) -> list[str]:
     return [format_rational(v) for v in vec]
 
 
-def float_to_fraction(x: float) -> Fraction:
-    """Exact binary64-to-rational conversion."""
-    return Fraction(x)
-
-
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     """Rational with the smallest denominator (then numerator) in [lo, hi]."""
     if lo > hi:

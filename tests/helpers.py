@@ -8,9 +8,11 @@ from fractions import Fraction
 from operator import mul
 
 from polycone import (
+    Cone,
     HalfSpace,
     Polyhedron,
     StructureReport,
+    canonical_ray,
     contains_point,
     enumerate_vertices,
     find_feasible_point,
@@ -88,6 +90,30 @@ def random_degenerate_polyhedron(rng: random.Random, n: int) -> Polyhedron:
     if n > 1 and rng.random() < 1 / 3:
         rows = [(a[:-1] + (0,), b) for a, b in rows if any(a[:-1])]
     return Polyhedron.from_rows(n, rows)
+
+
+def random_generator_cone(rng: random.Random, n: int) -> tuple[str, Cone]:
+    """A cone given by at most n + 1 integer generators in R^n, with its
+    kind: the trivial cone, one spanning R^n (the unit vectors and minus
+    their sum), one with lines (opposite pairs) or a random one."""
+    kind = rng.choice(("trivial", "spanning", "lines", "random", "random"))
+    gens: dict[tuple, tuple] = {}
+
+    def add(g):
+        if any(g):
+            gens.setdefault(canonical_ray(g), g)
+
+    if kind == "spanning":
+        for j in range(n):
+            add(tuple(Fraction(int(k == j)) for k in range(n)))
+        add((Fraction(-1),) * n)
+    draws = {"trivial": 0, "spanning": 0, "lines": rng.randint(1, (n + 1) // 2)}
+    for _ in range(draws.get(kind, rng.randint(1, n + 1))):
+        g = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+        add(g)
+        if kind == "lines":
+            add(vec_neg(g))
+    return kind, Cone(n, generators=tuple(gens.values()))
 
 
 def random_polytope4(rng: random.Random, m: int, empty: bool = False) -> Polyhedron:
@@ -425,6 +451,30 @@ def reference_project_onto_span(basis, c):
     gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
     coeffs = reference_solve_square(gram, [dot(basis[i], c) for i in range(k)])
     return tuple(sum(coeffs[i] * basis[i][j] for i in range(k)) for j in range(len(c)))
+
+
+# ---------------------------------------------------------------------------
+# Reference window support of a generator cone: its coefficient polytope
+
+
+def reference_cone_window_support(cone: Cone, R: Fraction, directions) -> list[float]:
+    """Reference for ``_window_support`` on a generator cone: the coefficient
+    polytope {lambda >= 0 : -R <= sum_i lambda_i g_i <= R}, whose vertex
+    images cover the extreme points of cone(G) cut to [-R, R]^n.  The
+    maximum over those exact points is taken in binary64."""
+    gens, n, r = cone.generators, cone.n, len(cone.generators)
+    if not gens:
+        points = [(_ZERO,) * n]
+    else:
+        rows = [HalfSpace(tuple(-_ONE if k == i else _ZERO for k in range(r)), 0) for i in range(r)]
+        for j in range(n):
+            col = tuple(g[j] for g in gens)
+            if any(col):
+                rows += [HalfSpace(col, R), HalfSpace(vec_neg(col), R)]
+        lams = [v.point for v in enumerate_vertices(Polyhedron(r, rows))]
+        points = [tuple(dot(lam, col) for col in zip(*gens)) for lam in lams]
+    fpoints = [tuple(float(x) for x in p) for p in points]
+    return [max(sum(u * x for u, x in zip(d, p)) for p in fpoints) for d in directions]
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,43 @@ class TestExitCodes:
             "kind": "ValueError",
         }
 
+    @pytest.mark.parametrize(
+        "option, value", [("--window", "-1"), ("--window", "3"), ("--seed", "3"), ("--tol", "0.1")]
+    )
+    def test_limit_takes_only_its_options(self, files, option, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["limit", files["remark"], option, value])
+        assert exc.value.code == 1
+
+    def test_track_rejects_a_negative_window(self, files):
+        code, out = run_cli(["track", files["remark"], "--window", "-1"])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "window radius must be positive and finite, got -1.0",
+            "kind": "BadWindow",
+        }
+
+    @pytest.mark.parametrize(
+        "value", [True, "1", "1e3", None], ids=["bool", "int-string", "float-string", "null"]
+    )
+    @pytest.mark.parametrize("field", ["samples", "constraint_row", "cost_row"])
+    def test_trajectory_numbers_must_be_json_numbers(self, tmp_path, field, value):
+        data = trajectory_to_dict(remark_trajectory())
+        entry = {
+            "samples": data["samples"],
+            "constraint_row": data["constraints"][2]["rows"][1],
+            "cost_row": data["cost"]["rows"][1],
+        }[field]
+        entry[1] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(["limit", str(path)])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"malformed trajectory JSON: expected a JSON number, got {value!r}",
+            "kind": "ValueError",
+        }
+
     def test_infinite_distance_is_strict_json(self, files):
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")

@@ -2,7 +2,9 @@
 
 ``geometry`` and ``linalg`` must import nothing from ``linprog``,
 ``optimality`` or ``structure``, so the simplex in ``linprog`` remains an
-independent oracle for what the vertex walk finds.
+independent oracle for what the vertex walk finds.  The Kuratowski modules
+use ``optimality`` and ``structure`` but import nothing from ``linprog``
+directly.
 """
 import ast
 import pathlib
@@ -11,6 +13,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polycone"
 SIMPLEX_SIDE = {"linprog", "optimality", "structure"}
+SIMPLEX = {"linprog"}
 
 
 def _imported(source: str) -> set[str]:
@@ -31,6 +34,11 @@ def _imported(source: str) -> set[str]:
 @pytest.mark.parametrize("module", ["geometry.py", "linalg.py"])
 def test_kernel_imports_nothing_from_the_simplex_side(module):
     assert not _imported((SRC / module).read_text(encoding="utf-8")) & SIMPLEX_SIDE
+
+
+@pytest.mark.parametrize("module", ["kuratowski/convergence.py", "kuratowski/limits.py"])
+def test_kuratowski_imports_nothing_from_the_simplex(module):
+    assert not _imported((SRC / module).read_text(encoding="utf-8")) & SIMPLEX
 
 
 @pytest.mark.parametrize(

@@ -33,10 +33,16 @@ from polycone import (
     verify_convergence,
     window_distance,
 )
-from polycone.kuratowski.convergence import default_directions, default_window
+from polycone.kuratowski.convergence import _window_support, default_directions, default_window
 from polycone.kuratowski.limits import _unit_row
 
-from helpers import HALF_LINE, TRIANGLE, X_AXIS
+from helpers import (
+    HALF_LINE,
+    TRIANGLE,
+    X_AXIS,
+    random_generator_cone,
+    reference_cone_window_support,
+)
 from families import (
     constant_triangle_trajectory,
     divergent_pair_trajectory,
@@ -245,8 +251,21 @@ class TestWindowDistance:
     def test_bad_window(self):
         with pytest.raises(errors.BadWindow):
             window_distance(TRIANGLE, TRIANGLE, 0.0)
-        with pytest.raises(errors.BadWindow):
-            window_distance(TRIANGLE, TRIANGLE, 1.0, directions=[(1.0, 0.0)])
+
+    def test_generator_cones_match_the_coefficient_polytope(self):
+        # cone(G) from one walk of its polar equals, float for float, the
+        # truncation read off the coefficient polytope {lambda >= 0}
+        rng = random.Random(20)
+        kinds, radii = set(), set()
+        for i in range(1000):
+            n = 1 + i % 4
+            kind, cone = random_generator_cone(rng, n)
+            R = F(rng.randint(1, 70), 7)
+            dirs = default_directions(n)
+            assert _window_support(cone, R, dirs) == reference_cone_window_support(cone, R, dirs)
+            kinds.add(kind)
+            radii.add(R)
+        assert kinds == {"trivial", "spanning", "lines", "random"} and len(radii) > 2
 
     def test_supports_match_lp_oracle(self):
         # the vertex-enumeration support equals the direct LP support
@@ -324,6 +343,13 @@ class TestTrackVertices:
     def test_no_vertices(self):
         with pytest.raises(errors.NoVertices):
             track_vertices(footnote_trajectory(), X_AXIS)
+
+    def test_limit_of_wrong_dimension(self):
+        simplex = Polyhedron.from_rows(
+            3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)]
+        )
+        with pytest.raises(errors.DimensionMismatch):
+            track_vertices(ex31_trajectory(), simplex)
 
 
 class TestConeConvergence:
@@ -534,6 +560,13 @@ class TestTrajectoryCodec:
         rep = construct_limit(back)
         assert rep.dropped_plus_infinity == (1,)
 
+    def test_constructors_take_any_real(self):
+        # only the JSON codec insists on JSON numbers
+        t = ConstraintTrajectory([(F(k), (F(1), 0), F(k, 3)) for k in range(1, 4)])
+        assert t.indices == (1.0, 2.0, 3.0) and t.offsets == (1 / 3, 2 / 3, 1.0)
+        c = CostTrajectory([(F(k), (F(1, 2), 1)) for k in range(1, 4)])
+        assert c.vectors == ((0.5, 1.0),) * 3
+
     def test_default_window_clamps(self):
         assert default_window(TRIANGLE) == 4.0  # max vertex norm 1
         assert default_window(X_AXIS) == 2.0  # no vertices
@@ -562,11 +595,10 @@ class TestDiagnosticsAgainstWindowDistance:
         T = FAMILIES[name]()
         limit = construct_limit(T).limit
         radius = default_window(limit)
-        dirs = default_directions(T.n)
         samples = [T.sample_polyhedron(k) for k in range(T.sample_count)]
 
         def direct(P, Q, R=radius):
-            return window_distance(P, Q, R, dirs).value
+            return window_distance(P, Q, R).value
 
         rep = verify_convergence(T, limit)
         assert [d for _, d in rep.distances] == [direct(P, limit) for P in samples]
@@ -618,10 +650,8 @@ class TestDiagnosticsAgainstWindowDistance:
     @pytest.mark.parametrize("R", [0.0, -1.0])
     def test_non_positive_radius(self, R):
         T = ex31_trajectory()
-        track = next(t for t in track_vertices(T, Y1).tracks if t.converged)
         diagnostics = (
             lambda: verify_convergence(T, Y1, R=R),
-            lambda: cone_convergence(T, Y1, track, R=R),
             lambda: argmax_convergence(T, Y1, R=R),
             lambda: boundary_convergence(T, Y1, R=R),
         )
