@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -230,62 +230,63 @@ def _integer_rows(P: Polyhedron) -> list[list[int]]:
 def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     """All extremal points, each with its full active set and a witness.
 
-    One integer kernel for every n, output-sensitive after a start search.
-    The start walks the lexicographic (n-1)-row prefixes depth first, each
-    new row eliminated fraction-free (Bareiss 1968) against the prefix it
-    extends, and cuts each full-rank prefix's line to its feasible segment
-    until a segment has an endpoint: the first vertex.  From there the walk
-    follows the vertex graph (Avis and Fukuda 1992).  A simplicial vertex,
-    whose active rows with identical rows merged number n, carries the
-    integer adjugate of those rows as an lrs dictionary does: its edges are
-    the adjugate's columns, and a simplicial neighbour gets its adjugate by
-    one O(n^2) Bareiss exchange.  Any other vertex takes as edges the null
-    directions of its rank-(n-1) subsets of active rows that no active row
-    rises along.  One ratio test over all m rows moves along each edge to
-    the neighbour, whose active set is the rows tight there.  Each edge is
-    ratio-tested once.  ``defining`` is the greedy, so lexicographically
-    smallest, nonsingular n-subset of ``active``.  Cost: |V| times the
-    edges per vertex times m n, plus the start search, which is a full
-    O(C(m, n-1) m n) walk only when P has no vertex (empty or not pointed).
-    At n = 4: 0.004 s for m = 20, 0.036 s for m = 30, 0.20 s for m = 60,
-    from m = 30 on most of it the start search (CPython 3.11, 2 shared
-    vCPUs).  Output sorted by point.
+    One integer kernel for every n, output-sensitive from its first vertex.
+    Phase one (``_phase_one``) finds that vertex by a simplex descent on
+    the largest violation t, started at the lexicographically smallest
+    basis; without a basis (rank below n) there is no vertex and no
+    search.  From there the walk follows the vertex graph (Avis and Fukuda
+    1992).  A simplicial vertex, whose active rows with identical rows
+    merged number n, carries the integer adjugate of those rows as an lrs
+    dictionary does: its edges are the adjugate's columns, and a simplicial
+    neighbour gets its adjugate by one O(n^2) Bareiss exchange.  Any other
+    vertex takes as edges the null directions of its rank-(n-1) subsets of
+    active rows that no active row rises along.  One ratio test over all m
+    rows moves along each edge to the neighbour, whose active set is the
+    rows tight there.  Each edge is ratio-tested once.  ``defining`` is the
+    greedy, so lexicographically smallest, nonsingular n-subset of
+    ``active``.  Cost: |V| times the edges per vertex times m n, plus phase
+    one's pivots, m n each.  At n = 4: 0.002 s for m = 20 and m = 30,
+    0.006 s for m = 60 (CPython 3.11, 2 shared vCPUs).  Output sorted by
+    point.
     """
     return _vertices(P, _integer_rows(P))
 
 
-def _vertices(P: Polyhedron, aug: list[list[int]], rays: list | None = None) -> list[Vertex]:
+def _vertices(P: Polyhedron, aug: list[list[int]], rays: list | None = None,
+              farkas: list | None = None) -> list[Vertex]:
     """The walk behind ``enumerate_vertices``, over P's integer rows ``aug``.
 
-    A vertex is kept by its active set as the integer point ``X / D``
-    (D > 0) with its integer slacks ``S = b D - A X``, made once.  A
-    simplicial vertex, whose active rows with identical integer rows merged
-    number n, also carries the integer adjugate of those n rows, as an lrs
-    dictionary does (see ``_adjugate``): its edges are the adjugate's
-    columns, and the neighbour reached along column j, if simplicial too,
-    gets its adjugate by one Bareiss exchange (``_exchange``).  Any other
-    vertex lists its edges from its rank-(n-1) active subsets (``_edges``).
-    Edge directions are integer and gcd-reduced, so the way back from a
-    neighbour is marked there and never tested again.  Cost per vertex: n
-    columns and one O(n^2) exchange if simplicial, else its rank-(n-1)
-    active subsets; then one m n ratio test per untested edge.  On a seed-1
-    ``vertex-n4`` round of perfbench, 712 of the 725 vertices are
-    simplicial, and listing edges takes 0.023 s against the 0.094 s of a
-    subset search at every vertex (under cProfile).  Given a list
+    It starts at phase one's vertex (``_phase_one``).  A vertex is kept by
+    its active set as the integer point ``X / D`` (D > 0) with its integer
+    slacks ``S = b D - A X``, made once.  A simplicial vertex, whose active
+    rows with identical integer rows merged number n, also carries the
+    integer adjugate of those n rows, as an lrs dictionary does (see
+    ``_adjugate``): its edges are the adjugate's columns, and the neighbour
+    reached along column j, if simplicial too, gets its adjugate by one
+    Bareiss exchange (``_exchange``).  Any other vertex lists its edges
+    from its rank-(n-1) active subsets (``_edges``).  Edge directions are
+    integer and gcd-reduced, so the way back from a neighbour is marked
+    there and never tested again.  Cost per vertex: n columns and one
+    O(n^2) exchange if simplicial, else its rank-(n-1) active subsets; then
+    one m n ratio test per untested edge.  The vertices are sorted by
+    their integer points over one common denominator.  Given a list
     ``rays``, it also appends the direction of every edge no row blocks,
     once per such edge: for pointed nonempty P, these are the extreme rays
-    of its recession cone."""
+    of its recession cone.  Given a list ``farkas``, it receives phase
+    one's integer Farkas multipliers over ``aug`` when P is empty."""
     n = P.n
-    start = _first_vertex(aug, n)
-    if start is None:
-        return []
     A = [tuple(row[:n]) for row in aug]
+    start, witness = _phase_one(A, aug, n)
+    if start is None:
+        if witness is not None and farkas is not None:
+            farkas += witness
+        return []
     # active set -> its edge directions already tested from the other end
-    tested: dict[IndexSet, set] = {start[0]: set()}
-    todo, points = [(start, _handed(A, n, start[0], (), None, None))], []
+    tested: dict[IndexSet, set] = {start[0][0]: set()}
+    todo, points = [start], []
     while todo:
         (active, X, D, S), adjugate = todo.pop()
-        points.append((tuple(Fraction(x, D) for x in X), active))
+        points.append((X, D, active))
         for j, d in enumerate(_edges(A, n, active) if adjugate is None else _columns(*adjugate)):
             if d in tested[active]:
                 continue
@@ -299,11 +300,89 @@ def _vertices(P: Polyhedron, aug: list[list[int]], rays: list | None = None) -> 
                 tested[reached] = set()
                 todo.append((neighbour, _handed(A, n, reached, active, adjugate, j)))
             tested[reached].add(tuple(-x for x in d))
+    # X / D over the common denominator L is the integer point X L / D
+    L = lcm(*[D for _, D, _ in points])
+    points.sort(key=lambda point: [x * (L // point[1]) for x in point[0]])
     # a simple vertex's n active rows are its only basis
     return [
-        Vertex(point=p, active=a, defining=a if len(a) == n else _lex_basis(A, a, n))
-        for p, a in sorted(points)
+        Vertex(point=tuple(Fraction(x, D) for x in X), active=a,
+               defining=a if len(a) == n else _lex_basis(A, a, n))
+        for X, D, a in points
     ]
+
+
+def _phase_one(A, aug, n: int):
+    """The walk's start: ``(start, None)`` with the first vertex's state
+    (see ``_lowest``) and the adjugate it carries (see ``_handed``);
+    ``(None, y)`` with integer Farkas multipliers ``y >= 0`` over ``aug``,
+    ``y A = 0`` and ``y b < 0``, when P is empty; ``(None, None)`` when A
+    has rank below n, so P has no vertex.
+
+    The lexicographically smallest basis B and its adjugate come from one
+    fraction-free pass (``_adjugate``), and ``x0 = inv(A_B) b_B``.  If x0
+    violates a row, phase one minimizes t over the lifted set
+    ``{A_B x <= b_B, A_N x - t <= b_N, -t <= 0}`` from its vertex (x0, t0),
+    whose basis is B and the most violated row k and whose adjugate is B's
+    bordered, ``[[-M, 0], [-a_k M, det]]`` with determinant ``-det``.  Each
+    step is one sign test, one integer ratio test and one ``_exchange``,
+    by Bland's rule (1977) with the t-row first: the basis row of least
+    index along whose edge t falls leaves, and ties in the ratio test go
+    to the t-row, then to the least row.  So t reaches 0 with the t-row in
+    the basis; the other basis rows are then a basis of the vertex x, and
+    the lifted adjugate without the t-row's column and coordinate is
+    theirs.  If instead ``y = -e_t M / det >= 0`` while t > 0, no edge
+    descends, and y over the basis rows proves P empty."""
+    m = len(A)
+    found = _adjugate(A, range(m), n)
+    if found is None:
+        return None, None
+    basis, M, det = found
+    # x0 = X / D, with X = M b_B
+    X = [sum(aug[i][n] * col[p] for i, col in zip(basis, M)) for p in range(n)]
+    D = det
+    if D < 0:
+        X, D = [-x for x in X], -D
+    S = [row[n] * D - sum(map(mul, a, X)) for row, a in zip(aug, A)]
+    k = min(range(m), key=S.__getitem__)
+    if S[k] >= 0:
+        start = _lowest(X, D, S)
+        return (start, (M, det) if _merged(A, start[0], n) is not None else None), None
+    # the lifted rows, the t-row last with index m, at the point (X, T) / D
+    lifted = set(basis)
+    rows = [a + (0,) if i in lifted else a + (-1,) for i, a in enumerate(A)]
+    rows.append((0,) * n + (-1,))
+    T = -S[k]
+    Z, S = X + [T], [s if i in lifted else s + T for i, s in enumerate(S)] + [T]
+    basis = [*basis, k]
+    M = [[-x for x in col] + [-sum(map(mul, A[k], col))] for col in M] + [[0] * n + [det]]
+    det = -det
+    while True:
+        # t falls along column j iff y_j = -M[j][n] / det < 0
+        falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if col[n] * det > 0]
+        if not falls:
+            y = [0] * m
+            for i, col in zip(basis, M):
+                y[i] = -col[n] if det > 0 else col[n]
+            return None, y
+        j = min(falls)[1]
+        d = _column(M[j], det)
+        E = [sum(map(mul, row, d)) for row in rows]
+        r = m  # t falls, so the t-row blocks
+        for i in range(m):
+            if E[i] > 0 and S[i] * E[r] < S[r] * E[i]:
+                r = i
+        e, s = E[r], S[r]
+        Z, D = [e * z + s * x for z, x in zip(Z, d)], e * D
+        S = [e * t - s * f for t, f in zip(S, E)]
+        g = gcd(D, *Z)
+        if g > 1:
+            Z, D, S = [z // g for z in Z], D // g, [t // g for t in S]
+        M, det = _exchange(rows[r], M, det, j)
+        basis[j] = r
+        if r == m:
+            start = _lowest(Z[:n], D, S[:m])
+            adjugate = [col[:n] for i, col in enumerate(M) if i != j], det
+            return (start, adjugate if _merged(A, start[0], n) is not None else None), None
 
 
 def _merged(A, active: IndexSet, n: int) -> IndexSet | None:
@@ -326,33 +405,48 @@ def _handed(A, n: int, reached: IndexSet, active: IndexSet, adjugate, j):
     if basis is None:
         return None
     if adjugate is None:
-        return _adjugate(A, basis, n)
+        return _adjugate(A, basis, n)[1:]
     # every newly tight row rises along the edge, so any of them enters at j
     k = next(i for i in reached if i not in active)
     return _exchange(A[k], *adjugate, j)
 
 
-def _adjugate(A, basis: IndexSet, n: int):
-    """``(M, det)`` with ``M = det inv(A_B)`` for the basis rows B, as the
-    list of M's columns: one fraction-free pass over ``[A_B | I]``, whose
-    rows end as ``det`` at their pivot column beside a row of M."""
-    echelon = ([], (), 1)
-    for t, i in enumerate(basis):
-        echelon = extend(*echelon, A[i] + tuple(int(s == t) for s in range(n)), n)
-    rows, pivots, det = echelon
+def _adjugate(A, rows: Iterable[int], n: int):
+    """The first basis B among ``rows`` (greedy in their order, so the
+    lexicographically smallest when they ascend) with ``(M, det)``,
+    ``M = det inv(A_B)`` as the list of M's columns: one fraction-free pass
+    over ``[A_B | I]``, whose rows end as ``det`` at their pivot column
+    beside a row of M.  None when the rows have rank below n."""
+    echelon, basis = ([], (), 1), []
+    for i in rows:
+        t = len(basis)
+        grown = extend(*echelon, A[i] + tuple(int(s == t) for s in range(n)), n)
+        if grown is not None:
+            echelon = grown
+            basis.append(i)
+            if t + 1 == n:
+                break
+    else:
+        return None
+    echelon, pivots, det = echelon
     M = [[0] * n for _ in range(n)]
-    for row, p in zip(rows, pivots):
+    for row, p in zip(echelon, pivots):
         for j in range(n):
             M[j][p] = row[n + j]
-    return M, det
+    return tuple(basis), M, det
 
 
 def _columns(M, det: int):
     """The edges of a simplicial vertex: column j of ``-M / det`` leaves
     basis row j and keeps the others tight, gcd-reduced."""
     for col in M:
-        g = gcd(*col) if det < 0 else -gcd(*col)
-        yield tuple(x // g for x in col)
+        yield _column(col, det)
+
+
+def _column(col, det: int) -> tuple[int, ...]:
+    """The column ``-col / det`` as a gcd-reduced integer direction."""
+    g = gcd(*col) if det < 0 else -gcd(*col)
+    return tuple(x // g for x in col)
 
 
 def _exchange(a, M, det: int, j: int):
@@ -367,61 +461,18 @@ def _exchange(a, M, det: int, j: int):
     ], q
 
 
-def _subsystems(rows, size: int, n: int, spare: int, first: int = 0, echelon=([], (), 1)):
-    """The independent ``size``-subsets of ``rows`` but their last
-    ``spare``, depth first in lexicographic order, each as the index after
-    its last row and its echelon form; a dependent prefix prunes its
-    subtree."""
+def _subsystems(rows, size: int, n: int, first: int = 0, echelon=([], (), 1)):
+    """The independent ``size``-subsets of ``rows`` but their last, depth
+    first in lexicographic order, each as the index after its last row and
+    its echelon form; a dependent prefix prunes its subtree."""
     depth = len(echelon[1])
     if depth == size:
         yield first, echelon
         return
-    for j in range(first, len(rows) - spare - size + depth + 1):
+    for j in range(first, len(rows) - size + depth):
         grown = extend(*echelon, rows[j], n)
         if grown is not None:
-            yield from _subsystems(rows, size, n, spare, j + 1, grown)
-
-
-def _first_vertex(aug, n: int):
-    """The first vertex met on the lexicographic prefix lines, as its state
-    (see ``_vertices``), or None when P has none.  A vertex's smallest
-    basis has a row after its first n-1, so no prefix ends at the last row."""
-    for _, echelon in _subsystems(aug, n - 1, n, 1):
-        end = _segment_end(aug, n, echelon)
-        if end is not None:
-            X, D = end
-            return _lowest(X, D, [row[n] * D - sum(map(mul, row, X)) for row in aug])
-    return None
-
-
-def _segment_end(aug, n: int, echelon):
-    """An endpoint ``(X, D)``, point X / D, of the feasible part of the
-    line the full-rank (n-1)-row echelon spans; None when that part is
-    empty or the whole line."""
-    # the line: x = (s d - offset) / det with s = x[free], from the null
-    # directions of the rows [a, b] at the free and right-hand columns
-    free = next(c for c in range(n) if c not in echelon[1])
-    d = null_direction(*echelon, free, n + 1)
-    offset = null_direction(*echelon, n, n + 1)
-    # row i reads e s <= g on the line, so s <= g/e or -s <= g/|e|; each
-    # side keeps [g, |e|] of its least bound (|e| == 0: none yet)
-    hi, lo = [0, 0], [0, 0]
-    for row in aug:
-        e = sum(map(mul, row, d))
-        g = sum(map(mul, row, offset))
-        if e:
-            side = hi if e > 0 else lo
-            e = abs(e)
-            if not side[1] or g * side[1] < side[0] * e:
-                side[:] = g, e
-                if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] < 0:
-                    return None
-        elif g < 0:
-            return None
-    g, e = hi if hi[1] else (-lo[0], lo[1])
-    if not e:
-        return None
-    return [g * y - e * x for x, y in zip(offset[:n], d)], e * offset[n]
+            yield from _subsystems(rows, size, n, j + 1, grown)
 
 
 def _lowest(X: list[int], D: int, S: list[int]):
@@ -456,7 +507,7 @@ def _null_lines(rows, n: int):
         # the empty subset: its null space is the whole line
         yield [1]
         return
-    for first, echelon in _subsystems(rows, n - 2, n, 1):
+    for first, echelon in _subsystems(rows, n - 2, n):
         # the prefix's null space is the plane spanned by u and w, and each
         # later row r independent of the prefix cuts it to the line through
         # (r.w) u - (r.u) w

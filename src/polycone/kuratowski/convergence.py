@@ -107,15 +107,17 @@ def _window_support(
 ) -> list[float] | None:
     """Support values of ``obj`` intersected with [-R, R]^n, or None if that is empty.
 
-    Every set is cut to the box as H-rows and its vertices are enumerated;
-    the maximum over those exact points is taken in binary64.  One walk
+    Every set but the trivial cone, whose cut is the origin, is cut to the
+    box as H-rows and its vertices are enumerated; the maximum over those
+    exact points is taken in binary64.  One walk
     writes the polar ``{y : g.y <= 0}`` of a generator cone as ``lin L +
     cone D``, so cone(G) = ``{x : d.x <= 0, l.x = 0}`` (bipolar theorem).
     """
     rows = obj.halfspaces if isinstance(obj, Polyhedron) else obj.hform
     if rows is None and not obj.generators:
-        rows = _box_rows(obj.n, Fraction(0))
-    elif rows is None:
+        # the trivial cone cut to the box is the origin
+        return [0.0] * len(directions)
+    if rows is None:
         polar = Polyhedron(obj.n, (HalfSpace(g, 0) for g in obj.generators))
         _, lines, _, rays, _ = _minkowski_weyl(polar)
         rows = [HalfSpace(d, 0) for d in (*rays, *lines, *map(vec_neg, lines))]
@@ -300,7 +302,7 @@ def verify_convergence(
 ) -> ConvergenceReport:
     """Window distances from each sampled polyhedron to the candidate limit.
 
-    An empty candidate fails the walk's Farkas test, as in ``solve_glp``.
+    An empty candidate is found by the walk's phase one, as in ``solve_glp``.
     Converged means the final distance is below tol with a non-increasing
     tail.  Also checks the vertex-count inequality data (the limit cannot
     have more vertices than the tail members).

@@ -57,12 +57,21 @@ PLUS_INFINITY = _PlusInfinity()
 DIVERGENT = _Divergent()
 
 
+def _finite(values, message: str) -> list[float]:
+    """values in binary64, or ValueError(message) when one is NaN, infinite
+    or too large for a float (an integer like 10**400)."""
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(message) from None
+    if not all(math.isfinite(v) for v in floats):
+        raise ValueError(message)
+    return floats
+
+
 def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
     """The row ``<a, x> <= b`` in binary64, scaled to a Euclidean unit normal."""
-    vec = [float(v) for v in a]
-    offset = float(b)
-    if not all(math.isfinite(v) for v in vec + [offset]):
-        raise ValueError("non-finite value in trajectory sample")
+    *vec, offset = _finite([*a, b], "non-finite value in trajectory sample")
     norm = math.sqrt(sum(v * v for v in vec))
     if norm == 0.0:
         raise ValueError("zero normal in trajectory sample")
@@ -70,10 +79,7 @@ def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
 
 
 def _sample_index(k) -> float:
-    idx = float(k)
-    if not math.isfinite(idx):
-        raise ValueError("non-finite sample index")
-    return idx
+    return _finite([k], "non-finite sample index")[0]
 
 
 @dataclass(frozen=True)
@@ -127,9 +133,7 @@ class CostTrajectory:
         if len(rows) < 3:
             raise TooFewSamples(f"need >= 3 samples, got {len(rows)}")
         idx = [_sample_index(k) for k, _ in rows]
-        vecs = [tuple(float(v) for v in c) for _, c in rows]
-        if not all(math.isfinite(v) for vec in vecs for v in vec):
-            raise ValueError("non-finite value in cost sample")
+        vecs = [tuple(_finite(c, "non-finite value in cost sample")) for _, c in rows]
         limit = None if declared_limit is None else tuple(Fraction(v) for v in declared_limit)
         object.__setattr__(self, "indices", tuple(idx))
         object.__setattr__(self, "vectors", tuple(vecs))
@@ -546,7 +550,7 @@ def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
         n = data["n"]
         if type(n) is not int:  # a JSON integer: not 1.9, "1" or true
             raise ValueError(f"n must be an integer, got {n!r}")
-        sample_idx = [float(k) for k in _numbers(data["samples"])]
+        sample_idx = _numbers(data["samples"])
         raw_constraints = data["constraints"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trajectory JSON: {exc}") from exc

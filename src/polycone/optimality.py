@@ -18,6 +18,7 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     Vertex,
+    _adjugate,
     _integer_rows,
     _lex_basis,
     _vertices,
@@ -36,8 +37,11 @@ class GLPSolution:
     carries a certificate checked exactly before it is returned:
 
     - Attained: every vertex w of minimal value, in enumeration order, with
-      a ConeMembership in ``certificate`` proving ``-c in N_w``;
-      ``argmin_face`` is the full optimal face of the *original* polyhedron.
+      a ConeMembership in ``certificate`` proving ``-c in N_w`` over w's
+      distinct active normals; where those number n, the multipliers are
+      unique and read off their adjugate, elsewhere ``cone_member`` finds
+      them.  ``argmin_face`` is the full optimal face of the *original*
+      polyhedron.
     - UnboundedBelow: ``ray`` is a recession direction of P that strictly
       improves the objective.  When c has a component along the lineality
       space, it is minus that component.  Otherwise it is, of the extreme
@@ -46,7 +50,8 @@ class GLPSolution:
       ``c_min`` is c for minimization and -c for maximization.
     - Infeasible: ``farkas`` holds multipliers y >= 0 over
       ``P.halfspaces`` (the canonical rows) with ``y.A = 0`` and
-      ``y.b = -1``.
+      ``y.b = -1``, read off the final basis of the walk's phase one (run
+      on the lineality slice when the rows have rank below n).
 
     ``solved_on`` is the polyhedron the vertex reasoning ran on: the
     lineality slice when the input is nonempty and not pointed, otherwise
@@ -82,34 +87,75 @@ def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
 
 def _minkowski_weyl(P: Polyhedron):
     """P as ``conv V + cone R + lin L`` from one walk: ``(work, lineality,
-    vertices, rays, farkas)``, rays as integer directions.  Without a
-    vertex P is empty (``farkas`` as in ``GLPSolution``) or not pointed;
-    then ``work`` is P cut to the orthogonal complement of L, which the
-    normals already span, and is walked instead.  Else ``work`` is P.
+    vertices, rays, farkas)``, rays as integer directions.  Phase one
+    either starts the walk or proves P empty (``farkas`` as in
+    ``GLPSolution``).  When the rows have rank below n, P has no vertex and
+    ``work`` is P cut to the orthogonal complement of L, which the normals
+    already span; phase one and the walk run on that slice, whose extra
+    multipliers cancel in a Farkas certificate, since L is orthogonal to
+    the row space.  Else ``work`` is P.
     """
-    rays = []
-    vertices = _vertices(P, _integer_rows(P), rays)
+    aug = _integer_rows(P)
+    rays, farkas = [], []
+    vertices = _vertices(P, aug, rays, farkas)
     if vertices:
         return P, (), vertices, rays, None
-    farkas = cone_member([hs.a + (hs.b,) for hs in P.halfspaces], (0,) * P.n + (-1,))
-    if farkas.member:
-        return P, (), [], [], farkas.multipliers
-    lineality = tuple(nullspace(P.row_matrix(), P.n))
-    work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
-    vertices = _vertices(work, _integer_rows(work), rays)
-    if not vertices:
-        raise AssertionError("nonempty lineality slice without vertices")
-    return work, lineality, vertices, rays, None
+    if not farkas:
+        lineality = tuple(nullspace(P.row_matrix(), P.n))
+        work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
+        vertices = _vertices(work, _integer_rows(work), rays, farkas)
+        if vertices:
+            return work, lineality, vertices, rays, None
+    return P, (), [], [], _farkas(aug, farkas[:len(aug)])
+
+
+def _farkas(aug, y) -> Vector:
+    """Integer multipliers y over P's integer rows ``aug``, checked to be
+    ``y >= 0`` with ``y A = 0`` and ``y b < 0``, as multipliers over the
+    canonical rows with ``y.b = -1``: row i is ``max|A_i|`` times its
+    canonical row."""
+    n = len(aug[0]) - 1
+    yb = sum(yi * row[n] for yi, row in zip(y, aug))
+    if len(y) != len(aug) or min(y) < 0 or yb >= 0 or any(
+        sum(yi * row[j] for yi, row in zip(y, aug)) for j in range(n)
+    ):
+        raise AssertionError("Farkas multipliers failed verification")
+    return tuple(Fraction(yi * max(map(abs, row[:n])), -yb) for yi, row in zip(y, aug))
+
+
+def _tie_certificate(normals: tuple[Vector, ...], C: list[int], L: int) -> ConeMembership:
+    """``-c_min = -C / L`` in the cone of a tied vertex's distinct active
+    normals.  When they number n they are a basis G, and the multipliers
+    are unique: ``y = -C M / det`` over G's integer rows with its adjugate
+    ``M = det inv(G)``, and the multiplier of normal i is ``y_i L_i / L``
+    with ``L_i = max|G_i|``, checked to recombine over the integers.
+    Otherwise ``cone_member`` runs."""
+    n = len(C)
+    if len(normals) != n:
+        return cone_member(normals, tuple(Fraction(-x, L) for x in C))
+    G = [tuple(scaled(a)[0]) for a in normals]
+    _, M, det = _adjugate(G, range(n), n)
+    Y = [-sum(map(mul, C, col)) for col in M]
+    if any(y * det < 0 for y in Y) or any(
+        sum(y * g[k] for y, g in zip(Y, G)) != -det * C[k] for k in range(n)
+    ):
+        raise AssertionError("a minimum-value vertex misses the normal cone")
+    return ConeMembership(member=True, multipliers=tuple(
+        Fraction(y * max(map(abs, g)), det * L) for y, g in zip(Y, G)
+    ))
 
 
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
-    One walk writes P as ``conv V + cone R + lin L``.  The objective is
-    unbounded iff it falls along L or a ray in R; else ``-c`` (for
-    minimization) lies in the normal cone of every vertex of minimal value,
-    one membership test each.  No simplex runs: each verdict carries its
-    own certificate, checked exactly before it is returned.
+    One walk writes P as ``conv V + cone R + lin L``, or its phase one
+    proves P empty.  The objective is unbounded iff it falls along L or a
+    ray in R; else ``-c`` (for minimization) lies in the normal cone of
+    every vertex of minimal value.  At a simplicial vertex that is the sign
+    test ``y = -C M / det >= 0`` on the adjugate of its n distinct active
+    normals; the simplex (``cone_member``) runs only at a tied vertex with
+    more.  Each verdict carries its own certificate, checked exactly over
+    integer rows before it is returned.
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:
@@ -136,8 +182,7 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     values = [dot(cmin, v.point) for v in vertices]
     best = min(values)
     tied = [v for v, value in zip(vertices, values) if value == best]
-    minus_c = vec_neg(cmin)
-    proofs = [cone_member(active_normals(work, v.active), minus_c) for v in tied]
+    proofs = [_tie_certificate(active_normals(work, v.active), C, L) for v in tied]
     if not all(proof.member for proof in proofs):
         raise AssertionError("a minimum-value vertex misses the normal cone")
     value = best if sense == "min" else -best

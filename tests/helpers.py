@@ -19,8 +19,10 @@ from polycone import (
     poly_contains,
     solve_lp,
 )
+from polycone import geometry
 from polycone.errors import EmptyPolyhedron, NoVertices
-from polycone.linalg import dot, vec_neg
+from polycone.geometry import Vertex
+from polycone.linalg import dot, null_direction, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 QUADRANT = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0)])
@@ -454,6 +456,87 @@ def reference_project_onto_span(basis, c):
 
 
 # ---------------------------------------------------------------------------
+# Reference vertex walk: the prefix-line start search
+
+
+def reference_first_vertex(aug, n: int):
+    """Reference start for ``geometry._vertices``: the first vertex met on
+    the lexicographic (n-1)-row prefix lines, as its state (see
+    ``geometry._lowest``), or None when P has none.  A vertex's smallest
+    basis has a row after its first n-1, so no prefix ends at the last row."""
+    for _, echelon in geometry._subsystems(aug, n - 1, n):
+        end = reference_segment_end(aug, n, echelon)
+        if end is not None:
+            X, D = end
+            return geometry._lowest(X, D, [row[n] * D - sum(map(mul, row, X)) for row in aug])
+    return None
+
+
+def reference_segment_end(aug, n: int, echelon):
+    """An endpoint ``(X, D)``, point X / D, of the feasible part of the
+    line the full-rank (n-1)-row echelon spans; None when that part is
+    empty or the whole line."""
+    # the line: x = (s d - offset) / det with s = x[free], from the null
+    # directions of the rows [a, b] at the free and right-hand columns
+    free = next(c for c in range(n) if c not in echelon[1])
+    d = null_direction(*echelon, free, n + 1)
+    offset = null_direction(*echelon, n, n + 1)
+    # row i reads e s <= g on the line, so s <= g/e or -s <= g/|e|; each
+    # side keeps [g, |e|] of its least bound (|e| == 0: none yet)
+    hi, lo = [0, 0], [0, 0]
+    for row in aug:
+        e = sum(map(mul, row, d))
+        g = sum(map(mul, row, offset))
+        if e:
+            side = hi if e > 0 else lo
+            e = abs(e)
+            if not side[1] or g * side[1] < side[0] * e:
+                side[:] = g, e
+                if hi[1] and lo[1] and hi[0] * lo[1] + lo[0] * hi[1] < 0:
+                    return None
+        elif g < 0:
+            return None
+    g, e = hi if hi[1] else (-lo[0], lo[1])
+    if not e:
+        return None
+    return [g * y - e * x for x, y in zip(offset[:n], d)], e * offset[n]
+
+
+def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
+    """Reference for ``geometry._vertices``: the same vertex-graph walk
+    from the prefix-line start, with the start's adjugate made afresh and
+    the output sorted by Fraction points."""
+    n, aug = P.n, geometry._integer_rows(P)
+    start = reference_first_vertex(aug, n)
+    if start is None:
+        return []
+    A = [tuple(row[:n]) for row in aug]
+    tested = {start[0]: set()}
+    todo, points = [(start, geometry._handed(A, n, start[0], (), None, None))], []
+    while todo:
+        (active, X, D, S), adjugate = todo.pop()
+        points.append((tuple(Fraction(x, D) for x in X), active))
+        edges = geometry._edges(A, n, active) if adjugate is None else geometry._columns(*adjugate)
+        for j, d in enumerate(edges):
+            if d in tested[active]:
+                continue
+            neighbour = geometry._pivot(A, X, D, S, d)
+            if neighbour is None:
+                if rays is not None:
+                    rays.append(list(d))
+                continue
+            reached = neighbour[0]
+            if reached not in tested:
+                tested[reached] = set()
+                todo.append((neighbour, geometry._handed(A, n, reached, active, adjugate, j)))
+            tested[reached].add(tuple(-x for x in d))
+    return [
+        Vertex(point=p, active=a, defining=a if len(a) == n else geometry._lex_basis(A, a, n))
+        for p, a in sorted(points)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Reference window support of a generator cone: its coefficient polytope
 
 
@@ -549,12 +632,16 @@ def reference_structure(P: Polyhedron) -> StructureReport:
     """Reference for ``polycone.structure``: a row is an implicit equality
     when its LP minimum over P equals its offset; the facet count is the
     number of other rows surviving LP redundancy removal with the
-    equalities fixed."""
-    eq = []
+    equalities fixed.  A row slack at the point of an earlier LP is slack
+    somewhere in P, so no implicit equality, and needs no LP of its own."""
+    eq, points = [], []
     for i, hs in enumerate(P.halfspaces):
+        if any(hs.slack(x) > 0 for x in points):
+            continue
         res = solve_lp(P, hs.a, "min")
         if res.status == "Infeasible":  # only the first LP can find P empty
             raise EmptyPolyhedron("operation requires a nonempty polyhedron")
+        points.append(res.point)
         if res.status == "Optimal" and res.value == hs.b:
             eq.append(i)
     return StructureReport(

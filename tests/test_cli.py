@@ -244,6 +244,34 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"] == "non-finite value in trajectory sample"
 
+    @pytest.mark.parametrize(
+        "verb, where, error",
+        [
+            ("limit", "offset", "non-finite value in trajectory sample"),
+            ("limit", "normal", "non-finite value in trajectory sample"),
+            ("track", "index", "non-finite sample index"),
+            ("argmax", "cost", "non-finite value in cost sample"),
+        ],
+    )
+    def test_integer_beyond_binary64_rejected(self, tmp_path, verb, where, error):
+        # the JSON integer 10**400 is a number with no float: a JSON error
+        # and exit 1, not an OverflowError traceback
+        data = trajectory_to_dict(remark_trajectory())
+        huge = 10**400
+        if where == "offset":
+            data["constraints"][0]["rows"][0][2] = huge
+        elif where == "normal":
+            data["constraints"][1]["rows"][3][0] = huge
+        elif where == "index":
+            data["samples"][0] = huge
+        else:
+            data["cost"]["rows"][2][1] = huge
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli([verb, str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": error, "kind": "ValueError"}
+
     @pytest.mark.parametrize("verb", ["limit", "track"])
     def test_nan_sample_index_rejected(self, files, verb):
         code, out = run_cli([verb, files["nan_index"]])

@@ -169,7 +169,7 @@ class TestRaysFromTheWalk:
         return verts, {canonical_ray(r) for r in rays}
 
     def test_quadrant_rays_on_one_row_each(self):
-        # (1, 0) lies on the last row alone, a prefix with no later row
+        # (1, 0) lies on the last row alone
         verts, rays = self._walk(QUADRANT)
         assert [v.point for v in verts] == [(0, 0)]
         assert rays == {(0, 1), (1, 0)}
@@ -309,7 +309,7 @@ class TestBeyondAcceptance:
         assert degenerate
 
     def test_empty_sets_have_no_vertex_or_ray(self):
-        # a.x <= -1 and a.x >= 1 together: the start search finds nothing
+        # a.x <= -1 and a.x >= 1 together: phase one proves the set empty
         rng = random.Random(31)
         for m in (8, 12, 20):
             P = random_polytope4(rng, m, empty=True)

@@ -7,6 +7,7 @@ import pytest
 from polycone import (
     DIVERGENT,
     PLUS_INFINITY,
+    Cone,
     ConstraintTrajectory,
     CostTrajectory,
     HalfSpace,
@@ -266,6 +267,19 @@ class TestWindowDistance:
             kinds.add(kind)
             radii.add(R)
         assert kinds == {"trivial", "spanning", "lines", "random"} and len(radii) > 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_trivial_cone_is_the_origin(self, n):
+        # the trivial cone's window is read off without a walk, and equals,
+        # float for float, the support of its walked cut {+-x_j <= 0} in the box
+        trivial = Cone(n, generators=())
+        dirs = default_directions(n)
+        for R in (F(1, 7), F(1), F(5, 2), F(10)):
+            rows = [HalfSpace(tuple(s * int(k == j) for k in range(n)), b)
+                    for j in range(n) for s in (1, -1) for b in (0, R)]
+            points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(Polyhedron(n, rows))]
+            walked = [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in dirs]
+            assert repr(_window_support(trivial, R, dirs)) == repr(walked)
 
     def test_supports_match_lp_oracle(self):
         # the vertex-enumeration support equals the direct LP support

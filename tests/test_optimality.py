@@ -21,6 +21,7 @@ from polycone import (
     solve_lp,
     stability_cone,
 )
+from polycone.geometry import active_normals
 from polycone.linalg import dot, vec_neg
 
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     random_polyhedron,
     random_polytope4,
     reference_improving_rays,
+    reference_walk,
     reference_project_onto_span,
     reference_recession_ray,
 )
@@ -246,9 +248,9 @@ class TestRaysAgainstRayPolyhedron:
         # is every improving extreme ray, which the walk must find in full
         walked, walk = {}, optimality._vertices
 
-        def kept(work, aug, rays):
+        def kept(work, aug, rays, farkas):
             walked["rays"] = rays
-            return walk(work, aug, rays)
+            return walk(work, aug, rays, farkas)
 
         monkeypatch.setattr(optimality, "_vertices", kept)
         seen = {"extreme": 0, "lineality": 0, "Attained": 0, "Infeasible": 0, "slices": 0}
@@ -281,23 +283,104 @@ class TestRaysAgainstRayPolyhedron:
         assert seen.pop("lineality") >= 50 and min(seen.values()) >= 100, seen
 
 
+def _phase_one_corpus():
+    """Draws for phase one against the prefix start, with a cost each:
+    ``random_degenerate_polyhedron`` at n = 1..5 (degenerate vertices, a
+    duplicated row, about a third not pointed), each again made empty by a
+    flipped row moved 1 past its original, and ``random_polytope4`` draws
+    with an empty pair of rows."""
+    rng = random.Random(83)
+    for n, count in zip(range(1, 6), (60, 60, 40, 16, 6)):
+        for _ in range(count):
+            P = random_degenerate_polyhedron(rng, n)
+            hs = P.halfspaces[rng.randrange(P.m)]
+            for Q in (P, P.with_rows([HalfSpace(vec_neg(hs.a), -hs.b - 1)])):
+                yield Q, tuple(F(rng.randint(-2, 2)) for _ in range(n))
+    for m in (8, 10, 12, 14):
+        yield random_polytope4(rng, m, empty=True), random_cost(rng, 4)
+
+
+class TestPhaseOne:
+    def test_against_the_prefix_start(self):
+        # the same vertices and rays as the walk from the old prefix-line
+        # start (on the lineality slice too), Farkas multipliers that prove
+        # emptiness, and tie certificates equal to cone_member's
+        seen = {"pointed": 0, "slices": 0, "Infeasible": 0, "non-pointed Infeasible": 0, "ties": 0}
+        for P, c in _phase_one_corpus():
+            sol = solve_glp(P, c)
+            walked = [P] if sol.solved_on is None or sol.solved_on is P else [P, sol.solved_on]
+            for Q in walked:
+                rays, reference_rays = [], []
+                vertices = geometry._vertices(Q, geometry._integer_rows(Q), rays)
+                assert repr(vertices) == repr(reference_walk(Q, reference_rays))
+                assert sorted(map(tuple, rays)) == sorted(map(tuple, reference_rays))
+            if sol.status == "Infeasible":
+                assert is_farkas(P, sol.farkas)
+                seen["Infeasible"] += 1
+                seen["non-pointed Infeasible"] += geometry._lex_basis(P.row_matrix(), range(P.m), P.n) is None
+                continue
+            seen["pointed" if len(walked) == 1 else "slices"] += 1
+            for v, cert in zip(sol.optimal_vertices, sol.certificate):
+                assert repr(cert) == repr(cone_member(active_normals(sol.solved_on, v.active), vec_neg(c)))
+                seen["ties"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("rows, vertices", [
+        # x0 = (1, 1) misses the three rows after x <= 1, y <= 1 by 1 each
+        # in integer rows (two of them the same row), and x + y >= 3/2
+        # contradicts x + y <= 1: empty
+        ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((1, 1), 1), ((2, 1), 2), ((-1, -1), F(-3, 2))], None),
+        # x0 = (1, 1) misses the four rows after x <= 1, y <= 1 by 1 each
+        # in integer rows (two of them the same row): the simplex x, y >= 0,
+        # x + y <= 1 with a degenerate vertex (1, 0)
+        ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((1, 1), 1), ((2, 1), 2), ((1, 2), 2), ((-1, 0), 0),
+          ((0, -1), 0)], [(0, 0), (0, 1), (1, 0)]),
+    ], ids=["empty", "simplex"])
+    def test_degenerate_lifted_start_terminates(self, monkeypatch, rows, vertices):
+        # every missed row is tight at the lifted start (x0, 1), so it has
+        # more tight rows than its basis and the first ratio tests tie
+        P = Polyhedron.from_rows(2, rows)
+        pivots, exchange = [], geometry._exchange
+
+        def counted(a, M, det, j):
+            if len(a) == P.n + 1:
+                pivots.append(a)
+            return exchange(a, M, det, j)
+
+        monkeypatch.setattr(geometry, "_exchange", counted)
+        sol = solve_glp(P, (1, 1))
+        assert pivots
+        if vertices is None:
+            assert sol.status == "Infeasible" and is_farkas(P, sol.farkas)
+        else:
+            assert [v.point for v in enumerate_vertices(P)] == vertices
+            assert sol.status == "Attained" and [v.point for v in sol.optimal_vertices] == [(0, 0)]
+
+
 class TestWorkBudget:
-    """Walks and cone tests per verdict, counted where solve_glp calls them."""
+    """Walks and normal-cone tests per verdict, counted where solve_glp calls
+    them: ``certificates`` counts the tied vertices certified, ``cone
+    tests`` the simplex runs of ``cone_member`` among them."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"walks": 0, "cone tests": 0}
-        walk, cone = optimality._vertices, optimality.cone_member
+        counts = {"walks": 0, "certificates": 0, "cone tests": 0}
+        walk, certify, cone = optimality._vertices, optimality._tie_certificate, optimality.cone_member
 
         def counted_walk(*args):
             counts["walks"] += 1
             return walk(*args)
+
+        def counted_certify(*args):
+            counts["certificates"] += 1
+            return certify(*args)
 
         def counted_cone(*args):
             counts["cone tests"] += 1
             return cone(*args)
 
         monkeypatch.setattr(optimality, "_vertices", counted_walk)
+        monkeypatch.setattr(optimality, "_tie_certificate", counted_certify)
         monkeypatch.setattr(optimality, "cone_member", counted_cone)
         return counts
 
@@ -305,25 +388,39 @@ class TestWorkBudget:
         # the improving ray (1, 0) is QUADRANT's edge along its last row
         sol = solve_glp(QUADRANT, (-1, 0))
         assert sol.status == "UnboundedBelow" and sol.ray == (1, 0)
-        assert counts == {"walks": 1, "cone tests": 0}
+        assert counts == {"walks": 1, "certificates": 0, "cone tests": 0}
 
     @pytest.mark.parametrize("P, c, tied", [(TRIANGLE, (1, 1), 1), (TRIANGLE, (0, 1), 2),
                                             (TRIANGLE, (0, 0), 3), (QUADRANT, (1, 0), 1)])
     def test_attained_one_cone_test_per_tied_vertex(self, counts, P, c, tied):
+        # every tied vertex is simplicial, so its membership test is the
+        # sign test on its adjugate and no simplex runs
         sol = solve_glp(P, c)
         assert sol.status == "Attained" and len(sol.optimal_vertices) == tied
-        assert counts == {"walks": 1, "cone tests": tied}
+        assert counts == {"walks": 1, "certificates": tied, "cone tests": 0}
+
+    def test_non_simplicial_tie_runs_the_simplex(self, counts):
+        # x <= 1 touches TRIANGLE at (1, 0), which then has three distinct
+        # active normals in the plane: its certificate is one cone test
+        P = TRIANGLE.with_rows([HalfSpace((1, 0), 1)])
+        sol = solve_glp(P, (-1, 0))
+        assert sol.status == "Attained" and [v.point for v in sol.optimal_vertices] == [(1, 0)]
+        assert counts == {"walks": 1, "certificates": 1, "cone tests": 1}
+        _assert_certified(P, (-1, 0), sol)
 
     def test_infeasible(self, counts):
+        # the rows have rank 1, so phase one runs on the slice y = 0 and
+        # proves it empty: no cone test
         sol = solve_glp(Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)]), (1, 1))
         assert sol.status == "Infeasible"
-        assert counts == {"walks": 1, "cone tests": 1}
+        assert counts == {"walks": 2, "certificates": 0, "cone tests": 0}
 
-    @pytest.mark.parametrize("c, status, cone_tests", [((1, 0), "UnboundedBelow", 1), ((0, 1), "Attained", 2)])
+    @pytest.mark.parametrize("c, status, cone_tests", [((1, 0), "UnboundedBelow", 0), ((0, 1), "Attained", 1)])
     def test_lineality_walks_its_slice(self, counts, c, status, cone_tests):
-        # the Farkas test finds STRIP nonempty, then its slice x = 0 is walked
+        # STRIP's rows have rank 1, so it has no vertex and its slice x = 0
+        # is walked; the slice's optimal vertex (0, 0) has three active rows
         assert solve_glp(STRIP, c).status == status
-        assert counts == {"walks": 2, "cone tests": cone_tests}
+        assert counts == {"walks": 2, "certificates": cone_tests, "cone tests": cone_tests}
 
 
 @pytest.mark.parametrize("ray", [(1, -1), (0, 1), (0, 0)], ids=["leaves-P", "not-improving", "zero"])
@@ -333,6 +430,29 @@ def test_unverified_ray_is_refused(ray):
     rows = geometry._integer_rows(QUADRANT)
     with pytest.raises(AssertionError, match="ray"):
         optimality._unbounded(rows, [-1, 0], tuple(map(F, ray)), QUADRANT, ())
+
+
+@pytest.mark.parametrize("y", [[2, 1, 0], [1, 1, 1], [-1, 0, 1], [0, 0, 0], [1, 1], [1, 1, 0, 0]],
+                         ids=["yA-nonzero", "yb-not-negative", "negative", "zero", "short", "long"])
+def test_unverified_farkas_is_refused(y):
+    # x <= -1, -x <= 0 and x <= 5: the multiples of (1, 1, 0) alone prove
+    # the set empty
+    P = Polyhedron.from_rows(1, [((1,), -1), ((-1,), 0), ((1,), 5)])
+    rows = geometry._integer_rows(P)
+    assert optimality._farkas(rows, [2, 2, 0]) == (1, 1, 0)
+    with pytest.raises(AssertionError, match="Farkas"):
+        optimality._farkas(rows, y)
+
+
+@pytest.mark.parametrize("C", [[-1, 0], [1, -1]], ids=["both-negative", "one-negative"])
+def test_tie_certificate_outside_the_cone_is_refused(C):
+    # at TRIANGLE's corner (0, 0) the normals are (-1, 0) and (0, -1), so
+    # only costs c >= 0 keep it optimal: -C needs the multipliers (-1, 0)
+    # and (1, -1) there
+    normals = geometry.active_normals(TRIANGLE, (0, 1))
+    assert optimality._tie_certificate(normals, [1, 2], 3).multipliers == (F(1, 3), F(2, 3))
+    with pytest.raises(AssertionError, match="normal cone"):
+        optimality._tie_certificate(normals, C, 1)
 
 
 def _rescaled_permutation(data, P):
