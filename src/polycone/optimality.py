@@ -28,6 +28,8 @@ from .geometry import (
 from .linalg import Vector, dot, nullspace, scaled, solve_square, vec_neg
 from .linprog import ConeMembership, cone_member
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class GLPSolution:
@@ -120,7 +122,9 @@ def _farkas(aug, y) -> Vector:
         sum(yi * row[j] for yi, row in zip(y, aug)) for j in range(n)
     ):
         raise AssertionError("Farkas multipliers failed verification")
-    return tuple(Fraction(yi * max(map(abs, row[:n])), -yb) for yi, row in zip(y, aug))
+    # the zero entries, all but at most n + 1, share one Fraction; a list,
+    # not a generator, for the reason given in ``linalg.scaled``
+    return tuple([Fraction(yi * max(map(abs, row[:n])), -yb) if yi else _ZERO for yi, row in zip(y, aug)])
 
 
 def _tie_certificate(normals: tuple[Vector, ...], C: list[int], L: int) -> ConeMembership:

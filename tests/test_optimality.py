@@ -35,9 +35,9 @@ from helpers import (
     random_polyhedron,
     random_polytope4,
     reference_improving_rays,
-    reference_walk,
     reference_project_onto_span,
     reference_recession_ray,
+    reference_walk,
 )
 
 F = Fraction
