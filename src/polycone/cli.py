@@ -288,10 +288,10 @@ def _cmd_limit(args):
 def _cmd_track(args):
     traj = trajectory_from_dict(_load_json(args.input))
     candidate = _candidate_limit(args, traj)
-    base = verify_convergence(traj, candidate, args.window, args.tol, args.seed)
+    base = verify_convergence(traj, candidate, args.window, args.tol)
     tracks = track_vertices(traj, candidate, args.tol)
     cones = tuple(
-        cone_convergence(traj, candidate, t, args.tol, args.seed)
+        cone_convergence(traj, candidate, t, args.tol)
         for t in tracks.tracks
         if t.converged
     )
@@ -302,15 +302,15 @@ def _cmd_track(args):
 def _cmd_argmax(args):
     traj = trajectory_from_dict(_load_json(args.input))
     candidate = _candidate_limit(args, traj)
-    base = verify_convergence(traj, candidate, args.window, args.tol, args.seed)
-    rep = argmax_convergence(traj, candidate, args.window, args.tol, args.eps_limit, args.seed)
+    base = verify_convergence(traj, candidate, args.window, args.tol)
+    rep = argmax_convergence(traj, candidate, args.window, args.tol, args.eps_limit)
     return 0, dataclasses.replace(base, argmax=rep).to_dict()
 
 
 def _cmd_boundary(args):
     traj = trajectory_from_dict(_load_json(args.input))
     candidate = _candidate_limit(args, traj)
-    rep = boundary_convergence(traj, candidate, args.window, args.tol, seed=args.seed)
+    rep = boundary_convergence(traj, candidate, args.window, args.tol)
     return 0, rep.to_dict()
 
 
@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="candidate limit polyhedron JSON (default: constructed)")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--window", type=float, default=None)
-        p.add_argument("--seed", type=int, default=42)
         p.set_defaults(func=fn)
 
     return parser

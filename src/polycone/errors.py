@@ -58,4 +58,4 @@ class MaxNotAttained(PolyconeError):
 
 
 class BadWindow(PolyconeError):
-    """Window radius or direction set violates the preconditions."""
+    """Window radius not positive and finite, or operands of two dimensions."""

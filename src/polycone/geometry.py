@@ -136,16 +136,16 @@ class Cone:
                 if hs.b != 0:
                     raise ValueError("cone half-spaces must pass through the origin")
         if self.generators is not None:
-            scaled = set()
+            rays = set()
             for g in self.generators:
                 if len(g) != self.n:
                     raise DimensionMismatch("cone generator dimension mismatch")
                 if all(x == 0 for x in g):
                     raise ValueError("cone generators must be nonzero")
                 ray = canonical_ray(g)
-                if ray in scaled:
+                if ray in rays:
                     raise ValueError("cone generators duplicate after canonical scaling")
-                scaled.add(ray)
+                rays.add(ray)
 
     @property
     def is_trivial(self) -> bool:

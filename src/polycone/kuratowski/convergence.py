@@ -5,8 +5,8 @@ metric: both sets are cut to the box [-R, R]^n as H-rows (a generator cone
 through its polar) and compared on a fixed direction set (the +/- coordinate
 directions plus seeded pseudorandom unit vectors).  Support values come from
 the vertices of the box-truncated polytope, exact rational points
-converted to binary64 only at the very end, so identical inputs and seeds
-give byte-identical reports.  Each diagnostic validates its window and
+converted to binary64 only at the very end, so identical inputs give
+byte-identical reports.  Each diagnostic validates its window and
 computes the support vectors of the limit side once, before its sample loop.
 
 The metric stands in for the rho-distances of Rockafellar-Wets (Variational
@@ -43,7 +43,8 @@ from ..rationals import format_rational, format_vector, simplest_within
 from ..structure import is_bounded, remove_redundant
 from .limits import PolyhedronTrajectory, _coordinate_limits, _tail, _unit_row
 
-DEFAULT_SEED = 42
+# the fixed seed of the direction set's pseudorandom unit vectors
+DIRECTION_SEED = 42
 DEFAULT_EXTRA_DIRECTIONS = 64
 # boundary_convergence pairs a limit facet only with a sample facet whose
 # normalized (normal, offset) row lies within this Euclidean distance
@@ -60,13 +61,14 @@ class WindowDistance(NamedTuple):
     one_empty: bool = False
 
 
-def default_directions(n: int, seed: int = DEFAULT_SEED) -> list[FloatVector]:
-    """The +/- coordinate directions plus seeded pseudorandom unit vectors."""
+def default_directions(n: int) -> list[FloatVector]:
+    """The +/- coordinate directions plus DEFAULT_EXTRA_DIRECTIONS
+    pseudorandom unit vectors drawn from ``DIRECTION_SEED``."""
     dirs: list[FloatVector] = []
     for j in range(n):
         dirs.append(tuple(1.0 if k == j else 0.0 for k in range(n)))
         dirs.append(tuple(-1.0 if k == j else 0.0 for k in range(n)))
-    rng = random.Random(seed)
+    rng = random.Random(DIRECTION_SEED)
     while len(dirs) < 2 * n + DEFAULT_EXTRA_DIRECTIONS:
         raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
         norm = math.sqrt(sum(v * v for v in raw))
@@ -298,7 +300,6 @@ def verify_convergence(
     candidate: Polyhedron,
     R: float | None = None,
     tol: float = 1e-6,
-    seed: int = DEFAULT_SEED,
 ) -> ConvergenceReport:
     """Window distances from each sampled polyhedron to the candidate limit.
 
@@ -310,7 +311,7 @@ def verify_convergence(
     if _minkowski_weyl(candidate)[4] is not None:
         raise EmptyPolyhedron("candidate limit is empty")
     radius = default_window(candidate) if R is None else float(R)
-    directions = default_directions(T.n, seed)
+    directions = default_directions(T.n)
     window = _checked_window(radius, T.n, candidate.n)
     h_limit = _window_support(candidate, window, directions)
     distances = []
@@ -384,7 +385,6 @@ def cone_convergence(
     limit: Polyhedron,
     track: VertexTrack,
     tol: float = 1e-6,
-    seed: int = DEFAULT_SEED,
 ) -> ConeConvergenceReport:
     """Tangent- and normal-cone window metrics along a converged track, at
     radius 1: a cone cut to [-R, R]^n is R times the cone cut to [-1, 1]^n."""
@@ -392,7 +392,7 @@ def cone_convergence(
         raise TrackNotConverged("cone diagnostics need a converged vertex track")
     c_limit = tangent_cone(limit, track.limit_vertex)
     n_limit = normal_cone(limit, track.limit_vertex)
-    directions = default_directions(T.n, seed)
+    directions = default_directions(T.n)
     window = _checked_window(1.0, T.n, limit.n)
     h_tangent = _window_support(c_limit, window, directions)
     h_normal = _window_support(n_limit, window, directions)
@@ -426,7 +426,6 @@ def argmax_convergence(
     R: float | None = None,
     tol: float = 1e-6,
     eps_limit: float = 1e-3,
-    seed: int = DEFAULT_SEED,
 ) -> ArgmaxReport:
     """Maximizer convergence for the family's cost trajectory.
 
@@ -449,7 +448,7 @@ def argmax_convergence(
     if sol_limit.status != "Attained":
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
     radius = default_window(limit) if R is None else float(R)
-    directions = default_directions(T.n, seed)
+    directions = default_directions(T.n)
     window = _checked_window(radius, T.n, limit.n)
     h_face = _window_support(sol_limit.argmin_face, window, directions)
     limit_count = len(enumerate_vertices(limit))
@@ -490,7 +489,6 @@ def boundary_convergence(
     limit: Polyhedron,
     R: float | None = None,
     tol: float = 1e-6,
-    seed: int = DEFAULT_SEED,
 ) -> BoundaryReport:
     """Boundary metric: window distances between matched facet polyhedra.
 
@@ -501,7 +499,7 @@ def boundary_convergence(
     limit can legitimately have facets with no aligned sample counterpart.
     """
     radius = default_window(limit) if R is None else float(R)
-    directions = default_directions(T.n, seed)
+    directions = default_directions(T.n)
 
     def match_key(hs: HalfSpace) -> FloatVector:
         unit, offset = _unit_row(hs.a, hs.b)

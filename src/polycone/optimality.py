@@ -19,6 +19,8 @@ from .geometry import (
     Polyhedron,
     Vertex,
     _adjugate,
+    _column,
+    _exchange,
     _integer_rows,
     _lex_basis,
     _vertices,
@@ -26,7 +28,7 @@ from .geometry import (
     active_set,
 )
 from .linalg import Vector, dot, nullspace, scaled, solve_square, vec_neg
-from .linprog import ConeMembership, cone_member
+from .linprog import ConeMembership
 
 _ZERO = Fraction(0)
 
@@ -40,10 +42,10 @@ class GLPSolution:
 
     - Attained: every vertex w of minimal value, in enumeration order, with
       a ConeMembership in ``certificate`` proving ``-c in N_w`` over w's
-      distinct active normals; where those number n, the multipliers are
-      unique and read off their adjugate, elsewhere ``cone_member`` finds
-      them.  ``argmin_face`` is the full optimal face of the *original*
-      polyhedron.
+      distinct active normals, read off the adjugate of a basis of them
+      (``_tie_certificate``): nonzero only on that basis, and unique where
+      the normals number n.  ``argmin_face`` is the full optimal face of
+      the *original* polyhedron.
     - UnboundedBelow: ``ray`` is a recession direction of P that strictly
       improves the objective.  When c has a component along the lineality
       space, it is minus that component.  Otherwise it is, of the extreme
@@ -129,23 +131,36 @@ def _farkas(aug, y) -> Vector:
 
 def _tie_certificate(normals: tuple[Vector, ...], C: list[int], L: int) -> ConeMembership:
     """``-c_min = -C / L`` in the cone of a tied vertex's distinct active
-    normals.  When they number n they are a basis G, and the multipliers
-    are unique: ``y = -C M / det`` over G's integer rows with its adjugate
-    ``M = det inv(G)``, and the multiplier of normal i is ``y_i L_i / L``
-    with ``L_i = max|G_i|``, checked to recombine over the integers.
-    Otherwise ``cone_member`` runs."""
+    normals, over their integer rows G.  From the lexicographic basis of G
+    and its adjugate ``M = det inv(G_B)``, with ``y = -C M / det``, each
+    step is degenerate: by Bland's rule (1977), as in ``_phase_one``, the
+    basis row of least index with ``y_j < 0`` leaves and the normal of
+    least index rising along column j of ``-M / det`` enters.  With n
+    normals there is no step.  If no normal rises, that column is a
+    direction of the vertex's tangent cone along which c falls.  The
+    multiplier of basis normal i is ``y_i L_i / L`` with ``L_i = max|G_i|``,
+    0 off the basis, checked to recombine over the integers."""
     n = len(C)
-    if len(normals) != n:
-        return cone_member(normals, tuple(Fraction(-x, L) for x in C))
     G = [tuple(scaled(a)[0]) for a in normals]
-    _, M, det = _adjugate(G, range(n), n)
-    Y = [-sum(map(mul, C, col)) for col in M]
-    if any(y * det < 0 for y in Y) or any(
-        sum(y * g[k] for y, g in zip(Y, G)) != -det * C[k] for k in range(n)
-    ):
+    basis, M, det = _adjugate(G, range(len(G)), n)
+    basis = list(basis)
+    while True:
+        Y = [-sum(map(mul, C, col)) for col in M]
+        falls = [(i, j) for j, (i, y) in enumerate(zip(basis, Y)) if y * det < 0]
+        if not falls:
+            break
+        j = min(falls)[1]
+        d = _column(M[j], det)
+        k = next((k for k, g in enumerate(G) if sum(map(mul, g, d)) > 0), None)
+        if k is None:
+            raise AssertionError("a minimum-value vertex misses the normal cone")
+        M, det = _exchange(G[k], M, det, j)
+        basis[j] = k
+    if any(sum(y * G[i][k] for y, i in zip(Y, basis)) != -det * C[k] for k in range(n)):
         raise AssertionError("a minimum-value vertex misses the normal cone")
+    y = dict(zip(basis, Y))
     return ConeMembership(member=True, multipliers=tuple(
-        Fraction(y * max(map(abs, g)), det * L) for y, g in zip(Y, G)
+        Fraction(y[i] * max(map(abs, g)), det * L) if i in y else _ZERO for i, g in enumerate(G)
     ))
 
 
@@ -155,11 +170,12 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     One walk writes P as ``conv V + cone R + lin L``, or its phase one
     proves P empty.  The objective is unbounded iff it falls along L or a
     ray in R; else ``-c`` (for minimization) lies in the normal cone of
-    every vertex of minimal value.  At a simplicial vertex that is the sign
-    test ``y = -C M / det >= 0`` on the adjugate of its n distinct active
-    normals; the simplex (``cone_member``) runs only at a tied vertex with
-    more.  Each verdict carries its own certificate, checked exactly over
-    integer rows before it is returned.
+    every vertex of minimal value.  That is the sign test
+    ``y = -C M / det >= 0`` on the adjugate of a basis of its distinct
+    active normals, reached by degenerate Bland's-rule exchanges where
+    they number more than n; no simplex runs.  Each verdict carries its
+    own certificate, checked exactly over integer rows before it is
+    returned.
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:

@@ -2,8 +2,10 @@
 
 ``solve_glp``'s walk writes a nonempty P as ``conv V + cone R + lin L``;
 boundedness, implicit equalities, dimension, facets and a minimal
-description follow (Schrijver 1986, ch. 8), and only ``poly_contains``
-runs the simplex.  Operations that need a nonempty P raise EmptyPolyhedron.
+description follow (Schrijver 1986, ch. 8), and ``poly_contains`` reads
+the walk of its inner polyhedron.  No verdict runs an LP; the one cone test
+left is ``remove_redundant``'s over equality normals.  Operations that need
+a nonempty P raise EmptyPolyhedron.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import Cone, IndexSet, Polyhedron, _integer_rows, enumerate_vertices
-from .linalg import Vector, dot, rank
-from .linprog import cone_member, solve_lp
+from .geometry import Cone, IndexSet, Polyhedron, _integer_rows, contains_point, enumerate_vertices
+from .linalg import Vector, dot, rank, vec_neg
+from .linprog import cone_member
 from .optimality import _minkowski_weyl
 
 
@@ -50,15 +52,10 @@ def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
 
 
 def is_bounded(P: Polyhedron) -> bool:
-    """True iff the recession cone ``{d : A d <= 0}`` is trivial.
-
-    Stiemke's alternative: that is so exactly when P has no lineality and
-    ``y A = 0`` for some ``y > 0``; with ``y = 1 + z``, ``z >= 0``, the
-    latter is one cone test: minus the sum of the rows is in their cone.
-    """
-    rows = P.row_matrix()
-    target = tuple(-sum(col) for col in zip(*rows))
-    return not _nonempty(P)[0] and cone_member(rows, target).member
+    """True iff the recession cone ``{d : A d <= 0}`` is trivial: P has no
+    lineality and its walk meets no ray (P = conv V + cone R + lin L)."""
+    lineality, _, rays = _nonempty(P)
+    return not lineality and not rays
 
 
 def _structure(P: Polyhedron) -> tuple[StructureReport, list[list[int]]]:
@@ -120,26 +117,31 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
 def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
     """Exact decision of Q ⊆ P with a violating witness point on failure.
 
-    Per constraint of P the support of Q is compared against the offset;
-    an unbounded support yields a ray-displaced witness.
+    One walk writes Q as ``conv V + cone R + lin L``; an empty Q is
+    contained.  Q satisfies a row ``a.x <= b`` of P iff the first vertex of
+    largest ``a.x`` does and no direction d among R, +L and -L has
+    ``a.d > 0``.  At the first row that fails, that vertex, or it moved
+    along the first such d until it violates the row, is the witness,
+    checked to lie in Q and outside P.
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
+    _, lineality, vertices, rays, farkas = _minkowski_weyl(Q)
+    if farkas is not None:
+        return Containment(True, None)
+    directions = [*rays, *lineality, *map(vec_neg, lineality)]
     for hs in P.halfspaces:
-        res = solve_lp(Q, hs.a, "max")
-        if res.status == "Infeasible":  # Q is empty
-            return Containment(True, None)
-        if res.status == "Optimal":
-            if res.value <= hs.b:
+        values = [dot(hs.a, v.point) for v in vertices]
+        best = max(values)
+        witness = vertices[values.index(best)].point
+        if best <= hs.b:
+            d = next((d for d in directions if dot(hs.a, d) > 0), None)
+            if d is None:
                 continue
-            return Containment(False, res.point)
-        # Unbounded: displace the base point along the ray until it violates.
-        gain = dot(hs.a, res.ray)
-        if gain <= 0:
-            raise AssertionError("unbounded support with non-improving ray")
-        need = hs.b - dot(hs.a, res.point)
-        t = Fraction(max(1, (need / gain).__ceil__() + 1))
-        witness = tuple(p + t * r for p, r in zip(res.point, res.ray))
+            t = Fraction(max(1, ((hs.b - best) / dot(hs.a, d)).__ceil__() + 1))
+            witness = tuple(p + t * x for p, x in zip(witness, d))
+        if not contains_point(Q, witness) or hs.slack(witness) >= 0:
+            raise AssertionError("containment witness failed verification")
         return Containment(False, witness)
     return Containment(True, None)
 
@@ -150,7 +152,8 @@ def reconstruct_check(P: Polyhedron) -> bool:
     A tangent-cone row ``A_i v <= 0`` of vertex w translates to
     ``A_i x <= A_i w = b_i``, P's own row i, so the intersection R is the
     set of rows active at some vertex.  Hence ``P ⊆ R`` always, and
-    ``R ⊆ P`` needs an LP only for the rows that no vertex makes active.
+    ``R ⊆ P`` needs ``poly_contains`` (R's walk) only for the rows that no
+    vertex makes active.
     """
     vertices = enumerate_vertices(P)
     if not vertices:

@@ -9,6 +9,7 @@ from operator import mul
 
 from polycone import (
     Cone,
+    Containment,
     HalfSpace,
     Polyhedron,
     StructureReport,
@@ -16,11 +17,10 @@ from polycone import (
     contains_point,
     enumerate_vertices,
     find_feasible_point,
-    poly_contains,
     solve_lp,
 )
 from polycone import geometry
-from polycone.errors import EmptyPolyhedron, NoVertices
+from polycone.errors import DimensionMismatch, EmptyPolyhedron, NoVertices
 from polycone.geometry import Vertex
 from polycone.linalg import dot, null_direction, vec_neg
 
@@ -600,7 +600,32 @@ def reference_reconstruct_check(P: Polyhedron) -> bool:
                 seen.add(key)
                 rows.append(translated)
     R = Polyhedron(P.n, rows)
-    return poly_contains(R, P).holds and poly_contains(P, R).holds
+    return reference_poly_contains(R, P).holds and reference_poly_contains(P, R).holds
+
+
+def reference_poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
+    """Reference for ``polycone.poly_contains``: per row of P, the support
+    LP of Q compared against the offset; an unbounded support yields a
+    ray-displaced witness."""
+    if P.n != Q.n:
+        raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
+    for hs in P.halfspaces:
+        res = solve_lp(Q, hs.a, "max")
+        if res.status == "Infeasible":  # Q is empty
+            return Containment(True, None)
+        if res.status == "Optimal":
+            if res.value <= hs.b:
+                continue
+            return Containment(False, res.point)
+        # Unbounded: displace the base point along the ray until it violates.
+        gain = dot(hs.a, res.ray)
+        if gain <= 0:
+            raise AssertionError("unbounded support with non-improving ray")
+        need = hs.b - dot(hs.a, res.point)
+        t = Fraction(max(1, (need / gain).__ceil__() + 1))
+        witness = tuple(p + t * r for p, r in zip(res.point, res.ray))
+        return Containment(False, witness)
+    return Containment(True, None)
 
 
 def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:

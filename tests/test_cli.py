@@ -322,6 +322,13 @@ class TestExitCodes:
             run_cli(["limit", files["remark"], option, value])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("verb", ["track", "argmax", "boundary"])
+    def test_seed_is_no_option(self, files, verb):
+        # the direction set's seed is fixed
+        with pytest.raises(SystemExit) as exc:
+            run_cli([verb, files["remark"], "--seed", "42"])
+        assert exc.value.code == 1
+
     def test_track_rejects_a_negative_window(self, files):
         code, out = run_cli(["track", files["remark"], "--window", "-1"])
         assert code == 1

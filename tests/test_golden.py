@@ -156,7 +156,8 @@ DIGESTS = {
     'sensitivity union -1,-4': (0, 'f50bd61217e00ab97dc09957c600463493db263c540bb2bc43af87cee26c6934'),
     'contains quadrant triangle': (0, 'bf847b7c8f2b80ad43fee41422a3fc2cb661f9b9e5425d2ae4cde153a8cc5e1a'),
     'contains triangle quadrant': (0, '4d8b65fbbf07fcfad4c864d7f974160aeb6f2c036baa5cb72aaf7cbacd2b762f'),
-    'contains triangle y1': (0, 'b8d26672ddd045f3fbb52228b852adbe72248d671e320d31fb81505aaa9f6cce'),
+    # witness (-2, 1): Y1's first vertex of largest -x, read off Y1's walk
+    'contains triangle y1': (0, '741a6c6edfb1a8b869d9eb8d4f099749f684581b09ebcf30b4a0fc1802440361'),
     'contains quadrant halfline': (0, 'bf847b7c8f2b80ad43fee41422a3fc2cb661f9b9e5425d2ae4cde153a8cc5e1a'),
     'contains strip halfline': (0, 'bf847b7c8f2b80ad43fee41422a3fc2cb661f9b9e5425d2ae4cde153a8cc5e1a'),
     'contains halfline strip': (0, 'ae459c28ae621302751753c69c98bba9db42c7235a6a3e749e601ecff4ac7d18'),

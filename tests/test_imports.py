@@ -2,9 +2,11 @@
 
 ``geometry`` and ``linalg`` must import nothing from ``linprog``,
 ``optimality`` or ``structure``, so the simplex in ``linprog`` remains an
-independent oracle for what the vertex walk finds.  The Kuratowski modules
-use ``optimality`` and ``structure`` but import nothing from ``linprog``
-directly.
+independent oracle for what the vertex walk finds.  ``optimality`` takes
+only the ``ConeMembership`` type from ``linprog``, and ``structure`` only
+``cone_member``, for its test on implicit-equality normals.  The
+Kuratowski modules use ``optimality`` and ``structure`` but import nothing
+from ``linprog`` directly.
 """
 import ast
 import pathlib
@@ -31,6 +33,23 @@ def _imported(source: str) -> set[str]:
     return names
 
 
+def _taken_from(source: str, module: str) -> set[str]:
+    """The names source imports from the package module ``module``, with
+    ``*`` for the module itself (``import polycone.linprog``, ``from .
+    import linprog``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(module in alias.name.split(".") for alias in node.names):
+                names.add("*")
+        elif isinstance(node, ast.ImportFrom):
+            if module in (node.module or "").split("."):
+                names.update(alias.name for alias in node.names)
+            elif node.module in (None, "polycone") and module in (alias.name for alias in node.names):
+                names.add("*")
+    return names
+
+
 @pytest.mark.parametrize("module", ["geometry.py", "linalg.py"])
 def test_kernel_imports_nothing_from_the_simplex_side(module):
     assert not _imported((SRC / module).read_text(encoding="utf-8")) & SIMPLEX_SIDE
@@ -53,3 +72,24 @@ def test_kuratowski_imports_nothing_from_the_simplex(module):
 )
 def test_guard_sees_each_import_form(line):
     assert _imported(line) & SIMPLEX_SIDE
+
+
+@pytest.mark.parametrize("module, allowed", [("optimality.py", {"ConeMembership"}), ("structure.py", {"cone_member"})])
+def test_verdicts_take_only_the_oracle_type_from_the_simplex(module, allowed):
+    assert _taken_from((SRC / module).read_text(encoding="utf-8"), "linprog") <= allowed
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("from .linprog import ConeMembership, solve_lp", {"ConeMembership", "solve_lp"}),
+        ("from polycone.linprog import cone_member", {"cone_member"}),
+        ("from . import linprog", {"*"}),
+        ("import polycone.linprog", {"*"}),
+        ("from polycone import linprog as lp", {"*"}),
+        ("def f():\n    from .linprog import solve_lp", {"solve_lp"}),
+        ("from .linalg import dot", set()),
+    ],
+)
+def test_name_guard_sees_each_import_form(line, names):
+    assert _taken_from(line, "linprog") == names

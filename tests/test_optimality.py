@@ -1,3 +1,4 @@
+import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from polycone import (
     enumerate_vertices,
     errors,
     geometry,
+    linprog,
     normal_cone,
     optimality,
     poly_contains,
@@ -41,6 +43,7 @@ from helpers import (
 )
 
 F = Fraction
+structure_module = importlib.import_module("polycone.structure")
 
 
 class TestSolveGLP:
@@ -157,8 +160,9 @@ class TestWithoutSimplex:
         def refuse(*args, **kwargs):
             raise AssertionError("solve_glp ran the simplex")
 
-        monkeypatch.setattr("polycone.linprog.solve_lp", refuse, raising=False)
-        monkeypatch.setattr("polycone.optimality.solve_lp", refuse, raising=False)
+        for name in ("solve_lp", "cone_member"):
+            for module in ("linprog", "optimality"):
+                monkeypatch.setattr(f"polycone.{module}.{name}", refuse, raising=False)
 
     @pytest.mark.parametrize(
         "P, c, status",
@@ -171,9 +175,10 @@ class TestWithoutSimplex:
             (STRIP, (1, 0), "UnboundedBelow"),
             (Polyhedron.from_rows(2, [((0, -1), 0)]), (0, -1), "UnboundedBelow"),
             (Polyhedron.from_rows(2, [((0, 1), -1), ((0, -1), 0)]), (0, 1), "Infeasible"),
+            (TRIANGLE.with_rows([HalfSpace((1, 0), 1)]), (-1, 0), "Attained"),
         ],
         ids=["pointed-attained", "pointed-tied", "pointed-unbounded", "pointed-empty", "strip-attained",
-             "strip-lineality-ray", "halfplane-slice-ray", "non-pointed-empty"],
+             "strip-lineality-ray", "halfplane-slice-ray", "non-pointed-empty", "non-simplicial-tie"],
     )
     def test_each_status_certified(self, P, c, status):
         sol = solve_glp(P, c)
@@ -304,8 +309,10 @@ class TestPhaseOne:
     def test_against_the_prefix_start(self):
         # the same vertices and rays as the walk from the old prefix-line
         # start (on the lineality slice too), Farkas multipliers that prove
-        # emptiness, and tie certificates equal to cone_member's
-        seen = {"pointed": 0, "slices": 0, "Infeasible": 0, "non-pointed Infeasible": 0, "ties": 0}
+        # emptiness, and tie multipliers >= 0 that recombine -c, equal to
+        # cone_member's where the tie has n distinct active normals
+        seen = {"pointed": 0, "slices": 0, "Infeasible": 0, "non-pointed Infeasible": 0, "ties": 0,
+                "non-simplicial ties": 0}
         for P, c in _phase_one_corpus():
             sol = solve_glp(P, c)
             walked = [P] if sol.solved_on is None or sol.solved_on is P else [P, sol.solved_on]
@@ -320,9 +327,15 @@ class TestPhaseOne:
                 seen["non-pointed Infeasible"] += geometry._lex_basis(P.row_matrix(), range(P.m), P.n) is None
                 continue
             seen["pointed" if len(walked) == 1 else "slices"] += 1
+            _assert_certified(P, c, sol)
             for v, cert in zip(sol.optimal_vertices, sol.certificate):
-                assert repr(cert) == repr(cone_member(active_normals(sol.solved_on, v.active), vec_neg(c)))
-                seen["ties"] += 1
+                normals = active_normals(sol.solved_on, v.active)
+                assert cert.member and min(cert.multipliers) >= 0
+                if len(normals) == P.n:
+                    assert repr(cert) == repr(cone_member(normals, vec_neg(c)))
+                    seen["ties"] += 1
+                else:
+                    seen["non-simplicial ties"] += 1
         assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("rows, vertices", [
@@ -360,12 +373,12 @@ class TestPhaseOne:
 class TestWorkBudget:
     """Walks and normal-cone tests per verdict, counted where solve_glp calls
     them: ``certificates`` counts the tied vertices certified, ``cone
-    tests`` the simplex runs of ``cone_member`` among them."""
+    tests`` the simplex runs of ``cone_member``, counted in ``linprog``."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"walks": 0, "certificates": 0, "cone tests": 0}
-        walk, certify, cone = optimality._vertices, optimality._tie_certificate, optimality.cone_member
+        walk, certify, cone = optimality._vertices, optimality._tie_certificate, linprog.cone_member
 
         def counted_walk(*args):
             counts["walks"] += 1
@@ -381,7 +394,9 @@ class TestWorkBudget:
 
         monkeypatch.setattr(optimality, "_vertices", counted_walk)
         monkeypatch.setattr(optimality, "_tie_certificate", counted_certify)
-        monkeypatch.setattr(optimality, "cone_member", counted_cone)
+        for module in (linprog, optimality, structure_module):
+            if getattr(module, "cone_member", None) is cone:
+                monkeypatch.setattr(module, "cone_member", counted_cone)
         return counts
 
     def test_unbounded_ray_on_the_last_row_alone(self, counts):
@@ -399,13 +414,15 @@ class TestWorkBudget:
         assert sol.status == "Attained" and len(sol.optimal_vertices) == tied
         assert counts == {"walks": 1, "certificates": tied, "cone tests": 0}
 
-    def test_non_simplicial_tie_runs_the_simplex(self, counts):
+    def test_non_simplicial_tie_runs_no_cone_test(self, counts):
         # x <= 1 touches TRIANGLE at (1, 0), which then has three distinct
-        # active normals in the plane: its certificate is one cone test
+        # active normals in the plane: its certificate comes from the
+        # adjugate of the first two, with 0 on x <= 1
         P = TRIANGLE.with_rows([HalfSpace((1, 0), 1)])
         sol = solve_glp(P, (-1, 0))
         assert sol.status == "Attained" and [v.point for v in sol.optimal_vertices] == [(1, 0)]
-        assert counts == {"walks": 1, "certificates": 1, "cone tests": 1}
+        assert sol.certificate[0].multipliers == (1, 1, 0)
+        assert counts == {"walks": 1, "certificates": 1, "cone tests": 0}
         _assert_certified(P, (-1, 0), sol)
 
     def test_infeasible(self, counts):
@@ -415,12 +432,54 @@ class TestWorkBudget:
         assert sol.status == "Infeasible"
         assert counts == {"walks": 2, "certificates": 0, "cone tests": 0}
 
-    @pytest.mark.parametrize("c, status, cone_tests", [((1, 0), "UnboundedBelow", 0), ((0, 1), "Attained", 1)])
-    def test_lineality_walks_its_slice(self, counts, c, status, cone_tests):
+    @pytest.mark.parametrize("c, status, certificates", [((1, 0), "UnboundedBelow", 0), ((0, 1), "Attained", 1)])
+    def test_lineality_walks_its_slice(self, counts, c, status, certificates):
         # STRIP's rows have rank 1, so it has no vertex and its slice x = 0
-        # is walked; the slice's optimal vertex (0, 0) has three active rows
+        # is walked; the slice's optimal vertex (0, 0) has three active
+        # rows, and its certificate runs no cone test
         assert solve_glp(STRIP, c).status == status
-        assert counts == {"walks": 2, "certificates": cone_tests, "cone tests": cone_tests}
+        assert counts == {"walks": 2, "certificates": certificates, "cone tests": 0}
+
+
+def _apex_corpus():
+    """Cones ``{x : (u, -1).x <= 0}`` with apex 0 at n = 2-4, with k = n + 1
+    to 3n + 2 distinct integer u, and a cost each with -c a sparse
+    nonnegative integer combination of the normals: the apex is the only
+    vertex, attained, with all k normals active."""
+    rng = random.Random(29)
+    for n in (2, 3, 4):
+        for k in range(n + 1, 3 * n + 3):
+            for _ in range(12):
+                rows = []
+                while len(rows) < k:
+                    row = tuple(rng.randint(-5, 5) for _ in range(n - 1)) + (-1,)
+                    if row not in rows:
+                        rows.append(row)
+                weights = [rng.choice((0, 0, 0, 1, 2)) for _ in rows]
+                c = tuple(-sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n))
+                yield Polyhedron.from_rows(n, [(row, 0) for row in rows]), c
+
+
+def test_apex_ties_pivot_to_their_certificates(monkeypatch):
+    # the lexicographic basis of the apex's normals often misses -c, so
+    # Bland's rule pivots, each step one exchange; the result is exact
+    pivots, exchange = [0], optimality._exchange
+
+    def counted(*args):
+        pivots[0] += 1
+        return exchange(*args)
+
+    monkeypatch.setattr(optimality, "_exchange", counted)
+    pivoted = 0
+    for P, c in _apex_corpus():
+        before = pivots[0]
+        sol = solve_glp(P, c)
+        assert sol.status == "Attained" and sol.value == 0
+        assert [v.point for v in sol.optimal_vertices] == [(0,) * P.n]
+        assert min(sol.certificate[0].multipliers) >= 0
+        _assert_certified(P, c, sol)
+        pivoted += pivots[0] > before
+    assert pivoted >= 100, pivoted
 
 
 @pytest.mark.parametrize("ray", [(1, -1), (0, 1), (0, 0)], ids=["leaves-P", "not-improving", "zero"])

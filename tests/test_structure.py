@@ -29,6 +29,7 @@ from helpers import (
     random_degenerate_polyhedron,
     random_feasible_pointed,
     reference_is_bounded,
+    reference_poly_contains,
     reference_reconstruct_check,
     reference_remove_redundant,
     reference_structure,
@@ -198,30 +199,31 @@ class TestReconstruct:
 
 @pytest.fixture
 def counts(monkeypatch):
-    """LPs and cone tests, counted where the library calls them: solve_lp
-    in polycone.structure and polycone.linprog (so feasibility LPs count
-    too), cone_member in polycone.structure and polycone.optimality."""
+    """LPs and cone tests, counted in polycone.linprog and under every name
+    polycone.structure and polycone.optimality bind them to (so
+    feasibility LPs count too)."""
     counts = {"cone_member": 0, "solve_lp": 0}
-    for module, name in ((structure_module, "solve_lp"), (linprog_module, "solve_lp"),
-                         (structure_module, "cone_member"), (optimality_module, "cone_member")):
-        real = getattr(module, name)
+    for name in list(counts):
+        real = getattr(linprog_module, name)
 
         def counted(*args, name=name, real=real):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        for module in (linprog_module, structure_module, optimality_module):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
     return counts
 
 
 class TestWorkBudget:
-    """The structure layer reads the walk: no LP runs outside
-    poly_contains and the unused rows of reconstruct_check."""
+    """The structure layer reads the walk: no LP runs, and the one cone
+    test left is remove_redundant's over implicit-equality normals."""
 
     @pytest.mark.parametrize("P, bounded", [(TRIANGLE, True), (QUADRANT, False)])
-    def test_is_bounded_one_cone_test(self, counts, P, bounded):
+    def test_is_bounded_no_cone_test(self, counts, P, bounded):
         assert is_bounded(P) is bounded
-        assert counts == {"cone_member": 1, "solve_lp": 0}
+        assert counts == {"cone_member": 0, "solve_lp": 0}
 
     @pytest.mark.parametrize("P", [TRIANGLE, QUADRANT, HALF_LINE, STRIP, X_AXIS],
                              ids=["triangle", "quadrant", "half-line", "strip", "x-axis"])
@@ -230,6 +232,7 @@ class TestWorkBudget:
         remove_redundant(P)
         recession_and_lineality(P)
         is_bounded(P)
+        poly_contains(P, P)
         assert counts["solve_lp"] == 0
 
     @pytest.mark.parametrize("P, kept, cone_tests", [(TRIANGLE.with_rows([HalfSpace((1, 0), 5)]), 3, 0),
@@ -245,23 +248,26 @@ class TestWorkBudget:
         assert reconstruct_check(TRIANGLE)
         assert counts == {"cone_member": 0, "solve_lp": 0}
 
-    def test_reconstruct_tests_only_the_unused_row(self, counts):
-        # x <= 5 is active at no vertex of the triangle
+    def test_reconstruct_tests_only_the_unused_row(self, counts, monkeypatch):
+        # x <= 5 is active at no vertex of the triangle: one containment
+        # test, on the walk of the triangle's own rows
         P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
+        calls, contains = [], structure_module.poly_contains
+        monkeypatch.setattr(structure_module, "poly_contains", lambda *args: calls.append(args) or contains(*args))
         assert reconstruct_check(P)
-        assert counts == {"cone_member": 0, "solve_lp": 1}
+        assert [(outer.m, inner.m) for outer, inner in calls] == [(1, 3)]
+        assert counts == {"cone_member": 0, "solve_lp": 0}
 
 
 def test_emptiness_read_from_the_walk(counts):
     """structure, remove_redundant, is_bounded and recession_and_lineality
-    take emptiness from the walk's phase one, with no cone test and no LP;
-    poly_contains reads it off its first support LP."""
+    take emptiness from the walk's phase one, with no cone test and no LP,
+    and poly_contains finds an empty inner polyhedron the same way."""
     for check in (structure, remove_redundant, is_bounded, recession_and_lineality):
         with pytest.raises(errors.EmptyPolyhedron, match="^operation requires a nonempty polyhedron$"):
             check(EMPTY)
-    assert counts == {"cone_member": 0, "solve_lp": 0}
     assert poly_contains(TRIANGLE, Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)])) == (True, None)
-    assert counts == {"cone_member": 0, "solve_lp": 1}
+    assert counts == {"cone_member": 0, "solve_lp": 0}
 
 
 def test_reconstruct_catches_a_missing_vertex(monkeypatch):
@@ -344,3 +350,40 @@ def test_agrees_with_reference_oracles(monkeypatch):
             key = (check.__name__, got)
             seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 10 and min(seen.values()) >= 50, seen
+
+
+def _containment_pairs(rng):
+    """(P, Q, kind of Q) over every third corpus draw Q: Q inside another
+    draw of its dimension, inside Q with some rows dropped (contained), and
+    inside Q with one row moved in by 1 (often not)."""
+    corpus = _differential_corpus(rng)
+    by_n = {}
+    for P in corpus:
+        by_n.setdefault(P.n, []).append(P)
+    for Q in corpus[::3]:
+        try:
+            report = structure(Q)
+            kind = "non-pointed" if report.lineality_basis else "flat" if report.dimension < Q.n else "pointed"
+        except errors.EmptyPolyhedron:
+            kind = "empty"
+        rows = list(Q.halfspaces)
+        dropped = rng.sample(rows, rng.randint(1, len(rows)))
+        k = rng.randrange(len(rows))
+        moved = rows[:k] + [HalfSpace(rows[k].a, rows[k].b - 1)] + rows[k + 1:]
+        for P in (rng.choice(by_n[Q.n]), Polyhedron(Q.n, dropped), Polyhedron(Q.n, moved)):
+            yield P, Q, kind
+
+
+def test_poly_contains_agrees_with_the_lp_oracle():
+    """poly_contains, read off Q's walk, gives the LP oracle's verdict on
+    every pair, and each witness lies in Q and outside P."""
+    seen = {}
+    for P, Q, kind in _containment_pairs(random.Random(89)):
+        got = poly_contains(P, Q)
+        assert got.holds == reference_poly_contains(P, Q).holds, (P, Q)
+        if got.holds:
+            assert got.witness is None
+        else:
+            assert contains_point(Q, got.witness) and not contains_point(P, got.witness), (P, Q)
+        seen[kind, got.holds] = seen.get((kind, got.holds), 0) + 1
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
