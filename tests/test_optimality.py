@@ -514,6 +514,14 @@ def test_tie_certificate_outside_the_cone_is_refused(C):
         optimality._tie_certificate(normals, C, 1)
 
 
+def test_tie_certificate_takes_blands_path():
+    # at the first basis, (0, -1) and (1, 1), both multipliers of -c = (-2, 3)
+    # are negative; the least row leaves first, and the exchanges end at the
+    # basis (1/2, 1), (-1, 1) (leaving the other first ends at (1, 1), (-1, 1))
+    normals = ((F(0), F(-1)), (F(1), F(1)), (F(1, 2), F(1)), (F(-1), F(1)))
+    assert optimality._tie_certificate(normals, [2, -3], 1).multipliers == (0, 0, F(2, 3), F(7, 3))
+
+
 def _rescaled_permutation(data, P):
     """P's rows in a drawn order, each times a drawn positive rational (which
     HalfSpace's canonical form absorbs, so only the order reaches the walk)."""

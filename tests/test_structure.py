@@ -17,6 +17,7 @@ from polycone import (
     remove_redundant,
     structure,
 )
+from polycone.geometry import Vertex
 from polycone.linalg import vec_neg
 
 import helpers
@@ -169,6 +170,13 @@ class TestPolyContains:
         Q = TRIANGLE.with_rows([Polyhedron.from_rows(2, [((1, 0), 9)]).halfspaces[0]])
         assert poly_contains(P, Q).holds and poly_contains(Q, P).holds
 
+    @pytest.mark.parametrize("P", [HALF_LINE, Polyhedron.from_rows(2, [((1, 0), 0)])], ids=["x >= 0", "x <= 0"])
+    def test_line_leaves_both_half_planes(self, P):
+        # the x-axis is its lineality; one of the two cases needs -L
+        res = poly_contains(P, X_AXIS)
+        assert not res.holds
+        assert contains_point(X_AXIS, res.witness) and not contains_point(P, res.witness)
+
     def test_empty_inner_contained(self):
         assert poly_contains(TRIANGLE, Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)])).holds
 
@@ -270,6 +278,15 @@ def test_emptiness_read_from_the_walk(counts):
     assert counts == {"cone_member": 0, "solve_lp": 0}
 
 
+def test_unverified_witness_is_refused(monkeypatch):
+    # a walk of TRIANGLE that lists (-1, 0), outside it, as its vertex:
+    # the witness against QUADRANT's row -x <= 0 fails its check
+    fake = Vertex(point=(F(-1), F(0)), active=(), defining=())
+    monkeypatch.setattr(structure_module, "_minkowski_weyl", lambda Q: (Q, (), [fake], [], None))
+    with pytest.raises(AssertionError, match="witness"):
+        poly_contains(QUADRANT, TRIANGLE)
+
+
 def test_reconstruct_catches_a_missing_vertex(monkeypatch):
     # without vertex (0, 1) of {x >= 0, y >= 0, x + y >= 1}, row x >= 0 is
     # active at no listed vertex, and the listed rows allow x -> -infinity
@@ -361,11 +378,7 @@ def _containment_pairs(rng):
     for P in corpus:
         by_n.setdefault(P.n, []).append(P)
     for Q in corpus[::3]:
-        try:
-            report = structure(Q)
-            kind = "non-pointed" if report.lineality_basis else "flat" if report.dimension < Q.n else "pointed"
-        except errors.EmptyPolyhedron:
-            kind = "empty"
+        kind = _kind(Q, _outcome(structure, Q))
         rows = list(Q.halfspaces)
         dropped = rng.sample(rows, rng.randint(1, len(rows)))
         k = rng.randrange(len(rows))
