@@ -252,43 +252,61 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     return _vertices(P, _integer_rows(P))
 
 
-def _vertices(P: Polyhedron, aug: list[list[int]], rays: list | None = None,
-              farkas: list | None = None) -> list[Vertex]:
-    """The walk behind ``enumerate_vertices``, over P's integer rows ``aug``.
-
-    It starts at phase one's vertex (``_phase_one``).  A vertex is kept by
-    its active set as the integer point ``X / D`` (D > 0) with its integer
-    slacks ``S = b D - A X``, made once.  A simplicial vertex, whose active
-    rows with identical integer rows merged number n, also carries the
-    integer adjugate of those n rows, as an lrs dictionary does (see
-    ``_adjugate``): its edges are the adjugate's columns, and the neighbour
-    reached along column j, if simplicial too, gets its adjugate by one
-    Bareiss exchange (``_exchange``).  Any other vertex lists its edges
-    from its rank-(n-1) active subsets (``_edges``).  Edge directions are
-    integer and gcd-reduced, so the way back from a neighbour is marked
-    there and never tested again.  Cost per vertex: n columns and one
-    O(n^2) exchange if simplicial, else its rank-(n-1) active subsets; then
-    one m n ratio test per untested edge.  The vertices are sorted by
-    their integer points over one common denominator.  Given a list
-    ``rays``, it also appends the direction of every edge no row blocks,
-    once per such edge: for pointed nonempty P, these are the extreme rays
-    of its recession cone.  Given a list ``farkas``, it receives phase
-    one's integer Farkas multipliers over ``aug`` when P is empty."""
+def _vertices(P: Polyhedron, aug: list[list[int]], rays: list | None = None) -> list[Vertex]:
+    """The walk behind ``enumerate_vertices``, over P's integer rows
+    ``aug``: phase one (``_phase_one``), then ``_walk`` from its vertex.
+    Given a list ``rays``, the walk appends to it the direction of every
+    edge no row blocks, once per such edge: for pointed nonempty P, these
+    are the extreme rays of its recession cone."""
     n = P.n
     A = [tuple(row[:n]) for row in aug]
-    start, witness = _phase_one(A, aug, n)
-    if start is None:
-        if witness is not None and farkas is not None:
-            farkas += witness
-        return []
-    # active set -> its edge directions already tested from the other end
-    tested: dict[IndexSet, set] = {start[0][0]: set()}
-    todo, points = [start], []
+    start, _ = _phase_one(A, aug, n)
+    return [] if start is None else _walked(A, n, start, rays)
+
+
+def _walked(A, n: int, start, rays: list | None = None) -> list[Vertex]:
+    """Every vertex, from the walk of the whole vertex graph from the
+    vertex ``start``, sorted by point."""
+    points = _walk(A, n, [start], {start[0][0]: set()}, rays)
+    return [_vertex(A, n, state) for state, _ in _in_order(points)]
+
+
+def _walk(A, n: int, todo: list, tested: dict, rays: list | None = None, C=None,
+          listed: dict | None = None) -> list:
+    """The vertices reached from those in ``todo``, each as its state (see
+    ``_lowest``) with the adjugate it carries, in the order they are left.
+
+    A vertex is kept by its active set as the integer point ``X / D``
+    (D > 0) with its integer slacks ``S = b D - A X``, made once.  A
+    simplicial vertex, whose active rows with identical integer rows merged
+    number n, also carries the integer adjugate of those n rows, as an lrs
+    dictionary does (see ``_adjugate``): its edges are the adjugate's
+    columns, and the neighbour reached along column j, if simplicial too,
+    gets its adjugate by one Bareiss exchange (``_handed``).  Any other
+    vertex lists its edges from its rank-(n-1) active subsets
+    (``_edges``), unless ``listed`` maps its active set to them already.
+    ``tested`` maps the active set of every vertex met so far to the edge
+    directions there that are already ratio-tested; edge directions are
+    integer and gcd-reduced, so the way back from a neighbour is marked
+    there and never tested again.  Cost per vertex: n columns and one
+    O(n^2) exchange if simplicial, else its rank-(n-1) active subsets;
+    then one m n ratio test per untested edge.  Each edge no row blocks is
+    appended to ``rays``, if given.  With an integer cost C, only the edges
+    d with ``C.d = 0`` are followed: from an optimal vertex, the walk lists
+    the optimal face."""
+    points = []
     while todo:
-        (active, X, D, S), adjugate = todo.pop()
-        points.append((X, D, active))
-        for j, d in enumerate(_edges(A, n, active) if adjugate is None else _columns(*adjugate)):
-            if d in tested[active]:
+        vertex = todo.pop()
+        points.append(vertex)
+        (active, X, D, S), adjugate = vertex
+        if adjugate is not None:
+            edges = _columns(*adjugate)
+        elif listed and active in listed:
+            edges = listed[active]
+        else:
+            edges = _edges(A, n, active)
+        for j, d in enumerate(edges):
+            if d in tested[active] or C is not None and sum(map(mul, C, d)):
                 continue
             neighbour = _pivot(A, X, D, S, d)
             if neighbour is None:
@@ -300,15 +318,62 @@ def _vertices(P: Polyhedron, aug: list[list[int]], rays: list | None = None,
                 tested[reached] = set()
                 todo.append((neighbour, _handed(A, n, reached, active, adjugate, j)))
             tested[reached].add(tuple(-x for x in d))
-    # X / D over the common denominator L is the integer point X L / D
-    L = lcm(*[D for _, D, _ in points])
-    points.sort(key=lambda point: [x * (L // point[1]) for x in point[0]])
-    # a simple vertex's n active rows are its only basis
-    return [
-        Vertex(point=tuple(Fraction(x, D) for x in X), active=a,
-               defining=a if len(a) == n else _lex_basis(A, a, n))
-        for X, D, a in points
-    ]
+    return points
+
+
+def _in_order(points: list) -> list:
+    """The walk's vertices sorted by their integer points, compared over
+    one common denominator: X / D over L is the integer point X L / D."""
+    L = lcm(*[state[2] for state, _ in points])
+    return sorted(points, key=lambda point: [x * (L // point[0][2]) for x in point[0][1]])
+
+
+def _vertex(A, n: int, state) -> Vertex:
+    """The Vertex of a walk state; a simple vertex's n active rows are its
+    only basis."""
+    active, X, D, _ = state
+    return Vertex(point=tuple(Fraction(x, D) for x in X), active=active,
+                  defining=active if len(active) == n else _lex_basis(A, active, n))
+
+
+def _phase_two(A, n: int, start, C: list[int]):
+    """Minimize ``C.x`` from phase one's vertex ``start``: ``(face, None)``
+    with the optimal face's vertices as ``_walk`` leaves them, or
+    ``(None, rays)`` when C falls along an edge no row blocks, with every
+    ray of the polyhedron as ``_vertices`` lists them.
+
+    At each vertex the first edge d with ``C.d < 0`` is ratio-tested and
+    followed.  Edges are true edges, also at a degenerate vertex (see
+    ``_edges``), so each move reaches a new vertex with a strictly smaller
+    ``C.x`` and the descent cannot cycle.  When no edge falls, the vertex
+    is optimal, since its edges generate its tangent cone, and the walk
+    follows the edges with ``C.d = 0`` from it: they join the vertices of
+    the optimal face.  When an edge falls that no row blocks, the walk goes
+    on from the descent's vertices with their tested edges marked, so it
+    lists every ray and ratio-tests each edge once, as ``_vertices`` does;
+    the edges listed at the descent's vertices are not listed again.
+    """
+    tested, listed = {start[0][0]: set()}, {}
+    path, vertex = [], start
+    while True:
+        path.append(vertex)
+        (active, X, D, S), adjugate = vertex
+        if adjugate is None:
+            edges = listed[active] = _edges(A, n, active)
+        else:
+            edges = _columns(*adjugate)
+        j, d = next(((j, d) for j, d in enumerate(edges) if sum(map(mul, C, d)) < 0), (None, None))
+        if d is None:
+            return _walk(A, n, [vertex], tested, C=C, listed=listed), None
+        tested[active].add(d)
+        neighbour = _pivot(A, X, D, S, d)
+        if neighbour is None:
+            rays = [list(d)]
+            _walk(A, n, path, tested, rays, listed=listed)
+            return None, rays
+        reached = neighbour[0]
+        tested[reached] = {tuple(-x for x in d)}
+        vertex = neighbour, _handed(A, n, reached, active, adjugate, j)
 
 
 def _phase_one(A, aug, n: int):

@@ -21,9 +21,14 @@ from .geometry import (
     _adjugate,
     _column,
     _exchange,
+    _in_order,
     _integer_rows,
     _lex_basis,
-    _vertices,
+    _merged,
+    _phase_one,
+    _phase_two,
+    _vertex,
+    _walked,
     active_normals,
     active_set,
 )
@@ -40,12 +45,15 @@ class GLPSolution:
     status: "Attained" | "UnboundedBelow" | "Infeasible".  Every verdict
     carries a certificate checked exactly before it is returned:
 
-    - Attained: every vertex w of minimal value, in enumeration order, with
-      a ConeMembership in ``certificate`` proving ``-c in N_w`` over w's
-      distinct active normals, read off the adjugate of a basis of them
-      (``_tie_certificate``): nonzero only on that basis, and unique where
-      the normals number n.  ``argmin_face`` is the full optimal face of
-      the *original* polyhedron.
+    - Attained: every vertex w of minimal value, sorted by point as
+      ``enumerate_vertices`` sorts them, with a ConeMembership in
+      ``certificate`` proving ``-c in N_w`` over w's distinct active
+      normals.  Where they number n, the multipliers are unique and read
+      off the adjugate the walk carries at w; else they are read off the
+      adjugate of a basis of them that Bland's rule reaches
+      (``_tie_certificate``), nonzero only on that basis.
+      ``argmin_face`` is the full optimal face of the *original*
+      polyhedron.
     - UnboundedBelow: ``ray`` is a recession direction of P that strictly
       improves the objective.  When c has a component along the lineality
       space, it is minus that component.  Otherwise it is, of the extreme
@@ -91,26 +99,37 @@ def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
 
 def _minkowski_weyl(P: Polyhedron):
     """P as ``conv V + cone R + lin L`` from one walk: ``(work, lineality,
-    vertices, rays, farkas)``, rays as integer directions.  Phase one
-    either starts the walk or proves P empty (``farkas`` as in
-    ``GLPSolution``).  When the rows have rank below n, P has no vertex and
-    ``work`` is P cut to the orthogonal complement of L, which the normals
-    already span; phase one and the walk run on that slice, whose extra
+    vertices, rays, farkas)``, rays as integer directions, with ``work``
+    and ``farkas`` as ``_start`` gives them."""
+    work, lineality, A, start, farkas = _start(P, _integer_rows(P))
+    if farkas is not None:
+        return P, (), [], [], farkas
+    rays = []
+    return work, lineality, _walked(A, P.n, start, rays), rays, None
+
+
+def _start(P: Polyhedron, aug):
+    """Phase one (``_phase_one``) on P, over its integer rows ``aug``:
+    ``(work, lineality, A, start, None)`` with the integer normals A of
+    ``work`` and phase one's vertex ``start`` of it, or ``(P, (), None,
+    None, farkas)`` when P is empty (``farkas`` as in ``GLPSolution``).
+    When the rows have rank below n, P has no vertex and ``work`` is P cut
+    to the orthogonal complement of its lineality space L, which the
+    normals already span; phase one runs on that slice, whose extra
     multipliers cancel in a Farkas certificate, since L is orthogonal to
-    the row space.  Else ``work`` is P.
-    """
-    aug = _integer_rows(P)
-    rays, farkas = [], []
-    vertices = _vertices(P, aug, rays, farkas)
-    if vertices:
-        return P, (), vertices, rays, None
-    if not farkas:
-        lineality = tuple(nullspace(P.row_matrix(), P.n))
+    the row space.  Else ``work`` is P."""
+    n = P.n
+    work, lineality, A = P, (), [tuple(row[:n]) for row in aug]
+    start, y = _phase_one(A, aug, n)
+    if start is None and y is None:
+        lineality = tuple(nullspace(P.row_matrix(), n))
         work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
-        vertices = _vertices(work, _integer_rows(work), rays, farkas)
-        if vertices:
-            return work, lineality, vertices, rays, None
-    return P, (), [], [], _farkas(aug, farkas[:len(aug)])
+        rows = _integer_rows(work)
+        A = [tuple(row[:n]) for row in rows]
+        start, y = _phase_one(A, rows, n)
+    if start is None:
+        return P, (), None, None, _farkas(aug, y[:len(aug)])
+    return work, lineality, A, start, None
 
 
 def _farkas(aug, y) -> Vector:
@@ -164,18 +183,48 @@ def _tie_certificate(normals: tuple[Vector, ...], C: list[int], L: int) -> ConeM
     ))
 
 
+def _carried_certificate(A, active, adjugate, C: list[int], L: int) -> ConeMembership:
+    """``-c_min = -C / L`` in the cone of a simplicial tied vertex's n
+    distinct active normals, read off the adjugate ``(M, det)`` the walk
+    carries there: ``Y = -C M / det``, whose entry j belongs to the basis
+    row i with ``A_i.M_j = det`` (the other columns give 0).  The
+    multiplier of normal i is ``Y_j max|A_i| / L``, checked to be >= 0 and
+    to recombine over the integers; it is unique, so it is the one
+    ``_tie_certificate`` finds."""
+    M, det = adjugate
+    basis = _merged(A, active, len(C))
+    Y = [-sum(map(mul, C, col)) for col in M]
+    y = [next(Yj for Yj, col in zip(Y, M) if sum(map(mul, A[i], col))) for i in basis]
+    if any(yi * det < 0 for yi in y) or any(
+        sum(yi * A[i][k] for yi, i in zip(y, basis)) != -det * Ck for k, Ck in enumerate(C)
+    ):
+        raise AssertionError("a minimum-value vertex misses the normal cone")
+    return ConeMembership(member=True, multipliers=tuple(
+        Fraction(yi * max(map(abs, A[i])), det * L) for yi, i in zip(y, basis)
+    ))
+
+
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
-    One walk writes P as ``conv V + cone R + lin L``, or its phase one
-    proves P empty.  The objective is unbounded iff it falls along L or a
-    ray in R; else ``-c`` (for minimization) lies in the normal cone of
-    every vertex of minimal value.  That is the sign test
+    Phase one of the walk either proves P empty or reaches a vertex (of
+    the slice orthogonal to P's lineality space L, when P has no vertex);
+    the objective is unbounded if it falls along L.  From that vertex,
+    phase two (``geometry._phase_two``) follows the first improving edge
+    at each vertex, one ratio test each.  An improving edge no row blocks
+    proves the objective unbounded; the walk then lists every ray, to
+    report the lexicographically smallest improving one.  At a vertex
+    with no improving edge, ``-c`` (for minimization) lies in its normal
+    cone, and the walk along the edges with ``<c, d> = 0`` lists the
+    optimal face's vertices.  Each one's certificate is the sign test
     ``y = -C M / det >= 0`` on the adjugate of a basis of its distinct
-    active normals, reached by degenerate Bland's-rule exchanges where
-    they number more than n; no simplex runs.  Each verdict carries its
-    own certificate, checked exactly over integer rows before it is
-    returned.
+    active normals: the adjugate it carries where they number n, else one
+    reached by degenerate Bland's-rule exchanges (``_tie_certificate``);
+    no simplex runs.  Each verdict carries its own certificate, checked
+    exactly over integer rows before it is returned.  Cost: phase one's
+    pivots and one ratio test (m n) per descent step, then one per edge
+    of the optimal face, or, when unbounded, one per edge of the whole
+    vertex graph.
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:
@@ -185,26 +234,31 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     cmin = cv if sense == "min" else vec_neg(cv)
     C, L = scaled(cmin)
 
-    work, lineality, vertices, rays, farkas = _minkowski_weyl(P)
+    aug = _integer_rows(P)
+    work, lineality, A, start, farkas = _start(P, aug)
     if farkas is not None:
         return GLPSolution(status="Infeasible", farkas=farkas, solved_on=P)
     if lineality:
         c_lin = _project_onto_span(lineality, cmin)
         if any(v != 0 for v in c_lin):
-            return _unbounded(_integer_rows(P), C, vec_neg(c_lin), work, lineality)
+            return _unbounded(aug, C, vec_neg(c_lin), work, lineality)
 
-    # an improving extreme ray r, as r / -<c_min, r> = L r / -<C, r>
-    falls = [(r, -sum(map(mul, C, r))) for r in rays]
-    improving = [tuple(Fraction(L * x, e) for x in r) for r, e in falls if e > 0]
-    if improving:
-        return _unbounded(_integer_rows(P), C, min(improving), work, lineality)
+    face, rays = _phase_two(A, P.n, start, C)
+    if rays is not None:
+        # an improving extreme ray r, as r / -<c_min, r> = L r / -<C, r>
+        falls = [(r, -sum(map(mul, C, r))) for r in rays]
+        return _unbounded(aug, C, min(tuple(Fraction(L * x, e) for x in r) for r, e in falls if e > 0),
+                          work, lineality)
 
-    values = [dot(cmin, v.point) for v in vertices]
-    best = min(values)
-    tied = [v for v, value in zip(vertices, values) if value == best]
-    proofs = [_tie_certificate(active_normals(work, v.active), C, L) for v in tied]
-    if not all(proof.member for proof in proofs):
-        raise AssertionError("a minimum-value vertex misses the normal cone")
+    face = _in_order(face)
+    tied = [_vertex(A, P.n, state) for state, _ in face]
+    proofs = [
+        _tie_certificate(active_normals(work, v.active), C, L) if adjugate is None
+        else _carried_certificate(A, v.active, adjugate, C, L)
+        for v, (_, adjugate) in zip(tied, face)
+    ]
+    (_, X, D, _), _ = face[0]
+    best = Fraction(sum(map(mul, C, X)), D * L)
     value = best if sense == "min" else -best
     return GLPSolution(
         status="Attained",
@@ -229,7 +283,8 @@ def _unbounded(rows, C, ray: Vector, work: Polyhedron, lineality) -> GLPSolution
 def _level_face(P: Polyhedron, c: Vector, value: Fraction) -> Polyhedron:
     if all(v == 0 for v in c):
         return P
-    return P.with_rows([HalfSpace(c, value), HalfSpace(vec_neg(c), -value)])
+    level = HalfSpace(c, value)
+    return P.with_rows([level, level.flipped()])
 
 
 def argmin_face(P: Polyhedron, c: Sequence, sense: str = "min") -> Polyhedron:

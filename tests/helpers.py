@@ -10,6 +10,7 @@ from operator import mul
 from polycone import (
     Cone,
     Containment,
+    GLPSolution,
     HalfSpace,
     Polyhedron,
     StructureReport,
@@ -19,10 +20,10 @@ from polycone import (
     find_feasible_point,
     solve_lp,
 )
-from polycone import geometry
+from polycone import geometry, optimality
 from polycone.errors import DimensionMismatch, EmptyPolyhedron, NoVertices
 from polycone.geometry import Vertex
-from polycone.linalg import dot, null_direction, vec_neg
+from polycone.linalg import dot, null_direction, scaled, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 QUADRANT = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0)])
@@ -32,6 +33,12 @@ Y2 = Polyhedron.from_rows(2, [((0, 1), -2), ((2, 1), 2)])
 STRIP = Polyhedron.from_rows(2, [((0, -1), 0), ((0, 1), 1)])
 HALF_LINE = Polyhedron.from_rows(2, [((0, -1), 0), ((0, 1), 0), ((-1, 0), 0)])
 X_AXIS = Polyhedron.from_rows(2, [((0, 1), 0), ((0, -1), 0)])
+# a triangle in the plane z = 0 of R^3, whose row x + y + z <= 1 repeats
+# the facet x + y <= 1: lower-dimensional, pointed, with a duplicate facet
+FLAT = Polyhedron.from_rows(
+    3,
+    [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1), ((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)],
+)
 
 
 def rand_frac(rng: random.Random) -> Fraction:
@@ -116,6 +123,34 @@ def random_generator_cone(rng: random.Random, n: int) -> tuple[str, Cone]:
         if kind == "lines":
             add(vec_neg(g))
     return kind, Cone(n, generators=tuple(gens.values()))
+
+
+def random_lp(rng: random.Random):
+    """An LP ``(P, c, sense)`` with n in 1..5 and m in 1..30, entries
+    with numerators in [-9, 9] and denominators in 1..4; two in three draws
+    keep b > 0, so that the origin is feasible."""
+    n, m = rng.randint(1, 5), rng.randint(1, 30)
+    lo = rng.choice((1, 1, -3))
+    rows = []
+    while len(rows) < m:
+        a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        if any(a):
+            rows.append((a, Fraction(rng.randint(lo, 9), rng.randint(1, 4))))
+    P = Polyhedron.from_rows(n, rows)
+    c = random_cost(rng, n)
+    return P, c, rng.choice(("min", "max"))
+
+
+def highs(optimize, P: Polyhedron, cmin):
+    """HiGHS's binary64 solve of min ``<cmin, x>`` over P, through the
+    module ``scipy.optimize`` (a test-only dependency)."""
+    return optimize.linprog(
+        [float(v) for v in cmin],
+        A_ub=[[float(v) for v in hs.a] for hs in P.halfspaces],
+        b_ub=[float(hs.b) for hs in P.halfspaces],
+        bounds=(None, None),
+        method="highs",
+    )
 
 
 def random_polytope4(rng: random.Random, m: int, empty: bool = False) -> Polyhedron:
@@ -453,6 +488,45 @@ def reference_project_onto_span(basis, c):
     gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
     coeffs = reference_solve_square(gram, [dot(basis[i], c) for i in range(k)])
     return tuple(sum(coeffs[i] * basis[i][j] for i in range(k)) for j in range(len(c)))
+
+
+def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
+    """Reference for ``solve_glp``: list every vertex and ray of P
+    (``optimality._minkowski_weyl``) before reading c.  The objective is
+    unbounded along the lineality space or the lexicographically smallest
+    improving extreme ray; else the vertices of least value are the optimal
+    ones, each certified by ``optimality._tie_certificate``."""
+    cv = tuple(Fraction(v) for v in c)
+    cmin = cv if sense == "min" else vec_neg(cv)
+    C, L = scaled(cmin)
+    work, lineality, vertices, rays, farkas = optimality._minkowski_weyl(P)
+    if farkas is not None:
+        return GLPSolution(status="Infeasible", farkas=farkas, solved_on=P)
+    rows = geometry._integer_rows(P)
+    if lineality:
+        c_lin = optimality._project_onto_span(lineality, cmin)
+        if any(c_lin):
+            return optimality._unbounded(rows, C, vec_neg(c_lin), work, lineality)
+    # an improving extreme ray r, as r / -<c_min, r> = L r / -<C, r>
+    falls = [(r, -sum(map(mul, C, r))) for r in rays]
+    improving = [tuple(Fraction(L * x, e) for x in r) for r, e in falls if e > 0]
+    if improving:
+        return optimality._unbounded(rows, C, min(improving), work, lineality)
+    values = [dot(cmin, v.point) for v in vertices]
+    best = min(values)
+    tied = [v for v, value in zip(vertices, values) if value == best]
+    value = best if sense == "min" else -best
+    face = P.with_rows([HalfSpace(cv, value), HalfSpace(vec_neg(cv), -value)]) if any(cv) else P
+    return GLPSolution(
+        status="Attained",
+        optimal_vertices=tuple(tied),
+        value=value,
+        argmin_face=face,
+        certificate=tuple(optimality._tie_certificate(geometry.active_normals(work, v.active), C, L)
+                          for v in tied),
+        solved_on=work,
+        lineality_basis=lineality,
+    )
 
 
 # ---------------------------------------------------------------------------

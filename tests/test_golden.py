@@ -12,10 +12,10 @@ import json
 
 import pytest
 
-from polycone import Polyhedron, polyhedron_to_dict, trajectory_to_dict
+from polycone import polyhedron_to_dict, trajectory_to_dict
 from polycone.cli import main
 
-from helpers import HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2
+from helpers import FLAT, HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2
 from families import (
     constant_triangle_trajectory,
     ex31_trajectory,
@@ -23,12 +23,6 @@ from families import (
     remark_trajectory,
 )
 
-# a triangle in the plane z = 0 of R^3, whose row x + y + z <= 1 repeats
-# the facet x + y <= 1: lower-dimensional, pointed, with a duplicate facet
-FLAT = Polyhedron.from_rows(
-    3,
-    [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1), ((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)],
-)
 EMPTY = {"n": 1, "constraints": [{"a": ["1"], "b": "-1"}, {"a": ["-1"], "b": "0"}]}
 
 # fixture name -> (its JSON, the cost vectors it is solved for)

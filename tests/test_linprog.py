@@ -18,10 +18,12 @@ from polycone.linalg import dot, scaled
 from helpers import (
     QUADRANT,
     TRIANGLE,
+    highs,
     is_farkas,
     rand_direction,
     random_cost,
     random_feasible_pointed,
+    random_lp,
     random_polyhedron,
     reference_nullspace,
     reference_purify,
@@ -435,26 +437,10 @@ def test_against_highs():
     rng = random.Random(77)
     seen = set()
     for _ in range(150):
-        n, m = rng.randint(1, 5), rng.randint(1, 30)
-        # two in three draws keep b > 0, so that the origin is feasible
-        lo = rng.choice((1, 1, -3))
-        rows = []
-        while len(rows) < m:
-            a = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
-            if any(a):
-                rows.append((a, F(rng.randint(lo, 9), rng.randint(1, 4))))
-        P = Polyhedron.from_rows(n, rows)
-        c = random_cost(rng, n)
-        sense = rng.choice(("min", "max"))
+        P, c, sense = random_lp(rng)
         res = solve_lp(P, c, sense)
         cmin = c if sense == "min" else tuple(-v for v in c)
-        ref = optimize.linprog(
-            [float(v) for v in cmin],
-            A_ub=[[float(v) for v in hs.a] for hs in P.halfspaces],
-            b_ub=[float(hs.b) for hs in P.halfspaces],
-            bounds=(None, None),
-            method="highs",
-        )
+        ref = highs(optimize, P, cmin)
         seen.add(res.status)
         assert ref.status == {"Optimal": 0, "Infeasible": 2, "Unbounded": 3}[res.status]
         # every exact certificate is re-checked here, apart from solve_lp's own checks

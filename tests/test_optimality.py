@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -27,18 +28,26 @@ from polycone.geometry import active_normals
 from polycone.linalg import dot, vec_neg
 
 from helpers import (
+    FLAT,
+    HALF_LINE,
     QUADRANT,
     STRIP,
     TRIANGLE,
+    X_AXIS,
     Y1,
+    highs,
     is_farkas,
+    polygon_product,
     random_cost,
     random_degenerate_polyhedron,
+    random_lp,
     random_polyhedron,
     random_polytope4,
+    reference_extreme_rays,
     reference_improving_rays,
     reference_project_onto_span,
     reference_recession_ray,
+    reference_solve_glp,
     reference_walk,
 )
 
@@ -251,23 +260,25 @@ class TestRaysAgainstRayPolyhedron:
         # the ray polyhedron {d : A d <= 0, <c_min, d> <= -1} is the
         # reference: its first vertex is the certificate, and its vertex set
         # is every improving extreme ray, which the walk must find in full
-        walked, walk = {}, optimality._vertices
+        # once phase two meets one (and none where the minimum is attained)
+        walked, descend = {}, optimality._phase_two
 
-        def kept(work, aug, rays, farkas):
-            walked["rays"] = rays
-            return walk(work, aug, rays, farkas)
+        def kept(*args):
+            face, walked["rays"] = descend(*args)
+            return face, walked["rays"]
 
-        monkeypatch.setattr(optimality, "_vertices", kept)
+        monkeypatch.setattr(optimality, "_phase_two", kept)
         seen = {"extreme": 0, "lineality": 0, "Attained": 0, "Infeasible": 0, "slices": 0}
         for P, c in _ray_corpus():
             for sense in ("min", "max"):
+                walked.clear()
                 sol = solve_glp(P, c, sense)
                 cmin = c if sense == "min" else vec_neg(c)
                 _assert_certified(P, c, sol, sense)
                 if sol.status == "Infeasible":
                     seen["Infeasible"] += 1
                     continue
-                work, rays = sol.solved_on, walked["rays"]
+                work, rays = sol.solved_on, walked.get("rays")
                 if sol.lineality_basis:
                     seen["slices"] += 1
                     got = optimality._project_onto_span(sol.lineality_basis, cmin)
@@ -275,9 +286,9 @@ class TestRaysAgainstRayPolyhedron:
                     assert repr(got) == repr(projection)
                     if any(projection):
                         seen["lineality"] += 1
-                        assert repr(sol.ray) == repr(vec_neg(projection))
+                        assert repr(sol.ray) == repr(vec_neg(projection)) and not walked
                         continue
-                assert _normalised(rays, cmin) == reference_improving_rays(work, cmin)
+                assert _normalised(rays or [], cmin) == reference_improving_rays(work, cmin)
                 ray = reference_recession_ray(work, cmin)
                 if sol.status == "UnboundedBelow":
                     seen["extreme"] += 1
@@ -371,48 +382,59 @@ class TestPhaseOne:
 
 
 class TestWorkBudget:
-    """Walks and normal-cone tests per verdict, counted where solve_glp calls
-    them: ``certificates`` counts the tied vertices certified, ``cone
-    tests`` the simplex runs of ``cone_member``, counted in ``linprog``."""
+    """Work per verdict, counted where solve_glp calls it: ``phase ones``
+    the runs of phase one (on P, then on its lineality slice when P has no
+    vertex), ``ratio tests`` the edges ratio-tested (``geometry._pivot``),
+    ``carried`` the tied vertices certified off the adjugate they carry,
+    ``pivoted`` those certified by Bland's-rule exchanges
+    (``_tie_certificate``), and ``cone tests`` the simplex runs of
+    ``cone_member``, counted in ``linprog``."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"walks": 0, "certificates": 0, "cone tests": 0}
-        walk, certify, cone = optimality._vertices, optimality._tie_certificate, linprog.cone_member
+        counts = {"phase ones": 0, "ratio tests": 0, "carried": 0, "pivoted": 0, "cone tests": 0}
 
-        def counted_walk(*args):
-            counts["walks"] += 1
-            return walk(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
 
-        def counted_certify(*args):
-            counts["certificates"] += 1
-            return certify(*args)
-
-        def counted_cone(*args):
-            counts["cone tests"] += 1
-            return cone(*args)
-
-        monkeypatch.setattr(optimality, "_vertices", counted_walk)
-        monkeypatch.setattr(optimality, "_tie_certificate", counted_certify)
+        monkeypatch.setattr(optimality, "_phase_one", counted("phase ones", optimality._phase_one))
+        monkeypatch.setattr(geometry, "_pivot", counted("ratio tests", geometry._pivot))
+        monkeypatch.setattr(optimality, "_carried_certificate", counted("carried", optimality._carried_certificate))
+        monkeypatch.setattr(optimality, "_tie_certificate", counted("pivoted", optimality._tie_certificate))
+        cone = linprog.cone_member
         for module in (linprog, optimality, structure_module):
             if getattr(module, "cone_member", None) is cone:
-                monkeypatch.setattr(module, "cone_member", counted_cone)
+                monkeypatch.setattr(module, "cone_member", counted("cone tests", cone))
         return counts
 
+    @staticmethod
+    def _full_walk(counts, P):
+        """The ratio tests of the walk that lists every vertex of P."""
+        before = counts["ratio tests"]
+        enumerate_vertices(P)
+        return counts["ratio tests"] - before
+
     def test_unbounded_ray_on_the_last_row_alone(self, counts):
-        # the improving ray (1, 0) is QUADRANT's edge along its last row
+        # the improving ray (1, 0) is QUADRANT's edge along its last row;
+        # the walk then tests the other edge, (0, 1), to list every ray
         sol = solve_glp(QUADRANT, (-1, 0))
         assert sol.status == "UnboundedBelow" and sol.ray == (1, 0)
-        assert counts == {"walks": 1, "certificates": 0, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": 2, "carried": 0, "pivoted": 0, "cone tests": 0}
 
     @pytest.mark.parametrize("P, c, tied", [(TRIANGLE, (1, 1), 1), (TRIANGLE, (0, 1), 2),
                                             (TRIANGLE, (0, 0), 3), (QUADRANT, (1, 0), 1)])
     def test_attained_one_cone_test_per_tied_vertex(self, counts, P, c, tied):
         # every tied vertex is simplicial, so its membership test is the
-        # sign test on its adjugate and no simplex runs
+        # sign test on the adjugate it carries and no simplex runs; phase
+        # two tests no more edges than the walk over every vertex
         sol = solve_glp(P, c)
         assert sol.status == "Attained" and len(sol.optimal_vertices) == tied
-        assert counts == {"walks": 1, "certificates": tied, "cone tests": 0}
+        tests = counts["ratio tests"]
+        assert counts == {"phase ones": 1, "ratio tests": tests, "carried": tied, "pivoted": 0, "cone tests": 0}
+        assert tests <= self._full_walk(counts, P)
 
     def test_non_simplicial_tie_runs_no_cone_test(self, counts):
         # x <= 1 touches TRIANGLE at (1, 0), which then has three distinct
@@ -422,23 +444,79 @@ class TestWorkBudget:
         sol = solve_glp(P, (-1, 0))
         assert sol.status == "Attained" and [v.point for v in sol.optimal_vertices] == [(1, 0)]
         assert sol.certificate[0].multipliers == (1, 1, 0)
-        assert counts == {"walks": 1, "certificates": 1, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": 1, "carried": 0, "pivoted": 1, "cone tests": 0}
         _assert_certified(P, (-1, 0), sol)
 
     def test_infeasible(self, counts):
         # the rows have rank 1, so phase one runs on the slice y = 0 and
-        # proves it empty: no cone test
+        # proves it empty: no edge and no cone test
         sol = solve_glp(Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)]), (1, 1))
         assert sol.status == "Infeasible"
-        assert counts == {"walks": 2, "certificates": 0, "cone tests": 0}
+        assert counts == {"phase ones": 2, "ratio tests": 0, "carried": 0, "pivoted": 0, "cone tests": 0}
 
     @pytest.mark.parametrize("c, status, certificates", [((1, 0), "UnboundedBelow", 0), ((0, 1), "Attained", 1)])
     def test_lineality_walks_its_slice(self, counts, c, status, certificates):
-        # STRIP's rows have rank 1, so it has no vertex and its slice x = 0
-        # is walked; the slice's optimal vertex (0, 0) has three active
-        # rows, and its certificate runs no cone test
+        # STRIP's rows have rank 1, so it has no vertex and phase one runs
+        # on its slice x = 0.  c = (1, 0) falls along the lineality space,
+        # which needs no edge; for c = (0, 1) phase one's vertex (0, 0) is
+        # optimal, with no edge along c = 0, and has three active rows, so
+        # its certificate pivots, and runs no cone test
         assert solve_glp(STRIP, c).status == status
-        assert counts == {"walks": 2, "certificates": certificates, "cone tests": 0}
+        assert counts == {"phase ones": 2, "ratio tests": 0, "carried": 0, "pivoted": certificates, "cone tests": 0}
+
+    @pytest.mark.parametrize("c, tied, tests", [((1, 2, -3, 1), 2, 3), ((3, -1, 2, 5), 1, 2),
+                                                ((-3, 1, -2, -5), 1, 5), ((0, 0, 0, 0), 42, 84)],
+                             ids=["edge", "vertex", "first-edge", "zero"])
+    def test_descent_tests_only_its_path_and_the_optimal_face(self, counts, c, tied, tests):
+        # the product of a hexagon and a heptagon has 42 simple vertices and
+        # 84 edges, each ratio-tested once by the walk that lists them all;
+        # phase two tests its path and the optimal face's edges, which a
+        # zero cost makes the whole vertex graph.  Each step takes the first
+        # improving edge: taking the last one reaches the optimum of
+        # (-3, 1, -2, -5) in 4 steps, not 5
+        P, vertices = polygon_product(6, 7)
+        sol = solve_glp(P, c)
+        best = min(dot(c, v) for v in vertices)
+        assert sol.status == "Attained" and sol.value == best
+        assert [v.point for v in sol.optimal_vertices] == sorted(v for v in vertices if dot(c, v) == best)
+        assert len(sol.optimal_vertices) == tied
+        assert counts == {"phase ones": 1, "ratio tests": tests, "carried": tied, "pivoted": 0, "cone tests": 0}
+        assert self._full_walk(counts, P) == 84
+
+    def test_unbounded_tests_each_edge_once(self, monkeypatch):
+        # once an improving edge no row blocks is met, the walk goes on from
+        # the descent's vertices: every edge is ratio-tested once, from one
+        # end, so as often as by the walk over every vertex, and the ray is
+        # the lexicographically smallest improving extreme ray
+        tested, pivot = [], geometry._pivot
+
+        def recorded(A, X, D, S, d):
+            neighbour = pivot(A, X, D, S, d)
+            ends = {tuple(F(x, D) for x in X)}
+            if neighbour is not None:
+                ends.add(tuple(F(x, neighbour[2]) for x in neighbour[1]))
+            line = d if next(x for x in d if x) > 0 else tuple(-x for x in d)
+            tested.append((frozenset(ends), line, neighbour is None))
+            return neighbour
+
+        monkeypatch.setattr(geometry, "_pivot", recorded)
+        descended = unbounded = 0
+        for P, c in _ray_corpus():
+            for sense in ("min", "max"):
+                del tested[:]
+                sol = solve_glp(P, c, sense)
+                cmin = c if sense == "min" else vec_neg(c)
+                if sol.status != "UnboundedBelow" or not tested:
+                    continue
+                unbounded += 1
+                descended += [ray for _, _, ray in tested].index(True) > 0
+                assert len(set(tested)) == len(tested)
+                solve = len(tested)
+                geometry._vertices(sol.solved_on, geometry._integer_rows(sol.solved_on))
+                assert solve == len(tested) - solve
+                rays = reference_extreme_rays(sol.solved_on)
+                assert repr(sol.ray) == repr(min(_normalised(rays, cmin)))
+        assert unbounded >= 300 and descended >= 50, (unbounded, descended)
 
 
 def _apex_corpus():
@@ -482,6 +560,73 @@ def test_apex_ties_pivot_to_their_certificates(monkeypatch):
     assert pivoted >= 100, pivoted
 
 
+def _descent_corpus():
+    """(P, c) pairs for phase two against the list-everything solve:
+    acceptance draws; ``random_degenerate_polyhedron`` at n = 1..5 (about
+    a third not pointed), each again made empty by a flipped row moved 1
+    past its original and cut to the hyperplane of a row tight at a vertex,
+    half of their costs orthogonal to the lineality line e_n;
+    ``random_polytope4`` draws up to m = 30, one in four with a zero cost;
+    slices of the fixtures with lineality or a lower dimension; and every
+    other apex-tie cone."""
+    rng = random.Random(89)
+    for _ in range(200):
+        P = random_polyhedron(rng)
+        yield P, random_cost(rng, P.n)
+    for n, count in zip(range(1, 6), (40, 40, 30, 12, 5)):
+        for _ in range(count):
+            P = random_degenerate_polyhedron(rng, n)
+            hs = P.halfspaces[rng.randrange(P.m)]
+            vertices = enumerate_vertices(P)
+            flat = [P.with_rows([P.halfspaces[rng.choice(rng.choice(vertices).active)].flipped()])] if vertices else []
+            for Q in [P, P.with_rows([HalfSpace(vec_neg(hs.a), -hs.b - 1)])] + flat:
+                c = [F(rng.randint(-2, 2)) for _ in range(n)]
+                if rng.random() < 0.5:
+                    c[-1] = F(0)
+                yield Q, tuple(c)
+    for m in (10, 16, 20, 30):
+        for k in range(4):
+            yield random_polytope4(rng, m), (0,) * 4 if k == 0 else random_cost(rng, 4)
+    for P in (STRIP, HALF_LINE, X_AXIS, FLAT):
+        for _ in range(6):
+            yield P, tuple(F(rng.randint(-2, 2)) for _ in range(P.n))
+    yield from itertools.islice(_apex_corpus(), 0, None, 2)
+
+
+def test_descent_agrees_with_the_list_everything_solve():
+    # phase two's verdict and certificates are those of listing every vertex
+    # and ray first, repr for repr, in both senses
+    seen = {}
+    for P, c in _descent_corpus():
+        for sense in ("min", "max"):
+            sol = solve_glp(P, c, sense)
+            assert repr(sol) == repr(reference_solve_glp(P, c, sense)), (P, c, sense)
+            key = sol.status, bool(sol.lineality_basis)
+            seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 5 and min(seen.values()) >= 30, seen
+
+
+def test_against_highs():
+    # the draws of test_linprog.py::test_against_highs, through solve_glp;
+    # every certificate is re-checked here, apart from solve_glp's own checks
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(77)
+    status_of = {"Attained": 0, "Infeasible": 2, "UnboundedBelow": 3}
+    seen = set()
+    for _ in range(150):
+        P, c, sense = random_lp(rng)
+        sol = solve_glp(P, c, sense)
+        cmin = c if sense == "min" else vec_neg(c)
+        ref = highs(optimize, P, cmin)
+        seen.add(sol.status)
+        assert ref.status == status_of[sol.status]
+        _assert_certified(P, c, sol, sense)
+        if sol.status == "Attained":
+            assert all(contains_point(P, v.point) for v in sol.optimal_vertices)
+            assert abs(float(dot(cmin, sol.optimal_vertices[0].point)) - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
+    assert seen == set(status_of)
+
+
 @pytest.mark.parametrize("ray", [(1, -1), (0, 1), (0, 0)], ids=["leaves-P", "not-improving", "zero"])
 def test_unverified_ray_is_refused(ray):
     # QUADRANT with cost (-1, 0): only rays inside it that raise x improve,
@@ -512,6 +657,23 @@ def test_tie_certificate_outside_the_cone_is_refused(C):
     assert optimality._tie_certificate(normals, [1, 2], 3).multipliers == (F(1, 3), F(2, 3))
     with pytest.raises(AssertionError, match="normal cone"):
         optimality._tie_certificate(normals, C, 1)
+
+
+@pytest.mark.parametrize("C", [[-1, 0], [1, -1]], ids=["both-negative", "one-negative"])
+def test_carried_certificate_outside_the_cone_is_refused(C):
+    # the same corner, read off the adjugate of its two rows as the walk
+    # carries it; the row x + y <= 1/2 has the integer row (2, 2, 1), so
+    # its multiplier at (0, 1/2) is scaled back by 2
+    A = [tuple(row[:2]) for row in geometry._integer_rows(TRIANGLE)]
+    adjugate = geometry._adjugate(A, (0, 1), 2)[1:]
+    assert optimality._carried_certificate(A, (0, 1), adjugate, [1, 2], 3).multipliers == (F(1, 3), F(2, 3))
+    P = Polyhedron.from_rows(2, [((-1, 0), 0), ((1, 1), F(1, 2))])
+    B = [tuple(row[:2]) for row in geometry._integer_rows(P)]
+    assert B[1] == (2, 2)
+    corner = optimality._carried_certificate(B, (0, 1), geometry._adjugate(B, (0, 1), 2)[1:], [0, -1], 1)
+    assert corner.multipliers == (1, 1)
+    with pytest.raises(AssertionError, match="normal cone"):
+        optimality._carried_certificate(A, (0, 1), adjugate, C, 1)
 
 
 def test_tie_certificate_takes_blands_path():
