@@ -271,8 +271,7 @@ def _walked(A, n: int, start, rays: list | None = None) -> list[Vertex]:
     return [_vertex(A, n, state) for state, _ in _in_order(points)]
 
 
-def _walk(A, n: int, todo: list, tested: dict, rays: list | None = None, C=None,
-          listed: dict | None = None) -> list:
+def _walk(A, n: int, todo: list, tested: dict, rays: list | None = None, C=None) -> list:
     """The vertices reached from those in ``todo``, each as its state (see
     ``_lowest``) with the adjugate it carries, in the order they are left.
 
@@ -284,28 +283,21 @@ def _walk(A, n: int, todo: list, tested: dict, rays: list | None = None, C=None,
     columns, and the neighbour reached along column j, if simplicial too,
     gets its adjugate by one Bareiss exchange (``_handed``).  Any other
     vertex lists its edges from its rank-(n-1) active subsets
-    (``_edges``), unless ``listed`` maps its active set to them already.
-    ``tested`` maps the active set of every vertex met so far to the edge
-    directions there that are already ratio-tested; edge directions are
-    integer and gcd-reduced, so the way back from a neighbour is marked
-    there and never tested again.  Cost per vertex: n columns and one
-    O(n^2) exchange if simplicial, else its rank-(n-1) active subsets;
-    then one m n ratio test per untested edge.  Each edge no row blocks is
-    appended to ``rays``, if given.  With an integer cost C, only the edges
-    d with ``C.d = 0`` are followed: from an optimal vertex, the walk lists
-    the optimal face."""
+    (``_edges``).  ``tested`` maps the active set of every vertex met so
+    far to the edge directions there that are already ratio-tested; edge
+    directions are integer and gcd-reduced, so the way back from a
+    neighbour is marked there and never tested again.  Cost per vertex: n
+    columns and one O(n^2) exchange if simplicial, else its rank-(n-1)
+    active subsets; then one m n ratio test per untested edge.  Each edge
+    no row blocks is appended to ``rays``, if given.  With an integer cost
+    C, only the edges d with ``C.d = 0`` are followed: from an optimal
+    vertex, the walk lists the optimal face."""
     points = []
     while todo:
         vertex = todo.pop()
         points.append(vertex)
         (active, X, D, S), adjugate = vertex
-        if adjugate is not None:
-            edges = _columns(*adjugate)
-        elif listed and active in listed:
-            edges = listed[active]
-        else:
-            edges = _edges(A, n, active)
-        for j, d in enumerate(edges):
+        for j, d in enumerate(_edges(A, n, active) if adjugate is None else _columns(*adjugate)):
             if d in tested[active] or C is not None and sum(map(mul, C, d)):
                 continue
             neighbour = _pivot(A, X, D, S, d)
@@ -350,26 +342,22 @@ def _phase_two(A, n: int, start, C: list[int]):
     follows the edges with ``C.d = 0`` from it: they join the vertices of
     the optimal face.  When an edge falls that no row blocks, the walk goes
     on from the descent's vertices with their tested edges marked, so it
-    lists every ray and ratio-tests each edge once, as ``_vertices`` does;
-    the edges listed at the descent's vertices are not listed again.
+    lists every ray and ratio-tests each edge once, as ``_vertices`` does.
     """
-    tested, listed = {start[0][0]: set()}, {}
+    tested = {start[0][0]: set()}
     path, vertex = [], start
     while True:
         path.append(vertex)
         (active, X, D, S), adjugate = vertex
-        if adjugate is None:
-            edges = listed[active] = _edges(A, n, active)
-        else:
-            edges = _columns(*adjugate)
+        edges = _edges(A, n, active) if adjugate is None else _columns(*adjugate)
         j, d = next(((j, d) for j, d in enumerate(edges) if sum(map(mul, C, d)) < 0), (None, None))
         if d is None:
-            return _walk(A, n, [vertex], tested, C=C, listed=listed), None
+            return _walk(A, n, [vertex], tested, C=C), None
         tested[active].add(d)
         neighbour = _pivot(A, X, D, S, d)
         if neighbour is None:
             rays = [list(d)]
-            _walk(A, n, path, tested, rays, listed=listed)
+            _walk(A, n, path, tested, rays)
             return None, rays
         reached = neighbour[0]
         tested[reached] = {tuple(-x for x in d)}

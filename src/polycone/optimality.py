@@ -24,7 +24,6 @@ from .geometry import (
     _in_order,
     _integer_rows,
     _lex_basis,
-    _merged,
     _phase_one,
     _phase_two,
     _vertex,
@@ -48,12 +47,10 @@ class GLPSolution:
     - Attained: every vertex w of minimal value, sorted by point as
       ``enumerate_vertices`` sorts them, with a ConeMembership in
       ``certificate`` proving ``-c in N_w`` over w's distinct active
-      normals.  Where they number n, the multipliers are unique and read
-      off the adjugate the walk carries at w; else they are read off the
-      adjugate of a basis of them that Bland's rule reaches
-      (``_tie_certificate``), nonzero only on that basis.
-      ``argmin_face`` is the full optimal face of the *original*
-      polyhedron.
+      normals, read off the adjugate of a basis of them
+      (``_tie_certificate``): nonzero only on that basis, and unique where
+      the normals number n.  ``argmin_face`` is the full optimal face of
+      the *original* polyhedron.
     - UnboundedBelow: ``ray`` is a recession direction of P that strictly
       improves the objective.  When c has a component along the lineality
       space, it is minus that component.  Otherwise it is, of the extreme
@@ -183,27 +180,6 @@ def _tie_certificate(normals: tuple[Vector, ...], C: list[int], L: int) -> ConeM
     ))
 
 
-def _carried_certificate(A, active, adjugate, C: list[int], L: int) -> ConeMembership:
-    """``-c_min = -C / L`` in the cone of a simplicial tied vertex's n
-    distinct active normals, read off the adjugate ``(M, det)`` the walk
-    carries there: ``Y = -C M / det``, whose entry j belongs to the basis
-    row i with ``A_i.M_j = det`` (the other columns give 0).  The
-    multiplier of normal i is ``Y_j max|A_i| / L``, checked to be >= 0 and
-    to recombine over the integers; it is unique, so it is the one
-    ``_tie_certificate`` finds."""
-    M, det = adjugate
-    basis = _merged(A, active, len(C))
-    Y = [-sum(map(mul, C, col)) for col in M]
-    y = [next(Yj for Yj, col in zip(Y, M) if sum(map(mul, A[i], col))) for i in basis]
-    if any(yi * det < 0 for yi in y) or any(
-        sum(yi * A[i][k] for yi, i in zip(y, basis)) != -det * Ck for k, Ck in enumerate(C)
-    ):
-        raise AssertionError("a minimum-value vertex misses the normal cone")
-    return ConeMembership(member=True, multipliers=tuple(
-        Fraction(yi * max(map(abs, A[i])), det * L) for yi, i in zip(y, basis)
-    ))
-
-
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
@@ -218,13 +194,12 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     cone, and the walk along the edges with ``<c, d> = 0`` lists the
     optimal face's vertices.  Each one's certificate is the sign test
     ``y = -C M / det >= 0`` on the adjugate of a basis of its distinct
-    active normals: the adjugate it carries where they number n, else one
-    reached by degenerate Bland's-rule exchanges (``_tie_certificate``);
-    no simplex runs.  Each verdict carries its own certificate, checked
-    exactly over integer rows before it is returned.  Cost: phase one's
-    pivots and one ratio test (m n) per descent step, then one per edge
-    of the optimal face, or, when unbounded, one per edge of the whole
-    vertex graph.
+    active normals, reached by degenerate Bland's-rule exchanges where
+    they number more than n (``_tie_certificate``); no simplex runs.
+    Each verdict carries its own certificate, checked exactly over
+    integer rows before it is returned.  Cost: phase one's pivots and one
+    ratio test (m n) per descent step, then one per edge of the optimal
+    face, or, when unbounded, one per edge of the whole vertex graph.
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:
@@ -252,11 +227,7 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
 
     face = _in_order(face)
     tied = [_vertex(A, P.n, state) for state, _ in face]
-    proofs = [
-        _tie_certificate(active_normals(work, v.active), C, L) if adjugate is None
-        else _carried_certificate(A, v.active, adjugate, C, L)
-        for v, (_, adjugate) in zip(tied, face)
-    ]
+    proofs = [_tie_certificate(active_normals(work, v.active), C, L) for v in tied]
     (_, X, D, _), _ = face[0]
     best = Fraction(sum(map(mul, C, X)), D * L)
     value = best if sense == "min" else -best

@@ -23,7 +23,7 @@ from polycone import (
 from polycone import geometry, optimality
 from polycone.errors import DimensionMismatch, EmptyPolyhedron, NoVertices
 from polycone.geometry import Vertex
-from polycone.linalg import dot, null_direction, scaled, vec_neg
+from polycone.linalg import dot, null_direction, nullspace, scaled, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 QUADRANT = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0)])
@@ -490,19 +490,41 @@ def reference_project_onto_span(basis, c):
     return tuple(sum(coeffs[i] * basis[i][j] for i in range(k)) for j in range(len(c)))
 
 
+def _reference_walk_all(Q: Polyhedron):
+    """Phase one on Q, then the walk over every vertex from its vertex:
+    ``(vertices, rays, None)``, or ``(None, None, y)`` with phase one's
+    Farkas witness y (None when Q's rows have rank below n)."""
+    n = Q.n
+    aug = geometry._integer_rows(Q)
+    A = [tuple(row[:n]) for row in aug]
+    start, y = geometry._phase_one(A, aug, n)
+    if start is None:
+        return None, None, y
+    rays = []
+    return geometry._walked(A, n, start, rays), rays, None
+
+
 def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
-    """Reference for ``solve_glp``: list every vertex and ray of P
-    (``optimality._minkowski_weyl``) before reading c.  The objective is
-    unbounded along the lineality space or the lexicographically smallest
-    improving extreme ray; else the vertices of least value are the optimal
-    ones, each certified by ``optimality._tie_certificate``."""
+    """Reference for ``solve_glp``: list every vertex and ray of P before
+    reading c, walking P's slice orthogonal to its lineality space when
+    the rows have rank below n, as ``optimality._minkowski_weyl`` did
+    before phase two.  The objective is unbounded along the lineality space
+    or the lexicographically smallest improving extreme ray; else the
+    vertices of least value are the optimal ones, each certified by
+    ``optimality._tie_certificate``."""
     cv = tuple(Fraction(v) for v in c)
     cmin = cv if sense == "min" else vec_neg(cv)
     C, L = scaled(cmin)
-    work, lineality, vertices, rays, farkas = optimality._minkowski_weyl(P)
-    if farkas is not None:
-        return GLPSolution(status="Infeasible", farkas=farkas, solved_on=P)
     rows = geometry._integer_rows(P)
+    work, lineality = P, ()
+    vertices, rays, y = _reference_walk_all(P)
+    if vertices is None and y is None:
+        lineality = tuple(nullspace(P.row_matrix(), P.n))
+        work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
+        vertices, rays, y = _reference_walk_all(work)
+    if vertices is None:
+        # the slice's extra multipliers cancel: L is orthogonal to the rows
+        return GLPSolution(status="Infeasible", farkas=optimality._farkas(rows, y[:len(rows)]), solved_on=P)
     if lineality:
         c_lin = optimality._project_onto_span(lineality, cmin)
         if any(c_lin):

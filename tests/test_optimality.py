@@ -385,14 +385,13 @@ class TestWorkBudget:
     """Work per verdict, counted where solve_glp calls it: ``phase ones``
     the runs of phase one (on P, then on its lineality slice when P has no
     vertex), ``ratio tests`` the edges ratio-tested (``geometry._pivot``),
-    ``carried`` the tied vertices certified off the adjugate they carry,
-    ``pivoted`` those certified by Bland's-rule exchanges
-    (``_tie_certificate``), and ``cone tests`` the simplex runs of
-    ``cone_member``, counted in ``linprog``."""
+    ``certificates`` the tied vertices certified (``_tie_certificate``),
+    and ``cone tests`` the simplex runs of ``cone_member``, counted in
+    ``linprog``."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"phase ones": 0, "ratio tests": 0, "carried": 0, "pivoted": 0, "cone tests": 0}
+        counts = {"phase ones": 0, "ratio tests": 0, "certificates": 0, "cone tests": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -402,8 +401,7 @@ class TestWorkBudget:
 
         monkeypatch.setattr(optimality, "_phase_one", counted("phase ones", optimality._phase_one))
         monkeypatch.setattr(geometry, "_pivot", counted("ratio tests", geometry._pivot))
-        monkeypatch.setattr(optimality, "_carried_certificate", counted("carried", optimality._carried_certificate))
-        monkeypatch.setattr(optimality, "_tie_certificate", counted("pivoted", optimality._tie_certificate))
+        monkeypatch.setattr(optimality, "_tie_certificate", counted("certificates", optimality._tie_certificate))
         cone = linprog.cone_member
         for module in (linprog, optimality, structure_module):
             if getattr(module, "cone_member", None) is cone:
@@ -422,18 +420,18 @@ class TestWorkBudget:
         # the walk then tests the other edge, (0, 1), to list every ray
         sol = solve_glp(QUADRANT, (-1, 0))
         assert sol.status == "UnboundedBelow" and sol.ray == (1, 0)
-        assert counts == {"phase ones": 1, "ratio tests": 2, "carried": 0, "pivoted": 0, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": 2, "certificates": 0, "cone tests": 0}
 
     @pytest.mark.parametrize("P, c, tied", [(TRIANGLE, (1, 1), 1), (TRIANGLE, (0, 1), 2),
                                             (TRIANGLE, (0, 0), 3), (QUADRANT, (1, 0), 1)])
     def test_attained_one_cone_test_per_tied_vertex(self, counts, P, c, tied):
         # every tied vertex is simplicial, so its membership test is the
-        # sign test on the adjugate it carries and no simplex runs; phase
-        # two tests no more edges than the walk over every vertex
+        # sign test on its adjugate and no simplex runs; phase two tests
+        # no more edges than the walk over every vertex
         sol = solve_glp(P, c)
         assert sol.status == "Attained" and len(sol.optimal_vertices) == tied
         tests = counts["ratio tests"]
-        assert counts == {"phase ones": 1, "ratio tests": tests, "carried": tied, "pivoted": 0, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0}
         assert tests <= self._full_walk(counts, P)
 
     def test_non_simplicial_tie_runs_no_cone_test(self, counts):
@@ -444,7 +442,7 @@ class TestWorkBudget:
         sol = solve_glp(P, (-1, 0))
         assert sol.status == "Attained" and [v.point for v in sol.optimal_vertices] == [(1, 0)]
         assert sol.certificate[0].multipliers == (1, 1, 0)
-        assert counts == {"phase ones": 1, "ratio tests": 1, "carried": 0, "pivoted": 1, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": 1, "certificates": 1, "cone tests": 0}
         _assert_certified(P, (-1, 0), sol)
 
     def test_infeasible(self, counts):
@@ -452,7 +450,7 @@ class TestWorkBudget:
         # proves it empty: no edge and no cone test
         sol = solve_glp(Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)]), (1, 1))
         assert sol.status == "Infeasible"
-        assert counts == {"phase ones": 2, "ratio tests": 0, "carried": 0, "pivoted": 0, "cone tests": 0}
+        assert counts == {"phase ones": 2, "ratio tests": 0, "certificates": 0, "cone tests": 0}
 
     @pytest.mark.parametrize("c, status, certificates", [((1, 0), "UnboundedBelow", 0), ((0, 1), "Attained", 1)])
     def test_lineality_walks_its_slice(self, counts, c, status, certificates):
@@ -462,7 +460,7 @@ class TestWorkBudget:
         # optimal, with no edge along c = 0, and has three active rows, so
         # its certificate pivots, and runs no cone test
         assert solve_glp(STRIP, c).status == status
-        assert counts == {"phase ones": 2, "ratio tests": 0, "carried": 0, "pivoted": certificates, "cone tests": 0}
+        assert counts == {"phase ones": 2, "ratio tests": 0, "certificates": certificates, "cone tests": 0}
 
     @pytest.mark.parametrize("c, tied, tests", [((1, 2, -3, 1), 2, 3), ((3, -1, 2, 5), 1, 2),
                                                 ((-3, 1, -2, -5), 1, 5), ((0, 0, 0, 0), 42, 84)],
@@ -480,7 +478,7 @@ class TestWorkBudget:
         assert sol.status == "Attained" and sol.value == best
         assert [v.point for v in sol.optimal_vertices] == sorted(v for v in vertices if dot(c, v) == best)
         assert len(sol.optimal_vertices) == tied
-        assert counts == {"phase ones": 1, "ratio tests": tests, "carried": tied, "pivoted": 0, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0}
         assert self._full_walk(counts, P) == 84
 
     def test_unbounded_tests_each_edge_once(self, monkeypatch):
@@ -657,23 +655,6 @@ def test_tie_certificate_outside_the_cone_is_refused(C):
     assert optimality._tie_certificate(normals, [1, 2], 3).multipliers == (F(1, 3), F(2, 3))
     with pytest.raises(AssertionError, match="normal cone"):
         optimality._tie_certificate(normals, C, 1)
-
-
-@pytest.mark.parametrize("C", [[-1, 0], [1, -1]], ids=["both-negative", "one-negative"])
-def test_carried_certificate_outside_the_cone_is_refused(C):
-    # the same corner, read off the adjugate of its two rows as the walk
-    # carries it; the row x + y <= 1/2 has the integer row (2, 2, 1), so
-    # its multiplier at (0, 1/2) is scaled back by 2
-    A = [tuple(row[:2]) for row in geometry._integer_rows(TRIANGLE)]
-    adjugate = geometry._adjugate(A, (0, 1), 2)[1:]
-    assert optimality._carried_certificate(A, (0, 1), adjugate, [1, 2], 3).multipliers == (F(1, 3), F(2, 3))
-    P = Polyhedron.from_rows(2, [((-1, 0), 0), ((1, 1), F(1, 2))])
-    B = [tuple(row[:2]) for row in geometry._integer_rows(P)]
-    assert B[1] == (2, 2)
-    corner = optimality._carried_certificate(B, (0, 1), geometry._adjugate(B, (0, 1), 2)[1:], [0, -1], 1)
-    assert corner.multipliers == (1, 1)
-    with pytest.raises(AssertionError, match="normal cone"):
-        optimality._carried_certificate(A, (0, 1), adjugate, C, 1)
 
 
 def test_tie_certificate_takes_blands_path():
