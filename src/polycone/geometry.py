@@ -18,10 +18,12 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint
-from .linalg import Vector, dot, extend, null_direction, scaled
+from .linalg import Vector, dot, extend, null_direction, nullspace, scaled, vec_neg
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
 
 IndexSet = tuple[int, ...]
+
+_ZERO = Fraction(0)
 
 
 def _coerce_vector(values: Iterable) -> Vector:
@@ -148,10 +150,6 @@ class Cone:
                 rays.add(ray)
 
     @property
-    def is_trivial(self) -> bool:
-        return self.generators is not None and not self.generators
-
-    @property
     def is_everything(self) -> bool:
         return self.hform is not None and not self.hform
 
@@ -230,11 +228,12 @@ def _integer_rows(P: Polyhedron) -> list[list[int]]:
 def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     """All extremal points, each with its full active set and a witness.
 
-    One integer kernel for every n, output-sensitive from its first vertex.
-    Phase one (``_phase_one``) finds that vertex by a simplex descent on
-    the largest violation t, started at the lexicographically smallest
-    basis; without a basis (rank below n) there is no vertex and no
-    search.  From there the walk follows the vertex graph (Avis and Fukuda
+    One integer kernel for every n, output-sensitive from its first vertex,
+    entered by ``_start`` over P's integer rows; when P's lineality space
+    is nonzero, P has no vertex and no walk runs.  Phase one
+    (``_phase_one``) finds the first vertex by a simplex descent on the
+    largest violation t, started at the lexicographically smallest basis.
+    From there the walk follows the vertex graph (Avis and Fukuda
     1992).  A simplicial vertex, whose active rows with identical rows
     merged number n, carries the integer adjugate of those rows as an lrs
     dictionary does: its edges are the adjugate's columns, and a simplicial
@@ -249,19 +248,62 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     m = 30 and 0.010 s for m = 60 (CPython 3.11, 2 shared vCPUs).  Output
     sorted by point.
     """
-    return _vertices(P, _integer_rows(P))
+    lineality, A, start, _ = _start(_integer_rows(P), P.n)
+    return [] if lineality or start is None else _walked(A, P.n, start)
 
 
-def _vertices(P: Polyhedron, aug: list[list[int]], rays: list | None = None) -> list[Vertex]:
-    """The walk behind ``enumerate_vertices``, over P's integer rows
-    ``aug``: phase one (``_phase_one``), then ``_walk`` from its vertex.
-    Given a list ``rays``, the walk appends to it the direction of every
-    edge no row blocks, once per such edge: for pointed nonempty P, these
-    are the extreme rays of its recession cone."""
-    n = P.n
+def _minkowski_weyl(aug, n: int):
+    """The set ``{x : a.x <= b}`` of the integer rows ``aug`` ``[a...,
+    b]`` in R^n as ``conv V + cone R + lin L`` from one walk (Schrijver
+    1986, ch. 8): ``(lineality, vertices, rays, farkas)``, with L and
+    ``farkas`` as ``_start`` gives them, V sorted by point and R as the
+    integer directions of the edges no row blocks.  When L is nonzero, V
+    and R are those of the slice orthogonal to L; when the set is empty,
+    only ``farkas`` is given."""
+    lineality, A, start, farkas = _start(aug, n)
+    if farkas is not None:
+        return (), [], [], farkas
+    rays = []
+    return lineality, _walked(A, n, start, rays), rays, None
+
+
+def _start(aug, n: int):
+    """Phase one (``_phase_one``) over the integer rows ``aug`` in R^n:
+    ``(lineality, A, start, None)`` with the integer normals A the walk
+    runs on and phase one's vertex ``start``, or ``((), None, None,
+    farkas)`` when the set is empty (``farkas`` as ``_farkas`` gives it).
+    When the rows have rank below n, the set has no vertex; phase one then
+    runs on its cut to the orthogonal complement of its lineality space L,
+    the rows ``[+-v, 0]`` for v in a basis of L appended to ``aug``.  The
+    slice's extra multipliers cancel in a Farkas certificate, since L is
+    orthogonal to the row space."""
     A = [tuple(row[:n]) for row in aug]
-    start, _ = _phase_one(A, aug, n)
-    return [] if start is None else _walked(A, n, start, rays)
+    start, y = _phase_one(A, aug, n)
+    lineality = ()
+    if start is None and y is None:
+        lineality = tuple(nullspace(A, n))
+        rows = aug + [[*scaled(s)[0], 0] for v in lineality for s in (v, vec_neg(v))]
+        A = [tuple(row[:n]) for row in rows]
+        start, y = _phase_one(A, rows, n)
+    if start is None:
+        return (), None, None, _farkas(aug, y[:len(aug)])
+    return lineality, A, start, None
+
+
+def _farkas(aug, y) -> Vector:
+    """Integer multipliers y over the integer rows ``aug``, checked to be
+    ``y >= 0`` with ``y A = 0`` and ``y b < 0``, as multipliers over the
+    canonical rows with ``y.b = -1``: row i is ``max|A_i|`` times its
+    canonical row."""
+    n = len(aug[0]) - 1
+    yb = sum(yi * row[n] for yi, row in zip(y, aug))
+    if len(y) != len(aug) or min(y) < 0 or yb >= 0 or any(
+        sum(yi * row[j] for yi, row in zip(y, aug)) for j in range(n)
+    ):
+        raise AssertionError("Farkas multipliers failed verification")
+    # the zero entries, all but at most n + 1, share one Fraction; a list,
+    # not a generator, for the reason given in ``linalg.scaled``
+    return tuple([Fraction(yi * max(map(abs, row[:n])), -yb) if yi else _ZERO for yi, row in zip(y, aug)])
 
 
 def _walked(A, n: int, start, rays: list | None = None) -> list[Vertex]:
@@ -332,7 +374,7 @@ def _phase_two(A, n: int, start, C: list[int]):
     """Minimize ``C.x`` from phase one's vertex ``start``: ``(face, None)``
     with the optimal face's vertices as ``_walk`` leaves them, or
     ``(None, rays)`` when C falls along an edge no row blocks, with every
-    ray of the polyhedron as ``_vertices`` lists them.
+    ray of the polyhedron as ``_minkowski_weyl`` lists them.
 
     At each vertex the first edge d with ``C.d < 0`` is ratio-tested and
     followed.  Edges are true edges, also at a degenerate vertex (see
@@ -342,7 +384,7 @@ def _phase_two(A, n: int, start, C: list[int]):
     follows the edges with ``C.d = 0`` from it: they join the vertices of
     the optimal face.  When an edge falls that no row blocks, the walk goes
     on from the descent's vertices with their tested edges marked, so it
-    lists every ray and ratio-tests each edge once, as ``_vertices`` does.
+    lists every ray and ratio-tests each edge once, as ``_minkowski_weyl`` does.
     """
     tested = {start[0][0]: set()}
     path, vertex = [], start

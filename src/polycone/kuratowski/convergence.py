@@ -1,9 +1,9 @@
 """Numeric convergence diagnostics for sampled polyhedron families.
 
 The Kuratowski distance surrogate is a truncated-window support-function
-metric: both sets are cut to the box [-R, R]^n as H-rows (a generator cone
-through its polar) and compared on a fixed direction set (the +/- coordinate
-directions plus seeded pseudorandom unit vectors).  Support values come from
+metric: both sets are cut to the box [-R, R]^n as integer rows (a
+generator cone through its polar) and compared on a fixed direction set
+(the +/- coordinate directions plus seeded pseudorandom unit vectors).  Support values come from
 the vertices of the box-truncated polytope, exact rational points
 converted to binary64 only at the very end, so identical inputs give
 byte-identical reports.  Each diagnostic validates its window and
@@ -33,12 +33,16 @@ from ..geometry import (
     Cone,
     HalfSpace,
     Polyhedron,
+    _integer_rows,
+    _minkowski_weyl,
+    _start,
+    canonical_ray,
     enumerate_vertices,
     normal_cone,
     tangent_cone,
 )
-from ..linalg import Vector, vec_neg
-from ..optimality import _minkowski_weyl, solve_glp
+from ..linalg import Vector, scaled, vec_neg
+from ..optimality import solve_glp
 from ..rationals import format_rational, format_vector, simplest_within
 from ..structure import is_bounded, remove_redundant
 from .limits import PolyhedronTrajectory, _coordinate_limits, _tail, _unit_row
@@ -86,13 +90,10 @@ def default_window(candidate: Polyhedron) -> float:
     return min(max(2.0 * (1.0 + best), 1.0), 1.0e6)
 
 
-def _box_rows(n: int, R: Fraction) -> list[HalfSpace]:
-    rows = []
-    for j in range(n):
-        e = tuple(Fraction(1) if k == j else Fraction(0) for k in range(n))
-        rows.append(HalfSpace(e, R))
-        rows.append(HalfSpace(tuple(-v for v in e), R))
-    return rows
+def _box_rows(n: int, R: Fraction) -> list[list[int]]:
+    """The box [-R, R]^n as the integer rows ``[+-q e_j, p]`` for R = p / q."""
+    p, q = R.numerator, R.denominator
+    return [[s * q if k == j else 0 for k in range(n)] + [p] for j in range(n) for s in (1, -1)]
 
 
 def _checked_window(R: float, n: int, m: int) -> Fraction:
@@ -104,29 +105,29 @@ def _checked_window(R: float, n: int, m: int) -> Fraction:
     return Fraction(float(R))
 
 
-def _window_support(
-    obj: Polyhedron | Cone, R: Fraction, directions: Sequence[FloatVector]
-) -> list[float] | None:
-    """Support values of ``obj`` intersected with [-R, R]^n, or None if that is empty.
-
-    Every set but the trivial cone, whose cut is the origin, is cut to the
-    box as H-rows and its vertices are enumerated; the maximum over those
-    exact points is taken in binary64.  One walk
+def _as_rows(obj: Polyhedron | Cone) -> list[list[int]]:
+    """The integer rows ``[a..., b]`` of a polyhedron or a cone.  One walk
     writes the polar ``{y : g.y <= 0}`` of a generator cone as ``lin L +
-    cone D``, so cone(G) = ``{x : d.x <= 0, l.x = 0}`` (bipolar theorem).
-    """
-    rows = obj.halfspaces if isinstance(obj, Polyhedron) else obj.hform
-    if rows is None and not obj.generators:
-        # the trivial cone cut to the box is the origin
-        return [0.0] * len(directions)
-    if rows is None:
-        polar = Polyhedron(obj.n, (HalfSpace(g, 0) for g in obj.generators))
-        _, lines, _, rays, _ = _minkowski_weyl(polar)
-        rows = [HalfSpace(d, 0) for d in (*rays, *lines, *map(vec_neg, lines))]
-    boxed = Polyhedron(obj.n, (*rows, *_box_rows(obj.n, R)))
-    points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(boxed)]
-    if not points:
+    cone D``, so cone(G) = ``{x : d.x <= 0, l.x = 0}`` (bipolar theorem)."""
+    if isinstance(obj, Polyhedron):
+        return _integer_rows(obj)
+    if obj.hform is not None:
+        return [[*scaled(hs.a)[0], 0] for hs in obj.hform]
+    polar = [[*scaled(canonical_ray(g))[0], 0] for g in obj.generators]
+    lines, _, rays, _ = _minkowski_weyl(polar, obj.n)
+    return [[*d, 0] for d in rays] + [[*scaled(s)[0], 0] for v in lines for s in (v, vec_neg(v))]
+
+
+def _window_support(
+    rows: list[list[int]], box: list[list[int]], directions: Sequence[FloatVector]
+) -> list[float] | None:
+    """Support values of the integer rows' set cut to the ``box`` rows, or
+    None if that is empty: the maximum over the exact vertices of one walk,
+    taken in binary64."""
+    vertices = _minkowski_weyl(rows + box, len(box[0]) - 1)[1]
+    if not vertices:
         return None
+    points = [tuple(float(x) for x in v.point) for v in vertices]
     return [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in directions]
 
 
@@ -142,15 +143,15 @@ def _support_gap(hp: list[float] | None, hq: list[float] | None) -> WindowDistan
 def window_distance(P: Polyhedron | Cone, Q: Polyhedron | Cone, R: float) -> WindowDistance:
     """Truncated-window support-function pseudo-metric between two sets.
 
-    Both sets are cut to [-R, R]^n as H-rows (a generator cone through its
-    polar); the value is the maximum absolute support gap over
+    Both sets are cut to [-R, R]^n as integer rows (a generator cone
+    through its polar); the value is the maximum absolute support gap over
     ``default_directions(n)``.  Two empty windows give distance 0
     (flagged), one empty window gives infinity.
     """
-    window = _checked_window(R, P.n, Q.n)
+    box = _box_rows(P.n, _checked_window(R, P.n, Q.n))
     directions = default_directions(P.n)
-    hp = _window_support(P, window, directions)
-    return _support_gap(hp, _window_support(Q, window, directions))
+    hp = _window_support(_as_rows(P), box, directions)
+    return _support_gap(hp, _window_support(_as_rows(Q), box, directions))
 
 
 def _trend_converged(values: Sequence[float], tol: float) -> bool:
@@ -308,18 +309,19 @@ def verify_convergence(
     tail.  Also checks the vertex-count inequality data (the limit cannot
     have more vertices than the tail members).
     """
-    if _minkowski_weyl(candidate)[4] is not None:
+    rows = _integer_rows(candidate)
+    if _start(rows, candidate.n)[3] is not None:
         raise EmptyPolyhedron("candidate limit is empty")
     radius = default_window(candidate) if R is None else float(R)
     directions = default_directions(T.n)
-    window = _checked_window(radius, T.n, candidate.n)
-    h_limit = _window_support(candidate, window, directions)
+    box = _box_rows(T.n, _checked_window(radius, T.n, candidate.n))
+    h_limit = _window_support(rows, box, directions)
     distances = []
     counts = []
     limit_count = len(enumerate_vertices(candidate))
     for k in range(T.sample_count):
         Pk = T.sample_polyhedron(k)
-        d = _support_gap(_window_support(Pk, window, directions), h_limit)
+        d = _support_gap(_window_support(_integer_rows(Pk), box, directions), h_limit)
         distances.append((T.indices[k], d.value))
         counts.append((T.indices[k], len(enumerate_vertices(Pk)), limit_count))
     return ConvergenceReport(
@@ -390,12 +392,10 @@ def cone_convergence(
     radius 1: a cone cut to [-R, R]^n is R times the cone cut to [-1, 1]^n."""
     if not track.converged:
         raise TrackNotConverged("cone diagnostics need a converged vertex track")
-    c_limit = tangent_cone(limit, track.limit_vertex)
-    n_limit = normal_cone(limit, track.limit_vertex)
     directions = default_directions(T.n)
-    window = _checked_window(1.0, T.n, limit.n)
-    h_tangent = _window_support(c_limit, window, directions)
-    h_normal = _window_support(n_limit, window, directions)
+    box = _box_rows(T.n, _checked_window(1.0, T.n, limit.n))
+    h_tangent = _window_support(_as_rows(tangent_cone(limit, track.limit_vertex)), box, directions)
+    h_normal = _window_support(_as_rows(normal_cone(limit, track.limit_vertex)), box, directions)
     tangent_seq = []
     normal_seq = []
     for k in range(T.sample_count):
@@ -405,9 +405,9 @@ def cone_convergence(
             normal_seq.append((T.indices[k], math.inf))
             continue
         Pk = T.sample_polyhedron(k)
-        hk = _window_support(tangent_cone(Pk, point), window, directions)
+        hk = _window_support(_as_rows(tangent_cone(Pk, point)), box, directions)
         tangent_seq.append((T.indices[k], _support_gap(hk, h_tangent).value))
-        hk = _window_support(normal_cone(Pk, point), window, directions)
+        hk = _window_support(_as_rows(normal_cone(Pk, point)), box, directions)
         normal_seq.append((T.indices[k], _support_gap(hk, h_normal).value))
     converged = _trend_converged([d for _, d in tangent_seq], tol) and _trend_converged(
         [d for _, d in normal_seq], tol
@@ -449,8 +449,8 @@ def argmax_convergence(
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
     radius = default_window(limit) if R is None else float(R)
     directions = default_directions(T.n)
-    window = _checked_window(radius, T.n, limit.n)
-    h_face = _window_support(sol_limit.argmin_face, window, directions)
+    box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
+    h_face = _window_support(_integer_rows(sol_limit.argmin_face), box, directions)
     limit_count = len(enumerate_vertices(limit))
 
     per_max = []
@@ -463,7 +463,7 @@ def argmax_convergence(
         if sol.status != "Attained":
             raise MaxNotAttained(T.indices[k], f"objective not attained at sample {T.indices[k]}")
         per_max.append((T.indices[k], float(sol.value)))
-        hk = _window_support(sol.argmin_face, window, directions)
+        hk = _window_support(_integer_rows(sol.argmin_face), box, directions)
         face_dists.append((T.indices[k], _support_gap(hk, h_face).value))
         counts_equal.append(len(enumerate_vertices(Pk)) == limit_count)
 
@@ -506,18 +506,17 @@ def boundary_convergence(
         return unit + (offset,)
 
     limit_min = remove_redundant(limit)
-    window = _checked_window(radius, T.n, limit.n)
+    box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
     limit_rows = [match_key(hs) for hs in limit_min.halfspaces]
-    h_facets = [
-        _window_support(limit_min.with_rows([hs.flipped()]), window, directions)
-        for hs in limit_min.halfspaces
-    ]
+    # a facet's rows are the rows and that row negated
+    aug = _integer_rows(limit_min)
+    h_facets = [_window_support(aug + [[-x for x in row]], box, directions) for row in aug]
     warnings: list[str] = []
     metrics = []
     for k in range(T.sample_count):
         Pk = remove_redundant(T.sample_polyhedron(k))
         rows_k = [match_key(hs) for hs in Pk.halfspaces]
-        facets_k = [Pk.with_rows([hs.flipped()]) for hs in Pk.halfspaces]
+        aug_k = _integer_rows(Pk)
         worst = 0.0
         any_match = False
         for li, lrow in enumerate(limit_rows):
@@ -532,7 +531,7 @@ def boundary_convergence(
                 )
                 continue
             any_match = True
-            hk = _window_support(facets_k[best_j], window, directions)
+            hk = _window_support(aug_k + [[-x for x in aug_k[best_j]]], box, directions)
             worst = max(worst, _support_gap(hk, h_facets[li]).value)
         metrics.append((T.indices[k], worst if any_match else math.inf))
         if not any_match:

@@ -265,7 +265,7 @@ def rationalize_row(
     a: Sequence[float],
     b: float,
     eps: float,
-    max_denominator: int | None = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> HalfSpace:
     """Round a numeric row to an exact half-space.
 
@@ -290,7 +290,7 @@ def rationalize_row(
 
 
 def detect_ie_pairs(
-    limits: Sequence,
+    limits: Sequence[HalfSpace],
     eps: float = DEFAULT_EPS_LIMIT,
     samples: Sequence[Sequence[FloatVector]] | None = None,
 ) -> list[tuple[tuple[int, int], bool]]:
@@ -301,9 +301,7 @@ def detect_ie_pairs(
     parallelism: the pair is parallel i-e when the normals are opposite at
     every sample, in which case no bisector constraint exists.
     """
-    unit_rows = [
-        _unit_row(r.a, r.b) if isinstance(r, HalfSpace) else _unit_row(*r) for r in limits
-    ]
+    unit_rows = [_unit_row(r.a, r.b) for r in limits]
     pairs = []
     for i in range(len(unit_rows)):
         ai, bi = unit_rows[i]
@@ -356,7 +354,7 @@ def auxiliary_limit(
     t_i: ConstraintTrajectory,
     t_j: ConstraintTrajectory,
     eps_limit: float = DEFAULT_EPS_LIMIT,
-    max_denominator: int | None = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     pair: tuple[int, int] = (0, 1),
     warnings: list[str] | None = None,
 ) -> AuxiliaryConstraint:
@@ -446,7 +444,7 @@ class LimitReport:
 def construct_limit(
     T: PolyhedronTrajectory,
     eps_limit: float = DEFAULT_EPS_LIMIT,
-    max_denominator: int | None = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> LimitReport:
     """Build the exact limit polyhedron of a sampled family.
 

@@ -24,14 +24,13 @@ from .geometry import (
     _in_order,
     _integer_rows,
     _lex_basis,
-    _phase_one,
     _phase_two,
+    _start,
     _vertex,
-    _walked,
     active_normals,
     active_set,
 )
-from .linalg import Vector, dot, nullspace, scaled, solve_square, vec_neg
+from .linalg import Vector, dot, scaled, solve_square, vec_neg
 from .linprog import ConeMembership
 
 _ZERO = Fraction(0)
@@ -92,57 +91,6 @@ def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
     if y is None:
         raise AssertionError("Gram matrix of a basis is nonsingular")
     return tuple(dot(y, col) for col in zip(*basis))
-
-
-def _minkowski_weyl(P: Polyhedron):
-    """P as ``conv V + cone R + lin L`` from one walk: ``(work, lineality,
-    vertices, rays, farkas)``, rays as integer directions, with ``work``
-    and ``farkas`` as ``_start`` gives them."""
-    work, lineality, A, start, farkas = _start(P, _integer_rows(P))
-    if farkas is not None:
-        return P, (), [], [], farkas
-    rays = []
-    return work, lineality, _walked(A, P.n, start, rays), rays, None
-
-
-def _start(P: Polyhedron, aug):
-    """Phase one (``_phase_one``) on P, over its integer rows ``aug``:
-    ``(work, lineality, A, start, None)`` with the integer normals A of
-    ``work`` and phase one's vertex ``start`` of it, or ``(P, (), None,
-    None, farkas)`` when P is empty (``farkas`` as in ``GLPSolution``).
-    When the rows have rank below n, P has no vertex and ``work`` is P cut
-    to the orthogonal complement of its lineality space L, which the
-    normals already span; phase one runs on that slice, whose extra
-    multipliers cancel in a Farkas certificate, since L is orthogonal to
-    the row space.  Else ``work`` is P."""
-    n = P.n
-    work, lineality, A = P, (), [tuple(row[:n]) for row in aug]
-    start, y = _phase_one(A, aug, n)
-    if start is None and y is None:
-        lineality = tuple(nullspace(P.row_matrix(), n))
-        work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
-        rows = _integer_rows(work)
-        A = [tuple(row[:n]) for row in rows]
-        start, y = _phase_one(A, rows, n)
-    if start is None:
-        return P, (), None, None, _farkas(aug, y[:len(aug)])
-    return work, lineality, A, start, None
-
-
-def _farkas(aug, y) -> Vector:
-    """Integer multipliers y over P's integer rows ``aug``, checked to be
-    ``y >= 0`` with ``y A = 0`` and ``y b < 0``, as multipliers over the
-    canonical rows with ``y.b = -1``: row i is ``max|A_i|`` times its
-    canonical row."""
-    n = len(aug[0]) - 1
-    yb = sum(yi * row[n] for yi, row in zip(y, aug))
-    if len(y) != len(aug) or min(y) < 0 or yb >= 0 or any(
-        sum(yi * row[j] for yi, row in zip(y, aug)) for j in range(n)
-    ):
-        raise AssertionError("Farkas multipliers failed verification")
-    # the zero entries, all but at most n + 1, share one Fraction; a list,
-    # not a generator, for the reason given in ``linalg.scaled``
-    return tuple([Fraction(yi * max(map(abs, row[:n])), -yb) if yi else _ZERO for yi, row in zip(y, aug)])
 
 
 def _tie_certificate(normals: tuple[Vector, ...], C: list[int], L: int) -> ConeMembership:
@@ -210,10 +158,13 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     C, L = scaled(cmin)
 
     aug = _integer_rows(P)
-    work, lineality, A, start, farkas = _start(P, aug)
+    lineality, A, start, farkas = _start(aug, P.n)
     if farkas is not None:
         return GLPSolution(status="Infeasible", farkas=farkas, solved_on=P)
+    work = P
     if lineality:
+        # the slice the walk ran on, as the Polyhedron reported in ``solved_on``
+        work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
         c_lin = _project_onto_span(lineality, cmin)
         if any(v != 0 for v in c_lin):
             return _unbounded(aug, C, vec_neg(c_lin), work, lineality)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def parse_rational(token) -> Fraction:
@@ -34,7 +34,10 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_vector(tokens: Iterable) -> tuple[Fraction, ...]:
+def parse_vector(tokens: list | tuple) -> tuple[Fraction, ...]:
+    """Parse a list of exact rationals; ValueError for anything else, a string too."""
+    if not isinstance(tokens, (list, tuple)):
+        raise ValueError(f"malformed vector: {tokens!r}")
     return tuple(parse_rational(t) for t in tokens)
 
 
@@ -59,7 +62,7 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     return whole + 1 / frac
 
 
-def simplest_within(x: float, eps: float, max_denominator: int | None = 10**6) -> Fraction:
+def simplest_within(x: float, eps: float, max_denominator: int = 10**6) -> Fraction:
     """Simplest rational within eps of x, subject to the denominator cap.
 
     Used to round estimated numeric limits back to exact data. Falls back
@@ -73,6 +76,6 @@ def simplest_within(x: float, eps: float, max_denominator: int | None = 10**6) -
     fx = Fraction(x)
     feps = Fraction(eps)
     best = simplest_in_interval(fx - feps, fx + feps)
-    if max_denominator is not None and best.denominator > max_denominator:
+    if best.denominator > max_denominator:
         best = fx.limit_denominator(max_denominator)
     return best

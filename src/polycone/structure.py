@@ -1,9 +1,10 @@
 """Global polyhedron analyses read off one Minkowski–Weyl walk.
 
-``solve_glp``'s walk writes a nonempty P as ``conv V + cone R + lin L``;
-boundedness, implicit equalities, dimension, facets and a minimal
-description follow (Schrijver 1986, ch. 8), and ``poly_contains`` reads
-the walk of its inner polyhedron.  No verdict runs an LP; the one cone test
+One walk over P's integer rows (``geometry._minkowski_weyl``) writes a
+nonempty P as ``conv V + cone R + lin L``; boundedness, implicit
+equalities, dimension, facets and a minimal description follow
+(Schrijver 1986, ch. 8), and ``poly_contains`` reads the walk of its
+inner polyhedron.  No verdict runs an LP; the one cone test
 left is ``remove_redundant``'s over equality normals.  Operations that need
 a nonempty P raise EmptyPolyhedron.
 """
@@ -15,10 +16,11 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import Cone, IndexSet, Polyhedron, _integer_rows, contains_point, enumerate_vertices
+from .geometry import (
+    Cone, IndexSet, Polyhedron, _integer_rows, _minkowski_weyl, contains_point, enumerate_vertices
+)
 from .linalg import Vector, dot, rank, vec_neg
 from .linprog import cone_member
-from .optimality import _minkowski_weyl
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,10 @@ class Containment(NamedTuple):
     witness: Vector | None
 
 
-def _nonempty(P: Polyhedron):
-    """The lineality basis, vertices and rays of nonempty P (``_minkowski_weyl``)."""
-    _, lineality, vertices, rays, farkas = _minkowski_weyl(P)
+def _nonempty(aug: list[list[int]], n: int):
+    """The lineality basis, vertices and rays of the nonempty set of the
+    integer rows ``aug`` (``_minkowski_weyl``)."""
+    lineality, vertices, rays, farkas = _minkowski_weyl(aug, n)
     if farkas is not None:
         raise EmptyPolyhedron("operation requires a nonempty polyhedron")
     return lineality, vertices, rays
@@ -47,14 +50,14 @@ def _nonempty(P: Polyhedron):
 
 def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
     """Recession cone in H-form and an exact basis of the lineality space."""
-    lineality = _nonempty(P)[0]
+    lineality = _nonempty(_integer_rows(P), P.n)[0]
     return Cone(P.n, hform=tuple(hs.homogeneous() for hs in P.halfspaces)), lineality
 
 
 def is_bounded(P: Polyhedron) -> bool:
     """True iff the recession cone ``{d : A d <= 0}`` is trivial: P has no
     lineality and its walk meets no ray (P = conv V + cone R + lin L)."""
-    lineality, _, rays = _nonempty(P)
+    lineality, _, rays = _nonempty(_integer_rows(P), P.n)
     return not lineality and not rays
 
 
@@ -65,10 +68,11 @@ def _structure(P: Polyhedron) -> tuple[StructureReport, list[list[int]]]:
     row i is an implicit equality, else a facet iff it has a vertex and
     rank one less than ``{v - v0} ∪ R``, whose rank plus |L| is dim P.
     """
-    lineality, vertices, rays = _nonempty(P)
+    aug = _integer_rows(P)
+    lineality, vertices, rays = _nonempty(aug, P.n)
     faces = [(tuple(k for k, v in enumerate(vertices) if i in v.active),
               tuple(k for k, r in enumerate(rays) if not sum(map(mul, row, r))))
-             for i, row in enumerate(_integer_rows(P))]
+             for i, row in enumerate(aug)]
     whole = (tuple(range(len(vertices))), tuple(range(len(rays))))
 
     def span(face):
@@ -126,7 +130,7 @@ def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
-    _, lineality, vertices, rays, farkas = _minkowski_weyl(Q)
+    lineality, vertices, rays, farkas = _minkowski_weyl(_integer_rows(Q), Q.n)
     if farkas is not None:
         return Containment(True, None)
     directions = [*rays, *lineality, *map(vec_neg, lineality)]

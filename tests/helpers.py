@@ -507,7 +507,7 @@ def _reference_walk_all(Q: Polyhedron):
 def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
     """Reference for ``solve_glp``: list every vertex and ray of P before
     reading c, walking P's slice orthogonal to its lineality space when
-    the rows have rank below n, as ``optimality._minkowski_weyl`` did
+    the rows have rank below n, as ``geometry._minkowski_weyl`` does
     before phase two.  The objective is unbounded along the lineality space
     or the lexicographically smallest improving extreme ray; else the
     vertices of least value are the optimal ones, each certified by
@@ -524,7 +524,7 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
         vertices, rays, y = _reference_walk_all(work)
     if vertices is None:
         # the slice's extra multipliers cancel: L is orthogonal to the rows
-        return GLPSolution(status="Infeasible", farkas=optimality._farkas(rows, y[:len(rows)]), solved_on=P)
+        return GLPSolution(status="Infeasible", farkas=geometry._farkas(rows, y[:len(rows)]), solved_on=P)
     if lineality:
         c_lin = optimality._project_onto_span(lineality, cmin)
         if any(c_lin):
@@ -556,10 +556,11 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
 
 
 def reference_first_vertex(aug, n: int):
-    """Reference start for ``geometry._vertices``: the first vertex met on
-    the lexicographic (n-1)-row prefix lines, as its state (see
-    ``geometry._lowest``), or None when P has none.  A vertex's smallest
-    basis has a row after its first n-1, so no prefix ends at the last row."""
+    """Reference start for the walk of ``geometry._minkowski_weyl``: the
+    first vertex met on the lexicographic (n-1)-row prefix lines, as its
+    state (see ``geometry._lowest``), or None when P has none.  A vertex's
+    smallest basis has a row after its first n-1, so no prefix ends at the
+    last row."""
     for _, echelon in geometry._subsystems(aug, n - 1, n):
         end = reference_segment_end(aug, n, echelon)
         if end is not None:
@@ -599,9 +600,9 @@ def reference_segment_end(aug, n: int, echelon):
 
 
 def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
-    """Reference for ``geometry._vertices``: the same vertex-graph walk
-    from the prefix-line start, with the start's adjugate made afresh and
-    the output sorted by Fraction points."""
+    """Reference for the walk of ``geometry._minkowski_weyl`` on pointed P:
+    the same vertex-graph walk from the prefix-line start, with the start's
+    adjugate made afresh and the output sorted by Fraction points."""
     n, aug = P.n, geometry._integer_rows(P)
     start = reference_first_vertex(aug, n)
     if start is None:
@@ -654,6 +655,26 @@ def reference_cone_window_support(cone: Cone, R: Fraction, directions) -> list[f
         points = [tuple(dot(lam, col) for col in zip(*gens)) for lam in lams]
     fpoints = [tuple(float(x) for x in p) for p in points]
     return [max(sum(u * x for u, x in zip(d, p)) for p in fpoints) for d in directions]
+
+
+def reference_window_support(obj: Polyhedron | Cone, R: Fraction, directions) -> list[float] | None:
+    """Reference for ``_window_support`` on ``_as_rows(obj)`` and the box
+    ``_box_rows(n, R)``: the cut built as HalfSpaces and a Polyhedron, read
+    off ``enumerate_vertices``, with the trivial cone's cut the origin.  A
+    generator cone's rows come from one walk of its polar, as there."""
+    n = obj.n
+    rows = obj.halfspaces if isinstance(obj, Polyhedron) else obj.hform
+    if rows is None and not obj.generators:
+        return [0.0] * len(directions)
+    if rows is None:
+        polar = Polyhedron(n, (HalfSpace(g, 0) for g in obj.generators))
+        lines, _, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(polar), n)
+        rows = [HalfSpace(d, 0) for d in (*rays, *lines, *map(vec_neg, lines))]
+    box = [HalfSpace(tuple(s * int(k == j) for k in range(n)), R) for j in range(n) for s in (1, -1)]
+    points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(Polyhedron(n, (*rows, *box)))]
+    if not points:
+        return None
+    return [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in directions]
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,27 @@ class TestExitCodes:
         assert code == 1 and rep["kind"] == "ValueError"
         assert rep["error"].startswith(prefix)
 
+    @pytest.mark.parametrize(
+        "verb, where, value",
+        [("vertices", "row", "12"), ("limit", "row limit", "01"), ("argmax", "cost limit", "14")],
+    )
+    def test_string_vector_rejected(self, tmp_path, verb, where, value):
+        # a JSON string is no vector: "12" is not the normal (1, 2)
+        if where == "row":
+            data = polyhedron_to_dict(TRIANGLE)
+            data["constraints"][2]["a"] = value
+        else:
+            data = trajectory_to_dict(remark_trajectory())
+            if where == "row limit":
+                data["constraints"][0]["limit"] = {"a": value, "b": "0"}
+            else:
+                data["cost"]["limit"] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli([verb, str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": f"malformed vector: {value!r}", "kind": "ValueError"}
+
     def test_nan_offset_rejected(self, files):
         code, out = run_cli(["limit", files["nan_offset"]])
         assert code == 1

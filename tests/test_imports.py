@@ -7,6 +7,11 @@ only the ``ConeMembership`` type from ``linprog``, and ``structure`` only
 ``cone_member``, for its test on implicit-equality normals.  The
 Kuratowski modules use ``optimality`` and ``structure`` but import nothing
 from ``linprog`` directly.
+
+The walk's entry (``geometry._minkowski_weyl``) is fed integer rows:
+``structure`` takes nothing from ``optimality``, the Kuratowski modules
+take only ``solve_glp`` from it, and the window metric builds no
+``HalfSpace`` or ``Polyhedron`` to hand to the walk.
 """
 import ast
 import pathlib
@@ -93,3 +98,45 @@ def test_verdicts_take_only_the_oracle_type_from_the_simplex(module, allowed):
 )
 def test_name_guard_sees_each_import_form(line, names):
     assert _taken_from(line, "linprog") == names
+
+
+def test_structure_takes_nothing_from_optimality():
+    # the walk's entry lives in geometry
+    assert _taken_from((SRC / "structure.py").read_text(encoding="utf-8"), "optimality") == set()
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "kuratowski").glob("*.py")))
+def test_kuratowski_takes_only_solve_glp_from_optimality(module):
+    source = (SRC / "kuratowski" / module).read_text(encoding="utf-8")
+    assert _taken_from(source, "optimality") <= {"solve_glp"}
+
+
+# what builds a HalfSpace or a Polyhedron: the window metric hands the walk integer rows
+BUILDERS = {"HalfSpace", "Polyhedron", "with_rows", "flipped"}
+
+
+def _builds(source: str) -> set[str]:
+    """The names in BUILDERS that source calls, as ``f(...)`` or ``x.f(...)``."""
+    called = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called & BUILDERS
+
+
+def test_window_metric_builds_no_halfspace_or_polyhedron():
+    assert _builds((SRC / "kuratowski" / "convergence.py").read_text(encoding="utf-8")) == set()
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("HalfSpace(a, b)", {"HalfSpace"}),
+        ("geometry.Polyhedron(n, rows)", {"Polyhedron"}),
+        ("P.with_rows([hs.flipped()])", {"with_rows", "flipped"}),
+        ("def f(hs: HalfSpace) -> Polyhedron:\n    return hs.a", set()),
+    ],
+)
+def test_builder_guard_sees_each_call_form(line, names):
+    assert _builds(line) == names

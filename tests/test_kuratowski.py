@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polycone import (
     DIVERGENT,
@@ -34,7 +36,10 @@ from polycone import (
     verify_convergence,
     window_distance,
 )
-from polycone.kuratowski.convergence import _window_support, default_directions, default_window
+from polycone.geometry import _integer_rows
+from polycone.kuratowski.convergence import (
+    _as_rows, _box_rows, _window_support, default_directions, default_window
+)
 from polycone.kuratowski.limits import _unit_row
 
 from helpers import (
@@ -43,6 +48,7 @@ from helpers import (
     X_AXIS,
     random_generator_cone,
     reference_cone_window_support,
+    reference_window_support,
 )
 from families import (
     constant_triangle_trajectory,
@@ -255,7 +261,8 @@ class TestWindowDistance:
 
     def test_generator_cones_match_the_coefficient_polytope(self):
         # cone(G) from one walk of its polar equals, float for float, the
-        # truncation read off the coefficient polytope {lambda >= 0}
+        # truncation read off the coefficient polytope {lambda >= 0}, and
+        # the one built through HalfSpaces (``reference_window_support``)
         rng = random.Random(20)
         kinds, radii = set(), set()
         for i in range(1000):
@@ -263,15 +270,17 @@ class TestWindowDistance:
             kind, cone = random_generator_cone(rng, n)
             R = F(rng.randint(1, 70), 7)
             dirs = default_directions(n)
-            assert _window_support(cone, R, dirs) == reference_cone_window_support(cone, R, dirs)
+            walked = _window_support(_as_rows(cone), _box_rows(n, R), dirs)
+            assert walked == reference_cone_window_support(cone, R, dirs)
+            assert repr(walked) == repr(reference_window_support(cone, R, dirs))
             kinds.add(kind)
             radii.add(R)
         assert kinds == {"trivial", "spanning", "lines", "random"} and len(radii) > 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trivial_cone_is_the_origin(self, n):
-        # the trivial cone's window is read off without a walk, and equals,
-        # float for float, the support of its walked cut {+-x_j <= 0} in the box
+        # the trivial cone's window, through the walk of its polar R^n,
+        # equals, float for float, the support of its cut {+-x_j <= 0} in the box
         trivial = Cone(n, generators=())
         dirs = default_directions(n)
         for R in (F(1, 7), F(1), F(5, 2), F(10)):
@@ -279,7 +288,7 @@ class TestWindowDistance:
                     for j in range(n) for s in (1, -1) for b in (0, R)]
             points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(Polyhedron(n, rows))]
             walked = [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in dirs]
-            assert repr(_window_support(trivial, R, dirs)) == repr(walked)
+            assert repr(_window_support(_as_rows(trivial), _box_rows(n, R), dirs)) == repr(walked)
 
     def test_supports_match_lp_oracle(self):
         # the vertex-enumeration support equals the direct LP support
@@ -672,3 +681,100 @@ class TestDiagnosticsAgainstWindowDistance:
         for run in diagnostics:
             with pytest.raises(errors.BadWindow, match="positive and finite"):
                 run()
+
+
+class TestIntegerRowsAgainstHalfSpaces:
+    """The window metric's integer rows give, repr for repr, the supports of
+    the route through HalfSpaces and Polyhedra that they replace
+    (``reference_window_support``); generator cones are compared in
+    ``TestWindowDistance.test_generator_cones_match_the_coefficient_polytope``."""
+
+    @staticmethod
+    def _agree(obj, R, dirs, rows=None, reference=None):
+        box = _box_rows(obj.n, R)
+        walked = _window_support(_as_rows(obj) if rows is None else rows, box, dirs)
+        expected = reference_window_support(obj if reference is None else reference, R, dirs)
+        assert repr(walked) == repr(expected)
+        return walked
+
+    def _facets(self, P, R, dirs):
+        # each facet as boundary_convergence forms it: the rows plus one negated
+        P = remove_redundant(P)
+        aug = _integer_rows(P)
+        for i, hs in enumerate(P.halfspaces):
+            self._agree(P, R, dirs, aug + [[-x for x in aug[i]]], P.with_rows([hs.flipped()]))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_sets_facets_cones_and_faces(self, name):
+        T = FAMILIES[name]()
+        limit = construct_limit(T).limit
+        R = Fraction(default_window(limit))
+        dirs = default_directions(T.n)
+        samples = [T.sample_polyhedron(k) for k in range(T.sample_count)]
+        for P in (limit, *samples):
+            assert self._agree(P, R, dirs) is not None
+            self._facets(P, R, dirs)
+        cones = 0
+        for track in track_vertices(T, limit, tol=1e-3).tracks:
+            pairs = [(limit, track.limit_vertex)] + [(P, p) for P, (_, p, _) in zip(samples, track.matches) if p]
+            for P, point in pairs:
+                for cone in (tangent_cone(P, point), normal_cone(P, point)):
+                    self._agree(cone, F(1), dirs)
+                    cones += 1
+        assert cones
+        if T.cost is not None:
+            self._agree(solve_glp(limit, T.cost.declared_limit, "max").argmin_face, R, dirs)
+            for k, P in enumerate(samples):
+                self._agree(solve_glp(P, T.sample_cost(k), "max").argmin_face, R, dirs)
+
+    def test_empty_samples(self):
+        # the divergent pair's limit is empty, and so is its window
+        T = divergent_pair_trajectory()
+        limit = construct_limit(T).limit
+        dirs = default_directions(T.n)
+        assert self._agree(limit, F(4), dirs) is None
+        for k in range(T.sample_count):
+            self._agree(T.sample_polyhedron(k), F(4), dirs)
+
+
+_DECLARED = st.tuples(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2).filter(any), st.integers(-3, 3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.one_of(_DECLARED, st.just("+inf")), min_size=1, max_size=6).filter(
+        lambda rows: any(r != "+inf" for r in rows)
+    ),
+    samples=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(-5, 5)), min_size=3,
+                     max_size=3),
+)
+def test_construct_limit_returns_a_declared_limit(rows, samples):
+    # with every row's limit declared, the samples decide nothing: the
+    # limit is the declared rows, in order, less the +inf ones
+    declared = [PLUS_INFINITY if r == "+inf" else HalfSpace(*r) for r in rows]
+    assume(not detect_ie_pairs([d for d in declared if d is not PLUS_INFINITY]))
+    T = PolyhedronTrajectory(2, tuple(
+        ConstraintTrajectory([(k, (a, b), c) for k, (a, b, c) in enumerate(samples, 1)], declared_limit=d)
+        for d in declared
+    ))
+    rep = construct_limit(T)
+    assert rep.limit.halfspaces == tuple(d for d in declared if d is not PLUS_INFINITY)
+    assert rep.kept == tuple(i for i, d in enumerate(declared) if d is not PLUS_INFINITY)
+    assert rep.dropped_plus_infinity == tuple(i for i, d in enumerate(declared) if d is PLUS_INFINITY)
+    assert rep.ie_pairs == rep.auxiliary == ()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_permuted_constraints_permute_kept_and_dropped(name, data):
+    T = FAMILIES[name]()
+    order = data.draw(st.permutations(range(len(T.constraints))))
+    permuted = PolyhedronTrajectory(T.n, tuple(T.constraints[i] for i in order), T.cost)
+    moved = {i: k for k, i in enumerate(order)}
+    rep, prep = construct_limit(T), construct_limit(permuted)
+    assert prep.kept == tuple(sorted(moved[i] for i in rep.kept))
+    assert prep.dropped_plus_infinity == tuple(sorted(moved[i] for i in rep.dropped_plus_infinity))
+    row_of = dict(zip(rep.kept, rep.limit.halfspaces))
+    assert prep.limit.halfspaces[:len(prep.kept)] == tuple(row_of[order[k]] for k in prep.kept)

@@ -328,9 +328,14 @@ class TestPhaseOne:
             sol = solve_glp(P, c)
             walked = [P] if sol.solved_on is None or sol.solved_on is P else [P, sol.solved_on]
             for Q in walked:
-                rays, reference_rays = [], []
-                vertices = geometry._vertices(Q, geometry._integer_rows(Q), rays)
-                assert repr(vertices) == repr(reference_walk(Q, reference_rays))
+                reference_rays = []
+                reference = reference_walk(Q, reference_rays)
+                lineality, vertices, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(Q), Q.n)
+                if lineality:
+                    # not pointed: the walk ran on the slice, the next Q
+                    assert reference == [] == enumerate_vertices(Q)
+                    continue
+                assert repr(vertices) == repr(reference)
                 assert sorted(map(tuple, rays)) == sorted(map(tuple, reference_rays))
             if sol.status == "Infeasible":
                 assert is_farkas(P, sol.farkas)
@@ -399,7 +404,7 @@ class TestWorkBudget:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(optimality, "_phase_one", counted("phase ones", optimality._phase_one))
+        monkeypatch.setattr(geometry, "_phase_one", counted("phase ones", geometry._phase_one))
         monkeypatch.setattr(geometry, "_pivot", counted("ratio tests", geometry._pivot))
         monkeypatch.setattr(optimality, "_tie_certificate", counted("certificates", optimality._tie_certificate))
         cone = linprog.cone_member
@@ -510,7 +515,7 @@ class TestWorkBudget:
                 descended += [ray for _, _, ray in tested].index(True) > 0
                 assert len(set(tested)) == len(tested)
                 solve = len(tested)
-                geometry._vertices(sol.solved_on, geometry._integer_rows(sol.solved_on))
+                enumerate_vertices(sol.solved_on)
                 assert solve == len(tested) - solve
                 rays = reference_extreme_rays(sol.solved_on)
                 assert repr(sol.ray) == repr(min(_normalised(rays, cmin)))
@@ -641,9 +646,9 @@ def test_unverified_farkas_is_refused(y):
     # the set empty
     P = Polyhedron.from_rows(1, [((1,), -1), ((-1,), 0), ((1,), 5)])
     rows = geometry._integer_rows(P)
-    assert optimality._farkas(rows, [2, 2, 0]) == (1, 1, 0)
+    assert geometry._farkas(rows, [2, 2, 0]) == (1, 1, 0)
     with pytest.raises(AssertionError, match="Farkas"):
-        optimality._farkas(rows, y)
+        geometry._farkas(rows, y)
 
 
 @pytest.mark.parametrize("C", [[-1, 0], [1, -1]], ids=["both-negative", "one-negative"])

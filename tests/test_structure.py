@@ -282,7 +282,7 @@ def test_unverified_witness_is_refused(monkeypatch):
     # a walk of TRIANGLE that lists (-1, 0), outside it, as its vertex:
     # the witness against QUADRANT's row -x <= 0 fails its check
     fake = Vertex(point=(F(-1), F(0)), active=(), defining=())
-    monkeypatch.setattr(structure_module, "_minkowski_weyl", lambda Q: (Q, (), [fake], [], None))
+    monkeypatch.setattr(structure_module, "_minkowski_weyl", lambda aug, n: ((), [fake], [], None))
     with pytest.raises(AssertionError, match="witness"):
         poly_contains(QUADRANT, TRIANGLE)
 
