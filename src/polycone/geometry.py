@@ -229,15 +229,15 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     """All extremal points, each with its full active set and a witness.
 
     One integer kernel for every n, output-sensitive from its first vertex,
-    entered by ``_start`` over P's integer rows; when P's lineality space
-    is nonzero, P has no vertex and no walk runs.  Phase one
-    (``_phase_one``) finds the first vertex by a simplex descent on the
-    largest violation t, started at the lexicographically smallest basis.
-    From there the walk follows the vertex graph (Avis and Fukuda
-    1992).  A simplicial vertex, whose active rows with identical rows
-    merged number n, carries the integer adjugate of those rows as an lrs
-    dictionary does: its edges are the adjugate's columns, and a simplicial
-    neighbour gets its adjugate by one O(n^2) Bareiss exchange.  Any other
+    entered by phase one (``_phase_one``) over P's integer rows; when
+    those have rank below n, P has no vertex and no walk runs.  Phase one
+    finds the first vertex by a simplex descent on the largest violation
+    t, started at the lexicographically smallest basis.  From there the
+    walk follows the vertex graph (Avis and Fukuda 1992).  A simplicial
+    vertex, whose active rows with identical rows merged number n, carries
+    the integer adjugate of those rows as an lrs dictionary does: its
+    edges are the adjugate's columns, and a simplicial neighbour gets its
+    adjugate by one O(n^2) Bareiss exchange.  Any other
     vertex takes as edges the null directions of its rank-(n-1) subsets of
     active rows that no active row rises along.  One ratio test over all m
     rows moves along each edge to the neighbour, whose active set is the
@@ -248,8 +248,10 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     m = 30 and 0.010 s for m = 60 (CPython 3.11, 2 shared vCPUs).  Output
     sorted by point.
     """
-    lineality, A, start, _ = _start(_integer_rows(P), P.n)
-    return [] if lineality or start is None else _walked(A, P.n, start)
+    aug = _integer_rows(P)
+    A = [tuple(row[:P.n]) for row in aug]
+    start, _ = _phase_one(A, aug, P.n)
+    return [] if start is None else _walked(A, P.n, start)
 
 
 def _minkowski_weyl(aug, n: int):
@@ -415,18 +417,14 @@ def _phase_one(A, aug, n: int):
 
     The lexicographically smallest basis B and its adjugate come from one
     fraction-free pass (``_adjugate``), and ``x0 = inv(A_B) b_B``.  If x0
-    violates a row, phase one minimizes t over the lifted set
-    ``{A_B x <= b_B, A_N x - t <= b_N, -t <= 0}`` from its vertex (x0, t0),
-    whose basis is B and the most violated row k and whose adjugate is B's
-    bordered, ``[[-M, 0], [-a_k M, det]]`` with determinant ``-det``.  Each
-    step is one sign test, one integer ratio test and one ``_exchange``,
-    by Bland's rule (1977) with the t-row first: the basis row of least
-    index along whose edge t falls leaves, and ties in the ratio test go
-    to the t-row, then to the least row.  So t reaches 0 with the t-row in
-    the basis; the other basis rows are then a basis of the vertex x, and
-    the lifted adjugate without the t-row's column and coordinate is
-    theirs.  If instead ``y = -e_t M / det >= 0`` while t > 0, no edge
-    descends, and y over the basis rows proves P empty."""
+    violates a row, ``_bland`` minimizes t over the lifted set
+    ``{-t <= 0, A_B x <= b_B, A_N x - t <= b_N}`` from its vertex (x0, t0):
+    its basis is B and the most violated row k, its adjugate B's bordered
+    ``[[-M, 0], [-a_k M, det]]`` with determinant ``-det``.  The t-row is
+    row 0, so it wins every ratio tie and enters as t reaches 0; the other
+    basis rows are then a basis of the vertex x, and the lifted adjugate
+    cut to them is theirs.  If t stays positive, ``y = -e_t M / det >= 0``
+    over the basis rows proves P empty."""
     m = len(A)
     found = _adjugate(A, range(m), n)
     if found is None:
@@ -442,42 +440,76 @@ def _phase_one(A, aug, n: int):
     if S[k] >= 0:
         start, adjugate = _lowest(X, D, S), (M, det)
     else:
-        # the lifted rows, the t-row last with index m, at the point (X, T) / D
+        # the lifted rows, row i of A as row i + 1, at the point (X, T) / D
         lifted = set(basis)
-        rows = [a + (0,) if i in lifted else a + (-1,) for i, a in enumerate(A)]
-        rows.append((0,) * n + (-1,))
+        rows = [(0,) * n + (-1,)] + [a + (0,) if i in lifted else a + (-1,) for i, a in enumerate(A)]
         T = -S[k]
-        Z, S = X + [T], [s if i in lifted else s + T for i, s in enumerate(S)] + [T]
-        basis = [*basis, k]
+        S = [T] + [s if i in lifted else s + T for i, s in enumerate(S)]
         M = [[-x for x in col] + [-sum(map(mul, A[k], col))] for col in M] + [[0] * n + [det]]
-        det = -det
-        r = None
-        while r != m:
-            # t falls along column j iff y_j = -M[j][n] / det < 0
-            falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if col[n] * det > 0]
-            if not falls:
-                y = [0] * m
-                for i, col in zip(basis, M):
-                    y[i] = -col[n] if det > 0 else col[n]
-                return None, y
-            j = min(falls)[1]
-            d = _column(M[j], det)
-            E = [sum(map(mul, row, d)) for row in rows]
-            r = m  # t falls, so the t-row blocks
-            for i in range(m):
-                if E[i] > 0 and S[i] * E[r] < S[r] * E[i]:
-                    r = i
-            e, s = E[r], S[r]
-            Z, D = [e * z + s * x for z, x in zip(Z, d)], e * D
-            S = [e * t - s * f for t, f in zip(S, E)]
-            g = gcd(D, *Z)
-            if g > 1:
-                Z, D, S = [z // g for z in Z], D // g, [t // g for t in S]
-            M, det = _exchange(rows[r], M, det, j)
-            basis[j] = r
-        start = _lowest(Z[:n], D, S[:m])
+        basis, (M, det), (Z, D, S), _ = _bland(rows, [i + 1 for i in basis] + [k + 1], M, -det,
+                                                [0] * n + [1], X + [T], D, S)
+        if 0 not in basis:
+            y = [0] * m
+            for i, col in zip(basis, M):
+                y[i - 1] = -col[n] if det > 0 else col[n]
+            return None, y
+        j = basis.index(0)
+        start = _lowest(Z[:n], D, S[1:])
         adjugate = [col[:n] for i, col in enumerate(M) if i != j], det
     return (start, adjugate if _merged(A, start[0], n) is not None else None), None
+
+
+def _bland(rows, basis: list[int], M, det: int, C, X: list[int], D: int, S: list[int]):
+    """Minimize ``C.x`` over ``{x : rows x <= b}`` by Bland's rule (1977),
+    from the point ``X / D`` with integer slacks ``S = b D - rows X`` at
+    which the rows ``basis`` are tight, carrying their adjugate ``M = det
+    inv(rows_B)`` (see ``_adjugate``).  With ``y = -C M / det``, C falls
+    along column j of ``-M / det`` iff ``y_j < 0``; the basis row of least
+    index among those leaves, and of the rows rising along that column the
+    one met first enters, the least row among ties.  Each step is one sign
+    test, one integer ratio test (m n) and one ``_exchange``; the least
+    index choices rule out cycling.  ``(basis, (M, det), (X, D, S), d)``
+    with the final basis, adjugate and point, and d None when ``y >= 0``
+    proves the point optimal, or else the column along which C falls and
+    no row blocks.  ``basis`` is updated in place."""
+    while True:
+        falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if sum(map(mul, C, col)) * det > 0]
+        if not falls:
+            return basis, (M, det), (X, D, S), None
+        j = min(falls)[1]
+        d = _column(M[j], det)
+        E = [sum(map(mul, row, d)) for row in rows]
+        r = None
+        for i, e in enumerate(E):
+            if e > 0 and (r is None or S[i] * E[r] < S[r] * e):
+                r = i
+        if r is None:
+            return basis, (M, det), (X, D, S), d
+        # the next point (e X + s d) / (e D), with slacks e S - s E
+        e, s = E[r], S[r]
+        _, X, D, S = _lowest([e * x + s * y for x, y in zip(X, d)], e * D,
+                             [e * t - s * f for t, f in zip(S, E)])
+        M, det = _exchange(rows[r], M, det, j)
+        basis[j] = r
+
+
+def _tie_certificate(G, C: list[int], L: int) -> Vector:
+    """``-c_min = -C / L`` in the normal cone of a tied vertex whose
+    distinct active integer rows are G: multipliers ``>= 0`` over G's rows
+    as canonical normals ``G_i / max|G_i|``, checked to recombine -C over
+    the integers.  ``_bland`` minimizes ``C.d`` over the vertex's tangent
+    cone ``G d <= 0`` from its apex, where every slack is 0, so every step
+    is degenerate, and none is taken when G has n rows.  It starts at the
+    lexicographic basis of G and ends where ``y = -C M / det >= 0``; the
+    multiplier of basis row i is ``y_i max|G_i| / L``, 0 off the basis."""
+    n = len(C)
+    basis, M, det = _adjugate(G, range(len(G)), n)
+    basis, (M, det), _, d = _bland(G, list(basis), M, det, C, [0] * n, 1, [0] * len(G))
+    Y = [-sum(map(mul, C, col)) for col in M]
+    if d is not None or any(sum(y * G[i][k] for y, i in zip(Y, basis)) != -det * C[k] for k in range(n)):
+        raise AssertionError("a minimum-value vertex misses the normal cone")
+    y = dict(zip(basis, Y))
+    return tuple(Fraction(y[i] * max(map(abs, g)), det * L) if i in y else _ZERO for i, g in enumerate(G))
 
 
 def _merged(A, active: IndexSet, n: int) -> IndexSet | None:

@@ -18,23 +18,18 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     Vertex,
-    _adjugate,
-    _column,
-    _exchange,
     _in_order,
     _integer_rows,
     _lex_basis,
     _phase_two,
     _start,
+    _tie_certificate,
     _vertex,
     active_normals,
     active_set,
 )
 from .linalg import Vector, dot, scaled, solve_square, vec_neg
 from .linprog import ConeMembership
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class GLPSolution:
@@ -46,10 +41,11 @@ class GLPSolution:
     - Attained: every vertex w of minimal value, sorted by point as
       ``enumerate_vertices`` sorts them, with a ConeMembership in
       ``certificate`` proving ``-c in N_w`` over w's distinct active
-      normals, read off the adjugate of a basis of them
-      (``_tie_certificate``): nonzero only on that basis, and unique where
-      the normals number n.  ``argmin_face`` is the full optimal face of
-      the *original* polyhedron.
+      normals, read off the adjugate of a basis of their integer rows
+      that Bland's rule reaches (``geometry._tie_certificate``): nonzero
+      only on that basis, and unique where the normals number n.
+      ``argmin_face`` is the full optimal face of the *original*
+      polyhedron.
     - UnboundedBelow: ``ray`` is a recession direction of P that strictly
       improves the objective.  When c has a component along the lineality
       space, it is minus that component.  Otherwise it is, of the extreme
@@ -93,41 +89,6 @@ def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
     return tuple(dot(y, col) for col in zip(*basis))
 
 
-def _tie_certificate(normals: tuple[Vector, ...], C: list[int], L: int) -> ConeMembership:
-    """``-c_min = -C / L`` in the cone of a tied vertex's distinct active
-    normals, over their integer rows G.  From the lexicographic basis of G
-    and its adjugate ``M = det inv(G_B)``, with ``y = -C M / det``, each
-    step is degenerate: by Bland's rule (1977), as in ``_phase_one``, the
-    basis row of least index with ``y_j < 0`` leaves and the normal of
-    least index rising along column j of ``-M / det`` enters.  With n
-    normals there is no step.  If no normal rises, that column is a
-    direction of the vertex's tangent cone along which c falls.  The
-    multiplier of basis normal i is ``y_i L_i / L`` with ``L_i = max|G_i|``,
-    0 off the basis, checked to recombine over the integers."""
-    n = len(C)
-    G = [tuple(scaled(a)[0]) for a in normals]
-    basis, M, det = _adjugate(G, range(len(G)), n)
-    basis = list(basis)
-    while True:
-        Y = [-sum(map(mul, C, col)) for col in M]
-        falls = [(i, j) for j, (i, y) in enumerate(zip(basis, Y)) if y * det < 0]
-        if not falls:
-            break
-        j = min(falls)[1]
-        d = _column(M[j], det)
-        k = next((k for k, g in enumerate(G) if sum(map(mul, g, d)) > 0), None)
-        if k is None:
-            raise AssertionError("a minimum-value vertex misses the normal cone")
-        M, det = _exchange(G[k], M, det, j)
-        basis[j] = k
-    if any(sum(y * G[i][k] for y, i in zip(Y, basis)) != -det * C[k] for k in range(n)):
-        raise AssertionError("a minimum-value vertex misses the normal cone")
-    y = dict(zip(basis, Y))
-    return ConeMembership(member=True, multipliers=tuple(
-        Fraction(y[i] * max(map(abs, g)), det * L) if i in y else _ZERO for i, g in enumerate(G)
-    ))
-
-
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
@@ -142,8 +103,9 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     cone, and the walk along the edges with ``<c, d> = 0`` lists the
     optimal face's vertices.  Each one's certificate is the sign test
     ``y = -C M / det >= 0`` on the adjugate of a basis of its distinct
-    active normals, reached by degenerate Bland's-rule exchanges where
-    they number more than n (``_tie_certificate``); no simplex runs.
+    active integer rows, reached by degenerate Bland's-rule exchanges
+    where they number more than n (``geometry._tie_certificate``); no
+    simplex runs.
     Each verdict carries its own certificate, checked exactly over
     integer rows before it is returned.  Cost: phase one's pivots and one
     ratio test (m n) per descent step, then one per edge of the optimal
@@ -178,7 +140,8 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
 
     face = _in_order(face)
     tied = [_vertex(A, P.n, state) for state, _ in face]
-    proofs = [_tie_certificate(active_normals(work, v.active), C, L) for v in tied]
+    # each tie's distinct active integer rows, in row order
+    proofs = [_tie_certificate(list(dict.fromkeys(A[i] for i in v.active)), C, L) for v in tied]
     (_, X, D, _), _ = face[0]
     best = Fraction(sum(map(mul, C, X)), D * L)
     value = best if sense == "min" else -best
@@ -187,7 +150,7 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
         optimal_vertices=tuple(tied),
         value=value,
         argmin_face=_level_face(P, cv, value),
-        certificate=tuple(proofs),
+        certificate=tuple(ConeMembership(member=True, multipliers=y) for y in proofs),
         solved_on=work,
         lineality_basis=lineality,
     )

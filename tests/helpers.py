@@ -9,6 +9,7 @@ from operator import mul
 
 from polycone import (
     Cone,
+    ConeMembership,
     Containment,
     GLPSolution,
     HalfSpace,
@@ -511,7 +512,9 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
     before phase two.  The objective is unbounded along the lineality space
     or the lexicographically smallest improving extreme ray; else the
     vertices of least value are the optimal ones, each certified by
-    ``optimality._tie_certificate``."""
+    ``geometry._tie_certificate`` over its distinct canonical active
+    normals, cleared of denominators (``solve_glp`` dedupes the walk's
+    integer rows instead)."""
     cv = tuple(Fraction(v) for v in c)
     cmin = cv if sense == "min" else vec_neg(cv)
     C, L = scaled(cmin)
@@ -544,8 +547,10 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
         optimal_vertices=tuple(tied),
         value=value,
         argmin_face=face,
-        certificate=tuple(optimality._tie_certificate(geometry.active_normals(work, v.active), C, L)
-                          for v in tied),
+        certificate=tuple(
+            ConeMembership(member=True, multipliers=geometry._tie_certificate(
+                [tuple(scaled(a)[0]) for a in geometry.active_normals(work, v.active)], C, L))
+            for v in tied),
         solved_on=work,
         lineality_basis=lineality,
     )

@@ -29,6 +29,7 @@ from helpers import (
     TRIANGLE,
     Y1,
     STRIP,
+    X_AXIS,
     brute_vertices,
     lex_witness,
     polygon_product,
@@ -120,6 +121,20 @@ class TestEnumerateVertices:
 
     def test_strip_has_none(self):
         assert enumerate_vertices(STRIP) == []
+
+    @pytest.mark.parametrize("P", [STRIP, X_AXIS], ids=["strip", "x-axis"])
+    def test_non_pointed_stops_at_the_rank_test(self, monkeypatch, P):
+        # rows of rank below n: one phase one, which stops at its rank
+        # test, and no second one on the lineality slice
+        runs, phase_one = [], geometry._phase_one
+
+        def counted(*args):
+            runs.append(phase_one(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(geometry, "_phase_one", counted)
+        assert enumerate_vertices(P) == []
+        assert runs == [(None, None)]
 
     def test_defining_is_nonsingular_n_subset(self):
         for v in enumerate_vertices(TRIANGLE):

@@ -8,6 +8,11 @@ only the ``ConeMembership`` type from ``linprog``, and ``structure`` only
 Kuratowski modules use ``optimality`` and ``structure`` but import nothing
 from ``linprog`` directly.
 
+Only ``geometry`` knows the layout of the integer adjugate that phase
+one, the walk and the tie certificates carry: ``optimality`` takes none of
+``_adjugate``, ``_bland``, ``_column`` or ``_exchange`` from it, nor the
+module itself.
+
 The walk's entry (``geometry._minkowski_weyl``) is fed integer rows:
 ``structure`` takes nothing from ``optimality``, the Kuratowski modules
 take only ``solve_glp`` from it, and the window metric builds no
@@ -98,6 +103,34 @@ def test_verdicts_take_only_the_oracle_type_from_the_simplex(module, allowed):
 )
 def test_name_guard_sees_each_import_form(line, names):
     assert _taken_from(line, "linprog") == names
+
+
+# the integer adjugate and the one Bland loop on it
+ADJUGATE = {"_adjugate", "_bland", "_column", "_exchange"}
+
+
+def _adjugate_internals(source: str) -> set[str]:
+    """The adjugate internals source takes from ``geometry``, with ``*``
+    when it takes the module itself."""
+    return _taken_from(source, "geometry") & (ADJUGATE | {"*"})
+
+
+def test_optimality_takes_no_adjugate_internals():
+    assert _adjugate_internals((SRC / "optimality.py").read_text(encoding="utf-8")) == set()
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("from .geometry import _exchange, _vertex", {"_exchange"}),
+        ("from polycone.geometry import _adjugate, _bland, _column", {"_adjugate", "_bland", "_column"}),
+        ("from . import geometry", {"*"}),
+        ("def f():\n    from .geometry import _bland", {"_bland"}),
+        ("from .geometry import _tie_certificate, _phase_two", set()),
+    ],
+)
+def test_adjugate_guard_sees_each_import_form(line, names):
+    assert _adjugate_internals(line) == names
 
 
 def test_structure_takes_nothing_from_optimality():

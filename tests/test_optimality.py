@@ -3,6 +3,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -390,7 +391,8 @@ class TestWorkBudget:
     """Work per verdict, counted where solve_glp calls it: ``phase ones``
     the runs of phase one (on P, then on its lineality slice when P has no
     vertex), ``ratio tests`` the edges ratio-tested (``geometry._pivot``),
-    ``certificates`` the tied vertices certified (``_tie_certificate``),
+    ``certificates`` the tied vertices certified
+    (``geometry._tie_certificate``),
     and ``cone tests`` the simplex runs of ``cone_member``, counted in
     ``linprog``."""
 
@@ -406,7 +408,7 @@ class TestWorkBudget:
 
         monkeypatch.setattr(geometry, "_phase_one", counted("phase ones", geometry._phase_one))
         monkeypatch.setattr(geometry, "_pivot", counted("ratio tests", geometry._pivot))
-        monkeypatch.setattr(optimality, "_tie_certificate", counted("certificates", optimality._tie_certificate))
+        monkeypatch.setattr(optimality, "_tie_certificate", counted("certificates", geometry._tie_certificate))
         cone = linprog.cone_member
         for module in (linprog, optimality, structure_module):
             if getattr(module, "cone_member", None) is cone:
@@ -543,14 +545,24 @@ def _apex_corpus():
 
 def test_apex_ties_pivot_to_their_certificates(monkeypatch):
     # the lexicographic basis of the apex's normals often misses -c, so
-    # Bland's rule pivots, each step one exchange; the result is exact
-    pivots, exchange = [0], optimality._exchange
+    # Bland's rule pivots, each step one exchange; the result is exact.
+    # Only the exchanges made inside a certificate are counted.
+    pivots, inside = [0], [False]
+    exchange, certificate = geometry._exchange, geometry._tie_certificate
 
     def counted(*args):
-        pivots[0] += 1
+        pivots[0] += inside[0]
         return exchange(*args)
 
-    monkeypatch.setattr(optimality, "_exchange", counted)
+    def certifying(*args):
+        inside[0] = True
+        try:
+            return certificate(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(geometry, "_exchange", counted)
+    monkeypatch.setattr(optimality, "_tie_certificate", certifying)
     pivoted = 0
     for P, c in _apex_corpus():
         before = pivots[0]
@@ -656,18 +668,37 @@ def test_tie_certificate_outside_the_cone_is_refused(C):
     # at TRIANGLE's corner (0, 0) the normals are (-1, 0) and (0, -1), so
     # only costs c >= 0 keep it optimal: -C needs the multipliers (-1, 0)
     # and (1, -1) there
-    normals = geometry.active_normals(TRIANGLE, (0, 1))
-    assert optimality._tie_certificate(normals, [1, 2], 3).multipliers == (F(1, 3), F(2, 3))
+    rows = [(-1, 0), (0, -1)]
+    assert geometry._tie_certificate(rows, [1, 2], 3) == (F(1, 3), F(2, 3))
     with pytest.raises(AssertionError, match="normal cone"):
-        optimality._tie_certificate(normals, C, 1)
+        geometry._tie_certificate(rows, C, 1)
 
 
 def test_tie_certificate_takes_blands_path():
     # at the first basis, (0, -1) and (1, 1), both multipliers of -c = (-2, 3)
     # are negative; the least row leaves first, and the exchanges end at the
-    # basis (1/2, 1), (-1, 1) (leaving the other first ends at (1, 1), (-1, 1))
-    normals = ((F(0), F(-1)), (F(1), F(1)), (F(1, 2), F(1)), (F(-1), F(1)))
-    assert optimality._tie_certificate(normals, [2, -3], 1).multipliers == (0, 0, F(2, 3), F(7, 3))
+    # basis (1, 2), (-1, 1) (leaving the other first ends at (1, 1), (-1, 1));
+    # the row (1, 2) is twice the canonical normal (1/2, 1)
+    rows = [(0, -1), (1, 1), (1, 2), (-1, 1)]
+    assert geometry._tie_certificate(rows, [2, -3], 1) == (0, 0, F(2, 3), F(7, 3))
+
+
+def test_bland_does_not_cycle_on_beales_lp():
+    # Beale (1955): min -3/4 x1 + 20 x2 - 1/2 x3 + 6 x4 subject to
+    # 1/4 x1 - 8 x2 - x3 + 9 x4 <= 0, 1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0,
+    # x3 <= 1 and x >= 0, which cycles under the textbook largest-coefficient
+    # rule from the degenerate origin; Bland's rule reaches the optimum
+    rows = [(1, -32, -4, 36), (1, -24, -1, 6), (0, 0, 1, 0)] + [
+        tuple(-int(i == j) for j in range(4)) for i in range(4)]
+    C = [-3, 80, -2, 24]
+    basis, M, det = geometry._adjugate(rows, range(3, 7), 4)
+    assert basis == (3, 4, 5, 6)
+    _, _, (X, D, S), d = geometry._bland(rows, list(basis), M, det, C, [0] * 4, 1, [0, 0, 1, 0, 0, 0, 0])
+    assert d is None and [F(x, D) for x in X] == [1, 0, 1, 0]
+    value = F(sum(map(mul, C, X)), 4 * D)
+    P = Polyhedron.from_rows(4, [(row, int(i == 2)) for i, row in enumerate(rows)])
+    assert value == F(-5, 4) == solve_lp(P, (F(-3, 4), 20, F(-1, 2), 6)).value
+    assert S == [int(i == 2) * D - sum(map(mul, row, X)) for i, row in enumerate(rows)]
 
 
 def _rescaled_permutation(data, P):
