@@ -308,6 +308,16 @@ def _farkas(aug, y) -> Vector:
     return tuple([Fraction(yi * max(map(abs, row[:n])), -yb) if yi else _ZERO for yi, row in zip(y, aug)])
 
 
+def _checked_ray(aug, C, ray: Vector) -> Vector:
+    """ray, checked over the integer rows ``aug`` to be a recession
+    direction (``a.ray <= 0`` for every row) along which the integer cost C
+    falls (``C.ray < 0``), both on a positive integer multiple of it."""
+    R = scaled(ray)[0]
+    if any(sum(map(mul, row, R)) > 0 for row in aug) or sum(map(mul, C, R)) >= 0:
+        raise AssertionError("unbounded ray failed verification")
+    return ray
+
+
 def _walked(A, n: int, start, rays: list | None = None) -> list[Vertex]:
     """Every vertex, from the walk of the whole vertex graph from the
     vertex ``start``, sorted by point."""
@@ -466,25 +476,28 @@ def _bland(rows, basis: list[int], M, det: int, C, X: list[int], D: int, S: list
     inv(rows_B)`` (see ``_adjugate``).  With ``y = -C M / det``, C falls
     along column j of ``-M / det`` iff ``y_j < 0``; the basis row of least
     index among those leaves, and of the rows rising along that column the
-    one met first enters, the least row among ties.  Each step is one sign
-    test, one integer ratio test (m n) and one ``_exchange``; the least
-    index choices rule out cycling.  ``(basis, (M, det), (X, D, S), d)``
-    with the final basis, adjugate and point, and d None when ``y >= 0``
-    proves the point optimal, or else the column along which C falls and
-    no row blocks.  ``basis`` is updated in place."""
+    one met first enters, the least row among ties.  Each column carries
+    ``C.M_j`` as an extra last entry, which ``_exchange`` updates as it
+    does the others (exactly, since the new ``C.M_i`` is an integer), so
+    each step is one sign test per column, one integer ratio test (m n)
+    and one exchange; the least index choices rule out cycling.  ``(basis,
+    (M, det), (X, D, S), d)`` with the final basis, adjugate and point,
+    and d None when ``y >= 0`` proves the point optimal, or else the
+    column along which C falls and no row blocks.  ``basis`` is updated in
+    place."""
+    M = [col + [sum(map(mul, C, col))] for col in M]
     while True:
-        falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if sum(map(mul, C, col)) * det > 0]
-        if not falls:
-            return basis, (M, det), (X, D, S), None
-        j = min(falls)[1]
-        d = _column(M[j], det)
-        E = [sum(map(mul, row, d)) for row in rows]
-        r = None
-        for i, e in enumerate(E):
-            if e > 0 and (r is None or S[i] * E[r] < S[r] * e):
-                r = i
+        falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if col[-1] * det > 0]
+        d = r = None
+        if falls:
+            j = min(falls)[1]
+            d = _column(M[j][:-1], det)
+            E = [sum(map(mul, row, d)) for row in rows]
+            for i, e in enumerate(E):
+                if e > 0 and (r is None or S[i] * E[r] < S[r] * e):
+                    r = i
         if r is None:
-            return basis, (M, det), (X, D, S), d
+            return basis, ([col[:-1] for col in M], det), (X, D, S), d
         # the next point (e X + s d) / (e D), with slacks e S - s E
         e, s = E[r], S[r]
         _, X, D, S = _lowest([e * x + s * y for x, y in zip(X, d)], e * D,
@@ -493,22 +506,35 @@ def _bland(rows, basis: list[int], M, det: int, C, X: list[int], D: int, S: list
         basis[j] = r
 
 
+def _dual(rows, basis, M, det: int, C, S: list[int]) -> list[int]:
+    """The integers ``Y = -C M`` of the adjugate ``M = det inv(rows_B)``
+    of the basis rows, so that ``y = Y / det`` over them, checked to be
+    ``y >= 0`` with ``y rows_B = -C`` at a point whose integer slacks S
+    are ``>= 0`` and 0 on the basis rows: the proof that the point
+    minimizes ``C.x`` over ``{x : rows x <= b}``."""
+    Y = [-sum(map(mul, C, col)) for col in M]
+    if min(S) < 0 or any(S[i] for i in basis) or any(y * det < 0 for y in Y) or any(
+        sum(y * rows[i][k] for y, i in zip(Y, basis)) != -det * c for k, c in enumerate(C)
+    ):
+        raise AssertionError("optimality multipliers failed verification")
+    return Y
+
+
 def _tie_certificate(G, C: list[int], L: int) -> Vector:
     """``-c_min = -C / L`` in the normal cone of a tied vertex whose
     distinct active integer rows are G: multipliers ``>= 0`` over G's rows
-    as canonical normals ``G_i / max|G_i|``, checked to recombine -C over
-    the integers.  ``_bland`` minimizes ``C.d`` over the vertex's tangent
+    as canonical normals ``G_i / max|G_i|``, checked by ``_dual``.
+    ``_bland`` minimizes ``C.d`` over the vertex's tangent
     cone ``G d <= 0`` from its apex, where every slack is 0, so every step
     is degenerate, and none is taken when G has n rows.  It starts at the
     lexicographic basis of G and ends where ``y = -C M / det >= 0``; the
     multiplier of basis row i is ``y_i max|G_i| / L``, 0 off the basis."""
     n = len(C)
     basis, M, det = _adjugate(G, range(len(G)), n)
-    basis, (M, det), _, d = _bland(G, list(basis), M, det, C, [0] * n, 1, [0] * len(G))
-    Y = [-sum(map(mul, C, col)) for col in M]
-    if d is not None or any(sum(y * G[i][k] for y, i in zip(Y, basis)) != -det * C[k] for k in range(n)):
+    basis, (M, det), (_, _, S), d = _bland(G, list(basis), M, det, C, [0] * n, 1, [0] * len(G))
+    if d is not None:
         raise AssertionError("a minimum-value vertex misses the normal cone")
-    y = dict(zip(basis, Y))
+    y = dict(zip(basis, _dual(G, basis, M, det, C, S)))
     return tuple(Fraction(y[i] * max(map(abs, g)), det * L) if i in y else _ZERO for i, g in enumerate(G))
 
 

@@ -18,6 +18,7 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     Vertex,
+    _checked_ray,
     _in_order,
     _integer_rows,
     _lex_basis,
@@ -28,8 +29,9 @@ from .geometry import (
     active_normals,
     active_set,
 )
-from .linalg import Vector, dot, scaled, solve_square, vec_neg
+from .linalg import Vector, project_onto_span, scaled, vec_neg
 from .linprog import ConeMembership
+from .rationals import format_vector
 
 @dataclass(frozen=True)
 class GLPSolution:
@@ -81,14 +83,6 @@ class StabilityCone:
     generators: tuple[Vector, ...]
 
 
-def _project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
-    """Exact orthogonal projection of c onto span(basis) by the Gram normal equations."""
-    y = solve_square([[dot(u, w) for w in basis] for u in basis], [dot(u, c) for u in basis])
-    if y is None:
-        raise AssertionError("Gram matrix of a basis is nonsingular")
-    return tuple(dot(y, col) for col in zip(*basis))
-
-
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
@@ -127,7 +121,7 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     if lineality:
         # the slice the walk ran on, as the Polyhedron reported in ``solved_on``
         work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
-        c_lin = _project_onto_span(lineality, cmin)
+        c_lin = project_onto_span(lineality, cmin)
         if any(v != 0 for v in c_lin):
             return _unbounded(aug, C, vec_neg(c_lin), work, lineality)
 
@@ -159,10 +153,8 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
 def _unbounded(rows, C, ray: Vector, work: Polyhedron, lineality) -> GLPSolution:
     """The UnboundedBelow verdict, once ray is checked to be an improving
     recession direction over P's integer rows with the integer cost C."""
-    R = scaled(ray)[0]
-    if any(sum(map(mul, row, R)) > 0 for row in rows) or sum(map(mul, C, R)) >= 0:
-        raise AssertionError("unbounded ray failed verification")
-    return GLPSolution(status="UnboundedBelow", ray=ray, solved_on=work, lineality_basis=lineality)
+    return GLPSolution(status="UnboundedBelow", ray=_checked_ray(rows, C, ray), solved_on=work,
+                       lineality_basis=lineality)
 
 
 def _level_face(P: Polyhedron, c: Vector, value: Fraction) -> Polyhedron:
@@ -188,13 +180,14 @@ def stability_cone(P: Polyhedron, w: Vertex | Sequence) -> StabilityCone:
     optimal ones.
     """
     point = w.point if isinstance(w, Vertex) else tuple(Fraction(v) for v in w)
+    message = f"({', '.join(format_vector(point))}) is not a vertex of the polyhedron"
     try:
         active = active_set(P, point)
     except (DimensionMismatch, InfeasiblePoint) as exc:
-        raise NotAVertex(f"{point} is not a vertex of the polyhedron") from exc
+        raise NotAVertex(message) from exc
     # the lexicographically smallest nonsingular subsystem: the enumeration's witness
     defining = _lex_basis(_integer_rows(P), active, P.n)
     if defining is None:
-        raise NotAVertex(f"{point} is not a vertex of the polyhedron")
+        raise NotAVertex(message)
     vertex = Vertex(point=point, active=active, defining=defining)
     return StabilityCone(vertex=vertex, generators=active_normals(P, active))

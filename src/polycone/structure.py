@@ -4,9 +4,10 @@ One walk over P's integer rows (``geometry._minkowski_weyl``) writes a
 nonempty P as ``conv V + cone R + lin L``; boundedness, implicit
 equalities, dimension, facets and a minimal description follow
 (Schrijver 1986, ch. 8), and ``poly_contains`` reads the walk of its
-inner polyhedron.  No verdict runs an LP; the one cone test
-left is ``remove_redundant``'s over equality normals.  Operations that need
-a nonempty P raise EmptyPolyhedron.
+inner polyhedron.  No verdict runs an LP; the one cone test left is
+``remove_redundant``'s over equality normals, which ``cone_member``
+decides by the kernel's phase one, with no simplex.  Operations that
+need a nonempty P raise EmptyPolyhedron.
 """
 from __future__ import annotations
 

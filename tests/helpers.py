@@ -13,6 +13,7 @@ from polycone import (
     Containment,
     GLPSolution,
     HalfSpace,
+    LPResult,
     Polyhedron,
     StructureReport,
     canonical_ray,
@@ -24,7 +25,7 @@ from polycone import (
 from polycone import geometry, optimality
 from polycone.errors import DimensionMismatch, EmptyPolyhedron, NoVertices
 from polycone.geometry import Vertex
-from polycone.linalg import dot, null_direction, nullspace, scaled, vec_neg
+from polycone.linalg import dot, null_direction, nullspace, project_onto_span, scaled, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 QUADRANT = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0)])
@@ -420,11 +421,12 @@ def reference_nullspace(rows, width: int) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def reference_purify(P: Polyhedron, x, c, res=None):
-    """Reference for ``polycone.linprog._purify``: recompute every slack
-    and a Fraction nullspace of the active rows, ignoring the kernel's
-    basis, and slide an optimal point along active-set null directions to a
-    face with a full-rank active system (a vertex when P is pointed).
+def reference_purify(P: Polyhedron, x, c):
+    """The optimum x of ``reference_standard_simplex`` read out as
+    ``reference_solve_lp`` reads it: recompute every slack and a Fraction
+    nullspace of the active rows, ignoring the tableau's basis, and slide
+    x along active-set null directions to a face with a full-rank active
+    system (a vertex when P is pointed).
 
     Any null direction of the active rows keeps the objective value (else x
     was not optimal), and each slide strictly grows the active-row rank, so
@@ -483,7 +485,7 @@ def reference_recession_ray(work: Polyhedron, cmin):
 
 
 def reference_project_onto_span(basis, c):
-    """Reference for ``polycone.optimality._project_onto_span``: the normal
+    """Reference for ``polycone.linalg.project_onto_span``: the normal
     equations over Fractions, solved by Gauss-Jordan."""
     k = len(basis)
     gram = [[dot(basis[i], basis[j]) for j in range(k)] for i in range(k)]
@@ -529,7 +531,7 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
         # the slice's extra multipliers cancel: L is orthogonal to the rows
         return GLPSolution(status="Infeasible", farkas=geometry._farkas(rows, y[:len(rows)]), solved_on=P)
     if lineality:
-        c_lin = optimality._project_onto_span(lineality, cmin)
+        c_lin = project_onto_span(lineality, cmin)
         if any(c_lin):
             return optimality._unbounded(rows, C, vec_neg(c_lin), work, lineality)
     # an improving extreme ray r, as r / -<c_min, r> = L r / -<C, r>
@@ -868,11 +870,10 @@ def reference_standard_simplex(
     basis_hint: list[int] | None = None,
     read: int | None = None,
 ) -> dict:
-    """Reference for ``polycone.linprog._standard_simplex``: the same
-    two-phase Bland simplex on a tableau of Fractions.
+    """Two-phase Bland simplex on a standard-form tableau of Fractions:
+    min c.z subject to M z = d, z >= 0; the independent oracle that
+    ``reference_solve_lp`` and ``reference_cone_member`` wrap.
 
-    Same arguments and result; ``tests/test_linprog.py`` swaps it in and
-    requires field-for-field equal ``solve_lp`` and ``cone_member`` results.
     Row i stands for the rational row ``rows[i] / scales[i]``, right-hand
     side last; the rational rows are all this reference reads.
 
@@ -960,3 +961,44 @@ def reference_standard_simplex(
         "basis": basis,
         "zero": [j for j in range(p) if point[j] == 0],
     }
+
+
+def reference_solve_lp(P: Polyhedron, c, sense: str = "min") -> LPResult:
+    """Reference for ``polycone.solve_lp``: the Fraction tableau over ``z =
+    (x+, x-, s)``, row i ``L_i (a_i x+ - a_i x- + s_i) = L_i b_i`` with the
+    slack columns as the first basis, and the optimum slid to a full-rank
+    face by ``reference_purify``.  Infeasible carries phase one's reduced
+    costs over the slacks as Farkas multipliers over ``P.halfspaces``."""
+    n, m = P.n, P.m
+    cv = tuple(Fraction(v) for v in c)
+    cmin = cv if sense == "min" else vec_neg(cv)
+    rows, scales = [], []
+    for i, hs in enumerate(P.halfspaces):
+        ints, L = scaled(hs.a + (hs.b,))
+        rows.append(ints[:n] + [-v for v in ints[:n]] + [L * (k == i) for k in range(m)] + ints[n:])
+        scales.append(L)
+    costs = list(cmin) + list(vec_neg(cmin)) + [0] * m
+    res = reference_standard_simplex(rows, scales, costs, [2 * n + i for i in range(m)], read=2 * n)
+    if res["status"] == "infeasible":
+        return LPResult(status="Infeasible", certificate=tuple(res["phase1_costs"][2 * n:]))
+
+    def to_x(z):
+        return tuple(z[j] - z[n + j] for j in range(n))
+
+    if res["status"] == "unbounded":
+        return LPResult(status="Unbounded", point=to_x(res["point"]), ray=to_x(res["ray"]))
+    x = reference_purify(P, to_x(res["point"]), cmin)
+    return LPResult(status="Optimal", point=x, value=dot(cv, x))
+
+
+def reference_cone_member(generators, target) -> ConeMembership:
+    """Reference for ``polycone.cone_member``: phase one of the Fraction
+    tableau on ``sum_j y_j g_j = t``, ``y >= 0``, one row per coordinate."""
+    tv = tuple(Fraction(v) for v in target)
+    if not generators:
+        return ConeMembership(member=not any(tv), multipliers=())
+    rows, scales = zip(*[scaled([*[Fraction(g[i]) for g in generators], tv[i]]) for i in range(len(tv))])
+    res = reference_standard_simplex(list(rows), list(scales), [0] * len(generators))
+    if res["status"] == "infeasible":
+        return ConeMembership(member=False)
+    return ConeMembership(member=True, multipliers=tuple(res["point"]))

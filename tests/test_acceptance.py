@@ -24,7 +24,6 @@ from polycone import (
     polyhedron_to_dict,
     reconstruct_check,
     solve_glp,
-    solve_lp,
     track_vertices,
     verify_convergence,
 )
@@ -40,6 +39,7 @@ from helpers import (
     random_cost,
     random_feasible_pointed,
     random_polyhedron,
+    reference_solve_lp,
 )
 from families import ex31_trajectory, footnote_trajectory, remark_trajectory
 
@@ -117,7 +117,8 @@ def test_criterion_4_theorem_oracle_equivalence():
         P = random_polyhedron(rng)
         c = random_cost(rng, P.n)
         glp = solve_glp(P, c)
-        lp = solve_lp(P, c)
+        # the Fraction tableau: solve_lp shares solve_glp's phase one
+        lp = reference_solve_lp(P, c)
         assert status_map[glp.status] == lp.status, (glp.status, lp.status)
         if glp.status == "Attained":
             assert glp.value == lp.value

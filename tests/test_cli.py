@@ -439,3 +439,23 @@ class TestExitCodes:
         code, out = run_cli(["sensitivity", files["y1"], "--vertex", "5,5"])
         assert code == 2
         assert json.loads(out)["kind"] == "NotAVertex"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sensitivity", "y1", "--vertex", "1,1/2"],
+            ["sensitivity", "y1", "--vertex", "-2,1/2"],
+            ["sensitivity", "y1", "--vertex", "1/2,1/2,1/2"],
+            ["cones", "y1", "--point", "1/3,1/3"],
+            ["structure", "empty"],
+        ],
+        ids=["infeasible", "interior", "wrong-dimension", "cones-infeasible", "empty"],
+    )
+    def test_error_messages_print_rationals(self, files, args):
+        # points and numbers in messages read as rationals, not Python reprs
+        code, out = run_cli([files.get(arg, arg) for arg in args])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert "Fraction(" not in error
+        if args[0] == "sensitivity":
+            assert error == f"({', '.join(args[3].split(','))}) is not a vertex of the polyhedron"

@@ -1,12 +1,13 @@
-"""The geometry kernel stays independent of the simplex.
+"""Import guards: the layers of the package, and an independent oracle.
 
-``geometry`` and ``linalg`` must import nothing from ``linprog``,
-``optimality`` or ``structure``, so the simplex in ``linprog`` remains an
-independent oracle for what the vertex walk finds.  ``optimality`` takes
-only the ``ConeMembership`` type from ``linprog``, and ``structure`` only
-``cone_member``, for its test on implicit-equality normals.  The
-Kuratowski modules use ``optimality`` and ``structure`` but import nothing
-from ``linprog`` directly.
+``geometry`` and ``linalg`` hold the one exact solve kernel and must
+import nothing from ``linprog``, ``optimality`` or ``structure``, the
+layers built on it (the "simplex side" of the names below: the LP front
+end and its users).  ``optimality`` takes only the ``ConeMembership``
+type from ``linprog``, and ``structure`` only ``cone_member``, for its
+test on implicit-equality normals.  The Kuratowski modules use
+``optimality`` and ``structure`` but import nothing from ``linprog``
+directly.
 
 Only ``geometry`` knows the layout of the integer adjugate that phase
 one, the walk and the tie certificates carry: ``optimality`` takes none of
@@ -17,6 +18,10 @@ The walk's entry (``geometry._minkowski_weyl``) is fed integer rows:
 ``structure`` takes nothing from ``optimality``, the Kuratowski modules
 take only ``solve_glp`` from it, and the window metric builds no
 ``HalfSpace`` or ``Polyhedron`` to hand to the walk.
+
+The independent oracle for ``solve_lp`` and ``cone_member`` is the
+Fraction tableau in ``tests/helpers.py``: it reaches no name of the
+kernel in ``geometry`` and nothing of ``linprog``.
 """
 import ast
 import pathlib
@@ -173,3 +178,67 @@ def test_window_metric_builds_no_halfspace_or_polyhedron():
 )
 def test_builder_guard_sees_each_call_form(line, names):
     assert _builds(line) == names
+
+
+# the Fraction tableau and its readout, the oracle for the solve kernel
+ORACLE = ("reference_standard_simplex", "_ref_bland", "_ref_pivot", "_ref_reduced_costs", "reference_purify")
+KERNEL = {"_start", "_phase_one", "_bland", "_adjugate", "_exchange"}
+
+
+def _kernel_and_linprog_names() -> set[str]:
+    """The kernel names of ``geometry``, ``linprog`` itself and every name
+    ``linprog`` defines at its top level."""
+    tree = ast.parse((SRC / "linprog.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return KERNEL | defined | {"linprog"}
+
+
+def _reached(source: str, roots) -> set[str]:
+    """Every name, attribute or imported module part the functions
+    ``roots`` of source use, following their calls into the other
+    functions source defines."""
+    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    names, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in names:
+            continue
+        names.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                used = [node.id]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            elif isinstance(node, ast.alias):
+                used = node.name.split(".")
+            elif isinstance(node, ast.ImportFrom):
+                used = (node.module or "").split(".")
+            else:
+                continue
+            todo += [u for u in used if u in defs]
+            names.update(u for u in used if u not in defs)
+    return names
+
+
+def test_fraction_oracle_reaches_no_kernel():
+    source = (pathlib.Path(__file__).with_name("helpers.py")).read_text(encoding="utf-8")
+    assert not _reached(source, ORACLE) & _kernel_and_linprog_names()
+
+
+@pytest.mark.parametrize(
+    "source, reached",
+    [
+        ("def f():\n    return g()\ndef g():\n    return geometry._bland(rows)", True),
+        ("def f():\n    return solve_lp(P, c)", True),
+        ("def f():\n    return ConeMembership(True)", True),
+        ("def f(x):\n    return linprog", True),
+        ("def f():\n    from polycone.geometry import _phase_one", True),
+        ("def f():\n    import polycone.linprog as lp", True),
+        ("def f():\n    return _adjugate(A, rows, n)", True),
+        ("def f():\n    return dot(a, b)\ndef g():\n    return _start(aug, n)", False),
+    ],
+    ids=["through-a-helper", "public-function", "result-type", "module", "import-from", "import", "bare-call",
+         "unreached"],
+)
+def test_oracle_guard_sees_each_reach(source, reached):
+    assert bool(_reached(source, ["f"]) & _kernel_and_linprog_names()) == reached

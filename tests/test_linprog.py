@@ -10,11 +10,13 @@ from polycone import (
     contains_point,
     errors,
     find_feasible_point,
+    geometry,
     linprog,
     solve_lp,
 )
 from polycone.linalg import dot, scaled
 
+import helpers
 from helpers import (
     QUADRANT,
     TRIANGLE,
@@ -25,9 +27,10 @@ from helpers import (
     random_feasible_pointed,
     random_lp,
     random_polyhedron,
+    reference_cone_member,
     reference_nullspace,
-    reference_purify,
     reference_rank,
+    reference_solve_lp,
     reference_standard_simplex,
 )
 
@@ -119,6 +122,17 @@ class TestSolveLP:
             act = [hs.a for hs in P.halfspaces if hs.slack(res.point) == 0]
             assert reference_rank(act, P.n) == P.n
 
+    @pytest.mark.parametrize("C, S", [([-1, 2], [0, 0, 1]), ([1, 2], [0, 1, 1]), ([1, 2], [0, 0, -1])],
+                             ids=["negative-multiplier", "basis-row-slack", "infeasible-point"])
+    def test_unverified_optimum_is_refused(self, C, S):
+        # the basis x >= 0, y >= 0 of the rows -x <= 0, -y <= 0, x + y <= 1:
+        # y = -C M / det is C itself, and proves the apex optimal for C >= 0
+        rows = [(-1, 0), (0, -1), (1, 1)]
+        basis, M, det = geometry._adjugate(rows, range(3), 2)
+        assert geometry._dual(rows, basis, M, det, [1, 2], [0, 0, 1]) == [det, 2 * det]
+        with pytest.raises(AssertionError, match="optimality multipliers"):
+            geometry._dual(rows, basis, M, det, C, S)
+
     def test_find_feasible_point(self):
         assert find_feasible_point(TRIANGLE) is not None
         empty = Polyhedron.from_rows(1, [((1,), -1), ((-1,), 0)])
@@ -183,15 +197,16 @@ class TestConeMember:
     @pytest.mark.parametrize("shift", [0, F(1, 3), F(-1, 3)])
     def test_tampered_multipliers_are_refused(self, monkeypatch, shift):
         # the check over the integer rows refuses multipliers that miss the
-        # target; with shift 0 it must pass the same multipliers over q = 2
-        kernel = linprog._standard_simplex
+        # target; with shift 0 it must pass the same multipliers over D = 2
+        phase_one = linprog._phase_one
 
-        def tampered(*args, **kwargs):
-            res = kernel(*args, **kwargs)
-            res["point"][1] += shift
-            return res
+        def tampered(*args):
+            ((active, X, D, S), adjugate), y = phase_one(*args)
+            X = [x * shift.denominator for x in X]
+            X[1] += shift.numerator * D
+            return ((active, X, D * shift.denominator, S), adjugate), y
 
-        monkeypatch.setattr(linprog, "_standard_simplex", tampered)
+        monkeypatch.setattr(linprog, "_phase_one", tampered)
         if shift:
             with pytest.raises(AssertionError, match="recombine"):
                 cone_member([(1, 0), (0, 1)], (F(1, 2), 1))
@@ -207,48 +222,62 @@ class TestConeMember:
 
 
 # ---------------------------------------------------------------------------
-# The integer tableau against the rational reference tableau
+# The solve kernel against the Fraction reference tableau
 
 
-def _on_reference(fn, *args):
-    """fn(*args) with the Fraction reference tableau in place of the kernel
-    and the Fraction reference purification in place of the basis readout."""
-    kernel, purify = linprog._standard_simplex, linprog._purify
-    linprog._standard_simplex, linprog._purify = reference_standard_simplex, reference_purify
-    try:
-        return fn(*args)
-    finally:
-        linprog._standard_simplex, linprog._purify = kernel, purify
+def _agrees_with_reference(P, c, sense="min"):
+    """solve_lp against the Fraction tableau: the same status and value,
+    with every certificate re-checked here, and full-rank active rows at an
+    optimum of a pointed P (the points may differ where the optimum is not
+    unique)."""
+    got, ref = solve_lp(P, c, sense), reference_solve_lp(P, c, sense)
+    assert (got.status, got.value) == (ref.status, ref.value), (P, c, sense)
+    cmin = tuple(F(v) for v in c) if sense == "min" else tuple(-F(v) for v in c)
+    if got.status == "Infeasible":
+        # over the canonical rows, scaled to y.b = -1 as GLPSolution.farkas is
+        assert is_farkas(P, got.certificate)
+        assert dot(got.certificate, [hs.b for hs in P.halfspaces]) == -1
+        return got
+    assert contains_point(P, got.point)
+    if got.status == "Unbounded":
+        assert all(dot(hs.a, got.ray) <= 0 for hs in P.halfspaces) and dot(cmin, got.ray) < 0
+        return got
+    # a feasible point of the reference's optimal value is optimal
+    assert got.value == dot(c, got.point)
+    if not reference_nullspace(P.row_matrix(), P.n):
+        active = [hs.a for hs in P.halfspaces if hs.slack(got.point) == 0]
+        assert reference_rank(active, P.n) == P.n
+    return got
+
+
+def _member_agrees(gens, target):
+    got = cone_member(gens, target)
+    assert got.member == reference_cone_member(gens, target).member, (gens, target)
+    if got.member:
+        assert all(y >= 0 for y in got.multipliers)
+        assert tuple(dot(got.multipliers, col) for col in zip(*gens)) == tuple(map(F, target))
+    return got
 
 
 def _integer_system(rows, rhs):
-    """Rational rows and right-hand sides as the kernel's integer rows and scales."""
+    """Rational rows and right-hand sides as integer rows and their scales."""
     pairs = [scaled([*row, d]) for row, d in zip(rows, rhs)]
     return [ints for ints, _ in pairs], [L for _, L in pairs]
 
 
-def _count_readouts(monkeypatch) -> dict:
-    """Count the kernel's optima whose basis hides the vertex, and those
-    whose point the readout moves; the reference runs are not counted."""
-    readout = {"hidden": 0, "moved": 0}
-    purify = linprog._purify
+def _count_slides(monkeypatch) -> dict:
+    """Count the reference optima whose tableau point is not on a full-rank
+    face, so that the reference readout slides it."""
+    slides = {"moved": 0}
+    purify = helpers.reference_purify
 
-    def counted(P, x, c, res):
-        # the basis shows a vertex when n of the x+/x- columns are basic
-        readout["hidden"] += sum(j < 2 * P.n for j in res["basis"]) < P.n
-        point = purify(P, x, c, res)
-        readout["moved"] += point != x
+    def counted(P, x, c):
+        point = purify(P, x, c)
+        slides["moved"] += point != x
         return point
 
-    monkeypatch.setattr(linprog, "_purify", counted)
-    return readout
-
-
-def _same_as_reference(fn, *args):
-    got = fn(*args)
-    # repr compares every field and the type of every number
-    assert repr(got) == repr(_on_reference(fn, *args)), args
-    return got
+    monkeypatch.setattr(helpers, "reference_purify", counted)
+    return slides
 
 
 def _random_lp(rng: random.Random):
@@ -293,15 +322,18 @@ def _random_lp(rng: random.Random):
 
 
 class TestIntegerTableau:
+    """The integer kernel (phase one and Bland's rule on the carried
+    adjugate) against the Fraction tableau of ``tests/helpers.py``."""
+
     def test_identical_to_reference_tableau(self, monkeypatch):
-        readout = _count_readouts(monkeypatch)
+        slides = _count_slides(monkeypatch)
         rng = random.Random(2024)
         statuses = {}
         degenerate = non_pointed = 0
         for _ in range(500):
             P, c = _random_lp(rng)
             for sense in ("min", "max"):
-                res = _same_as_reference(solve_lp, P, c, sense)
+                res = _agrees_with_reference(P, c, sense)
                 statuses[res.status] = statuses.get(res.status, 0) + 1
                 if res.status == "Optimal":
                     active = sum(hs.slack(res.point) == 0 for hs in P.halfspaces)
@@ -309,19 +341,19 @@ class TestIntegerTableau:
                     non_pointed += bool(reference_nullspace(P.row_matrix(), P.n))
             gens = [hs.a for hs in P.halfspaces]
             target = c if rng.random() < 0.5 else tuple(map(sum, zip(*gens[:2], c)))
-            res = _same_as_reference(cone_member, gens, target)
+            res = _member_agrees(gens, target)
             statuses[res.member] = statuses.get(res.member, 0) + 1
         for key in ("Optimal", "Unbounded", "Infeasible", True, False):
             assert statuses.get(key, 0) >= 50, statuses
         assert degenerate >= 50
         assert non_pointed >= 50
-        assert readout["hidden"] >= 50 and readout["moved"] >= 20, readout
+        assert slides["moved"] >= 20, slides
 
     def test_slides_against_reference(self, monkeypatch):
-        # boxed small-integer polytopes with sparse costs: the simplex often
-        # stops at a point that is not a vertex, and the readout must slide
-        # from it to the reference's vertex, ties between rows included
-        readout = _count_readouts(monkeypatch)
+        # boxed small-integer polytopes with sparse costs: the tableau often
+        # stops at a point that is not a vertex, where its readout slides
+        # and the kernel must still agree on the value at a vertex
+        slides = _count_slides(monkeypatch)
         rng = random.Random(5)
         for _ in range(300):
             n = rng.randint(2, 4)
@@ -336,33 +368,46 @@ class TestIntegerTableau:
             rng.shuffle(rows)
             P = Polyhedron.from_rows(n, rows)
             c = tuple(rng.choice((0, 0, 0, 1, -1)) for _ in range(n))
-            _same_as_reference(solve_lp, P, c)
-        assert readout["moved"] >= 100, readout
+            _agrees_with_reference(P, c)
+        assert slides["moved"] >= 100, slides
 
     def test_slide_meets_two_rows_at_once(self):
-        # from the origin along +x, x + y <= 1 and x <= 1 are met together;
-        # both join the active rows, so the point is the vertex (1, 0)
+        # the tableau stops at the origin; from there along +x, x + y <= 1
+        # and x <= 1 are met together, both join the active rows, and the
+        # reference's point is the vertex (1, 0)
         P = Polyhedron.from_rows(2, [((-1, 0), 1), ((0, -1), 1), ((1, 1), 1), ((0, 1), 1), ((1, 0), 1)])
-        res = _same_as_reference(solve_lp, P, (0, 0))
-        assert res.point == (1, 0)
+        assert reference_solve_lp(P, (0, 0)).point == (1, 0)
+        assert _agrees_with_reference(P, (0, 0)).status == "Optimal"
 
     def test_costs_on_hinted_columns(self):
-        # solve_lp prices its slack columns at zero; the kernel takes any cost
+        # a cost on the slack columns of [G | I] z = d: min c_x.x + c_s.s
+        # with s = d - G x >= 0 is min (c_x - G^T c_s).x + c_s.d over
+        # {x >= 0, G x <= d}, which solve_lp takes
         rng = random.Random(8)
+        statuses = set()
         for _ in range(300):
             m, q = rng.randint(1, 6), rng.randint(1, 4)
             frac = lambda: F(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
-            rows = [[frac() for _ in range(q)] + [F(int(i == j)) for j in range(m)] for i in range(m)]
+            G = [[frac() for _ in range(q)] for _ in range(m)]
             rhs = [frac() for _ in range(m)]
             costs = [frac() for _ in range(q + m)]
-            hint = [q + i for i in range(m)]
-            ints, scales = _integer_system(rows, rhs)
-            got = linprog._standard_simplex(ints, scales, costs, hint)
-            assert repr(got) == repr(reference_standard_simplex(ints, scales, costs, hint))
-            # the first q columns alone, the way solve_lp reads its x columns
-            got = linprog._standard_simplex(ints, scales, costs, hint, q)
-            assert len(got.get("point", ())) in (0, q)
-            assert repr(got) == repr(reference_standard_simplex(ints, scales, costs, hint, q))
+            ints, scales = _integer_system([row + [F(int(i == j)) for j in range(m)] for i, row in enumerate(G)],
+                                           rhs)
+            ref = reference_standard_simplex(ints, scales, costs, [q + i for i in range(m)])
+            # a zero row of G reads 0 <= d: void, or infeasible when d < 0
+            if any(not any(row) and d < 0 for row, d in zip(G, rhs)):
+                assert ref["status"] == "infeasible"
+                continue
+            P = Polyhedron.from_rows(q, [(row, d) for row, d in zip(G, rhs) if any(row)]
+                                     + [(tuple(-int(i == j) for j in range(q)), 0) for i in range(q)])
+            c_s = costs[q:]
+            c = tuple(costs[j] - sum(cs * row[j] for cs, row in zip(c_s, G)) for j in range(q))
+            got = _agrees_with_reference(P, c)
+            assert got.status.lower() == ref["status"]
+            if got.status == "Optimal":
+                assert got.value + dot(c_s, rhs) == ref["value"]
+            statuses.add(got.status)
+        assert statuses == {"Optimal", "Unbounded", "Infeasible"}
 
     def test_beale_cycling_example(self):
         # Beale (1955): cycles under the textbook largest-coefficient rule
@@ -374,17 +419,16 @@ class TestIntegerTableau:
         rhs = [0, 0, 1]
         costs = [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0]
         ints, scales = _integer_system(rows, rhs)
-        res = linprog._standard_simplex(ints, scales, costs, basis_hint=[4, 5, 6])
+        res = reference_standard_simplex(ints, scales, costs, basis_hint=[4, 5, 6])
         assert res["status"] == "optimal"
         assert res["value"] == F(-1, 20)
         assert res["point"] == [F(1, 25), 0, 1, 0, F(3, 100), 0, 0]
-        assert res == reference_standard_simplex(ints, scales, costs, basis_hint=[4, 5, 6])
         P = Polyhedron.from_rows(
             4,
             [(r[:4], b) for r, b in zip(rows, rhs)]
             + [(tuple(-int(i == j) for i in range(4)), 0) for j in range(4)],
         )
-        res = _same_as_reference(solve_lp, P, costs[:4])
+        res = _agrees_with_reference(P, costs[:4])
         assert res.status == "Optimal" and res.value == F(-1, 20)
 
     def test_big_integer_entries(self):
@@ -400,17 +444,13 @@ class TestIntegerTableau:
             P = Polyhedron.from_rows(n, rows)
             c = tuple(rng.choice((-1, 1)) * big() for _ in range(n))
             for sense in ("min", "max"):
-                res = _same_as_reference(solve_lp, P, c, sense)
-                seen.add(res.status)
-                if res.status == "Infeasible":
-                    assert is_farkas(P, res.certificate)
-                elif res.status == "Optimal":
-                    assert contains_point(P, res.point)
-            _same_as_reference(cone_member, [hs.a for hs in P.halfspaces], c)
-        assert {"Optimal", "Unbounded", "Infeasible"} <= seen
+                seen.add(_agrees_with_reference(P, c, sense).status)
+            seen.add(_member_agrees([hs.a for hs in P.halfspaces], c).member)
+        assert {"Optimal", "Unbounded", "Infeasible", True, False} <= seen
 
     def test_mixed_denominator_farkas_golden(self):
-        # weighting every artificial 1 instead of 1/L_i gives 9 times this
+        # the tableau weighting every artificial 1 instead of 1/L_i gives
+        # 9 times the reference's certificate
         rows = [
             ((-1, F(-1, 5)), F(3, 10)),
             ((F(4, 7), -1), 4),
@@ -422,10 +462,10 @@ class TestIntegerTableau:
             ((F(2, 9), -1), 0),
         ]
         P = Polyhedron.from_rows(2, rows)
-        res = _same_as_reference(solve_lp, P, (0, 0))
-        assert res.status == "Infeasible"
-        assert res.certificate == (F(1025, 1017), 0, F(7, 339), 1, 0, 0, 0, 0)
-        assert is_farkas(P, res.certificate)
+        ref = reference_solve_lp(P, (0, 0))
+        assert ref.certificate == (F(1025, 1017), 0, F(7, 339), 1, 0, 0, 0, 0)
+        assert is_farkas(P, ref.certificate)
+        assert _agrees_with_reference(P, (0, 0)).status == "Infeasible"
 
 
 # ---------------------------------------------------------------------------

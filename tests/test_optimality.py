@@ -26,7 +26,7 @@ from polycone import (
     stability_cone,
 )
 from polycone.geometry import active_normals
-from polycone.linalg import dot, vec_neg
+from polycone.linalg import dot, project_onto_span, vec_neg
 
 from helpers import (
     FLAT,
@@ -282,7 +282,7 @@ class TestRaysAgainstRayPolyhedron:
                 work, rays = sol.solved_on, walked.get("rays")
                 if sol.lineality_basis:
                     seen["slices"] += 1
-                    got = optimality._project_onto_span(sol.lineality_basis, cmin)
+                    got = project_onto_span(sol.lineality_basis, cmin)
                     projection = reference_project_onto_span(sol.lineality_basis, cmin)
                     assert repr(got) == repr(projection)
                     if any(projection):
