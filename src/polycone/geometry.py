@@ -476,28 +476,25 @@ def _bland(rows, basis: list[int], M, det: int, C, X: list[int], D: int, S: list
     inv(rows_B)`` (see ``_adjugate``).  With ``y = -C M / det``, C falls
     along column j of ``-M / det`` iff ``y_j < 0``; the basis row of least
     index among those leaves, and of the rows rising along that column the
-    one met first enters, the least row among ties.  Each column carries
-    ``C.M_j`` as an extra last entry, which ``_exchange`` updates as it
-    does the others (exactly, since the new ``C.M_i`` is an integer), so
-    each step is one sign test per column, one integer ratio test (m n)
-    and one exchange; the least index choices rule out cycling.  ``(basis,
-    (M, det), (X, D, S), d)`` with the final basis, adjugate and point,
-    and d None when ``y >= 0`` proves the point optimal, or else the
-    column along which C falls and no row blocks.  ``basis`` is updated in
-    place."""
-    M = [col + [sum(map(mul, C, col))] for col in M]
+    one met first enters, the least row among ties.  Each step is one sign
+    test, one integer ratio test (m n) and one ``_exchange``; the least
+    index choices rule out cycling.  ``(basis, (M, det), (X, D, S), d)``
+    with the final basis, adjugate and point, and d None when ``y >= 0``
+    proves the point optimal, or else the column along which C falls and
+    no row blocks.  ``basis`` is updated in place."""
     while True:
-        falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if col[-1] * det > 0]
-        d = r = None
-        if falls:
-            j = min(falls)[1]
-            d = _column(M[j][:-1], det)
-            E = [sum(map(mul, row, d)) for row in rows]
-            for i, e in enumerate(E):
-                if e > 0 and (r is None or S[i] * E[r] < S[r] * e):
-                    r = i
+        falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if sum(map(mul, C, col)) * det > 0]
+        if not falls:
+            return basis, (M, det), (X, D, S), None
+        j = min(falls)[1]
+        d = _column(M[j], det)
+        E = [sum(map(mul, row, d)) for row in rows]
+        r = None
+        for i, e in enumerate(E):
+            if e > 0 and (r is None or S[i] * E[r] < S[r] * e):
+                r = i
         if r is None:
-            return basis, ([col[:-1] for col in M], det), (X, D, S), d
+            return basis, (M, det), (X, D, S), d
         # the next point (e X + s d) / (e D), with slacks e S - s E
         e, s = E[r], S[r]
         _, X, D, S = _lowest([e * x + s * y for x, y in zip(X, d)], e * D,

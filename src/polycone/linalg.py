@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -100,12 +99,9 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     return tuple(Fraction(x, v[n]) for x in v[:n])
 
 
-def project_onto_span(basis: Sequence[Vector], c: Sequence[Fraction]) -> Vector:
-    """Exact orthogonal projection of c onto span(basis) by the Gram normal
-    equations, over the basis vectors and c scaled to integers."""
-    U = [scaled(u)[0] for u in basis]
-    C, L = scaled(c)
-    y = solve_square([[sum(map(mul, u, w)) for w in U] for u in U], [sum(map(mul, u, C)) for u in U])
+def project_onto_span(basis: Sequence[Vector], c: Vector) -> Vector:
+    """Exact orthogonal projection of c onto span(basis) by the Gram normal equations."""
+    y = solve_square([[dot(u, w) for w in basis] for u in basis], [dot(u, c) for u in basis])
     if y is None:
         raise AssertionError("Gram matrix of a basis is nonsingular")
-    return tuple(dot(y, col) / L for col in zip(*U))
+    return tuple(dot(y, col) for col in zip(*basis))
