@@ -3,11 +3,15 @@
 The Kuratowski distance surrogate is a truncated-window support-function
 metric: both sets are cut to the box [-R, R]^n as integer rows (a
 generator cone through its polar) and compared on a fixed direction set
-(the +/- coordinate directions plus seeded pseudorandom unit vectors).  Support values come from
-the vertices of the box-truncated polytope, exact rational points
-converted to binary64 only at the very end, so identical inputs give
-byte-identical reports.  Each diagnostic validates its window and
-computes the support vectors of the limit side once, before its sample loop.
+(the +/- coordinate directions plus seeded pseudorandom unit vectors).
+Support values come from the vertices of the box-truncated polytope,
+exact integer points X / D of the walk, each coordinate converted to
+binary64 by one correctly rounded division at the very end, so identical
+inputs give byte-identical reports.  The cone diagnostics read the
+tangent and normal cones off a sample's integer rows
+(``PolyhedronTrajectory.sample_rows``) by integer slacks.  Each
+diagnostic validates its window and computes the support vectors of the
+limit side once, before its sample loop.
 
 The metric stands in for the rho-distances of Rockafellar-Wets (Variational
 Analysis, ch. 4), which compare distance functions on the ball of radius rho
@@ -24,22 +28,21 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from ..errors import (
-    BadWindow, DimensionMismatch, EmptyPolyhedron, MaxNotAttained, NoVertices, TrackNotConverged
+    BadWindow, DimensionMismatch, EmptyPolyhedron, InfeasiblePoint, MaxNotAttained, NoVertices, TrackNotConverged
 )
 from ..geometry import (
     Cone,
     HalfSpace,
     Polyhedron,
     _integer_rows,
-    _minkowski_weyl,
     _start,
+    _walk,
     canonical_ray,
     enumerate_vertices,
-    normal_cone,
-    tangent_cone,
 )
 from ..linalg import Vector, scaled, vec_neg
 from ..optimality import solve_glp
@@ -98,7 +101,8 @@ def _box_rows(n: int, R: Fraction) -> list[list[int]]:
 
 def _checked_window(R: float, n: int, m: int) -> Fraction:
     """Validate a window between sets in R^n and R^m; return the exact radius."""
-    if not (isinstance(R, (int, float)) and R > 0 and math.isfinite(R)):
+    # a bool is an int, but True is no radius
+    if isinstance(R, bool) or not (isinstance(R, (int, float)) and R > 0 and math.isfinite(R)):
         raise BadWindow(f"window radius must be positive and finite, got {R!r}")
     if m != n:
         raise BadWindow("window operands disagree on dimension")
@@ -106,29 +110,59 @@ def _checked_window(R: float, n: int, m: int) -> Fraction:
 
 
 def _as_rows(obj: Polyhedron | Cone) -> list[list[int]]:
-    """The integer rows ``[a..., b]`` of a polyhedron or a cone.  One walk
-    writes the polar ``{y : g.y <= 0}`` of a generator cone as ``lin L +
-    cone D``, so cone(G) = ``{x : d.x <= 0, l.x = 0}`` (bipolar theorem)."""
+    """The integer rows ``[a..., b]`` of a polyhedron or a cone, a
+    generator cone through the walk of its polar (``_polar_rows``)."""
     if isinstance(obj, Polyhedron):
         return _integer_rows(obj)
     if obj.hform is not None:
         return [[*scaled(hs.a)[0], 0] for hs in obj.hform]
-    polar = [[*scaled(canonical_ray(g))[0], 0] for g in obj.generators]
-    lines, _, rays, _ = _minkowski_weyl(polar, obj.n)
+    return _polar_rows([[*scaled(canonical_ray(g))[0], 0] for g in obj.generators], obj.n)
+
+
+def _polar_rows(rows: list[list[int]], n: int) -> list[list[int]]:
+    """The rows of the cone generated by the normals g of the integer rows
+    ``[g..., 0]`` in R^n.  One walk from the apex writes their cone ``{y :
+    g.y <= 0}``, the polar, as ``lin L + cone D``, so cone(G) = ``{x : d.x
+    <= 0, l.x = 0}`` (bipolar theorem); the rays D are the edges no row
+    blocks, and no vertex is read out."""
+    lines, A, start, _ = _start(rows, n)
+    rays = []
+    _walk(A, n, [start], {start[0][0]: set()}, rays)
     return [[*d, 0] for d in rays] + [[*scaled(s)[0], 0] for v in lines for s in (v, vec_neg(v))]
+
+
+def _tangent_rows(aug: list[list[int]], point: Sequence[Fraction]) -> list[list[int]]:
+    """The tangent cone at a point of the integer rows' set: the rows ``[a,
+    0]`` of the rows ``[a, b]`` tight there, by the integer slacks ``b D -
+    a.X`` of the point ``X / D``.  A negative slack raises InfeasiblePoint
+    with the slack of the canonical row, ``max|a|`` times smaller."""
+    if len(point) != len(aug[0]) - 1:
+        raise DimensionMismatch(f"point dimension {len(point)} != ambient {len(aug[0]) - 1}")
+    X, D = scaled(point)
+    rows = []
+    for i, (*a, b) in enumerate(aug):
+        s = b * D - sum(map(mul, a, X))
+        if s < 0:
+            raise InfeasiblePoint(f"constraint {i} violated by {Fraction(s, D * max(map(abs, a)))}")
+        if not s:
+            rows.append([*a, 0])
+    return rows
 
 
 def _window_support(
     rows: list[list[int]], box: list[list[int]], directions: Sequence[FloatVector]
 ) -> list[float] | None:
     """Support values of the integer rows' set cut to the ``box`` rows, or
-    None if that is empty: the maximum over the exact vertices of one walk,
-    taken in binary64."""
-    vertices = _minkowski_weyl(rows + box, len(box[0]) - 1)[1]
-    if not vertices:
+    None if that is empty: the maximum over the vertices of one walk, read
+    off its states ``X / D`` in binary64 (int/int division rounds
+    correctly, as ``float(Fraction(x, D))`` does).  A maximum needs no
+    order, and ``sum`` starts from the int 0, so it gives no -0.0."""
+    n = len(box[0]) - 1
+    _, A, start, farkas = _start(rows + box, n)
+    if farkas is not None:
         return None
-    points = [tuple(float(x) for x in v.point) for v in vertices]
-    return [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in directions]
+    points = [[x / D for x in X] for (_, X, D, _), _ in _walk(A, n, [start], {start[0][0]: set()})]
+    return [max([sum(map(mul, d, p)) for p in points]) for d in directions]
 
 
 def _support_gap(hp: list[float] | None, hq: list[float] | None) -> WindowDistance:
@@ -312,7 +346,7 @@ def verify_convergence(
     rows = _integer_rows(candidate)
     if _start(rows, candidate.n)[3] is not None:
         raise EmptyPolyhedron("candidate limit is empty")
-    radius = default_window(candidate) if R is None else float(R)
+    radius = default_window(candidate) if R is None else R
     directions = default_directions(T.n)
     box = _box_rows(T.n, _checked_window(radius, T.n, candidate.n))
     h_limit = _window_support(rows, box, directions)
@@ -325,7 +359,7 @@ def verify_convergence(
         distances.append((T.indices[k], d.value))
         counts.append((T.indices[k], len(enumerate_vertices(Pk)), limit_count))
     return ConvergenceReport(
-        window_radius=radius,
+        window_radius=float(radius),
         distances=tuple(distances),
         converged=_trend_converged([d for _, d in distances], tol),
         vertex_count_check=tuple(counts),
@@ -394,8 +428,14 @@ def cone_convergence(
         raise TrackNotConverged("cone diagnostics need a converged vertex track")
     directions = default_directions(T.n)
     box = _box_rows(T.n, _checked_window(1.0, T.n, limit.n))
-    h_tangent = _window_support(_as_rows(tangent_cone(limit, track.limit_vertex)), box, directions)
-    h_normal = _window_support(_as_rows(normal_cone(limit, track.limit_vertex)), box, directions)
+
+    def supports(aug, point):
+        # the normal cone is generated by the active normals: the polar of the tangent cone
+        tangent = _tangent_rows(aug, point)
+        normal = _polar_rows(tangent, T.n)
+        return _window_support(tangent, box, directions), _window_support(normal, box, directions)
+
+    h_tangent, h_normal = supports(_integer_rows(limit), track.limit_vertex)
     tangent_seq = []
     normal_seq = []
     for k in range(T.sample_count):
@@ -404,11 +444,9 @@ def cone_convergence(
             tangent_seq.append((T.indices[k], math.inf))
             normal_seq.append((T.indices[k], math.inf))
             continue
-        Pk = T.sample_polyhedron(k)
-        hk = _window_support(_as_rows(tangent_cone(Pk, point)), box, directions)
-        tangent_seq.append((T.indices[k], _support_gap(hk, h_tangent).value))
-        hk = _window_support(_as_rows(normal_cone(Pk, point)), box, directions)
-        normal_seq.append((T.indices[k], _support_gap(hk, h_normal).value))
+        hk_tangent, hk_normal = supports(T.sample_rows(k), point)
+        tangent_seq.append((T.indices[k], _support_gap(hk_tangent, h_tangent).value))
+        normal_seq.append((T.indices[k], _support_gap(hk_normal, h_normal).value))
     converged = _trend_converged([d for _, d in tangent_seq], tol) and _trend_converged(
         [d for _, d in normal_seq], tol
     )
@@ -447,7 +485,7 @@ def argmax_convergence(
     sol_limit = solve_glp(limit, c_limit, "max")
     if sol_limit.status != "Attained":
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
-    radius = default_window(limit) if R is None else float(R)
+    radius = default_window(limit) if R is None else R
     directions = default_directions(T.n)
     box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
     h_face = _window_support(_integer_rows(sol_limit.argmin_face), box, directions)
@@ -498,7 +536,7 @@ def boundary_convergence(
     ``MATCH_RADIUS`` are excluded and reported, since a lower-dimensional
     limit can legitimately have facets with no aligned sample counterpart.
     """
-    radius = default_window(limit) if R is None else float(R)
+    radius = default_window(limit) if R is None else R
     directions = default_directions(T.n)
 
     def match_key(hs: HalfSpace) -> FloatVector:

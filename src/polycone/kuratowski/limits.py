@@ -78,6 +78,17 @@ def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
     return tuple(v / norm for v in vec), offset / norm
 
 
+def _primitive_row(values: Sequence[float]) -> list[int]:
+    """The binary64 row values, not all zero, as the primitive integer row
+    on the same ray.  Each value is an exact ratio p / q with q a power of
+    2, so the lcm of the q is their maximum."""
+    ratios = [v.as_integer_ratio() for v in values]
+    L = max(q for _, q in ratios)
+    row = [p * (L // q) for p, q in ratios]
+    g = math.gcd(*row)
+    return [x // g for x in row]
+
+
 def _sample_index(k) -> float:
     return _finite([k], "non-finite sample index")[0]
 
@@ -184,6 +195,12 @@ class PolyhedronTrajectory:
             a = tuple(Fraction(v) for v in t.normals[k])
             rows.append(HalfSpace(a, Fraction(t.offsets[k])))
         return Polyhedron(self.n, rows)
+
+    def sample_rows(self, k: int) -> list[list[int]]:
+        """The k-th sampled polyhedron as primitive integer rows ``[a...,
+        b]``, equal to ``_integer_rows(self.sample_polyhedron(k))`` but
+        built straight from the binary64 data (``_primitive_row``)."""
+        return [_primitive_row((*t.normals[k], t.offsets[k])) for t in self.constraints]
 
     def sample_cost(self, k: int) -> tuple[Fraction, ...]:
         if self.cost is None:

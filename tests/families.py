@@ -114,3 +114,33 @@ def plus_infinity_drop_trajectory() -> PolyhedronTrajectory:
             ConstraintTrajectory([(v, (0.0, -1.0), 0.0) for v in nus]),
         ),
     )
+
+
+def pyramid_nus() -> list[float]:
+    return [4.0**k for k in range(1, 13)]
+
+
+def pyramid_trajectory(with_cost: bool = True) -> PolyhedronTrajectory:
+    """Square pyramid {z >= 0, +-x + z <= 1, +-y + z <= 1} in R^3 with
+    tilts and shifts of order 1/v, and a row z <= 1 + v that drifts to
+    +infinity.  The limit's apex (0, 0, 1) is degenerate (four facets meet
+    there) and its four base vertices are simple; the cost converges to
+    (1, 2, 4), maximized at the apex."""
+    nus = pyramid_nus()
+    # (limit normal, limit offset, normal tilt, offset shift), each times 1/v
+    rows = [
+        ((0.0, 0.0, -1.0), 0.0, (0.0, 0.0, 0.0), 0.0),
+        ((1.0, 0.0, 1.0), 1.0, (0.0, 0.5, 0.0), 1.0),
+        ((-1.0, 0.0, 1.0), 1.0, (0.0, 0.0, 0.5), -1.0),
+        ((0.0, 1.0, 1.0), 1.0, (0.5, 0.0, 0.0), 0.0),
+        ((0.0, -1.0, 1.0), 1.0, (0.0, 0.0, -0.5), 0.5),
+    ]
+    constraints = [
+        ConstraintTrajectory([(v, tuple(x + d / v for x, d in zip(a, da)), b + db / v) for v in nus])
+        for a, b, da, db in rows
+    ]
+    constraints.append(ConstraintTrajectory([(v, (0.0, 0.0, 1.0), 1.0 + v) for v in nus]))
+    cost = None
+    if with_cost:
+        cost = CostTrajectory([(v, (1.0 + 1.0 / v, 2.0, 4.0 - 1.0 / v)) for v in nus], declared_limit=(1, 2, 4))
+    return PolyhedronTrajectory(n=3, constraints=tuple(constraints), cost=cost)

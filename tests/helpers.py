@@ -20,11 +20,16 @@ from polycone import (
     contains_point,
     enumerate_vertices,
     find_feasible_point,
+    normal_cone,
     solve_lp,
+    tangent_cone,
 )
 from polycone import geometry, optimality
-from polycone.errors import DimensionMismatch, EmptyPolyhedron, NoVertices
+from polycone.errors import DimensionMismatch, EmptyPolyhedron, NoVertices, TrackNotConverged
 from polycone.geometry import Vertex
+from polycone.kuratowski.convergence import (
+    ConeConvergenceReport, _support_gap, _trend_converged, default_directions
+)
 from polycone.linalg import dot, null_direction, nullspace, project_onto_span, scaled, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
@@ -682,6 +687,33 @@ def reference_window_support(obj: Polyhedron | Cone, R: Fraction, directions) ->
     if not points:
         return None
     return [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in directions]
+
+
+def reference_cone_convergence(T, limit: Polyhedron, track, tol: float = 1e-6) -> ConeConvergenceReport:
+    """Reference for ``cone_convergence``: the route its integer rows
+    replace.  Each cone is a ``Cone`` from ``tangent_cone`` or
+    ``normal_cone`` on ``limit`` or ``T.sample_polyhedron(k)``, a
+    generator cone becomes rows by the walk of its polar, as ``_as_rows``
+    does it, and each window is read by ``reference_window_support``."""
+    if not track.converged:
+        raise TrackNotConverged("cone diagnostics need a converged vertex track")
+    dirs = default_directions(T.n)
+
+    def supports(P, x):
+        return [reference_window_support(cone(P, x), Fraction(1), dirs) for cone in (tangent_cone, normal_cone)]
+
+    h_limit = supports(limit, track.limit_vertex)
+    seqs = ([], [])
+    for k, (_, point, _) in enumerate(track.matches):
+        h_k = supports(T.sample_polyhedron(k), point) if point else (None, None)
+        for seq, hk, h in zip(seqs, h_k, h_limit):
+            seq.append((T.indices[k], _support_gap(hk, h).value if point else math.inf))
+    return ConeConvergenceReport(
+        limit_vertex=track.limit_vertex,
+        tangent=tuple(seqs[0]),
+        normal=tuple(seqs[1]),
+        converged=all(_trend_converged([d for _, d in seq], tol) for seq in seqs),
+    )
 
 
 # ---------------------------------------------------------------------------

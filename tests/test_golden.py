@@ -20,6 +20,7 @@ from families import (
     constant_triangle_trajectory,
     ex31_trajectory,
     footnote_trajectory,
+    pyramid_trajectory,
     remark_trajectory,
 )
 
@@ -41,6 +42,7 @@ TRAJECTORIES = {
     "footnote": trajectory_to_dict(footnote_trajectory()),
     "ex31": trajectory_to_dict(ex31_trajectory()),
     "constant_triangle": trajectory_to_dict(constant_triangle_trajectory()),
+    "pyramid": trajectory_to_dict(pyramid_trajectory()),
 }
 CONTAINS = [
     ("quadrant", "triangle"),
@@ -171,6 +173,11 @@ DIGESTS = {
     'track constant_triangle': (0, '39e2d4f89d814dd85166fceb0652f502b02bc1d7fb961199f2fbdb2c0a5d93c1'),
     'argmax constant_triangle': (0, '64b752ebd914c1987927c258101c9ade423901521483cfd3dfd88ae44acaa2ec'),
     'boundary constant_triangle': (0, 'd8e6b0be127a875a4ce2d23c13aee1b0cfe6d53b23700096e116349b858f1648'),
+    # the one family in R^3: a cone diagnostic at a degenerate limit vertex
+    'limit pyramid': (0, '576ae4a74dcbd34a2a4669bc8e3c7371fad5e81694ca66d643315f27fe740f76'),
+    'track pyramid': (0, '57a371db7b25581ab99e315e05f9b9fde593ee1f63f726bc97cfaa7382e777e2'),
+    'argmax pyramid': (0, '52fec48c3cc05f9cb551c5beba7f71e058ad3a1eb4b5837ba8217fe3400c4944'),
+    'boundary pyramid': (0, '548580ba9e77426596c81db4a7777dc602258a0efe9de2b0f8409a4c6ea89282'),
 }
 
 

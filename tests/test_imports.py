@@ -17,7 +17,10 @@ module itself.
 The walk's entry (``geometry._minkowski_weyl``) is fed integer rows:
 ``structure`` takes nothing from ``optimality``, the Kuratowski modules
 take only ``solve_glp`` from it, and the window metric builds no
-``HalfSpace`` or ``Polyhedron`` to hand to the walk.
+``HalfSpace`` or ``Polyhedron`` to hand to the walk.  The cone
+diagnostics take their cones off integer rows, not from ``tangent_cone``,
+``normal_cone`` or ``active_set``, and ``_window_support`` reads the
+walk's integer states, reaching no ``Vertex`` readout.
 
 The independent oracle for ``solve_lp`` and ``cone_member`` is the
 Fraction tableau in ``tests/helpers.py``: it reaches no name of the
@@ -153,14 +156,19 @@ def test_kuratowski_takes_only_solve_glp_from_optimality(module):
 BUILDERS = {"HalfSpace", "Polyhedron", "with_rows", "flipped"}
 
 
-def _builds(source: str) -> set[str]:
-    """The names in BUILDERS that source calls, as ``f(...)`` or ``x.f(...)``."""
+def _called(source: str) -> set[str]:
+    """The names source calls, as ``f(...)`` or ``x.f(...)``."""
     called = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
-    return called & BUILDERS
+    return called
+
+
+def _builds(source: str) -> set[str]:
+    """The names in BUILDERS that source calls."""
+    return _called(source) & BUILDERS
 
 
 def test_window_metric_builds_no_halfspace_or_polyhedron():
@@ -178,6 +186,37 @@ def test_window_metric_builds_no_halfspace_or_polyhedron():
 )
 def test_builder_guard_sees_each_call_form(line, names):
     assert _builds(line) == names
+
+
+# the route through Cone objects that the cone diagnostics replace
+CONE_BUILDERS = {"tangent_cone", "normal_cone", "active_set"}
+
+
+def test_cone_diagnostics_build_no_cone():
+    assert _called((SRC / "kuratowski" / "convergence.py").read_text(encoding="utf-8")) & CONE_BUILDERS == set()
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("tangent_cone(P, x)", {"tangent_cone"}),
+        ("geometry.normal_cone(P, x)", {"normal_cone"}),
+        ("def f(P, x):\n    return active_set(P, x)", {"active_set"}),
+        ("from ..geometry import tangent_cone", set()),
+    ],
+)
+def test_cone_guard_sees_each_call_form(line, names):
+    assert _called(line) & CONE_BUILDERS == names
+
+
+# what reads a walk out as Vertex objects with Fraction points
+VERTEX_READOUT = {"_minkowski_weyl", "enumerate_vertices", "_walked", "_vertex", "Vertex", "Fraction"}
+
+
+def test_window_support_reads_the_walk_states():
+    source = (SRC / "kuratowski" / "convergence.py").read_text(encoding="utf-8")
+    assert "_walk" in _reached(source, ["_window_support"])
+    assert not _reached(source, ["_window_support"]) & VERTEX_READOUT
 
 
 # the Fraction tableau and its readout, the oracle for the solve kernel

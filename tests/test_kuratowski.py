@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,17 +38,18 @@ from polycone import (
     verify_convergence,
     window_distance,
 )
-from polycone.geometry import _integer_rows
+from polycone.geometry import Vertex, _integer_rows
 from polycone.kuratowski.convergence import (
     _as_rows, _box_rows, _window_support, default_directions, default_window
 )
-from polycone.kuratowski.limits import _unit_row
+from polycone.kuratowski.limits import _primitive_row, _unit_row
 
 from helpers import (
     HALF_LINE,
     TRIANGLE,
     X_AXIS,
     random_generator_cone,
+    reference_cone_convergence,
     reference_cone_window_support,
     reference_window_support,
 )
@@ -58,6 +61,7 @@ from families import (
     footnote_nus,
     footnote_trajectory,
     plus_infinity_drop_trajectory,
+    pyramid_trajectory,
     remark_trajectory,
 )
 
@@ -404,6 +408,46 @@ class TestConeConvergence:
         with pytest.raises(errors.TrackNotConverged):
             cone_convergence(T, REMARK_LIMIT, bad)
 
+    def test_infeasible_track_point_is_refused(self):
+        # a tampered track whose first point violates sample rows 0 and 2
+        T = ex31_trajectory(with_cost=False)
+        track = next(t for t in track_vertices(T, Y1).tracks if t.converged)
+        k, _, d = track.matches[0]
+        bad = dataclasses.replace(track, matches=((k, (F(1), F(2)), d),) + track.matches[1:])
+        with pytest.raises(errors.InfeasiblePoint) as got:
+            cone_convergence(T, Y1, bad)
+        with pytest.raises(errors.InfeasiblePoint) as expected:
+            reference_cone_convergence(T, Y1, bad)
+        assert str(got.value) == str(expected.value) == "constraint 0 violated by -1"
+
+    def test_track_point_of_wrong_dimension_is_refused(self):
+        T = ex31_trajectory(with_cost=False)
+        track = next(t for t in track_vertices(T, Y1).tracks if t.converged)
+        k, _, d = track.matches[0]
+        bad = dataclasses.replace(track, matches=((k, (F(0), F(0), F(0)), d),) + track.matches[1:])
+        with pytest.raises(errors.DimensionMismatch):
+            cone_convergence(T, Y1, bad)
+
+    def test_builds_no_halfspace_polyhedron_cone_or_vertex(self, monkeypatch):
+        # the cones are integer rows and the windows walk states, from the
+        # limit side through the whole sample loop
+        T = pyramid_trajectory(with_cost=False)
+        limit = construct_limit(T).limit
+        tracks = [t for t in track_vertices(T, limit).tracks if t.converged]
+        built = Counter()
+        for cls in (HalfSpace, Polyhedron, Cone, Vertex):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        Polyhedron(1, [HalfSpace((1,), 0)])  # the counters count
+        assert built == {"HalfSpace": 1, "Polyhedron": 1}
+        built.clear()
+        for track in tracks:
+            cone_convergence(T, limit, track)
+        assert len(tracks) == 5 and built == {}
+
 
 class TestArgmaxConvergence:
     def test_remark_counterexample(self):
@@ -602,6 +646,7 @@ FAMILIES = {
     "ex32": ex32_trajectory,
     "triangle": constant_triangle_trajectory,
     "plus_inf": plus_infinity_drop_trajectory,
+    "pyramid": pyramid_trajectory,
 }
 
 
@@ -670,6 +715,16 @@ class TestDiagnosticsAgainstWindowDistance:
         with pytest.raises(errors.BadWindow, match="window operands disagree on dimension"):
             diagnostic(footnote_trajectory(), segment)
 
+    @pytest.mark.parametrize("R", [True, False])
+    def test_bool_radius(self, R):
+        # a bool is an int, but no radius: True used to give radius 1
+        T = ex31_trajectory()
+        with pytest.raises(errors.BadWindow, match=f"positive and finite, got {R}"):
+            window_distance(TRIANGLE, TRIANGLE, R)
+        for diagnostic in (verify_convergence, argmax_convergence, boundary_convergence):
+            with pytest.raises(errors.BadWindow, match=f"positive and finite, got {R}"):
+                diagnostic(T, Y1, R=R)
+
     @pytest.mark.parametrize("R", [0.0, -1.0])
     def test_non_positive_radius(self, R):
         T = ex31_trajectory()
@@ -681,6 +736,62 @@ class TestDiagnosticsAgainstWindowDistance:
         for run in diagnostics:
             with pytest.raises(errors.BadWindow, match="positive and finite"):
                 run()
+
+
+class TestConeConvergenceAgainstCones:
+    """``cone_convergence`` reads each cone off a sample's integer rows;
+    the route through ``tangent_cone``, ``normal_cone`` and HalfSpaces
+    that it replaces is the oracle (``reference_cone_convergence``)."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_reports_are_repr_identical(self, name):
+        T = FAMILIES[name]()
+        limit = construct_limit(T).limit
+        compared = 0
+        for tol in (1e-6, 1e-3):
+            for track in track_vertices(T, limit, tol=tol).tracks:
+                if track.converged:
+                    got = cone_convergence(T, limit, track, tol=tol)
+                    assert repr(got) == repr(reference_cone_convergence(T, limit, track, tol=tol))
+                    compared += 1
+        # converged tracks, over both tolerances
+        assert compared == {"ex31": 4, "ex32": 2, "footnote": 2, "plus_inf": 4, "pyramid": 10, "remark": 2,
+                            "triangle": 6}[name]
+
+
+ALL_FAMILIES = FAMILIES | {"divergent_pair": divergent_pair_trajectory}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
+def test_sample_rows_are_the_integer_rows_of_the_sample(name):
+    T = ALL_FAMILIES[name]()
+    for k in range(T.sample_count):
+        assert T.sample_rows(k) == _integer_rows(T.sample_polyhedron(k))
+
+
+# binary64 values at the edges: signed zeros, the least subnormal, huge
+# values, integers and arbitrary finite floats of either sign
+_BINARY64 = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0]),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(_BINARY64, min_size=2, max_size=5))
+def test_primitive_row_is_the_halfspace_row(row):
+    *a, b = row
+    assume(any(a))
+    got = _primitive_row(row)
+    assert got == _integer_rows(Polyhedron(len(a), [HalfSpace(a, b)]))[0]
+    assert math.gcd(*got) == 1
+    # and through a trajectory, when the Euclidean normalization on
+    # ingestion neither underflows nor overflows
+    if 0 < sum(v * v for v in a) < math.inf:
+        T = PolyhedronTrajectory(len(a), (ConstraintTrajectory([(k, a, b) for k in (1, 2, 3)]),))
+        if math.isfinite(T.constraints[0].offsets[2]):
+            assert T.sample_rows(2) == _integer_rows(T.sample_polyhedron(2))
 
 
 class TestIntegerRowsAgainstHalfSpaces:
