@@ -7,9 +7,10 @@ generator cone through its polar) and compared on a fixed direction set
 Support values come from the vertices of the box-truncated polytope,
 exact integer points X / D of the walk, each coordinate converted to
 binary64 by one correctly rounded division at the very end, so identical
-inputs give byte-identical reports.  The cone diagnostics read the
-tangent and normal cones off a sample's integer rows
-(``PolyhedronTrajectory.sample_rows``) by integer slacks.  Each
+inputs give byte-identical reports.  Each sample reaches the window
+metric, the vertex walks, the minimal rows and, by integer slacks, the
+cones as its integer rows (``PolyhedronTrajectory.sample_rows``), built
+as a Polyhedron only for ``argmax_convergence``'s ``solve_glp``.  Each
 diagnostic validates its window and computes the support vectors of the
 limit side once, before its sample loop.
 
@@ -32,14 +33,15 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from ..errors import (
-    BadWindow, DimensionMismatch, EmptyPolyhedron, InfeasiblePoint, MaxNotAttained, NoVertices, TrackNotConverged
+    BadWindow, DimensionMismatch, EmptyPolyhedron, MaxNotAttained, NoVertices, TrackNotConverged
 )
 from ..geometry import (
     Cone,
-    HalfSpace,
     Polyhedron,
     _integer_rows,
     _start,
+    _tight_rows,
+    _vertices,
     _walk,
     canonical_ray,
     enumerate_vertices,
@@ -47,7 +49,7 @@ from ..geometry import (
 from ..linalg import Vector, scaled, vec_neg
 from ..optimality import solve_glp
 from ..rationals import format_rational, format_vector, simplest_within
-from ..structure import is_bounded, remove_redundant
+from ..structure import _minimal_rows, is_bounded
 from .limits import PolyhedronTrajectory, _coordinate_limits, _tail, _unit_row
 
 # the fixed seed of the direction set's pseudorandom unit vectors
@@ -129,24 +131,6 @@ def _polar_rows(rows: list[list[int]], n: int) -> list[list[int]]:
     rays = []
     _walk(A, n, [start], {start[0][0]: set()}, rays)
     return [[*d, 0] for d in rays] + [[*scaled(s)[0], 0] for v in lines for s in (v, vec_neg(v))]
-
-
-def _tangent_rows(aug: list[list[int]], point: Sequence[Fraction]) -> list[list[int]]:
-    """The tangent cone at a point of the integer rows' set: the rows ``[a,
-    0]`` of the rows ``[a, b]`` tight there, by the integer slacks ``b D -
-    a.X`` of the point ``X / D``.  A negative slack raises InfeasiblePoint
-    with the slack of the canonical row, ``max|a|`` times smaller."""
-    if len(point) != len(aug[0]) - 1:
-        raise DimensionMismatch(f"point dimension {len(point)} != ambient {len(aug[0]) - 1}")
-    X, D = scaled(point)
-    rows = []
-    for i, (*a, b) in enumerate(aug):
-        s = b * D - sum(map(mul, a, X))
-        if s < 0:
-            raise InfeasiblePoint(f"constraint {i} violated by {Fraction(s, D * max(map(abs, a)))}")
-        if not s:
-            rows.append([*a, 0])
-    return rows
 
 
 def _window_support(
@@ -354,10 +338,10 @@ def verify_convergence(
     counts = []
     limit_count = len(enumerate_vertices(candidate))
     for k in range(T.sample_count):
-        Pk = T.sample_polyhedron(k)
-        d = _support_gap(_window_support(_integer_rows(Pk), box, directions), h_limit)
+        rows = T.sample_rows(k)
+        d = _support_gap(_window_support(rows, box, directions), h_limit)
         distances.append((T.indices[k], d.value))
-        counts.append((T.indices[k], len(enumerate_vertices(Pk)), limit_count))
+        counts.append((T.indices[k], len(_vertices(rows, T.n)), limit_count))
     return ConvergenceReport(
         window_radius=float(radius),
         distances=tuple(distances),
@@ -382,37 +366,28 @@ def track_vertices(
     limit_vertices = enumerate_vertices(limit)
     if not limit_vertices:
         raise NoVertices("limit polyhedron has no vertices to track")
-    sample_vertices = [enumerate_vertices(T.sample_polyhedron(k)) for k in range(T.sample_count)]
+    sample_points = [[v.point for v in _vertices(T.sample_rows(k), T.n)] for k in range(T.sample_count)]
     tracks = []
     matched: list[set[Vector]] = [set() for _ in range(T.sample_count)]
     for lv in limit_vertices:
         lf = tuple(float(x) for x in lv.point)
         matches = []
-        for k, verts in enumerate(sample_vertices):
-            if not verts:
+        for k, points in enumerate(sample_points):
+            if not points:
                 matches.append((T.indices[k], (), math.inf))
                 continue
             dist, point = min(
-                (math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(v.point, lf))), v.point)
-                for v in verts
+                (math.sqrt(sum((float(x) - y) ** 2 for x, y in zip(p, lf))), p) for p in points
             )
             matched[k].add(point)
             matches.append((T.indices[k], point, dist))
-        track = VertexTrack(
-            limit_vertex=lv.point,
-            matches=tuple(matches),
-            converged=bool(matches) and matches[-1][2] < tol,
-        )
-        tracks.append(track)
+        converged = bool(matches) and matches[-1][2] < tol
+        tracks.append(VertexTrack(limit_vertex=lv.point, matches=tuple(matches), converged=converged))
     escapees = []
-    for k, verts in enumerate(sample_vertices):
-        loose = []
-        for v in verts:
-            if v.point not in matched[k]:
-                fp = tuple(float(x) for x in v.point)
-                loose.append((fp, math.sqrt(sum(x * x for x in fp))))
+    for k, points in enumerate(sample_points):
+        loose = [tuple(map(float, p)) for p in points if p not in matched[k]]
         if loose:
-            escapees.append((T.indices[k], tuple(loose)))
+            escapees.append((T.indices[k], tuple((fp, math.sqrt(sum(x * x for x in fp))) for fp in loose)))
     return TrackReport(tracks=tuple(tracks), escapees=tuple(escapees))
 
 
@@ -430,8 +405,8 @@ def cone_convergence(
     box = _box_rows(T.n, _checked_window(1.0, T.n, limit.n))
 
     def supports(aug, point):
-        # the normal cone is generated by the active normals: the polar of the tangent cone
-        tangent = _tangent_rows(aug, point)
+        # the tangent cone is the tight rows [a, 0], the normal cone its polar
+        tangent = [[*aug[i][:-1], 0] for i in _tight_rows(aug, point)]
         normal = _polar_rows(tangent, T.n)
         return _window_support(tangent, box, directions), _window_support(normal, box, directions)
 
@@ -539,22 +514,21 @@ def boundary_convergence(
     radius = default_window(limit) if R is None else R
     directions = default_directions(T.n)
 
-    def match_key(hs: HalfSpace) -> FloatVector:
-        unit, offset = _unit_row(hs.a, hs.b)
-        return unit + (offset,)
+    def minimal(aug, n):
+        # the minimal rows, each keyed by the unit form of its canonical row
+        aug = [aug[i] for i in _minimal_rows(aug, n)]
+        canonical = [[Fraction(x, max(map(abs, row[:-1]))) for x in row] for row in aug]
+        keys = [_unit_row(row[:-1], row[-1]) for row in canonical]
+        return aug, [unit + (offset,) for unit, offset in keys]
 
-    limit_min = remove_redundant(limit)
+    aug, limit_rows = minimal(_integer_rows(limit), limit.n)
     box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
-    limit_rows = [match_key(hs) for hs in limit_min.halfspaces]
     # a facet's rows are the rows and that row negated
-    aug = _integer_rows(limit_min)
     h_facets = [_window_support(aug + [[-x for x in row]], box, directions) for row in aug]
     warnings: list[str] = []
     metrics = []
     for k in range(T.sample_count):
-        Pk = remove_redundant(T.sample_polyhedron(k))
-        rows_k = [match_key(hs) for hs in Pk.halfspaces]
-        aug_k = _integer_rows(Pk)
+        aug_k, rows_k = minimal(T.sample_rows(k), T.n)
         worst = 0.0
         any_match = False
         for li, lrow in enumerate(limit_rows):

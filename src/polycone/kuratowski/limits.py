@@ -70,12 +70,21 @@ def _finite(values, message: str) -> list[float]:
 
 
 def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
-    """The row ``<a, x> <= b`` in binary64, scaled to a Euclidean unit normal."""
-    *vec, offset = _finite([*a, b], "non-finite value in trajectory sample")
-    norm = math.sqrt(sum(v * v for v in vec))
-    if norm == 0.0:
+    """The row ``<a, x> <= b`` in binary64, scaled to a Euclidean unit
+    normal through ``a 2^-e``, ``2^e <= max|a| < 2^(e+1)``, exactly: its
+    squares neither overflow nor underflow, and its norm is at least 1, so
+    only an offset beyond binary64 overflows, and is refused."""
+    message = "non-finite value in trajectory sample"
+    *vec, offset = _finite([*a, b], message)
+    if not any(vec):
         raise ValueError("zero normal in trajectory sample")
-    return tuple(v / norm for v in vec), offset / norm
+    e = math.frexp(max(map(abs, vec)))[1] - 1
+    vec = [math.ldexp(v, -e) for v in vec]
+    norm = math.sqrt(sum(v * v for v in vec))
+    try:
+        return tuple(v / norm for v in vec), math.ldexp(offset / norm, -e)
+    except OverflowError:
+        raise ValueError(message) from None
 
 
 def _primitive_row(values: Sequence[float]) -> list[int]:
@@ -184,23 +193,17 @@ class PolyhedronTrajectory:
     def sample_count(self) -> int:
         return len(self.indices)
 
-    def sample_polyhedron(self, k: int) -> Polyhedron:
-        """Exact rationalization of the k-th sampled polyhedron.
-
-        binary64 values convert to rationals exactly, so the returned
-        polyhedron is precisely the sampled one, not a further rounding.
-        """
-        rows = []
-        for t in self.constraints:
-            a = tuple(Fraction(v) for v in t.normals[k])
-            rows.append(HalfSpace(a, Fraction(t.offsets[k])))
-        return Polyhedron(self.n, rows)
-
     def sample_rows(self, k: int) -> list[list[int]]:
         """The k-th sampled polyhedron as primitive integer rows ``[a...,
-        b]``, equal to ``_integer_rows(self.sample_polyhedron(k))`` but
-        built straight from the binary64 data (``_primitive_row``)."""
+        b]``, one per constraint, exactly (``_primitive_row``, the one
+        conversion of binary64 data to exact values): no further rounding."""
         return [_primitive_row((*t.normals[k], t.offsets[k])) for t in self.constraints]
+
+    def sample_polyhedron(self, k: int) -> Polyhedron:
+        """The k-th sampled polyhedron from ``sample_rows(k)``: a ray's
+        L-infinity canonical form is unique, so its rows are the binary64
+        values' own, exactly."""
+        return Polyhedron.from_rows(self.n, [(row[:-1], row[-1]) for row in self.sample_rows(k)])
 
     def sample_cost(self, k: int) -> tuple[Fraction, ...]:
         if self.cost is None:

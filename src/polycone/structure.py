@@ -4,10 +4,12 @@ One walk over P's integer rows (``geometry._minkowski_weyl``) writes a
 nonempty P as ``conv V + cone R + lin L``; boundedness, implicit
 equalities, dimension, facets and a minimal description follow
 (Schrijver 1986, ch. 8), and ``poly_contains`` reads the walk of its
-inner polyhedron.  No verdict runs an LP; the one cone test left is
-``remove_redundant``'s over equality normals, which ``cone_member``
-decides by the kernel's phase one, with no simplex.  Operations that
-need a nonempty P raise EmptyPolyhedron.
+inner polyhedron.  The structure and the minimal rows (``_minimal_rows``)
+read integer rows ``[a..., b]``, and the public functions wrap them.  No
+verdict runs an LP; the one cone test left is the minimal rows' over
+integer equality normals, which ``cone_member`` decides by the kernel's
+phase one, with no simplex.  Operations that need a nonempty P raise
+EmptyPolyhedron.
 """
 from __future__ import annotations
 
@@ -62,15 +64,15 @@ def is_bounded(P: Polyhedron) -> bool:
     return not lineality and not rays
 
 
-def _structure(P: Polyhedron) -> tuple[StructureReport, list[list[int]]]:
-    """P's structure report and, per facet, the rows defining it.
+def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list[int]]]:
+    """The structure report of the set of the integer rows ``aug`` in R^n
+    and, per facet, the rows defining it.
 
     Row i's face is the vertices and rays it is tight at: all of them iff
     row i is an implicit equality, else a facet iff it has a vertex and
     rank one less than ``{v - v0} ∪ R``, whose rank plus |L| is dim P.
     """
-    aug = _integer_rows(P)
-    lineality, vertices, rays = _nonempty(aug, P.n)
+    lineality, vertices, rays = _nonempty(aug, n)
     faces = [(tuple(k for k, v in enumerate(vertices) if i in v.active),
               tuple(k for k, r in enumerate(rays) if not sum(map(mul, row, r))))
              for i, row in enumerate(aug)]
@@ -79,7 +81,7 @@ def _structure(P: Polyhedron) -> tuple[StructureReport, list[list[int]]]:
     def span(face):
         p = vertices[face[0][0]].point
         moves = [tuple(x - y for x, y in zip(vertices[k].point, p)) for k in face[0][1:]]
-        return rank(moves + [rays[k] for k in face[1]], P.n)
+        return rank(moves + [rays[k] for k in face[1]], n)
 
     full = span(whole)
     groups: dict = {}
@@ -98,25 +100,29 @@ def _structure(P: Polyhedron) -> tuple[StructureReport, list[list[int]]]:
 
 def structure(P: Polyhedron) -> StructureReport:
     """Implicit equalities, dimension, lineality, facet and vertex counts."""
-    return _structure(P)[0]
+    return _structure(_integer_rows(P), P.n)[0]
 
 
 def remove_redundant(P: Polyhedron) -> Polyhedron:
-    """Minimal sub-description with the identical point set, order-stable.
+    """Minimal sub-description with the identical point set, order-stable:
+    the rows ``_minimal_rows`` keeps."""
+    return Polyhedron(P.n, [P.halfspaces[i] for i in _minimal_rows(_integer_rows(P), P.n)])
 
-    Rows drop one at a time, in row order, while the rest describe P: each
-    facet keeps the last row defining it, and an implicit equality goes
-    when its normal is in the cone of the other equality normals kept (at a
-    relative-interior point only they are tight, so that test is global).
-    """
-    report, facets = _structure(P)
+
+def _minimal_rows(aug: list[list[int]], n: int) -> list[int]:
+    """The ascending indices of a minimal subset of the integer rows ``aug``
+    in R^n with the same set.  Rows drop one at a time, in row order, while
+    the rest describe it: each facet keeps the last row defining it, and an
+    implicit equality goes when its normal is in the cone of the other
+    equality normals kept (at a relative-interior point only they are
+    tight, so that test is global); integer normals, positive multiples of
+    the canonical ones, leave that cone as it is."""
+    report, facets = _structure(aug, n)
     kept = list(report.implicit_equalities)
     for i in report.implicit_equalities:
-        others = [P.halfspaces[k].a for k in kept if k != i]
-        if cone_member(others, P.halfspaces[i].a).member:
+        if cone_member([aug[k][:n] for k in kept if k != i], aug[i][:n]).member:
             kept.remove(i)
-    kept += [rows[-1] for rows in facets]
-    return Polyhedron(P.n, [P.halfspaces[i] for i in sorted(kept)])
+    return sorted(kept + [rows[-1] for rows in facets])
 
 
 def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:

@@ -144,3 +144,26 @@ def pyramid_trajectory(with_cost: bool = True) -> PolyhedronTrajectory:
     if with_cost:
         cost = CostTrajectory([(v, (1.0 + 1.0 / v, 2.0, 4.0 - 1.0 / v)) for v in nus], declared_limit=(1, 2, 4))
     return PolyhedronTrajectory(n=3, constraints=tuple(constraints), cost=cost)
+
+
+def segment_trajectory(with_cost: bool = True) -> PolyhedronTrajectory:
+    """Segment {0 <= x <= 1 + 1/v, y = 0, z = x/v} in R^3 on the plane
+    z = x/v tilting onto z = 0: every sample has implicit equalities, and
+    the row y + z - x/v <= 0 is one whose normal is the sum of two others.
+    The limit is the segment [0, 1] on the x-axis; the cost converges to
+    (1, 0, 0), maximized at its end (1, 0, 0)."""
+    nus = pyramid_nus()
+    rows = [
+        lambda v: ((0.0, 1.0, 0.0), 0.0),
+        lambda v: ((0.0, -1.0, 0.0), 0.0),
+        lambda v: ((-1.0 / v, 0.0, 1.0), 0.0),
+        lambda v: ((1.0 / v, 0.0, -1.0), 0.0),
+        lambda v: ((-1.0 / v, 1.0, 1.0), 0.0),
+        lambda v: ((-1.0, 0.0, 0.0), 0.0),
+        lambda v: ((1.0, 0.0, 0.0), 1.0 + 1.0 / v),
+    ]
+    constraints = tuple(ConstraintTrajectory([(v, *row(v)) for v in nus]) for row in rows)
+    cost = None
+    if with_cost:
+        cost = CostTrajectory([(v, (1.0, 1.0 / v, 0.0)) for v in nus], declared_limit=(1, 0, 0))
+    return PolyhedronTrajectory(n=3, constraints=constraints, cost=cost)

@@ -21,6 +21,7 @@ from polycone import (
     enumerate_vertices,
     find_feasible_point,
     normal_cone,
+    remove_redundant,
     solve_lp,
     tangent_cone,
 )
@@ -28,8 +29,21 @@ from polycone import geometry, optimality
 from polycone.errors import DimensionMismatch, EmptyPolyhedron, NoVertices, TrackNotConverged
 from polycone.geometry import Vertex
 from polycone.kuratowski.convergence import (
-    ConeConvergenceReport, _support_gap, _trend_converged, default_directions
+    MATCH_RADIUS,
+    BoundaryReport,
+    ConeConvergenceReport,
+    ConvergenceReport,
+    TrackReport,
+    VertexTrack,
+    _box_rows,
+    _checked_window,
+    _support_gap,
+    _trend_converged,
+    _window_support,
+    default_directions,
+    default_window,
 )
+from polycone.kuratowski.limits import _unit_row
 from polycone.linalg import dot, null_direction, nullspace, project_onto_span, scaled, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
@@ -692,7 +706,7 @@ def reference_window_support(obj: Polyhedron | Cone, R: Fraction, directions) ->
 def reference_cone_convergence(T, limit: Polyhedron, track, tol: float = 1e-6) -> ConeConvergenceReport:
     """Reference for ``cone_convergence``: the route its integer rows
     replace.  Each cone is a ``Cone`` from ``tangent_cone`` or
-    ``normal_cone`` on ``limit`` or ``T.sample_polyhedron(k)``, a
+    ``normal_cone`` on ``limit`` or ``reference_sample_polyhedron``, a
     generator cone becomes rows by the walk of its polar, as ``_as_rows``
     does it, and each window is read by ``reference_window_support``."""
     if not track.converged:
@@ -705,7 +719,7 @@ def reference_cone_convergence(T, limit: Polyhedron, track, tol: float = 1e-6) -
     h_limit = supports(limit, track.limit_vertex)
     seqs = ([], [])
     for k, (_, point, _) in enumerate(track.matches):
-        h_k = supports(T.sample_polyhedron(k), point) if point else (None, None)
+        h_k = supports(reference_sample_polyhedron(T, k), point) if point else (None, None)
         for seq, hk, h in zip(seqs, h_k, h_limit):
             seq.append((T.indices[k], _support_gap(hk, h).value if point else math.inf))
     return ConeConvergenceReport(
@@ -713,6 +727,112 @@ def reference_cone_convergence(T, limit: Polyhedron, track, tol: float = 1e-6) -
         tangent=tuple(seqs[0]),
         normal=tuple(seqs[1]),
         converged=all(_trend_converged([d for _, d in seq], tol) for seq in seqs),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference samples and the diagnostics that read them as Polyhedra
+
+
+def reference_sample_polyhedron(T, k: int) -> Polyhedron:
+    """Reference for ``T.sample_polyhedron(k)``: every binary64 entry of
+    the k-th sample converted to a Fraction on its own, then one HalfSpace
+    per constraint, with no integer rows in between."""
+    return Polyhedron(T.n, [HalfSpace(tuple(map(Fraction, t.normals[k])), Fraction(t.offsets[k]))
+                            for t in T.constraints])
+
+
+def reference_verify_convergence(T, candidate: Polyhedron, R=None, tol: float = 1e-6) -> ConvergenceReport:
+    """Reference for ``verify_convergence``: each sample's window and
+    vertex count read off its Polyhedron (``reference_sample_polyhedron``)."""
+    rows = geometry._integer_rows(candidate)
+    if geometry._start(rows, candidate.n)[3] is not None:
+        raise EmptyPolyhedron("candidate limit is empty")
+    radius = default_window(candidate) if R is None else R
+    directions = default_directions(T.n)
+    box = _box_rows(T.n, _checked_window(radius, T.n, candidate.n))
+    h_limit = _window_support(rows, box, directions)
+    limit_count = len(enumerate_vertices(candidate))
+    distances, counts = [], []
+    for k in range(T.sample_count):
+        P = reference_sample_polyhedron(T, k)
+        d = _support_gap(_window_support(geometry._integer_rows(P), box, directions), h_limit)
+        distances.append((T.indices[k], d.value))
+        counts.append((T.indices[k], len(enumerate_vertices(P)), limit_count))
+    return ConvergenceReport(
+        window_radius=float(radius),
+        distances=tuple(distances),
+        converged=_trend_converged([d for _, d in distances], tol),
+        vertex_count_check=tuple(counts),
+    )
+
+
+def reference_track_vertices(T, limit: Polyhedron, tol: float = 1e-6) -> TrackReport:
+    """Reference for ``track_vertices``: each sample's vertices from
+    ``enumerate_vertices`` of its Polyhedron, nearest first, ties to the
+    lexicographically smaller point."""
+    if limit.n != T.n:
+        raise DimensionMismatch(f"limit dimension {limit.n} != trajectory dimension {T.n}")
+    limit_vertices = enumerate_vertices(limit)
+    if not limit_vertices:
+        raise NoVertices("limit polyhedron has no vertices to track")
+    samples = [[v.point for v in enumerate_vertices(reference_sample_polyhedron(T, k))]
+               for k in range(T.sample_count)]
+    tracks, matched = [], [set() for _ in samples]
+    for lv in limit_vertices:
+        lf = [float(x) for x in lv.point]
+        matches = []
+        for k, points in enumerate(samples):
+            if points:
+                dist, point = min((euclid(p, lf), p) for p in points)
+                matched[k].add(point)
+            else:
+                dist, point = math.inf, ()
+            matches.append((T.indices[k], point, dist))
+        tracks.append(VertexTrack(lv.point, tuple(matches), matches[-1][2] < tol))
+    escapees = []
+    for k, points in enumerate(samples):
+        loose = [tuple(float(x) for x in p) for p in points if p not in matched[k]]
+        if loose:
+            escapees.append((T.indices[k], tuple((p, math.sqrt(sum(x * x for x in p))) for p in loose)))
+    return TrackReport(tracks=tuple(tracks), escapees=tuple(escapees))
+
+
+def reference_boundary_convergence(T, limit: Polyhedron, R=None, tol: float = 1e-6) -> BoundaryReport:
+    """Reference for ``boundary_convergence``: the limit and each sample
+    Polyhedron cut to ``remove_redundant``, matched by the unit forms of
+    their HalfSpaces, each facet a Polyhedron with its row flipped."""
+    radius = default_window(limit) if R is None else R
+    dirs = default_directions(T.n)
+    limit_min = remove_redundant(limit)
+    box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
+
+    def keyed(P):
+        keys = [_unit_row(hs.a, hs.b) for hs in P.halfspaces]
+        return [(unit + (offset,), hs) for (unit, offset), hs in zip(keys, P.halfspaces)]
+
+    def support(P, hs):
+        return _window_support(geometry._integer_rows(P.with_rows([hs.flipped()])), box, dirs)
+
+    limit_keys = [(key, support(limit_min, hs)) for key, hs in keyed(limit_min)]
+    warnings, metrics = [], []
+    for k in range(T.sample_count):
+        P = remove_redundant(reference_sample_polyhedron(T, k))
+        rows = keyed(P)
+        gaps = []
+        for li, (lkey, h_facet) in enumerate(limit_keys):
+            gap, j = min((math.sqrt(sum((x - y) ** 2 for x, y in zip(lkey, key))), j) for j, (key, _) in enumerate(rows))
+            if gap > MATCH_RADIUS:
+                warnings.append(f"k={T.indices[k]}: limit facet {li} unmatched (nearest row gap {gap:.3g})")
+                continue
+            gaps.append(_support_gap(support(P, rows[j][1]), h_facet).value)
+        metrics.append((T.indices[k], max([0.0, *gaps]) if gaps else math.inf))
+        if not gaps:
+            warnings.append(f"k={T.indices[k]}: no limit facet matched any sample facet")
+    return BoundaryReport(
+        metrics=tuple(metrics),
+        converged=_trend_converged([d for _, d in metrics], tol),
+        warnings=tuple(warnings),
     )
 
 

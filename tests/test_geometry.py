@@ -36,6 +36,7 @@ from helpers import (
     rand_direction,
     random_degenerate_polyhedron,
     random_feasible_pointed,
+    random_polyhedron,
     random_polytope4,
     reference_extreme_rays,
     sufficiently_small_eps,
@@ -90,8 +91,39 @@ class TestActiveSet:
         assert active_set(TRIANGLE, (F(1, 4), F(1, 4))) == ()
 
     def test_infeasible_point_raises(self):
-        with pytest.raises(errors.InfeasiblePoint):
+        with pytest.raises(errors.InfeasiblePoint, match=r"^constraint 2 violated by -3$"):
             active_set(TRIANGLE, (2, 2))
+
+    def test_integer_slacks_agree_with_fraction_slacks(self):
+        # the Fraction slacks over the canonical HalfSpaces that the
+        # integer slacks replace: same index sets, same errors
+        def fraction_slacks(P, x):
+            x = tuple(map(F, x))
+            if len(x) != P.n:
+                raise errors.DimensionMismatch(f"point dimension {len(x)} != ambient {P.n}")
+            for i, hs in enumerate(P.halfspaces):
+                if hs.slack(x) < 0:
+                    raise errors.InfeasiblePoint(f"constraint {i} violated by {hs.slack(x)}")
+            return tuple(i for i, hs in enumerate(P.halfspaces) if hs.slack(x) == 0)
+
+        def outcome(f, P, x):
+            try:
+                return f(P, x)
+            except (errors.DimensionMismatch, errors.InfeasiblePoint) as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(7)
+        kinds = set()
+        for _ in range(200):
+            P = random_polyhedron(rng)
+            points = [v.point for v in enumerate_vertices(P)]
+            points += [tuple((x + y) / 2 for x, y in zip(p, q)) for p, q in zip(points, points[1:])]
+            points += [rand_direction(rng, P.n), (0.5,) * P.n, (1,) * (P.n + 1)]
+            for x in points:
+                got = outcome(active_set, P, x)
+                assert got == outcome(fraction_slacks, P, x)
+                kinds.add(got[0] if got and isinstance(got[0], type) else "active")
+        assert kinds == {"active", errors.InfeasiblePoint, errors.DimensionMismatch}
 
 
 class TestContains:

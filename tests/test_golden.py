@@ -22,6 +22,7 @@ from families import (
     footnote_trajectory,
     pyramid_trajectory,
     remark_trajectory,
+    segment_trajectory,
 )
 
 EMPTY = {"n": 1, "constraints": [{"a": ["1"], "b": "-1"}, {"a": ["-1"], "b": "0"}]}
@@ -43,6 +44,7 @@ TRAJECTORIES = {
     "ex31": trajectory_to_dict(ex31_trajectory()),
     "constant_triangle": trajectory_to_dict(constant_triangle_trajectory()),
     "pyramid": trajectory_to_dict(pyramid_trajectory()),
+    "segment": trajectory_to_dict(segment_trajectory()),
 }
 CONTAINS = [
     ("quadrant", "triangle"),
@@ -178,6 +180,11 @@ DIGESTS = {
     'track pyramid': (0, '57a371db7b25581ab99e315e05f9b9fde593ee1f63f726bc97cfaa7382e777e2'),
     'argmax pyramid': (0, '52fec48c3cc05f9cb551c5beba7f71e058ad3a1eb4b5837ba8217fe3400c4944'),
     'boundary pyramid': (0, '548580ba9e77426596c81db4a7777dc602258a0efe9de2b0f8409a4c6ea89282'),
+    # samples with implicit equalities, one of them implied by two others
+    'limit segment': (0, '3f62fea59177862da74ed566627567ecae1a50efb024f9db8ef8f419710010fe'),
+    'track segment': (0, '2017f293ff49479395068176175958d3b53aa71c41edaa66cc3e4ad093c394b1'),
+    'argmax segment': (0, '493f1dcacb7315372c02aca5e5a388facc8654b32afa02d85097b517a1bf42bc'),
+    'boundary segment': (0, '748e68555e482bc25012eac45d5f95df62b2825429a8771536de2dc9923d6769'),
 }
 
 

@@ -20,7 +20,10 @@ take only ``solve_glp`` from it, and the window metric builds no
 ``HalfSpace`` or ``Polyhedron`` to hand to the walk.  The cone
 diagnostics take their cones off integer rows, not from ``tangent_cone``,
 ``normal_cone`` or ``active_set``, and ``_window_support`` reads the
-walk's integer states, reaching no ``Vertex`` readout.
+walk's integer states, reaching no ``Vertex`` readout.  In the whole
+package only ``argmax_convergence`` builds a sample Polyhedron
+(``sample_polyhedron``), for ``solve_glp``; the other diagnostics read
+``sample_rows``, and none calls ``remove_redundant``.
 
 The independent oracle for ``solve_lp`` and ``cone_member`` is the
 Fraction tableau in ``tests/helpers.py``: it reaches no name of the
@@ -156,10 +159,10 @@ def test_kuratowski_takes_only_solve_glp_from_optimality(module):
 BUILDERS = {"HalfSpace", "Polyhedron", "with_rows", "flipped"}
 
 
-def _called(source: str) -> set[str]:
-    """The names source calls, as ``f(...)`` or ``x.f(...)``."""
+def _called(source: str | ast.AST) -> set[str]:
+    """The names source (or a parsed node) calls, as ``f(...)`` or ``x.f(...)``."""
     called = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Call):
             func = node.func
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
@@ -207,6 +210,39 @@ def test_cone_diagnostics_build_no_cone():
 )
 def test_cone_guard_sees_each_call_form(line, names):
     assert _called(line) & CONE_BUILDERS == names
+
+
+def _callers(source: str, name: str) -> set[str]:
+    """The top-level functions and classes of source that call ``name``,
+    with ``<module>`` for its other statements."""
+    return {getattr(node, "name", "<module>") for node in ast.parse(source).body if name in _called(node)}
+
+
+def test_only_argmax_calls_sample_polyhedron():
+    # the other diagnostics read each sample as its integer rows, and the
+    # minimal rows, not remove_redundant's Polyhedron
+    callers = {
+        (path.relative_to(SRC).as_posix(), caller)
+        for path in SRC.rglob("*.py")
+        for caller in _callers(path.read_text(encoding="utf-8"), "sample_polyhedron")
+    }
+    assert callers == {("kuratowski/convergence.py", "argmax_convergence")}
+    assert _callers((SRC / "kuratowski" / "convergence.py").read_text(encoding="utf-8"), "remove_redundant") == set()
+
+
+@pytest.mark.parametrize(
+    "line, callers",
+    [
+        ("def f(T, k):\n    return T.sample_polyhedron(k)", {"f"}),
+        ("def f(T):\n    def g(k):\n        return T.sample_polyhedron(k)\n    return g", {"f"}),
+        ("class C:\n    def m(self, k):\n        return self.sample_polyhedron(k)", {"C"}),
+        ("P = sample_polyhedron(0)", {"<module>"}),
+        ("def f(T, k):\n    return T.sample_rows(k)\nbuild = T.sample_polyhedron", set()),
+    ],
+    ids=["method", "nested", "class", "module", "no-call"],
+)
+def test_caller_guard_sees_each_call_form(line, callers):
+    assert _callers(line, "sample_polyhedron") == callers
 
 
 # what reads a walk out as Vertex objects with Fraction points

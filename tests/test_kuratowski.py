@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polycone import (
@@ -31,6 +31,7 @@ from polycone import (
     remove_redundant,
     solve_glp,
     solve_lp,
+    structure,
     tangent_cone,
     track_vertices,
     trajectory_from_dict,
@@ -49,8 +50,12 @@ from helpers import (
     TRIANGLE,
     X_AXIS,
     random_generator_cone,
+    reference_boundary_convergence,
     reference_cone_convergence,
     reference_cone_window_support,
+    reference_sample_polyhedron,
+    reference_track_vertices,
+    reference_verify_convergence,
     reference_window_support,
 )
 from families import (
@@ -63,6 +68,7 @@ from families import (
     plus_infinity_drop_trajectory,
     pyramid_trajectory,
     remark_trajectory,
+    segment_trajectory,
 )
 
 F = Fraction
@@ -647,6 +653,7 @@ FAMILIES = {
     "triangle": constant_triangle_trajectory,
     "plus_inf": plus_infinity_drop_trajectory,
     "pyramid": pyramid_trajectory,
+    "segment": segment_trajectory,
 }
 
 
@@ -756,17 +763,107 @@ class TestConeConvergenceAgainstCones:
                     compared += 1
         # converged tracks, over both tolerances
         assert compared == {"ex31": 4, "ex32": 2, "footnote": 2, "plus_inf": 4, "pyramid": 10, "remark": 2,
-                            "triangle": 6}[name]
+                            "segment": 4, "triangle": 6}[name]
 
 
 ALL_FAMILIES = FAMILIES | {"divergent_pair": divergent_pair_trajectory}
 
 
+def _outcome(diagnostic, *args, **kwargs) -> str:
+    """The repr of the report, or the type and message of the error."""
+    try:
+        return repr(diagnostic(*args, **kwargs))
+    except errors.PolyconeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestDiagnosticsAgainstSamplePolyhedra:
+    """``verify_convergence``, ``track_vertices`` and ``boundary_convergence``
+    read each sample as its integer rows; the routes through a sample
+    Polyhedron that they replace (``tests/helpers.py``) are the oracles."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
+    def test_reports_are_repr_identical(self, name):
+        T = ALL_FAMILIES[name]()
+        outcomes = []
+        # the constructed limit, and the last sample as a candidate
+        for candidate in (construct_limit(T).limit, reference_sample_polyhedron(T, T.sample_count - 1)):
+            for R in (None, 1.5):
+                for diagnostic, reference in ((verify_convergence, reference_verify_convergence),
+                                              (boundary_convergence, reference_boundary_convergence)):
+                    outcomes.append(_outcome(diagnostic, T, candidate, R))
+                    assert outcomes[-1] == _outcome(reference, T, candidate, R)
+            for tol in (1e-6, 1e-3):
+                outcomes.append(_outcome(track_vertices, T, candidate, tol))
+                assert outcomes[-1] == _outcome(reference_track_vertices, T, candidate, tol)
+        # only the divergent pair's limit, which is empty, gives no report
+        kinds = {outcome.split("(")[0].split(":")[0] for outcome in outcomes}
+        assert kinds - {"ConvergenceReport", "BoundaryReport", "TrackReport"} == (
+            {"EmptyPolyhedron", "NoVertices"} if name == "divergent_pair" else set()
+        )
+
+    def test_implicit_equalities_reach_the_cone_test(self):
+        # every segment sample has five implicit equalities, two of them
+        # implied by the others: the minimal rows keep five of seven
+        T = segment_trajectory()
+        for k in range(T.sample_count):
+            P = T.sample_polyhedron(k)
+            assert structure(P).implicit_equalities == (0, 1, 2, 3, 4)
+            assert remove_redundant(P).m == 5
+
+    def test_only_argmax_builds_sample_polyhedra(self, monkeypatch):
+        T = pyramid_trajectory()
+        limit = construct_limit(T).limit
+        calls = Counter()
+        build = PolyhedronTrajectory.sample_polyhedron
+
+        def counting(self, k):
+            calls[k] += 1
+            return build(self, k)
+
+        monkeypatch.setattr(PolyhedronTrajectory, "sample_polyhedron", counting)
+        T.sample_polyhedron(0)  # the counter counts
+        assert calls == {0: 1}
+        calls.clear()
+        verify_convergence(T, limit)
+        track_vertices(T, limit)
+        boundary_convergence(T, limit)
+        assert calls == {}
+        argmax_convergence(T, limit)
+        assert calls == {k: 1 for k in range(T.sample_count)}
+
+
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
 def test_sample_rows_are_the_integer_rows_of_the_sample(name):
+    # against the Fraction of each binary64 entry, with no integer rows between
     T = ALL_FAMILIES[name]()
     for k in range(T.sample_count):
-        assert T.sample_rows(k) == _integer_rows(T.sample_polyhedron(k))
+        reference = reference_sample_polyhedron(T, k)
+        assert T.sample_rows(k) == _integer_rows(reference)
+        assert repr(T.sample_polyhedron(k)) == repr(reference)
+
+
+@pytest.mark.parametrize(
+    "a, b, unit",
+    [
+        ((1e200, 1.0), 1.0, ((1.0, 1e-200), 1e-200)),  # the squares of the normal overflowed
+        ((1e-170, 0.0), 1.0, ((1.0, 0.0), 1e170)),  # they underflowed: a "zero normal"
+        ((1.0,), 1.7976931348623157e308, ((1.0,), 1.7976931348623157e308)),  # the largest offset
+        ((3.0, 4.0), 10.0, ((0.6, 0.8), 2.0)),
+    ],
+)
+def test_unit_row_scales_the_normal_first(a, b, unit):
+    assert _unit_row(a, b) == unit
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((1e-160, 0.0), 1e300), ((0.5,), 1.7976931348623157e308), ((2.487362698589574e-95,), 4.471514847167081e213)],
+)
+def test_unit_row_refuses_an_offset_beyond_binary64(a, b):
+    # each was stored as an infinite offset
+    with pytest.raises(ValueError, match="non-finite value in trajectory sample"):
+        _unit_row(a, b)
 
 
 # binary64 values at the edges: signed zeros, the least subnormal, huge
@@ -778,20 +875,34 @@ _BINARY64 = st.one_of(
 )
 
 
+# the least value that rounds to infinity in binary64
+_OVERFLOW = Fraction(2**1024 - 2**970)
+
+
 @settings(max_examples=300, deadline=None)
 @given(row=st.lists(_BINARY64, min_size=2, max_size=5))
+@example(row=[2.487362698589574e-95, 4.471514847167081e213])
 def test_primitive_row_is_the_halfspace_row(row):
     *a, b = row
     assume(any(a))
     got = _primitive_row(row)
     assert got == _integer_rows(Polyhedron(len(a), [HalfSpace(a, b)]))[0]
     assert math.gcd(*got) == 1
-    # and through a trajectory, when the Euclidean normalization on
-    # ingestion neither underflows nor overflows
-    if 0 < sum(v * v for v in a) < math.inf:
-        T = PolyhedronTrajectory(len(a), (ConstraintTrajectory([(k, a, b) for k in (1, 2, 3)]),))
-        if math.isfinite(T.constraints[0].offsets[2]):
-            assert T.sample_rows(2) == _integer_rows(T.sample_polyhedron(2))
+    # and through a trajectory, whose unit offset |b| / ||a|| is refused
+    # exactly when it reaches _OVERFLOW; a rounded norm (two or more
+    # entries) blurs that within a few ulps
+    ratio = Fraction(b) ** 2 / sum(Fraction(v) ** 2 for v in a) / _OVERFLOW**2
+    assume(len(a) == 1 or abs(ratio - 1) > 1e-14)
+
+    def trajectory():
+        return PolyhedronTrajectory(len(a), (ConstraintTrajectory([(k, a, b) for k in (1, 2, 3)]),))
+
+    if ratio >= 1:
+        with pytest.raises(ValueError, match="non-finite value in trajectory sample"):
+            trajectory()
+    else:
+        T = trajectory()
+        assert T.sample_rows(2) == _integer_rows(reference_sample_polyhedron(T, 2))
 
 
 class TestIntegerRowsAgainstHalfSpaces:
