@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint
-from .linalg import Vector, dot, extend, null_direction, nullspace, scaled, vec_neg
+from .linalg import Vector, dot, extend, nullspace, scaled, vec_neg
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
 
 IndexSet = tuple[int, ...]
@@ -246,8 +246,8 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     the integer adjugate of those rows as an lrs dictionary does: its
     edges are the adjugate's columns, and a simplicial neighbour gets its
     adjugate by one O(n^2) Bareiss exchange.  Any other
-    vertex takes as edges the null directions of its rank-(n-1) subsets of
-    active rows that no active row rises along.  One ratio test over all m
+    vertex takes as edges the extreme rays of its tangent cone, by double
+    description over its distinct active rows.  One ratio test over all m
     rows moves along each edge to the neighbour, whose active set is the
     rows tight there.  Each edge is ratio-tested once.  ``defining`` is the
     greedy, so lexicographically smallest, nonsingular n-subset of
@@ -349,13 +349,13 @@ def _walk(A, n: int, todo: list, tested: dict, rays: list | None = None, C=None)
     dictionary does (see ``_adjugate``): its edges are the adjugate's
     columns, and the neighbour reached along column j, if simplicial too,
     gets its adjugate by one Bareiss exchange (``_handed``).  Any other
-    vertex lists its edges from its rank-(n-1) active subsets
+    vertex lists its edges by a double description of its tangent cone
     (``_edges``).  ``tested`` maps the active set of every vertex met so
     far to the edge directions there that are already ratio-tested; edge
     directions are integer and gcd-reduced, so the way back from a
     neighbour is marked there and never tested again.  Cost per vertex: n
-    columns and one O(n^2) exchange if simplicial, else its rank-(n-1)
-    active subsets; then one m n ratio test per untested edge.  Each edge
+    columns and one O(n^2) exchange if simplicial, else the double
+    description's; then one m n ratio test per untested edge.  Each edge
     no row blocks is appended to ``rays``, if given.  With an integer cost
     C, only the edges d with ``C.d = 0`` are followed: from an optimal
     vertex, the walk lists the optimal face."""
@@ -402,14 +402,15 @@ def _phase_two(A, n: int, start, C: list[int]):
     ray of the polyhedron as ``_minkowski_weyl`` lists them.
 
     At each vertex the first edge d with ``C.d < 0`` is ratio-tested and
-    followed.  Edges are true edges, also at a degenerate vertex (see
-    ``_edges``), so each move reaches a new vertex with a strictly smaller
-    ``C.x`` and the descent cannot cycle.  When no edge falls, the vertex
-    is optimal, since its edges generate its tangent cone, and the walk
-    follows the edges with ``C.d = 0`` from it: they join the vertices of
-    the optimal face.  When an edge falls that no row blocks, the walk goes
-    on from the descent's vertices with their tested edges marked, so it
-    lists every ray and ratio-tests each edge once, as ``_minkowski_weyl`` does.
+    followed.  Edges are the extreme rays of the tangent cone, also at a
+    degenerate vertex (``_edges``), so each move reaches a new vertex with
+    a strictly smaller ``C.x`` and the descent cannot cycle.  When no edge
+    falls, the vertex is optimal, since its edges generate its tangent
+    cone, and the walk follows the edges with ``C.d = 0`` from it: they
+    join the vertices of the optimal face.  When an edge falls that no row
+    blocks, the walk goes on from the descent's vertices with their tested
+    edges marked, so it lists every ray and ratio-tests each edge once, as
+    ``_minkowski_weyl`` does.
     """
     tested = {start[0][0]: set()}
     path, vertex = [], start
@@ -624,20 +625,6 @@ def _exchange(a, M, det: int, j: int):
     ], q
 
 
-def _subsystems(rows, size: int, n: int, first: int = 0, echelon=([], (), 1)):
-    """The independent ``size``-subsets of ``rows`` but their last, depth
-    first in lexicographic order, each as the index after its last row and
-    its echelon form; a dependent prefix prunes its subtree."""
-    depth = len(echelon[1])
-    if depth == size:
-        yield first, echelon
-        return
-    for j in range(first, len(rows) - size + depth):
-        grown = extend(*echelon, rows[j], n)
-        if grown is not None:
-            yield from _subsystems(rows, size, n, j + 1, grown)
-
-
 def _lowest(X: list[int], D: int, S: list[int]):
     """The state of the vertex X / D with slacks S, in lowest terms: its
     active set, X, D and S."""
@@ -648,39 +635,29 @@ def _lowest(X: list[int], D: int, S: list[int]):
 
 
 def _edges(A, n: int, active: IndexSet) -> list[tuple[int, ...]]:
-    """The gcd-reduced edge directions at a vertex: the null directions of
-    its rank-(n-1) active subsets, kept when no active row rises along one
-    (or along its negative), each once."""
-    rows = [A[i] for i in active]
-    edges = {}
-    for d in _null_lines(rows, n):
-        rises = [sum(map(mul, row, d)) for row in rows]
-        if max(rises) > 0:
-            if min(rises) < 0:
-                continue
-            d = [-x for x in d]
-        g = gcd(*d)
-        edges[tuple(x // g for x in d)] = None
-    return list(edges)
-
-
-def _null_lines(rows, n: int):
-    """A null direction of each independent (n-1)-subset of ``rows``."""
-    if n == 1:
-        # the empty subset: its null space is the whole line
-        yield [1]
-        return
-    for first, echelon in _subsystems(rows, n - 2, n):
-        # the prefix's null space is the plane spanned by u and w, and each
-        # later row r independent of the prefix cuts it to the line through
-        # (r.w) u - (r.u) w
-        f1, f2 = (c for c in range(n) if c not in echelon[1])
-        u = null_direction(*echelon, f1, n)
-        w = null_direction(*echelon, f2, n)
-        for r in rows[first:]:
-            ru, rw = sum(map(mul, r, u)), sum(map(mul, r, w))
-            if ru or rw:
-                yield [rw * x - ru * y for x, y in zip(u, w)]
+    """The gcd-reduced edge directions at a vertex, each once: the extreme
+    rays of its tangent cone ``{d : A_I d <= 0}`` by double description
+    (Motzkin et al. 1953; Fukuda and Prodon 1996).  From the adjugate
+    columns of the lexicographic basis of the distinct active rows, each
+    other distinct row cuts the cone in turn.  A ray carries the bit set of
+    the rows it is tight on, and a rising and a falling ray join on the row
+    when no third ray is tight on all the rows the two share."""
+    rows = list(dict.fromkeys(A[i] for i in active))
+    basis, M, det = _adjugate(rows, range(len(rows)), n)
+    rays = [(_column(col, det), sum(1 << j for j in basis if j != i)) for i, col in zip(basis, M)]
+    for k, row in enumerate(rows):
+        if k in basis:
+            continue
+        signed = [(sum(map(mul, row, d)), d, z) for d, z in rays]
+        rays = [(d, z if e else z | 1 << k) for e, d, z in signed if e <= 0]
+        for ep, p, zp in signed:
+            for eq, q, zq in signed:
+                common = zp & zq
+                if ep > 0 > eq and all(z & common != common for _, _, z in signed if z not in (zp, zq)):
+                    d = [ep * y - eq * x for x, y in zip(p, q)]
+                    g = gcd(*d)
+                    rays.append((tuple(x // g for x in d), common | 1 << k))
+    return [d for d, _ in rays]
 
 
 def _pivot(A, X: list[int], D: int, S: list[int], d: tuple[int, ...]):

@@ -12,7 +12,7 @@ metric, the vertex walks, the minimal rows and, by integer slacks, the
 cones as its integer rows (``PolyhedronTrajectory.sample_rows``), built
 as a Polyhedron only for ``argmax_convergence``'s ``solve_glp``.  Each
 diagnostic validates its window and computes the support vectors of the
-limit side once, before its sample loop.
+limit side once, before its sample loop, and walks the limit once.
 
 The metric stands in for the rho-distances of Rockafellar-Wets (Variational
 Analysis, ch. 4), which compare distance functions on the ball of radius rho
@@ -39,6 +39,7 @@ from ..geometry import (
     Cone,
     Polyhedron,
     _integer_rows,
+    _minkowski_weyl,
     _start,
     _tight_rows,
     _vertices,
@@ -49,7 +50,7 @@ from ..geometry import (
 from ..linalg import Vector, scaled, vec_neg
 from ..optimality import solve_glp
 from ..rationals import format_rational, format_vector, simplest_within
-from ..structure import _minimal_rows, is_bounded
+from ..structure import _minimal_rows
 from .limits import PolyhedronTrajectory, _coordinate_limits, _tail, _unit_row
 
 # the fixed seed of the direction set's pseudorandom unit vectors
@@ -89,10 +90,24 @@ def default_directions(n: int) -> list[FloatVector]:
 
 def default_window(candidate: Polyhedron) -> float:
     """2 (1 + max vertex norm) clamped to [1, 1e6]."""
-    best = 0.0
-    for v in enumerate_vertices(candidate):
-        best = max(best, math.sqrt(sum(float(x) ** 2 for x in v.point)))
+    return _window(enumerate_vertices(candidate))
+
+
+def _window(vertices) -> float:
+    """``default_window`` of a polyhedron with these vertices."""
+    best = max((math.sqrt(sum(float(x) ** 2 for x in v.point)) for v in vertices), default=0.0)
     return min(max(2.0 * (1.0 + best), 1.0), 1.0e6)
+
+
+def _limit_walk(rows, n: int):
+    """The vertices of the set of the integer rows ``rows`` in R^n, as
+    ``enumerate_vertices`` gives them (none when it has lines), and whether
+    it is bounded, from one walk (``_minkowski_weyl``); EmptyPolyhedron
+    when the set is empty."""
+    lineality, vertices, rays, farkas = _minkowski_weyl(rows, n)
+    if farkas is not None:
+        raise EmptyPolyhedron("candidate limit is empty")
+    return ([], False) if lineality else (vertices, not rays)
 
 
 def _box_rows(n: int, R: Fraction) -> list[list[int]]:
@@ -328,15 +343,14 @@ def verify_convergence(
     have more vertices than the tail members).
     """
     rows = _integer_rows(candidate)
-    if _start(rows, candidate.n)[3] is not None:
-        raise EmptyPolyhedron("candidate limit is empty")
-    radius = default_window(candidate) if R is None else R
+    vertices, _ = _limit_walk(rows, candidate.n)
+    radius = _window(vertices) if R is None else R
     directions = default_directions(T.n)
     box = _box_rows(T.n, _checked_window(radius, T.n, candidate.n))
     h_limit = _window_support(rows, box, directions)
     distances = []
     counts = []
-    limit_count = len(enumerate_vertices(candidate))
+    limit_count = len(vertices)
     for k in range(T.sample_count):
         rows = T.sample_rows(k)
         d = _support_gap(_window_support(rows, box, directions), h_limit)
@@ -460,11 +474,12 @@ def argmax_convergence(
     sol_limit = solve_glp(limit, c_limit, "max")
     if sol_limit.status != "Attained":
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
-    radius = default_window(limit) if R is None else R
+    vertices, compact = _limit_walk(_integer_rows(limit), limit.n)
+    radius = _window(vertices) if R is None else R
     directions = default_directions(T.n)
     box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
     h_face = _window_support(_integer_rows(sol_limit.argmin_face), box, directions)
-    limit_count = len(enumerate_vertices(limit))
+    limit_count = len(vertices)
 
     per_max = []
     face_dists = []
@@ -483,7 +498,7 @@ def argmax_convergence(
     limit_max = float(sol_limit.value)
     gaps = [abs(v - limit_max) for _, v in per_max]
     conditions = {
-        "compact": is_bounded(limit),
+        "compact": compact,
         "vertex_count_stable": all(_tail(counts_equal)),
         "max_converges": _trend_converged(gaps, tol),
     }

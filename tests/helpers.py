@@ -44,7 +44,7 @@ from polycone.kuratowski.convergence import (
     default_window,
 )
 from polycone.kuratowski.limits import _unit_row
-from polycone.linalg import dot, null_direction, nullspace, project_onto_span, scaled, vec_neg
+from polycone.linalg import dot, extend, null_direction, nullspace, project_onto_span, scaled, vec_neg
 
 TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 QUADRANT = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0)])
@@ -578,7 +578,58 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
 
 
 # ---------------------------------------------------------------------------
-# Reference vertex walk: the prefix-line start search
+# Reference vertex walk: the prefix-line start search and the subset edges
+
+
+def reference_subsystems(rows, size: int, n: int, first: int = 0, echelon=([], (), 1)):
+    """The independent ``size``-subsets of the integer ``rows`` but their
+    last, depth first in lexicographic order, each as the index after its
+    last row and its echelon form; a dependent prefix prunes its subtree."""
+    depth = len(echelon[1])
+    if depth == size:
+        yield first, echelon
+        return
+    for j in range(first, len(rows) - size + depth):
+        grown = extend(*echelon, rows[j], n)
+        if grown is not None:
+            yield from reference_subsystems(rows, size, n, j + 1, grown)
+
+
+def reference_null_lines(rows, n: int):
+    """A null direction of each independent (n-1)-subset of ``rows``."""
+    if n == 1:
+        # the empty subset: its null space is the whole line
+        yield [1]
+        return
+    for first, echelon in reference_subsystems(rows, n - 2, n):
+        # the prefix's null space is the plane spanned by u and w, and each
+        # later row r independent of the prefix cuts it to the line through
+        # (r.w) u - (r.u) w
+        f1, f2 = (c for c in range(n) if c not in echelon[1])
+        u = null_direction(*echelon, f1, n)
+        w = null_direction(*echelon, f2, n)
+        for r in rows[first:]:
+            ru, rw = sum(map(mul, r, u)), sum(map(mul, r, w))
+            if ru or rw:
+                yield [rw * x - ru * y for x, y in zip(u, w)]
+
+
+def reference_edges(A, n: int, active) -> list[tuple[int, ...]]:
+    """Reference for ``geometry._edges``: the null directions of the
+    rank-(n-1) subsets of the active rows, kept when no active row rises
+    along one (or along its negative), gcd-reduced, each once.  It takes
+    about C(k, n-1) lines for k active rows."""
+    rows = [A[i] for i in active]
+    edges = {}
+    for d in reference_null_lines(rows, n):
+        rises = [sum(map(mul, row, d)) for row in rows]
+        if max(rises) > 0:
+            if min(rises) < 0:
+                continue
+            d = [-x for x in d]
+        g = math.gcd(*d)
+        edges[tuple(x // g for x in d)] = None
+    return list(edges)
 
 
 def reference_first_vertex(aug, n: int):
@@ -587,7 +638,7 @@ def reference_first_vertex(aug, n: int):
     state (see ``geometry._lowest``), or None when P has none.  A vertex's
     smallest basis has a row after its first n-1, so no prefix ends at the
     last row."""
-    for _, echelon in geometry._subsystems(aug, n - 1, n):
+    for _, echelon in reference_subsystems(aug, n - 1, n):
         end = reference_segment_end(aug, n, echelon)
         if end is not None:
             X, D = end
@@ -628,7 +679,9 @@ def reference_segment_end(aug, n: int, echelon):
 def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
     """Reference for the walk of ``geometry._minkowski_weyl`` on pointed P:
     the same vertex-graph walk from the prefix-line start, with the start's
-    adjugate made afresh and the output sorted by Fraction points."""
+    adjugate made afresh, a degenerate vertex's edges from the subset
+    search (``reference_edges``) and the output sorted by Fraction
+    points."""
     n, aug = P.n, geometry._integer_rows(P)
     start = reference_first_vertex(aug, n)
     if start is None:
@@ -639,7 +692,7 @@ def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
     while todo:
         (active, X, D, S), adjugate = todo.pop()
         points.append((tuple(Fraction(x, D) for x in X), active))
-        edges = geometry._edges(A, n, active) if adjugate is None else geometry._columns(*adjugate)
+        edges = reference_edges(A, n, active) if adjugate is None else geometry._columns(*adjugate)
         for j, d in enumerate(edges):
             if d in tested[active]:
                 continue

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from polycone import (
     enumerate_vertices,
     errors,
     geometry,
+    is_bounded,
     is_feasible,
     normal_cone,
     polyhedron_from_dict,
     polyhedron_to_dict,
+    solve_glp,
     structure,
     tangent_cone,
 )
@@ -38,6 +41,7 @@ from helpers import (
     random_feasible_pointed,
     random_polyhedron,
     random_polytope4,
+    reference_edges,
     reference_extreme_rays,
     sufficiently_small_eps,
 )
@@ -250,15 +254,15 @@ class TestRaysFromTheWalk:
 
 
 class TestOutputSensitive:
-    """The walk ratio-tests each edge of the vertex graph once, however
-    many (n-1)-row subsets the rows have, and searches those subsets only
-    at vertices whose distinct active rows number more than n."""
+    """The walk ratio-tests each edge of the vertex graph once, and runs
+    the double description (``geometry._edges``) only at vertices whose
+    distinct active rows number more than n."""
 
     def _walk(self, monkeypatch, P):
-        """The vertices, each ratio test's endpoints, and the rows of each
-        subset search with the lines it found."""
+        """The vertices, each ratio test's endpoints, and the active set of
+        each edge search with the edges it found."""
         edges, searches = [], []
-        pivot, null_lines = geometry._pivot, geometry._null_lines
+        pivot, search = geometry._pivot, geometry._edges
 
         def counted_pivot(A, X, D, S, d):
             neighbour = pivot(A, X, D, S, d)
@@ -268,13 +272,13 @@ class TestOutputSensitive:
             edges.append(frozenset(ends))
             return neighbour
 
-        def counted_lines(rows, n):
-            found = list(null_lines(rows, n))
-            searches.append((rows, found))
-            return iter(found)
+        def counted_edges(A, n, active):
+            found = search(A, n, active)
+            searches.append((active, found))
+            return found
 
         monkeypatch.setattr(geometry, "_pivot", counted_pivot)
-        monkeypatch.setattr(geometry, "_null_lines", counted_lines)
+        monkeypatch.setattr(geometry, "_edges", counted_edges)
         return enumerate_vertices(P), edges, searches
 
     @pytest.mark.parametrize("k1, k2", [(3, 3), (4, 6), (6, 7), (8, 8)])
@@ -306,21 +310,97 @@ class TestOutputSensitive:
 
     def test_degenerate_vertex_gives_each_edge_once(self, monkeypatch):
         # a row touching the second polygon at one vertex gives the five
-        # vertices above it five active rows; several 3-row subsets of
-        # those meet in one edge, and the edge is still tested once
+        # vertices above it five active rows, and each edge is still tested once
         P, expected = polygon_product(5, 6, tangent=True)
         verts, edges, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
         degenerate = [v for v in verts if len(v.active) == 5]
         assert len(degenerate) == 5
-        # the subset search runs at those five alone, and finds more lines
-        # than their 4 * 5 edge slots
-        aug = geometry._integer_rows(P)
-        assert sorted(rows for rows, _ in searches) == sorted(
-            [tuple(aug[i][:4]) for i in v.active] for v in degenerate
-        )
-        assert sum(len(found) for _, found in searches) > 4 * len(degenerate)
+        # the double description runs at those five alone, and the tangent
+        # row, redundant there, leaves each with the four edges of a simple
+        # vertex of the product, each found once
+        assert sorted(active for active, _ in searches) == sorted(v.active for v in degenerate)
+        assert all(len(found) == len(set(found)) == 4 for _, found in searches)
         assert len(edges) == len(set(edges)) == 2 * 5 * 6
+
+
+def cross_polytope(n: int, rng: random.Random | None = None, cuts: int = 0) -> Polyhedron:
+    """``{x : +-x_1 +- ... +- x_n <= 1}``: 2^n rows and the 2n vertices
+    +-e_i, each with 2^(n-1) active rows and 2(n-1) edges; with ``cuts``,
+    that many random small-integer rows after them."""
+    rows = [(s, 1) for s in itertools.product((1, -1), repeat=n)]
+    for _ in range(cuts):
+        rows.append((tuple(rng.randint(-2, 2) or 1 for _ in range(n)), rng.randint(0, 2)))
+    return Polyhedron.from_rows(n, rows)
+
+
+def _edge_cases():
+    """Polyhedra with degenerate vertices: draws of
+    ``random_degenerate_polyhedron`` (n = 1-4), cross-polytopes cut by four
+    random rows (n = 3-5) and the tangent-row polygon product."""
+    rng = random.Random(37)
+    cases = [random_degenerate_polyhedron(rng, 1 + i % 4) for i in range(240)]
+    cases += [cross_polytope(n, rng, 4) for n in (3, 4, 5) for _ in range(3)]
+    return cases + [polygon_product(5, 6, tangent=True)[0]]
+
+
+def test_edges_agree_with_the_subset_search():
+    # at every vertex the double description gives each edge once, and the
+    # same directions as the null lines of the (n-1)-subsets of its rows
+    degenerate = 0
+    for P in _edge_cases():
+        aug = geometry._integer_rows(P)
+        A = [tuple(row[:P.n]) for row in aug]
+        for v in enumerate_vertices(P):
+            edges = geometry._edges(A, P.n, v.active)
+            assert len(edges) == len(set(edges))
+            assert set(edges) == set(reference_edges(A, P.n, v.active))
+            degenerate += len(set(A[i] for i in v.active)) > P.n
+    assert degenerate > 100
+
+
+class TestCrossPolytope:
+    """Vertices with many more active rows than n cost the double
+    description a few joins per row, not the C(2^(n-1), n-1) lines of an
+    (n-1)-subset search."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_walk_is_linear_in_the_edges(self, monkeypatch, n):
+        P = cross_polytope(n)
+        tested, grown = [], [0]
+        pivot, extend = geometry._pivot, geometry.extend
+
+        def counted_pivot(A, X, D, S, d):
+            tested.append((tuple(F(x, D) for x in X), d))
+            return pivot(A, X, D, S, d)
+
+        def counted_extend(*args):
+            grown[0] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(geometry, "_pivot", counted_pivot)
+        monkeypatch.setattr(geometry, "extend", counted_extend)
+        verts = enumerate_vertices(P)
+        units = {tuple(F(s * (i == j)) for j in range(n)) for i in range(n) for s in (1, -1)}
+        assert {v.point for v in verts} == units
+        # each of the 2n(n-1) edges is ratio-tested once, from one end
+        assert len(tested) == len(set(tested)) == 2 * n * (n - 1)
+        # each basis search reads a row at most once: phase one's over all
+        # m rows, and at each vertex the double description's and the
+        # witness's over its active rows.  The (n-1)-subset search took
+        # C(2^(n-1), n-2) eliminations per vertex, 4,495 at n = 5.
+        assert grown[0] <= P.m + 2 * sum(len(v.active) for v in verts)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_solve_and_boundedness(self, n):
+        P = cross_polytope(n)
+        c = tuple(F(1, k + 2) for k in range(n))
+        sol = solve_glp(P, c)
+        # c's largest entry, 1/2, is at x_1, so the minimum is at -e_1
+        assert sol.status == "Attained"
+        assert [v.point for v in sol.optimal_vertices] == [tuple(F(-(j == 0)) for j in range(n))]
+        assert sol.value == F(-1, 2)
+        assert is_bounded(P)
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,6 +28,12 @@ package only ``argmax_convergence`` builds a sample Polyhedron
 The independent oracle for ``solve_lp`` and ``cone_member`` is the
 Fraction tableau in ``tests/helpers.py``: it reaches no name of the
 kernel in ``geometry`` and nothing of ``linprog``.
+
+``geometry`` has one edge search at vertices that are not simplicial, the
+double description in ``_edges``: it defines no (n-1)-subset search and
+uses no ``null_direction``.  That subset search lives on in
+``tests/helpers.py`` as the reference walk's edges, so the reference walk
+and its start reach no ``geometry._edges``.
 """
 import ast
 import pathlib
@@ -317,3 +323,65 @@ def test_fraction_oracle_reaches_no_kernel():
 )
 def test_oracle_guard_sees_each_reach(source, reached):
     assert bool(_reached(source, ["f"]) & _kernel_and_linprog_names()) == reached
+
+
+# the (n-1)-subset edge search that the double description replaced
+SUBSET_SEARCH = {"_subsystems", "_null_lines", "null_direction"}
+
+
+def _names(source: str) -> set[str]:
+    """Every name source defines, uses, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_geometry_has_one_edge_search():
+    assert not _names((SRC / "geometry.py").read_text(encoding="utf-8")) & SUBSET_SEARCH
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("def _subsystems(rows, size, n):\n    return []", {"_subsystems"}),
+        ("from .linalg import extend, null_direction", {"null_direction"}),
+        ("from . import linalg\nv = linalg.null_direction(*echelon, free, n)", {"null_direction"}),
+        ("def f(rows, n):\n    return list(_null_lines(rows, n))", {"_null_lines"}),
+        ("from .linalg import nullspace\ndef _edges(A, n, active):\n    return []", set()),
+    ],
+    ids=["definition", "import-from", "attribute", "call", "none"],
+)
+def test_subset_search_guard_sees_each_form(line, names):
+    assert _names(line) & SUBSET_SEARCH == names
+
+
+# the reference walk and its start, the oracle for geometry's walk
+WALK_ORACLE = ("reference_walk", "reference_first_vertex")
+
+
+def test_reference_walk_reaches_no_edge_search_of_geometry():
+    source = (pathlib.Path(__file__).with_name("helpers.py")).read_text(encoding="utf-8")
+    assert "_edges" not in _reached(source, WALK_ORACLE)
+
+
+@pytest.mark.parametrize(
+    "source, reached",
+    [
+        ("def f():\n    return g()\ndef g(A, n, a):\n    return geometry._edges(A, n, a)", True),
+        ("def f():\n    from polycone.geometry import _edges", True),
+        ("def f(A, n, a):\n    return _edges(A, n, a)", True),
+        ("def f(A, n, a):\n    return reference_edges(A, n, a)\ndef reference_edges(A, n, a):\n    return []", False),
+        ("def f():\n    return 1\ndef g(A, n, a):\n    return geometry._edges(A, n, a)", False),
+    ],
+    ids=["through-a-helper", "import-from", "bare-call", "own-search", "unreached"],
+)
+def test_walk_oracle_guard_sees_each_reach(source, reached):
+    assert ("_edges" in _reached(source, ["f"])) == reached

@@ -26,6 +26,7 @@ from polycone import (
     detect_ie_pairs,
     enumerate_vertices,
     errors,
+    geometry,
     normal_cone,
     poly_contains,
     remove_redundant,
@@ -47,6 +48,7 @@ from polycone.kuratowski.limits import _primitive_row, _unit_row
 
 from helpers import (
     HALF_LINE,
+    STRIP,
     TRIANGLE,
     X_AXIS,
     random_generator_cone,
@@ -831,6 +833,67 @@ class TestDiagnosticsAgainstSamplePolyhedra:
         assert calls == {}
         argmax_convergence(T, limit)
         assert calls == {k: 1 for k in range(T.sample_count)}
+
+
+class TestLimitWalkedOnce:
+    """``verify_convergence`` and ``argmax_convergence`` read the default
+    window, the limit's vertex count and its boundedness off one walk of
+    the limit."""
+
+    def _limit_walks(self, monkeypatch, limit):
+        """The walks over the limit's rows, by the number of vertices each
+        starts from; ``solve_glp``'s walk of the optimal face, which
+        follows a cost, is not one."""
+        A = [tuple(row[:limit.n]) for row in _integer_rows(limit)]
+        walks, walk = [], geometry._walk
+
+        def counted(B, n, todo, tested, rays=None, C=None):
+            if C is None and B == A:
+                walks.append(len(todo))
+            return walk(B, n, todo, tested, rays, C)
+
+        monkeypatch.setattr(geometry, "_walk", counted)
+        return walks
+
+    @pytest.mark.parametrize("R", [None, 1.5])
+    def test_verify_convergence(self, monkeypatch, R):
+        T = pyramid_trajectory()
+        limit = construct_limit(T).limit
+        walks = self._limit_walks(monkeypatch, limit)
+        enumerate_vertices(limit)  # the counter counts
+        assert walks == [1]
+        walks.clear()
+        rep = verify_convergence(T, limit, R)
+        assert walks == [1]
+        assert {b for _, _, b in rep.vertex_count_check} == {5}
+        assert rep.window_radius == (default_window(limit) if R is None else R)
+
+    def test_argmax_convergence(self, monkeypatch):
+        T = pyramid_trajectory()
+        limit = construct_limit(T).limit
+        walks = self._limit_walks(monkeypatch, limit)
+        rep = argmax_convergence(T, limit)
+        assert walks == [1]
+        assert rep.conditions["compact"]
+
+    def test_lineality_leaves_no_vertex(self):
+        # a limit with lines has no vertex to count and the window of none,
+        # as enumerate_vertices and default_window give them
+        T = footnote_trajectory()
+        assert _outcome(verify_convergence, T, X_AXIS) == _outcome(reference_verify_convergence, T, X_AXIS)
+        rep = verify_convergence(T, X_AXIS)
+        assert rep.window_radius == 2.0
+        assert {b for _, _, b in rep.vertex_count_check} == {0}
+        ks = [float(k) for k in range(1, 6)]
+        strips = PolyhedronTrajectory(
+            n=2,
+            constraints=(ConstraintTrajectory([(k, (0.0, -1.0), 0.0) for k in ks]),
+                         ConstraintTrajectory([(k, (0.0, 1.0), 1.0) for k in ks])),
+            cost=CostTrajectory([(k, (0.0, 1.0)) for k in ks], declared_limit=(0, 1)),
+        )
+        rep = argmax_convergence(strips, STRIP)
+        assert rep.conditions == {"compact": False, "vertex_count_stable": True, "max_converges": True}
+        assert [d for _, d in rep.face_distances] == [0.0] * len(ks)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
