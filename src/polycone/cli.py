@@ -11,7 +11,6 @@ a certificate failing its own exact check (a bug; kind "InternalError").
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -295,7 +294,7 @@ def _cmd_track(args):
         for t in tracks.tracks
         if t.converged
     )
-    full = dataclasses.replace(base, vertex_tracks=tracks, cone_distances=cones)
+    full = base._replace(vertex_tracks=tracks, cone_distances=cones)
     return 0, full.to_dict()
 
 
@@ -304,7 +303,7 @@ def _cmd_argmax(args):
     candidate = _candidate_limit(args, traj)
     base = verify_convergence(traj, candidate, args.window, args.tol)
     rep = argmax_convergence(traj, candidate, args.window, args.tol, args.eps_limit)
-    return 0, dataclasses.replace(base, argmax=rep).to_dict()
+    return 0, base._replace(argmax=rep).to_dict()
 
 
 def _cmd_boundary(args):

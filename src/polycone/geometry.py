@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint
 from .linalg import Vector, dot, extend, nullspace, scaled, vec_neg
@@ -31,8 +31,7 @@ def _coerce_vector(values: Iterable) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple("HalfSpace", [("a", Vector), ("b", Fraction)])):
     """Closed half-space ``<a, x> <= b`` in canonical L-infinity form.
 
     The normal is rescaled so its largest absolute coefficient is exactly 1;
@@ -40,10 +39,9 @@ class HalfSpace:
     is not) while fixing a unique representative per half-space.
     """
 
-    a: Vector
-    b: Fraction
+    __slots__ = ()
 
-    def __init__(self, a: Iterable, b) -> None:
+    def __new__(cls, a: Iterable, b) -> "HalfSpace":
         avec = _coerce_vector(a)
         bval = Fraction(b)
         if not avec or all(x == 0 for x in avec):
@@ -52,8 +50,7 @@ class HalfSpace:
         if scale != 1:
             avec = tuple(x / scale for x in avec)
             bval = bval / scale
-        object.__setattr__(self, "a", avec)
-        object.__setattr__(self, "b", bval)
+        return super().__new__(cls, avec, bval)
 
     @property
     def n(self) -> int:
@@ -69,22 +66,19 @@ class HalfSpace:
         return HalfSpace(tuple(-x for x in self.a), -self.b)
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(NamedTuple("Polyhedron", [("n", int), ("halfspaces", tuple[HalfSpace, ...])])):
     """H-polyhedron ``{x : A x <= b}`` over exact rationals."""
 
-    n: int
-    halfspaces: tuple[HalfSpace, ...]
+    __slots__ = ()
 
-    def __init__(self, n: int, halfspaces: Iterable[HalfSpace]) -> None:
+    def __new__(cls, n: int, halfspaces: Iterable[HalfSpace]) -> "Polyhedron":
         rows = tuple(halfspaces)
         if not rows:
             raise ValueError("a polyhedron needs at least one constraint (R^n is excluded)")
         for hs in rows:
             if hs.n != n:
                 raise DimensionMismatch(f"constraint dimension {hs.n} != ambient {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "halfspaces", rows)
+        return super().__new__(cls, n, rows)
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[tuple[Iterable, object]]) -> "Polyhedron":
@@ -115,8 +109,8 @@ class Vertex:
     defining: IndexSet
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple("Cone", [("n", int), ("hform", tuple[HalfSpace, ...] | None),
+                                ("generators", tuple[Vector, ...] | None)])):
     """Polyhedral cone in exactly one of two representations.
 
     H-form rows are half-spaces through the origin; generator form is a
@@ -124,23 +118,22 @@ class Cone:
     list means the trivial cone {0}.
     """
 
-    n: int
-    hform: tuple[HalfSpace, ...] | None = None
-    generators: tuple[Vector, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.hform is None) == (self.generators is None):
+    def __new__(cls, n: int, hform: tuple[HalfSpace, ...] | None = None,
+                generators: tuple[Vector, ...] | None = None) -> "Cone":
+        if (hform is None) == (generators is None):
             raise ValueError("cone needs exactly one of hform / generators")
-        if self.hform is not None:
-            for hs in self.hform:
-                if hs.n != self.n:
+        if hform is not None:
+            for hs in hform:
+                if hs.n != n:
                     raise DimensionMismatch("cone row dimension mismatch")
                 if hs.b != 0:
                     raise ValueError("cone half-spaces must pass through the origin")
-        if self.generators is not None:
+        if generators is not None:
             rays = set()
-            for g in self.generators:
-                if len(g) != self.n:
+            for g in generators:
+                if len(g) != n:
                     raise DimensionMismatch("cone generator dimension mismatch")
                 if all(x == 0 for x in g):
                     raise ValueError("cone generators must be nonzero")
@@ -148,6 +141,7 @@ class Cone:
                 if ray in rays:
                     raise ValueError("cone generators duplicate after canonical scaling")
                 rays.add(ray)
+        return super().__new__(cls, n, hform, generators)
 
     @property
     def is_everything(self) -> bool:

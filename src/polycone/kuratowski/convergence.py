@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -148,20 +147,32 @@ def _polar_rows(rows: list[list[int]], n: int) -> list[list[int]]:
     return [[*d, 0] for d in rays] + [[*scaled(s)[0], 0] for v in lines for s in (v, vec_neg(v))]
 
 
-def _window_support(
-    rows: list[list[int]], box: list[list[int]], directions: Sequence[FloatVector]
-) -> list[float] | None:
-    """Support values of the integer rows' set cut to the ``box`` rows, or
-    None if that is empty: the maximum over the vertices of one walk, read
-    off its states ``X / D`` in binary64 (int/int division rounds
-    correctly, as ``float(Fraction(x, D))`` does).  A maximum needs no
-    order, and ``sum`` starts from the int 0, so it gives no -0.0."""
+def _window_states(rows: list[list[int]], box: list[list[int]]) -> list:
+    """The vertices of the integer rows' set cut to the ``box`` rows, as
+    the states ``(active, X, D, S)`` of one walk over ``rows + box``; none
+    if that set is empty."""
     n = len(box[0]) - 1
     _, A, start, farkas = _start(rows + box, n)
     if farkas is not None:
+        return []
+    return [state for state, _ in _walk(A, n, [start], {start[0][0]: set()})]
+
+
+def _support(states: list, directions: Sequence[FloatVector]) -> list[float] | None:
+    """Support values of the points ``X / D`` of walk states, or None if
+    there are none, in binary64 (int/int division rounds correctly, as
+    ``float(Fraction(x, D))`` does).  A maximum needs no order, and ``sum``
+    starts from the int 0, so it gives no -0.0."""
+    if not states:
         return None
-    points = [[x / D for x in X] for (_, X, D, _), _ in _walk(A, n, [start], {start[0][0]: set()})]
+    points = [[x / D for x in X] for _, X, D, _ in states]
     return [max([sum(map(mul, d, p)) for p in points]) for d in directions]
+
+
+def _window_support(rows, box, directions: Sequence[FloatVector]) -> list[float] | None:
+    """Support values of the integer rows' set cut to the ``box`` rows, or
+    None if that is empty, from one walk."""
+    return _support(_window_states(rows, box), directions)
 
 
 def _support_gap(hp: list[float] | None, hq: list[float] | None) -> WindowDistance:
@@ -199,8 +210,7 @@ def _trend_converged(values: Sequence[float], tol: float) -> bool:
 # Reports
 
 
-@dataclass(frozen=True)
-class VertexTrack:
+class VertexTrack(NamedTuple):
     """One limit vertex matched to a nearest sample vertex per sample."""
 
     limit_vertex: Vector
@@ -223,8 +233,7 @@ class VertexTrack:
         }
 
 
-@dataclass(frozen=True)
-class TrackReport:
+class TrackReport(NamedTuple):
     tracks: tuple[VertexTrack, ...]
     escapees: tuple[tuple[float, tuple[tuple[FloatVector, float], ...]], ...]
 
@@ -238,8 +247,7 @@ class TrackReport:
         }
 
 
-@dataclass(frozen=True)
-class ConeConvergenceReport:
+class ConeConvergenceReport(NamedTuple):
     """Per-sample tangent/normal cone metrics along a converged track."""
 
     limit_vertex: Vector
@@ -256,8 +264,7 @@ class ConeConvergenceReport:
         }
 
 
-@dataclass(frozen=True)
-class ArgmaxReport:
+class ArgmaxReport(NamedTuple):
     """Maximizer-set convergence data and the three sufficient conditions."""
 
     per_sample_max: tuple[tuple[float, float], ...]
@@ -278,8 +285,7 @@ class ArgmaxReport:
         }
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """Facet-matched boundary metric per sample."""
 
     metrics: tuple[tuple[float, float], ...]
@@ -294,8 +300,7 @@ class BoundaryReport:
         }
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Set-distance diagnostics, optionally extended with vertex/cone/argmax parts."""
 
     window_radius: float
@@ -526,24 +531,32 @@ def boundary_convergence(
     ``MATCH_RADIUS`` are excluded and reported, since a lower-dimensional
     limit can legitimately have facets with no aligned sample counterpart.
     """
-    radius = default_window(limit) if R is None else R
     directions = default_directions(T.n)
 
     def minimal(aug, n):
-        # the minimal rows, each keyed by the unit form of its canonical row
-        aug = [aug[i] for i in _minimal_rows(aug, n)]
+        # the minimal rows, each keyed by the unit form of its canonical
+        # row, and the vertices of the walk that found them
+        kept, vertices = _minimal_rows(aug, n)
+        aug = [aug[i] for i in kept]
         canonical = [[Fraction(x, max(map(abs, row[:-1]))) for x in row] for row in aug]
         keys = [_unit_row(row[:-1], row[-1]) for row in canonical]
-        return aug, [unit + (offset,) for unit, offset in keys]
+        return aug, [unit + (offset,) for unit, offset in keys], vertices
 
-    aug, limit_rows = minimal(_integer_rows(limit), limit.n)
+    def facet(states, i):
+        # the window of row i's facet is the face of the set's window on
+        # that row: its vertices are the window's vertices tight there
+        return _support([state for state in states if i in state[0]], directions)
+
+    aug, limit_rows, vertices = minimal(_integer_rows(limit), limit.n)
+    radius = _window(vertices) if R is None else R
     box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
-    # a facet's rows are the rows and that row negated
-    h_facets = [_window_support(aug + [[-x for x in row]], box, directions) for row in aug]
+    states = _window_states(aug, box)
+    h_facets = [facet(states, i) for i in range(len(aug))]
     warnings: list[str] = []
     metrics = []
     for k in range(T.sample_count):
-        aug_k, rows_k = minimal(T.sample_rows(k), T.n)
+        aug_k, rows_k, _ = minimal(T.sample_rows(k), T.n)
+        states = _window_states(aug_k, box)
         worst = 0.0
         any_match = False
         for li, lrow in enumerate(limit_rows):
@@ -558,8 +571,7 @@ def boundary_convergence(
                 )
                 continue
             any_match = True
-            hk = _window_support(aug_k + [[-x for x in aug_k[best_j]]], box, directions)
-            worst = max(worst, _support_gap(hk, h_facets[li]).value)
+            worst = max(worst, _support_gap(facet(states, best_j), h_facets[li]).value)
         metrics.append((T.indices[k], worst if any_match else math.inf))
         if not any_match:
             warnings.append(f"k={T.indices[k]}: no limit facet matched any sample facet")

@@ -14,9 +14,8 @@ continued-fraction rounding (`rationals.simplest_within`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import (
     OffsetDiverges,
@@ -102,8 +101,9 @@ def _sample_index(k) -> float:
     return _finite([k], "non-finite sample index")[0]
 
 
-@dataclass(frozen=True)
-class ConstraintTrajectory:
+class ConstraintTrajectory(NamedTuple("ConstraintTrajectory", [
+        ("indices", tuple[float, ...]), ("normals", tuple[FloatVector, ...]),
+        ("offsets", tuple[float, ...]), ("declared_limit", HalfSpace | _PlusInfinity | None)])):
     """One constraint row sampled along the family, toward the limit.
 
     Samples are Euclidean-normalized on ingestion (``||a_k|| = 1`` with the
@@ -111,12 +111,9 @@ class ConstraintTrajectory:
     analysis is phrased in.
     """
 
-    indices: tuple[float, ...]
-    normals: tuple[FloatVector, ...]
-    offsets: tuple[float, ...]
-    declared_limit: HalfSpace | _PlusInfinity | None = None
+    __slots__ = ()
 
-    def __init__(self, samples, declared_limit=None) -> None:
+    def __new__(cls, samples, declared_limit=None) -> "ConstraintTrajectory":
         rows = list(samples)
         if len(rows) < 3:
             raise TooFewSamples(f"need >= 3 samples, got {len(rows)}")
@@ -126,10 +123,11 @@ class ConstraintTrajectory:
             idx.append(_sample_index(k))
             normals.append(unit)
             offsets.append(offset)
-        object.__setattr__(self, "indices", tuple(idx))
-        object.__setattr__(self, "normals", tuple(normals))
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "declared_limit", declared_limit)
+        return super().__new__(cls, tuple(idx), tuple(normals), tuple(offsets), declared_limit)
+
+    def __reduce__(self):
+        # pickle and copy rebuild the fields, not the samples
+        return self._make, (tuple(self),)
 
     @property
     def n(self) -> int:
@@ -140,28 +138,29 @@ class ConstraintTrajectory:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class CostTrajectory:
+class CostTrajectory(NamedTuple("CostTrajectory", [
+        ("indices", tuple[float, ...]), ("vectors", tuple[FloatVector, ...]),
+        ("declared_limit", tuple[Fraction, ...] | None)])):
     """Sampled cost vectors with an optional declared exact limit."""
 
-    indices: tuple[float, ...]
-    vectors: tuple[FloatVector, ...]
-    declared_limit: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
-    def __init__(self, samples, declared_limit=None) -> None:
+    def __new__(cls, samples, declared_limit=None) -> "CostTrajectory":
         rows = list(samples)
         if len(rows) < 3:
             raise TooFewSamples(f"need >= 3 samples, got {len(rows)}")
         idx = [_sample_index(k) for k, _ in rows]
         vecs = [tuple(_finite(c, "non-finite value in cost sample")) for _, c in rows]
         limit = None if declared_limit is None else tuple(Fraction(v) for v in declared_limit)
-        object.__setattr__(self, "indices", tuple(idx))
-        object.__setattr__(self, "vectors", tuple(vecs))
-        object.__setattr__(self, "declared_limit", limit)
+        return super().__new__(cls, tuple(idx), tuple(vecs), limit)
+
+    def __reduce__(self):
+        # pickle and copy rebuild the fields, not the samples
+        return self._make, (tuple(self),)
 
 
-@dataclass(frozen=True)
-class PolyhedronTrajectory:
+class PolyhedronTrajectory(NamedTuple("PolyhedronTrajectory", [
+        ("n", int), ("constraints", tuple[ConstraintTrajectory, ...]), ("cost", CostTrajectory | None)])):
     """Fixed-cardinality constraint family sampled toward its limit.
 
     Every constraint trajectory (and the cost trajectory, when present)
@@ -169,21 +168,21 @@ class PolyhedronTrajectory:
     the uniform facet-count hypothesis.
     """
 
-    n: int
-    constraints: tuple[ConstraintTrajectory, ...]
-    cost: CostTrajectory | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.constraints:
+    def __new__(cls, n: int, constraints: tuple[ConstraintTrajectory, ...],
+                cost: CostTrajectory | None = None) -> "PolyhedronTrajectory":
+        if not constraints:
             raise ValueError("trajectory needs at least one constraint")
-        idx = self.constraints[0].indices
-        for t in self.constraints:
+        idx = constraints[0].indices
+        for t in constraints:
             if t.indices != idx:
                 raise ValueError("constraint trajectories disagree on sample indices")
-            if t.n != self.n:
+            if t.n != n:
                 raise ValueError("constraint trajectory dimension mismatch")
-        if self.cost is not None and self.cost.indices != idx:
+        if cost is not None and cost.indices != idx:
             raise ValueError("cost trajectory disagrees on sample indices")
+        return super().__new__(cls, n, constraints, cost)
 
     @property
     def indices(self) -> tuple[float, ...]:
@@ -215,8 +214,7 @@ class PolyhedronTrajectory:
 # Limit detection
 
 
-@dataclass(frozen=True)
-class OffsetLimit:
+class OffsetLimit(NamedTuple):
     """Classification of a scalar sample sequence."""
 
     kind: str  # "finite" | "plus_infinity" | "minus_infinity" | "oscillating"
@@ -341,8 +339,7 @@ def detect_ie_pairs(
     return pairs
 
 
-@dataclass(frozen=True)
-class AuxiliaryConstraint:
+class AuxiliaryConstraint(NamedTuple):
     """Bisector constraint recovered from a non-parallel i-e pair.
 
     ``v`` is the numeric limit of the per-sample bisectors, ``u`` the limit
@@ -420,8 +417,7 @@ def auxiliary_limit(
 # Limit assembly
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     """Constructed limit polyhedron with full constraint provenance."""
 
     limit: Polyhedron

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .geometry import (
@@ -36,8 +36,7 @@ from .geometry import (
 from .linalg import Vector, dot, project_onto_span, scaled, vec_neg
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     """Outcome of one exact LP solve.
 
     status is "Optimal", "Unbounded" or "Infeasible".  ``point`` is an

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint, NotAttained, NotAVertex
 from .geometry import (
@@ -75,8 +75,7 @@ class GLPSolution:
     farkas: Vector | None = None
 
 
-@dataclass(frozen=True)
-class StabilityCone:
+class StabilityCone(NamedTuple):
     """Cost region keeping one vertex optimal: its normal-cone generators."""
 
     vertex: Vertex

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
 from .geometry import (
-    Cone, IndexSet, Polyhedron, _integer_rows, _minkowski_weyl, contains_point, enumerate_vertices
+    Cone, IndexSet, Polyhedron, Vertex, _integer_rows, _minkowski_weyl, contains_point, enumerate_vertices
 )
 from .linalg import Vector, dot, rank, vec_neg
 from .linprog import cone_member
@@ -64,9 +64,10 @@ def is_bounded(P: Polyhedron) -> bool:
     return not lineality and not rays
 
 
-def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list[int]]]:
-    """The structure report of the set of the integer rows ``aug`` in R^n
-    and, per facet, the rows defining it.
+def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list[int]], list[Vertex]]:
+    """The structure report of the set of the integer rows ``aug`` in R^n,
+    per facet the rows defining it, and its vertices as
+    ``enumerate_vertices`` gives them (none when it has lines).
 
     Row i's face is the vertices and rays it is tight at: all of them iff
     row i is an implicit equality, else a facet iff it has a vertex and
@@ -95,7 +96,7 @@ def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list
         lineality_basis=lineality,
         facet_count=len(facets),
         vertex_count=0 if lineality else len(vertices),
-    ), facets
+    ), facets, [] if lineality else vertices
 
 
 def structure(P: Polyhedron) -> StructureReport:
@@ -106,23 +107,24 @@ def structure(P: Polyhedron) -> StructureReport:
 def remove_redundant(P: Polyhedron) -> Polyhedron:
     """Minimal sub-description with the identical point set, order-stable:
     the rows ``_minimal_rows`` keeps."""
-    return Polyhedron(P.n, [P.halfspaces[i] for i in _minimal_rows(_integer_rows(P), P.n)])
+    return Polyhedron(P.n, [P.halfspaces[i] for i in _minimal_rows(_integer_rows(P), P.n)[0]])
 
 
-def _minimal_rows(aug: list[list[int]], n: int) -> list[int]:
+def _minimal_rows(aug: list[list[int]], n: int) -> tuple[list[int], list[Vertex]]:
     """The ascending indices of a minimal subset of the integer rows ``aug``
-    in R^n with the same set.  Rows drop one at a time, in row order, while
+    in R^n with the same set, and the set's vertices from the same walk
+    (``_structure``).  Rows drop one at a time, in row order, while
     the rest describe it: each facet keeps the last row defining it, and an
     implicit equality goes when its normal is in the cone of the other
     equality normals kept (at a relative-interior point only they are
     tight, so that test is global); integer normals, positive multiples of
     the canonical ones, leave that cone as it is."""
-    report, facets = _structure(aug, n)
+    report, facets, vertices = _structure(aug, n)
     kept = list(report.implicit_equalities)
     for i in report.implicit_equalities:
         if cone_member([aug[k][:n] for k in kept if k != i], aug[i][:n]).member:
             kept.remove(i)
-    return sorted(kept + [rows[-1] for rows in facets])
+    return sorted(kept + [rows[-1] for rows in facets]), vertices
 
 
 def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:

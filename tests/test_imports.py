@@ -29,6 +29,10 @@ The independent oracle for ``solve_lp`` and ``cone_member`` is the
 Fraction tableau in ``tests/helpers.py``: it reaches no name of the
 kernel in ``geometry`` and nothing of ``linprog``.
 
+Records are NamedTuples, which cost no code generation at import.  Only
+four stay frozen dataclasses (``DATACLASSES``), and the CLI, which every
+``polycone`` process imports, takes nothing from ``dataclasses``.
+
 ``geometry`` has one edge search at vertices that are not simplicial, the
 double description in ``_edges``: it defines no (n-1)-subset search and
 uses no ``null_direction``.  That subset search lives on in
@@ -385,3 +389,59 @@ def test_reference_walk_reaches_no_edge_search_of_geometry():
 )
 def test_walk_oracle_guard_sees_each_reach(source, reached):
     assert ("_edges" in _reached(source, ["f"])) == reached
+
+
+# the records that stay frozen dataclasses; every other record is a NamedTuple
+DATACLASSES = {"Vertex", "ConeMembership", "GLPSolution", "StructureReport"}
+
+
+def _dataclasses(source: str) -> set[str]:
+    """The classes in source that ``dataclass`` decorates: bare, called, as
+    ``dataclasses.dataclass`` or under an alias of its import."""
+    tree = ast.parse(source)
+    aliases = {"dataclass"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            aliases.update(alias.asname for alias in node.names if alias.name == "dataclass" and alias.asname)
+    found = set()
+    for node in ast.walk(tree):
+        for decorator in node.decorator_list if isinstance(node, ast.ClassDef) else ():
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if getattr(target, "attr", getattr(target, "id", None)) in aliases:
+                found.add(node.name)
+    return found
+
+
+def test_only_four_records_are_dataclasses():
+    found = set()
+    for path in SRC.rglob("*.py"):
+        found |= _dataclasses(path.read_text(encoding="utf-8"))
+    assert found <= DATACLASSES
+
+
+def test_cli_imports_no_dataclasses():
+    assert "dataclasses" not in _imported((SRC / "cli.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("@dataclass\nclass A:\n    x: int", {"A"}),
+        ("@dataclass(frozen=True)\nclass A:\n    x: int", {"A"}),
+        ("import dataclasses\n@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int", {"A"}),
+        ("from dataclasses import dataclass as record\n@record(frozen=True)\nclass A:\n    x: int", {"A"}),
+        ("def f():\n    @dataclass\n    class B:\n        x: int", {"B"}),
+        ("class A(NamedTuple):\n    x: int", set()),
+        ("@functools.total_ordering\nclass A:\n    pass", set()),
+    ],
+    ids=["bare", "called", "attribute", "alias", "nested", "namedtuple", "other-decorator"],
+)
+def test_dataclass_guard_sees_each_form(line, names):
+    assert _dataclasses(line) == names
+
+
+@pytest.mark.parametrize(
+    "line", ["import dataclasses", "from dataclasses import replace", "def f():\n    import dataclasses as dc"]
+)
+def test_dataclass_import_guard_sees_each_form(line):
+    assert "dataclasses" in _imported(line)

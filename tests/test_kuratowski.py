@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -41,6 +40,7 @@ from polycone import (
     window_distance,
 )
 from polycone.geometry import Vertex, _integer_rows
+from polycone.kuratowski import convergence
 from polycone.kuratowski.convergence import (
     _as_rows, _box_rows, _window_support, default_directions, default_window
 )
@@ -421,7 +421,7 @@ class TestConeConvergence:
         T = ex31_trajectory(with_cost=False)
         track = next(t for t in track_vertices(T, Y1).tracks if t.converged)
         k, _, d = track.matches[0]
-        bad = dataclasses.replace(track, matches=((k, (F(1), F(2)), d),) + track.matches[1:])
+        bad = track._replace(matches=((k, (F(1), F(2)), d),) + track.matches[1:])
         with pytest.raises(errors.InfeasiblePoint) as got:
             cone_convergence(T, Y1, bad)
         with pytest.raises(errors.InfeasiblePoint) as expected:
@@ -432,7 +432,7 @@ class TestConeConvergence:
         T = ex31_trajectory(with_cost=False)
         track = next(t for t in track_vertices(T, Y1).tracks if t.converged)
         k, _, d = track.matches[0]
-        bad = dataclasses.replace(track, matches=((k, (F(0), F(0), F(0)), d),) + track.matches[1:])
+        bad = track._replace(matches=((k, (F(0), F(0), F(0)), d),) + track.matches[1:])
         with pytest.raises(errors.DimensionMismatch):
             cone_convergence(T, Y1, bad)
 
@@ -443,14 +443,19 @@ class TestConeConvergence:
         limit = construct_limit(T).limit
         tracks = [t for t in track_vertices(T, limit).tracks if t.converged]
         built = Counter()
-        for cls in (HalfSpace, Polyhedron, Cone, Vertex):
-            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+        # the three tuples are built in __new__, the Vertex dataclass in __init__
+        for cls, name in ((HalfSpace, "__new__"), (Polyhedron, "__new__"), (Cone, "__new__"),
+                          (Vertex, "__init__")):
+            def counting(*args, _make=getattr(cls, name), _name=cls.__name__, **kwargs):
                 built[_name] += 1
-                _init(self, *args, **kwargs)
+                return _make(*args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
-        Polyhedron(1, [HalfSpace((1,), 0)])  # the counters count
-        assert built == {"HalfSpace": 1, "Polyhedron": 1}
+            monkeypatch.setattr(cls, name, counting)
+        # the counters count
+        Polyhedron(1, [HalfSpace((1,), 0)])
+        Cone(1, generators=((1,),))
+        Vertex(point=(0,), active=(0,), defining=(0,))
+        assert built == {"HalfSpace": 1, "Polyhedron": 1, "Cone": 1, "Vertex": 1}
         built.clear()
         for track in tracks:
             cone_convergence(T, limit, track)
@@ -528,6 +533,19 @@ class TestBoundaryConvergence:
         assert rep.metrics[-1][1] < 1e-2
         # the zero-dimensional limit facet has no aligned counterpart
         assert any("unmatched" in w for w in rep.warnings)
+
+    @pytest.mark.parametrize("family", [pyramid_trajectory, segment_trajectory])
+    def test_each_set_is_walked_twice(self, monkeypatch, family):
+        # the limit and each sample: one walk for the minimal rows, one for
+        # the window, whose vertices tight at a row give that facet's window
+        T = family()
+        limit = construct_limit(T).limit
+        walks, walk = [], geometry._walk
+        for module in (geometry, convergence):
+            monkeypatch.setattr(module, "_walk", lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs))
+        rep = boundary_convergence(T, limit, 1.5)
+        assert len(walks) == 2 * (1 + T.sample_count)
+        assert rep == reference_boundary_convergence(T, limit, 1.5)
 
 
 class TestNumericInvariants:
@@ -838,7 +856,8 @@ class TestDiagnosticsAgainstSamplePolyhedra:
 class TestLimitWalkedOnce:
     """``verify_convergence`` and ``argmax_convergence`` read the default
     window, the limit's vertex count and its boundedness off one walk of
-    the limit."""
+    the limit; ``boundary_convergence`` reads the default window off the
+    walk that finds the limit's minimal rows."""
 
     def _limit_walks(self, monkeypatch, limit):
         """The walks over the limit's rows, by the number of vertices each
@@ -875,6 +894,15 @@ class TestLimitWalkedOnce:
         rep = argmax_convergence(T, limit)
         assert walks == [1]
         assert rep.conditions["compact"]
+
+    @pytest.mark.parametrize("R", [None, 1.5])
+    def test_boundary_convergence(self, monkeypatch, R):
+        T = pyramid_trajectory()
+        limit = construct_limit(T).limit
+        expected = boundary_convergence(T, limit, default_window(limit) if R is None else R)
+        walks = self._limit_walks(monkeypatch, limit)
+        assert boundary_convergence(T, limit, R) == expected
+        assert walks == [1]
 
     def test_lineality_leaves_no_vertex(self):
         # a limit with lines has no vertex to count and the window of none,
