@@ -31,7 +31,18 @@ def _coerce_vector(values: Iterable) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-class HalfSpace(NamedTuple("HalfSpace", [("a", Vector), ("b", Fraction)])):
+class _Checked:
+    """A NamedTuple whose ``_make``, and so ``_replace``, builds through
+    ``__new__``, which validates its fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class HalfSpace(_Checked, NamedTuple("HalfSpace", [("a", Vector), ("b", Fraction)])):
     """Closed half-space ``<a, x> <= b`` in canonical L-infinity form.
 
     The normal is rescaled so its largest absolute coefficient is exactly 1;
@@ -66,7 +77,7 @@ class HalfSpace(NamedTuple("HalfSpace", [("a", Vector), ("b", Fraction)])):
         return HalfSpace(tuple(-x for x in self.a), -self.b)
 
 
-class Polyhedron(NamedTuple("Polyhedron", [("n", int), ("halfspaces", tuple[HalfSpace, ...])])):
+class Polyhedron(_Checked, NamedTuple("Polyhedron", [("n", int), ("halfspaces", tuple[HalfSpace, ...])])):
     """H-polyhedron ``{x : A x <= b}`` over exact rationals."""
 
     __slots__ = ()
@@ -109,7 +120,7 @@ class Vertex:
     defining: IndexSet
 
 
-class Cone(NamedTuple("Cone", [("n", int), ("hform", tuple[HalfSpace, ...] | None),
+class Cone(_Checked, NamedTuple("Cone", [("n", int), ("hform", tuple[HalfSpace, ...] | None),
                                 ("generators", tuple[Vector, ...] | None)])):
     """Polyhedral cone in exactly one of two representations.
 
@@ -328,22 +339,23 @@ def _checked_ray(aug, C, ray: Vector) -> Vector:
 def _walked(A, n: int, start, rays: list | None = None) -> list[Vertex]:
     """Every vertex, from the walk of the whole vertex graph from the
     vertex ``start``, sorted by point."""
-    points = _walk(A, n, [start], {start[0][0]: set()}, rays)
-    return [_vertex(A, n, state) for state, _ in _in_order(points)]
+    return [_vertex(A, n, state) for state, _ in _in_order(_walk(A, n, start, rays))]
 
 
-def _walk(A, n: int, todo: list, tested: dict, rays: list | None = None, C=None) -> list:
-    """The vertices reached from those in ``todo``, each as its state (see
-    ``_lowest``) with the adjugate it carries, in the order they are left.
+def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
+    """The vertices reached from the vertex ``start``, a state (see
+    ``_lowest``) with a basis of its tight rows and their adjugate (see
+    ``_adjugate``), each as its state with the adjugate it carries, in
+    the order they are left.
 
     A vertex is kept by its active set as the integer point ``X / D``
     (D > 0) with its integer slacks ``S = b D - A X``, made once.  A
     simplicial vertex, whose active rows with identical integer rows merged
-    number n, also carries the integer adjugate of those n rows, as an lrs
-    dictionary does (see ``_adjugate``): its edges are the adjugate's
-    columns, and the neighbour reached along column j, if simplicial too,
-    gets its adjugate by one Bareiss exchange (``_handed``).  Any other
-    vertex lists its edges by a double description of its tangent cone
+    number n, also carries the adjugate of a basis of them, as an lrs
+    dictionary does: its edges are the adjugate's columns, and the
+    neighbour reached along column j, if simplicial too, gets its adjugate
+    by one Bareiss exchange (``_handed``).  Any other vertex carries none
+    and lists its edges by a double description of its tangent cone
     (``_edges``).  ``tested`` maps the active set of every vertex met so
     far to the edge directions there that are already ratio-tested; edge
     directions are integer and gcd-reduced, so the way back from a
@@ -353,23 +365,27 @@ def _walk(A, n: int, todo: list, tested: dict, rays: list | None = None, C=None)
     no row blocks is appended to ``rays``, if given.  With an integer cost
     C, only the edges d with ``C.d = 0`` are followed: from an optimal
     vertex, the walk lists the optimal face."""
+    state, adjugate = start
+    todo = [(state, adjugate if _merged(A, state[0], n) is not None else None)]
+    tested = {state[0]: set()}
     points = []
     while todo:
         vertex = todo.pop()
         points.append(vertex)
         (active, X, D, S), adjugate = vertex
-        for j, d in enumerate(_edges(A, n, active) if adjugate is None else _columns(*adjugate)):
+        for j, d in enumerate(_edges(A, n, active) if adjugate is None else _columns(adjugate)):
             if d in tested[active] or C is not None and sum(map(mul, C, d)):
                 continue
-            neighbour = _pivot(A, X, D, S, d)
-            if neighbour is None:
+            blocked = _pivot(A, X, D, S, d)
+            if blocked is None:
                 if rays is not None:
                     rays.append(list(d))
                 continue
+            k, neighbour = blocked
             reached = neighbour[0]
             if reached not in tested:
                 tested[reached] = set()
-                todo.append((neighbour, _handed(A, n, reached, active, adjugate, j)))
+                todo.append((neighbour, _handed(A, n, reached, adjugate, j, k)))
             tested[reached].add(tuple(-x for x in d))
     return points
 
@@ -382,56 +398,50 @@ def _in_order(points: list) -> list:
 
 
 def _vertex(A, n: int, state) -> Vertex:
-    """The Vertex of a walk state; a simple vertex's n active rows are its
-    only basis."""
+    """The Vertex of a walk state, whose witness is the first basis among
+    its active rows: at a simplicial vertex its merged rows (``_merged``)."""
     active, X, D, _ = state
     return Vertex(point=tuple(Fraction(x, D) for x in X), active=active,
-                  defining=active if len(active) == n else _lex_basis(A, active, n))
+                  defining=_merged(A, active, n) or _defining(A, active, n))
+
+
+def _defining(A, active: IndexSet, n: int) -> IndexSet | None:
+    """A vertex's witness: the first basis among its active rows
+    (``_adjugate``'s greedy, so the lexicographically smallest), or None
+    when they have rank below n, so the point is no vertex."""
+    found = _adjugate(A, active, n)
+    return found and found[0]
 
 
 def _phase_two(A, n: int, start, C: list[int]):
     """Minimize ``C.x`` from phase one's vertex ``start``: ``(face, None)``
     with the optimal face's vertices as ``_walk`` leaves them, or
-    ``(None, rays)`` when C falls along an edge no row blocks, with every
-    ray of the polyhedron as ``_minkowski_weyl`` lists them.
+    ``(None, rays)`` when C is unbounded below, with every ray of the
+    polyhedron as ``_minkowski_weyl`` lists them.
 
-    At each vertex the first edge d with ``C.d < 0`` is ratio-tested and
-    followed.  Edges are the extreme rays of the tangent cone, also at a
-    degenerate vertex (``_edges``), so each move reaches a new vertex with
-    a strictly smaller ``C.x`` and the descent cannot cycle.  When no edge
-    falls, the vertex is optimal, since its edges generate its tangent
-    cone, and the walk follows the edges with ``C.d = 0`` from it: they
-    join the vertices of the optimal face.  When an edge falls that no row
-    blocks, the walk goes on from the descent's vertices with their tested
-    edges marked, so it lists every ray and ratio-tests each edge once, as
-    ``_minkowski_weyl`` does.
-    """
-    tested = {start[0][0]: set()}
-    path, vertex = [], start
-    while True:
-        path.append(vertex)
-        (active, X, D, S), adjugate = vertex
-        edges = _edges(A, n, active) if adjugate is None else _columns(*adjugate)
-        j, d = next(((j, d) for j, d in enumerate(edges) if sum(map(mul, C, d)) < 0), (None, None))
-        if d is None:
-            return _walk(A, n, [vertex], tested, C=C), None
-        tested[active].add(d)
-        neighbour = _pivot(A, X, D, S, d)
-        if neighbour is None:
-            rays = [list(d)]
-            _walk(A, n, path, tested, rays)
-            return None, rays
-        reached = neighbour[0]
-        tested[reached] = {tuple(-x for x in d)}
-        vertex = neighbour, _handed(A, n, reached, active, adjugate, j)
+    Bland's rule (``_bland``) descends from ``start`` on the basis phase
+    one hands over.  Where it stops with ``y >= 0``, ``-C`` lies in the
+    normal cone of its vertex, which is optimal, and the walk along the
+    edges with ``C.d = 0`` from it lists the optimal face.  Where C falls
+    along a column no row blocks, the walk of the whole vertex graph from
+    its vertex lists every ray, each edge ratio-tested once, as
+    ``_minkowski_weyl`` does."""
+    vertex, d = _bland(A, C, start)
+    if d is None:
+        return _walk(A, n, vertex, C=C), None
+    rays = []
+    _walk(A, n, vertex, rays)
+    return None, rays
 
 
 def _phase_one(A, aug, n: int):
     """The walk's start: ``(start, None)`` with the first vertex's state
-    (see ``_lowest``) and the adjugate it carries (see ``_handed``);
-    ``(None, y)`` with integer Farkas multipliers ``y >= 0`` over ``aug``,
-    ``y A = 0`` and ``y b < 0``, when P is empty; ``(None, None)`` when A
-    has rank below n, so P has no vertex.
+    (see ``_lowest``) and the basis of its tight rows that phase one ends
+    on, with their adjugate (see ``_adjugate``), which the walk and the
+    Bland descents of ``solve_glp`` and ``solve_lp`` start from;
+    ``(None, y)`` with integer Farkas multipliers ``y >= 0`` over
+    ``aug``, ``y A = 0`` and ``y b < 0``, when P is empty; ``(None,
+    None)`` when A has rank below n, so P has no vertex.
 
     The lexicographically smallest basis B and its adjugate come from one
     fraction-free pass (``_adjugate``), and ``x0 = inv(A_B) b_B``.  If x0
@@ -456,59 +466,50 @@ def _phase_one(A, aug, n: int):
     S = [row[n] * D - sum(map(mul, a, X)) for row, a in zip(aug, A)]
     k = min(range(m), key=S.__getitem__)
     if S[k] >= 0:
-        start, adjugate = _lowest(X, D, S), (M, det)
-    else:
-        # the lifted rows, row i of A as row i + 1, at the point (X, T) / D
-        lifted = set(basis)
-        rows = [(0,) * n + (-1,)] + [a + (0,) if i in lifted else a + (-1,) for i, a in enumerate(A)]
-        T = -S[k]
-        S = [T] + [s if i in lifted else s + T for i, s in enumerate(S)]
-        M = [[-x for x in col] + [-sum(map(mul, A[k], col))] for col in M] + [[0] * n + [det]]
-        basis, (M, det), (Z, D, S), _ = _bland(rows, [i + 1 for i in basis] + [k + 1], M, -det,
-                                                [0] * n + [1], X + [T], D, S)
-        if 0 not in basis:
-            y = [0] * m
-            for i, col in zip(basis, M):
-                y[i - 1] = -col[n] if det > 0 else col[n]
-            return None, y
-        j = basis.index(0)
-        start = _lowest(Z[:n], D, S[1:])
-        adjugate = [col[:n] for i, col in enumerate(M) if i != j], det
-    return (start, adjugate if _merged(A, start[0], n) is not None else None), None
+        return (_lowest(X, D, S), found), None
+    # the lifted rows, row i of A as row i + 1, at the point (X, T) / D
+    lifted = set(basis)
+    rows = [(0,) * n + (-1,)] + [a + (0,) if i in lifted else a + (-1,) for i, a in enumerate(A)]
+    T = -S[k]
+    S = [T] + [s if i in lifted else s + T for i, s in enumerate(S)]
+    M = [[-x for x in col] + [-sum(map(mul, A[k], col))] for col in M] + [[0] * n + [det]]
+    start = _lowest(X + [T], D, S), (tuple(i + 1 for i in basis) + (k + 1,), M, -det)
+    ((active, Z, D, S), (basis, M, det)), _ = _bland(rows, [0] * n + [1], start)
+    if 0 not in basis:
+        y = [0] * m
+        for i, col in zip(basis, M):
+            y[i - 1] = -col[n] if det > 0 else col[n]
+        return None, y
+    # t = 0, so the state is x's with the t-row dropped
+    j = basis.index(0)
+    state = tuple(i - 1 for i in active if i), Z[:n], D, S[1:]
+    return (state, (tuple(i - 1 for i in basis if i), [col[:n] for p, col in enumerate(M) if p != j], det)), None
 
 
-def _bland(rows, basis: list[int], M, det: int, C, X: list[int], D: int, S: list[int]):
-    """Minimize ``C.x`` over ``{x : rows x <= b}`` by Bland's rule (1977),
-    from the point ``X / D`` with integer slacks ``S = b D - rows X`` at
-    which the rows ``basis`` are tight, carrying their adjugate ``M = det
-    inv(rows_B)`` (see ``_adjugate``).  With ``y = -C M / det``, C falls
-    along column j of ``-M / det`` iff ``y_j < 0``; the basis row of least
-    index among those leaves, and of the rows rising along that column the
-    one met first enters, the least row among ties.  Each step is one sign
-    test, one integer ratio test (m n) and one ``_exchange``; the least
-    index choices rule out cycling.  ``(basis, (M, det), (X, D, S), d)``
-    with the final basis, adjugate and point, and d None when ``y >= 0``
-    proves the point optimal, or else the column along which C falls and
-    no row blocks.  ``basis`` is updated in place."""
+def _bland(rows, C, vertex):
+    """Minimize ``C.x`` over ``{x : rows x <= b}`` by Bland's rule (1977)
+    from ``vertex``: a state (see ``_lowest``) with ``(basis, M, det)``,
+    rows tight there and their adjugate ``M = det inv(rows_B)`` (see
+    ``_adjugate``).  With ``y = -C M / det``, C falls along column j of
+    ``-M / det`` iff ``y_j < 0``; the basis row of least index among those
+    leaves, and the row that ``_pivot``'s ratio test meets first, the
+    least among ties, enters at j (``_exchange``).  Each step is one sign
+    test, one ratio test (m n) and one O(n^2) exchange; the least index
+    choices rule out cycling.  ``(vertex, d)`` with the final vertex in
+    the same form, and d None when ``y >= 0`` proves it optimal, or else
+    the column along which C falls and no row blocks."""
     while True:
+        state, (basis, M, det) = vertex
         falls = [(i, j) for j, (i, col) in enumerate(zip(basis, M)) if sum(map(mul, C, col)) * det > 0]
         if not falls:
-            return basis, (M, det), (X, D, S), None
+            return vertex, None
         j = min(falls)[1]
         d = _column(M[j], det)
-        E = [sum(map(mul, row, d)) for row in rows]
-        r = None
-        for i, e in enumerate(E):
-            if e > 0 and (r is None or S[i] * E[r] < S[r] * e):
-                r = i
-        if r is None:
-            return basis, (M, det), (X, D, S), d
-        # the next point (e X + s d) / (e D), with slacks e S - s E
-        e, s = E[r], S[r]
-        _, X, D, S = _lowest([e * x + s * y for x, y in zip(X, d)], e * D,
-                             [e * t - s * f for t, f in zip(S, E)])
-        M, det = _exchange(rows[r], M, det, j)
-        basis[j] = r
+        blocked = _pivot(rows, *state[1:], d)
+        if blocked is None:
+            return vertex, d
+        r, state = blocked
+        vertex = state, _exchange(rows, vertex[1], j, r)
 
 
 def _dual(rows, basis, M, det: int, C, S: list[int]) -> list[int]:
@@ -535,8 +536,8 @@ def _tie_certificate(G, C: list[int], L: int) -> Vector:
     lexicographic basis of G and ends where ``y = -C M / det >= 0``; the
     multiplier of basis row i is ``y_i max|G_i| / L``, 0 off the basis."""
     n = len(C)
-    basis, M, det = _adjugate(G, range(len(G)), n)
-    basis, (M, det), (_, _, S), d = _bland(G, list(basis), M, det, C, [0] * n, 1, [0] * len(G))
+    start = _lowest([0] * n, 1, [0] * len(G)), _adjugate(G, range(len(G)), n)
+    ((_, _, _, S), (basis, M, det)), d = _bland(G, C, start)
     if d is not None:
         raise AssertionError("a minimum-value vertex misses the normal cone")
     y = dict(zip(basis, _dual(G, basis, M, det, C, S)))
@@ -555,23 +556,22 @@ def _merged(A, active: IndexSet, n: int) -> IndexSet | None:
     return tuple(first.values()) if len(first) == n else None
 
 
-def _handed(A, n: int, reached: IndexSet, active: IndexSet, adjugate, j):
+def _handed(A, n: int, reached: IndexSet, adjugate, j, k):
     """The adjugate the vertex with active set ``reached`` carries, entered
-    from ``active`` along column j of its ``adjugate``: None unless it is
-    simplicial, one exchange after a simplicial vertex, else made afresh."""
+    along column j of ``adjugate`` to the row k: None unless it is
+    simplicial, after a simplicial vertex the exchange of k in at j (k is
+    newly tight and rises along the edge), else made afresh."""
     basis = _merged(A, reached, n)
     if basis is None:
         return None
     if adjugate is None:
-        return _adjugate(A, basis, n)[1:]
-    # every newly tight row rises along the edge, so any of them enters at j
-    k = next(i for i in reached if i not in active)
-    return _exchange(A[k], *adjugate, j)
+        return _adjugate(A, basis, n)
+    return _exchange(A, adjugate, j, k)
 
 
 def _adjugate(A, rows: Iterable[int], n: int):
     """The first basis B among ``rows`` (greedy in their order, so the
-    lexicographically smallest when they ascend) with ``(M, det)``,
+    lexicographically smallest when they ascend) as ``(B, M, det)``,
     ``M = det inv(A_B)`` as the list of M's columns: one fraction-free pass
     over ``[A_B | I]``, whose rows end as ``det`` at their pivot column
     beside a row of M.  None when the rows have rank below n."""
@@ -594,11 +594,11 @@ def _adjugate(A, rows: Iterable[int], n: int):
     return tuple(basis), M, det
 
 
-def _columns(M, det: int):
+def _columns(adjugate):
     """The edges of a simplicial vertex: column j of ``-M / det`` leaves
     basis row j and keeps the others tight, gcd-reduced."""
-    for col in M:
-        yield _column(col, det)
+    _, M, det = adjugate
+    return [_column(col, det) for col in M]
 
 
 def _column(col, det: int) -> tuple[int, ...]:
@@ -607,13 +607,15 @@ def _column(col, det: int) -> tuple[int, ...]:
     return tuple(x // g for x in col)
 
 
-def _exchange(a, M, det: int, j: int):
-    """The adjugate after the row a enters the basis at position j (one
-    Bareiss step): with ``r = a M``, the new determinant is ``r[j]`` and
-    column i becomes ``(r[j] M_i - r[i] M_j) / det``; column j stays."""
-    r = [sum(map(mul, a, col)) for col in M]
+def _exchange(rows, adjugate, j: int, k: int):
+    """The adjugate ``(basis, M, det)`` after row k enters the basis at
+    position j (one Bareiss step): with ``r = a M`` for ``a = rows[k]``,
+    the new determinant is ``r[j]`` and column i becomes ``(r[j] M_i -
+    r[i] M_j) / det``; column j stays."""
+    basis, M, det = adjugate
+    r = [sum(map(mul, rows[k], col)) for col in M]
     q, Mj = r[j], M[j]
-    return [
+    return basis[:j] + (k,) + basis[j + 1:], [
         Mj if i == j else [(q * x - ri * y) // det for x, y in zip(col, Mj)]
         for i, (col, ri) in enumerate(zip(M, r))
     ], q
@@ -655,9 +657,10 @@ def _edges(A, n: int, active: IndexSet) -> list[tuple[int, ...]]:
 
 
 def _pivot(A, X: list[int], D: int, S: list[int], d: tuple[int, ...]):
-    """Move from the vertex ``X / D`` along the edge d to the first row it
-    meets: the neighbour's state (see ``_lowest``), or None when no
-    row blocks d (a ray).  Ratios compare by cross-multiplication."""
+    """Move from the point ``X / D`` along d to the first row it meets,
+    the least row among ties: ``(k, state)`` with that row k and the state
+    there (see ``_lowest``), or None when no row blocks d (a ray).  Ratios
+    compare by cross-multiplication."""
     E = [sum(map(mul, a, d)) for a in A]
     k = None
     for i, e in enumerate(E):
@@ -665,25 +668,9 @@ def _pivot(A, X: list[int], D: int, S: list[int], d: tuple[int, ...]):
             k = i
     if k is None:
         return None
-    # the neighbour is (e X + s d) / (e D), with slacks e S - s E
+    # the next point is (e X + s d) / (e D), with slacks e S - s E
     e, s = E[k], S[k]
-    return _lowest([e * x + s * y for x, y in zip(X, d)], e * D, [e * t - s * f for t, f in zip(S, E)])
-
-
-def _lex_basis(rows, indices: Iterable[int], n: int) -> IndexSet | None:
-    """The lexicographically smallest subset of ``indices`` whose integer
-    rows form a basis of R^n (greedy in index order, as in any matroid), or
-    None when they have rank below n."""
-    basis: list[int] = []
-    echelon = ([], (), 1)
-    for i in indices:
-        grown = extend(*echelon, rows[i], n)
-        if grown is not None:
-            echelon = grown
-            basis.append(i)
-            if len(basis) == n:
-                return tuple(basis)
-    return None
+    return k, _lowest([e * x + s * y for x, y in zip(X, d)], e * D, [e * t - s * f for t, f in zip(S, E)])
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _polar_rows(rows: list[list[int]], n: int) -> list[list[int]]:
     blocks, and no vertex is read out."""
     lines, A, start, _ = _start(rows, n)
     rays = []
-    _walk(A, n, [start], {start[0][0]: set()}, rays)
+    _walk(A, n, start, rays)
     return [[*d, 0] for d in rays] + [[*scaled(s)[0], 0] for v in lines for s in (v, vec_neg(v))]
 
 
@@ -155,7 +155,7 @@ def _window_states(rows: list[list[int]], box: list[list[int]]) -> list:
     _, A, start, farkas = _start(rows + box, n)
     if farkas is not None:
         return []
-    return [state for state, _ in _walk(A, n, [start], {start[0][0]: set()})]
+    return [state for state, _ in _walk(A, n, start)]
 
 
 def _support(states: list, directions: Sequence[FloatVector]) -> list[float] | None:

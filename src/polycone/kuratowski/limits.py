@@ -23,7 +23,7 @@ from ..errors import (
     ParallelPair,
     TooFewSamples,
 )
-from ..geometry import HalfSpace, Polyhedron
+from ..geometry import HalfSpace, Polyhedron, _Checked
 from ..rationals import (
     format_rational,
     format_vector,
@@ -101,7 +101,21 @@ def _sample_index(k) -> float:
     return _finite([k], "non-finite sample index")[0]
 
 
-class ConstraintTrajectory(NamedTuple("ConstraintTrajectory", [
+class _Sampled:
+    """A NamedTuple built from samples, which ``__new__`` normalizes and
+    checks: pickle and copy rebuild its fields (``_make``), and
+    ``_replace``, which could not check them, is refused."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return self._make, (tuple(self),)
+
+    def _replace(self, **changes):
+        raise TypeError(f"a {type(self).__name__} is built from samples; construct a new one")
+
+
+class ConstraintTrajectory(_Sampled, NamedTuple("ConstraintTrajectory", [
         ("indices", tuple[float, ...]), ("normals", tuple[FloatVector, ...]),
         ("offsets", tuple[float, ...]), ("declared_limit", HalfSpace | _PlusInfinity | None)])):
     """One constraint row sampled along the family, toward the limit.
@@ -125,10 +139,6 @@ class ConstraintTrajectory(NamedTuple("ConstraintTrajectory", [
             offsets.append(offset)
         return super().__new__(cls, tuple(idx), tuple(normals), tuple(offsets), declared_limit)
 
-    def __reduce__(self):
-        # pickle and copy rebuild the fields, not the samples
-        return self._make, (tuple(self),)
-
     @property
     def n(self) -> int:
         return len(self.normals[0])
@@ -138,7 +148,7 @@ class ConstraintTrajectory(NamedTuple("ConstraintTrajectory", [
         return len(self.indices)
 
 
-class CostTrajectory(NamedTuple("CostTrajectory", [
+class CostTrajectory(_Sampled, NamedTuple("CostTrajectory", [
         ("indices", tuple[float, ...]), ("vectors", tuple[FloatVector, ...]),
         ("declared_limit", tuple[Fraction, ...] | None)])):
     """Sampled cost vectors with an optional declared exact limit."""
@@ -154,12 +164,8 @@ class CostTrajectory(NamedTuple("CostTrajectory", [
         limit = None if declared_limit is None else tuple(Fraction(v) for v in declared_limit)
         return super().__new__(cls, tuple(idx), tuple(vecs), limit)
 
-    def __reduce__(self):
-        # pickle and copy rebuild the fields, not the samples
-        return self._make, (tuple(self),)
 
-
-class PolyhedronTrajectory(NamedTuple("PolyhedronTrajectory", [
+class PolyhedronTrajectory(_Checked, NamedTuple("PolyhedronTrajectory", [
         ("n", int), ("constraints", tuple[ConstraintTrajectory, ...]), ("cost", CostTrajectory | None)])):
     """Fixed-cardinality constraint family sampled toward its limit.
 

@@ -3,9 +3,11 @@
 ``solve_lp``, ``find_feasible_point`` and ``cone_member`` run the one
 exact kernel of ``geometry`` on integer rows: phase one (``_start``,
 ``_phase_one``) reaches a vertex or proves the set empty, and
-``solve_lp`` then descends from that vertex by Bland's rule (1977) on the
-carried integer adjugate (``_bland``), the loop that phase one and the
-tie certificates of ``solve_glp`` run too.  Fractions appear only when a
+``solve_lp`` then descends from the basis and integer adjugate phase one
+ends on by Bland's rule (1977, ``_bland``), the one descent, which phase
+one, ``solve_glp``'s phase two and its tie certificates run too.  It
+stops at the first optimal vertex, where ``solve_glp`` goes on to walk
+the optimal face.  Fractions appear only when a
 result is read out, and every verdict is checked exactly before it
 leaves this module: a Farkas witness by ``_farkas``, a ray by
 ``_checked_ray``, an optimum by the final basis's multipliers
@@ -23,7 +25,6 @@ from typing import NamedTuple, Sequence
 from .errors import DimensionMismatch
 from .geometry import (
     Polyhedron,
-    _adjugate,
     _bland,
     _checked_ray,
     _coerce_vector,
@@ -73,11 +74,11 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
     Phase one over P's integer rows gives a Farkas witness, or a vertex
     of P (of its slice orthogonal to the lineality space L, when P is not
     pointed).  A cost with a component along L is unbounded along minus
-    that component; otherwise Bland's rule descends from the vertex, from
-    the lexicographically smallest basis of its active rows, to an
-    optimal vertex or an improving edge that no row blocks.
-    Deterministic; each step costs one ratio test (m n) and one O(n^2)
-    adjugate exchange.
+    that component; otherwise Bland's rule descends from the vertex, on
+    the basis and adjugate phase one ends on, to an optimal vertex or an
+    improving column that no row blocks.  Deterministic; each step costs
+    one ratio test (m n) and one O(n^2) adjugate exchange, and no basis
+    search runs after phase one's.
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:
@@ -91,13 +92,12 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
     lineality, A, start, farkas = _start(aug, P.n)
     if farkas is not None:
         return LPResult(status="Infeasible", certificate=farkas)
-    (active, X, D, S), _ = start
+    (_, X, D, _), _ = start
     if lineality:
         c_lin = project_onto_span(lineality, cmin)
         if any(c_lin):
             return LPResult(status="Unbounded", point=_point(X, D), ray=_checked_ray(aug, C, vec_neg(c_lin)))
-    basis, M, det = _adjugate(A, active, P.n)
-    basis, (M, det), (X, D, S), d = _bland(A, list(basis), M, det, C, X, D, S)
+    ((_, X, D, S), (basis, M, det)), d = _bland(A, C, start)
     point = _point(X, D)
     if d is not None:
         return LPResult(status="Unbounded", point=point, ray=_checked_ray(aug, C, tuple(map(Fraction, d))))

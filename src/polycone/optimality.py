@@ -1,5 +1,10 @@
 """General LP solving through vertex normal cones, with certificates.
 
+A vertex is optimal exactly when ``-c`` lies in its normal cone.  That is
+the test Bland's rule in ``geometry`` stops on, so phase two runs that one
+descent from phase one's basis, then walks the optimal face (or, when the
+objective is unbounded, the whole vertex graph for its rays).
+
 The attainment theorem needs a pointed feasible region; inputs with a
 nontrivial lineality space are quotiented by slicing with the orthogonal
 complement of the lineality space (the slice realizes the quotient in
@@ -19,9 +24,9 @@ from .geometry import (
     Polyhedron,
     Vertex,
     _checked_ray,
+    _defining,
     _in_order,
     _integer_rows,
-    _lex_basis,
     _phase_two,
     _start,
     _tie_certificate,
@@ -45,7 +50,9 @@ class GLPSolution:
       ``certificate`` proving ``-c in N_w`` over w's distinct active
       normals, read off the adjugate of a basis of their integer rows
       that Bland's rule reaches (``geometry._tie_certificate``): nonzero
-      only on that basis, and unique where the normals number n.
+      only on that basis, and unique where the normals number n.  The
+      vertices do not depend on which optimal vertex phase two's Bland
+      descent stops at: the walk from it lists the whole face.
       ``argmin_face`` is the full optimal face of the *original*
       polyhedron.
     - UnboundedBelow: ``ray`` is a recession direction of P that strictly
@@ -53,7 +60,9 @@ class GLPSolution:
       space, it is minus that component.  Otherwise it is, of the extreme
       rays r of ``solved_on``'s recession cone with ``<c_min, r> < 0``
       normalised to ``<c_min, r> = -1``, the lexicographically smallest;
-      ``c_min`` is c for minimization and -c for maximization.
+      ``c_min`` is c for minimization and -c for maximization; the walk
+      of the whole vertex graph lists them all, whichever column
+      stopped the descent.
     - Infeasible: ``farkas`` holds multipliers y >= 0 over
       ``P.halfspaces`` (the canonical rows) with ``y.A = 0`` and
       ``y.b = -1``, read off the final basis of the walk's phase one (run
@@ -87,22 +96,23 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
 
     Phase one of the walk either proves P empty or reaches a vertex (of
     the slice orthogonal to P's lineality space L, when P has no vertex);
-    the objective is unbounded if it falls along L.  From that vertex,
-    phase two (``geometry._phase_two``) follows the first improving edge
-    at each vertex, one ratio test each.  An improving edge no row blocks
-    proves the objective unbounded; the walk then lists every ray, to
-    report the lexicographically smallest improving one.  At a vertex
-    with no improving edge, ``-c`` (for minimization) lies in its normal
-    cone, and the walk along the edges with ``<c, d> = 0`` lists the
-    optimal face's vertices.  Each one's certificate is the sign test
-    ``y = -C M / det >= 0`` on the adjugate of a basis of its distinct
-    active integer rows, reached by degenerate Bland's-rule exchanges
-    where they number more than n (``geometry._tie_certificate``); no
-    simplex runs.
+    the objective is unbounded if it falls along L.  Phase two
+    (``geometry._phase_two``) runs Bland's rule from the basis and
+    adjugate phase one ends on.  A column along which the objective falls
+    and no row blocks proves it unbounded; the walk of the vertex graph
+    then lists every ray, to report the lexicographically smallest
+    improving one.  Where Bland's rule stops, ``y = -C M / det >= 0``
+    puts ``-c`` (for minimization) in the normal cone of its vertex, and
+    the walk along the edges with ``<c, d> = 0`` lists the optimal face's
+    vertices.  Each one's certificate is the same sign test on the
+    adjugate of a basis of its distinct active integer rows, reached by
+    degenerate Bland's-rule exchanges where they number more than n
+    (``geometry._tie_certificate``); no simplex runs.
     Each verdict carries its own certificate, checked exactly over
     integer rows before it is returned.  Cost: phase one's pivots and one
-    ratio test (m n) per descent step, then one per edge of the optimal
-    face, or, when unbounded, one per edge of the whole vertex graph.
+    ratio test (m n) and one O(n^2) exchange per Bland step, then one
+    ratio test per edge of the optimal face, or, when unbounded, one per
+    edge of the whole vertex graph.
     """
     cv = tuple(Fraction(v) for v in c)
     if len(cv) != P.n:
@@ -185,7 +195,7 @@ def stability_cone(P: Polyhedron, w: Vertex | Sequence) -> StabilityCone:
     except (DimensionMismatch, InfeasiblePoint) as exc:
         raise NotAVertex(message) from exc
     # the lexicographically smallest nonsingular subsystem: the enumeration's witness
-    defining = _lex_basis(_integer_rows(P), active, P.n)
+    defining = _defining([tuple(row[:P.n]) for row in _integer_rows(P)], active, P.n)
     if defining is None:
         raise NotAVertex(message)
     vertex = Vertex(point=point, active=active, defining=defining)

@@ -214,6 +214,16 @@ def random_polytope4(rng: random.Random, m: int, empty: bool = False) -> Polyhed
     return Polyhedron.from_rows(n, rows)
 
 
+def cross_polytope(n: int, rng: random.Random | None = None, cuts: int = 0) -> Polyhedron:
+    """``{x : +-x_1 +- ... +- x_n <= 1}``: 2^n rows and the 2n vertices
+    +-e_i, each with 2^(n-1) active rows and 2(n-1) edges; with ``cuts``,
+    that many random small-integer rows after them."""
+    rows = [(s, 1) for s in itertools.product((1, -1), repeat=n)]
+    for _ in range(cuts):
+        rows.append((tuple(rng.randint(-2, 2) or 1 for _ in range(n)), rng.randint(0, 2)))
+    return Polyhedron.from_rows(n, rows)
+
+
 def polygon_product(k1: int, k2: int, tangent: bool = False) -> tuple[Polyhedron, set]:
     """The product of a k1-gon and a k2-gon in R^4 and its k1 k2 vertices.
 
@@ -526,6 +536,33 @@ def _reference_walk_all(Q: Polyhedron):
     return geometry._walked(A, n, start, rays), rays, None
 
 
+def reference_phase_two(A, n: int, start, C):
+    """Reference for ``geometry._phase_two``: the edge descent that Bland's
+    rule replaced, with the same walks after it.  At each vertex the first
+    edge d with ``C.d < 0`` (an adjugate column at a simplicial vertex, a
+    double-description edge at any other) is ratio-tested and followed,
+    to a strictly smaller ``C.x``, so the descent cannot cycle.  A vertex
+    with no such edge is optimal, since its edges generate its tangent
+    cone, and the walk along the edges with ``C.d = 0`` from it lists the
+    optimal face; an improving edge no row blocks sends the walk of the
+    whole vertex graph from its vertex, which lists every ray."""
+    state, adjugate = start
+    vertex = state, adjugate if geometry._merged(A, state[0], n) is not None else None
+    while True:
+        (active, X, D, S), adjugate = vertex
+        edges = geometry._edges(A, n, active) if adjugate is None else geometry._columns(adjugate)
+        j, d = next(((j, d) for j, d in enumerate(edges) if sum(map(mul, C, d)) < 0), (None, None))
+        if d is None:
+            return geometry._walk(A, n, vertex, C=C), None
+        blocked = geometry._pivot(A, X, D, S, d)
+        if blocked is None:
+            rays = []
+            geometry._walk(A, n, vertex, rays)
+            return None, rays
+        k, neighbour = blocked
+        vertex = neighbour, geometry._handed(A, n, neighbour[0], adjugate, j, k)
+
+
 def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
     """Reference for ``solve_glp``: list every vertex and ray of P before
     reading c, walking P's slice orthogonal to its lineality space when
@@ -676,38 +713,52 @@ def reference_segment_end(aug, n: int, echelon):
     return [g * y - e * x for x, y in zip(offset[:n], d)], e * offset[n]
 
 
+def reference_lex_basis(rows, indices, n: int) -> tuple[int, ...] | None:
+    """The lexicographically smallest subset of ``indices`` whose integer
+    rows form a basis of R^n, greedy in index order (as in any matroid),
+    or None when they have rank below n."""
+    basis, echelon = [], ([], (), 1)
+    for i in indices:
+        grown = extend(*echelon, rows[i], n)
+        if grown is not None:
+            echelon = grown
+            basis.append(i)
+    return tuple(basis) if len(basis) == n else None
+
+
 def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
     """Reference for the walk of ``geometry._minkowski_weyl`` on pointed P:
     the same vertex-graph walk from the prefix-line start, with the start's
     adjugate made afresh, a degenerate vertex's edges from the subset
-    search (``reference_edges``) and the output sorted by Fraction
-    points."""
+    search (``reference_edges``), its witness from ``reference_lex_basis``
+    and the output sorted by Fraction points."""
     n, aug = P.n, geometry._integer_rows(P)
     start = reference_first_vertex(aug, n)
     if start is None:
         return []
     A = [tuple(row[:n]) for row in aug]
     tested = {start[0]: set()}
-    todo, points = [(start, geometry._handed(A, n, start[0], (), None, None))], []
+    todo, points = [(start, geometry._handed(A, n, start[0], None, None, None))], []
     while todo:
         (active, X, D, S), adjugate = todo.pop()
         points.append((tuple(Fraction(x, D) for x in X), active))
-        edges = reference_edges(A, n, active) if adjugate is None else geometry._columns(*adjugate)
+        edges = reference_edges(A, n, active) if adjugate is None else geometry._columns(adjugate)
         for j, d in enumerate(edges):
             if d in tested[active]:
                 continue
-            neighbour = geometry._pivot(A, X, D, S, d)
-            if neighbour is None:
+            blocked = geometry._pivot(A, X, D, S, d)
+            if blocked is None:
                 if rays is not None:
                     rays.append(list(d))
                 continue
+            k, neighbour = blocked
             reached = neighbour[0]
             if reached not in tested:
                 tested[reached] = set()
-                todo.append((neighbour, geometry._handed(A, n, reached, active, adjugate, j)))
+                todo.append((neighbour, geometry._handed(A, n, reached, adjugate, j, k)))
             tested[reached].add(tuple(-x for x in d))
     return [
-        Vertex(point=p, active=a, defining=a if len(a) == n else geometry._lex_basis(A, a, n))
+        Vertex(point=p, active=a, defining=a if len(a) == n else reference_lex_basis(A, a, n))
         for p, a in sorted(points)
     ]
 

@@ -34,6 +34,7 @@ from helpers import (
     STRIP,
     X_AXIS,
     brute_vertices,
+    cross_polytope,
     lex_witness,
     polygon_product,
     rand_direction,
@@ -256,21 +257,24 @@ class TestRaysFromTheWalk:
 class TestOutputSensitive:
     """The walk ratio-tests each edge of the vertex graph once, and runs
     the double description (``geometry._edges``) only at vertices whose
-    distinct active rows number more than n."""
+    distinct active rows number more than n.  Phase one's lifted steps
+    ratio-test directions in R^(n+1) and are not the walk's."""
 
     def _walk(self, monkeypatch, P):
-        """The vertices, each ratio test's endpoints, and the active set of
-        each edge search with the edges it found."""
+        """The vertices, each of the walk's ratio tests' endpoints, and the
+        active set of each edge search with the edges it found."""
         edges, searches = [], []
         pivot, search = geometry._pivot, geometry._edges
 
         def counted_pivot(A, X, D, S, d):
-            neighbour = pivot(A, X, D, S, d)
-            ends = {tuple(F(x, D) for x in X)}
-            if neighbour is not None:
-                ends.add(tuple(F(x, neighbour[2]) for x in neighbour[1]))
-            edges.append(frozenset(ends))
-            return neighbour
+            blocked = pivot(A, X, D, S, d)
+            if len(d) == P.n:
+                ends = {tuple(F(x, D) for x in X)}
+                if blocked is not None:
+                    _, (_, Y, E, _) = blocked
+                    ends.add(tuple(F(y, E) for y in Y))
+                edges.append(frozenset(ends))
+            return blocked
 
         def counted_edges(A, n, active):
             found = search(A, n, active)
@@ -324,16 +328,6 @@ class TestOutputSensitive:
         assert len(edges) == len(set(edges)) == 2 * 5 * 6
 
 
-def cross_polytope(n: int, rng: random.Random | None = None, cuts: int = 0) -> Polyhedron:
-    """``{x : +-x_1 +- ... +- x_n <= 1}``: 2^n rows and the 2n vertices
-    +-e_i, each with 2^(n-1) active rows and 2(n-1) edges; with ``cuts``,
-    that many random small-integer rows after them."""
-    rows = [(s, 1) for s in itertools.product((1, -1), repeat=n)]
-    for _ in range(cuts):
-        rows.append((tuple(rng.randint(-2, 2) or 1 for _ in range(n)), rng.randint(0, 2)))
-    return Polyhedron.from_rows(n, rows)
-
-
 def _edge_cases():
     """Polyhedra with degenerate vertices: draws of
     ``random_degenerate_polyhedron`` (n = 1-4), cross-polytopes cut by four
@@ -371,7 +365,8 @@ class TestCrossPolytope:
         pivot, extend = geometry._pivot, geometry.extend
 
         def counted_pivot(A, X, D, S, d):
-            tested.append((tuple(F(x, D) for x in X), d))
+            if len(d) == n:  # the walk's, not phase one's lifted steps
+                tested.append((tuple(F(x, D) for x in X), d))
             return pivot(A, X, D, S, d)
 
         def counted_extend(*args):

@@ -33,6 +33,14 @@ Records are NamedTuples, which cost no code generation at import.  Only
 four stay frozen dataclasses (``DATACLASSES``), and the CLI, which every
 ``polycone`` process imports, takes nothing from ``dataclasses``.
 
+``geometry`` has one descent, Bland's rule in ``_bland``: phase one, the
+tie certificates, ``solve_lp`` and ``solve_glp``'s phase two all run it.
+Only ``_bland`` and ``_handed`` exchange a row into an adjugate, only
+``_bland`` and ``_walk`` ratio-test, only ``_pivot`` holds the ratio test,
+and the one basis search is ``_adjugate`` (no ``_lex_basis``).  The edge
+descent that phase two ran before lives on in ``tests/helpers.py`` as
+``reference_phase_two``.
+
 ``geometry`` has one edge search at vertices that are not simplicial, the
 double description in ``_edges``: it defines no (n-1)-subset search and
 uses no ``null_direction``.  That subset search lives on in
@@ -365,6 +373,63 @@ def test_geometry_has_one_edge_search():
 )
 def test_subset_search_guard_sees_each_form(line, names):
     assert _names(line) & SUBSET_SEARCH == names
+
+
+# the one descent, its one ratio test and its one basis search
+def _ratio_tests(source: str) -> set[str]:
+    """The top-level functions of source, with ``<module>`` for its other
+    statements, that compare two products, as the integer ratio test
+    ``S[i] * E[k] < S[k] * e`` does."""
+    found = set()
+    for node in ast.parse(source).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Compare) and all(
+                isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult) for side in [sub.left, *sub.comparators]
+            ):
+                found.add(getattr(node, "name", "<module>"))
+    return found
+
+
+def _defined(source: str) -> set[str]:
+    """The functions and classes source defines, at any depth."""
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_geometry_has_one_descent_and_one_ratio_test():
+    source = (SRC / "geometry.py").read_text(encoding="utf-8")
+    assert "_lex_basis" not in _defined(source)
+    assert _callers(source, "_exchange") == {"_bland", "_handed"}
+    assert _callers(source, "_pivot") == {"_bland", "_walk"}
+    assert _ratio_tests(source) == {"_pivot"}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(S, E, i, k, e):\n    return S[i] * E[k] < S[k] * e", {"f"}),
+        ("def f(S, E, r, e):\n    def g(i):\n        return S[i] * E[r] <= S[r] * e\n    return g", {"f"}),
+        ("best = s * e > t * f", {"<module>"}),
+        ("def f(y, det):\n    return y * det < 0", set()),
+        ("def f(a, b, c):\n    return a < b * c", set()),
+    ],
+    ids=["cross-multiplied", "nested", "module", "sign-test", "one-product"],
+)
+def test_ratio_test_guard_sees_each_form(source, found):
+    assert _ratio_tests(source) == found
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("def _lex_basis(rows, indices, n):\n    return None", {"_lex_basis"}),
+        ("def f():\n    def _lex_basis(rows):\n        return rows", {"f", "_lex_basis"}),
+        ("class _Basis:\n    pass", {"_Basis"}),
+        ("basis = _adjugate(A, rows, n)[0]", set()),
+    ],
+    ids=["top-level", "nested", "class", "call"],
+)
+def test_definition_guard_sees_each_form(source, names):
+    assert _defined(source) == names
 
 
 # the reference walk and its start, the oracle for geometry's walk

@@ -860,16 +860,16 @@ class TestLimitWalkedOnce:
     walk that finds the limit's minimal rows."""
 
     def _limit_walks(self, monkeypatch, limit):
-        """The walks over the limit's rows, by the number of vertices each
-        starts from; ``solve_glp``'s walk of the optimal face, which
-        follows a cost, is not one."""
+        """A 1 for each walk over the limit's rows, each from one vertex;
+        ``solve_glp``'s walk of the optimal face, which follows a cost, is
+        not one."""
         A = [tuple(row[:limit.n]) for row in _integer_rows(limit)]
         walks, walk = [], geometry._walk
 
-        def counted(B, n, todo, tested, rays=None, C=None):
+        def counted(B, n, start, rays=None, C=None):
             if C is None and B == A:
-                walks.append(len(todo))
-            return walk(B, n, todo, tested, rays, C)
+                walks.append(1)
+            return walk(B, n, start, rays, C)
 
         monkeypatch.setattr(geometry, "_walk", counted)
         return walks

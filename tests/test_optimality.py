@@ -36,6 +36,7 @@ from helpers import (
     TRIANGLE,
     X_AXIS,
     Y1,
+    cross_polytope,
     highs,
     is_farkas,
     polygon_product,
@@ -46,6 +47,8 @@ from helpers import (
     random_polytope4,
     reference_extreme_rays,
     reference_improving_rays,
+    reference_lex_basis,
+    reference_phase_two,
     reference_project_onto_span,
     reference_recession_ray,
     reference_solve_glp,
@@ -341,7 +344,7 @@ class TestPhaseOne:
             if sol.status == "Infeasible":
                 assert is_farkas(P, sol.farkas)
                 seen["Infeasible"] += 1
-                seen["non-pointed Infeasible"] += geometry._lex_basis(P.row_matrix(), range(P.m), P.n) is None
+                seen["non-pointed Infeasible"] += reference_lex_basis(geometry._integer_rows(P), range(P.m), P.n) is None
                 continue
             seen["pointed" if len(walked) == 1 else "slices"] += 1
             _assert_certified(P, c, sol)
@@ -372,10 +375,10 @@ class TestPhaseOne:
         P = Polyhedron.from_rows(2, rows)
         pivots, exchange = [], geometry._exchange
 
-        def counted(a, M, det, j):
-            if len(a) == P.n + 1:
-                pivots.append(a)
-            return exchange(a, M, det, j)
+        def counted(rows, adjugate, j, k):
+            if len(rows[k]) == P.n + 1:
+                pivots.append(rows[k])
+            return exchange(rows, adjugate, j, k)
 
         monkeypatch.setattr(geometry, "_exchange", counted)
         sol = solve_glp(P, (1, 1))
@@ -390,7 +393,8 @@ class TestPhaseOne:
 class TestWorkBudget:
     """Work per verdict, counted where solve_glp calls it: ``phase ones``
     the runs of phase one (on P, then on its lineality slice when P has no
-    vertex), ``ratio tests`` the edges ratio-tested (``geometry._pivot``),
+    vertex), ``ratio tests`` the ratio tests (``geometry._pivot``) of phase
+    one's lifted steps, of Bland's descent and of the walks that follow it,
     ``certificates`` the tied vertices certified
     (``geometry._tie_certificate``),
     and ``cone tests`` the simplex runs of ``cone_member``, counted in
@@ -423,18 +427,20 @@ class TestWorkBudget:
         return counts["ratio tests"] - before
 
     def test_unbounded_ray_on_the_last_row_alone(self, counts):
-        # the improving ray (1, 0) is QUADRANT's edge along its last row;
-        # the walk then tests the other edge, (0, 1), to list every ray
+        # the improving ray (1, 0) is QUADRANT's edge along its last row:
+        # Bland's rule meets it in one ratio test at phase one's vertex, and
+        # the walk from there tests both edges to list every ray
         sol = solve_glp(QUADRANT, (-1, 0))
         assert sol.status == "UnboundedBelow" and sol.ray == (1, 0)
-        assert counts == {"phase ones": 1, "ratio tests": 2, "certificates": 0, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": 3, "certificates": 0, "cone tests": 0}
 
     @pytest.mark.parametrize("P, c, tied", [(TRIANGLE, (1, 1), 1), (TRIANGLE, (0, 1), 2),
                                             (TRIANGLE, (0, 0), 3), (QUADRANT, (1, 0), 1)])
     def test_attained_one_cone_test_per_tied_vertex(self, counts, P, c, tied):
         # every tied vertex is simplicial, so its membership test is the
-        # sign test on its adjugate and no simplex runs; phase two tests
-        # no more edges than the walk over every vertex
+        # sign test on its adjugate and no simplex runs; Bland's descent and
+        # the walk of the optimal face test no more edges than the walk
+        # over every vertex
         sol = solve_glp(P, c)
         assert sol.status == "Attained" and len(sol.optimal_vertices) == tied
         tests = counts["ratio tests"]
@@ -475,10 +481,10 @@ class TestWorkBudget:
     def test_descent_tests_only_its_path_and_the_optimal_face(self, counts, c, tied, tests):
         # the product of a hexagon and a heptagon has 42 simple vertices and
         # 84 edges, each ratio-tested once by the walk that lists them all;
-        # phase two tests its path and the optimal face's edges, which a
-        # zero cost makes the whole vertex graph.  Each step takes the first
-        # improving edge: taking the last one reaches the optimum of
-        # (-3, 1, -2, -5) in 4 steps, not 5
+        # phase two tests one edge per step of Bland's rule and then the
+        # optimal face's edges, which a zero cost makes the whole vertex
+        # graph.  Phase one's first basis is feasible here, so it takes no
+        # ratio test
         P, vertices = polygon_product(6, 7)
         sol = solve_glp(P, c)
         best = min(dot(c, v) for v in vertices)
@@ -489,32 +495,49 @@ class TestWorkBudget:
         assert self._full_walk(counts, P) == 84
 
     def test_unbounded_tests_each_edge_once(self, monkeypatch):
-        # once an improving edge no row blocks is met, the walk goes on from
-        # the descent's vertices: every edge is ratio-tested once, from one
-        # end, so as often as by the walk over every vertex, and the ray is
-        # the lexicographically smallest improving extreme ray
-        tested, pivot = [], geometry._pivot
+        # once Bland's rule meets an improving column no row blocks, the
+        # continuation walk from its vertex lists every ray: it ratio-tests
+        # every edge once, from one end, so as often as the walk over every
+        # vertex, and the ray is the lexicographically smallest improving
+        # extreme ray.  Only the walks' ratio tests are recorded; the
+        # descent's are counted, to see that it often steps first
+        tested, descent, walking = [], [], []
+        pivot, walk = geometry._pivot, geometry._walk
 
         def recorded(A, X, D, S, d):
-            neighbour = pivot(A, X, D, S, d)
+            blocked = pivot(A, X, D, S, d)
+            if not walking:
+                # phase one's lifted steps, in R^(n+1), or Bland's descent
+                descent.append(len(d))
+                return blocked
             ends = {tuple(F(x, D) for x in X)}
-            if neighbour is not None:
-                ends.add(tuple(F(x, neighbour[2]) for x in neighbour[1]))
+            if blocked is not None:
+                _, (_, Y, E, _) = blocked
+                ends.add(tuple(F(y, E) for y in Y))
             line = d if next(x for x in d if x) > 0 else tuple(-x for x in d)
-            tested.append((frozenset(ends), line, neighbour is None))
-            return neighbour
+            tested.append((frozenset(ends), line, blocked is None))
+            return blocked
+
+        def walked(*args, **kwargs):
+            walking.append(True)
+            try:
+                return walk(*args, **kwargs)
+            finally:
+                walking.pop()
 
         monkeypatch.setattr(geometry, "_pivot", recorded)
+        monkeypatch.setattr(geometry, "_walk", walked)
         descended = unbounded = 0
         for P, c in _ray_corpus():
             for sense in ("min", "max"):
-                del tested[:]
+                del tested[:], descent[:]
                 sol = solve_glp(P, c, sense)
                 cmin = c if sense == "min" else vec_neg(c)
                 if sol.status != "UnboundedBelow" or not tested:
                     continue
                 unbounded += 1
-                descended += [ray for _, _, ray in tested].index(True) > 0
+                # Bland's last ratio test is the one no row blocks
+                descended += descent.count(P.n) > 1
                 assert len(set(tested)) == len(tested)
                 solve = len(tested)
                 enumerate_vertices(sol.solved_on)
@@ -621,6 +644,80 @@ def test_descent_agrees_with_the_list_everything_solve():
     assert len(seen) == 5 and min(seen.values()) >= 30, seen
 
 
+def _phase_two_corpus():
+    """(P, c) pairs for Bland's phase two against the edge descent:
+    acceptance draws, ``random_degenerate_polyhedron`` at n = 1..4,
+    cross-polytopes cut by three random rows (n = 3..6) and the product of
+    a hexagon and a heptagon with TestWorkBudget's four costs."""
+    rng = random.Random(97)
+    for _ in range(300):
+        P = random_polyhedron(rng)
+        yield P, random_cost(rng, P.n)
+    for i in range(200):
+        n = 1 + i % 4
+        yield random_degenerate_polyhedron(rng, n), tuple(F(rng.randint(-2, 2)) for _ in range(n))
+    for n in (3, 4, 5, 6):
+        yield cross_polytope(n, rng, 3), tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+    P, _ = polygon_product(6, 7)
+    for c in ((1, 2, -3, 1), (3, -1, 2, 5), (-3, 1, -2, -5), (0, 0, 0, 0)):
+        yield P, c
+
+
+def test_blands_phase_two_agrees_with_the_edge_descent(monkeypatch):
+    # the verdict, the full optimal face, each tie's certificate and the
+    # least improving extreme ray do not depend on the optimal vertex or
+    # the improving column phase two stops at: repr for repr, both senses
+    seen = {}
+    for P, c in _phase_two_corpus():
+        for sense in ("min", "max"):
+            sol = solve_glp(P, c, sense)
+            with monkeypatch.context() as patched:
+                patched.setattr(optimality, "_phase_two", reference_phase_two)
+                assert repr(sol) == repr(solve_glp(P, c, sense)), (P, c, sense)
+            seen[sol.status] = seen.get(sol.status, 0) + 1
+    assert len(seen) == 3 and min(seen.values()) >= 200, seen
+
+
+@pytest.mark.parametrize("solve", [solve_glp, solve_lp], ids=["solve_glp", "solve_lp"])
+def test_phase_one_hands_its_basis_to_blands_rule(monkeypatch, solve):
+    # phase one ends on a basis of its vertex with its adjugate, and Bland's
+    # rule starts from them: after the last phase one the first kernel call
+    # is ``_bland``, with no basis search (``_adjugate``) before it, at a
+    # simplicial start or any other.  Only an empty set or a cost along the
+    # lineality space makes no kernel call after phase one.
+    events, starts = [], {"simplicial": 0, "other": 0}
+    phase_one, bland, adjugate = geometry._phase_one, geometry._bland, geometry._adjugate
+
+    def ran_phase_one(A, aug, n):
+        start, y = phase_one(A, aug, n)
+        events.append("phase one")
+        if start is not None:
+            starts["simplicial" if geometry._merged(A, start[0][0], n) is not None else "other"] += 1
+        return start, y
+
+    def logged(name, fn):
+        def wrapper(*args):
+            events.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_phase_one", ran_phase_one)
+    for module in (geometry, linprog):
+        # linprog takes no ``_adjugate``; the patch would see it if it did
+        monkeypatch.setattr(module, "_adjugate", logged("adjugate", adjugate), raising=False)
+        monkeypatch.setattr(module, "_bland", logged("bland", bland))
+    rng = random.Random(61)
+    descents = 0
+    for i in range(400):
+        P = random_polyhedron(rng) if i % 2 else random_degenerate_polyhedron(rng, 1 + i % 4)
+        del events[:]
+        solve(P, random_cost(rng, P.n))
+        after = events[len(events) - events[::-1].index("phase one"):]
+        assert after[:1] in ([], ["bland"]), after
+        descents += bool(after)
+    assert descents >= 250 and min(starts.values()) >= 20, (descents, starts)
+
+
 def test_against_highs():
     # the draws of test_linprog.py::test_against_highs, through solve_glp;
     # every certificate is re-checked here, apart from solve_glp's own checks
@@ -691,9 +788,10 @@ def test_bland_does_not_cycle_on_beales_lp():
     rows = [(1, -32, -4, 36), (1, -24, -1, 6), (0, 0, 1, 0)] + [
         tuple(-int(i == j) for j in range(4)) for i in range(4)]
     C = [-3, 80, -2, 24]
-    basis, M, det = geometry._adjugate(rows, range(3, 7), 4)
-    assert basis == (3, 4, 5, 6)
-    _, _, (X, D, S), d = geometry._bland(rows, list(basis), M, det, C, [0] * 4, 1, [0, 0, 1, 0, 0, 0, 0])
+    adjugate = geometry._adjugate(rows, range(3, 7), 4)
+    assert adjugate[0] == (3, 4, 5, 6)
+    start = geometry._lowest([0] * 4, 1, [0, 0, 1, 0, 0, 0, 0]), adjugate
+    ((_, X, D, S), _), d = geometry._bland(rows, C, start)
     assert d is None and [F(x, D) for x in X] == [1, 0, 1, 0]
     value = F(sum(map(mul, C, X)), 4 * D)
     P = Polyhedron.from_rows(4, [(row, int(i == 2)) for i, row in enumerate(rows)])

@@ -9,6 +9,11 @@ that twin.  The reprs of all of them are also pinned by one digest,
 taken with the frozen dataclasses.  The four records that stay dataclasses
 (``Vertex``, ``ConeMembership``, ``GLPSolution``, ``StructureReport``) are
 out of scope here; ``tests/test_imports.py`` guards the split.
+
+``_make`` and ``_replace`` on the validating types build through the
+constructor, so they normalize and refuse as it does; the two
+trajectories built from samples refuse ``_replace``, and pickle and copy
+rebuild them from their fields.
 """
 import copy
 import functools
@@ -16,6 +21,7 @@ import hashlib
 import math
 import pickle
 from dataclasses import make_dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -114,8 +120,11 @@ def test_repr_hash_and_equality_of_the_dataclass_twin(cls):
                 hash(record)
         else:
             assert hash(record) == expected
-        assert record == cls._make(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record))
-        assert record != record._replace(**{cls._fields[0]: math.nan})
+        assert record == copy.deepcopy(record) == pickle.loads(pickle.dumps(record))
+        if cls in PLAIN:
+            # the validating types check what ``_make`` and ``_replace`` are
+            # given (``test_replace_and_make_validate``)
+            assert record == cls._make(record) != record._replace(**{cls._fields[0]: math.nan})
 
 
 def test_independent_builds_are_equal():
@@ -134,6 +143,56 @@ def test_records_are_immutable(cls):
             setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
         record.extra = 0
+
+
+@pytest.mark.parametrize("cls", (HalfSpace, Polyhedron, Cone, PolyhedronTrajectory), ids=lambda cls: cls.__name__)
+def test_make_rebuilds_through_the_constructor(cls):
+    for record in _of(cls):
+        assert cls._make(record) == record == record._replace()
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        # the normal is rescaled to max |a_j| = 1, and b with it
+        (lambda: HalfSpace((1, 0), 1)._replace(a=(2, 0)), HalfSpace((1, 0), Fraction(1, 2))),
+        (lambda: HalfSpace._make(((0, 3), 6)), HalfSpace((0, 1), 2)),
+    ],
+    ids=["replace-rescales", "make-rescales"],
+)
+def test_replace_and_make_validate(build, expected):
+    assert build() == expected
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: HalfSpace((1, 0), 0)._replace(a=(0, 0)), ValueError, "half-space normal must be nonzero"),
+        (lambda: Polyhedron._make((3, ())), ValueError, "a polyhedron needs at least one constraint (R^n is excluded)"),
+        (lambda: Polyhedron.from_rows(2, [((1, 0), 0)])._replace(n=3), errors.DimensionMismatch,
+         "constraint dimension 2 != ambient 3"),
+        (lambda: Cone._make((2, None, None)), ValueError, "cone needs exactly one of hform / generators"),
+        (lambda: Cone(2, generators=((1, 0),))._replace(generators=((0, 0),)), ValueError,
+         "cone generators must be nonzero"),
+        (lambda: PolyhedronTrajectory(2, (_constraint(KS),))._replace(n=3), ValueError,
+         "constraint trajectory dimension mismatch"),
+    ],
+    ids=["halfspace-zero-normal", "polyhedron-no-rows", "polyhedron-dimension", "cone-no-form", "cone-zero-generator",
+         "trajectory-dimension"],
+)
+def test_replace_and_make_refuse_invalid_fields(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("cls", (ConstraintTrajectory, CostTrajectory), ids=lambda cls: cls.__name__)
+def test_sampled_trajectories_refuse_replace(cls):
+    # their fields are normalized samples, which ``_replace`` could not check
+    record = _of(cls)[0]
+    with pytest.raises(TypeError, match="built from samples"):
+        record._replace()
+    assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
 
 
 def _constraint(indices, a=(1.0, 0.0), b=0.0):
