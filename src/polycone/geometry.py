@@ -246,20 +246,21 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     those have rank below n, P has no vertex and no walk runs.  Phase one
     finds the first vertex by a simplex descent on the largest violation
     t, started at the lexicographically smallest basis.  From there the
-    walk follows the vertex graph (Avis and Fukuda 1992).  A simplicial
-    vertex, whose active rows with identical rows merged number n, carries
-    the integer adjugate of those rows as an lrs dictionary does: its
-    edges are the adjugate's columns, and a simplicial neighbour gets its
-    adjugate by one O(n^2) Bareiss exchange.  Any other
-    vertex takes as edges the extreme rays of its tangent cone, by double
-    description over its distinct active rows.  One ratio test over all m
-    rows moves along each edge to the neighbour, whose active set is the
-    rows tight there.  Each edge is ratio-tested once.  ``defining`` is the
-    greedy, so lexicographically smallest, nonsingular n-subset of
-    ``active``.  Cost: |V| times the edges per vertex times m n, plus phase
-    one's pivots, m n each.  At n = 4: 0.005 s for m = 20, 0.003 s for
-    m = 30 and 0.010 s for m = 60 (CPython 3.11, 2 shared vCPUs).  Output
-    sorted by point (``_vertices`` on P's integer rows).
+    walk follows the vertex graph (Avis and Fukuda 1992).  Every vertex
+    carries one record, its state with the integer adjugate of its witness
+    basis, as an lrs dictionary does (``_walk``): the greedy, so
+    lexicographically smallest, nonsingular n-subset of ``active``, which
+    ``defining`` is.  A simplicial neighbour of a simplicial vertex, whose
+    active rows with identical rows merged number n, gets its adjugate by
+    one O(n^2) Bareiss exchange, and any other vertex by one basis search.
+    Its edges are the extreme rays of its tangent cone, by double
+    description from the adjugate's columns, which they are at a
+    simplicial vertex.  One ratio test over all m rows moves along each
+    edge to the neighbour, whose active set is the rows tight there.  Each
+    edge is ratio-tested once.  Cost: |V| times the edges per vertex times
+    m n, plus phase one's pivots, m n each.  At n = 4: 0.005 s for m = 20,
+    0.003 s for m = 30 and 0.010 s for m = 60 (CPython 3.11, 2 shared
+    vCPUs).  Output sorted by point (``_vertices`` on P's integer rows).
     """
     return _vertices(_integer_rows(P), P.n)
 
@@ -339,41 +340,44 @@ def _checked_ray(aug, C, ray: Vector) -> Vector:
 def _walked(A, n: int, start, rays: list | None = None) -> list[Vertex]:
     """Every vertex, from the walk of the whole vertex graph from the
     vertex ``start``, sorted by point."""
-    return [_vertex(A, n, state) for state, _ in _in_order(_walk(A, n, start, rays))]
+    return [_vertex(vertex) for vertex in _in_order(_walk(A, n, start, rays))]
 
 
 def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
     """The vertices reached from the vertex ``start``, a state (see
-    ``_lowest``) with a basis of its tight rows and their adjugate (see
-    ``_adjugate``), each as its state with the adjugate it carries, in
-    the order they are left.
+    ``_lowest``) with the adjugate of a basis of its tight rows (see
+    ``_adjugate``), in the order they are left, each as one record: its
+    state with ``(basis, M, det)``, the adjugate of its witness basis, as
+    an lrs dictionary keeps it.
 
     A vertex is kept by its active set as the integer point ``X / D``
-    (D > 0) with its integer slacks ``S = b D - A X``, made once.  A
+    (D > 0) with its integer slacks ``S = b D - A X``, made once.  At a
     simplicial vertex, whose active rows with identical integer rows merged
-    number n, also carries the adjugate of a basis of them, as an lrs
-    dictionary does: its edges are the adjugate's columns, and the
-    neighbour reached along column j, if simplicial too, gets its adjugate
-    by one Bareiss exchange (``_handed``).  Any other vertex carries none
-    and lists its edges by a double description of its tangent cone
-    (``_edges``).  ``tested`` maps the active set of every vertex met so
-    far to the edge directions there that are already ratio-tested; edge
-    directions are integer and gcd-reduced, so the way back from a
-    neighbour is marked there and never tested again.  Cost per vertex: n
-    columns and one O(n^2) exchange if simplicial, else the double
-    description's; then one m n ratio test per untested edge.  Each edge
-    no row blocks is appended to ``rays``, if given.  With an integer cost
-    C, only the edges d with ``C.d = 0`` are followed: from an optimal
-    vertex, the walk lists the optimal face."""
+    number n, the witness is the first of each (``_pivot``'s least-index
+    ties bring the first in): the start keeps the adjugate handed over, and
+    a simplicial neighbour of a simplicial vertex, reached along column j,
+    gets its adjugate by one Bareiss exchange.  Any other vertex, and a
+    simplicial one entered from it, gets one ``_adjugate`` over its active
+    rows.  Its edges come from the record (``_edges``).  ``tested`` maps
+    the active set of every vertex met so far to the edge directions there
+    that are already ratio-tested; edge directions are integer and
+    gcd-reduced, so the way back from a neighbour is marked there and
+    never tested again.  Cost per vertex: n columns and one O(n^2) exchange
+    if simplicial, else a basis search and the double description's; then
+    one m n ratio test per untested edge.  Each edge no row blocks is
+    appended to ``rays``, if given.  With an integer cost C, only the edges
+    d with ``C.d = 0`` are followed: from an optimal vertex, the walk lists
+    the optimal face."""
     state, adjugate = start
-    todo = [(state, adjugate if _merged(A, state[0], n) is not None else None)]
+    todo = [(state, adjugate if _simplicial(A, state[0], n) else _adjugate(A, state[0], n))]
     tested = {state[0]: set()}
     points = []
     while todo:
         vertex = todo.pop()
         points.append(vertex)
         (active, X, D, S), adjugate = vertex
-        for j, d in enumerate(_edges(A, n, active) if adjugate is None else _columns(adjugate)):
+        simplicial = _simplicial(A, active, n)
+        for j, d in enumerate(_edges(A, n, active, adjugate)):
             if d in tested[active] or C is not None and sum(map(mul, C, d)):
                 continue
             blocked = _pivot(A, X, D, S, d)
@@ -385,9 +389,17 @@ def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
             reached = neighbour[0]
             if reached not in tested:
                 tested[reached] = set()
-                todo.append((neighbour, _handed(A, n, reached, adjugate, j, k)))
+                # k is newly tight and rises along column j
+                todo.append((neighbour, _exchange(A, adjugate, j, k) if simplicial and _simplicial(A, reached, n)
+                             else _adjugate(A, reached, n)))
             tested[reached].add(tuple(-x for x in d))
     return points
+
+
+def _simplicial(A, active: IndexSet, n: int) -> bool:
+    """Whether a vertex's active rows, identical integer rows merged,
+    number n (at a vertex they have rank n, so they are then a basis)."""
+    return len(active) == n or len({A[i] for i in active}) == n
 
 
 def _in_order(points: list) -> list:
@@ -397,18 +409,17 @@ def _in_order(points: list) -> list:
     return sorted(points, key=lambda point: [x * (L // point[0][2]) for x in point[0][1]])
 
 
-def _vertex(A, n: int, state) -> Vertex:
-    """The Vertex of a walk state, whose witness is the first basis among
-    its active rows: at a simplicial vertex its merged rows (``_merged``)."""
-    active, X, D, _ = state
-    return Vertex(point=tuple(Fraction(x, D) for x in X), active=active,
-                  defining=_merged(A, active, n) or _defining(A, active, n))
+def _vertex(vertex) -> Vertex:
+    """The Vertex of a walk's record, whose witness is the basis it carries."""
+    (active, X, D, _), (basis, _, _) = vertex
+    return Vertex(point=tuple(Fraction(x, D) for x in X), active=active, defining=tuple(sorted(basis)))
 
 
 def _defining(A, active: IndexSet, n: int) -> IndexSet | None:
-    """A vertex's witness: the first basis among its active rows
-    (``_adjugate``'s greedy, so the lexicographically smallest), or None
-    when they have rank below n, so the point is no vertex."""
+    """The witness of a point with these active rows, as the walk carries
+    it at a vertex: the first basis among them (``_adjugate``'s greedy, so
+    the lexicographically smallest), or None when they have rank below n,
+    so the point is no vertex."""
     found = _adjugate(A, active, n)
     return found and found[0]
 
@@ -526,47 +537,21 @@ def _dual(rows, basis, M, det: int, C, S: list[int]) -> list[int]:
     return Y
 
 
-def _tie_certificate(G, C: list[int], L: int) -> Vector:
-    """``-c_min = -C / L`` in the normal cone of a tied vertex whose
-    distinct active integer rows are G: multipliers ``>= 0`` over G's rows
-    as canonical normals ``G_i / max|G_i|``, checked by ``_dual``.
-    ``_bland`` minimizes ``C.d`` over the vertex's tangent
-    cone ``G d <= 0`` from its apex, where every slack is 0, so every step
-    is degenerate, and none is taken when G has n rows.  It starts at the
-    lexicographic basis of G and ends where ``y = -C M / det >= 0``; the
-    multiplier of basis row i is ``y_i max|G_i| / L``, 0 off the basis."""
-    n = len(C)
-    start = _lowest([0] * n, 1, [0] * len(G)), _adjugate(G, range(len(G)), n)
-    ((_, _, _, S), (basis, M, det)), d = _bland(G, C, start)
-    if d is not None:
+def _tie_certificate(A, vertex, C: list[int], L: int) -> Vector:
+    """``-c_min = -C / L`` in the normal cone of a tied vertex, a walk's
+    record: multipliers ``>= 0`` over its distinct active integer rows G,
+    in row order, as canonical normals ``G_i / max|G_i|``, checked by
+    ``_dual``.  ``_bland`` minimizes ``C.x`` from the adjugate the vertex
+    carries; the vertex is optimal, so every step is degenerate and keeps
+    its point, and none is taken where G has n rows.  It ends where ``y =
+    -C M / det >= 0``; basis row i has ``y_i max|A_i| / L``, others 0."""
+    (state, (basis, M, det)), d = _bland(A, C, vertex)
+    active = vertex[0][0]
+    if d is not None or state[0] != active:
         raise AssertionError("a minimum-value vertex misses the normal cone")
-    y = dict(zip(basis, _dual(G, basis, M, det, C, S)))
-    return tuple(Fraction(y[i] * max(map(abs, g)), det * L) if i in y else _ZERO for i, g in enumerate(G))
-
-
-def _merged(A, active: IndexSet, n: int) -> IndexSet | None:
-    """The basis of a simplicial vertex: its active rows with identical
-    integer rows merged into the first of them, or None when more than n
-    remain (at a vertex their rank is n, so n distinct rows are a basis)."""
-    if len(active) == n:
-        return active
-    first = {}
-    for i in active:
-        first.setdefault(A[i], i)
-    return tuple(first.values()) if len(first) == n else None
-
-
-def _handed(A, n: int, reached: IndexSet, adjugate, j, k):
-    """The adjugate the vertex with active set ``reached`` carries, entered
-    along column j of ``adjugate`` to the row k: None unless it is
-    simplicial, after a simplicial vertex the exchange of k in at j (k is
-    newly tight and rises along the edge), else made afresh."""
-    basis = _merged(A, reached, n)
-    if basis is None:
-        return None
-    if adjugate is None:
-        return _adjugate(A, basis, n)
-    return _exchange(A, adjugate, j, k)
+    y = {A[i]: Y for i, Y in zip(basis, _dual(A, basis, M, det, C, state[3]))}
+    return tuple(Fraction(y[g] * max(map(abs, g)), det * L) if g in y else _ZERO
+                 for g in dict.fromkeys(A[i] for i in active))
 
 
 def _adjugate(A, rows: Iterable[int], n: int):
@@ -592,13 +577,6 @@ def _adjugate(A, rows: Iterable[int], n: int):
         for j in range(n):
             M[j][p] = row[n + j]
     return tuple(basis), M, det
-
-
-def _columns(adjugate):
-    """The edges of a simplicial vertex: column j of ``-M / det`` leaves
-    basis row j and keeps the others tight, gcd-reduced."""
-    _, M, det = adjugate
-    return [_column(col, det) for col in M]
 
 
 def _column(col, det: int) -> tuple[int, ...]:
@@ -630,29 +608,36 @@ def _lowest(X: list[int], D: int, S: list[int]):
     return tuple(i for i, s in enumerate(S) if not s), X, D, S
 
 
-def _edges(A, n: int, active: IndexSet) -> list[tuple[int, ...]]:
-    """The gcd-reduced edge directions at a vertex, each once: the extreme
-    rays of its tangent cone ``{d : A_I d <= 0}`` by double description
-    (Motzkin et al. 1953; Fukuda and Prodon 1996).  From the adjugate
-    columns of the lexicographic basis of the distinct active rows, each
-    other distinct row cuts the cone in turn.  A ray carries the bit set of
-    the rows it is tight on, and a rising and a falling ray join on the row
-    when no third ray is tight on all the rows the two share."""
-    rows = list(dict.fromkeys(A[i] for i in active))
-    basis, M, det = _adjugate(rows, range(len(rows)), n)
-    rays = [(_column(col, det), sum(1 << j for j in basis if j != i)) for i, col in zip(basis, M)]
-    for k, row in enumerate(rows):
-        if k in basis:
+def _edges(A, n: int, active: IndexSet, adjugate) -> list[tuple[int, ...]]:
+    """The gcd-reduced edge directions at a vertex, each once, from the
+    adjugate ``(basis, M, det)`` of its witness basis: the extreme rays of
+    its tangent cone ``{d : A_I d <= 0}`` by double description (Motzkin
+    et al. 1953; Fukuda and Prodon 1996).  It starts from the adjugate's
+    columns (column j of ``-M / det`` leaves basis row j and keeps the
+    others tight), and each other distinct active row cuts the cone in
+    turn, so at a simplicial vertex the edges are the columns.  A ray
+    carries the bit set of the rows it leaves, and a rising and a falling
+    ray join on the row when every third ray leaves a row that both are
+    tight on."""
+    basis, M, det = adjugate
+    columns = [_column(col, det) for col in M]
+    if _simplicial(A, active, n):
+        return columns
+    rays = [(d, 1 << i) for i, d in zip(basis, columns)]
+    seen = {A[i] for i in basis}
+    for k in active:
+        if A[k] in seen:
             continue
-        signed = [(sum(map(mul, row, d)), d, z) for d, z in rays]
-        rays = [(d, z if e else z | 1 << k) for e, d, z in signed if e <= 0]
+        seen.add(A[k])
+        signed = [(sum(map(mul, A[k], d)), d, z) for d, z in rays]
+        rays = [(d, z | 1 << k if e else z) for e, d, z in signed if e <= 0]
         for ep, p, zp in signed:
             for eq, q, zq in signed:
-                common = zp & zq
-                if ep > 0 > eq and all(z & common != common for _, _, z in signed if z not in (zp, zq)):
+                left = zp | zq
+                if ep > 0 > eq and all(z | left != left for _, _, z in signed if z not in (zp, zq)):
                     d = [ep * y - eq * x for x, y in zip(p, q)]
                     g = gcd(*d)
-                    rays.append((tuple(x // g for x in d), common | 1 << k))
+                    rays.append((tuple(x // g for x in d), left))
     return [d for d, _ in rays]
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -117,8 +118,8 @@ def _box_rows(n: int, R: Fraction) -> list[list[int]]:
 
 def _checked_window(R: float, n: int, m: int) -> Fraction:
     """Validate a window between sets in R^n and R^m; return the exact radius."""
-    # a bool is an int, but True is no radius
-    if isinstance(R, bool) or not (isinstance(R, (int, float)) and R > 0 and math.isfinite(R)):
+    # True is an int but no radius; an int past binary64 is compared, never converted
+    if isinstance(R, bool) or not (isinstance(R, (int, float)) and 0 < R <= sys.float_info.max):
         raise BadWindow(f"window radius must be positive and finite, got {R!r}")
     if m != n:
         raise BadWindow("window operands disagree on dimension")
@@ -416,10 +417,13 @@ def cone_convergence(
     track: VertexTrack,
     tol: float = 1e-6,
 ) -> ConeConvergenceReport:
-    """Tangent- and normal-cone window metrics along a converged track, at
-    radius 1: a cone cut to [-R, R]^n is R times the cone cut to [-1, 1]^n."""
+    """Tangent- and normal-cone window metrics along a converged track of
+    T's samples (a track of other samples is refused), at radius 1: a cone
+    cut to [-R, R]^n is R times the cone cut to [-1, 1]^n."""
     if not track.converged:
         raise TrackNotConverged("cone diagnostics need a converged vertex track")
+    if tuple(k for k, _, _ in track.matches) != T.indices:
+        raise ValueError("track's match indices differ from the trajectory's sample indices")
     directions = default_directions(T.n)
     box = _box_rows(T.n, _checked_window(1.0, T.n, limit.n))
 

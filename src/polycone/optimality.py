@@ -49,7 +49,8 @@ class GLPSolution:
       ``enumerate_vertices`` sorts them, with a ConeMembership in
       ``certificate`` proving ``-c in N_w`` over w's distinct active
       normals, read off the adjugate of a basis of their integer rows
-      that Bland's rule reaches (``geometry._tie_certificate``): nonzero
+      that Bland's rule reaches from the adjugate of w's witness basis,
+      which the walk carries (``geometry._tie_certificate``): nonzero
       only on that basis, and unique where the normals number n.  The
       vertices do not depend on which optimal vertex phase two's Bland
       descent stops at: the walk from it lists the whole face.
@@ -104,10 +105,11 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     improving one.  Where Bland's rule stops, ``y = -C M / det >= 0``
     puts ``-c`` (for minimization) in the normal cone of its vertex, and
     the walk along the edges with ``<c, d> = 0`` lists the optimal face's
-    vertices.  Each one's certificate is the same sign test on the
-    adjugate of a basis of its distinct active integer rows, reached by
-    degenerate Bland's-rule exchanges where they number more than n
-    (``geometry._tie_certificate``); no simplex runs.
+    vertices, each with the adjugate of its witness basis.  Each one's
+    certificate is the same sign test on that adjugate, or on the one that
+    degenerate Bland's-rule exchanges reach from it where its distinct
+    active rows number more than n (``geometry._tie_certificate``): no
+    simplex runs, and no certificate searches for a basis.
     Each verdict carries its own certificate, checked exactly over
     integer rows before it is returned.  Cost: phase one's pivots and one
     ratio test (m n) and one O(n^2) exchange per Bland step, then one
@@ -142,9 +144,8 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
                           work, lineality)
 
     face = _in_order(face)
-    tied = [_vertex(A, P.n, state) for state, _ in face]
-    # each tie's distinct active integer rows, in row order
-    proofs = [_tie_certificate(list(dict.fromkeys(A[i] for i in v.active)), C, L) for v in tied]
+    tied = [_vertex(vertex) for vertex in face]
+    proofs = [_tie_certificate(A, vertex, C, L) for vertex in face]
     (_, X, D, _), _ = face[0]
     best = Fraction(sum(map(mul, C, X)), D * L)
     value = best if sense == "min" else -best

@@ -539,18 +539,22 @@ def _reference_walk_all(Q: Polyhedron):
 def reference_phase_two(A, n: int, start, C):
     """Reference for ``geometry._phase_two``: the edge descent that Bland's
     rule replaced, with the same walks after it.  At each vertex the first
-    edge d with ``C.d < 0`` (an adjugate column at a simplicial vertex, a
-    double-description edge at any other) is ratio-tested and followed,
+    edge d with ``C.d < 0`` (an adjugate column at a simplicial vertex,
+    handed on as ``reference_walk`` hands it, a double-description edge at
+    any other, from a fresh adjugate) is ratio-tested and followed,
     to a strictly smaller ``C.x``, so the descent cannot cycle.  A vertex
     with no such edge is optimal, since its edges generate its tangent
     cone, and the walk along the edges with ``C.d = 0`` from it lists the
     optimal face; an improving edge no row blocks sends the walk of the
     whole vertex graph from its vertex, which lists every ray."""
     state, adjugate = start
-    vertex = state, adjugate if geometry._merged(A, state[0], n) is not None else None
+    vertex = state, adjugate if reference_simplicial_basis(A, state[0], n) is not None else None
     while True:
         (active, X, D, S), adjugate = vertex
-        edges = geometry._edges(A, n, active) if adjugate is None else geometry._columns(adjugate)
+        if adjugate is None:
+            edges = geometry._edges(A, n, active, geometry._adjugate(A, active, n))
+        else:
+            edges = reference_columns(adjugate)
         j, d = next(((j, d) for j, d in enumerate(edges) if sum(map(mul, C, d)) < 0), (None, None))
         if d is None:
             return geometry._walk(A, n, vertex, C=C), None
@@ -560,7 +564,17 @@ def reference_phase_two(A, n: int, start, C):
             geometry._walk(A, n, vertex, rays)
             return None, rays
         k, neighbour = blocked
-        vertex = neighbour, geometry._handed(A, n, neighbour[0], adjugate, j, k)
+        vertex = neighbour, _reference_handed(A, n, neighbour[0], adjugate, j, k)
+
+
+def reference_tie_certificate(G, C, L: int):
+    """Reference route to ``geometry._tie_certificate``'s multipliers over
+    a tie's distinct active integer rows G: Bland's rule from the apex of
+    the tangent cone ``G d <= 0``, every slack 0, started at the
+    lexicographic basis of G rather than at the basis the walk carries."""
+    n = len(C)
+    apex = geometry._lowest([0] * n, 1, [0] * len(G)), geometry._adjugate(G, range(len(G)), n)
+    return geometry._tie_certificate(G, apex, C, L)
 
 
 def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
@@ -570,7 +584,7 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
     before phase two.  The objective is unbounded along the lineality space
     or the lexicographically smallest improving extreme ray; else the
     vertices of least value are the optimal ones, each certified by
-    ``geometry._tie_certificate`` over its distinct canonical active
+    ``reference_tie_certificate`` over its distinct canonical active
     normals, cleared of denominators (``solve_glp`` dedupes the walk's
     integer rows instead)."""
     cv = tuple(Fraction(v) for v in c)
@@ -606,7 +620,7 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
         value=value,
         argmin_face=face,
         certificate=tuple(
-            ConeMembership(member=True, multipliers=geometry._tie_certificate(
+            ConeMembership(member=True, multipliers=reference_tie_certificate(
                 [tuple(scaled(a)[0]) for a in geometry.active_normals(work, v.active)], C, L))
             for v in tied),
         solved_on=work,
@@ -728,21 +742,23 @@ def reference_lex_basis(rows, indices, n: int) -> tuple[int, ...] | None:
 
 def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
     """Reference for the walk of ``geometry._minkowski_weyl`` on pointed P:
-    the same vertex-graph walk from the prefix-line start, with the start's
-    adjugate made afresh, a degenerate vertex's edges from the subset
-    search (``reference_edges``), its witness from ``reference_lex_basis``
-    and the output sorted by Fraction points."""
+    the same vertex-graph walk from the prefix-line start, in which only a
+    simplicial vertex (``reference_simplicial_basis``) carries an adjugate,
+    made afresh at the start or after a vertex that is not simplicial, and
+    read off by ``reference_columns``; a degenerate vertex's edges come
+    from the subset search (``reference_edges``), its witness from
+    ``reference_lex_basis``, and the output is sorted by Fraction points."""
     n, aug = P.n, geometry._integer_rows(P)
     start = reference_first_vertex(aug, n)
     if start is None:
         return []
     A = [tuple(row[:n]) for row in aug]
     tested = {start[0]: set()}
-    todo, points = [(start, geometry._handed(A, n, start[0], None, None, None))], []
+    todo, points = [(start, _reference_handed(A, n, start[0], None, None, None))], []
     while todo:
         (active, X, D, S), adjugate = todo.pop()
         points.append((tuple(Fraction(x, D) for x in X), active))
-        edges = reference_edges(A, n, active) if adjugate is None else geometry._columns(adjugate)
+        edges = reference_edges(A, n, active) if adjugate is None else reference_columns(adjugate)
         for j, d in enumerate(edges):
             if d in tested[active]:
                 continue
@@ -755,12 +771,48 @@ def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
             reached = neighbour[0]
             if reached not in tested:
                 tested[reached] = set()
-                todo.append((neighbour, geometry._handed(A, n, reached, adjugate, j, k)))
+                todo.append((neighbour, _reference_handed(A, n, reached, adjugate, j, k)))
             tested[reached].add(tuple(-x for x in d))
     return [
         Vertex(point=p, active=a, defining=a if len(a) == n else reference_lex_basis(A, a, n))
         for p, a in sorted(points)
     ]
+
+
+def reference_simplicial_basis(A, active, n: int) -> tuple[int, ...] | None:
+    """The reference walk's simplicial test: a vertex's active rows with
+    identical integer rows merged into the first of them, when n remain,
+    else None."""
+    first = {}
+    for i in active:
+        first.setdefault(A[i], i)
+    return tuple(first.values()) if len(first) == n else None
+
+
+def reference_columns(adjugate) -> list[tuple[int, ...]]:
+    """The edges of a simplicial vertex from the adjugate ``(basis, M,
+    det)`` of its basis, ``M = det inv(A_B)`` as its columns: column j of
+    ``-M / det`` keeps every basis row but row j tight, gcd-reduced."""
+    _, M, det = adjugate
+    edges = []
+    for col in M:
+        d = [x if det < 0 else -x for x in col]
+        g = math.gcd(*d)
+        edges.append(tuple(x // g for x in d))
+    return edges
+
+
+def _reference_handed(A, n: int, reached, adjugate, j, k):
+    """The adjugate the reference walk carries at the vertex with active
+    set ``reached``, entered along column j of ``adjugate`` to the row k:
+    None unless it is simplicial; after a simplicial vertex, the exchange
+    of k in at j, else made afresh over its merged rows."""
+    basis = reference_simplicial_basis(A, reached, n)
+    if basis is None:
+        return None
+    if adjugate is None:
+        return geometry._adjugate(A, basis, n)
+    return geometry._exchange(A, adjugate, j, k)
 
 
 # ---------------------------------------------------------------------------

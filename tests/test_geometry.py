@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,8 +43,11 @@ from helpers import (
     random_feasible_pointed,
     random_polyhedron,
     random_polytope4,
+    reference_columns,
     reference_edges,
     reference_extreme_rays,
+    reference_lex_basis,
+    reference_simplicial_basis,
     sufficiently_small_eps,
 )
 
@@ -255,16 +259,18 @@ class TestRaysFromTheWalk:
 
 
 class TestOutputSensitive:
-    """The walk ratio-tests each edge of the vertex graph once, and runs
-    the double description (``geometry._edges``) only at vertices whose
-    distinct active rows number more than n.  Phase one's lifted steps
-    ratio-test directions in R^(n+1) and are not the walk's."""
+    """The walk ratio-tests each edge of the vertex graph once, and makes a
+    basis search (``geometry._adjugate``) and runs the double description
+    of ``geometry._edges`` past the adjugate's columns only at vertices
+    whose distinct active rows number more than n.  Phase one's lifted
+    steps ratio-test directions in R^(n+1) and are not the walk's."""
 
     def _walk(self, monkeypatch, P):
-        """The vertices, each of the walk's ratio tests' endpoints, and the
-        active set of each edge search with the edges it found."""
-        edges, searches = [], []
-        pivot, search = geometry._pivot, geometry._edges
+        """The vertices, each of the walk's ratio tests' endpoints, each
+        edge listing as its active set, the adjugate it started from and the
+        edges it found, and the rows of each basis search after phase one's."""
+        edges, listings, searched = [], [], []
+        pivot, list_edges, search = geometry._pivot, geometry._edges, geometry._adjugate
 
         def counted_pivot(A, X, D, S, d):
             blocked = pivot(A, X, D, S, d)
@@ -276,23 +282,33 @@ class TestOutputSensitive:
                 edges.append(frozenset(ends))
             return blocked
 
-        def counted_edges(A, n, active):
-            found = search(A, n, active)
-            searches.append((active, found))
+        def counted_edges(A, n, active, adjugate):
+            found = list_edges(A, n, active, adjugate)
+            listings.append((active, adjugate, found))
             return found
+
+        def counted_search(A, rows, n):
+            searched.append(tuple(rows))
+            return search(A, rows, n)
 
         monkeypatch.setattr(geometry, "_pivot", counted_pivot)
         monkeypatch.setattr(geometry, "_edges", counted_edges)
-        return enumerate_vertices(P), edges, searches
+        monkeypatch.setattr(geometry, "_adjugate", counted_search)
+        verts = enumerate_vertices(P)
+        # phase one's search runs first, over every row
+        assert searched[0] == tuple(range(P.m))
+        return verts, edges, listings, searched[1:]
 
     @pytest.mark.parametrize("k1, k2", [(3, 3), (4, 6), (6, 7), (8, 8)])
     def test_polygon_products(self, monkeypatch, k1, k2):
         # every vertex is simple: its edges are its adjugate's columns
         P, expected = polygon_product(k1, k2)
-        verts, edges, searches = self._walk(monkeypatch, P)
+        verts, edges, listings, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
         assert len(edges) == len(set(edges)) == 2 * k1 * k2
         assert searches == []
+        assert len(listings) == len(verts)
+        assert all(found == reference_columns(adjugate) for _, adjugate, found in listings)
 
     def test_doubled_rows_merge(self, monkeypatch):
         # each row again times 2 is the same canonical row, so every vertex
@@ -302,7 +318,7 @@ class TestOutputSensitive:
             ([2 * x for x in hs.a], 2 * hs.b) for hs in P.halfspaces
         ])
         undoubled = [v.point for v in enumerate_vertices(P)]
-        verts, edges, searches = self._walk(monkeypatch, Q)
+        verts, edges, listings, searches = self._walk(monkeypatch, Q)
         assert [v.point for v in verts] == undoubled
         assert set(undoubled) == expected
         for v in verts:
@@ -311,20 +327,29 @@ class TestOutputSensitive:
             assert v.defining == lex_witness(Q, v.point)
         assert len(edges) == len(set(edges)) == 2 * 4 * 6
         assert searches == []
+        assert all(found == reference_columns(adjugate) for _, adjugate, found in listings)
 
     def test_degenerate_vertex_gives_each_edge_once(self, monkeypatch):
         # a row touching the second polygon at one vertex gives the five
         # vertices above it five active rows, and each edge is still tested once
         P, expected = polygon_product(5, 6, tangent=True)
-        verts, edges, searches = self._walk(monkeypatch, P)
+        verts, edges, listings, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
         degenerate = [v for v in verts if len(v.active) == 5]
         assert len(degenerate) == 5
-        # the double description runs at those five alone, and the tangent
-        # row, redundant there, leaves each with the four edges of a simple
+        # a basis search makes the witness of each of those five once, and
+        # of a simple vertex only where the walk enters it from one of them
+        # (no exchange hands it an adjugate then); the double description
+        # runs past the columns at those five alone, and the tangent row,
+        # redundant there, leaves each with the four edges of a simple
         # vertex of the product, each found once
-        assert sorted(active for active, _ in searches) == sorted(v.active for v in degenerate)
-        assert all(len(found) == len(set(found)) == 4 for _, found in searches)
+        assert len(searches) == len(set(searches))
+        assert sorted(a for a in searches if len(a) == 5) == sorted(v.active for v in degenerate)
+        for active, adjugate, found in listings:
+            if len(active) == 5:
+                assert len(found) == len(set(found)) == 4
+            else:
+                assert found == reference_columns(adjugate)
         assert len(edges) == len(set(edges)) == 2 * 5 * 6
 
 
@@ -345,12 +370,80 @@ def test_edges_agree_with_the_subset_search():
     for P in _edge_cases():
         aug = geometry._integer_rows(P)
         A = [tuple(row[:P.n]) for row in aug]
-        for v in enumerate_vertices(P):
-            edges = geometry._edges(A, P.n, v.active)
+        start, _ = geometry._phase_one(A, aug, P.n)
+        if start is None:
+            continue
+        # each vertex of the walk, from the adjugate of the witness it carries
+        for (active, _, _, _), adjugate in geometry._walk(A, P.n, start):
+            edges = geometry._edges(A, P.n, active, adjugate)
             assert len(edges) == len(set(edges))
-            assert set(edges) == set(reference_edges(A, P.n, v.active))
-            degenerate += len(set(A[i] for i in v.active)) > P.n
+            assert set(edges) == set(reference_edges(A, P.n, active))
+            degenerate += len(set(A[i] for i in active)) > P.n
     assert degenerate > 100
+
+
+def _record_cases():
+    """Polyhedra with degenerate vertices, with a cost each: draws of
+    ``random_degenerate_polyhedron`` (n = 1-4) and cross-polytopes cut by
+    four random rows (n = 4-7)."""
+    rng = random.Random(43)
+    cases = [random_degenerate_polyhedron(rng, 1 + i % 4) for i in range(300)]
+    cases += [cross_polytope(n, rng, 4) for n in (4, 5, 6, 7) for _ in range(2)]
+    return [(P, tuple(F(rng.randint(-2, 2)) for _ in range(P.n))) for P in cases]
+
+
+class TestVertexRecord:
+    """Every vertex the walk leaves carries one record, its state with the
+    adjugate ``(basis, M, det)`` of its witness basis: at a simplicial
+    vertex the first occurrence of each distinct active row, handed on by
+    exchange, at any other the greedy basis of its active rows.  Both are
+    the lexicographically smallest basis among its active rows, which
+    ``Vertex.defining`` reads off sorted."""
+
+    def test_defining_is_the_lexicographic_basis(self):
+        seen = {"vertices": 0, "optimal": 0}
+        for P, c in _record_cases():
+            A = [tuple(row[:P.n]) for row in geometry._integer_rows(P)]
+            for sense in ("min", "max"):
+                sol = solve_glp(P, c, sense)
+                rows = [tuple(row[:P.n]) for row in geometry._integer_rows(sol.solved_on or P)]
+                for v in sol.optimal_vertices:
+                    assert v.defining == reference_lex_basis(rows, v.active, P.n)
+                    seen["optimal"] += 1
+            for v in enumerate_vertices(P):
+                assert v.defining == reference_lex_basis(A, v.active, P.n)
+                seen["vertices"] += 1
+        assert seen["vertices"] >= 1500 and seen["optimal"] >= 500, seen
+
+    def test_each_vertex_carries_the_adjugate_of_its_witness(self, monkeypatch):
+        # the records of every walk, from phase one's start (enumeration)
+        # and from the vertex Bland's rule stops at (solve_glp)
+        walks, walk = [], geometry._walk
+
+        def recorded(A, n, *args, **kwargs):
+            records = walk(A, n, *args, **kwargs)
+            walks.append((A, n, records))
+            return records
+
+        monkeypatch.setattr(geometry, "_walk", recorded)
+        seen = {"simplicial": 0, "other": 0}
+        for P, c in _record_cases():
+            enumerate_vertices(P)
+            solve_glp(P, c)
+            solve_glp(P, c, "max")
+        for A, n, records in walks:
+            for (active, _, _, _), (basis, M, det) in records:
+                # M is the adjugate of the basis rows: A_B M = det I
+                assert [[sum(map(mul, A[i], col)) for col in M] for i in basis] == [
+                    [det * (p == q) for q in range(n)] for p in range(n)]
+                first = reference_simplicial_basis(A, active, n)
+                if first is None:
+                    assert basis == reference_lex_basis(A, active, n)
+                    seen["other"] += 1
+                else:
+                    assert set(basis) == set(first)
+                    seen["simplicial"] += 1
+        assert min(seen.values()) >= 1000, seen
 
 
 class TestCrossPolytope:
@@ -381,10 +474,11 @@ class TestCrossPolytope:
         # each of the 2n(n-1) edges is ratio-tested once, from one end
         assert len(tested) == len(set(tested)) == 2 * n * (n - 1)
         # each basis search reads a row at most once: phase one's over all
-        # m rows, and at each vertex the double description's and the
-        # witness's over its active rows.  The (n-1)-subset search took
-        # C(2^(n-1), n-2) eliminations per vertex, 4,495 at n = 5.
-        assert grown[0] <= P.m + 2 * sum(len(v.active) for v in verts)
+        # m rows, and at each vertex the one that makes its witness, over
+        # its active rows, which the double description starts from.  The
+        # (n-1)-subset search took C(2^(n-1), n-2) eliminations per vertex,
+        # 4,495 at n = 5.
+        assert grown[0] <= P.m + sum(len(v.active) for v in verts)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_solve_and_boundedness(self, n):

@@ -35,11 +35,20 @@ four stay frozen dataclasses (``DATACLASSES``), and the CLI, which every
 
 ``geometry`` has one descent, Bland's rule in ``_bland``: phase one, the
 tie certificates, ``solve_lp`` and ``solve_glp``'s phase two all run it.
-Only ``_bland`` and ``_handed`` exchange a row into an adjugate, only
+Only ``_bland`` and ``_walk`` exchange a row into an adjugate, only
 ``_bland`` and ``_walk`` ratio-test, only ``_pivot`` holds the ratio test,
 and the one basis search is ``_adjugate`` (no ``_lex_basis``).  The edge
 descent that phase two ran before lives on in ``tests/helpers.py`` as
 ``reference_phase_two``.
+
+The walk keeps one vertex record: every vertex carries its state with the
+adjugate of its witness basis, so ``geometry`` defines no ``_columns``
+or ``_merged`` (the readout and the test of a record only a simplicial
+vertex had), and neither ``_vertex``, which reads the witness off the
+record, nor ``_tie_certificate``, which starts Bland's rule from it,
+reaches a basis search (``_adjugate``).  ``_defining``, the witness of a
+point given by its coordinates, has one caller,
+``optimality.stability_cone``.
 
 ``geometry`` has one edge search at vertices that are not simplicial, the
 double description in ``_edges``: it defines no (n-1)-subset search and
@@ -398,7 +407,7 @@ def _defined(source: str) -> set[str]:
 def test_geometry_has_one_descent_and_one_ratio_test():
     source = (SRC / "geometry.py").read_text(encoding="utf-8")
     assert "_lex_basis" not in _defined(source)
-    assert _callers(source, "_exchange") == {"_bland", "_handed"}
+    assert _callers(source, "_exchange") == {"_bland", "_walk"}
     assert _callers(source, "_pivot") == {"_bland", "_walk"}
     assert _ratio_tests(source) == {"_pivot"}
 
@@ -430,6 +439,62 @@ def test_ratio_test_guard_sees_each_form(source, found):
 )
 def test_definition_guard_sees_each_form(source, names):
     assert _defined(source) == names
+
+
+# the one vertex record of the walk: its state with the adjugate of its witness basis
+RECORD_ERSATZ = {"_columns", "_merged"}
+RECORD_READERS = ("_vertex", "_tie_certificate")
+
+
+def _vertex_record_faults(sources: dict[str, str]) -> set[str]:
+    """What breaks the one vertex record in the package ``sources``, a map
+    from module path to source: ``geometry.py`` defining a name of
+    RECORD_ERSATZ, a function of RECORD_READERS there reaching
+    ``_adjugate``, or any caller of ``_defining`` but
+    ``optimality.py``'s ``stability_cone``."""
+    geometry = sources["geometry.py"]
+    defined = _defined(geometry)
+    faults = {f"defines {name}" for name in defined & RECORD_ERSATZ}
+    faults |= {f"{name} searches" for name in RECORD_READERS
+               if name in defined and "_adjugate" in _reached(geometry, [name])}
+    faults |= {f"{path}::{caller} calls _defining"
+               for path, source in sources.items() for caller in _callers(source, "_defining")}
+    return faults - {"optimality.py::stability_cone calls _defining"}
+
+
+def test_one_vertex_record():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8") for path in SRC.rglob("*.py")}
+    assert _vertex_record_faults(sources) == set()
+
+
+_RECORD_CLEAN = (
+    "def _vertex(vertex):\n    return Vertex(defining=tuple(sorted(vertex[1][0])))\n"
+    "def _tie_certificate(A, vertex, C, L):\n    return _bland(A, C, vertex)\n"
+    "def _walk(A, n, start):\n    return _adjugate(A, start[0][0], n)\n"
+    "def _defining(A, active, n):\n    return _adjugate(A, active, n)\n"
+)
+_STABILITY = "def stability_cone(P, w):\n    return _defining(A, active, n)\n"
+
+
+@pytest.mark.parametrize(
+    "geometry, optimality, faults",
+    [
+        (_RECORD_CLEAN, _STABILITY, set()),
+        (_RECORD_CLEAN + "def _merged(A, active, n):\n    return active\n", _STABILITY, {"defines _merged"}),
+        (_RECORD_CLEAN + "def f(adjugate):\n    def _columns(adjugate):\n        return []\n", _STABILITY,
+         {"defines _columns"}),
+        (_RECORD_CLEAN.replace("Vertex(defining=tuple(sorted(vertex[1][0])))", "_witness(vertex)")
+         + "def _witness(vertex):\n    return _defining(A, vertex[0][0], n)\n", _STABILITY,
+         {"_vertex searches", "geometry.py::_witness calls _defining"}),
+        (_RECORD_CLEAN.replace("_bland(A, C, vertex)", "_bland(G, C, (apex, _adjugate(G, range(k), n)))"), _STABILITY,
+         {"_tie_certificate searches"}),
+        (_RECORD_CLEAN, _STABILITY + "def solve_glp(P, c):\n    return _defining(A, active, n)\n",
+         {"optimality.py::solve_glp calls _defining"}),
+    ],
+    ids=["clean", "merged", "nested-columns", "vertex-through-a-helper", "certificate", "second-caller"],
+)
+def test_vertex_record_guard_sees_each_fault(geometry, optimality, faults):
+    assert _vertex_record_faults({"geometry.py": geometry, "optimality.py": optimality}) == faults
 
 
 # the reference walk and its start, the oracle for geometry's walk

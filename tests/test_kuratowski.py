@@ -436,6 +436,20 @@ class TestConeConvergence:
         with pytest.raises(errors.DimensionMismatch):
             cone_convergence(T, Y1, bad)
 
+    @pytest.mark.parametrize("tamper", ["shorter", "longer", "shifted"])
+    def test_foreign_track_is_refused(self, tamper):
+        # a track must follow T's samples: a shorter one used to raise
+        # IndexError, and a longer one was cut to T's sample count
+        T = ex31_trajectory(with_cost=False)
+        track = next(t for t in track_vertices(T, Y1).tracks if t.converged)
+        matches = {
+            "shorter": track.matches[:-1],
+            "longer": track.matches + track.matches[-1:],
+            "shifted": tuple((k + 1, p, d) for k, p, d in track.matches),
+        }[tamper]
+        with pytest.raises(ValueError, match="match indices differ from the trajectory's sample indices"):
+            cone_convergence(T, Y1, track._replace(matches=matches))
+
     def test_builds_no_halfspace_polyhedron_cone_or_vertex(self, monkeypatch):
         # the cones are integer rows and the windows walk states, from the
         # limit side through the whole sample loop
@@ -750,6 +764,16 @@ class TestDiagnosticsAgainstWindowDistance:
             window_distance(TRIANGLE, TRIANGLE, R)
         for diagnostic in (verify_convergence, argmax_convergence, boundary_convergence):
             with pytest.raises(errors.BadWindow, match=f"positive and finite, got {R}"):
+                diagnostic(T, Y1, R=R)
+
+    def test_radius_beyond_binary64(self):
+        # an int past the largest double raised OverflowError in math.isfinite
+        R = 10**400
+        T = ex31_trajectory()
+        with pytest.raises(errors.BadWindow, match="positive and finite"):
+            window_distance(TRIANGLE, TRIANGLE, R)
+        for diagnostic in (verify_convergence, argmax_convergence, boundary_convergence):
+            with pytest.raises(errors.BadWindow, match="positive and finite"):
                 diagnostic(T, Y1, R=R)
 
     @pytest.mark.parametrize("R", [0.0, -1.0])

@@ -51,6 +51,7 @@ from helpers import (
     reference_phase_two,
     reference_project_onto_span,
     reference_recession_ray,
+    reference_simplicial_basis,
     reference_solve_glp,
     reference_walk,
 )
@@ -547,6 +548,100 @@ class TestWorkBudget:
         assert unbounded >= 300 and descended >= 50, (unbounded, descended)
 
 
+class TestBasisSearches:
+    """Basis searches (``geometry._adjugate``), logged as TestWorkBudget
+    counts its work, where the walk and ``solve_glp`` call them, with the
+    records of every walk.  Phase one makes one per run.  A vertex that is
+    not simplicial costs exactly one, which makes the adjugate of its
+    witness basis; a simplicial vertex costs at most one, only where the
+    walk enters it from a vertex that is not simplicial, and ``solve_glp``'s
+    tie certificates and ``_vertex`` readouts cost none: they read the
+    walk's records."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        log = {"searches": [], "inside": 0, "walks": []}
+        reading = [False]
+        search, walk = geometry._adjugate, geometry._walk
+
+        def searched(A, rows, n):
+            log["searches"].append(tuple(rows))
+            log["inside"] += reading[0]
+            return search(A, rows, n)
+
+        def walked(A, n, *args, **kwargs):
+            records = walk(A, n, *args, **kwargs)
+            log["walks"].append((A, n, records))
+            return records
+
+        def read(fn):
+            def wrapper(*args):
+                reading[0] = True
+                try:
+                    return fn(*args)
+                finally:
+                    reading[0] = False
+            return wrapper
+
+        monkeypatch.setattr(geometry, "_adjugate", searched)
+        monkeypatch.setattr(geometry, "_walk", walked)
+        monkeypatch.setattr(optimality, "_tie_certificate", read(geometry._tie_certificate))
+        monkeypatch.setattr(optimality, "_vertex", read(geometry._vertex))
+        return log
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(53)
+        for i in range(240):
+            n = 1 + i % 4
+            yield random_degenerate_polyhedron(rng, n), tuple(F(rng.randint(-2, 2)) for _ in range(n))
+        for n in (4, 5, 6, 7):
+            yield cross_polytope(n, rng, 4), tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        yield from itertools.islice(_apex_corpus(), 0, None, 4)
+
+    @staticmethod
+    def _walk_searches(log, phase_ones: int) -> int:
+        """Check the searches after the first ``phase_ones`` against the
+        records of the one walk, if any ran; return the number of its
+        vertices that are not simplicial."""
+        after = log["searches"][phase_ones:]
+        assert len(log["walks"]) <= 1 and len(after) == len(set(after))
+        for A, n, records in log["walks"]:
+            others = {active for (active, _, _, _), _ in records if reference_simplicial_basis(A, active, n) is None}
+            assert others <= set(after)
+            assert all(reference_simplicial_basis(A, rows, n) is not None for rows in set(after) - others)
+            return len(others)
+        assert after == []
+        return 0
+
+    def test_enumeration(self, log):
+        others = 0
+        for P, _ in self._cases():
+            log["searches"][:], log["walks"][:] = [], []
+            enumerate_vertices(P)
+            assert log["searches"][0] == tuple(range(P.m))
+            others += self._walk_searches(log, 1)
+        assert others >= 200, others
+
+    def test_solve_glp(self, log, monkeypatch):
+        runs, phase_one = [0], geometry._phase_one
+
+        def counted(*args):
+            runs[0] += 1
+            return phase_one(*args)
+
+        monkeypatch.setattr(geometry, "_phase_one", counted)
+        ties = 0
+        for P, c in self._cases():
+            for sense in ("min", "max"):
+                log["searches"][:], log["walks"][:], runs[0] = [], [], 0
+                sol = solve_glp(P, c, sense)
+                assert log["inside"] == 0
+                self._walk_searches(log, runs[0])
+                ties += len(sol.optimal_vertices)
+        assert ties >= 300, ties
+
+
 def _apex_corpus():
     """Cones ``{x : (u, -1).x <= 0}`` with apex 0 at n = 2-4, with k = n + 1
     to 3n + 2 distinct integer u, and a cost each with -c a sparse
@@ -692,7 +787,7 @@ def test_phase_one_hands_its_basis_to_blands_rule(monkeypatch, solve):
         start, y = phase_one(A, aug, n)
         events.append("phase one")
         if start is not None:
-            starts["simplicial" if geometry._merged(A, start[0][0], n) is not None else "other"] += 1
+            starts["simplicial" if reference_simplicial_basis(A, start[0][0], n) is not None else "other"] += 1
         return start, y
 
     def logged(name, fn):
@@ -760,15 +855,31 @@ def test_unverified_farkas_is_refused(y):
         geometry._farkas(rows, y)
 
 
+def _apex(rows):
+    """The apex of the cone ``rows d <= 0`` as a walk's vertex: its state,
+    every slack 0, with the adjugate of the first basis of its rows."""
+    n = len(rows[0])
+    return geometry._lowest([0] * n, 1, [0] * len(rows)), geometry._adjugate(rows, range(len(rows)), n)
+
+
 @pytest.mark.parametrize("C", [[-1, 0], [1, -1]], ids=["both-negative", "one-negative"])
 def test_tie_certificate_outside_the_cone_is_refused(C):
     # at TRIANGLE's corner (0, 0) the normals are (-1, 0) and (0, -1), so
     # only costs c >= 0 keep it optimal: -C needs the multipliers (-1, 0)
-    # and (1, -1) there
+    # and (1, -1) there.  As the apex of its tangent cone, Bland's rule
+    # meets an improving column no row blocks; as the walk's vertex of
+    # TRIANGLE, it steps to (1, 0) along x + y <= 1, off the vertex
     rows = [(-1, 0), (0, -1)]
-    assert geometry._tie_certificate(rows, [1, 2], 3) == (F(1, 3), F(2, 3))
+    assert geometry._tie_certificate(rows, _apex(rows), [1, 2], 3) == (F(1, 3), F(2, 3))
     with pytest.raises(AssertionError, match="normal cone"):
-        geometry._tie_certificate(rows, C, 1)
+        geometry._tie_certificate(rows, _apex(rows), C, 1)
+    aug = geometry._integer_rows(TRIANGLE)
+    A = [tuple(row[:2]) for row in aug]
+    start, _ = geometry._phase_one(A, aug, 2)
+    corner = next(vertex for vertex in geometry._walk(A, 2, start) if vertex[0][1] == [0, 0])
+    assert geometry._tie_certificate(A, corner, [1, 2], 3) == (F(1, 3), F(2, 3))
+    with pytest.raises(AssertionError, match="normal cone"):
+        geometry._tie_certificate(A, corner, C, 1)
 
 
 def test_tie_certificate_takes_blands_path():
@@ -777,7 +888,7 @@ def test_tie_certificate_takes_blands_path():
     # basis (1, 2), (-1, 1) (leaving the other first ends at (1, 1), (-1, 1));
     # the row (1, 2) is twice the canonical normal (1/2, 1)
     rows = [(0, -1), (1, 1), (1, 2), (-1, 1)]
-    assert geometry._tie_certificate(rows, [2, -3], 1) == (0, 0, F(2, 3), F(7, 3))
+    assert geometry._tie_certificate(rows, _apex(rows), [2, -3], 1) == (0, 0, F(2, 3), F(7, 3))
 
 
 def test_bland_does_not_cycle_on_beales_lp():
