@@ -276,16 +276,18 @@ def _vertices(aug, n: int) -> list[Vertex]:
 def _minkowski_weyl(aug, n: int):
     """The set ``{x : a.x <= b}`` of the integer rows ``aug`` ``[a...,
     b]`` in R^n as ``conv V + cone R + lin L`` from one walk (Schrijver
-    1986, ch. 8): ``(lineality, vertices, rays, farkas)``, with L and
-    ``farkas`` as ``_start`` gives them, V sorted by point and R as the
-    integer directions of the edges no row blocks.  When L is nonzero, V
-    and R are those of the slice orthogonal to L; when the set is empty,
-    only ``farkas`` is given."""
+    1986, ch. 8): ``(lineality, states, rays, farkas)``, with L and
+    ``farkas`` as ``_start`` gives them, V as the walk's integer states
+    ``(active, X, D, S)`` (see ``_lowest``) sorted by point, as
+    ``enumerate_vertices`` sorts its vertices, and R as the integer
+    directions of the edges no row blocks; no vertex is read out as a
+    Vertex.  When L is nonzero, V and R are those of the slice orthogonal
+    to L; when the set is empty, only ``farkas`` is given."""
     lineality, A, start, farkas = _start(aug, n)
     if farkas is not None:
         return (), [], [], farkas
     rays = []
-    return lineality, _walked(A, n, start, rays), rays, None
+    return lineality, [state for state, _ in _in_order(_walk(A, n, start, rays))], rays, None
 
 
 def _start(aug, n: int):
@@ -337,10 +339,10 @@ def _checked_ray(aug, C, ray: Vector) -> Vector:
     return ray
 
 
-def _walked(A, n: int, start, rays: list | None = None) -> list[Vertex]:
+def _walked(A, n: int, start) -> list[Vertex]:
     """Every vertex, from the walk of the whole vertex graph from the
     vertex ``start``, sorted by point."""
-    return [_vertex(vertex) for vertex in _in_order(_walk(A, n, start, rays))]
+    return [_vertex(vertex) for vertex in _in_order(_walk(A, n, start))]
 
 
 def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:

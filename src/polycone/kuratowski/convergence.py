@@ -90,24 +90,27 @@ def default_directions(n: int) -> list[FloatVector]:
 
 def default_window(candidate: Polyhedron) -> float:
     """2 (1 + max vertex norm) clamped to [1, 1e6]."""
-    return _window(enumerate_vertices(candidate))
+    lineality, states, _, _ = _minkowski_weyl(_integer_rows(candidate), candidate.n)
+    return _window([] if lineality else states)
 
 
-def _window(vertices) -> float:
-    """``default_window`` of a polyhedron with these vertices."""
-    best = max((math.sqrt(sum(float(x) ** 2 for x in v.point)) for v in vertices), default=0.0)
+def _window(states) -> float:
+    """``default_window`` of a polyhedron with these vertices, the walk's
+    states ``(active, X, D, S)``: ``x / D`` rounds as ``float(Fraction(x,
+    D))`` does."""
+    best = max((math.sqrt(sum((x / D) ** 2 for x in X)) for _, X, D, _ in states), default=0.0)
     return min(max(2.0 * (1.0 + best), 1.0), 1.0e6)
 
 
 def _limit_walk(rows, n: int):
-    """The vertices of the set of the integer rows ``rows`` in R^n, as
-    ``enumerate_vertices`` gives them (none when it has lines), and whether
-    it is bounded, from one walk (``_minkowski_weyl``); EmptyPolyhedron
-    when the set is empty."""
-    lineality, vertices, rays, farkas = _minkowski_weyl(rows, n)
+    """The vertices of the set of the integer rows ``rows`` in R^n, as the
+    sorted states of one walk (``_minkowski_weyl``; none when the set has
+    lines), and whether it is bounded; EmptyPolyhedron when the set is
+    empty."""
+    lineality, states, rays, farkas = _minkowski_weyl(rows, n)
     if farkas is not None:
         raise EmptyPolyhedron("candidate limit is empty")
-    return ([], False) if lineality else (vertices, not rays)
+    return ([], False) if lineality else (states, not rays)
 
 
 def _box_rows(n: int, R: Fraction) -> list[list[int]]:

@@ -73,10 +73,6 @@ def _echelon(rows: Sequence[Sequence], width: int):
     return echelon
 
 
-def rank(rows: Sequence[Sequence[Fraction]], width: int) -> int:
-    return len(_echelon(rows, width)[1])
-
-
 def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[Vector]:
     """Exact basis of {v : rows . v = 0}, one vector per free column."""
     echelon = _echelon(rows, width)

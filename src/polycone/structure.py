@@ -1,28 +1,29 @@
 """Global polyhedron analyses read off one Minkowski–Weyl walk.
 
 One walk over P's integer rows (``geometry._minkowski_weyl``) writes a
-nonempty P as ``conv V + cone R + lin L``; boundedness, implicit
-equalities, dimension, facets and a minimal description follow
-(Schrijver 1986, ch. 8), and ``poly_contains`` reads the walk of its
-inner polyhedron.  The structure and the minimal rows (``_minimal_rows``)
-read integer rows ``[a..., b]``, and the public functions wrap them.  No
-verdict runs an LP; the one cone test left is the minimal rows' over
-integer equality normals, which ``cone_member`` decides by the kernel's
-phase one, with no simplex.  Operations that need a nonempty P raise
-EmptyPolyhedron.
+nonempty P as ``conv V + cone R + lin L``: V as the walk's integer states
+``(active, X, D, S)``, each the point ``X / D`` with its active rows, and
+R as integer directions.  Boundedness, implicit equalities, dimension,
+facets and a minimal description follow (Schrijver 1986, ch. 8), and
+containment (``_contains``) reads the walk of its inner set.  Below the
+public functions everything takes integer rows ``[a..., b]`` and computes
+on integers: no Vertex is built, and a Fraction only for a containment
+witness that ``poly_contains`` returns.  No verdict runs an LP; the one
+cone test left is the minimal rows' over integer equality normals, which
+``cone_member`` decides by the kernel's phase one, with no simplex.
+Operations that need a nonempty P raise EmptyPolyhedron.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import (
-    Cone, IndexSet, Polyhedron, Vertex, _integer_rows, _minkowski_weyl, contains_point, enumerate_vertices
-)
-from .linalg import Vector, dot, rank, vec_neg
+from .geometry import Cone, IndexSet, Polyhedron, _integer_rows, _minkowski_weyl
+from .linalg import Vector, extend, scaled
 from .linprog import cone_member
 
 
@@ -43,12 +44,12 @@ class Containment(NamedTuple):
 
 
 def _nonempty(aug: list[list[int]], n: int):
-    """The lineality basis, vertices and rays of the nonempty set of the
-    integer rows ``aug`` (``_minkowski_weyl``)."""
-    lineality, vertices, rays, farkas = _minkowski_weyl(aug, n)
+    """The lineality basis, vertex states and rays of the nonempty set of
+    the integer rows ``aug`` (``_minkowski_weyl``)."""
+    lineality, states, rays, farkas = _minkowski_weyl(aug, n)
     if farkas is not None:
         raise EmptyPolyhedron("operation requires a nonempty polyhedron")
-    return lineality, vertices, rays
+    return lineality, states, rays
 
 
 def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
@@ -64,25 +65,31 @@ def is_bounded(P: Polyhedron) -> bool:
     return not lineality and not rays
 
 
-def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list[int]], list[Vertex]]:
+def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list[int]], list]:
     """The structure report of the set of the integer rows ``aug`` in R^n,
-    per facet the rows defining it, and its vertices as
-    ``enumerate_vertices`` gives them (none when it has lines).
+    per facet the rows defining it, and its vertices as the walk's sorted
+    states (none when it has lines).
 
-    Row i's face is the vertices and rays it is tight at: all of them iff
-    row i is an implicit equality, else a facet iff it has a vertex and
-    rank one less than ``{v - v0} ∪ R``, whose rank plus |L| is dim P.
+    Row i's face is the vertices whose active set holds i and the rays it
+    is tight at: all of them iff row i is an implicit equality, else a
+    facet iff it has a vertex and a span one less than the whole set's.
+    The span of a face is the rank of its lifted points ``(X, D)`` and
+    rays ``(r, 0)`` less one, from one ``extend`` pass; the whole set's
+    plus |L| is dim P.
     """
-    lineality, vertices, rays = _nonempty(aug, n)
-    faces = [(tuple(k for k, v in enumerate(vertices) if i in v.active),
+    lineality, states, rays = _nonempty(aug, n)
+    faces = [(tuple(k for k, state in enumerate(states) if i in state[0]),
               tuple(k for k, r in enumerate(rays) if not sum(map(mul, row, r))))
              for i, row in enumerate(aug)]
-    whole = (tuple(range(len(vertices))), tuple(range(len(rays))))
+    whole = (tuple(range(len(states))), tuple(range(len(rays))))
+    lifted = [[*X, D] for _, X, D, _ in states], [[*r, 0] for r in rays]
 
     def span(face):
-        p = vertices[face[0][0]].point
-        moves = [tuple(x - y for x, y in zip(vertices[k].point, p)) for k in face[0][1:]]
-        return rank(moves + [rays[k] for k in face[1]], n)
+        echelon = ([], (), 1)
+        for rows, indices in zip(lifted, face):
+            for k in indices:
+                echelon = extend(*echelon, rows[k], n + 1) or echelon
+        return len(echelon[1]) - 1
 
     full = span(whole)
     groups: dict = {}
@@ -95,8 +102,8 @@ def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list
         dimension=full + len(lineality),
         lineality_basis=lineality,
         facet_count=len(facets),
-        vertex_count=0 if lineality else len(vertices),
-    ), facets, [] if lineality else vertices
+        vertex_count=0 if lineality else len(states),
+    ), facets, [] if lineality else states
 
 
 def structure(P: Polyhedron) -> StructureReport:
@@ -110,53 +117,73 @@ def remove_redundant(P: Polyhedron) -> Polyhedron:
     return Polyhedron(P.n, [P.halfspaces[i] for i in _minimal_rows(_integer_rows(P), P.n)[0]])
 
 
-def _minimal_rows(aug: list[list[int]], n: int) -> tuple[list[int], list[Vertex]]:
+def _minimal_rows(aug: list[list[int]], n: int) -> tuple[list[int], list]:
     """The ascending indices of a minimal subset of the integer rows ``aug``
-    in R^n with the same set, and the set's vertices from the same walk
-    (``_structure``).  Rows drop one at a time, in row order, while
+    in R^n with the same set, and the set's vertex states from the same
+    walk (``_structure``).  Rows drop one at a time, in row order, while
     the rest describe it: each facet keeps the last row defining it, and an
     implicit equality goes when its normal is in the cone of the other
     equality normals kept (at a relative-interior point only they are
     tight, so that test is global); integer normals, positive multiples of
     the canonical ones, leave that cone as it is."""
-    report, facets, vertices = _structure(aug, n)
+    report, facets, states = _structure(aug, n)
     kept = list(report.implicit_equalities)
     for i in report.implicit_equalities:
         if cone_member([aug[k][:n] for k in kept if k != i], aug[i][:n]).member:
             kept.remove(i)
-    return sorted(kept + [rows[-1] for rows in facets]), vertices
+    return sorted(kept + [rows[-1] for rows in facets]), states
+
+
+def _contains(outer: list[list[int]], inner: list[list[int]], n: int):
+    """Whether the set of the integer rows ``inner`` in R^n lies in that of
+    the integer rows ``outer``: None if it does (an empty inner set does),
+    else a witness ``(W, E)``, the point ``W / E`` with E > 0.
+
+    One walk writes the inner set as ``conv V + cone R + lin L``.  It
+    satisfies a row ``a.x <= b`` iff the first vertex of largest ``a.x``
+    does and no direction d among R, +L and -L has ``a.d > 0``; the
+    vertices are compared as the integer points ``Y = X K / D`` over one
+    common denominator K, against ``b K``.  At the first row that fails,
+    that vertex, or it moved by ``t = ceil((b - a.v) / a.d) + 1`` along the
+    first such d, is the witness, checked exactly on integers to satisfy
+    every inner row and to violate that outer row.  A direction of L keeps
+    the scale the walk gives it, as ``(q d, q)`` with q its denominator.
+    """
+    lineality, states, rays, farkas = _minkowski_weyl(inner, n)
+    if farkas is not None:
+        return None
+    K = lcm(*[D for _, _, D, _ in states])
+    points = [[x * (K // D) for x in X] for _, X, D, _ in states]
+    lines = [scaled(v) for v in lineality]
+    directions = [(r, 1) for r in rays] + lines + [([-x for x in d], q) for d, q in lines]
+    for *a, b in outer:
+        values = [sum(map(mul, a, Y)) for Y in points]
+        best = max(values)
+        W, E = points[values.index(best)], K
+        if best <= b * K:
+            found = next(((d, q) for d, q in directions if sum(map(mul, a, d)) > 0), None)
+            if found is None:
+                continue
+            d, q = found
+            # (b - a.v) / a.d = (b K - a.Y) q / (K a.(q d)), rounded up
+            t = -((best - b * K) * q // (K * sum(map(mul, a, d)))) + 1
+            W, E = [y * q + t * K * x for y, x in zip(W, d)], K * q
+        if any(sum(map(mul, c, W)) > e * E for *c, e in inner) or sum(map(mul, a, W)) <= b * E:
+            raise AssertionError("containment witness failed verification")
+        return W, E
+    return None
 
 
 def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
-    """Exact decision of Q ⊆ P with a violating witness point on failure.
-
-    One walk writes Q as ``conv V + cone R + lin L``; an empty Q is
-    contained.  Q satisfies a row ``a.x <= b`` of P iff the first vertex of
-    largest ``a.x`` does and no direction d among R, +L and -L has
-    ``a.d > 0``.  At the first row that fails, that vertex, or it moved
-    along the first such d until it violates the row, is the witness,
-    checked to lie in Q and outside P.
-    """
+    """Exact decision of Q ⊆ P with a violating witness point on failure:
+    ``_contains`` on their integer rows, the witness read out as Fractions."""
     if P.n != Q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
-    lineality, vertices, rays, farkas = _minkowski_weyl(_integer_rows(Q), Q.n)
-    if farkas is not None:
+    found = _contains(_integer_rows(P), _integer_rows(Q), Q.n)
+    if found is None:
         return Containment(True, None)
-    directions = [*rays, *lineality, *map(vec_neg, lineality)]
-    for hs in P.halfspaces:
-        values = [dot(hs.a, v.point) for v in vertices]
-        best = max(values)
-        witness = vertices[values.index(best)].point
-        if best <= hs.b:
-            d = next((d for d in directions if dot(hs.a, d) > 0), None)
-            if d is None:
-                continue
-            t = Fraction(max(1, ((hs.b - best) / dot(hs.a, d)).__ceil__() + 1))
-            witness = tuple(p + t * x for p, x in zip(witness, d))
-        if not contains_point(Q, witness) or hs.slack(witness) >= 0:
-            raise AssertionError("containment witness failed verification")
-        return Containment(False, witness)
-    return Containment(True, None)
+    W, E = found
+    return Containment(False, tuple(Fraction(w, E) for w in W))
 
 
 def reconstruct_check(P: Polyhedron) -> bool:
@@ -164,14 +191,14 @@ def reconstruct_check(P: Polyhedron) -> bool:
 
     A tangent-cone row ``A_i v <= 0`` of vertex w translates to
     ``A_i x <= A_i w = b_i``, P's own row i, so the intersection R is the
-    set of rows active at some vertex.  Hence ``P ⊆ R`` always, and
-    ``R ⊆ P`` needs ``poly_contains`` (R's walk) only for the rows that no
-    vertex makes active.
+    set of rows active at some vertex of P's walk.  Hence ``P ⊆ R``
+    always, and ``R ⊆ P`` needs ``_contains`` (R's walk) only for the rows
+    that no vertex makes active, all sliced from P's integer rows.
     """
-    vertices = enumerate_vertices(P)
-    if not vertices:
+    aug = _integer_rows(P)
+    lineality, states, _, _ = _minkowski_weyl(aug, P.n)
+    if lineality or not states:
         raise NoVertices("reconstruction needs at least one vertex")
-    used = {i for v in vertices for i in v.active}
-    R = Polyhedron(P.n, [hs for i, hs in enumerate(P.halfspaces) if i in used])
-    rest = [hs for i, hs in enumerate(P.halfspaces) if i not in used]
-    return not rest or poly_contains(Polyhedron(P.n, rest), R).holds
+    used = {i for active, _, _, _ in states for i in active}
+    rest = [row for i, row in enumerate(aug) if i not in used]
+    return not rest or _contains(rest, [row for i, row in enumerate(aug) if i in used], P.n) is None

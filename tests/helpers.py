@@ -19,10 +19,8 @@ from polycone import (
     canonical_ray,
     contains_point,
     enumerate_vertices,
-    find_feasible_point,
     normal_cone,
     remove_redundant,
-    solve_lp,
     tangent_cone,
 )
 from polycone import geometry, optimality
@@ -427,7 +425,7 @@ def _ref_rref(rows, width: int):
 
 
 def reference_rank(rows, width: int) -> int:
-    """Reference for ``polycone.linalg.rank``."""
+    """The rank of the rows, by Gauss-Jordan elimination over Fractions."""
     if not rows:
         return 0
     return len(_ref_rref(rows, width)[1])
@@ -533,7 +531,8 @@ def _reference_walk_all(Q: Polyhedron):
     if start is None:
         return None, None, y
     rays = []
-    return geometry._walked(A, n, start, rays), rays, None
+    walked = geometry._in_order(geometry._walk(A, n, start, rays))
+    return [geometry._vertex(vertex) for vertex in walked], rays, None
 
 
 def reference_phase_two(A, n: int, start, C):
@@ -996,17 +995,22 @@ def reference_boundary_convergence(T, limit: Polyhedron, R=None, tol: float = 1e
 # Reference structure checks: the long way round
 
 
-def reference_is_bounded(P: Polyhedron) -> bool:
-    """Reference for ``polycone.is_bounded``: 2n homogeneous LPs, the max
-    of each +/- coordinate over ``{A v <= 0}`` must be zero (a cone
-    objective is either 0 or unbounded)."""
-    if find_feasible_point(P) is None:
+def _reference_nonempty(P: Polyhedron) -> None:
+    """EmptyPolyhedron unless the Fraction tableau finds P feasible."""
+    if reference_solve_lp(P, (0,) * P.n).status == "Infeasible":
         raise EmptyPolyhedron("operation requires a nonempty polyhedron")
+
+
+def reference_is_bounded(P: Polyhedron) -> bool:
+    """Reference for ``polycone.is_bounded``: 2n homogeneous LPs of the
+    Fraction tableau, the max of each +/- coordinate over ``{A v <= 0}``
+    must be zero (a cone objective is either 0 or unbounded)."""
+    _reference_nonempty(P)
     rec = Polyhedron(P.n, [hs.homogeneous() for hs in P.halfspaces])
     for j in range(P.n):
         for sign in (1, -1):
             c = tuple(sign if k == j else 0 for k in range(P.n))
-            res = solve_lp(rec, c, "max")
+            res = reference_solve_lp(rec, c, "max")
             if res.status != "Optimal":
                 return False
             if res.value != 0:
@@ -1017,16 +1021,18 @@ def reference_is_bounded(P: Polyhedron) -> bool:
 def reference_reconstruct_check(P: Polyhedron) -> bool:
     """Reference for ``polycone.reconstruct_check``: translate every
     tangent-cone row ``A_i v <= 0`` of vertex w to ``A_i x <= A_i w`` and
-    decide both inclusions between P and the intersection by LPs."""
-    vertices = enumerate_vertices(P)
-    if not vertices:
+    decide both inclusions between P and the intersection by LPs; the
+    vertices come from ``brute_vertices``, each with the rows tight there."""
+    points = brute_vertices(P)
+    if not points:
         raise NoVertices("reconstruction needs at least one vertex")
     rows = []
     seen = set()
-    for v in vertices:
-        for i in v.active:
-            a = P.halfspaces[i].a
-            translated = HalfSpace(a, dot(a, v.point))
+    for x in points:
+        for hs in P.halfspaces:
+            if hs.slack(x):
+                continue
+            translated = HalfSpace(hs.a, dot(hs.a, x))
             key = (translated.a, translated.b)
             if key not in seen:
                 seen.add(key)
@@ -1037,12 +1043,12 @@ def reference_reconstruct_check(P: Polyhedron) -> bool:
 
 def reference_poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
     """Reference for ``polycone.poly_contains``: per row of P, the support
-    LP of Q compared against the offset; an unbounded support yields a
-    ray-displaced witness."""
+    LP of Q (the Fraction tableau) compared against the offset; an
+    unbounded support yields a ray-displaced witness."""
     if P.n != Q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
     for hs in P.halfspaces:
-        res = solve_lp(Q, hs.a, "max")
+        res = reference_solve_lp(Q, hs.a, "max")
         if res.status == "Infeasible":  # Q is empty
             return Containment(True, None)
         if res.status == "Optimal":
@@ -1064,7 +1070,7 @@ def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:
     """Indices of a minimal sub-description of P, order-stable: each row
     not in ``fixed``, in row order, is dropped when an LP shows that the
     surviving rest implies it (one at a time, so duplicate rows do not
-    delete each other)."""
+    delete each other), by the Fraction tableau."""
     keep = list(range(P.m))
     for i in range(P.m):
         if i in fixed:
@@ -1072,7 +1078,7 @@ def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:
         rest = [P.halfspaces[k] for k in keep if k != i]
         if not rest:
             continue
-        res = solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max")
+        res = reference_solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max")
         if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
             keep.remove(i)
     return keep
@@ -1080,22 +1086,23 @@ def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:
 
 def reference_remove_redundant(P: Polyhedron) -> Polyhedron:
     """Reference for ``polycone.remove_redundant``: one LP per row."""
-    if find_feasible_point(P) is None:
-        raise EmptyPolyhedron("operation requires a nonempty polyhedron")
+    _reference_nonempty(P)
     return Polyhedron(P.n, [P.halfspaces[i] for i in _reference_irredundant(P)])
 
 
 def reference_structure(P: Polyhedron) -> StructureReport:
     """Reference for ``polycone.structure``: a row is an implicit equality
-    when its LP minimum over P equals its offset; the facet count is the
-    number of other rows surviving LP redundancy removal with the
-    equalities fixed.  A row slack at the point of an earlier LP is slack
-    somewhere in P, so no implicit equality, and needs no LP of its own."""
+    when its LP minimum over P (the Fraction tableau) equals its offset;
+    the facet count is the number of other rows surviving LP redundancy
+    removal with the equalities fixed, and the vertices are
+    ``brute_vertices``.  A row slack at the point of an earlier LP is
+    slack somewhere in P, so no implicit equality, and needs no LP of its
+    own."""
     eq, points = [], []
     for i, hs in enumerate(P.halfspaces):
         if any(hs.slack(x) > 0 for x in points):
             continue
-        res = solve_lp(P, hs.a, "min")
+        res = reference_solve_lp(P, hs.a, "min")
         if res.status == "Infeasible":  # only the first LP can find P empty
             raise EmptyPolyhedron("operation requires a nonempty polyhedron")
         points.append(res.point)
@@ -1106,7 +1113,7 @@ def reference_structure(P: Polyhedron) -> StructureReport:
         dimension=P.n - reference_rank([P.halfspaces[i].a for i in eq], P.n),
         lineality_basis=tuple(reference_nullspace(P.row_matrix(), P.n)),
         facet_count=len([i for i in _reference_irredundant(P, eq) if i not in eq]),
-        vertex_count=len(enumerate_vertices(P)),
+        vertex_count=len(brute_vertices(P)),
     )
 
 
@@ -1118,18 +1125,19 @@ def _ref_pivot(tab, rhs, basis, cost, obj, li, ej):
     piv = tab[li][ej]
     if piv != 1:
         inv = _ONE / piv
-        tab[li] = [v * inv for v in tab[li]]
+        tab[li] = [v * inv if v else v for v in tab[li]]
         rhs[li] *= inv
     row = tab[li]
     t = rhs[li]
+    # a zero entry of the pivot row leaves its column as it is
     for i in range(len(tab)):
         if i != li and tab[i][ej] != 0:
             f = tab[i][ej]
-            tab[i] = [a - f * b for a, b in zip(tab[i], row)]
+            tab[i] = [a - f * b if b else a for a, b in zip(tab[i], row)]
             rhs[i] -= f * t
     f = cost[ej]
     if f:
-        cost[:] = [a - f * b for a, b in zip(cost, row)]
+        cost[:] = [a - f * b if b else a for a, b in zip(cost, row)]
         obj += f * t
     basis[li] = ej
     return obj

@@ -218,15 +218,20 @@ class TestEnumerateVertices:
             gc.enable()
 
 
+def _read(states) -> list:
+    """The points ``X / D`` and active sets of the walk's states."""
+    return [(tuple(F(x, D) for x in X), active) for active, X, D, _ in states]
+
+
 class TestRaysFromTheWalk:
     def _walk(self, P):
-        _, verts, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
-        return verts, {canonical_ray(r) for r in rays}
+        _, states, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
+        return states, {canonical_ray(r) for r in rays}
 
     def test_quadrant_rays_on_one_row_each(self):
         # (1, 0) lies on the last row alone
-        verts, rays = self._walk(QUADRANT)
-        assert [v.point for v in verts] == [(0, 0)]
+        states, rays = self._walk(QUADRANT)
+        assert _read(states) == [((0, 0), (0, 1))]
         assert rays == {(0, 1), (1, 0)}
 
     def test_bounded_and_non_pointed_have_none(self):
@@ -242,19 +247,20 @@ class TestRaysFromTheWalk:
         assert self._walk(Y1)[1] == {(-1, 0), (F(1, 2), -1)}
 
     def test_rays_change_no_vertex_and_are_the_extreme_rays(self):
-        # asking for rays leaves the vertices as enumerate_vertices gives
-        # them, and the rays are the recession cone's extreme rays
+        # the states read as the points and active sets of the vertices
+        # enumerate_vertices gives, in its order, and the rays are the
+        # recession cone's extreme rays
         rng = random.Random(13)
         for n in range(1, 5):
             for _ in range(5):
                 P = random_degenerate_polyhedron(rng, n)
-                lineality, verts, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
+                lineality, states, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
                 if lineality:
                     # not pointed: the walk ran on the slice, and P has no vertex
                     assert enumerate_vertices(P) == []
                     continue
-                assert verts == enumerate_vertices(P)
-                expected = reference_extreme_rays(P) if verts else set()
+                assert _read(states) == [(v.point, v.active) for v in enumerate_vertices(P)]
+                expected = reference_extreme_rays(P) if states else set()
                 assert {canonical_ray(r) for r in rays} == expected
 
 

@@ -20,14 +20,22 @@ take only ``solve_glp`` from it, and the window metric builds no
 ``HalfSpace`` or ``Polyhedron`` to hand to the walk.  The cone
 diagnostics take their cones off integer rows, not from ``tangent_cone``,
 ``normal_cone`` or ``active_set``, and ``_window_support`` reads the
-walk's integer states, reaching no ``Vertex`` readout.  In the whole
+walk's integer states, reaching no ``Vertex`` readout.  So do the
+structure layer (``is_bounded``, ``structure``, ``reconstruct_check`` and
+their containment test ``_contains``) and the limit's walk
+(``_limit_walk``): ``_minkowski_weyl`` hands them the walk's states, and
+only ``geometry._vertices`` reads a walk out as Vertex objects
+(``_walked``).  In the whole
 package only ``argmax_convergence`` builds a sample Polyhedron
 (``sample_polyhedron``), for ``solve_glp``; the other diagnostics read
 ``sample_rows``, and none calls ``remove_redundant``.
 
 The independent oracle for ``solve_lp`` and ``cone_member`` is the
 Fraction tableau in ``tests/helpers.py``: it reaches no name of the
-kernel in ``geometry`` and nothing of ``linprog``.
+kernel in ``geometry`` and nothing of ``linprog``.  The structure and
+containment oracles there run on that tableau (``reference_solve_lp``)
+and on ``brute_vertices``: they reach no name of the kernel, no entry of
+the walk and no function of ``linprog``.
 
 Records are NamedTuples, which cost no code generation at import.  Only
 four stay frozen dataclasses (``DATACLASSES``), and the CLI, which every
@@ -273,13 +281,90 @@ def test_caller_guard_sees_each_call_form(line, callers):
 
 
 # what reads a walk out as Vertex objects with Fraction points
-VERTEX_READOUT = {"_minkowski_weyl", "enumerate_vertices", "_walked", "_vertex", "Vertex", "Fraction"}
+VERTEX_READOUT = {"enumerate_vertices", "_vertices", "_walked", "_vertex", "Vertex", "Fraction"}
 
 
 def test_window_support_reads_the_walk_states():
     source = (SRC / "kuratowski" / "convergence.py").read_text(encoding="utf-8")
     assert "_walk" in _reached(source, ["_window_support"])
     assert not _reached(source, ["_window_support"]) & VERTEX_READOUT
+
+
+# the functions, per module, that read the walk's states and nothing read out of them
+STATE_READERS = {
+    "structure.py": ("is_bounded", "structure", "reconstruct_check", "_contains"),
+    "kuratowski/convergence.py": ("_limit_walk",),
+}
+
+
+def _readout_faults(sources: dict[str, str]) -> set[str]:
+    """What reads a walk out as Vertex objects in the package ``sources``,
+    a map from module path to source: a function of STATE_READERS missing
+    or reaching a name of VERTEX_READOUT, or any caller of ``_walked`` but
+    ``geometry.py``'s ``_vertices``."""
+    faults = set()
+    for path, roots in STATE_READERS.items():
+        defined = _defined(sources[path])
+        for root in roots:
+            if root not in defined:
+                faults.add(f"{path} defines no {root}")
+            else:
+                faults |= {f"{path}::{root} reaches {name}"
+                           for name in _reached(sources[path], [root]) & VERTEX_READOUT}
+    faults |= {f"{path}::{caller} calls _walked"
+               for path, source in sources.items() for caller in _callers(source, "_walked")}
+    return faults - {"geometry.py::_vertices calls _walked"}
+
+
+def test_structure_layer_reads_the_walk_states():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8") for path in SRC.rglob("*.py")}
+    assert _readout_faults(sources) == set()
+
+
+_READOUT_CLEAN = {
+    "structure.py": (
+        "def is_bounded(P):\n    return not _nonempty(_integer_rows(P), P.n)[2]\n"
+        "def _nonempty(aug, n):\n    return _minkowski_weyl(aug, n)\n"
+        "def structure(P):\n    return _structure(_integer_rows(P), P.n)\n"
+        "def _structure(aug, n) -> list:\n    return _nonempty(aug, n)\n"
+        "def reconstruct_check(P):\n    return _contains(rest, used, P.n) is None\n"
+        "def _contains(outer, inner, n):\n    return _minkowski_weyl(inner, n)\n"
+        "def poly_contains(P, Q):\n    return tuple(Fraction(w, E) for w in _contains(P, Q, n))\n"
+    ),
+    "kuratowski/convergence.py": "def _limit_walk(rows, n):\n    return _minkowski_weyl(rows, n)\n",
+    "geometry.py": (
+        "def _vertices(aug, n):\n    return _walked(A, n, start)\n"
+        "def _minkowski_weyl(aug, n):\n    return _in_order(_walk(A, n, start, rays))\n"
+    ),
+}
+
+
+def _tampered(path: str, old: str, new: str) -> dict[str, str]:
+    return {**_READOUT_CLEAN, path: _READOUT_CLEAN[path].replace(old, new)}
+
+
+@pytest.mark.parametrize(
+    "sources, faults",
+    [
+        (_READOUT_CLEAN, set()),
+        (_tampered("structure.py", "return not _nonempty(_integer_rows(P), P.n)[2]", "return not enumerate_vertices(P)"),
+         {"structure.py::is_bounded reaches enumerate_vertices"}),
+        (_tampered("structure.py", "def _structure(aug, n) -> list:", "def _structure(aug, n) -> list[Vertex]:"),
+         {"structure.py::structure reaches Vertex"}),
+        (_tampered("structure.py", "return _minkowski_weyl(inner, n)\n",
+                   "return _witness(inner, n)\ndef _witness(W, E):\n    return [Fraction(w, E) for w in W]\n"),
+         {"structure.py::_contains reaches Fraction", "structure.py::reconstruct_check reaches Fraction"}),
+        (_tampered("structure.py", "def _contains(outer, inner, n)", "def _inside(outer, inner, n)"),
+         {"structure.py defines no _contains"}),
+        (_tampered("kuratowski/convergence.py", "_minkowski_weyl(rows, n)", "_vertices(rows, n)"),
+         {"kuratowski/convergence.py::_limit_walk reaches _vertices"}),
+        (_tampered("geometry.py", "_in_order(_walk(A, n, start, rays))", "_walked(A, n, start)"),
+         {"geometry.py::_minkowski_weyl calls _walked"}),
+    ],
+    ids=["clean", "vertex-readout", "annotation", "through-a-helper", "missing", "limit-walk", "second-caller"],
+)
+def test_readout_guard_sees_each_fault(sources, faults):
+    assert _readout_faults(sources) == faults
 
 
 # the Fraction tableau and its readout, the oracle for the solve kernel
@@ -322,9 +407,26 @@ def _reached(source: str, roots) -> set[str]:
     return names
 
 
+# the oracles of the structure layer and of poly_contains
+STRUCTURE_ORACLE = ("reference_is_bounded", "reference_poly_contains", "_reference_irredundant",
+                    "reference_remove_redundant", "reference_structure", "reference_reconstruct_check")
+# the walk's entries: what the structure layer itself runs on
+WALK_ENTRIES = {"_minkowski_weyl", "_walk", "_walked", "_vertices", "enumerate_vertices"}
+
+
+def _solver_names() -> set[str]:
+    """The kernel names of ``geometry``, the walk's entries, ``linprog``
+    itself and every function ``linprog`` defines at its top level (its
+    result records run nothing)."""
+    tree = ast.parse((SRC / "linprog.py").read_text(encoding="utf-8"))
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return KERNEL | WALK_ENTRIES | functions | {"linprog"}
+
+
 def test_fraction_oracle_reaches_no_kernel():
     source = (pathlib.Path(__file__).with_name("helpers.py")).read_text(encoding="utf-8")
     assert not _reached(source, ORACLE) & _kernel_and_linprog_names()
+    assert not _reached(source, STRUCTURE_ORACLE) & _solver_names()
 
 
 @pytest.mark.parametrize(
@@ -344,6 +446,25 @@ def test_fraction_oracle_reaches_no_kernel():
 )
 def test_oracle_guard_sees_each_reach(source, reached):
     assert bool(_reached(source, ["f"]) & _kernel_and_linprog_names()) == reached
+
+
+@pytest.mark.parametrize(
+    "source, reached",
+    [
+        ("def f(P):\n    return g(P)\ndef g(P):\n    return find_feasible_point(P)", True),
+        ("def f(P, c):\n    return solve_lp(P, c, 'max')", True),
+        ("def f(P):\n    return len(enumerate_vertices(P))", True),
+        ("def f(aug, n):\n    return geometry._minkowski_weyl(aug, n)", True),
+        ("def f(aug, n):\n    return _start(aug, n)", True),
+        ("def f():\n    from polycone import linprog", True),
+        ("def f(P, c):\n    return reference_solve_lp(P, c)\ndef reference_solve_lp(P, c):\n"
+         "    return LPResult(status='Infeasible')", False),
+        ("def f(P):\n    return brute_vertices(P)", False),
+    ],
+    ids=["through-a-helper", "lp", "enumeration", "walk", "kernel", "module", "tableau-record", "brute-force"],
+)
+def test_structure_oracle_guard_sees_each_reach(source, reached):
+    assert bool(_reached(source, ["f"]) & _solver_names()) == reached
 
 
 # the (n-1)-subset edge search that the double description replaced

@@ -335,12 +335,16 @@ class TestPhaseOne:
             for Q in walked:
                 reference_rays = []
                 reference = reference_walk(Q, reference_rays)
-                lineality, vertices, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(Q), Q.n)
+                lineality, states, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(Q), Q.n)
                 if lineality:
                     # not pointed: the walk ran on the slice, the next Q
                     assert reference == [] == enumerate_vertices(Q)
                     continue
-                assert repr(vertices) == repr(reference)
+                # the states are the vertices' points and active sets, and
+                # enumerate_vertices, from the same start, reads their witnesses
+                assert [(tuple(F(x, D) for x in X), active) for active, X, D, _ in states] == [
+                    (v.point, v.active) for v in reference]
+                assert repr(enumerate_vertices(Q)) == repr(reference)
                 assert sorted(map(tuple, rays)) == sorted(map(tuple, reference_rays))
             if sol.status == "Infeasible":
                 assert is_farkas(P, sol.farkas)

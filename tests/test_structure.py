@@ -17,7 +17,7 @@ from polycone import (
     remove_redundant,
     structure,
 )
-from polycone.geometry import Vertex
+from polycone.geometry import _integer_rows
 from polycone.linalg import vec_neg
 
 import helpers
@@ -27,6 +27,7 @@ from helpers import (
     STRIP,
     TRIANGLE,
     X_AXIS,
+    brute_vertices,
     random_degenerate_polyhedron,
     random_feasible_pointed,
     reference_is_bounded,
@@ -260,10 +261,10 @@ class TestWorkBudget:
         # x <= 5 is active at no vertex of the triangle: one containment
         # test, on the walk of the triangle's own rows
         P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
-        calls, contains = [], structure_module.poly_contains
-        monkeypatch.setattr(structure_module, "poly_contains", lambda *args: calls.append(args) or contains(*args))
+        calls, contains = [], structure_module._contains
+        monkeypatch.setattr(structure_module, "_contains", lambda *args: calls.append(args) or contains(*args))
         assert reconstruct_check(P)
-        assert [(outer.m, inner.m) for outer, inner in calls] == [(1, 3)]
+        assert [(outer, inner) for outer, inner, _ in calls] == [(_integer_rows(P)[3:], _integer_rows(TRIANGLE))]
         assert counts == {"cone_member": 0, "solve_lp": 0}
 
 
@@ -279,21 +280,63 @@ def test_emptiness_read_from_the_walk(counts):
 
 
 def test_unverified_witness_is_refused(monkeypatch):
-    # a walk of TRIANGLE that lists (-1, 0), outside it, as its vertex:
-    # the witness against QUADRANT's row -x <= 0 fails its check
-    fake = Vertex(point=(F(-1), F(0)), active=(), defining=())
+    # a walk of TRIANGLE that lists the state of (-1, 0), outside it, as
+    # its vertex: the witness against QUADRANT's row -x <= 0 fails its check
+    fake = ((1,), [-1, 0], 1, [-1, 0, 2])
     monkeypatch.setattr(structure_module, "_minkowski_weyl", lambda aug, n: ((), [fake], [], None))
     with pytest.raises(AssertionError, match="witness"):
         poly_contains(QUADRANT, TRIANGLE)
+
+
+def test_tampered_ray_fails_the_integer_check(monkeypatch):
+    # TRIANGLE's walk with a ray (1, 0) it does not have: every vertex
+    # keeps x <= 2, the ray rises on it, and the moved witness (3, 0)
+    # violates the inner row x + y <= 1
+    walk = structure_module._minkowski_weyl
+
+    def tampered(rows, n):
+        lineality, states, _, farkas = walk(rows, n)
+        return lineality, states, [[1, 0]], farkas
+
+    monkeypatch.setattr(structure_module, "_minkowski_weyl", tampered)
+    with pytest.raises(AssertionError, match="^containment witness failed verification$"):
+        structure_module._contains([[1, 0, 2]], _integer_rows(TRIANGLE), 2)
+
+
+# the line of the strip {0 <= 2x + 3y <= 1}, as the walk scales it, is (-3/2, 1)
+SLANTED_STRIP = Polyhedron.from_rows(2, [((2, 3), 1), ((-2, -3), 0)])
+
+
+@pytest.mark.parametrize(
+    "P, Q, witness",
+    [
+        (TRIANGLE, Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((2, 3), 5)]),
+         "(Fraction(5, 2), Fraction(0, 1))"),
+        (Polyhedron.from_rows(2, [((1, 1), F(7, 2))]),
+         Polyhedron.from_rows(2, [((-1, 0), -F(1, 5)), ((0, -1), -F(1, 4)), ((-1, 3), 1)]),
+         "(Fraction(21, 5), Fraction(2, 5))"),
+        (Polyhedron.from_rows(2, [((0, 1), F(1, 2))]), SLANTED_STRIP, "(Fraction(-37, 13), Fraction(29, 13))"),
+        (Polyhedron.from_rows(2, [((1, 0), F(1, 2))]), SLANTED_STRIP, "(Fraction(41, 13), Fraction(-23, 13))"),
+    ],
+    ids=["vertex", "ray", "plus-line", "minus-line"],
+)
+def test_witnesses_are_pinned(P, Q, witness):
+    # one per way to fail: the vertex of largest a.x, (5/2, 0); the vertex
+    # (1/5, 2/5) moved by t = 4 along the first ray (1, 0); and the
+    # slice's vertex (2/13, 3/13) moved by t = 2 along +L and along -L
+    assert repr(poly_contains(P, Q)) == f"Containment(holds=False, witness={witness})"
 
 
 def test_reconstruct_catches_a_missing_vertex(monkeypatch):
     # without vertex (0, 1) of {x >= 0, y >= 0, x + y >= 1}, row x >= 0 is
     # active at no listed vertex, and the listed rows allow x -> -infinity
     P = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((-1, -1), -1)])
-    listed = [v for v in enumerate_vertices(P) if v.point != (0, 1)]
+    aug, walk = _integer_rows(P), structure_module._minkowski_weyl
+    lineality, states, rays, farkas = walk(aug, P.n)
+    listed = [state for state in states if state[1:3] != ([0, 1], 1)]
     assert len(listed) == 1
-    monkeypatch.setattr(structure_module, "enumerate_vertices", lambda Q: listed)
+    monkeypatch.setattr(structure_module, "_minkowski_weyl",
+                        lambda rows, n: (lineality, listed, rays, farkas) if rows == aug else walk(rows, n))
     assert not reconstruct_check(P)
 
 
@@ -341,9 +384,10 @@ def test_agrees_with_reference_oracles(monkeypatch):
     """structure and remove_redundant return the results, or raise the
     exception types, of the long-way oracles in helpers on every draw, and
     so do is_bounded and reconstruct_check on all but the flattened ones.
-    These two see one vertex list per draw; every third list with two or
-    more vertices misses one, so reconstruct_check's False verdicts are
-    compared too."""
+    These two see one vertex list per draw, the walk's states for the
+    library and ``brute_vertices``' points for the oracle, which agree;
+    every third list with two or more vertices misses one, so
+    reconstruct_check's False verdicts are compared too."""
     corpus = _differential_corpus(random.Random(83))
     seen = {}
     for P in corpus:
@@ -352,14 +396,21 @@ def test_agrees_with_reference_oracles(monkeypatch):
         assert _outcome(remove_redundant, P) == _outcome(reference_remove_redundant, P), P
         key = ("structure", _kind(P, got))
         seen[key] = seen.get(key, 0) + 1
-    shown = {}
-    monkeypatch.setattr(structure_module, "enumerate_vertices", shown.__getitem__)
-    monkeypatch.setattr(helpers, "enumerate_vertices", shown.__getitem__)
+    # the walk of P's own rows is the one shown; R's walk inside
+    # reconstruct_check, over fewer rows, is left as it is
+    shown, walk = {}, structure_module._minkowski_weyl
+    monkeypatch.setattr(structure_module, "_minkowski_weyl",
+                        lambda rows, n: shown["walk"] if rows == shown["rows"] else walk(rows, n))
+    monkeypatch.setattr(helpers, "brute_vertices", lambda Q: shown["points"])
     for k, P in enumerate(corpus[:1000]):
-        vertices = enumerate_vertices(P)
-        if k % 3 == 0 and len(vertices) > 1:
-            del vertices[k % len(vertices)]
-        shown[P] = vertices
+        rows, points = _integer_rows(P), brute_vertices(P)
+        lineality, states, rays, farkas = walk(rows, P.n)
+        if not lineality:
+            assert [tuple(F(x, D) for x in X) for _, X, D, _ in states] == points, P
+            if k % 3 == 0 and len(states) > 1:
+                i = k % len(states)
+                del states[i], points[i]
+        shown.update(rows=rows, walk=(lineality, states, rays, farkas), points=points)
         for check, reference in ((is_bounded, reference_is_bounded),
                                  (reconstruct_check, reference_reconstruct_check)):
             got = _outcome(check, P)
