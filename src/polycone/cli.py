@@ -129,6 +129,8 @@ def _glp_dict(sol) -> dict:
 
 def _pieces(data) -> list[Polyhedron] | None:
     if isinstance(data, dict) and "pieces" in data:
+        if type(data["pieces"]) is not list:  # a JSON array, not 3 or "ab"
+            raise ValueError(f"malformed union JSON: pieces must be a list, got {data['pieces']!r}")
         pieces = [polyhedron_from_dict(p) for p in data["pieces"]]
         if not pieces:
             raise ValueError("union input has no pieces")

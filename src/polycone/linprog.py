@@ -80,7 +80,7 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
     one ratio test (m n) and one O(n^2) adjugate exchange, and no basis
     search runs after phase one's.
     """
-    cv = tuple(Fraction(v) for v in c)
+    cv = _coerce_vector(c)
     if len(cv) != P.n:
         raise DimensionMismatch(f"cost dimension {len(cv)} != ambient {P.n}")
     if sense not in ("min", "max"):

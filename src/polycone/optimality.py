@@ -24,6 +24,7 @@ from .geometry import (
     Polyhedron,
     Vertex,
     _checked_ray,
+    _coerce_vector,
     _defining,
     _in_order,
     _integer_rows,
@@ -112,11 +113,13 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     simplex runs, and no certificate searches for a basis.
     Each verdict carries its own certificate, checked exactly over
     integer rows before it is returned.  Cost: phase one's pivots and one
-    ratio test (m n) and one O(n^2) exchange per Bland step, then one
-    ratio test per edge of the optimal face, or, when unbounded, one per
-    edge of the whole vertex graph.
+    ratio test (m n) and one O(n^2) exchange per Bland step, then the
+    walk's ratio tests: one per vertex of the optimal face but the first,
+    a spanning tree of its edges where its vertices are simple, or, when
+    unbounded, one per vertex and one per ray of the whole vertex graph
+    (``geometry._walk``).
     """
-    cv = tuple(Fraction(v) for v in c)
+    cv = _coerce_vector(c)
     if len(cv) != P.n:
         raise DimensionMismatch(f"cost dimension {len(cv)} != ambient {P.n}")
     if sense not in ("min", "max"):
@@ -189,7 +192,7 @@ def stability_cone(P: Polyhedron, w: Vertex | Sequence) -> StabilityCone:
     price p = -c inside it), solve_glp reports this vertex among the
     optimal ones.
     """
-    point = w.point if isinstance(w, Vertex) else tuple(Fraction(v) for v in w)
+    point = w.point if isinstance(w, Vertex) else _coerce_vector(w)
     message = f"({', '.join(format_vector(point))}) is not a vertex of the polyhedron"
     try:
         active = active_set(P, point)

@@ -222,6 +222,41 @@ def cross_polytope(n: int, rng: random.Random | None = None, cuts: int = 0) -> P
     return Polyhedron.from_rows(n, rows)
 
 
+def cut_cross_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
+    """Independent enumeration of the vertices of a ``cross_polytope`` with
+    cuts, whose 2^n rows put ``brute_vertices`` out of reach past n = 4.
+    At a point x with support S, signs s there and ``|x|_1 = 1``, the cross
+    rows agreeing with s are tight, with rank ``n - |S| + 1``; so x is a
+    vertex when ``|S| - 1`` tight cuts make ``s.x_S = 1`` a nonsingular
+    system on S.  A vertex with ``|x|_1 < 1`` needs n tight cuts.  Each
+    candidate is solved and checked exactly."""
+    n = P.n
+    cuts = P.halfspaces[2 ** n:]
+
+    def feasible(x):
+        return sum(map(abs, x)) <= 1 and all(hs.slack(x) >= 0 for hs in cuts)
+
+    points = set()
+    for T in itertools.combinations(cuts, n):
+        x = reference_solve_square([hs.a for hs in T], [hs.b for hs in T])
+        if x is not None and feasible(x):
+            points.add(x)
+    for size in range(1, n + 1):
+        for S in itertools.combinations(range(n), size):
+            for signs in itertools.product((1, -1), repeat=size):
+                for T in itertools.combinations(cuts, size - 1):
+                    rows = [signs] + [[hs.a[j] for j in S] for hs in T]
+                    y = reference_solve_square(rows, [1] + [hs.b for hs in T])
+                    if y is None or any(v * s <= 0 for v, s in zip(y, signs)):
+                        continue
+                    x = [Fraction(0)] * n
+                    for j, v in zip(S, y):
+                        x[j] = v
+                    if feasible(x):
+                        points.add(tuple(x))
+    return sorted(points)
+
+
 def polygon_product(k1: int, k2: int, tangent: bool = False) -> tuple[Polyhedron, set]:
     """The product of a k1-gon and a k2-gon in R^4 and its k1 k2 vertices.
 
@@ -551,7 +586,7 @@ def reference_phase_two(A, n: int, start, C):
     while True:
         (active, X, D, S), adjugate = vertex
         if adjugate is None:
-            edges = geometry._edges(A, n, active, geometry._adjugate(A, active, n))
+            edges = [d for _, d in geometry._edges(A, n, active, geometry._adjugate(A, active, n))]
         else:
             edges = reference_columns(adjugate)
         j, d = next(((j, d) for j, d in enumerate(edges) if sum(map(mul, C, d)) < 0), (None, None))
@@ -680,6 +715,18 @@ def reference_edges(A, n: int, active) -> list[tuple[int, ...]]:
         g = math.gcd(*d)
         edges[tuple(x // g for x in d)] = None
     return list(edges)
+
+
+def reference_edge_key(A, active, d) -> int:
+    """Reference for the key ``geometry._walk`` gives an edge: the rows of
+    ``active`` along which d stays tight, each set of identical rows by its
+    first, as a bit set."""
+    key, seen = 0, set()
+    for i in active:
+        if A[i] not in seen and not sum(map(mul, A[i], d)):
+            key |= 1 << i
+        seen.add(A[i])
+    return key
 
 
 def reference_first_vertex(aug, n: int):
@@ -997,7 +1044,7 @@ def reference_boundary_convergence(T, limit: Polyhedron, R=None, tol: float = 1e
 
 def _reference_nonempty(P: Polyhedron) -> None:
     """EmptyPolyhedron unless the Fraction tableau finds P feasible."""
-    if reference_solve_lp(P, (0,) * P.n).status == "Infeasible":
+    if reference_solve_lp(P, (0,) * P.n, purify=False).status == "Infeasible":
         raise EmptyPolyhedron("operation requires a nonempty polyhedron")
 
 
@@ -1010,7 +1057,7 @@ def reference_is_bounded(P: Polyhedron) -> bool:
     for j in range(P.n):
         for sign in (1, -1):
             c = tuple(sign if k == j else 0 for k in range(P.n))
-            res = reference_solve_lp(rec, c, "max")
+            res = reference_solve_lp(rec, c, "max", purify=False)
             if res.status != "Optimal":
                 return False
             if res.value != 0:
@@ -1048,7 +1095,7 @@ def reference_poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
     if P.n != Q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
     for hs in P.halfspaces:
-        res = reference_solve_lp(Q, hs.a, "max")
+        res = reference_solve_lp(Q, hs.a, "max", purify=False)
         if res.status == "Infeasible":  # Q is empty
             return Containment(True, None)
         if res.status == "Optimal":
@@ -1078,7 +1125,7 @@ def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:
         rest = [P.halfspaces[k] for k in keep if k != i]
         if not rest:
             continue
-        res = reference_solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max")
+        res = reference_solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max", purify=False)
         if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
             keep.remove(i)
     return keep
@@ -1102,7 +1149,7 @@ def reference_structure(P: Polyhedron) -> StructureReport:
     for i, hs in enumerate(P.halfspaces):
         if any(hs.slack(x) > 0 for x in points):
             continue
-        res = reference_solve_lp(P, hs.a, "min")
+        res = reference_solve_lp(P, hs.a, "min", purify=False)
         if res.status == "Infeasible":  # only the first LP can find P empty
             raise EmptyPolyhedron("operation requires a nonempty polyhedron")
         points.append(res.point)
@@ -1279,12 +1326,15 @@ def reference_standard_simplex(
     }
 
 
-def reference_solve_lp(P: Polyhedron, c, sense: str = "min") -> LPResult:
+def reference_solve_lp(P: Polyhedron, c, sense: str = "min", purify: bool = True) -> LPResult:
     """Reference for ``polycone.solve_lp``: the Fraction tableau over ``z =
     (x+, x-, s)``, row i ``L_i (a_i x+ - a_i x- + s_i) = L_i b_i`` with the
     slack columns as the first basis, and the optimum slid to a full-rank
-    face by ``reference_purify``.  Infeasible carries phase one's reduced
-    costs over the slacks as Farkas multipliers over ``P.halfspaces``."""
+    face by ``reference_purify``, unless ``purify`` is false: callers that
+    read only the status, the value or some optimal point keep the
+    tableau's.
+    Infeasible carries phase one's reduced costs over the slacks as Farkas
+    multipliers over ``P.halfspaces``."""
     n, m = P.n, P.m
     cv = tuple(Fraction(v) for v in c)
     cmin = cv if sense == "min" else vec_neg(cv)
@@ -1303,7 +1353,9 @@ def reference_solve_lp(P: Polyhedron, c, sense: str = "min") -> LPResult:
 
     if res["status"] == "unbounded":
         return LPResult(status="Unbounded", point=to_x(res["point"]), ray=to_x(res["ray"]))
-    x = reference_purify(P, to_x(res["point"]), cmin)
+    x = to_x(res["point"])
+    if purify:
+        x = reference_purify(P, x, cmin)
     return LPResult(status="Optimal", point=x, value=dot(cv, x))
 
 

@@ -335,6 +335,20 @@ class TestExitCodes:
             "kind": "ValueError",
         }
 
+    @pytest.mark.parametrize("pieces", [3, 1.5, True, None, "ab", {"n": 1}],
+                             ids=["number", "float", "bool", "null", "string", "object"])
+    @pytest.mark.parametrize("verb", ["solve", "sensitivity"])
+    def test_pieces_not_a_list_rejected(self, tmp_path, verb, pieces):
+        # any JSON value but an array is a parse error, never a traceback
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps({"pieces": pieces}))
+        code, out = run_cli([verb, str(path), "--cost", "1,1"])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"malformed union JSON: pieces must be a list, got {pieces!r}",
+            "kind": "ValueError",
+        }
+
     @pytest.mark.parametrize(
         "option, value", [("--window", "-1"), ("--window", "3"), ("--seed", "3"), ("--tol", "0.1")]
     )

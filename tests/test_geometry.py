@@ -36,6 +36,7 @@ from helpers import (
     X_AXIS,
     brute_vertices,
     cross_polytope,
+    cut_cross_vertices,
     lex_witness,
     polygon_product,
     rand_direction,
@@ -44,9 +45,11 @@ from helpers import (
     random_polyhedron,
     random_polytope4,
     reference_columns,
+    reference_edge_key,
     reference_edges,
     reference_extreme_rays,
     reference_lex_basis,
+    reference_rank,
     reference_simplicial_basis,
     sufficiently_small_eps,
 )
@@ -265,9 +268,10 @@ class TestRaysFromTheWalk:
 
 
 class TestOutputSensitive:
-    """The walk ratio-tests each edge of the vertex graph once, and makes a
-    basis search (``geometry._adjugate``) and runs the double description
-    of ``geometry._edges`` past the adjugate's columns only at vertices
+    """The walk keys each edge by its tight rows and ratio-tests only the
+    edges whose far end no key names: on a simple polytope a spanning tree
+    of the vertex graph.  It makes a basis search (``geometry._adjugate``)
+    and runs the double description of ``geometry._edges`` only at vertices
     whose distinct active rows number more than n.  Phase one's lifted
     steps ratio-test directions in R^(n+1) and are not the walk's."""
 
@@ -281,11 +285,11 @@ class TestOutputSensitive:
         def counted_pivot(A, X, D, S, d):
             blocked = pivot(A, X, D, S, d)
             if len(d) == P.n:
-                ends = {tuple(F(x, D) for x in X)}
+                ends = (tuple(F(x, D) for x in X),)
                 if blocked is not None:
                     _, (_, Y, E, _) = blocked
-                    ends.add(tuple(F(y, E) for y in Y))
-                edges.append(frozenset(ends))
+                    ends += (tuple(F(y, E) for y in Y),)
+                edges.append(ends)
             return blocked
 
         def counted_edges(A, n, active, adjugate):
@@ -305,20 +309,35 @@ class TestOutputSensitive:
         assert searched[0] == tuple(range(P.m))
         return verts, edges, listings, searched[1:]
 
+    @staticmethod
+    def _spanning_tree(P, verts, edges):
+        """Assert that the tested segments are edges of P, the rows tight
+        at each midpoint having rank n - 1, and that they join every vertex
+        to the first, each found by exactly one of them, in walk order."""
+        points = {v.point for v in verts}
+        found = {edges[0][0]}
+        for p, q in edges:
+            assert p in found and q in points and q not in found
+            found.add(q)
+            mid = tuple((x + y) / 2 for x, y in zip(p, q))
+            assert reference_rank([hs.a for hs in P.halfspaces if hs.slack(mid) == 0], P.n) == P.n - 1
+        assert found == points
+
     @pytest.mark.parametrize("k1, k2", [(3, 3), (4, 6), (6, 7), (8, 8)])
     def test_polygon_products(self, monkeypatch, k1, k2):
-        # every vertex is simple: its edges are its adjugate's columns
+        # every vertex is simple, so it keys its edges when it is found and
+        # the walk tests k1 k2 - 1 of the 2 k1 k2 edges, a spanning tree
         P, expected = polygon_product(k1, k2)
         verts, edges, listings, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
-        assert len(edges) == len(set(edges)) == 2 * k1 * k2
-        assert searches == []
-        assert len(listings) == len(verts)
-        assert all(found == reference_columns(adjugate) for _, adjugate, found in listings)
+        assert len(edges) == k1 * k2 - 1
+        self._spanning_tree(P, verts, edges)
+        assert searches == listings == []
 
     def test_doubled_rows_merge(self, monkeypatch):
         # each row again times 2 is the same canonical row, so every vertex
-        # has eight active rows but four distinct ones
+        # has eight active rows but four distinct ones, and is keyed by the
+        # first of each
         P, expected = polygon_product(4, 6)
         Q = Polyhedron.from_rows(4, [(hs.a, hs.b) for hs in P.halfspaces] + [
             ([2 * x for x in hs.a], 2 * hs.b) for hs in P.halfspaces
@@ -331,13 +350,15 @@ class TestOutputSensitive:
             assert len(v.active) == 8
             assert {i % P.m for i in v.active} == set(v.active[:4])
             assert v.defining == lex_witness(Q, v.point)
-        assert len(edges) == len(set(edges)) == 2 * 4 * 6
-        assert searches == []
-        assert all(found == reference_columns(adjugate) for _, adjugate, found in listings)
+        assert len(edges) == 4 * 6 - 1
+        self._spanning_tree(Q, verts, edges)
+        assert searches == listings == []
 
     def test_degenerate_vertex_gives_each_edge_once(self, monkeypatch):
         # a row touching the second polygon at one vertex gives the five
-        # vertices above it five active rows, and each edge is still tested once
+        # vertices above it five active rows.  They list their edges only
+        # when the walk leaves them, so five tests reach one of them after
+        # it is found; no edge is tested from both ends
         P, expected = polygon_product(5, 6, tangent=True)
         verts, edges, listings, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
@@ -346,17 +367,90 @@ class TestOutputSensitive:
         # a basis search makes the witness of each of those five once, and
         # of a simple vertex only where the walk enters it from one of them
         # (no exchange hands it an adjugate then); the double description
-        # runs past the columns at those five alone, and the tangent row,
-        # redundant there, leaves each with the four edges of a simple
-        # vertex of the product, each found once
+        # runs at those five alone, and the tangent row, redundant there,
+        # leaves each with the four edges of a simple vertex of the product,
+        # each found once and keyed by the rows tight along it
         assert len(searches) == len(set(searches))
         assert sorted(a for a in searches if len(a) == 5) == sorted(v.active for v in degenerate)
-        for active, adjugate, found in listings:
-            if len(active) == 5:
-                assert len(found) == len(set(found)) == 4
-            else:
-                assert found == reference_columns(adjugate)
-        assert len(edges) == len(set(edges)) == 2 * 5 * 6
+        assert sorted(active for active, _, _ in listings) == sorted(v.active for v in degenerate)
+        A = [hs.a for hs in P.halfspaces]
+        for active, _, found in listings:
+            assert len({d for _, d in found}) == len({key for key, _ in found}) == len(found) == 4
+            assert all(key == reference_edge_key(A, active, d) for key, d in found)
+        assert len(edges) == len({frozenset(edge) for edge in edges}) == 5 * 6 - 1 + 5
+        found, again = {edges[0][0]}, []
+        for _, q in edges:
+            if q in found:
+                again.append(q)
+            found.add(q)
+        assert len(again) == 5 and set(again) <= {v.point for v in degenerate}
+
+
+class TestEdgeKeys:
+    """The walk keys each edge by the rows that stay tight along it and
+    ratio-tests an edge only where its key names no other vertex.  On
+    degenerate inputs it still finds every vertex and reports every ray
+    once, and tests no bounded edge from both ends."""
+
+    @staticmethod
+    def _cases():
+        """Doubled rows, the tangent-row product, cut cross-polytopes (n =
+        4-7) and 300 draws of ``random_degenerate_polyhedron`` (n = 1-4),
+        each with an oracle for its vertices that does not walk, and
+        whether it is bounded: every polytope here, and the draws that hold
+        the box [-2, 2]^n."""
+        rng = random.Random(47)
+        P, _ = polygon_product(4, 6)
+        yield P.with_rows(HalfSpace([2 * x for x in hs.a], 2 * hs.b) for hs in P.halfspaces), brute_vertices, True
+        yield polygon_product(5, 6, tangent=True)[0], brute_vertices, True
+        for n in (4, 5, 6, 7):
+            yield cross_polytope(n, rng, 3), cut_cross_vertices, True
+        for i in range(300):
+            P = random_degenerate_polyhedron(rng, 1 + i % 4)
+            rows = {(hs.a, hs.b) for hs in P.halfspaces}
+            units = [tuple(F(int(k == j)) for k in range(P.n)) for j in range(P.n)]
+            yield P, brute_vertices, all((e, 2) in rows and (tuple(-x for x in e), 2) in rows for e in units)
+
+    def test_every_vertex_and_ray_once(self, monkeypatch):
+        tests, pivot = [], geometry._pivot
+
+        def recorded(A, X, D, S, d):
+            blocked = pivot(A, X, D, S, d)
+            ends = (tuple(F(x, D) for x in X),)
+            if blocked is not None:
+                _, (_, Y, E, _) = blocked
+                ends += (tuple(F(y, E) for y in Y),)
+            tests.append((ends, d))
+            return blocked
+
+        monkeypatch.setattr(geometry, "_pivot", recorded)
+        seen = {"cases": 0, "rays": 0, "degenerate": 0}
+        for P, oracle, boxed in self._cases():
+            del tests[:]
+            lineality, states, rays, farkas = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
+            # the slice orthogonal to the lineality space, as the walk runs on it
+            Q = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, tuple(-x for x in v)))
+            points = [tuple(F(x, D) for x in X) for _, X, D, _ in states]
+            assert points == oracle(Q)
+            if farkas is not None:
+                continue
+            # phase one's lifted steps ratio-test directions in R^(n+1)
+            walk = [(ends, d) for ends, d in tests if len(d) == P.n]
+            bounded = [frozenset(ends) for ends, _ in walk if len(ends) == 2]
+            assert len(set(bounded)) == len(bounded) >= len(points) - 1
+            unbounded = [(ends[0], d) for ends, d in walk if len(ends) == 1]
+            assert [list(d) for _, d in unbounded] == rays
+            A = [tuple(row[:P.n]) for row in geometry._integer_rows(Q)]
+            # every edge at a vertex that no row blocks, from the subset search
+            expected = [] if boxed else [
+                (p, d) for p, (active, _, _, _) in zip(points, states)
+                for d in reference_edges(A, P.n, active) if all(sum(map(mul, a, d)) <= 0 for a in A)
+            ]
+            assert sorted(unbounded) == sorted(expected) and len(set(unbounded)) == len(unbounded)
+            seen["cases"] += 1
+            seen["rays"] += len(rays)
+            seen["degenerate"] += sum(reference_simplicial_basis(A, state[0], P.n) is None for state in states)
+        assert seen["cases"] >= 300 and seen["rays"] >= 100 and seen["degenerate"] >= 800, seen
 
 
 def _edge_cases():
@@ -371,7 +465,10 @@ def _edge_cases():
 
 def test_edges_agree_with_the_subset_search():
     # at every vertex the double description gives each edge once, and the
-    # same directions as the null lines of the (n-1)-subsets of its rows
+    # same directions as the null lines of the (n-1)-subsets of its rows,
+    # each keyed by the rows that stay tight along it; at a simplicial
+    # vertex they are the adjugate's columns with the keys the walk gives
+    # them when it finds the vertex
     degenerate = 0
     for P in _edge_cases():
         aug = geometry._integer_rows(P)
@@ -381,10 +478,17 @@ def test_edges_agree_with_the_subset_search():
             continue
         # each vertex of the walk, from the adjugate of the witness it carries
         for (active, _, _, _), adjugate in geometry._walk(A, P.n, start):
-            edges = geometry._edges(A, P.n, active, adjugate)
+            found = geometry._edges(A, P.n, active, adjugate)
+            edges = [d for _, d in found]
             assert len(edges) == len(set(edges))
             assert set(edges) == set(reference_edges(A, P.n, active))
-            degenerate += len(set(A[i] for i in active)) > P.n
+            keys = [reference_edge_key(A, active, d) for d in edges]
+            assert [key for key, _ in found] == keys and len(set(keys)) == len(keys)
+            if reference_simplicial_basis(A, active, P.n) is None:
+                degenerate += 1
+            else:
+                assert edges == reference_columns(adjugate)
+                assert geometry._keys(A, active, adjugate[0]) == keys
     assert degenerate > 100
 
 

@@ -51,6 +51,7 @@ from helpers import (
     STRIP,
     TRIANGLE,
     X_AXIS,
+    brute_vertices,
     random_generator_cone,
     reference_boundary_convergence,
     reference_cone_convergence,
@@ -303,15 +304,16 @@ class TestWindowDistance:
             assert repr(_window_support(_as_rows(trivial), _box_rows(n, R), dirs)) == repr(walked)
 
     def test_supports_match_lp_oracle(self):
-        # the vertex-enumeration support equals the direct LP support
+        # the LP support equals the support over the vertices that the
+        # subset search finds, exactly
         box_rows = [((1, 0), 2), ((-1, 0), 2), ((0, 1), 2), ((0, -1), 2)]
         boxed = REMARK_LIMIT.with_rows(Polyhedron.from_rows(2, box_rows).halfspaces)
+        pts = brute_vertices(boxed)
+        assert len(pts) >= 3
         for u in default_directions(2)[:12]:
             cu = (F(u[0]), F(u[1]))
             lp = solve_lp(boxed, cu, "max")
-            pts = [v.point for v in enumerate_vertices(boxed)]
-            brute = max(float(sum(c * x for c, x in zip(cu, p))) for p in pts)
-            assert abs(float(lp.value) - brute) < 1e-12
+            assert lp.value == max(sum(c * x for c, x in zip(cu, p)) for p in pts)
 
 
 class TestVerifyConvergence:

@@ -481,15 +481,15 @@ class TestWorkBudget:
         assert counts == {"phase ones": 2, "ratio tests": 0, "certificates": certificates, "cone tests": 0}
 
     @pytest.mark.parametrize("c, tied, tests", [((1, 2, -3, 1), 2, 3), ((3, -1, 2, 5), 1, 2),
-                                                ((-3, 1, -2, -5), 1, 5), ((0, 0, 0, 0), 42, 84)],
+                                                ((-3, 1, -2, -5), 1, 5), ((0, 0, 0, 0), 42, 41)],
                              ids=["edge", "vertex", "first-edge", "zero"])
     def test_descent_tests_only_its_path_and_the_optimal_face(self, counts, c, tied, tests):
         # the product of a hexagon and a heptagon has 42 simple vertices and
-        # 84 edges, each ratio-tested once by the walk that lists them all;
-        # phase two tests one edge per step of Bland's rule and then the
-        # optimal face's edges, which a zero cost makes the whole vertex
-        # graph.  Phase one's first basis is feasible here, so it takes no
-        # ratio test
+        # 84 edges, of which the walk that lists them all ratio-tests 41, a
+        # spanning tree; phase two tests one edge per step of Bland's rule
+        # and then a spanning tree of the optimal face, which a zero cost
+        # makes the whole vertex graph.  Phase one's first basis is feasible
+        # here, so it takes no ratio test
         P, vertices = polygon_product(6, 7)
         sol = solve_glp(P, c)
         best = min(dot(c, v) for v in vertices)
@@ -497,14 +497,17 @@ class TestWorkBudget:
         assert [v.point for v in sol.optimal_vertices] == sorted(v for v in vertices if dot(c, v) == best)
         assert len(sol.optimal_vertices) == tied
         assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0}
-        assert self._full_walk(counts, P) == 84
+        assert self._full_walk(counts, P) == 41
 
     def test_unbounded_tests_each_edge_once(self, monkeypatch):
         # once Bland's rule meets an improving column no row blocks, the
         # continuation walk from its vertex lists every ray: it ratio-tests
-        # every edge once, from one end, so as often as the walk over every
-        # vertex, and the ray is the lexicographically smallest improving
-        # extreme ray.  Only the walks' ratio tests are recorded; the
+        # each ray once, as the walk over every vertex does, and no edge
+        # from both ends, and the ray is the lexicographically smallest
+        # improving extreme ray.  In each walk every test of a bounded edge
+        # finds a new vertex, but where it meets a vertex whose distinct
+        # active rows number more than n, which keys its edges only as the
+        # walk leaves it.  Only the walks' ratio tests are recorded; the
         # descent's are counted, to see that it often steps first
         tested, descent, walking = [], [], []
         pivot, walk = geometry._pivot, geometry._walk
@@ -515,12 +518,12 @@ class TestWorkBudget:
                 # phase one's lifted steps, in R^(n+1), or Bland's descent
                 descent.append(len(d))
                 return blocked
-            ends = {tuple(F(x, D) for x in X)}
+            ends = (tuple(F(x, D) for x in X),)
             if blocked is not None:
                 _, (_, Y, E, _) = blocked
-                ends.add(tuple(F(y, E) for y in Y))
+                ends += (tuple(F(y, E) for y in Y),)
             line = d if next(x for x in d if x) > 0 else tuple(-x for x in d)
-            tested.append((frozenset(ends), line, blocked is None))
+            tested.append((ends, line))
             return blocked
 
         def walked(*args, **kwargs):
@@ -529,6 +532,17 @@ class TestWorkBudget:
                 return walk(*args, **kwargs)
             finally:
                 walking.pop()
+
+        def reached(Q, tests):
+            """The vertices a walk's tests reach, each test of a bounded
+            edge checked to find a new one or a vertex that is not simple."""
+            found = {tests[0][0][0]}
+            for (p, *q), _ in tests:
+                assert p in found
+                if q and q[0] in found:
+                    assert len({hs.a for hs in Q.halfspaces if hs.slack(q[0]) == 0}) > Q.n
+                found.update(q)
+            return found
 
         monkeypatch.setattr(geometry, "_pivot", recorded)
         monkeypatch.setattr(geometry, "_walk", walked)
@@ -543,10 +557,13 @@ class TestWorkBudget:
                 unbounded += 1
                 # Bland's last ratio test is the one no row blocks
                 descended += descent.count(P.n) > 1
-                assert len(set(tested)) == len(tested)
-                solve = len(tested)
-                enumerate_vertices(sol.solved_on)
-                assert solve == len(tested) - solve
+                solve = tested[:]
+                del tested[:]
+                verts = enumerate_vertices(sol.solved_on)
+                for tests in (solve, tested):
+                    assert len({(frozenset(ends), line) for ends, line in tests}) == len(tests)
+                    assert reached(sol.solved_on, tests) == {v.point for v in verts}
+                assert {test for test in solve if len(test[0]) == 1} == {test for test in tested if len(test[0]) == 1}
                 rays = reference_extreme_rays(sol.solved_on)
                 assert repr(sol.ray) == repr(min(_normalised(rays, cmin)))
         assert unbounded >= 300 and descended >= 50, (unbounded, descended)
