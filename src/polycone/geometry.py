@@ -496,12 +496,34 @@ def _phase_two(A, n: int, start, C: list[int]):
     return None, rays
 
 
+def _bounded(A, start) -> bool:
+    """Whether the set of the integer normals A of rank n, with phase one's
+    vertex ``start``, is bounded: ``_bland`` minimizes ``C.x`` for the
+    column sums ``C = 1 A`` from ``start``, and nothing is walked.
+
+    Every nonzero d with ``A d <= 0`` has ``A d != 0``, since A has rank
+    n, so ``C.d < 0``: C is bounded below iff the recession cone is
+    trivial.  An unblocked column d is checked as a recession ray along
+    which C falls (``_checked_ray``).  An optimal stop is checked by
+    ``_dual``: ``y >= 0`` over the basis rows with ``y A_B = -C``, so ``w
+    = 1 + y > 0`` with ``w A = 0``, Stiemke's certificate that ``A d <=
+    0`` forces ``A d = 0``, so d = 0.  Cost: one ratio test per Bland
+    step; where C = 0, as on a cross-polytope, none."""
+    C = [sum(column) for column in zip(*A)]
+    (state, (basis, M, det)), d = _bland(A, C, start)
+    if d is not None:
+        _checked_ray(A, C, d)
+        return False
+    _dual(A, basis, M, det, C, state[3])
+    return True
+
+
 def _phase_one(A, aug, n: int):
     """The walk's start: ``(start, None)`` with the first vertex's state
     (see ``_lowest``) and the basis of its tight rows that phase one ends
     on, with their adjugate (see ``_adjugate``), which the walk and the
-    Bland descents of ``solve_glp`` and ``solve_lp`` start from;
-    ``(None, y)`` with integer Farkas multipliers ``y >= 0`` over
+    Bland descents of ``solve_glp``, ``solve_lp`` and ``_bounded`` start
+    from; ``(None, y)`` with integer Farkas multipliers ``y >= 0`` over
     ``aug``, ``y A = 0`` and ``y b < 0``, when P is empty; ``(None,
     None)`` when A has rank below n, so P has no vertex.
 

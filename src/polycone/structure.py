@@ -1,13 +1,18 @@
-"""Global polyhedron analyses read off one Minkowski–Weyl walk.
+"""Global polyhedron analyses read off phase one and the Minkowski–Weyl walk.
 
-One walk over P's integer rows (``geometry._minkowski_weyl``) writes a
-nonempty P as ``conv V + cone R + lin L``: V as the walk's integer states
-``(active, X, D, S)``, each the point ``X / D`` with its active rows, and
-R as integer directions.  Boundedness, implicit equalities, dimension,
-facets and a minimal description follow (Schrijver 1986, ch. 8), and
-containment (``_contains``) reads the walk of its inner set.  Below the
-public functions everything takes integer rows ``[a..., b]`` and computes
-on integers: no Vertex is built, and a Fraction only for a containment
+Phase one over P's integer rows (``geometry._start``) finds P empty, with
+Farkas multipliers, or gives its lineality space L and a vertex of P or
+of its slice orthogonal to L.  That settles ``recession_and_lineality``,
+and ``is_bounded`` adds one Bland descent from that vertex
+(``geometry._bounded``), checked both ways.  One walk over P's integer
+rows (``geometry._minkowski_weyl``) writes a nonempty P as ``conv V +
+cone R + lin L``: V as the walk's integer states ``(active, X, D, S)``,
+each the point ``X / D`` with its active rows, and R as integer
+directions.  Implicit equalities, dimension, facets and a minimal
+description follow (Schrijver 1986, ch. 8), and containment
+(``_contains``) reads the walk of its inner set.  Below the public
+functions everything takes integer rows ``[a..., b]`` and computes on
+integers: no Vertex is built, and a Fraction only for a containment
 witness that ``poly_contains`` returns.  No verdict runs an LP; the one
 cone test left is the minimal rows' over integer equality normals, which
 ``cone_member`` decides by the kernel's phase one, with no simplex.
@@ -22,7 +27,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import Cone, IndexSet, Polyhedron, _integer_rows, _minkowski_weyl
+from .geometry import Cone, IndexSet, Polyhedron, _bounded, _integer_rows, _minkowski_weyl, _start
 from .linalg import Vector, extend, scaled
 from .linprog import cone_member
 
@@ -43,26 +48,30 @@ class Containment(NamedTuple):
     witness: Vector | None
 
 
-def _nonempty(aug: list[list[int]], n: int):
-    """The lineality basis, vertex states and rays of the nonempty set of
-    the integer rows ``aug`` (``_minkowski_weyl``)."""
-    lineality, states, rays, farkas = _minkowski_weyl(aug, n)
+def _nonempty(found):
+    """A result of ``_start`` or ``_minkowski_weyl`` without its last
+    entry, the Farkas certificate, which is None when their set is
+    nonempty."""
+    *found, farkas = found
     if farkas is not None:
         raise EmptyPolyhedron("operation requires a nonempty polyhedron")
-    return lineality, states, rays
+    return found
 
 
 def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
-    """Recession cone in H-form and an exact basis of the lineality space."""
-    lineality = _nonempty(_integer_rows(P), P.n)[0]
+    """Recession cone in H-form and an exact basis of the lineality space,
+    from phase one alone (``_start``)."""
+    lineality = _nonempty(_start(_integer_rows(P), P.n))[0]
     return Cone(P.n, hform=tuple(hs.homogeneous() for hs in P.halfspaces)), lineality
 
 
 def is_bounded(P: Polyhedron) -> bool:
     """True iff the recession cone ``{d : A d <= 0}`` is trivial: P has no
-    lineality and its walk meets no ray (P = conv V + cone R + lin L)."""
-    lineality, _, rays = _nonempty(_integer_rows(P), P.n)
-    return not lineality and not rays
+    lineality, and the cost ``1 A``, the column sums of P's integer
+    normals, attains its minimum over P (``_bounded``: one Bland descent
+    from phase one's vertex, its ray or its multipliers checked)."""
+    lineality, A, start = _nonempty(_start(_integer_rows(P), P.n))
+    return not lineality and _bounded(A, start)
 
 
 def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list[int]], list]:
@@ -70,36 +79,38 @@ def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list
     per facet the rows defining it, and its vertices as the walk's sorted
     states (none when it has lines).
 
-    Row i's face is the vertices whose active set holds i and the rays it
-    is tight at: all of them iff row i is an implicit equality, else a
-    facet iff it has a vertex and a span one less than the whole set's.
-    The span of a face is the rank of its lifted points ``(X, D)`` and
-    rays ``(r, 0)`` less one, from one ``extend`` pass; the whole set's
-    plus |L| is dim P.
+    Row i's face is the bit set of the vertices whose active set holds i
+    with that of the rays it is tight at; on P, or on its slice when P has
+    lines, a face is determined by its vertices and rays.  Row i is an
+    implicit equality iff its face is the whole set, and ``dim P = n -
+    rank`` of those rows' normals, from one ``extend`` pass.  The other
+    rows with a vertex define nonempty proper faces; every proper face
+    lies in a facet, and each facet is some row's face, so the facets are
+    the faces no other row's proper face strictly contains (Schrijver
+    1986, ch. 8).  The rows sharing one are grouped, in row order.
     """
-    lineality, states, rays = _nonempty(aug, n)
-    faces = [(tuple(k for k, state in enumerate(states) if i in state[0]),
-              tuple(k for k, r in enumerate(rays) if not sum(map(mul, row, r))))
-             for i, row in enumerate(aug)]
-    whole = (tuple(range(len(states))), tuple(range(len(rays))))
-    lifted = [[*X, D] for _, X, D, _ in states], [[*r, 0] for r in rays]
-
-    def span(face):
-        echelon = ([], (), 1)
-        for rows, indices in zip(lifted, face):
-            for k in indices:
-                echelon = extend(*echelon, rows[k], n + 1) or echelon
-        return len(echelon[1]) - 1
-
-    full = span(whole)
+    lineality, states, rays = _nonempty(_minkowski_weyl(aug, n))
+    # a state's slacks S cover every row walked, the slice's past aug's too
+    vertices = [0] * len(states[0][3])
+    for k, (active, _, _, _) in enumerate(states):
+        for i in active:
+            vertices[i] |= 1 << k
+    faces = [(v, sum(1 << k for k, r in enumerate(rays) if not sum(map(mul, row, r))))
+             for v, row in zip(vertices, aug)]
+    whole = (1 << len(states)) - 1, (1 << len(rays)) - 1
+    equalities = tuple(i for i, face in enumerate(faces) if face == whole)
+    echelon = ([], (), 1)
+    for i in equalities:
+        echelon = extend(*echelon, aug[i][:n], n) or echelon
     groups: dict = {}
     for i, face in enumerate(faces):
         if face != whole and face[0]:
             groups.setdefault(face, []).append(i)
-    facets = [rows for face, rows in groups.items() if span(face) == full - 1]
+    facets = [rows for (v, r), rows in groups.items()
+              if not any(v & u == v and r & s == r and (u, s) != (v, r) for u, s in groups)]
     return StructureReport(
-        implicit_equalities=tuple(i for i, face in enumerate(faces) if face == whole),
-        dimension=full + len(lineality),
+        implicit_equalities=equalities,
+        dimension=n - len(echelon[1]),
         lineality_basis=lineality,
         facet_count=len(facets),
         vertex_count=0 if lineality else len(states),

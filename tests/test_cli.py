@@ -1,16 +1,21 @@
 import contextlib
+import copy
+import functools
 import io
 import json
 import math
+import operator
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polycone import polyhedron_from_dict, polyhedron_to_dict, trajectory_to_dict
 from polycone.rationals import parse_rational
 from polycone import cli
 from polycone.cli import main
 
-from helpers import HALF_LINE, QUADRANT, TRIANGLE, Y1, Y2, is_farkas
+from helpers import HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2, is_farkas
 from families import footnote_trajectory, remark_trajectory
 
 
@@ -473,3 +478,108 @@ class TestExitCodes:
         assert "Fraction(" not in error
         if args[0] == "sensitivity":
             assert error == f"({', '.join(args[3].split(','))}) is not a vertex of the polyhedron"
+
+
+# every fixture kind a verb can be handed: polyhedra (bounded, unbounded,
+# lower-dimensional, with lines, empty), a union and two trajectories
+FUZZ_KINDS = {
+    "polyhedron": [
+        polyhedron_to_dict(TRIANGLE),
+        polyhedron_to_dict(QUADRANT),
+        polyhedron_to_dict(HALF_LINE),
+        polyhedron_to_dict(STRIP),
+        {"n": 1, "constraints": [{"a": ["1"], "b": "-1"}, {"a": ["-1"], "b": "0"}]},
+    ],
+    "union": [{"pieces": [polyhedron_to_dict(Y1), polyhedron_to_dict(Y2)]}],
+    "trajectory": [trajectory_to_dict(footnote_trajectory()), trajectory_to_dict(remark_trajectory())],
+}
+# every verb with the options it needs, {0} and {1} its fuzzed files, and
+# per file the kinds it reads
+FUZZ_FORMS = {
+    "vertices": (["vertices", "{0}"], ["polyhedron"]),
+    "cones": (["cones", "{0}", "--point", "0,0"], ["polyhedron"]),
+    "solve": (["solve", "{0}", "--cost", "1,-1"], ["polyhedron", "union"]),
+    "sensitivity-cost": (["sensitivity", "{0}", "--cost", "1,1", "--sense", "max"], ["polyhedron", "union"]),
+    "sensitivity-vertex": (["sensitivity", "{0}", "--vertex", "0,0"], ["polyhedron"]),
+    "bounded": (["bounded", "{0}"], ["polyhedron"]),
+    "structure": (["structure", "{0}"], ["polyhedron"]),
+    "contains": (["contains", "{0}", "{1}"], ["polyhedron"], ["polyhedron"]),
+    "limit": (["limit", "{0}"], ["trajectory"]),
+    "track": (["track", "{0}"], ["trajectory"]),
+    "argmax": (["argmax", "{0}"], ["trajectory"]),
+    "boundary": (["boundary", "{0}", "--limit", "{1}"], ["trajectory"], ["polyhedron"]),
+}
+# what an edit puts in: JSON scalars, small numbers, strings that parse as
+# rationals or not, and empty containers; no size that allocates without bound
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(-4, 4),
+    st.sampled_from([math.nan, math.inf, -math.inf, "", "x", "1/2", "-1", "1/0", "1e400", [], {}]),
+)
+_EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["replace", "delete", "duplicate"]), _LEAVES),
+                  min_size=1, max_size=3)
+
+
+def _paths(data, path=()):
+    """Every node of a JSON value, as the keys and indices leading to it, in preorder."""
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(data, edits):
+    """data after each edit ``(pick, kind, leaf)``: ``pick`` chooses a
+    depth, so that the few nodes near the root are often hit, and a node
+    there in preorder, which is replaced by leaf, deleted, or duplicated
+    (a list item in place, a dict entry under a new key)."""
+    data = copy.deepcopy(data)
+    for pick, kind, leaf in edits:
+        paths = list(_paths(data))
+        depths = sorted({len(path) for path in paths})
+        pick, depth = divmod(pick, len(depths))
+        level = [path for path in paths if len(path) == depths[depth]]
+        path = level[pick % len(level)]
+        if not path:
+            data = copy.deepcopy(leaf)
+            continue
+        parent, key = functools.reduce(operator.getitem, path[:-1], data), path[-1]
+        if kind == "replace":
+            parent[key] = copy.deepcopy(leaf)
+        elif kind == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[f"{key}+"] = copy.deepcopy(parent[key])
+    return data
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _fuzzed(kinds):
+    """A fixture, of a kind among ``kinds`` half the time and of any kind
+    else, with the edits to make to it."""
+    kind = st.one_of(st.sampled_from(kinds), st.sampled_from(sorted(FUZZ_KINDS)))
+    return st.tuples(kind.flatmap(lambda k: st.sampled_from(FUZZ_KINDS[k])), _EDITS)
+
+
+@pytest.mark.parametrize("verb", FUZZ_FORMS)
+@settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_input_ends_in_a_json_report(tmp_path, verb, data):
+    """Any verb on mutated fixtures exits 0, 1 or 2 with one strict JSON
+    report on stdout, and raises nothing (a union whose ``pieces`` is a
+    number once escaped as a TypeError)."""
+    form, *kinds = FUZZ_FORMS[verb]
+    paths = []
+    for k, file_kinds in enumerate(kinds):
+        fixture, edits = data.draw(_fuzzed(file_kinds))
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(_mutated(fixture, edits)))
+        paths.append(str(path))
+    code, out = run_cli([arg.format(*paths) for arg in form])
+    assert code in (0, 1, 2), out
+    json.loads(out, parse_constant=_reject_constant)

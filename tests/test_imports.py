@@ -10,9 +10,10 @@ test on implicit-equality normals.  The Kuratowski modules use
 directly.
 
 Only ``geometry`` knows the layout of the integer adjugate that phase
-one, the walk and the tie certificates carry: ``optimality`` takes none of
-``_adjugate``, ``_bland``, ``_column`` or ``_exchange`` from it, nor the
-module itself.
+one, the walk and the tie certificates carry: neither ``optimality`` nor
+``structure`` takes any of ``_adjugate``, ``_bland``, ``_column`` or
+``_exchange`` from it, nor the module itself.  ``structure``'s one
+descent, the boundedness test, runs in ``geometry._bounded``.
 
 The walk's entry (``geometry._minkowski_weyl``) is fed integer rows:
 ``structure`` takes nothing from ``optimality``, the Kuratowski modules
@@ -21,10 +22,12 @@ take only ``solve_glp`` from it, and the window metric builds no
 diagnostics take their cones off integer rows, not from ``tangent_cone``,
 ``normal_cone`` or ``active_set``, and ``_window_support`` reads the
 walk's integer states, reaching no ``Vertex`` readout.  So do the
-structure layer (``is_bounded``, ``structure``, ``reconstruct_check`` and
-their containment test ``_contains``) and the limit's walk
-(``_limit_walk``): ``_minkowski_weyl`` hands them the walk's states, and
-only ``geometry._vertices`` reads a walk out as Vertex objects
+structure layer (``structure``, ``reconstruct_check`` and their
+containment test ``_contains``) and the limit's walk (``_limit_walk``):
+``_minkowski_weyl`` hands them the walk's states.  ``is_bounded`` walks
+nothing: it reads phase one's vertex (``_start``) and one Bland descent
+(``geometry._bounded``), and it too reaches no readout.  Only
+``geometry._vertices`` reads a walk out as Vertex objects
 (``_walked``).  In the whole
 package only ``argmax_convergence`` builds a sample Polyhedron
 (``sample_polyhedron``), for ``solve_glp``; the other diagnostics read
@@ -42,7 +45,8 @@ four stay frozen dataclasses (``DATACLASSES``), and the CLI, which every
 ``polycone`` process imports, takes nothing from ``dataclasses``.
 
 ``geometry`` has one descent, Bland's rule in ``_bland``: phase one, the
-tie certificates, ``solve_lp`` and ``solve_glp``'s phase two all run it.
+tie certificates, ``solve_lp``, ``solve_glp``'s phase two and the
+boundedness test all run it.
 Only ``_bland`` and ``_walk`` exchange a row into an adjugate, only
 ``_bland`` and ``_walk`` ratio-test, only ``_pivot`` holds the ratio test,
 and the one basis search is ``_adjugate`` (no ``_lex_basis``).  The edge
@@ -163,6 +167,10 @@ def _adjugate_internals(source: str) -> set[str]:
 
 def test_optimality_takes_no_adjugate_internals():
     assert _adjugate_internals((SRC / "optimality.py").read_text(encoding="utf-8")) == set()
+
+
+def test_structure_takes_no_adjugate_internals():
+    assert _adjugate_internals((SRC / "structure.py").read_text(encoding="utf-8")) == set()
 
 
 @pytest.mark.parametrize(
@@ -323,10 +331,10 @@ def test_structure_layer_reads_the_walk_states():
 
 _READOUT_CLEAN = {
     "structure.py": (
-        "def is_bounded(P):\n    return not _nonempty(_integer_rows(P), P.n)[2]\n"
-        "def _nonempty(aug, n):\n    return _minkowski_weyl(aug, n)\n"
+        "def is_bounded(P):\n    return _bounded(*_nonempty(_start(_integer_rows(P), P.n))[1:])\n"
+        "def _nonempty(found):\n    return found[:-1]\n"
         "def structure(P):\n    return _structure(_integer_rows(P), P.n)\n"
-        "def _structure(aug, n) -> list:\n    return _nonempty(aug, n)\n"
+        "def _structure(aug, n) -> list:\n    return _nonempty(_minkowski_weyl(aug, n))\n"
         "def reconstruct_check(P):\n    return _contains(rest, used, P.n) is None\n"
         "def _contains(outer, inner, n):\n    return _minkowski_weyl(inner, n)\n"
         "def poly_contains(P, Q):\n    return tuple(Fraction(w, E) for w in _contains(P, Q, n))\n"
@@ -347,7 +355,8 @@ def _tampered(path: str, old: str, new: str) -> dict[str, str]:
     "sources, faults",
     [
         (_READOUT_CLEAN, set()),
-        (_tampered("structure.py", "return not _nonempty(_integer_rows(P), P.n)[2]", "return not enumerate_vertices(P)"),
+        (_tampered("structure.py", "return _bounded(*_nonempty(_start(_integer_rows(P), P.n))[1:])",
+                   "return not enumerate_vertices(P)"),
          {"structure.py::is_bounded reaches enumerate_vertices"}),
         (_tampered("structure.py", "def _structure(aug, n) -> list:", "def _structure(aug, n) -> list[Vertex]:"),
          {"structure.py::structure reaches Vertex"}),

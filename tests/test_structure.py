@@ -28,6 +28,8 @@ from helpers import (
     TRIANGLE,
     X_AXIS,
     brute_vertices,
+    cross_polytope,
+    cut_cross_vertices,
     random_degenerate_polyhedron,
     random_feasible_pointed,
     reference_is_bounded,
@@ -39,6 +41,7 @@ from helpers import (
 
 F = Fraction
 structure_module = importlib.import_module("polycone.structure")
+geometry_module = importlib.import_module("polycone.geometry")
 linprog_module = importlib.import_module("polycone.linprog")
 optimality_module = importlib.import_module("polycone.optimality")
 
@@ -85,6 +88,68 @@ class TestIsBounded:
     def test_empty_raises(self):
         with pytest.raises(errors.EmptyPolyhedron):
             is_bounded(EMPTY)
+
+    def test_rising_ray_is_refused(self, monkeypatch):
+        # a descent claiming the unblocked column (1, 1), which rises on x + 2y <= 2
+        monkeypatch.setattr(geometry_module, "_bland", lambda rows, C, vertex: (vertex, (1, 1)))
+        with pytest.raises(AssertionError, match="^unbounded ray failed verification$"):
+            is_bounded(SLANTED_TRIANGLE)
+
+    def test_negative_multipliers_are_refused(self, monkeypatch):
+        # the descent of -C stops at (0, 1), where C = 1 A = (0, 1) is
+        # largest: there the multipliers of C are -1/2 and -1/2
+        bland = geometry_module._bland
+        monkeypatch.setattr(geometry_module, "_bland", lambda rows, C, vertex: bland(rows, [-c for c in C], vertex))
+        with pytest.raises(AssertionError, match="^optimality multipliers failed verification$"):
+            is_bounded(SLANTED_TRIANGLE)
+
+
+# {x >= 0, y >= 0, x + 2y <= 2}: its integer normals sum to (0, 1), not 0
+SLANTED_TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 2), 2)])
+SEGMENT = Polyhedron.from_rows(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)])
+POINT = Polyhedron.from_rows(2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)])
+# the square pyramid of height 1 over [0, 1]^2: four rows tight at its apex (1/2, 1/2, 1)
+PYRAMID = Polyhedron.from_rows(3, [((0, 0, -1), 0), ((-2, 0, 1), 0), ((0, -2, 1), 0), ((2, 0, 1), 2), ((0, 2, 1), 2)])
+
+
+class TestFacetsAreMaximalFaces:
+    """structure's facets, the row faces no other proper row face strictly
+    contains, on hand-picked sets, against ``reference_structure`` and
+    stated counts."""
+
+    @pytest.mark.parametrize(
+        "P, facets, dimension, groups",
+        [
+            (SEGMENT, 2, 1, [[0], [1]]),
+            (POINT, 0, 0, []),
+            (STRIP, 2, 2, [[0], [1]]),
+            (PYRAMID, 5, 3, [[0], [1], [2], [3], [4]]),
+            # z <= 1 touches only the apex, a face inside each side facet
+            (PYRAMID.with_rows([HalfSpace((0, 0, 1), 1)]), 5, 3, [[0], [1], [2], [3], [4]]),
+        ],
+        ids=["segment", "point", "strip", "pyramid", "pyramid-apex-row"],
+    )
+    def test_hand_picked(self, P, facets, dimension, groups):
+        report, rows, _ = structure_module._structure(_integer_rows(P), P.n)
+        assert (report.facet_count, report.dimension, rows) == (facets, dimension, groups)
+        assert report == reference_structure(P)
+
+    def test_rescaled_duplicate_is_one_group(self):
+        # x + y <= 1 again as the integer row 2x + 2y <= 2, which no
+        # Polyhedron holds (HalfSpace rescales it) but integer rows may
+        report, rows, _ = structure_module._structure(_integer_rows(TRIANGLE) + [[2, 2, 2]], 2)
+        assert (report.facet_count, rows) == (3, [[0], [1], [2, 3]])
+        assert report == reference_structure(TRIANGLE.with_rows([HalfSpace((2, 2), 2)]))
+
+    def test_cross_polytope(self, monkeypatch):
+        # n = 5: 32 rows, each a facet, with 16 of them tight at each of the 10 vertices
+        P = cross_polytope(5)
+        report = structure(P)
+        assert (report.facet_count, report.dimension, report.vertex_count) == (32, 5, 10)
+        assert report.implicit_equalities == ()
+        # brute_vertices' subset search is out of reach at 2^5 rows
+        monkeypatch.setattr(helpers, "brute_vertices", cut_cross_vertices)
+        assert report == reference_structure(P)
 
 
 class TestStructure:
@@ -266,6 +331,57 @@ class TestWorkBudget:
         assert reconstruct_check(P)
         assert [(outer, inner) for outer, inner, _ in calls] == [(_integer_rows(P)[3:], _integer_rows(TRIANGLE))]
         assert counts == {"cone_member": 0, "solve_lp": 0}
+
+
+@pytest.fixture
+def walk_work(monkeypatch):
+    """Walks (``geometry._walk``) and ratio tests (``geometry._pivot``),
+    those inside a walk apart from the rest."""
+    counts = {"walks": 0, "walk ratio tests": 0, "other ratio tests": 0}
+    walk, pivot, inside = geometry_module._walk, geometry_module._pivot, []
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        inside.append(True)
+        try:
+            return walk(*args)
+        finally:
+            inside.pop()
+
+    def counted_pivot(*args):
+        counts["walk ratio tests" if inside else "other ratio tests"] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(geometry_module, "_walk", counted_walk)
+    monkeypatch.setattr(geometry_module, "_pivot", counted_pivot)
+    return counts
+
+
+# {x + 2y >= 0, 2x + y >= 0, x <= 1, y <= 1}: phase one stops at (0, 0),
+# and C = 1 A = (-2, -2) is least at (1, 1), two Bland steps away
+KITE = Polyhedron.from_rows(2, [((-1, -2), 0), ((-2, -1), 0), ((1, 0), 1), ((0, 1), 1)])
+
+
+class TestBoundednessWorkBudget:
+    """is_bounded runs phase one and one Bland descent, and
+    recession_and_lineality phase one alone: no walk, so no ratio test of
+    the walk's."""
+
+    @pytest.mark.parametrize(
+        "P, bounded, descent",
+        [(TRIANGLE, True, 0), (SLANTED_TRIANGLE, True, 0), (QUADRANT, False, 1), (STRIP, False, 0),
+         (KITE, True, 2), (PYRAMID, True, 0), (cross_polytope(5), True, 0)],
+        ids=["triangle", "slanted-triangle", "quadrant", "strip", "kite", "pyramid", "cross-polytope"],
+    )
+    def test_one_descent_and_no_walk(self, walk_work, P, bounded, descent):
+        # descent counts the ratio tests after phase one's; where C = 1 A
+        # is 0 (TRIANGLE, the cross-polytope) or P has lines, none
+        geometry_module._start(_integer_rows(P), P.n)
+        phase_one = walk_work["other ratio tests"]
+        assert is_bounded(P) is bounded
+        assert walk_work == {"walks": 0, "walk ratio tests": 0, "other ratio tests": 2 * phase_one + descent}
+        assert recession_and_lineality(P)[1] == (() if P is not STRIP else ((1, 0),))
+        assert walk_work == {"walks": 0, "walk ratio tests": 0, "other ratio tests": 3 * phase_one + descent}
 
 
 def test_emptiness_read_from_the_walk(counts):
