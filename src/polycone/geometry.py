@@ -284,14 +284,18 @@ def _minkowski_weyl(aug, n: int):
     ``farkas`` as ``_start`` gives them, V as the walk's integer states
     ``(active, X, D, S)`` (see ``_lowest``) sorted by point, as
     ``enumerate_vertices`` sorts its vertices, and R as the integer
-    directions of the edges no row blocks; no vertex is read out as a
-    Vertex.  When L is nonzero, V and R are those of the slice orthogonal
-    to L; when the set is empty, only ``farkas`` is given."""
+    directions of the edges no row blocks, each once, in the order the
+    walk first meets it (it meets a ray once for every vertex it leaves
+    along it); no vertex is read out as a Vertex.  When L is nonzero, V
+    and R are those of the slice orthogonal to L; when the set is empty,
+    only ``farkas`` is given."""
     lineality, A, start, farkas = _start(aug, n)
     if farkas is not None:
         return (), [], [], farkas
     rays = []
-    return lineality, [state for state, _ in _in_order(_walk(A, n, start, rays))], rays, None
+    states = [state for state, _ in _in_order(_walk(A, n, start, rays))]
+    # the walk's directions are gcd-reduced, so a repeated ray is an equal list
+    return lineality, states, [list(r) for r in dict.fromkeys(map(tuple, rays))], None
 
 
 def _start(aug, n: int):
@@ -515,6 +519,60 @@ def _bounded(A, start) -> bool:
         _checked_ray(A, C, d)
         return False
     _dual(A, basis, M, det, C, state[3])
+    return True
+
+
+def _implied(aug, A, records) -> bool:
+    """Whether the set R of the integer rows ``aug`` that some vertex of
+    ``records``, a walk's records over their normals A (see ``_walk``),
+    makes active lies in every other row, so in the set of all of them.
+
+    For each row ``a.x <= b`` active at no vertex, ``_bland`` maximizes
+    ``a.x`` over R from the first record of largest ``a.x`` (compared as
+    the integer points ``X K / D`` over one common denominator K), cut to
+    R's rows: its vertex is one of R's, since the rows tight there, a
+    basis among them, are all R's.  Where it stops, ``_dual`` checks ``y
+    >= 0`` over the basis rows with ``y A_B = a``, and ``y.b_B <= b``
+    completes Farkas' certificate that R implies the row: ``a.x = y A_B x
+    <= y.b_B`` on R.  Otherwise its vertex, whose ``a.x`` is ``y.b_B > b``,
+    or the vertex moved by the least integer ``t >= 0`` that takes ``a.x``
+    past b along the column no row of R blocks, is a witness, checked
+    exactly on integers to satisfy R's rows and to violate the row.  When
+    the records list every vertex of a pointed set, R is the set (each
+    facet holds a vertex), the first record of largest ``a.x`` is optimal
+    and the descent takes no step there if it is simplicial and only
+    degenerate ones otherwise.  Cost per such row: a pass over the records
+    and the descent's sign tests, ``n^2`` each, with one ``m n`` ratio test
+    per step, and the check of the multipliers."""
+    n = len(A[0])
+    used = {i for (active, _, _, _), _ in records for i in active}
+    rest = [row for i, row in enumerate(aug) if i not in used]
+    if not rest:
+        return True
+    # R's row p is row i of aug, in row order
+    position = {i: p for p, i in enumerate(sorted(used))}
+    rows, R = [A[i] for i in position], [aug[i] for i in position]
+    K = lcm(*[D for (_, _, D, _), _ in records])
+    points = [[x * (K // D) for x in X] for (_, X, D, _), _ in records]
+    for *a, b in rest:
+        values = [sum(map(mul, a, Y)) for Y in points]
+        (active, X, D, S), (basis, M, det) = records[values.index(max(values))]
+        start = ((tuple(position[i] for i in active), X, D, [S[i] for i in position]),
+                 (tuple(position[i] for i in basis), M, det))
+        C = [-x for x in a]
+        ((_, X, D, S), (basis, M, det)), d = _bland(rows, C, start)
+        if d is None:
+            Y = _dual(rows, basis, M, det, C, S)
+            # y.b_B - b = (Y.b_B - b det) / det
+            if (sum(y * R[i][n] for y, i in zip(Y, basis)) - b * det) * det <= 0:
+                continue
+            W = X
+        else:
+            t = max(0, (b * D - sum(map(mul, a, X))) // (D * sum(map(mul, a, d))) + 1)
+            W = [x + t * D * y for x, y in zip(X, d)]
+        if any(sum(map(mul, c, W)) > e * D for *c, e in R) or sum(map(mul, a, W)) <= b * D:
+            raise AssertionError("reconstruction witness failed verification")
+        return False
     return True
 
 

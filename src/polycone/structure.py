@@ -9,14 +9,22 @@ rows (``geometry._minkowski_weyl``) writes a nonempty P as ``conv V +
 cone R + lin L``: V as the walk's integer states ``(active, X, D, S)``,
 each the point ``X / D`` with its active rows, and R as integer
 directions.  Implicit equalities, dimension, facets and a minimal
-description follow (Schrijver 1986, ch. 8), and containment
-(``_contains``) reads the walk of its inner set.  Below the public
-functions everything takes integer rows ``[a..., b]`` and computes on
-integers: no Vertex is built, and a Fraction only for a containment
-witness that ``poly_contains`` returns.  No verdict runs an LP; the one
-cone test left is the minimal rows' over integer equality normals, which
-``cone_member`` decides by the kernel's phase one, with no simplex.
-Operations that need a nonempty P raise EmptyPolyhedron.
+description follow (Schrijver 1986, ch. 8), and ``poly_contains``'s
+containment test (``_contains``) reads the walk of its inner set.
+``reconstruct_check`` walks P once and keeps the walk's records, each
+vertex's state with the adjugate of its witness basis: a row that no
+vertex makes active is certified from the record of largest ``a.x`` by
+one Bland descent over the rows that some vertex does
+(``geometry._implied``), by checked multipliers, or refuted by a checked
+witness.  Below the public functions everything takes integer rows
+``[a..., b]`` and computes on integers: no Vertex is built, and a
+Fraction only for a containment witness that ``poly_contains`` returns.
+No verdict runs ``linprog``'s simplex: the only descents are the
+kernel's Bland rule, in ``_bounded`` and ``_implied``, each ending in a
+checked ray, witness or set of multipliers, and the one cone test left
+is the minimal rows' over integer equality normals, which
+``cone_member`` decides by the kernel's phase one.  Operations that need
+a nonempty P raise EmptyPolyhedron.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import Cone, IndexSet, Polyhedron, _bounded, _integer_rows, _minkowski_weyl, _start
+from .geometry import Cone, IndexSet, Polyhedron, _bounded, _implied, _integer_rows, _minkowski_weyl, _start, _walk
 from .linalg import Vector, extend, scaled
 from .linprog import cone_member
 
@@ -203,13 +211,15 @@ def reconstruct_check(P: Polyhedron) -> bool:
     A tangent-cone row ``A_i v <= 0`` of vertex w translates to
     ``A_i x <= A_i w = b_i``, P's own row i, so the intersection R is the
     set of rows active at some vertex of P's walk.  Hence ``P ⊆ R``
-    always, and ``R ⊆ P`` needs ``_contains`` (R's walk) only for the rows
-    that no vertex makes active, all sliced from P's integer rows.
+    always, and ``R ⊆ P`` needs only the rows that no vertex makes active:
+    ``_implied`` certifies each by Bland's multipliers over R's rows from
+    the records of the same walk, or refutes it by a checked witness.
+    Cost: phase one and one walk of P, then per unused row a pass over the
+    vertices and a Bland descent that, on a correct walk, takes no step at
+    a simplicial vertex and only degenerate ones otherwise.
     """
     aug = _integer_rows(P)
-    lineality, states, _, _ = _minkowski_weyl(aug, P.n)
-    if lineality or not states:
+    lineality, A, start, _ = _start(aug, P.n)
+    if lineality or start is None:
         raise NoVertices("reconstruction needs at least one vertex")
-    used = {i for active, _, _, _ in states for i in active}
-    rest = [row for i, row in enumerate(aug) if i not in used]
-    return not rest or _contains(rest, [row for i, row in enumerate(aug) if i in used], P.n) is None
+    return _implied(aug, A, _walk(A, P.n, start))

@@ -244,6 +244,12 @@ class TestRaysFromTheWalk:
         assert geometry._minkowski_weyl(geometry._integer_rows(STRIP), 2)[0]
         assert self._walk(STRIP)[1] == set()
 
+    def test_each_ray_once(self):
+        # {0 <= x <= 1, y >= 0}: the walk leaves both vertices up along
+        # (0, 1), and the ray is listed once
+        P = Polyhedron.from_rows(2, [((1, 0), 1), ((-1, 0), 0), ((0, -1), 0)])
+        assert geometry._minkowski_weyl(geometry._integer_rows(P), P.n)[2] == [[0, 1]]
+
     def test_producer_piece(self):
         # Y1's two unbounded edges leave (-2, 1) along y = 1 and (0, 0)
         # down along 2x + y = 0
@@ -439,7 +445,8 @@ class TestEdgeKeys:
             bounded = [frozenset(ends) for ends, _ in walk if len(ends) == 2]
             assert len(set(bounded)) == len(bounded) >= len(points) - 1
             unbounded = [(ends[0], d) for ends, d in walk if len(ends) == 1]
-            assert [list(d) for _, d in unbounded] == rays
+            # the first unblocked ratio test along each direction lists its ray
+            assert [list(d) for d in dict.fromkeys(d for _, d in unbounded)] == rays
             A = [tuple(row[:P.n]) for row in geometry._integer_rows(Q)]
             # every edge at a vertex that no row blocks, from the subset search
             expected = [] if boxed else [
@@ -448,7 +455,7 @@ class TestEdgeKeys:
             ]
             assert sorted(unbounded) == sorted(expected) and len(set(unbounded)) == len(unbounded)
             seen["cases"] += 1
-            seen["rays"] += len(rays)
+            seen["rays"] += len(unbounded)
             seen["degenerate"] += sum(reference_simplicial_basis(A, state[0], P.n) is None for state in states)
         assert seen["cases"] >= 300 and seen["rays"] >= 100 and seen["degenerate"] >= 800, seen
 

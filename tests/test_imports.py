@@ -12,8 +12,10 @@ directly.
 Only ``geometry`` knows the layout of the integer adjugate that phase
 one, the walk and the tie certificates carry: neither ``optimality`` nor
 ``structure`` takes any of ``_adjugate``, ``_bland``, ``_column`` or
-``_exchange`` from it, nor the module itself.  ``structure``'s one
-descent, the boundedness test, runs in ``geometry._bounded``.
+``_exchange`` from it, nor the module itself.  ``structure``'s
+descents, the boundedness test and the certificates of
+``reconstruct_check``, run in ``geometry._bounded`` and
+``geometry._implied``.
 
 The walk's entry (``geometry._minkowski_weyl``) is fed integer rows:
 ``structure`` takes nothing from ``optimality``, the Kuratowski modules
@@ -22,9 +24,11 @@ take only ``solve_glp`` from it, and the window metric builds no
 diagnostics take their cones off integer rows, not from ``tangent_cone``,
 ``normal_cone`` or ``active_set``, and ``_window_support`` reads the
 walk's integer states, reaching no ``Vertex`` readout.  So do the
-structure layer (``structure``, ``reconstruct_check`` and their
-containment test ``_contains``) and the limit's walk (``_limit_walk``):
-``_minkowski_weyl`` hands them the walk's states.  ``is_bounded`` walks
+structure layer (``structure`` and the containment test ``_contains``)
+and the limit's walk (``_limit_walk``): ``_minkowski_weyl`` hands them
+the walk's states.  ``reconstruct_check`` hands the records of its one
+walk (``_start``, then ``_walk``) to ``geometry._implied``, and it too
+reaches no readout.  ``is_bounded`` walks
 nothing: it reads phase one's vertex (``_start``) and one Bland descent
 (``geometry._bounded``), and it too reaches no readout.  Only
 ``geometry._vertices`` reads a walk out as Vertex objects
@@ -45,8 +49,9 @@ four stay frozen dataclasses (``DATACLASSES``), and the CLI, which every
 ``polycone`` process imports, takes nothing from ``dataclasses``.
 
 ``geometry`` has one descent, Bland's rule in ``_bland``: phase one, the
-tie certificates, ``solve_lp``, ``solve_glp``'s phase two and the
-boundedness test all run it.
+tie certificates, ``solve_lp``, ``solve_glp``'s phase two, the
+boundedness test and the certificates of ``reconstruct_check`` all run
+it.
 Only ``_bland`` and ``_walk`` exchange a row into an adjugate, only
 ``_bland`` and ``_walk`` ratio-test, only ``_pivot`` holds the ratio test,
 and the one basis search is ``_adjugate`` (no ``_lex_basis``).  The edge
@@ -335,7 +340,7 @@ _READOUT_CLEAN = {
         "def _nonempty(found):\n    return found[:-1]\n"
         "def structure(P):\n    return _structure(_integer_rows(P), P.n)\n"
         "def _structure(aug, n) -> list:\n    return _nonempty(_minkowski_weyl(aug, n))\n"
-        "def reconstruct_check(P):\n    return _contains(rest, used, P.n) is None\n"
+        "def reconstruct_check(P):\n    return _implied(aug, A, _walk(A, P.n, start))\n"
         "def _contains(outer, inner, n):\n    return _minkowski_weyl(inner, n)\n"
         "def poly_contains(P, Q):\n    return tuple(Fraction(w, E) for w in _contains(P, Q, n))\n"
     ),
@@ -362,7 +367,10 @@ def _tampered(path: str, old: str, new: str) -> dict[str, str]:
          {"structure.py::structure reaches Vertex"}),
         (_tampered("structure.py", "return _minkowski_weyl(inner, n)\n",
                    "return _witness(inner, n)\ndef _witness(W, E):\n    return [Fraction(w, E) for w in W]\n"),
-         {"structure.py::_contains reaches Fraction", "structure.py::reconstruct_check reaches Fraction"}),
+         {"structure.py::_contains reaches Fraction"}),
+        (_tampered("structure.py", "return _implied(aug, A, _walk(A, P.n, start))\n",
+                   "return _witness(_walk(A, P.n, start))\ndef _witness(records):\n    return _vertex(records[0])\n"),
+         {"structure.py::reconstruct_check reaches _vertex"}),
         (_tampered("structure.py", "def _contains(outer, inner, n)", "def _inside(outer, inner, n)"),
          {"structure.py defines no _contains"}),
         (_tampered("kuratowski/convergence.py", "_minkowski_weyl(rows, n)", "_vertices(rows, n)"),
@@ -370,7 +378,8 @@ def _tampered(path: str, old: str, new: str) -> dict[str, str]:
         (_tampered("geometry.py", "_in_order(_walk(A, n, start, rays))", "_walked(A, n, start)"),
          {"geometry.py::_minkowski_weyl calls _walked"}),
     ],
-    ids=["clean", "vertex-readout", "annotation", "through-a-helper", "missing", "limit-walk", "second-caller"],
+    ids=["clean", "vertex-readout", "annotation", "through-a-helper", "records-through-a-helper", "missing",
+         "limit-walk", "second-caller"],
 )
 def test_readout_guard_sees_each_fault(sources, faults):
     assert _readout_faults(sources) == faults

@@ -345,7 +345,8 @@ class TestPhaseOne:
                 assert [(tuple(F(x, D) for x in X), active) for active, X, D, _ in states] == [
                     (v.point, v.active) for v in reference]
                 assert repr(enumerate_vertices(Q)) == repr(reference)
-                assert sorted(map(tuple, rays)) == sorted(map(tuple, reference_rays))
+                # the reference lists a ray once per vertex it leaves along it
+                assert sorted(map(tuple, rays)) == sorted(set(map(tuple, reference_rays)))
             if sol.status == "Infeasible":
                 assert is_farkas(P, sol.farkas)
                 seen["Infeasible"] += 1

@@ -323,13 +323,15 @@ class TestWorkBudget:
         assert counts == {"cone_member": 0, "solve_lp": 0}
 
     def test_reconstruct_tests_only_the_unused_row(self, counts, monkeypatch):
-        # x <= 5 is active at no vertex of the triangle: one containment
-        # test, on the walk of the triangle's own rows
+        # x <= 5 is active at no vertex of the triangle: one Bland descent,
+        # maximizing x over the triangle's own rows (phase one, which
+        # starts at the feasible (0, 0), runs none)
         P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
-        calls, contains = [], structure_module._contains
-        monkeypatch.setattr(structure_module, "_contains", lambda *args: calls.append(args) or contains(*args))
+        calls, bland = [], geometry_module._bland
+        monkeypatch.setattr(geometry_module, "_bland", lambda *args: calls.append(args) or bland(*args))
         assert reconstruct_check(P)
-        assert [(outer, inner) for outer, inner, _ in calls] == [(_integer_rows(P)[3:], _integer_rows(TRIANGLE))]
+        triangle = [tuple(row[:2]) for row in _integer_rows(TRIANGLE)]
+        assert [(rows, C) for rows, C, _ in calls] == [(triangle, [-1, 0])]
         assert counts == {"cone_member": 0, "solve_lp": 0}
 
 
@@ -360,6 +362,20 @@ def walk_work(monkeypatch):
 # {x + 2y >= 0, 2x + y >= 0, x <= 1, y <= 1}: phase one stops at (0, 0),
 # and C = 1 A = (-2, -2) is least at (1, 1), two Bland steps away
 KITE = Polyhedron.from_rows(2, [((-1, -2), 0), ((-2, -1), 0), ((1, 0), 1), ((0, 1), 1)])
+
+
+def test_reconstruct_walks_once(walk_work, monkeypatch):
+    # x <= 5 is active at no vertex of the triangle: phase one and one walk
+    # of P, and the descent from (1, 0), where x is largest and whose two
+    # rows are a basis, takes no step; no second walk of the rows used
+    P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
+    geometry_module._start(_integer_rows(P), P.n)
+    phase_one = walk_work["other ratio tests"]
+    monkeypatch.setattr(structure_module, "_walk", geometry_module._walk, raising=False)
+    contains, calls = structure_module._contains, []
+    monkeypatch.setattr(structure_module, "_contains", lambda *args: calls.append(args) or contains(*args))
+    assert reconstruct_check(P)
+    assert (walk_work["walks"], walk_work["other ratio tests"], calls) == (1, 2 * phase_one, [])
 
 
 class TestBoundednessWorkBudget:
@@ -443,17 +459,73 @@ def test_witnesses_are_pinned(P, Q, witness):
     assert repr(poly_contains(P, Q)) == f"Containment(holds=False, witness={witness})"
 
 
+def _listed(monkeypatch, P, kept):
+    """Make reconstruct_check see the records of P's walk whose points
+    ``kept`` accepts, in walk order, as if the walk had found no other."""
+    aug, walk = _integer_rows(P), geometry_module._walk
+    _, A, start, _ = geometry_module._start(aug, P.n)
+    listed = [record for record in walk(A, P.n, start) if kept(tuple(F(x, record[0][2]) for x in record[0][1]))]
+    monkeypatch.setattr(structure_module, "_walk", lambda rows, n, start: listed if rows == A else walk(rows, n, start))
+    return listed
+
+
 def test_reconstruct_catches_a_missing_vertex(monkeypatch):
     # without vertex (0, 1) of {x >= 0, y >= 0, x + y >= 1}, row x >= 0 is
-    # active at no listed vertex, and the listed rows allow x -> -infinity
+    # active at no listed vertex, and the listed rows allow x -> -infinity:
+    # the descent leaves (1, 0) along x + y = 1 unblocked
     P = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((-1, -1), -1)])
-    aug, walk = _integer_rows(P), structure_module._minkowski_weyl
-    lineality, states, rays, farkas = walk(aug, P.n)
-    listed = [state for state in states if state[1:3] != ([0, 1], 1)]
-    assert len(listed) == 1
-    monkeypatch.setattr(structure_module, "_minkowski_weyl",
-                        lambda rows, n: (lineality, listed, rays, farkas) if rows == aug else walk(rows, n))
+    assert len(_listed(monkeypatch, P, lambda point: point != (0, 1))) == 1
     assert not reconstruct_check(P)
+
+
+def test_reconstruct_catches_missing_vertices_of_a_polytope(monkeypatch):
+    # without (2, 1) and (1, 2) of {0 <= x, y <= 2, x + y <= 3}, row
+    # x + y <= 3 is active at no listed vertex, and the listed rows, the
+    # box, reach x + y = 4 at (2, 2): the descent stops there
+    P = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 0), 2), ((0, 1), 2), ((1, 1), 3)])
+    assert len(_listed(monkeypatch, P, lambda point: sum(point) != 3)) == 3
+    stops, bland = [], geometry_module._bland
+    monkeypatch.setattr(geometry_module, "_bland", lambda *args: stops.append(bland(*args)) or stops[-1])
+    assert not reconstruct_check(P)
+    [((_, X, D, _), _), d] = stops[-1]
+    assert (X, D, d) == ([2, 2], 1, None)
+
+
+# x <= 5 is active at no vertex of TRIANGLE; the descent maximizing x from
+# (1, 0) stops there at once, with multipliers 1 and 1 on y >= 0 and
+# x + y <= 1, and y.b_B = 1
+LOOSE_TRIANGLE = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
+
+
+class TestReconstructCertificates:
+    """reconstruct_check's True verdicts carry multipliers checked by
+    ``_dual`` and ``y.b_B <= b``, its False verdicts a checked witness."""
+
+    def test_negative_multipliers_are_refused(self, monkeypatch):
+        # a descent that minimizes x stops where x = 0: there the
+        # multipliers of x, over y >= 0 and x + y <= 1 or over x >= 0 and
+        # y >= 0, include -1
+        bland = geometry_module._bland
+        monkeypatch.setattr(geometry_module, "_bland", lambda rows, C, vertex: bland(rows, [-c for c in C], vertex))
+        with pytest.raises(AssertionError, match="^optimality multipliers failed verification$"):
+            reconstruct_check(LOOSE_TRIANGLE)
+
+    def test_multipliers_past_the_offset_are_refused(self, monkeypatch):
+        # checked multipliers, then scaled by 6: y.b_B = 6 > 5 declares
+        # x <= 5 broken at (1, 0), a witness that satisfies it
+        dual = geometry_module._dual
+        monkeypatch.setattr(geometry_module, "_dual", lambda *args: [6 * y for y in dual(*args)])
+        with pytest.raises(AssertionError, match="^reconstruction witness failed verification$"):
+            reconstruct_check(LOOSE_TRIANGLE)
+
+    @pytest.mark.parametrize("d", [(-1, 0), (1, 0)], ids=["falling", "blocked"])
+    def test_unverified_witness_is_refused(self, monkeypatch, d):
+        # a descent claiming an unblocked column d at (1, 0): along (-1, 0)
+        # x falls, so the witness is (1, 0) itself, which keeps x <= 5;
+        # along (1, 0) the witness (6, 0) breaks x + y <= 1
+        monkeypatch.setattr(geometry_module, "_bland", lambda rows, C, vertex: (vertex, d))
+        with pytest.raises(AssertionError, match="^reconstruction witness failed verification$"):
+            reconstruct_check(LOOSE_TRIANGLE)
 
 
 def _differential_corpus(rng):
@@ -512,21 +584,21 @@ def test_agrees_with_reference_oracles(monkeypatch):
         assert _outcome(remove_redundant, P) == _outcome(reference_remove_redundant, P), P
         key = ("structure", _kind(P, got))
         seen[key] = seen.get(key, 0) + 1
-    # the walk of P's own rows is the one shown; R's walk inside
-    # reconstruct_check, over fewer rows, is left as it is
-    shown, walk = {}, structure_module._minkowski_weyl
-    monkeypatch.setattr(structure_module, "_minkowski_weyl",
-                        lambda rows, n: shown["walk"] if rows == shown["rows"] else walk(rows, n))
+    # reconstruct_check's one walk, of P's own rows, is the one shown
+    shown, walk = {}, geometry_module._walk
+    monkeypatch.setattr(structure_module, "_walk",
+                        lambda A, n, start: shown["records"] if A == shown["A"] else walk(A, n, start))
     monkeypatch.setattr(helpers, "brute_vertices", lambda Q: shown["points"])
     for k, P in enumerate(corpus[:1000]):
         rows, points = _integer_rows(P), brute_vertices(P)
-        lineality, states, rays, farkas = walk(rows, P.n)
+        lineality, A, start, _ = geometry_module._start(rows, P.n)
+        records = [] if start is None else geometry_module._in_order(walk(A, P.n, start))
         if not lineality:
-            assert [tuple(F(x, D) for x in X) for _, X, D, _ in states] == points, P
-            if k % 3 == 0 and len(states) > 1:
-                i = k % len(states)
-                del states[i], points[i]
-        shown.update(rows=rows, walk=(lineality, states, rays, farkas), points=points)
+            assert [tuple(F(x, D) for x in X) for (_, X, D, _), _ in records] == points, P
+            if k % 3 == 0 and len(records) > 1:
+                i = k % len(records)
+                del records[i], points[i]
+        shown.update(A=A, records=records, points=points)
         for check, reference in ((is_bounded, reference_is_bounded),
                                  (reconstruct_check, reference_reconstruct_check)):
             got = _outcome(check, P)
