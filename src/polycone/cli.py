@@ -4,9 +4,15 @@ Unions of polyhedra are a CLI-level convenience for `solve` and
 `sensitivity` only (best value across the pieces wins, per-piece cones are
 reported separately); the core modules stay strictly convex.
 
-Exit codes: 0 success, 2 domain errors (infeasible, diverging offsets and
-friends), 1 usage or parse errors, 3 a broken internal invariant, such as
-a certificate failing its own exact check (a bug; kind "InternalError").
+Exit codes: 0 success; 1 usage or parse errors: an ``errors.InputError``
+(a dimension mismatch, too few samples, a bad window), a ``ValueError`` or
+``KeyError`` from malformed input, or a file that cannot be read; 2 a
+domain outcome: an ``errors.DomainError`` (infeasible input, diverging
+offsets and friends), an Infeasible ``solve`` or a ``sensitivity`` cost
+with no attained optimum; 3 a broken internal invariant, such as a
+certificate failing its own exact check (a bug; kind "InternalError").
+An error report is ``{"error": ..., "kind": ...}`` with the exception's
+class name as ``kind``.
 """
 from __future__ import annotations
 
@@ -39,29 +45,6 @@ from .kuratowski import (
 from .optimality import solve_glp, stability_cone
 from .rationals import format_rational, format_vector, parse_rational
 from .structure import is_bounded, poly_contains, structure
-
-_DOMAIN_ERRORS = (
-    errors.EmptyPolyhedron,
-    errors.InfeasiblePoint,
-    errors.NoVertices,
-    errors.NotAVertex,
-    errors.NotAttained,
-    errors.OffsetDiverges,
-    errors.OffsetOscillates,
-    errors.ParallelPair,
-    errors.TrackNotConverged,
-    errors.MaxNotAttained,
-)
-
-_PARSE_ERRORS = (
-    errors.DimensionMismatch,
-    errors.TooFewSamples,
-    errors.BadWindow,
-    ValueError,
-    KeyError,
-    json.JSONDecodeError,
-)
-
 
 _NEGATIVE = re.compile(r"-\d")
 _LONG_OPTION = re.compile(r"--[^=]+")
@@ -211,8 +194,9 @@ def _cmd_solve(args):
 
 
 def _stability_dict(sol) -> list[dict]:
-    # optimal vertices come from enumerating sol.solved_on, so their active
-    # rows give the stability cones without proving vertex-ness again
+    # the optimal vertices come from the walk of the optimal face over
+    # sol.solved_on, so their active rows give the stability cones without
+    # proving vertex-ness again
     return [
         {
             "vertex": format_vector(v.point),
@@ -422,10 +406,10 @@ def main(argv=None) -> int:
     try:
         _check_positive(args)
         code, report = args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except errors.DomainError as exc:
         report = {"error": str(exc), "kind": type(exc).__name__}
         code = 2
-    except _PARSE_ERRORS as exc:
+    except (errors.InputError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         report = {"error": str(exc), "kind": type(exc).__name__}
         code = 1
     except OSError as exc:

@@ -1,55 +1,72 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.
+
+Every concrete error derives from exactly one of two bases, which carry
+the CLI's exit policy: ``InputError`` (exit 1) for input that is
+malformed or inconsistent, and ``DomainError`` (exit 2) for well-formed
+input whose mathematical outcome the operation cannot complete, such as
+an empty polyhedron or a diverging offset.  ``polycone.cli`` catches the
+bases, so a new class is reported with its name as ``kind``.
+"""
 
 
 class PolyconeError(Exception):
-    """Base class for all domain errors raised by polycone."""
+    """Base class of polycone's own errors; each concrete class derives
+    from ``InputError`` or ``DomainError``."""
 
 
-class DimensionMismatch(PolyconeError):
+class InputError(PolyconeError):
+    """Malformed or inconsistent input (CLI exit 1)."""
+
+
+class DomainError(PolyconeError):
+    """Well-formed input with no answer of the requested kind (CLI exit 2)."""
+
+
+class DimensionMismatch(InputError):
     """Inputs disagree on the ambient dimension."""
 
 
-class InfeasiblePoint(PolyconeError):
+class InfeasiblePoint(DomainError):
     """A point violates at least one constraint where feasibility is required."""
 
 
-class EmptyPolyhedron(PolyconeError):
+class EmptyPolyhedron(DomainError):
     """An operation that requires a nonempty polyhedron received an empty one."""
 
 
-class NoVertices(PolyconeError):
+class NoVertices(DomainError):
     """An operation that requires extremal points found none."""
 
 
-class NotAVertex(PolyconeError):
+class NotAVertex(DomainError):
     """The supplied point is not a vertex of the polyhedron."""
 
 
-class NotAttained(PolyconeError):
+class NotAttained(DomainError):
     """The objective does not attain its optimum, so the requested face is undefined."""
 
 
-class TooFewSamples(PolyconeError):
+class TooFewSamples(InputError):
     """A trajectory has fewer samples than the minimum of three."""
 
 
-class ParallelPair(PolyconeError):
+class ParallelPair(DomainError):
     """The constraint pair is parallel inverse-equivalent; no bisector limit exists."""
 
 
-class OffsetDiverges(PolyconeError):
+class OffsetDiverges(DomainError):
     """A constraint offset diverges in a way that leaves no polyhedral limit."""
 
 
-class OffsetOscillates(PolyconeError):
+class OffsetOscillates(DomainError):
     """A constraint offset has no limit along the sampled tail."""
 
 
-class TrackNotConverged(PolyconeError):
+class TrackNotConverged(DomainError):
     """Cone diagnostics require a vertex track that converged."""
 
 
-class MaxNotAttained(PolyconeError):
+class MaxNotAttained(DomainError):
     """The objective of one family member does not attain its maximum."""
 
     def __init__(self, sample, message=None):
@@ -57,5 +74,5 @@ class MaxNotAttained(PolyconeError):
         super().__init__(message or f"maximum not attained at sample {sample!r}")
 
 
-class BadWindow(PolyconeError):
+class BadWindow(InputError):
     """Window radius not positive and finite, or operands of two dimensions."""

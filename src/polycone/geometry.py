@@ -285,17 +285,15 @@ def _minkowski_weyl(aug, n: int):
     ``(active, X, D, S)`` (see ``_lowest``) sorted by point, as
     ``enumerate_vertices`` sorts its vertices, and R as the integer
     directions of the edges no row blocks, each once, in the order the
-    walk first meets it (it meets a ray once for every vertex it leaves
-    along it); no vertex is read out as a Vertex.  When L is nonzero, V
-    and R are those of the slice orthogonal to L; when the set is empty,
-    only ``farkas`` is given."""
+    walk first meets it (see ``_walk``); no vertex is read out as a
+    Vertex.  When L is nonzero, V and R are those of the slice orthogonal
+    to L; when the set is empty, only ``farkas`` is given."""
     lineality, A, start, farkas = _start(aug, n)
     if farkas is not None:
         return (), [], [], farkas
     rays = []
     states = [state for state, _ in _in_order(_walk(A, n, start, rays))]
-    # the walk's directions are gcd-reduced, so a repeated ray is an equal list
-    return lineality, states, [list(r) for r in dict.fromkeys(map(tuple, rays))], None
+    return lineality, states, rays, None
 
 
 def _start(aug, n: int):
@@ -383,10 +381,12 @@ def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
     polytope the walk ratio-tests |V| - 1 bounded edges, a spanning tree,
     and each ray once.  Cost per vertex: one O(n^2) exchange if simplicial,
     else a basis search and the double description's; then a column and one
-    m n ratio test per edge that no key settles.  Each edge no row blocks
-    is appended to ``rays``, if given.  With an integer cost C, only the
-    edges d with ``C.d = 0`` are followed: from an optimal vertex, the walk
-    lists the optimal face."""
+    m n ratio test per edge that no key settles.  The direction of each
+    edge no row blocks is appended to ``rays``, if given, unless it is
+    there: the walk meets a ray once for every vertex it leaves along it,
+    and lists it once, where it first meets it.  With an integer cost C,
+    only the edges d with ``C.d = 0`` are followed: from an optimal
+    vertex, the walk lists the optimal face."""
     (active, _, _, _), adjugate = start
     keys = _keys(A, active, adjugate[0]) if _simplicial(A, active, n) else None
     if keys is None:
@@ -411,7 +411,8 @@ def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
                 continue
             blocked = _pivot(A, X, D, S, d)
             if blocked is None:
-                if rays is not None:
+                # d is gcd-reduced, so a ray met again is an equal list
+                if rays is not None and list(d) not in rays:
                     rays.append(list(d))
                 continue
             k, neighbour = blocked
@@ -481,17 +482,19 @@ def _phase_two(A, n: int, start, C: list[int]):
     """Minimize ``C.x`` from phase one's vertex ``start``: ``(face, None)``
     with the optimal face's vertices as ``_walk`` leaves them, or
     ``(None, rays)`` when C is unbounded below, with every ray of the
-    polyhedron as ``_minkowski_weyl`` lists them.
+    polyhedron, each once, as ``_minkowski_weyl`` lists them.
 
     Bland's rule (``_bland``) descends from ``start`` on the basis phase
     one hands over.  Where it stops with ``y >= 0``, ``-C`` lies in the
     normal cone of its vertex, which is optimal, and the walk along the
     edges with ``C.d = 0`` from it lists the optimal face.  Where C falls
     along a column no row blocks, the walk of the whole vertex graph from
-    its vertex lists every ray, as ``_minkowski_weyl`` does.  Cost: one
-    ratio test per Bland step, then the walk's: one ratio test per ray and
-    per vertex it finds, plus those that meet a vertex whose distinct
-    active rows number more than n."""
+    its vertex lists every ray, as ``_minkowski_weyl`` does.  Neither
+    outcome is checked here: ``solve_glp`` checks each face vertex's
+    multipliers (``_tie_certificate``) and the ray it reports
+    (``_checked_ray``).  Cost: one ratio test per Bland step, then the
+    walk's: one ratio test per ray and per vertex it finds, plus those that
+    meet a vertex whose distinct active rows number more than n."""
     vertex, d = _bland(A, C, start)
     if d is None:
         return _walk(A, n, vertex, C=C), None
@@ -500,26 +503,34 @@ def _phase_two(A, n: int, start, C: list[int]):
     return None, rays
 
 
+def _descent(rows, C, vertex):
+    """Bland's descent (``_bland``) on the integer cost C over the integer
+    normals ``rows`` from ``vertex``, its outcome checked before it is
+    returned: ``(vertex, Y, None)`` at an optimal stop, with the final
+    vertex and ``_dual``'s checked multipliers ``Y``, so ``y = Y / det``
+    over its basis rows, or ``(vertex, None, d)`` with the column d along
+    which C falls and no row blocks, checked by ``_checked_ray``."""
+    vertex, d = _bland(rows, C, vertex)
+    if d is not None:
+        return vertex, None, _checked_ray(rows, C, d)
+    state, (basis, M, det) = vertex
+    return vertex, _dual(rows, basis, M, det, C, state[3]), None
+
+
 def _bounded(A, start) -> bool:
     """Whether the set of the integer normals A of rank n, with phase one's
-    vertex ``start``, is bounded: ``_bland`` minimizes ``C.x`` for the
-    column sums ``C = 1 A`` from ``start``, and nothing is walked.
+    vertex ``start``, is bounded: the checked descent (``_descent``)
+    minimizes ``C.x`` for the column sums ``C = 1 A`` from ``start``, and
+    nothing is walked.
 
     Every nonzero d with ``A d <= 0`` has ``A d != 0``, since A has rank
     n, so ``C.d < 0``: C is bounded below iff the recession cone is
-    trivial.  An unblocked column d is checked as a recession ray along
-    which C falls (``_checked_ray``).  An optimal stop is checked by
-    ``_dual``: ``y >= 0`` over the basis rows with ``y A_B = -C``, so ``w
-    = 1 + y > 0`` with ``w A = 0``, Stiemke's certificate that ``A d <=
-    0`` forces ``A d = 0``, so d = 0.  Cost: one ratio test per Bland
+    trivial.  An unblocked column is a recession ray along which C falls.
+    At an optimal stop ``y >= 0`` over the basis rows with ``y A_B = -C``,
+    so ``w = 1 + y > 0`` with ``w A = 0``, Stiemke's certificate that ``A
+    d <= 0`` forces ``A d = 0``, so d = 0.  Cost: one ratio test per Bland
     step; where C = 0, as on a cross-polytope, none."""
-    C = [sum(column) for column in zip(*A)]
-    (state, (basis, M, det)), d = _bland(A, C, start)
-    if d is not None:
-        _checked_ray(A, C, d)
-        return False
-    _dual(A, basis, M, det, C, state[3])
-    return True
+    return _descent(A, [sum(column) for column in zip(*A)], start)[2] is None
 
 
 def _implied(aug, A, records) -> bool:
@@ -671,16 +682,17 @@ def _dual(rows, basis, M, det: int, C, S: list[int]) -> list[int]:
 def _tie_certificate(A, vertex, C: list[int], L: int) -> Vector:
     """``-c_min = -C / L`` in the normal cone of a tied vertex, a walk's
     record: multipliers ``>= 0`` over its distinct active integer rows G,
-    in row order, as canonical normals ``G_i / max|G_i|``, checked by
-    ``_dual``.  ``_bland`` minimizes ``C.x`` from the adjugate the vertex
+    in row order, as canonical normals ``G_i / max|G_i|``.  The checked
+    descent (``_descent``) minimizes ``C.x`` from the adjugate the vertex
     carries; the vertex is optimal, so every step is degenerate and keeps
-    its point, and none is taken where G has n rows.  It ends where ``y =
-    -C M / det >= 0``; basis row i has ``y_i max|A_i| / L``, others 0."""
-    (state, (basis, M, det)), d = _bland(A, C, vertex)
+    its point, and none is taken where G has n rows.  It must stop at the
+    vertex, with ``y = -C M / det >= 0``; basis row i has ``y_i max|A_i| /
+    L``, others 0."""
+    (state, (basis, _, det)), Y, d = _descent(A, C, vertex)
     active = vertex[0][0]
     if d is not None or state[0] != active:
         raise AssertionError("a minimum-value vertex misses the normal cone")
-    y = {A[i]: Y for i, Y in zip(basis, _dual(A, basis, M, det, C, state[3]))}
+    y = dict(zip((A[i] for i in basis), Y))
     return tuple(Fraction(y[g] * max(map(abs, g)), det * L) if g in y else _ZERO
                  for g in dict.fromkeys(A[i] for i in active))
 

@@ -144,10 +144,8 @@ def _polar_rows(rows: list[list[int]], n: int) -> list[list[int]]:
     ``[g..., 0]`` in R^n.  One walk from the apex writes their cone ``{y :
     g.y <= 0}``, the polar, as ``lin L + cone D``, so cone(G) = ``{x : d.x
     <= 0, l.x = 0}`` (bipolar theorem); the rays D are the edges no row
-    blocks, and no vertex is read out."""
-    lines, A, start, _ = _start(rows, n)
-    rays = []
-    _walk(A, n, start, rays)
+    blocks (``_minkowski_weyl``), and no vertex is read out."""
+    lines, _, rays, _ = _minkowski_weyl(rows, n)
     return [[*d, 0] for d in rays] + [[*scaled(s)[0], 0] for v in lines for s in (v, vec_neg(v))]
 
 

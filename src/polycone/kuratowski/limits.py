@@ -487,7 +487,6 @@ def construct_limit(
             dropped.append(i)
             continue
         if cls.kind == "minus_infinity":
-            warnings.append(f"row {i}: offsets drift to -infinity; the limit set is empty")
             raise OffsetDiverges(f"row {i}: offsets diverge to -infinity (limit set empty)")
         if cls.kind == "oscillating":
             raise OffsetOscillates(f"row {i}: offsets have no limit along the sampled tail")

@@ -4,16 +4,17 @@
 exact kernel of ``geometry`` on integer rows: phase one (``_start``,
 ``_phase_one``) reaches a vertex or proves the set empty, and
 ``solve_lp`` then descends from the basis and integer adjugate phase one
-ends on by Bland's rule (1977, ``_bland``), the one descent, which phase
-one, ``solve_glp``'s phase two and its tie certificates run too.  It
-stops at the first optimal vertex, where ``solve_glp`` goes on to walk
-the optimal face.  Fractions appear only when a
-result is read out, and every verdict is checked exactly before it
-leaves this module: a Farkas witness by ``_farkas``, a ray by
+ends on by Bland's rule (1977), the one descent, which phase one,
+``solve_glp``'s phase two and its tie certificates run too.  It runs the
+checked descent ``_descent``, as the tie certificates and the
+boundedness test do, and stops at the first optimal vertex, where
+``solve_glp`` goes on to walk the optimal face.  Fractions appear only
+when a result is read out, and every verdict is checked exactly before
+it leaves this module: a Farkas witness by ``_farkas``, a ray by
 ``_checked_ray``, an optimum by the final basis's multipliers
-``y = -C M / det >= 0`` (``_dual``), and cone multipliers by recombining
-them to the target.  The independent oracle for all of it is the
-Fraction tableau in the tests.
+``y = -C M / det >= 0`` (``_dual``, in ``_descent``), and cone
+multipliers by recombining them to the target.  The independent oracle
+for all of it is the Fraction tableau in the tests.
 """
 from __future__ import annotations
 
@@ -25,10 +26,9 @@ from typing import NamedTuple, Sequence
 from .errors import DimensionMismatch
 from .geometry import (
     Polyhedron,
-    _bland,
     _checked_ray,
     _coerce_vector,
-    _dual,
+    _descent,
     _farkas,
     _integer_rows,
     _phase_one,
@@ -97,11 +97,10 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
         c_lin = project_onto_span(lineality, cmin)
         if any(c_lin):
             return LPResult(status="Unbounded", point=_point(X, D), ray=_checked_ray(aug, C, vec_neg(c_lin)))
-    ((_, X, D, S), (basis, M, det)), d = _bland(A, C, start)
+    ((_, X, D, _), _), _, d = _descent(A, C, start)
     point = _point(X, D)
     if d is not None:
-        return LPResult(status="Unbounded", point=point, ray=_checked_ray(aug, C, tuple(map(Fraction, d))))
-    _dual(A, basis, M, det, C, S)
+        return LPResult(status="Unbounded", point=point, ray=tuple(map(Fraction, d)))
     return LPResult(status="Optimal", point=point, value=dot(cv, point))
 
 

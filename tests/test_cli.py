@@ -12,11 +12,28 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polycone import polyhedron_from_dict, polyhedron_to_dict, trajectory_to_dict
 from polycone.rationals import parse_rational
-from polycone import cli
+from polycone import cli, errors
 from polycone.cli import main
 
 from helpers import HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2, is_farkas
 from families import footnote_trajectory, remark_trajectory
+
+
+# every error class ``errors`` defines, found by walking the module
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.PolyconeError) and cls is not errors.PolyconeError
+]
+# the exit code of each error class before the exit bases carried them
+EXIT_CODES = {
+    "DimensionMismatch": 1, "TooFewSamples": 1, "BadWindow": 1,
+    "EmptyPolyhedron": 2, "InfeasiblePoint": 2, "NoVertices": 2, "NotAVertex": 2, "NotAttained": 2,
+    "OffsetDiverges": 2, "OffsetOscillates": 2, "ParallelPair": 2, "TrackNotConverged": 2, "MaxNotAttained": 2,
+}
+
+
+def test_error_walk_finds_every_class():
+    assert set(EXIT_CODES) <= {cls.__name__ for cls in ERROR_CLASSES}
 
 
 def run_cli(args):
@@ -441,6 +458,33 @@ class TestExitCodes:
         code, out = run_cli(["contains", files["y1"], files["empty"]])
         assert code == 1
         assert json.loads(out)["kind"] == "DimensionMismatch"
+
+    def test_argmax_cost_of_another_dimension_is_parse_error(self, tmp_path):
+        # the remark family in R^2 with cost rows of three entries
+        data = trajectory_to_dict(remark_trajectory())
+        data["cost"] = {"rows": [row + [0.0] for row in data["cost"]["rows"]], "limit": None}
+        path = tmp_path / "cost3.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(["argmax", str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": "cost dimension 3 != ambient 2", "kind": "DimensionMismatch"}
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_error_class_exits_by_its_base(self, files, monkeypatch, cls):
+        # each class derives from exactly one exit base, which sets its
+        # code; the classes named in EXIT_CODES keep theirs
+        codes = [code for base, code in ((errors.InputError, 1), (errors.DomainError, 2)) if issubclass(cls, base)]
+        assert len(codes) == 1
+        assert EXIT_CODES.get(cls.__name__, codes[0]) == codes[0]
+        raised = cls("a message")
+
+        def failing(args):
+            raise raised
+
+        monkeypatch.setattr(cli, "_cmd_vertices", failing)
+        code, out = run_cli(["vertices", files["triangle"]])
+        assert code == codes[0]
+        assert json.loads(out) == {"error": str(raised), "kind": cls.__name__}
 
     def test_broken_invariant_is_exit_3(self, files, monkeypatch):
         def broken(args):

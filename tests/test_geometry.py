@@ -246,9 +246,14 @@ class TestRaysFromTheWalk:
 
     def test_each_ray_once(self):
         # {0 <= x <= 1, y >= 0}: the walk leaves both vertices up along
-        # (0, 1), and the ray is listed once
+        # (0, 1), and the ray is listed once, also by phase two when the
+        # cost C = (0, -1) falls along it
         P = Polyhedron.from_rows(2, [((1, 0), 1), ((-1, 0), 0), ((0, -1), 0)])
-        assert geometry._minkowski_weyl(geometry._integer_rows(P), P.n)[2] == [[0, 1]]
+        aug = geometry._integer_rows(P)
+        assert geometry._minkowski_weyl(aug, P.n)[2] == [[0, 1]]
+        A = [tuple(row[:2]) for row in aug]
+        start, _ = geometry._phase_one(A, aug, 2)
+        assert geometry._phase_two(A, 2, start, [0, -1]) == (None, [[0, 1]])
 
     def test_producer_piece(self):
         # Y1's two unbounded edges leave (-2, 1) along y = 1 and (0, 0)

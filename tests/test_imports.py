@@ -51,7 +51,13 @@ four stay frozen dataclasses (``DATACLASSES``), and the CLI, which every
 ``geometry`` has one descent, Bland's rule in ``_bland``: phase one, the
 tie certificates, ``solve_lp``, ``solve_glp``'s phase two, the
 boundedness test and the certificates of ``reconstruct_check`` all run
-it.
+it.  The tie certificates, ``solve_lp`` and the boundedness test run it
+through ``_descent``, which checks an optimal stop's multipliers
+(``_dual``) or an unblocked column (``_checked_ray``) before it returns;
+``linprog`` takes no ``_bland``.  Only ``_descent`` and ``_implied``,
+whose unblocked column leads to a witness it checks on its own, call
+``_dual``: phase one and phase two hand their descents on unchecked, to
+``_farkas``, ``_tie_certificate`` and ``solve_glp``'s ray check.
 Only ``_bland`` and ``_walk`` exchange a row into an adjugate, only
 ``_bland`` and ``_walk`` ratio-test, only ``_pivot`` holds the ratio test,
 and the one basis search is ``_adjugate`` (no ``_lex_basis``).  The edge
@@ -387,7 +393,7 @@ def test_readout_guard_sees_each_fault(sources, faults):
 
 # the Fraction tableau and its readout, the oracle for the solve kernel
 ORACLE = ("reference_standard_simplex", "_ref_bland", "_ref_pivot", "_ref_reduced_costs", "reference_purify")
-KERNEL = {"_start", "_phase_one", "_bland", "_adjugate", "_exchange"}
+KERNEL = {"_start", "_phase_one", "_bland", "_descent", "_adjugate", "_exchange"}
 
 
 def _kernel_and_linprog_names() -> set[str]:
@@ -549,6 +555,17 @@ def test_geometry_has_one_descent_and_one_ratio_test():
     assert _callers(source, "_exchange") == {"_bland", "_walk"}
     assert _callers(source, "_pivot") == {"_bland", "_walk"}
     assert _ratio_tests(source) == {"_pivot"}
+
+
+def test_only_the_checked_descent_and_implied_call_dual():
+    # an optimal stop is checked once, in ``_descent``; ``_implied`` checks
+    # its own, since its unblocked column is a witness, not a ray
+    callers = {
+        (path.relative_to(SRC).as_posix(), caller)
+        for path in SRC.rglob("*.py")
+        for caller in _callers(path.read_text(encoding="utf-8"), "_dual")
+    }
+    assert callers == {("geometry.py", "_descent"), ("geometry.py", "_implied")}
 
 
 @pytest.mark.parametrize(

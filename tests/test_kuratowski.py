@@ -520,6 +520,18 @@ class TestArgmaxConvergence:
         with pytest.raises(errors.MaxNotAttained):
             argmax_convergence(T, quadrant)
 
+    @pytest.mark.parametrize("declared", [None, (0, -1), (0, -1, 0)], ids=["estimated", "declared-2", "declared-3"])
+    def test_cost_of_another_dimension_is_refused(self, declared):
+        # the remark family in R^2 with cost rows of three entries: the
+        # limit's cost, estimated or declared, or else each sample's, meets
+        # the limit's or the sample's dimension in solve_glp
+        nus = footnote_nus()
+        T = remark_trajectory()._replace(
+            cost=CostTrajectory([(v, (0.0, -1.0, 0.0)) for v in nus], declared_limit=declared))
+        limit = construct_limit(T).limit
+        with pytest.raises(errors.DimensionMismatch, match=r"^cost dimension 3 != ambient 2$"):
+            argmax_convergence(T, limit)
+
     def test_cost_required(self):
         with pytest.raises(ValueError):
             argmax_convergence(footnote_trajectory(), HALF_LINE)

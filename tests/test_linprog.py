@@ -133,6 +133,38 @@ class TestSolveLP:
         with pytest.raises(AssertionError, match="optimality multipliers"):
             geometry._dual(rows, basis, M, det, C, S)
 
+    def test_descent_returns_checked_outcomes(self):
+        # at the apex of x >= 0, y >= 0, x + y <= 1 the multipliers of C =
+        # (1, 2) are C itself; over the quadrant's rows C = (-1, 0) falls
+        # along (1, 0), which no row blocks
+        rows = [(-1, 0), (0, -1), (1, 1)]
+        apex = geometry._lowest([0, 0], 1, [0, 0, 1]), geometry._adjugate(rows, range(3), 2)
+        det = apex[1][2]
+        assert geometry._descent(rows, [1, 2], apex) == (apex, [det, 2 * det], None)
+        (state, _), Y, d = geometry._descent(rows[:2], [-1, 0], (apex[0][:3] + ([0, 0],), apex[1]))
+        assert (state[1], Y, d) == ([0, 0], None, (1, 0))
+
+    @pytest.mark.parametrize(
+        "outcome, message",
+        [(None, "optimality multipliers"), ((1, 1), "unbounded ray")],
+        ids=["negative-multiplier", "rising-column"],
+    )
+    def test_descent_refuses_an_unchecked_outcome(self, monkeypatch, outcome, message):
+        # ``_bland`` faked to stop at phase one's vertex (0, 0) of TRIANGLE,
+        # where -C = (1, 0) needs the multiplier -1 on -x <= 0, or to claim
+        # the column (1, 1), which rises on x + y <= 1: ``_descent`` refuses
+        # both, and so do its callers
+        monkeypatch.setattr(geometry, "_bland", lambda rows, C, vertex: (vertex, outcome))
+        aug = geometry._integer_rows(TRIANGLE)
+        A = [tuple(row[:2]) for row in aug]
+        start, _ = geometry._phase_one(A, aug, 2)
+        assert start[0][1] == [0, 0]
+        pattern = f"^{message} failed verification$"
+        with pytest.raises(AssertionError, match=pattern):
+            geometry._descent(A, [-1, 0], start)
+        with pytest.raises(AssertionError, match=pattern):
+            solve_lp(TRIANGLE, (-1, 0))
+
     def test_find_feasible_point(self):
         assert find_feasible_point(TRIANGLE) is not None
         empty = Polyhedron.from_rows(1, [((1,), -1), ((-1,), 0)])

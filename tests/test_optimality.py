@@ -820,9 +820,11 @@ def test_phase_one_hands_its_basis_to_blands_rule(monkeypatch, solve):
 
     monkeypatch.setattr(geometry, "_phase_one", ran_phase_one)
     for module in (geometry, linprog):
-        # linprog takes no ``_adjugate``; the patch would see it if it did
+        # linprog takes neither ``_adjugate`` nor ``_bland`` (``solve_lp``
+        # descends through ``geometry._descent``); the patches would see
+        # them if it did
         monkeypatch.setattr(module, "_adjugate", logged("adjugate", adjugate), raising=False)
-        monkeypatch.setattr(module, "_bland", logged("bland", bland))
+        monkeypatch.setattr(module, "_bland", logged("bland", bland), raising=False)
     rng = random.Random(61)
     descents = 0
     for i in range(400):
