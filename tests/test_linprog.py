@@ -141,7 +141,8 @@ class TestSolveLP:
         apex = geometry._lowest([0, 0], 1, [0, 0, 1]), geometry._adjugate(rows, range(3), 2)
         det = apex[1][2]
         assert geometry._descent(rows, [1, 2], apex) == (apex, [det, 2 * det], None)
-        (state, _), Y, d = geometry._descent(rows[:2], [-1, 0], (apex[0][:3] + ([0, 0],), apex[1]))
+        corner = geometry._lowest([0, 0], 1, [0, 0]), apex[1]
+        (state, _), Y, d = geometry._descent(rows[:2], [-1, 0], corner)
         assert (state[1], Y, d) == ([0, 0], None, (1, 0))
 
     @pytest.mark.parametrize(
@@ -153,7 +154,7 @@ class TestSolveLP:
         # ``_bland`` faked to stop at phase one's vertex (0, 0) of TRIANGLE,
         # where -C = (1, 0) needs the multiplier -1 on -x <= 0, or to claim
         # the column (1, 1), which rises on x + y <= 1: ``_descent`` refuses
-        # both, and so do its callers
+        # both, and so does solve_lp
         monkeypatch.setattr(geometry, "_bland", lambda rows, C, vertex: (vertex, outcome))
         aug = geometry._integer_rows(TRIANGLE)
         A = [tuple(row[:2]) for row in aug]
