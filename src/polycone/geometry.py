@@ -257,24 +257,27 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     description from the adjugate's columns, which they are at a
     simplicial vertex.  One ratio test over all m rows moves along an edge
     to the neighbour, whose active set is the rows tight there.  Edges are
-    keyed by their tight rows, and an edge whose far end a key already
-    names is not ratio-tested: a simple polytope costs |V| - 1 ratio
-    tests, a spanning tree of its vertex graph.  Cost: about |V| ratio
-    tests of m n and |V| times the edges per vertex key lookups, plus
-    phase one's pivots, m n each.  At n = 4: 0.0012 s for m = 20 and
-    m = 30 and 0.0028 s for m = 60, against 0.0017, 0.0017 and 0.0045 s
-    with every edge ratio-tested (best of seven, CPython 3.11, 2 shared
-    vCPUs).  Output sorted by point (``_vertices`` on P's integer rows).
+    keyed by their tight rows, every vertex keys its edges when it is
+    found, and an edge whose far end a key already names is not
+    ratio-tested: the walk costs |V| - 1 ratio tests, a spanning tree of
+    its vertex graph, and one per edge no row blocks.  Cost: those ratio
+    tests, m n each, and |V| times the edges per vertex key lookups, plus
+    phase one's pivots, m n each.  At n = 4: 0.0012 s for m = 20 and m =
+    30 and 0.0028 s for m = 60, against 0.0017, 0.0017 and 0.0045 s with
+    every edge ratio-tested (best of seven, CPython 3.11, 2 shared vCPUs).
+    Output sorted by point (``_vertices`` on P's integer rows).
     """
     return _vertices(_integer_rows(P), P.n)
 
 
 def _vertices(aug, n: int) -> list[Vertex]:
     """The vertices of the integer rows' set in R^n, as ``enumerate_vertices``
-    gives them: none when it is empty or the rows have rank below n."""
+    gives them: none when it is empty or the rows have rank below n, else
+    every record of one walk (``_walk``), sorted by point and read out by
+    ``_vertex``."""
     A = [tuple(row[:n]) for row in aug]
     start, _ = _phase_one(A, aug, n)
-    return [] if start is None else _walked(A, n, start)
+    return [] if start is None else [_vertex(vertex) for vertex in _in_order(_walk(A, n, start))]
 
 
 def _minkowski_weyl(aug, n: int):
@@ -345,12 +348,6 @@ def _checked_ray(aug, C, ray: Vector) -> Vector:
     return ray
 
 
-def _walked(A, n: int, start) -> list[Vertex]:
-    """Every vertex, from the walk of the whole vertex graph from the
-    vertex ``start``, sorted by point."""
-    return [_vertex(vertex) for vertex in _in_order(_walk(A, n, start))]
-
-
 def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
     """The vertices reached from the vertex ``start``, a state (see
     ``_lowest``) with the adjugate of a basis of its tight rows (see
@@ -359,76 +356,75 @@ def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
     an lrs dictionary keeps it.
 
     A vertex is kept by its active set as the integer point ``X / D``
-    (D > 0) with its integer slacks ``S = b D - A X``, made once.  At a
+    (D > 0) with its integer slacks ``S = b D - A X``, made once.  The
+    start and every vertex the walk reaches go through one entry step, in
+    which one ``_simplicial`` test decides its record and edges.  At a
     simplicial vertex, whose active rows with identical integer rows merged
     number n, the witness is the first of each (``_pivot``'s least-index
     ties bring the first in): the start keeps the adjugate handed over, and
     a simplicial neighbour of a simplicial vertex, reached along column j,
-    gets its adjugate by one Bareiss exchange.  Any other vertex, and a
-    simplicial one entered from it, gets one ``_adjugate`` over its active
-    rows.  Whether a vertex is simplicial is decided once, when it is found.
+    gets its adjugate by one Bareiss exchange; its edges are the adjugate's
+    columns, each keyed by its distinct active rows without basis row j
+    (``_keys``).  Any other vertex, and a simplicial one entered from it,
+    gets one ``_adjugate`` over its active rows, and any other vertex lists
+    its edges with their keys by ``_edges``.
 
     Each edge is keyed by its tight rows, the bit set of the rows that stay
     tight along it, each set of identical rows by its first: both ends of a
     bounded edge make the same key, since the n - 1 rows tight along an
-    edge are tight on exactly that edge.  At a simplicial vertex the key of
-    column j is its distinct active rows without basis row j (``_keys``);
-    at any other, ``_edges`` gives each edge with its key.  ``ends`` maps
-    each key to the vertex that met the edge last: a simplicial vertex
-    meets its n edges when it is found, unless an end is already known, and
-    every vertex meets each edge as it leaves.  An edge whose key names
-    another vertex leads there and is not ratio-tested; on a simple
-    polytope the walk ratio-tests |V| - 1 bounded edges, a spanning tree,
-    and each ray once.  Cost per vertex: one O(n^2) exchange if simplicial,
-    else a basis search and the double description's; then a column and one
-    m n ratio test per edge that no key settles.  The direction of each
-    edge no row blocks is appended to ``rays``, if given, unless it is
-    there: the walk meets a ray once for every vertex it leaves along it,
-    and lists it once, where it first meets it.  With an integer cost C,
-    only the edges d with ``C.d = 0`` are followed: from an optimal
-    vertex, the walk lists the optimal face."""
-    (active, _, _, _), adjugate = start
-    keys = _keys(A, active, adjugate[0]) if _simplicial(A, active, n) else None
-    if keys is None:
-        adjugate = _adjugate(A, active, n)
-    ends = dict.fromkeys(keys or (), active)
-    found = {active}
-    todo = [(start[0], adjugate, keys)]
-    points = []
+    edge are tight on exactly that edge.  Every vertex enters all its keys
+    in ``ends`` when it is found, which maps each key to whether both ends
+    of its edge are found, and the walk ratio-tests only the edges whose
+    far end is not, so no ratio test reaches a vertex already found: on
+    every polyhedron the walk ratio-tests |V| - 1 bounded edges, a
+    spanning tree of its vertex graph, and each edge no row blocks once.
+    Cost per vertex: one O(n^2) exchange if simplicial, else a basis
+    search and the double description's; then a column and one m n ratio
+    test per edge that no key settles.  The direction of each edge no row
+    blocks is appended to ``rays``, if given, unless it is there: parallel
+    rays leave several vertices, and each is listed once, where the walk
+    first meets it.  With an integer cost C, only the edges d with ``C.d
+    = 0`` are followed: from an optimal vertex, the walk lists the optimal
+    face."""
+    ends, todo, points = {}, [], []
+
+    def enter(state, adjugate, j=None, k=None):
+        # adjugate: the start's, kept if it is simplicial, or that of the
+        # simplicial vertex left along column j as row k became tight
+        active = state[0]
+        simplicial = _simplicial(A, active, n)
+        if not simplicial or adjugate is None:
+            adjugate = _adjugate(A, active, n)
+        elif k is not None:
+            adjugate = _exchange(A, adjugate, j, k)
+        if simplicial:
+            edges = list(zip(_keys(A, active, adjugate[0]), adjugate[1]))
+        else:
+            edges = _edges(A, n, active, adjugate)
+        for key, _ in edges:
+            ends[key] = key in ends
+        todo.append((state, adjugate, edges, simplicial))
+
+    enter(*start)
     while todo:
-        state, adjugate, keys = todo.pop()
+        state, adjugate, edges, simplicial = todo.pop()
         points.append((state, adjugate))
-        active, X, D, S = state
-        _, M, det = adjugate
-        for j, (key, d) in enumerate(zip(keys, M) if keys else _edges(A, n, active, adjugate)):
-            met = ends.get(key, active)
-            ends[key] = active
-            if met is not active:
+        _, X, D, S = state
+        for j, (key, d) in enumerate(edges):
+            if ends[key]:
                 continue
-            if keys:
-                d = _column(d, det)
+            if simplicial:
+                d = _column(d, adjugate[2])
             if C is not None and sum(map(mul, C, d)):
                 continue
             blocked = _pivot(A, X, D, S, d)
             if blocked is None:
-                # d is gcd-reduced, so a ray met again is an equal list
+                # d is gcd-reduced, so a parallel ray is an equal list
                 if rays is not None and list(d) not in rays:
                     rays.append(list(d))
                 continue
-            k, neighbour = blocked
-            reached = neighbour[0]
-            if reached in found:
-                continue
-            found.add(reached)
-            if _simplicial(A, reached, n):
-                # k is newly tight and rises along column j
-                entered = _exchange(A, adjugate, j, k) if keys else _adjugate(A, reached, n)
-                entry = _keys(A, reached, entered[0])
-                for key in entry:
-                    ends.setdefault(key, reached)
-            else:
-                entered, entry = _adjugate(A, reached, n), None
-            todo.append((neighbour, entered, entry))
+            k, reached = blocked
+            enter(reached, adjugate if simplicial else None, j, k)
     return points
 
 
@@ -493,8 +489,8 @@ def _phase_two(A, n: int, start, C: list[int]):
     outcome is checked here: ``solve_glp`` checks each face vertex's
     multipliers (``_tie_certificate``) and the ray it reports
     (``_checked_ray``).  Cost: one ratio test per Bland step, then the
-    walk's: one ratio test per ray and per vertex it finds, plus those that
-    meet a vertex whose distinct active rows number more than n."""
+    walk's: one per vertex it finds but the first, and one per edge no row
+    blocks."""
     vertex, d = _bland(A, C, start)
     if d is None:
         return _walk(A, n, vertex, C=C), None
@@ -763,7 +759,9 @@ def _edges(A, n: int, active: IndexSet, adjugate) -> list[tuple[int, tuple[int, 
     carries the bit set of the rows it leaves, each set of identical rows
     by its first (``_firsts``), and a rising and a falling ray join on the
     row when every third ray leaves a row that both are tight on.  An
-    edge's key is the distinct active rows without those it leaves."""
+    edge's key is the distinct active rows without those it leaves.  The
+    walk lists a vertex's edges once, when it finds the vertex: one
+    ``_adjugate`` and the joins of one cut per extra distinct row."""
     basis, M, det = adjugate
     first = _firsts(A, active)
     rays = [(_column(col, det), first[A[i]]) for i, col in zip(basis, M)]

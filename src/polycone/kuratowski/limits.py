@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ..errors import (
+    DimensionMismatch,
     OffsetDiverges,
     OffsetOscillates,
     ParallelPair,
@@ -564,6 +565,8 @@ def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
     "cost": {"rows": [[c...] per sample], "limit": [...] | null}?}``
 
     Samples and rows are JSON numbers; declared limits are rational strings.
+    A cost row or declared cost limit of a length other than n raises
+    DimensionMismatch.
     """
     try:
         n = data["n"]
@@ -600,6 +603,9 @@ def trajectory_from_dict(data: dict) -> PolyhedronTrajectory:
             declared = centry.get("limit")
             declared = None if declared is None else parse_vector(declared)
             rows = [_numbers(row) for row in rows]
+            for c in rows if declared is None else [*rows, declared]:
+                if len(c) != n:
+                    raise DimensionMismatch(f"cost dimension {len(c)} != ambient {n}")
             cost = CostTrajectory(list(zip(sample_idx, rows)), declared_limit=declared)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trajectory JSON: {exc}") from exc

@@ -115,8 +115,8 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     integer rows before it is returned.  Cost: phase one's pivots and one
     ratio test (m n) and one O(n^2) exchange per Bland step, then the
     walk's ratio tests: one per vertex of the optimal face but the first,
-    a spanning tree of its edges where its vertices are simple, or, when
-    unbounded, one per vertex and one per ray of the whole vertex graph
+    a spanning tree of its edges, or, when unbounded, one per vertex but
+    the first and one per edge no row blocks of the whole vertex graph
     (``geometry._walk``).
     """
     cv = _coerce_vector(c)

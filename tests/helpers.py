@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 from operator import mul
 
+import pytest
+
 from polycone import (
     Cone,
     ConeMembership,
@@ -859,6 +861,48 @@ def _reference_handed(A, n: int, reached, adjugate, j, k):
     if adjugate is None:
         return geometry._adjugate(A, basis, n)
     return geometry._exchange(A, adjugate, j, k)
+
+
+@pytest.fixture
+def walk_tests(monkeypatch) -> list:
+    """The ratio tests (``geometry._pivot``) that walks (``geometry._walk``)
+    make in the test, appended to the list it gives as ``(p, q, d)``: the
+    Fraction point a test starts from, the point it reaches or None where
+    no row blocks the direction d, and d.  Phase one's lifted steps and
+    Bland's descents, outside any walk, are not recorded."""
+    tests, walking = [], []
+    pivot, walk = geometry._pivot, geometry._walk
+
+    def recorded_pivot(A, X, D, S, d):
+        blocked = pivot(A, X, D, S, d)
+        if walking:
+            q = None if blocked is None else tuple(Fraction(y, blocked[1][2]) for y in blocked[1][1])
+            tests.append((tuple(Fraction(x, D) for x in X), q, d))
+        return blocked
+
+    def recorded_walk(*args, **kwargs):
+        walking.append(True)
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(geometry, "_pivot", recorded_pivot)
+    monkeypatch.setattr(geometry, "_walk", recorded_walk)
+    return tests
+
+
+def walk_tree(tests) -> set:
+    """The points one walk's ratio tests (``walk_tests``) reach,
+    with the start of the first, asserted to grow a tree: each test starts
+    at a point already found and each bounded one finds a new point."""
+    found = {tests[0][0]} if tests else set()
+    for p, q, _ in tests:
+        assert p in found
+        if q is not None:
+            assert q not in found, f"the ratio test from {p} reaches {q}, already found"
+            found.add(q)
+    return found
 
 
 # ---------------------------------------------------------------------------

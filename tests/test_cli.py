@@ -16,7 +16,7 @@ from polycone import cli, errors
 from polycone.cli import main
 
 from helpers import HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2, is_farkas
-from families import footnote_trajectory, remark_trajectory
+from families import footnote_nus, footnote_trajectory, remark_trajectory
 
 
 # every error class ``errors`` defines, found by walking the module
@@ -155,6 +155,11 @@ class TestVerbs:
         assert code == 0
         assert json.loads(out)["generators"] == [["1/2", "1"], ["1", "1/2"]]
 
+    def test_sensitivity_needs_a_vertex_or_a_cost(self, files):
+        code, out = run_cli(["sensitivity", files["y1"]])
+        assert code == 1
+        assert json.loads(out) == {"error": "sensitivity needs --vertex or --cost", "kind": "ValueError"}
+
     def test_sensitivity_by_cost(self, files):
         code, out = run_cli(["sensitivity", files["y1"], "--cost", "-1,-4"])
         rep = json.loads(out)
@@ -167,6 +172,19 @@ class TestVerbs:
         assert code == 0
         assert rep["kept"] == [0, 1]
         assert rep["ie_pairs"] == [{"pair": [0, 1], "parallel": False}]
+
+    def test_limit_of_offsets_all_drifting_up_is_domain_error(self, tmp_path):
+        # each offset of {x <= nu, y <= nu} drifts to +infinity, so every
+        # row drops out and the limit would be all of R^2
+        nus = footnote_nus()
+        rows = [[[1.0, 0.0, v] for v in nus], [[0.0, 1.0, v] for v in nus]]
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps({"n": 2, "samples": nus,
+                                    "constraints": [{"rows": r, "limit": None} for r in rows]}))
+        code, out = run_cli(["limit", str(path)])
+        assert code == 2
+        assert json.loads(out) == {"error": "all offsets drift to +infinity; the limit is all of R^n",
+                                   "kind": "OffsetDiverges"}
 
     def test_boundary_verb(self, files):
         code, out = run_cli(["boundary", files["remark"], "--tol", "0.1"])
@@ -183,6 +201,20 @@ class TestVerbs:
     def test_text_format(self, files):
         code, out = run_cli(["--format", "text", "bounded", files["triangle"]])
         assert code == 0 and "bounded: True" in out
+
+    def test_text_format_nests_lists_and_records(self, files, tmp_path):
+        # each vertex is a record inside a list inside the report, each
+        # field a list of scalars; a list with no item prints (empty)
+        code, out = run_cli(["--format", "text", "vertices", files["triangle"]])
+        vertex = ["  -", "    point:", "      - {}", "      - {}", "    active:", "      - {}", "      - {}",
+                  "    defining:", "      - {}", "      - {}"]
+        expected = ["vertices:"]
+        for point, rows in (((0, 0), (0, 1)), ((0, 1), (0, 2)), ((1, 0), (1, 2))):
+            expected += "\n".join(vertex).format(*point, *rows, *rows).split("\n")
+        assert code == 0 and out.splitlines() == expected
+        path = tmp_path / "strip.json"
+        path.write_text(json.dumps(polyhedron_to_dict(STRIP)))
+        assert run_cli(["--format", "text", "vertices", str(path)]) == (0, "vertices:\n  (empty)\n")
 
 
 class TestUnion:
@@ -205,6 +237,26 @@ class TestUnion:
         rep = json.loads(out)
         assert rep["status"] == "Attained" and rep["value"] == "2"
         assert rep["pieces"][0]["vertices"][0]["point"] == ["-2", "1"]
+
+    @pytest.mark.parametrize("pieces, error, kind", [
+        ([], "union input has no pieces", "ValueError"),
+        ([polyhedron_to_dict(TRIANGLE), {"n": 1, "constraints": [{"a": ["1"], "b": "0"}]}],
+         "union pieces disagree on dimension", "DimensionMismatch"),
+    ], ids=["no-pieces", "two-dimensions"])
+    def test_malformed_union_is_parse_error(self, tmp_path, pieces, error, kind):
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps({"pieces": pieces}))
+        code, out = run_cli(["solve", str(path), "--cost", "1,1"])
+        assert code == 1 and json.loads(out) == {"error": error, "kind": kind}
+
+    def test_union_of_empty_pieces_is_infeasible(self, tmp_path):
+        empty = {"n": 1, "constraints": [{"a": ["1"], "b": "-1"}, {"a": ["-1"], "b": "0"}]}
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps({"pieces": [empty, empty]}))
+        code, out = run_cli(["solve", str(path), "--cost", "1"])
+        rep = json.loads(out)
+        assert code == 2 and rep["status"] == "Infeasible" and "best_piece" not in rep
+        assert [piece["status"] for piece in rep["pieces"]] == ["Infeasible", "Infeasible"]
 
     def test_union_sensitivity_reports_pieces_separately(self, files):
         code, out = run_cli(
@@ -466,6 +518,23 @@ class TestExitCodes:
         path = tmp_path / "cost3.json"
         path.write_text(json.dumps(data))
         code, out = run_cli(["argmax", str(path)])
+        assert code == 1
+        assert json.loads(out) == {"error": "cost dimension 3 != ambient 2", "kind": "DimensionMismatch"}
+
+    @pytest.mark.parametrize("verb", ["limit", "track", "boundary", "argmax"])
+    @pytest.mark.parametrize("rows", ["rows-3", "limit-3"])
+    def test_cost_of_another_dimension_is_refused_by_every_verb(self, tmp_path, verb, rows):
+        # the remark family in R^2 with cost rows of three entries, or a
+        # declared cost limit of three: the trajectory parser refuses it
+        # before any verb reads the cost
+        data = trajectory_to_dict(remark_trajectory())
+        if rows == "rows-3":
+            data["cost"]["rows"] = [row + [0.0] for row in data["cost"]["rows"]]
+        else:
+            data["cost"]["limit"] = ["0", "-1", "0"]
+        path = tmp_path / "cost3.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli([verb, str(path)])
         assert code == 1
         assert json.loads(out) == {"error": "cost dimension 3 != ambient 2", "kind": "DimensionMismatch"}
 

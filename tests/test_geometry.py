@@ -52,6 +52,8 @@ from helpers import (
     reference_rank,
     reference_simplicial_basis,
     sufficiently_small_eps,
+    walk_tests,
+    walk_tree,
 )
 
 F = Fraction
@@ -280,28 +282,17 @@ class TestRaysFromTheWalk:
 
 class TestOutputSensitive:
     """The walk keys each edge by its tight rows and ratio-tests only the
-    edges whose far end no key names: on a simple polytope a spanning tree
-    of the vertex graph.  It makes a basis search (``geometry._adjugate``)
+    edges whose far end no key names: on every polytope a spanning tree of
+    the vertex graph.  It makes a basis search (``geometry._adjugate``)
     and runs the double description of ``geometry._edges`` only at vertices
-    whose distinct active rows number more than n.  Phase one's lifted
-    steps ratio-test directions in R^(n+1) and are not the walk's."""
+    whose distinct active rows number more than n."""
 
     def _walk(self, monkeypatch, P):
-        """The vertices, each of the walk's ratio tests' endpoints, each
-        edge listing as its active set, the adjugate it started from and the
-        edges it found, and the rows of each basis search after phase one's."""
-        edges, listings, searched = [], [], []
-        pivot, list_edges, search = geometry._pivot, geometry._edges, geometry._adjugate
-
-        def counted_pivot(A, X, D, S, d):
-            blocked = pivot(A, X, D, S, d)
-            if len(d) == P.n:
-                ends = (tuple(F(x, D) for x in X),)
-                if blocked is not None:
-                    _, (_, Y, E, _) = blocked
-                    ends += (tuple(F(y, E) for y in Y),)
-                edges.append(ends)
-            return blocked
+        """The vertices, each edge listing as its active set, the adjugate it
+        started from and the edges it found, and the rows of each basis
+        search after phase one's."""
+        listings, searched = [], []
+        list_edges, search = geometry._edges, geometry._adjugate
 
         def counted_edges(A, n, active, adjugate):
             found = list_edges(A, n, active, adjugate)
@@ -312,40 +303,35 @@ class TestOutputSensitive:
             searched.append(tuple(rows))
             return search(A, rows, n)
 
-        monkeypatch.setattr(geometry, "_pivot", counted_pivot)
         monkeypatch.setattr(geometry, "_edges", counted_edges)
         monkeypatch.setattr(geometry, "_adjugate", counted_search)
         verts = enumerate_vertices(P)
         # phase one's search runs first, over every row
         assert searched[0] == tuple(range(P.m))
-        return verts, edges, listings, searched[1:]
+        return verts, listings, searched[1:]
 
     @staticmethod
-    def _spanning_tree(P, verts, edges):
+    def _spanning_tree(P, verts, tests):
         """Assert that the tested segments are edges of P, the rows tight
         at each midpoint having rank n - 1, and that they join every vertex
         to the first, each found by exactly one of them, in walk order."""
-        points = {v.point for v in verts}
-        found = {edges[0][0]}
-        for p, q in edges:
-            assert p in found and q in points and q not in found
-            found.add(q)
+        assert walk_tree(tests) == {v.point for v in verts}
+        for p, q, _ in tests:
             mid = tuple((x + y) / 2 for x, y in zip(p, q))
             assert reference_rank([hs.a for hs in P.halfspaces if hs.slack(mid) == 0], P.n) == P.n - 1
-        assert found == points
 
     @pytest.mark.parametrize("k1, k2", [(3, 3), (4, 6), (6, 7), (8, 8)])
-    def test_polygon_products(self, monkeypatch, k1, k2):
+    def test_polygon_products(self, monkeypatch, walk_tests, k1, k2):
         # every vertex is simple, so it keys its edges when it is found and
         # the walk tests k1 k2 - 1 of the 2 k1 k2 edges, a spanning tree
         P, expected = polygon_product(k1, k2)
-        verts, edges, listings, searches = self._walk(monkeypatch, P)
+        verts, listings, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
-        assert len(edges) == k1 * k2 - 1
-        self._spanning_tree(P, verts, edges)
+        assert len(walk_tests) == k1 * k2 - 1
+        self._spanning_tree(P, verts, walk_tests)
         assert searches == listings == []
 
-    def test_doubled_rows_merge(self, monkeypatch):
+    def test_doubled_rows_merge(self, monkeypatch, walk_tests):
         # each row again times 2 is the same canonical row, so every vertex
         # has eight active rows but four distinct ones, and is keyed by the
         # first of each
@@ -354,24 +340,26 @@ class TestOutputSensitive:
             ([2 * x for x in hs.a], 2 * hs.b) for hs in P.halfspaces
         ])
         undoubled = [v.point for v in enumerate_vertices(P)]
-        verts, edges, listings, searches = self._walk(monkeypatch, Q)
+        del walk_tests[:]
+        verts, listings, searches = self._walk(monkeypatch, Q)
         assert [v.point for v in verts] == undoubled
         assert set(undoubled) == expected
         for v in verts:
             assert len(v.active) == 8
             assert {i % P.m for i in v.active} == set(v.active[:4])
             assert v.defining == lex_witness(Q, v.point)
-        assert len(edges) == 4 * 6 - 1
-        self._spanning_tree(Q, verts, edges)
+        assert len(walk_tests) == 4 * 6 - 1
+        self._spanning_tree(Q, verts, walk_tests)
         assert searches == listings == []
 
-    def test_degenerate_vertex_gives_each_edge_once(self, monkeypatch):
+    def test_degenerate_vertex_gives_each_edge_once(self, monkeypatch, walk_tests):
         # a row touching the second polygon at one vertex gives the five
-        # vertices above it five active rows.  They list their edges only
-        # when the walk leaves them, so five tests reach one of them after
-        # it is found; no edge is tested from both ends
+        # vertices above it five active rows.  They key their edges when
+        # they are found, as the simple vertices do, so the walk tests a
+        # spanning tree: no test reaches a vertex already found, and no
+        # edge is tested from both ends
         P, expected = polygon_product(5, 6, tangent=True)
-        verts, edges, listings, searches = self._walk(monkeypatch, P)
+        verts, listings, searches = self._walk(monkeypatch, P)
         assert {v.point for v in verts} == expected
         degenerate = [v for v in verts if len(v.active) == 5]
         assert len(degenerate) == 5
@@ -388,20 +376,15 @@ class TestOutputSensitive:
         for active, _, found in listings:
             assert len({d for _, d in found}) == len({key for key, _ in found}) == len(found) == 4
             assert all(key == reference_edge_key(A, active, d) for key, d in found)
-        assert len(edges) == len({frozenset(edge) for edge in edges}) == 5 * 6 - 1 + 5
-        found, again = {edges[0][0]}, []
-        for _, q in edges:
-            if q in found:
-                again.append(q)
-            found.add(q)
-        assert len(again) == 5 and set(again) <= {v.point for v in degenerate}
+        assert len(walk_tests) == 5 * 6 - 1
+        self._spanning_tree(P, verts, walk_tests)
 
 
 class TestEdgeKeys:
-    """The walk keys each edge by the rows that stay tight along it and
-    ratio-tests an edge only where its key names no other vertex.  On
-    degenerate inputs it still finds every vertex and reports every ray
-    once, and tests no bounded edge from both ends."""
+    """The walk keys each edge by the rows that stay tight along it when it
+    finds a vertex, and ratio-tests an edge only where its key names no
+    other vertex.  On degenerate inputs too it finds every vertex, reports
+    every ray once, and each bounded ratio test finds a new vertex."""
 
     @staticmethod
     def _cases():
@@ -422,22 +405,10 @@ class TestEdgeKeys:
             units = [tuple(F(int(k == j)) for k in range(P.n)) for j in range(P.n)]
             yield P, brute_vertices, all((e, 2) in rows and (tuple(-x for x in e), 2) in rows for e in units)
 
-    def test_every_vertex_and_ray_once(self, monkeypatch):
-        tests, pivot = [], geometry._pivot
-
-        def recorded(A, X, D, S, d):
-            blocked = pivot(A, X, D, S, d)
-            ends = (tuple(F(x, D) for x in X),)
-            if blocked is not None:
-                _, (_, Y, E, _) = blocked
-                ends += (tuple(F(y, E) for y in Y),)
-            tests.append((ends, d))
-            return blocked
-
-        monkeypatch.setattr(geometry, "_pivot", recorded)
+    def test_every_vertex_and_ray_once(self, walk_tests):
         seen = {"cases": 0, "rays": 0, "degenerate": 0}
         for P, oracle, boxed in self._cases():
-            del tests[:]
+            del walk_tests[:]
             lineality, states, rays, farkas = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
             # the slice orthogonal to the lineality space, as the walk runs on it
             Q = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, tuple(-x for x in v)))
@@ -445,11 +416,10 @@ class TestEdgeKeys:
             assert points == oracle(Q)
             if farkas is not None:
                 continue
-            # phase one's lifted steps ratio-test directions in R^(n+1)
-            walk = [(ends, d) for ends, d in tests if len(d) == P.n]
-            bounded = [frozenset(ends) for ends, _ in walk if len(ends) == 2]
-            assert len(set(bounded)) == len(bounded) >= len(points) - 1
-            unbounded = [(ends[0], d) for ends, d in walk if len(ends) == 1]
+            # every bounded ratio test finds a new vertex: a spanning tree
+            assert walk_tree(walk_tests) <= set(points)
+            assert len([q for _, q, _ in walk_tests if q is not None]) == len(points) - 1
+            unbounded = [(p, d) for p, q, d in walk_tests if q is None]
             # the first unblocked ratio test along each direction lists its ray
             assert [list(d) for d in dict.fromkeys(d for _, d in unbounded)] == rays
             A = [tuple(row[:P.n]) for row in geometry._integer_rows(Q)]
@@ -574,27 +544,22 @@ class TestCrossPolytope:
     (n-1)-subset search."""
 
     @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_walk_is_linear_in_the_edges(self, monkeypatch, n):
+    def test_walk_is_linear_in_the_edges(self, monkeypatch, walk_tests, n):
         P = cross_polytope(n)
-        tested, grown = [], [0]
-        pivot, extend = geometry._pivot, geometry.extend
-
-        def counted_pivot(A, X, D, S, d):
-            if len(d) == n:  # the walk's, not phase one's lifted steps
-                tested.append((tuple(F(x, D) for x in X), d))
-            return pivot(A, X, D, S, d)
+        grown, extend = [0], geometry.extend
 
         def counted_extend(*args):
             grown[0] += 1
             return extend(*args)
 
-        monkeypatch.setattr(geometry, "_pivot", counted_pivot)
         monkeypatch.setattr(geometry, "extend", counted_extend)
         verts = enumerate_vertices(P)
         units = {tuple(F(s * (i == j)) for j in range(n)) for i in range(n) for s in (1, -1)}
         assert {v.point for v in verts} == units
-        # each of the 2n(n-1) edges is ratio-tested once, from one end
-        assert len(tested) == len(set(tested)) == 2 * n * (n - 1)
+        # each vertex keys its 2(n-1) edges when it is found, so the walk
+        # ratio-tests 2n - 1 of the 2n(n-1) edges, a spanning tree
+        assert len(walk_tests) == 2 * n - 1
+        assert walk_tree(walk_tests) == units
         # each basis search reads a row at most once: phase one's over all
         # m rows, and at each vertex the one that makes its witness, over
         # its active rows, which the double description starts from.  The

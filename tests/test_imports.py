@@ -31,8 +31,9 @@ walk (``_start``, then ``_walk``) to ``geometry._implied``, and it too
 reaches no readout.  ``is_bounded`` walks
 nothing: it reads phase one's vertex (``_start``) and one Bland descent
 (``geometry._bounded``), and it too reaches no readout.  Only
-``geometry._vertices`` reads a walk out as Vertex objects
-(``_walked``).  In the whole
+``geometry._vertices``, every vertex, and ``solve_glp``, its optimal
+face, read a walk's records out as Vertex objects (``_vertex``).  In the
+whole
 package only ``argmax_convergence`` builds a sample Polyhedron
 (``sample_polyhedron``), for ``solve_glp``; the other diagnostics read
 ``sample_rows``, and none calls ``remove_redundant``.
@@ -300,7 +301,10 @@ def test_caller_guard_sees_each_call_form(line, callers):
 
 
 # what reads a walk out as Vertex objects with Fraction points
-VERTEX_READOUT = {"enumerate_vertices", "_vertices", "_walked", "_vertex", "Vertex", "Fraction"}
+VERTEX_READOUT = {"enumerate_vertices", "_vertices", "_vertex", "Vertex", "Fraction"}
+# the functions that read a walk's records out as Vertex objects: every
+# vertex, and solve_glp's optimal face
+READOUTS = {"geometry.py::_vertices", "optimality.py::solve_glp"}
 
 
 def test_window_support_reads_the_walk_states():
@@ -319,8 +323,8 @@ STATE_READERS = {
 def _readout_faults(sources: dict[str, str]) -> set[str]:
     """What reads a walk out as Vertex objects in the package ``sources``,
     a map from module path to source: a function of STATE_READERS missing
-    or reaching a name of VERTEX_READOUT, or any caller of ``_walked`` but
-    ``geometry.py``'s ``_vertices``."""
+    or reaching a name of VERTEX_READOUT, or any caller of ``_vertex`` but
+    those of READOUTS."""
     faults = set()
     for path, roots in STATE_READERS.items():
         defined = _defined(sources[path])
@@ -330,9 +334,9 @@ def _readout_faults(sources: dict[str, str]) -> set[str]:
             else:
                 faults |= {f"{path}::{root} reaches {name}"
                            for name in _reached(sources[path], [root]) & VERTEX_READOUT}
-    faults |= {f"{path}::{caller} calls _walked"
-               for path, source in sources.items() for caller in _callers(source, "_walked")}
-    return faults - {"geometry.py::_vertices calls _walked"}
+    faults |= {f"{path}::{caller} calls _vertex"
+               for path, source in sources.items() for caller in _callers(source, "_vertex")}
+    return faults - {f"{readout} calls _vertex" for readout in READOUTS}
 
 
 def test_structure_layer_reads_the_walk_states():
@@ -352,7 +356,7 @@ _READOUT_CLEAN = {
     ),
     "kuratowski/convergence.py": "def _limit_walk(rows, n):\n    return _minkowski_weyl(rows, n)\n",
     "geometry.py": (
-        "def _vertices(aug, n):\n    return _walked(A, n, start)\n"
+        "def _vertices(aug, n):\n    return [_vertex(vertex) for vertex in _in_order(_walk(A, n, start))]\n"
         "def _minkowski_weyl(aug, n):\n    return _in_order(_walk(A, n, start, rays))\n"
     ),
 }
@@ -376,16 +380,21 @@ def _tampered(path: str, old: str, new: str) -> dict[str, str]:
          {"structure.py::_contains reaches Fraction"}),
         (_tampered("structure.py", "return _implied(aug, A, _walk(A, P.n, start))\n",
                    "return _witness(_walk(A, P.n, start))\ndef _witness(records):\n    return _vertex(records[0])\n"),
-         {"structure.py::reconstruct_check reaches _vertex"}),
+         {"structure.py::reconstruct_check reaches _vertex", "structure.py::_witness calls _vertex"}),
         (_tampered("structure.py", "def _contains(outer, inner, n)", "def _inside(outer, inner, n)"),
          {"structure.py defines no _contains"}),
         (_tampered("kuratowski/convergence.py", "_minkowski_weyl(rows, n)", "_vertices(rows, n)"),
          {"kuratowski/convergence.py::_limit_walk reaches _vertices"}),
-        (_tampered("geometry.py", "_in_order(_walk(A, n, start, rays))", "_walked(A, n, start)"),
-         {"geometry.py::_minkowski_weyl calls _walked"}),
+        (_tampered("geometry.py", "_in_order(_walk(A, n, start, rays))",
+                   "[_vertex(vertex) for vertex in _in_order(_walk(A, n, start))]"),
+         {"geometry.py::_minkowski_weyl calls _vertex"}),
+        (_tampered("kuratowski/convergence.py", "_minkowski_weyl(rows, n)\n",
+                   "_minkowski_weyl(rows, n)\n"
+                   "def _limit_points(rows, n):\n    return [_vertex(r) for r in _walk(rows)]\n"),
+         {"kuratowski/convergence.py::_limit_points calls _vertex"}),
     ],
     ids=["clean", "vertex-readout", "annotation", "through-a-helper", "records-through-a-helper", "missing",
-         "limit-walk", "second-caller"],
+         "limit-walk", "second-caller", "third-caller"],
 )
 def test_readout_guard_sees_each_fault(sources, faults):
     assert _readout_faults(sources) == faults
@@ -435,7 +444,7 @@ def _reached(source: str, roots) -> set[str]:
 STRUCTURE_ORACLE = ("reference_is_bounded", "reference_poly_contains", "_reference_irredundant",
                     "reference_remove_redundant", "reference_structure", "reference_reconstruct_check")
 # the walk's entries: what the structure layer itself runs on
-WALK_ENTRIES = {"_minkowski_weyl", "_walk", "_walked", "_vertices", "enumerate_vertices"}
+WALK_ENTRIES = {"_minkowski_weyl", "_walk", "_vertices", "enumerate_vertices"}
 
 
 def _solver_names() -> set[str]:

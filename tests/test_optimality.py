@@ -54,6 +54,8 @@ from helpers import (
     reference_simplicial_basis,
     reference_solve_glp,
     reference_walk,
+    walk_tests,
+    walk_tree,
 )
 
 F = Fraction
@@ -500,71 +502,32 @@ class TestWorkBudget:
         assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0}
         assert self._full_walk(counts, P) == 41
 
-    def test_unbounded_tests_each_edge_once(self, monkeypatch):
+    def test_unbounded_tests_each_edge_once(self, walk_tests):
         # once Bland's rule meets an improving column no row blocks, the
         # continuation walk from its vertex lists every ray: it ratio-tests
-        # each ray once, as the walk over every vertex does, and no edge
-        # from both ends, and the ray is the lexicographically smallest
-        # improving extreme ray.  In each walk every test of a bounded edge
-        # finds a new vertex, but where it meets a vertex whose distinct
-        # active rows number more than n, which keys its edges only as the
-        # walk leaves it.  Only the walks' ratio tests are recorded; the
-        # descent's are counted, to see that it often steps first
-        tested, descent, walking = [], [], []
-        pivot, walk = geometry._pivot, geometry._walk
-
-        def recorded(A, X, D, S, d):
-            blocked = pivot(A, X, D, S, d)
-            if not walking:
-                # phase one's lifted steps, in R^(n+1), or Bland's descent
-                descent.append(len(d))
-                return blocked
-            ends = (tuple(F(x, D) for x in X),)
-            if blocked is not None:
-                _, (_, Y, E, _) = blocked
-                ends += (tuple(F(y, E) for y in Y),)
-            line = d if next(x for x in d if x) > 0 else tuple(-x for x in d)
-            tested.append((ends, line))
-            return blocked
-
-        def walked(*args, **kwargs):
-            walking.append(True)
-            try:
-                return walk(*args, **kwargs)
-            finally:
-                walking.pop()
-
-        def reached(Q, tests):
-            """The vertices a walk's tests reach, each test of a bounded
-            edge checked to find a new one or a vertex that is not simple."""
-            found = {tests[0][0][0]}
-            for (p, *q), _ in tests:
-                assert p in found
-                if q and q[0] in found:
-                    assert len({hs.a for hs in Q.halfspaces if hs.slack(q[0]) == 0}) > Q.n
-                found.update(q)
-            return found
-
-        monkeypatch.setattr(geometry, "_pivot", recorded)
-        monkeypatch.setattr(geometry, "_walk", walked)
+        # each ray once, as the walk over every vertex does, and the ray is
+        # the lexicographically smallest improving extreme ray.  In each
+        # walk every test of a bounded edge finds a new vertex, so no edge
+        # is tested from both ends.  Only the walks' ratio tests are
+        # recorded; the descent is seen to move off phase one's vertex often
         descended = unbounded = 0
         for P, c in _ray_corpus():
             for sense in ("min", "max"):
-                del tested[:], descent[:]
+                del walk_tests[:]
                 sol = solve_glp(P, c, sense)
                 cmin = c if sense == "min" else vec_neg(c)
-                if sol.status != "UnboundedBelow" or not tested:
+                if sol.status != "UnboundedBelow" or not walk_tests:
                     continue
                 unbounded += 1
-                # Bland's last ratio test is the one no row blocks
-                descended += descent.count(P.n) > 1
-                solve = tested[:]
-                del tested[:]
+                (_, X, D, _), _ = geometry._start(geometry._integer_rows(P), P.n)[2]
+                descended += walk_tests[0][0] != tuple(F(x, D) for x in X)
+                solve = walk_tests[:]
+                del walk_tests[:]
                 verts = enumerate_vertices(sol.solved_on)
-                for tests in (solve, tested):
-                    assert len({(frozenset(ends), line) for ends, line in tests}) == len(tests)
-                    assert reached(sol.solved_on, tests) == {v.point for v in verts}
-                assert {test for test in solve if len(test[0]) == 1} == {test for test in tested if len(test[0]) == 1}
+                for walked in (solve, walk_tests):
+                    assert len(set(walked)) == len(walked)
+                    assert walk_tree(walked) == {v.point for v in verts}
+                assert {test for test in solve if test[1] is None} == {test for test in walk_tests if test[1] is None}
                 rays = reference_extreme_rays(sol.solved_on)
                 assert repr(sol.ray) == repr(min(_normalised(rays, cmin)))
         assert unbounded >= 300 and descended >= 50, (unbounded, descended)
