@@ -4,18 +4,33 @@ Each case runs one CLI command on a fixture and compares the exit code and
 the SHA-256 of its standard output with the digest recorded when the case
 was added.  A change that alters any report, by as much as one byte, fails
 here and has to say why it changes the output (and record new digests).
+
+The library digests do the same for the library's own results on
+fixed-seed draws: ``solve_glp`` (min and max) on 1,000 acceptance draws
+with its ``solved_on`` and ``lineality_basis``, ``enumerate_vertices`` on
+degenerate draws, and ``structure``, ``remove_redundant`` and
+``reconstruct_check`` on pointed draws.  Each is hashed through the JSON
+forms the CLI prints, never through a repr.
 """
 import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
-from polycone import polyhedron_to_dict, trajectory_to_dict
-from polycone.cli import main
+from polycone import (
+    enumerate_vertices, polyhedron_to_dict, reconstruct_check, remove_redundant, solve_glp, structure,
+    trajectory_to_dict,
+)
+from polycone.cli import _glp_dict, _vertex_dict, main
+from polycone.rationals import format_vector
 
-from helpers import FLAT, HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2
+from helpers import (
+    FLAT, HALF_LINE, QUADRANT, STRIP, TRIANGLE, Y1, Y2, random_cost, random_degenerate_polyhedron,
+    random_feasible_pointed, random_polyhedron,
+)
 from families import (
     constant_triangle_trajectory,
     ex31_trajectory,
@@ -200,3 +215,64 @@ def test_every_case_has_a_digest():
 @pytest.mark.parametrize("case, argv", list(_cases()), ids=[case for case, _ in _cases()])
 def test_report_is_byte_identical(files, case, argv):
     assert report_digest(argv, files) == DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# Library reports on fixed-seed draws: the same JSON forms the CLI prints,
+# hashed without any repr, so a change of a record's repr leaves them be.
+
+
+def _digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _glp_records():
+    rng = random.Random(31)
+    for _ in range(1000):
+        P = random_polyhedron(rng)
+        c = random_cost(rng, P.n)
+        for sense in ("min", "max"):
+            sol = solve_glp(P, c, sense)
+            yield _glp_dict(sol) | {
+                "solved_on": polyhedron_to_dict(sol.solved_on),
+                "lineality_basis": [format_vector(v) for v in sol.lineality_basis],
+            }
+
+
+def _vertex_records():
+    rng = random.Random(32)
+    for n in (2, 3, 4) * 40:
+        P = random_degenerate_polyhedron(rng, n)
+        yield [_vertex_dict(v) for v in enumerate_vertices(P)]
+
+
+def _structure_records():
+    rng = random.Random(33)
+    for _ in range(100):
+        P = random_feasible_pointed(rng)
+        report = structure(P)
+        yield {
+            "structure": [list(report.implicit_equalities), report.dimension,
+                          [format_vector(v) for v in report.lineality_basis],
+                          report.facet_count, report.vertex_count],
+            "minimal": polyhedron_to_dict(remove_redundant(P)),
+            "reconstructs": reconstruct_check(P),
+        }
+
+
+LIBRARY_DIGESTS = {
+    "solve_glp": "03843e36f4e0a6952947646a044c710a18a2be7216a1309d54b46f64017386b4",
+    "enumerate_vertices": "3020f05c63ff190788ef998b1ada1ab62a1c63d7f53dc9d679b2b626a3116466",
+    "structure": "3b280b368c0b5be73fa66cfb8d3e60da96b13cdb369a81d24a3384542052e85e",
+}
+
+
+LIBRARY_RECORDS = {"solve_glp": _glp_records, "enumerate_vertices": _vertex_records, "structure": _structure_records}
+
+
+@pytest.mark.parametrize("name", LIBRARY_RECORDS)
+def test_library_reports_are_byte_identical(name):
+    assert _digest(LIBRARY_RECORDS[name]()) == LIBRARY_DIGESTS[name]
