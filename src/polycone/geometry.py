@@ -1,8 +1,13 @@
 """Exact H-polyhedra and their local cone/vertex geometry.
 
 A polyhedron is a nonempty list of closed half-spaces ``<a, x> <= b`` over
-exact rationals.  The whole space is deliberately not representable as a
-Polyhedron (a Cone in H-form may be all of R^n, a Polyhedron may not).
+exact rationals.  It holds each one once, as its primitive integer row
+``(a..., b)``: the integers on its ray with gcd 1, made as the Polyhedron
+is built, which every kernel entry below reads as it is.  ``HalfSpace``,
+the L-infinity canonical form (``max|a_j| = 1``), is the view of a row
+for callers and printing, built only on request (``P.halfspaces``).  The
+whole space is deliberately not representable as a Polyhedron (a Cone in
+H-form may be all of R^n, a Polyhedron may not).
 Feasibility is *not* an invariant: empty polyhedra are legal values and are
 flagged by the operations that require nonemptiness.
 
@@ -19,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint
 from .linalg import Vector, dot, extend, nullspace, scaled, vec_neg
-from .rationals import format_rational, format_vector, parse_rational, parse_vector
+from .rationals import format_rational, parse_rational, parse_vector
 
 IndexSet = tuple[int, ...]
 
@@ -77,33 +82,80 @@ class HalfSpace(_Checked, NamedTuple("HalfSpace", [("a", Vector), ("b", Fraction
         return HalfSpace(tuple(-x for x in self.a), -self.b)
 
 
-class Polyhedron(_Checked, NamedTuple("Polyhedron", [("n", int), ("halfspaces", tuple[HalfSpace, ...])])):
-    """H-polyhedron ``{x : A x <= b}`` over exact rationals."""
+def _integer(n) -> int:
+    """n, refused unless it is an int (True, 2.0 and "2" are not)."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return n
+
+
+def _primitive(row: Iterable) -> tuple[int, ...]:
+    """The rational row ``[a..., b]`` of ``a.x <= b`` as the primitive
+    integer row on its ray: cleared of denominators (``scaled``), then
+    divided by the gcd of its entries.  Equal half-spaces, whatever their
+    scale, give the same row."""
+    row = tuple(row)
+    if not all(type(v) is int for v in row):
+        row = scaled([v if type(v) is Fraction else Fraction(v) for v in row])[0]
+    if not any(row[:-1]):
+        raise ValueError("half-space normal must be nonzero")
+    g = gcd(*row)
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
+
+
+def _rows(n: int, rows: Iterable[Iterable]) -> tuple[tuple[int, ...], ...]:
+    """The rows ``[a..., b]`` of a polyhedron in R^n, each made primitive
+    (``_primitive``), then checked to have n + 1 entries."""
+    rows = tuple([_primitive(row) for row in rows])
+    for row in rows:
+        if len(row) != n + 1:
+            raise DimensionMismatch(f"constraint dimension {len(row) - 1} != ambient {n}")
+    return rows
+
+
+class Polyhedron(_Checked, NamedTuple("Polyhedron", [("n", int), ("rows", tuple[tuple[int, ...], ...])])):
+    """H-polyhedron ``{x : A x <= b}`` over exact rationals, held as one
+    primitive integer row ``(a..., b)`` per half-space (``_primitive``),
+    the rows the kernel runs on.
+
+    The constructor takes rows ``[a..., b]`` of rationals, ``from_rows``
+    takes ``(a, b)`` pairs, a HalfSpace among them; either way each row is
+    made primitive as it is stored, so equal half-spaces give equal and
+    equally hashed polyhedra.  ``halfspaces`` is the L-infinity view of
+    the same rows, built only when asked for.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, halfspaces: Iterable[HalfSpace]) -> "Polyhedron":
-        rows = tuple(halfspaces)
+    def __new__(cls, n: int, rows: Iterable[Iterable]) -> "Polyhedron":
+        rows = _rows(_integer(n), rows)
         if not rows:
             raise ValueError("a polyhedron needs at least one constraint (R^n is excluded)")
-        for hs in rows:
-            if hs.n != n:
-                raise DimensionMismatch(f"constraint dimension {hs.n} != ambient {n}")
         return super().__new__(cls, n, rows)
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[tuple[Iterable, object]]) -> "Polyhedron":
-        return cls(n, [HalfSpace(a, b) for a, b in rows])
+        """The polyhedron of the half-spaces ``a.x <= b`` given as ``(a, b)``."""
+        return cls(n, [(*a, b) for a, b in rows])
+
+    @property
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        """The rows as L-infinity canonical half-spaces, built on each call."""
+        return tuple(HalfSpace(row[:-1], row[-1]) for row in self.rows)
 
     @property
     def m(self) -> int:
-        return len(self.halfspaces)
+        return len(self.rows)
 
     def row_matrix(self) -> list[Vector]:
-        return [hs.a for hs in self.halfspaces]
+        """The normals of ``halfspaces``."""
+        return [canonical_ray(row[:-1]) for row in self.rows]
 
-    def with_rows(self, extra: Iterable[HalfSpace]) -> "Polyhedron":
-        return Polyhedron(self.n, self.halfspaces + tuple(extra))
+    def with_rows(self, extra: Iterable[Iterable]) -> "Polyhedron":
+        """P cut by the extra rows ``[a..., b]``, appended after P's: they
+        are made primitive and checked as the constructor does, and P's own
+        rows are kept as they are."""
+        return super().__new__(Polyhedron, self.n, self.rows + _rows(self.n, extra))
 
 
 @dataclass(frozen=True)
@@ -133,6 +185,7 @@ class Cone(_Checked, NamedTuple("Cone", [("n", int), ("hform", tuple[HalfSpace, 
 
     def __new__(cls, n: int, hform: tuple[HalfSpace, ...] | None = None,
                 generators: tuple[Vector, ...] | None = None) -> "Cone":
+        _integer(n)
         if (hform is None) == (generators is None):
             raise ValueError("cone needs exactly one of hform / generators")
         if hform is not None:
@@ -176,12 +229,13 @@ def contains_point(P: Polyhedron, x: Sequence) -> bool:
     xv = _coerce_vector(x)
     if len(xv) != P.n:
         raise DimensionMismatch(f"point dimension {len(xv)} != ambient {P.n}")
-    return all(hs.slack(xv) >= 0 for hs in P.halfspaces)
+    X, D = scaled(xv)
+    return all(b * D >= sum(map(mul, a, X)) for *a, b in P.rows)
 
 
 def active_set(P: Polyhedron, x: Sequence) -> IndexSet:
     """Indices of constraints tight at x; x must be feasible."""
-    return _tight_rows(_integer_rows(P), _coerce_vector(x))
+    return _tight_rows(P.rows, _coerce_vector(x))
 
 
 def _tight_rows(aug, x: Sequence[Fraction]) -> IndexSet:
@@ -207,8 +261,7 @@ def tangent_cone(P: Polyhedron, x: Sequence) -> Cone:
 
     At interior points the active set is empty and the cone is all of R^n.
     """
-    act = active_set(P, x)
-    return Cone(P.n, hform=tuple(P.halfspaces[i].homogeneous() for i in act))
+    return Cone(P.n, hform=tuple(HalfSpace(P.rows[i][:-1], 0) for i in active_set(P, x)))
 
 
 def normal_cone(P: Polyhedron, x: Sequence) -> Cone:
@@ -217,13 +270,12 @@ def normal_cone(P: Polyhedron, x: Sequence) -> Cone:
 
 
 def active_normals(P: Polyhedron, active: Iterable[int]) -> tuple[Vector, ...]:
-    """The distinct normals of the given rows, in row order.
-
-    Normals are stored L-infinity canonical, so equal rays are equal tuples.
-    """
+    """The distinct normals of the given rows, in row order, each in its
+    L-infinity canonical form, so equal rays are equal tuples (rows with
+    one normal and two offsets are two primitive rows)."""
     gens: list[Vector] = []
     for i in active:
-        a = P.halfspaces[i].a
+        a = canonical_ray(P.rows[i][:-1])
         if a not in gens:
             gens.append(a)
     return tuple(gens)
@@ -231,11 +283,6 @@ def active_normals(P: Polyhedron, active: Iterable[int]) -> tuple[Vector, ...]:
 
 # ---------------------------------------------------------------------------
 # Vertex enumeration
-
-
-def _integer_rows(P: Polyhedron) -> list[list[int]]:
-    """Clear denominators row-wise: integer rows ``[a..., b]`` describing P."""
-    return [scaled(hs.a + (hs.b,))[0] for hs in P.halfspaces]
 
 
 def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
@@ -267,7 +314,7 @@ def enumerate_vertices(P: Polyhedron) -> list[Vertex]:
     every edge ratio-tested (best of seven, CPython 3.11, 2 shared vCPUs).
     Output sorted by point (``_vertices`` on P's integer rows).
     """
-    return _vertices(_integer_rows(P), P.n)
+    return _vertices(P.rows, P.n)
 
 
 def _vertices(aug, n: int) -> list[Vertex]:
@@ -314,12 +361,20 @@ def _start(aug, n: int):
     lineality = ()
     if start is None and y is None:
         lineality = tuple(nullspace(A, n))
-        rows = aug + [[*scaled(s)[0], 0] for v in lineality for s in (v, vec_neg(v))]
+        rows = [*aug, *_slice(lineality)]
         A = [tuple(row[:n]) for row in rows]
         start, y = _phase_one(A, rows, n)
     if start is None:
         return (), None, None, _farkas(aug, y[:len(aug)])
     return lineality, A, start, None
+
+
+def _slice(lineality) -> list[tuple[int, ...]]:
+    """The rows ``[+-v, 0]`` that cut a set to the orthogonal complement of
+    its lineality space, for v in its basis ``lineality``, as ``nullspace``
+    gives it: each v has an entry 1, so its integer form (``scaled``) is
+    primitive."""
+    return [(*scaled(s)[0], 0) for v in lineality for s in (v, vec_neg(v))]
 
 
 def _farkas(aug, y) -> Vector:
@@ -804,24 +859,24 @@ def _pivot(A, X: list[int], D: int, S: list[int], d: tuple[int, ...]):
 
 
 def polyhedron_to_dict(P: Polyhedron) -> dict:
-    return {
-        "n": P.n,
-        "constraints": [
-            {"a": format_vector(hs.a), "b": format_rational(hs.b)} for hs in P.halfspaces
-        ],
-    }
+    """P's rows in their L-infinity canonical form, the values of
+    ``P.halfspaces``, read off the integer rows."""
+    constraints = []
+    for *a, b in P.rows:
+        scale = max(map(abs, a))
+        constraints.append({"a": [format_rational(Fraction(x, scale)) for x in a],
+                            "b": format_rational(Fraction(b, scale))})
+    return {"n": P.n, "constraints": constraints}
 
 
 def polyhedron_from_dict(data: dict) -> Polyhedron:
     try:
-        n = data["n"]
-        if type(n) is not int:  # a JSON integer: not 1.9, "1" or true
-            raise ValueError(f"n must be an integer, got {n!r}")
+        n = _integer(data["n"])  # a JSON integer: not 1.9, "1" or true
         rows = data["constraints"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polyhedron JSON: {exc}") from exc
     try:
-        halfspaces = [HalfSpace(parse_vector(row["a"]), parse_rational(row["b"])) for row in rows]
+        rows = [(*parse_vector(row["a"]), parse_rational(row["b"])) for row in rows]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polyhedron JSON: {exc}") from exc
-    return Polyhedron(n, halfspaces)
+    return Polyhedron(n, rows)

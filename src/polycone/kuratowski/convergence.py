@@ -38,7 +38,6 @@ from ..errors import (
 from ..geometry import (
     Cone,
     Polyhedron,
-    _integer_rows,
     _minkowski_weyl,
     _start,
     _tight_rows,
@@ -90,7 +89,7 @@ def default_directions(n: int) -> list[FloatVector]:
 
 def default_window(candidate: Polyhedron) -> float:
     """2 (1 + max vertex norm) clamped to [1, 1e6]."""
-    lineality, states, _, _ = _minkowski_weyl(_integer_rows(candidate), candidate.n)
+    lineality, states, _, _ = _minkowski_weyl(candidate.rows, candidate.n)
     return _window([] if lineality else states)
 
 
@@ -129,11 +128,11 @@ def _checked_window(R: float, n: int, m: int) -> Fraction:
     return Fraction(float(R))
 
 
-def _as_rows(obj: Polyhedron | Cone) -> list[list[int]]:
+def _as_rows(obj: Polyhedron | Cone):
     """The integer rows ``[a..., b]`` of a polyhedron or a cone, a
     generator cone through the walk of its polar (``_polar_rows``)."""
     if isinstance(obj, Polyhedron):
-        return _integer_rows(obj)
+        return obj.rows
     if obj.hform is not None:
         return [[*scaled(hs.a)[0], 0] for hs in obj.hform]
     return _polar_rows([[*scaled(canonical_ray(g))[0], 0] for g in obj.generators], obj.n)
@@ -154,7 +153,7 @@ def _window_states(rows: list[list[int]], box: list[list[int]]) -> list:
     the states ``(active, X, D, S)`` of one walk over ``rows + box``; none
     if that set is empty."""
     n = len(box[0]) - 1
-    _, A, start, farkas = _start(rows + box, n)
+    _, A, start, farkas = _start([*rows, *box], n)
     if farkas is not None:
         return []
     return [state for state, _ in _walk(A, n, start)]
@@ -349,7 +348,7 @@ def verify_convergence(
     tail.  Also checks the vertex-count inequality data (the limit cannot
     have more vertices than the tail members).
     """
-    rows = _integer_rows(candidate)
+    rows = candidate.rows
     vertices, _ = _limit_walk(rows, candidate.n)
     radius = _window(vertices) if R is None else R
     directions = default_directions(T.n)
@@ -434,7 +433,7 @@ def cone_convergence(
         normal = _polar_rows(tangent, T.n)
         return _window_support(tangent, box, directions), _window_support(normal, box, directions)
 
-    h_tangent, h_normal = supports(_integer_rows(limit), track.limit_vertex)
+    h_tangent, h_normal = supports(limit.rows, track.limit_vertex)
     tangent_seq = []
     normal_seq = []
     for k in range(T.sample_count):
@@ -484,11 +483,11 @@ def argmax_convergence(
     sol_limit = solve_glp(limit, c_limit, "max")
     if sol_limit.status != "Attained":
         raise MaxNotAttained("limit", f"limit objective not attained ({sol_limit.status})")
-    vertices, compact = _limit_walk(_integer_rows(limit), limit.n)
+    vertices, compact = _limit_walk(limit.rows, limit.n)
     radius = _window(vertices) if R is None else R
     directions = default_directions(T.n)
     box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
-    h_face = _window_support(_integer_rows(sol_limit.argmin_face), box, directions)
+    h_face = _window_support(sol_limit.argmin_face.rows, box, directions)
     limit_count = len(vertices)
 
     per_max = []
@@ -501,7 +500,7 @@ def argmax_convergence(
         if sol.status != "Attained":
             raise MaxNotAttained(T.indices[k], f"objective not attained at sample {T.indices[k]}")
         per_max.append((T.indices[k], float(sol.value)))
-        hk = _window_support(_integer_rows(sol.argmin_face), box, directions)
+        hk = _window_support(sol.argmin_face.rows, box, directions)
         face_dists.append((T.indices[k], _support_gap(hk, h_face).value))
         counts_equal.append(len(enumerate_vertices(Pk)) == limit_count)
 
@@ -552,7 +551,7 @@ def boundary_convergence(
         # that row: its vertices are the window's vertices tight there
         return _support([state for state in states if i in state[0]], directions)
 
-    aug, limit_rows, vertices = minimal(_integer_rows(limit), limit.n)
+    aug, limit_rows, vertices = minimal(limit.rows, limit.n)
     radius = _window(vertices) if R is None else R
     box = _box_rows(T.n, _checked_window(radius, T.n, limit.n))
     states = _window_states(aug, box)

@@ -206,10 +206,8 @@ class PolyhedronTrajectory(_Checked, NamedTuple("PolyhedronTrajectory", [
         return [_primitive_row((*t.normals[k], t.offsets[k])) for t in self.constraints]
 
     def sample_polyhedron(self, k: int) -> Polyhedron:
-        """The k-th sampled polyhedron from ``sample_rows(k)``: a ray's
-        L-infinity canonical form is unique, so its rows are the binary64
-        values' own, exactly."""
-        return Polyhedron.from_rows(self.n, [(row[:-1], row[-1]) for row in self.sample_rows(k)])
+        """The k-th sampled polyhedron, on the rows ``sample_rows(k)``."""
+        return Polyhedron(self.n, self.sample_rows(k))
 
     def sample_cost(self, k: int) -> tuple[Fraction, ...]:
         if self.cost is None:
@@ -532,7 +530,7 @@ def construct_limit(
         else:
             warnings.append(f"pair {orig}: bisector offset divergent; auxiliary row dropped")
 
-    limit = Polyhedron(T.n, kept_rows + aux_rows)
+    limit = Polyhedron.from_rows(T.n, kept_rows + aux_rows)
     return LimitReport(
         limit=limit,
         kept=tuple(kept),

@@ -30,7 +30,6 @@ from .geometry import (
     _coerce_vector,
     _descent,
     _farkas,
-    _integer_rows,
     _phase_one,
     _start,
 )
@@ -88,7 +87,7 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
     cmin = cv if sense == "min" else vec_neg(cv)
     C = scaled(cmin)[0]
 
-    aug = _integer_rows(P)
+    aug = P.rows
     lineality, A, start, farkas = _start(aug, P.n)
     if farkas is not None:
         return LPResult(status="Infeasible", certificate=farkas)
@@ -106,7 +105,7 @@ def solve_lp(P: Polyhedron, c: Sequence, sense: str = "min") -> LPResult:
 
 def find_feasible_point(P: Polyhedron) -> Vector | None:
     """A feasible point of P, or None: phase one's vertex (see ``solve_lp``)."""
-    _, _, start, farkas = _start(_integer_rows(P), P.n)
+    _, _, start, farkas = _start(P.rows, P.n)
     if farkas is not None:
         return None
     (_, X, D, _), _ = start

@@ -15,20 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint, NotAttained, NotAVertex
 from .geometry import (
-    HalfSpace,
     Polyhedron,
     Vertex,
     _checked_ray,
     _coerce_vector,
     _defining,
     _in_order,
-    _integer_rows,
     _phase_two,
+    _slice,
     _start,
     _tie_certificate,
     _vertex,
@@ -96,6 +96,7 @@ class StabilityCone(NamedTuple):
 def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     """Solve min (or max) of ``<c, x>`` over P by vertex normal cones.
 
+    Everything runs on P's own primitive integer rows (``P.rows``).
     Phase one of the walk either proves P empty or reaches a vertex (of
     the slice orthogonal to P's lineality space L, when P has no vertex);
     the objective is unbounded if it falls along L.  Phase two
@@ -103,14 +104,18 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     adjugate phase one ends on.  A column along which the objective falls
     and no row blocks proves it unbounded; the walk of the vertex graph
     then lists every ray, to report the lexicographically smallest
-    improving one.  Where Bland's rule stops, ``y = -C M / det >= 0``
+    improving one: the rays are compared as integers over one common
+    denominator, and only that one is read out as Fractions.  Where Bland's rule stops, ``y = -C M / det >= 0``
     puts ``-c`` (for minimization) in the normal cone of its vertex, and
     the walk along the edges with ``<c, d> = 0`` lists the optimal face's
     vertices, each with the adjugate of its witness basis.  Each one's
     certificate is the same sign test on that adjugate, or on the one that
     degenerate Bland's-rule exchanges reach from it where its distinct
     active rows number more than n (``geometry._tie_certificate``): no
-    simplex runs, and no certificate searches for a basis.
+    simplex runs, and no certificate searches for a basis.  The reported
+    polyhedra append integer rows to P's: ``argmin_face`` the two level
+    rows of the optimal value (``_level_face``), and a lineality slice
+    ``solved_on`` the rows the walk ran on (``geometry._slice``).
     Each verdict carries its own certificate, checked exactly over
     integer rows before it is returned.  Cost: phase one's pivots and one
     ratio test (m n) and one O(n^2) exchange per Bland step, then the
@@ -127,36 +132,40 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     cmin = cv if sense == "min" else vec_neg(cv)
     C, L = scaled(cmin)
 
-    aug = _integer_rows(P)
+    aug = P.rows
     lineality, A, start, farkas = _start(aug, P.n)
     if farkas is not None:
         return GLPSolution(status="Infeasible", farkas=farkas, solved_on=P)
     work = P
     if lineality:
         # the slice the walk ran on, as the Polyhedron reported in ``solved_on``
-        work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
+        work = P.with_rows(_slice(lineality))
         c_lin = project_onto_span(lineality, cmin)
         if any(v != 0 for v in c_lin):
             return _unbounded(aug, C, vec_neg(c_lin), work, lineality)
 
     face, rays = _phase_two(A, P.n, start, C)
     if rays is not None:
-        # an improving extreme ray r, as r / -<c_min, r> = L r / -<C, r>
-        falls = [(r, -sum(map(mul, C, r))) for r in rays]
-        return _unbounded(aug, C, min(tuple(Fraction(L * x, e) for x in r) for r, e in falls if e > 0),
-                          work, lineality)
+        # the improving extreme rays r, each as r / -<c_min, r> = L r / e
+        # for e = -<C, r> > 0, compared as the integer rays r E / e over one
+        # common denominator E; only the least is read out
+        falls = [(r, e) for r in rays if (e := -sum(map(mul, C, r))) > 0]
+        E = lcm(*[e for _, e in falls])
+        r, e = min(falls, key=lambda fall: [x * (E // fall[1]) for x in fall[0]])
+        return _unbounded(aug, C, tuple(Fraction(L * x, e) for x in r), work, lineality)
 
     face = _in_order(face)
     tied = [_vertex(vertex) for vertex in face]
     proofs = [_tie_certificate(A, vertex, C, L) for vertex in face]
     (_, X, D, _), _ = face[0]
-    best = Fraction(sum(map(mul, C, X)), D * L)
+    CX = sum(map(mul, C, X))
+    best = Fraction(CX, D * L)
     value = best if sense == "min" else -best
     return GLPSolution(
         status="Attained",
         optimal_vertices=tuple(tied),
         value=value,
-        argmin_face=_level_face(P, cv, value),
+        argmin_face=_level_face(P, C, CX, D, 1 if sense == "min" else -1),
         certificate=tuple(ConeMembership(member=True, multipliers=y) for y in proofs),
         solved_on=work,
         lineality_basis=lineality,
@@ -170,11 +179,18 @@ def _unbounded(rows, C, ray: Vector, work: Polyhedron, lineality) -> GLPSolution
                        lineality_basis=lineality)
 
 
-def _level_face(P: Polyhedron, c: Vector, value: Fraction) -> Polyhedron:
-    if all(v == 0 for v in c):
+def _level_face(P: Polyhedron, C: list[int], CX: int, D: int, sign: int) -> Polyhedron:
+    """The optimal face, P cut to its level set ``<c, x> = value``: the
+    integer row ``sign [C D, C.X]`` and its negation, for the integer cost
+    C of ``c_min = C / L``, the optimal vertex ``X / D`` and sign 1 for
+    minimization or -1 for maximization, where ``c = -c_min``.  The first
+    row is ``L D [c, value]``, so both are ``a.x <= b`` for ``c.x <=
+    value`` and ``-c.x <= -value``.  With c = 0 every point is optimal, and
+    P is its own face."""
+    if not any(C):
         return P
-    level = HalfSpace(c, value)
-    return P.with_rows([level, level.flipped()])
+    level = [sign * D * x for x in C] + [sign * CX]
+    return P.with_rows([level, [-x for x in level]])
 
 
 def argmin_face(P: Polyhedron, c: Sequence, sense: str = "min") -> Polyhedron:
@@ -199,7 +215,7 @@ def stability_cone(P: Polyhedron, w: Vertex | Sequence) -> StabilityCone:
     except (DimensionMismatch, InfeasiblePoint) as exc:
         raise NotAVertex(message) from exc
     # the lexicographically smallest nonsingular subsystem: the enumeration's witness
-    defining = _defining([tuple(row[:P.n]) for row in _integer_rows(P)], active, P.n)
+    defining = _defining([row[:P.n] for row in P.rows], active, P.n)
     if defining is None:
         raise NotAVertex(message)
     vertex = Vertex(point=point, active=active, defining=defining)

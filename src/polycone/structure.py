@@ -1,8 +1,9 @@
 """Global polyhedron analyses read off phase one and the Minkowski–Weyl walk.
 
-Phase one over P's integer rows (``geometry._start``) finds P empty, with
-Farkas multipliers, or gives its lineality space L and a vertex of P or
-of its slice orthogonal to L.  That settles ``recession_and_lineality``,
+Phase one over P's integer rows, the primitive rows ``P.rows`` that a
+Polyhedron holds (``geometry._start``), finds P empty, with Farkas
+multipliers, or gives its lineality space L and a vertex of P or of its
+slice orthogonal to L.  That settles ``recession_and_lineality``,
 and ``is_bounded`` adds one Bland descent from that vertex
 (``geometry._bounded``), checked both ways.  One walk over P's integer
 rows (``geometry._minkowski_weyl``) writes a nonempty P as ``conv V +
@@ -19,6 +20,9 @@ one Bland descent over the rows that some vertex does
 witness.  Below the public functions everything takes integer rows
 ``[a..., b]`` and computes on integers: no Vertex is built, and a
 Fraction only for a containment witness that ``poly_contains`` returns.
+``remove_redundant`` builds its result from the rows it keeps, as they
+are, and only ``recession_and_lineality`` makes HalfSpaces, for the Cone
+it returns.
 No verdict runs ``linprog``'s simplex: the only descents are the
 kernel's Bland rule, in ``_bounded`` and ``_implied``, each ending in a
 checked ray, witness or set of multipliers, and the one cone test left
@@ -35,7 +39,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NoVertices
-from .geometry import Cone, IndexSet, Polyhedron, _bounded, _implied, _integer_rows, _minkowski_weyl, _start, _walk
+from .geometry import Cone, HalfSpace, IndexSet, Polyhedron, _bounded, _implied, _minkowski_weyl, _start, _walk
 from .linalg import Vector, extend, scaled
 from .linprog import cone_member
 
@@ -69,8 +73,8 @@ def _nonempty(found):
 def recession_and_lineality(P: Polyhedron) -> tuple[Cone, tuple[Vector, ...]]:
     """Recession cone in H-form and an exact basis of the lineality space,
     from phase one alone (``_start``)."""
-    lineality = _nonempty(_start(_integer_rows(P), P.n))[0]
-    return Cone(P.n, hform=tuple(hs.homogeneous() for hs in P.halfspaces)), lineality
+    lineality = _nonempty(_start(P.rows, P.n))[0]
+    return Cone(P.n, hform=tuple(HalfSpace(row[:-1], 0) for row in P.rows)), lineality
 
 
 def is_bounded(P: Polyhedron) -> bool:
@@ -78,7 +82,7 @@ def is_bounded(P: Polyhedron) -> bool:
     lineality, and the cost ``1 A``, the column sums of P's integer
     normals, attains its minimum over P (``_bounded``: one Bland descent
     from phase one's vertex, its ray or its multipliers checked)."""
-    lineality, A, start = _nonempty(_start(_integer_rows(P), P.n))
+    lineality, A, start = _nonempty(_start(P.rows, P.n))
     return not lineality and _bounded(A, start)
 
 
@@ -127,13 +131,13 @@ def _structure(aug: list[list[int]], n: int) -> tuple[StructureReport, list[list
 
 def structure(P: Polyhedron) -> StructureReport:
     """Implicit equalities, dimension, lineality, facet and vertex counts."""
-    return _structure(_integer_rows(P), P.n)[0]
+    return _structure(P.rows, P.n)[0]
 
 
 def remove_redundant(P: Polyhedron) -> Polyhedron:
     """Minimal sub-description with the identical point set, order-stable:
     the rows ``_minimal_rows`` keeps."""
-    return Polyhedron(P.n, [P.halfspaces[i] for i in _minimal_rows(_integer_rows(P), P.n)[0]])
+    return Polyhedron(P.n, [P.rows[i] for i in _minimal_rows(P.rows, P.n)[0]])
 
 
 def _minimal_rows(aug: list[list[int]], n: int) -> tuple[list[int], list]:
@@ -198,7 +202,7 @@ def poly_contains(P: Polyhedron, Q: Polyhedron) -> Containment:
     ``_contains`` on their integer rows, the witness read out as Fractions."""
     if P.n != Q.n:
         raise DimensionMismatch(f"ambient dimensions differ: {P.n} != {Q.n}")
-    found = _contains(_integer_rows(P), _integer_rows(Q), Q.n)
+    found = _contains(P.rows, Q.rows, Q.n)
     if found is None:
         return Containment(True, None)
     W, E = found
@@ -218,7 +222,7 @@ def reconstruct_check(P: Polyhedron) -> bool:
     vertices and a Bland descent that, on a correct walk, takes no step at
     a simplicial vertex and only degenerate ones otherwise.
     """
-    aug = _integer_rows(P)
+    aug = P.rows
     lineality, A, start, _ = _start(aug, P.n)
     if lineality or start is None:
         raise NoVertices("reconstruction needs at least one vertex")

@@ -46,20 +46,42 @@ from polycone.kuratowski.convergence import (
 from polycone.kuratowski.limits import _unit_row
 from polycone.linalg import dot, extend, null_direction, nullspace, project_onto_span, scaled, vec_neg
 
-TRIANGLE = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
-QUADRANT = Polyhedron.from_rows(2, [((-1, 0), 0), ((0, -1), 0)])
+# the input of each fixture below: its dimension and its rows (a, b)
+FIXTURE_ROWS: list[tuple[int, list]] = []
+
+
+def fixture(n: int, rows: list) -> Polyhedron:
+    """The polyhedron of the rows ``(a, b)``, its input kept in FIXTURE_ROWS."""
+    FIXTURE_ROWS.append((n, rows))
+    return Polyhedron.from_rows(n, rows)
+
+
+TRIANGLE = fixture(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
+QUADRANT = fixture(2, [((-1, 0), 0), ((0, -1), 0)])
 # producer pieces of the two-good example, a=1 / b=2
-Y1 = Polyhedron.from_rows(2, [((0, 1), 1), ((1, 2), 0), ((2, 1), 0)])
-Y2 = Polyhedron.from_rows(2, [((0, 1), -2), ((2, 1), 2)])
-STRIP = Polyhedron.from_rows(2, [((0, -1), 0), ((0, 1), 1)])
-HALF_LINE = Polyhedron.from_rows(2, [((0, -1), 0), ((0, 1), 0), ((-1, 0), 0)])
-X_AXIS = Polyhedron.from_rows(2, [((0, 1), 0), ((0, -1), 0)])
+Y1 = fixture(2, [((0, 1), 1), ((1, 2), 0), ((2, 1), 0)])
+Y2 = fixture(2, [((0, 1), -2), ((2, 1), 2)])
+STRIP = fixture(2, [((0, -1), 0), ((0, 1), 1)])
+HALF_LINE = fixture(2, [((0, -1), 0), ((0, 1), 0), ((-1, 0), 0)])
+X_AXIS = fixture(2, [((0, 1), 0), ((0, -1), 0)])
 # a triangle in the plane z = 0 of R^3, whose row x + y + z <= 1 repeats
 # the facet x + y <= 1: lower-dimensional, pointed, with a duplicate facet
-FLAT = Polyhedron.from_rows(
+FLAT = fixture(
     3,
     [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1), ((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)],
 )
+
+
+def cut(P: Polyhedron, *halfspaces: HalfSpace) -> Polyhedron:
+    """P cut by the half-spaces, appended after its own, built from the
+    half-space form of both."""
+    return Polyhedron.from_rows(P.n, [*P.halfspaces, *halfspaces])
+
+
+def reference_rows(rows) -> list[tuple[int, ...]]:
+    """Reference for ``Polyhedron.rows``: each ``(a, b)`` as its L-infinity
+    HalfSpace, then cleared of denominators (``scaled``)."""
+    return [tuple(scaled(hs.a + (hs.b,))[0]) for hs in (HalfSpace(a, b) for a, b in rows)]
 
 
 def rand_frac(rng: random.Random) -> Fraction:
@@ -73,13 +95,17 @@ def rand_row(rng: random.Random, n: int) -> tuple[Fraction, ...]:
             return a
 
 
+def random_polyhedron_rows(rng: random.Random) -> tuple[int, list]:
+    """A draw of ``random_polyhedron`` as its dimension and rows ``(a, b)``."""
+    n = rng.choice((2, 3))
+    m = rng.randint(3, 8)
+    return n, [(rand_row(rng, n), rand_frac(rng)) for _ in range(m)]
+
+
 def random_polyhedron(rng: random.Random) -> Polyhedron:
     """The acceptance-suite instance distribution: n in {2,3}, m in 3..8,
     numerators in [-5, 5], denominators in {1, 2, 3}."""
-    n = rng.choice((2, 3))
-    m = rng.randint(3, 8)
-    rows = [(rand_row(rng, n), rand_frac(rng)) for _ in range(m)]
-    return Polyhedron.from_rows(n, rows)
+    return Polyhedron.from_rows(*random_polyhedron_rows(rng))
 
 
 def random_cost(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -98,7 +124,13 @@ def random_feasible_pointed(rng: random.Random) -> Polyhedron:
 
 
 def random_degenerate_polyhedron(rng: random.Random, n: int) -> Polyhedron:
-    """A small-integer polyhedron in R^n with degenerate vertices.
+    """A draw of ``random_degenerate_rows`` as a Polyhedron."""
+    return Polyhedron.from_rows(n, random_degenerate_rows(rng, n))
+
+
+def random_degenerate_rows(rng: random.Random, n: int) -> list:
+    """The rows ``(a, b)`` of a small-integer polyhedron in R^n with
+    degenerate vertices.
 
     About half the draws are clipped by the box [-2, 2]^n, so vertices
     exist in every dimension; rows with coefficients in {-1, 0, 1} and
@@ -119,7 +151,7 @@ def random_degenerate_polyhedron(rng: random.Random, n: int) -> Polyhedron:
     rows.insert(rng.randrange(len(rows) + 1), rows[rng.randrange(len(rows))])
     if n > 1 and rng.random() < 1 / 3:
         rows = [(a[:-1] + (0,), b) for a, b in rows if any(a[:-1])]
-    return Polyhedron.from_rows(n, rows)
+    return rows
 
 
 def random_generator_cone(rng: random.Random, n: int) -> tuple[str, Cone]:
@@ -496,8 +528,9 @@ def reference_purify(P: Polyhedron, x, c):
     was not optimal), and each slide strictly grows the active-row rank, so
     this terminates within n steps.
     """
+    halfspaces = P.halfspaces
     while True:
-        act_rows = [hs.a for hs in P.halfspaces if hs.slack(x) == 0]
+        act_rows = [hs.a for hs in halfspaces if hs.slack(x) == 0]
         null = reference_nullspace(act_rows, P.n)
         if not null:
             return x
@@ -507,7 +540,7 @@ def reference_purify(P: Polyhedron, x, c):
         moved = False
         for w in (v, vec_neg(v)):
             t_best = None
-            for hs in P.halfspaces:
+            for hs in halfspaces:
                 d = dot(hs.a, w)
                 if d > 0:
                     t = hs.slack(x) / d
@@ -538,7 +571,7 @@ def reference_improving_rays(work: Polyhedron, cmin) -> list[tuple[Fraction, ...
     if not any(cmin):
         return []
     rows = [hs.homogeneous() for hs in work.halfspaces]
-    return [v.point for v in enumerate_vertices(Polyhedron(work.n, rows + [HalfSpace(cmin, -1)]))]
+    return [v.point for v in enumerate_vertices(Polyhedron.from_rows(work.n, rows + [HalfSpace(cmin, -1)]))]
 
 
 def reference_recession_ray(work: Polyhedron, cmin):
@@ -562,7 +595,7 @@ def _reference_walk_all(Q: Polyhedron):
     ``(vertices, rays, None)``, or ``(None, None, y)`` with phase one's
     Farkas witness y (None when Q's rows have rank below n)."""
     n = Q.n
-    aug = geometry._integer_rows(Q)
+    aug = Q.rows
     A = [tuple(row[:n]) for row in aug]
     start, y = geometry._phase_one(A, aug, n)
     if start is None:
@@ -626,12 +659,12 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
     cv = tuple(Fraction(v) for v in c)
     cmin = cv if sense == "min" else vec_neg(cv)
     C, L = scaled(cmin)
-    rows = geometry._integer_rows(P)
+    rows = P.rows
     work, lineality = P, ()
     vertices, rays, y = _reference_walk_all(P)
     if vertices is None and y is None:
         lineality = tuple(nullspace(P.row_matrix(), P.n))
-        work = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v)))
+        work = cut(P, *(HalfSpace(s, 0) for v in lineality for s in (v, vec_neg(v))))
         vertices, rays, y = _reference_walk_all(work)
     if vertices is None:
         # the slice's extra multipliers cancel: L is orthogonal to the rows
@@ -649,7 +682,7 @@ def reference_solve_glp(P: Polyhedron, c, sense: str = "min") -> GLPSolution:
     best = min(values)
     tied = [v for v, value in zip(vertices, values) if value == best]
     value = best if sense == "min" else -best
-    face = P.with_rows([HalfSpace(cv, value), HalfSpace(vec_neg(cv), -value)]) if any(cv) else P
+    face = cut(P, HalfSpace(cv, value), HalfSpace(vec_neg(cv), -value)) if any(cv) else P
     return GLPSolution(
         status="Attained",
         optimal_vertices=tuple(tied),
@@ -796,7 +829,7 @@ def reference_walk(P: Polyhedron, rays: list | None = None) -> list:
     read off by ``reference_columns``; a degenerate vertex's edges come
     from the subset search (``reference_edges``), its witness from
     ``reference_lex_basis``, and the output is sorted by Fraction points."""
-    n, aug = P.n, geometry._integer_rows(P)
+    n, aug = P.n, P.rows
     start = reference_first_vertex(aug, n)
     if start is None:
         return []
@@ -923,7 +956,7 @@ def reference_cone_window_support(cone: Cone, R: Fraction, directions) -> list[f
             col = tuple(g[j] for g in gens)
             if any(col):
                 rows += [HalfSpace(col, R), HalfSpace(vec_neg(col), R)]
-        lams = [v.point for v in enumerate_vertices(Polyhedron(r, rows))]
+        lams = [v.point for v in enumerate_vertices(Polyhedron.from_rows(r, rows))]
         points = [tuple(dot(lam, col) for col in zip(*gens)) for lam in lams]
     fpoints = [tuple(float(x) for x in p) for p in points]
     return [max(sum(u * x for u, x in zip(d, p)) for p in fpoints) for d in directions]
@@ -939,11 +972,11 @@ def reference_window_support(obj: Polyhedron | Cone, R: Fraction, directions) ->
     if rows is None and not obj.generators:
         return [0.0] * len(directions)
     if rows is None:
-        polar = Polyhedron(n, (HalfSpace(g, 0) for g in obj.generators))
-        lines, _, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(polar), n)
+        polar = Polyhedron.from_rows(n, (HalfSpace(g, 0) for g in obj.generators))
+        lines, _, rays, _ = geometry._minkowski_weyl(polar.rows, n)
         rows = [HalfSpace(d, 0) for d in (*rays, *lines, *map(vec_neg, lines))]
     box = [HalfSpace(tuple(s * int(k == j) for k in range(n)), R) for j in range(n) for s in (1, -1)]
-    points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(Polyhedron(n, (*rows, *box)))]
+    points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(Polyhedron.from_rows(n, (*rows, *box)))]
     if not points:
         return None
     return [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in directions]
@@ -980,18 +1013,23 @@ def reference_cone_convergence(T, limit: Polyhedron, track, tol: float = 1e-6) -
 # Reference samples and the diagnostics that read them as Polyhedra
 
 
+def reference_sample_halfspaces(T, k: int) -> list[HalfSpace]:
+    """The k-th sample of T with every binary64 entry converted to a
+    Fraction on its own, one HalfSpace per constraint, with no integer rows
+    in between."""
+    return [HalfSpace(tuple(map(Fraction, t.normals[k])), Fraction(t.offsets[k])) for t in T.constraints]
+
+
 def reference_sample_polyhedron(T, k: int) -> Polyhedron:
-    """Reference for ``T.sample_polyhedron(k)``: every binary64 entry of
-    the k-th sample converted to a Fraction on its own, then one HalfSpace
-    per constraint, with no integer rows in between."""
-    return Polyhedron(T.n, [HalfSpace(tuple(map(Fraction, t.normals[k])), Fraction(t.offsets[k]))
-                            for t in T.constraints])
+    """Reference for ``T.sample_polyhedron(k)``, on the half-spaces of
+    ``reference_sample_halfspaces``."""
+    return Polyhedron.from_rows(T.n, reference_sample_halfspaces(T, k))
 
 
 def reference_verify_convergence(T, candidate: Polyhedron, R=None, tol: float = 1e-6) -> ConvergenceReport:
     """Reference for ``verify_convergence``: each sample's window and
     vertex count read off its Polyhedron (``reference_sample_polyhedron``)."""
-    rows = geometry._integer_rows(candidate)
+    rows = candidate.rows
     if geometry._start(rows, candidate.n)[3] is not None:
         raise EmptyPolyhedron("candidate limit is empty")
     radius = default_window(candidate) if R is None else R
@@ -1002,7 +1040,7 @@ def reference_verify_convergence(T, candidate: Polyhedron, R=None, tol: float = 
     distances, counts = [], []
     for k in range(T.sample_count):
         P = reference_sample_polyhedron(T, k)
-        d = _support_gap(_window_support(geometry._integer_rows(P), box, directions), h_limit)
+        d = _support_gap(_window_support(P.rows, box, directions), h_limit)
         distances.append((T.indices[k], d.value))
         counts.append((T.indices[k], len(enumerate_vertices(P)), limit_count))
     return ConvergenceReport(
@@ -1058,7 +1096,7 @@ def reference_boundary_convergence(T, limit: Polyhedron, R=None, tol: float = 1e
         return [(unit + (offset,), hs) for (unit, offset), hs in zip(keys, P.halfspaces)]
 
     def support(P, hs):
-        return _window_support(geometry._integer_rows(P.with_rows([hs.flipped()])), box, dirs)
+        return _window_support(cut(P, hs.flipped()).rows, box, dirs)
 
     limit_keys = [(key, support(limit_min, hs)) for key, hs in keyed(limit_min)]
     warnings, metrics = [], []
@@ -1097,7 +1135,7 @@ def reference_is_bounded(P: Polyhedron) -> bool:
     Fraction tableau, the max of each +/- coordinate over ``{A v <= 0}``
     must be zero (a cone objective is either 0 or unbounded)."""
     _reference_nonempty(P)
-    rec = Polyhedron(P.n, [hs.homogeneous() for hs in P.halfspaces])
+    rec = Polyhedron.from_rows(P.n, [hs.homogeneous() for hs in P.halfspaces])
     for j in range(P.n):
         for sign in (1, -1):
             c = tuple(sign if k == j else 0 for k in range(P.n))
@@ -1128,7 +1166,7 @@ def reference_reconstruct_check(P: Polyhedron) -> bool:
             if key not in seen:
                 seen.add(key)
                 rows.append(translated)
-    R = Polyhedron(P.n, rows)
+    R = Polyhedron.from_rows(P.n, rows)
     return reference_poly_contains(R, P).holds and reference_poly_contains(P, R).holds
 
 
@@ -1162,15 +1200,16 @@ def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:
     not in ``fixed``, in row order, is dropped when an LP shows that the
     surviving rest implies it (one at a time, so duplicate rows do not
     delete each other), by the Fraction tableau."""
+    halfspaces = P.halfspaces
     keep = list(range(P.m))
     for i in range(P.m):
         if i in fixed:
             continue
-        rest = [P.halfspaces[k] for k in keep if k != i]
+        rest = [halfspaces[k] for k in keep if k != i]
         if not rest:
             continue
-        res = reference_solve_lp(Polyhedron(P.n, rest), P.halfspaces[i].a, "max", purify=False)
-        if res.status == "Optimal" and res.value <= P.halfspaces[i].b:
+        res = reference_solve_lp(Polyhedron.from_rows(P.n, rest), halfspaces[i].a, "max", purify=False)
+        if res.status == "Optimal" and res.value <= halfspaces[i].b:
             keep.remove(i)
     return keep
 
@@ -1178,7 +1217,8 @@ def _reference_irredundant(P: Polyhedron, fixed=()) -> list[int]:
 def reference_remove_redundant(P: Polyhedron) -> Polyhedron:
     """Reference for ``polycone.remove_redundant``: one LP per row."""
     _reference_nonempty(P)
-    return Polyhedron(P.n, [P.halfspaces[i] for i in _reference_irredundant(P)])
+    halfspaces = P.halfspaces
+    return Polyhedron.from_rows(P.n, [halfspaces[i] for i in _reference_irredundant(P)])
 
 
 def reference_structure(P: Polyhedron) -> StructureReport:
@@ -1189,8 +1229,8 @@ def reference_structure(P: Polyhedron) -> StructureReport:
     ``brute_vertices``.  A row slack at the point of an earlier LP is
     slack somewhere in P, so no implicit equality, and needs no LP of its
     own."""
-    eq, points = [], []
-    for i, hs in enumerate(P.halfspaces):
+    eq, points, halfspaces = [], [], P.halfspaces
+    for i, hs in enumerate(halfspaces):
         if any(hs.slack(x) > 0 for x in points):
             continue
         res = reference_solve_lp(P, hs.a, "min", purify=False)
@@ -1201,7 +1241,7 @@ def reference_structure(P: Polyhedron) -> StructureReport:
             eq.append(i)
     return StructureReport(
         implicit_equalities=tuple(eq),
-        dimension=P.n - reference_rank([P.halfspaces[i].a for i in eq], P.n),
+        dimension=P.n - reference_rank([halfspaces[i].a for i in eq], P.n),
         lineality_basis=tuple(reference_nullspace(P.row_matrix(), P.n)),
         facet_count=len([i for i in _reference_irredundant(P, eq) if i not in eq]),
         vertex_count=len(brute_vertices(P)),
@@ -1373,7 +1413,9 @@ def reference_standard_simplex(
 def reference_solve_lp(P: Polyhedron, c, sense: str = "min", purify: bool = True) -> LPResult:
     """Reference for ``polycone.solve_lp``: the Fraction tableau over ``z =
     (x+, x-, s)``, row i ``L_i (a_i x+ - a_i x- + s_i) = L_i b_i`` with the
-    slack columns as the first basis, and the optimum slid to a full-rank
+    slack columns as the first basis, for P's canonical rows ``a_i.x <=
+    b_i`` (``P.halfspaces``) given as the integer rows ``L_i [a_i, b_i]``
+    that P holds, ``L_i = max|L_i a_i|``, and the optimum slid to a full-rank
     face by ``reference_purify``, unless ``purify`` is false: callers that
     read only the status, the value or some optimal point keep the
     tableau's.
@@ -1383,9 +1425,9 @@ def reference_solve_lp(P: Polyhedron, c, sense: str = "min", purify: bool = True
     cv = tuple(Fraction(v) for v in c)
     cmin = cv if sense == "min" else vec_neg(cv)
     rows, scales = [], []
-    for i, hs in enumerate(P.halfspaces):
-        ints, L = scaled(hs.a + (hs.b,))
-        rows.append(ints[:n] + [-v for v in ints[:n]] + [L * (k == i) for k in range(m)] + ints[n:])
+    for i, ints in enumerate(P.rows):
+        L = max(map(abs, ints[:n]))
+        rows.append([*ints[:n], *[-v for v in ints[:n]], *[L * (k == i) for k in range(m)], ints[n]])
         scales.append(L)
     costs = list(cmin) + list(vec_neg(cmin)) + [0] * m
     res = reference_standard_simplex(rows, scales, costs, [2 * n + i for i in range(m)], read=2 * n)

@@ -153,7 +153,7 @@ def test_criterion_5_boundedness_triangle():
             e = tuple(F(1) if k == j else F(0) for k in range(P.n))
             box.append(HalfSpace(e, 1))
             box.append(HalfSpace(tuple(-x for x in e), 1))
-        truncated = Polyhedron(P.n, rows + box)
+        truncated = Polyhedron.from_rows(P.n, rows + box)
         route_b = all(
             all(x == 0 for x in v.point) for v in enumerate_vertices(truncated)
         )
@@ -199,7 +199,8 @@ def test_criterion_7_tangent_cone_sampling():
             continue
         w = rng.choice(vertices)
         v = rand_direction(rng, P.n)
-        member = all(dot(P.halfspaces[i].a, v) <= 0 for i in w.active)
+        halfspaces = P.halfspaces
+        member = all(dot(halfspaces[i].a, v) <= 0 for i in w.active)
         moved = tuple(x + eps * d for x, d in zip(w.point, v))
         assert member == contains_point(P, moved)
         hits += 1

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from polycone import (
     Cone,
     HalfSpace,
+    poly_contains,
+    reconstruct_check,
+    remove_redundant,
     Polyhedron,
     active_set,
     canonical_ray,
@@ -29,20 +33,25 @@ from polycone import (
 from polycone.linalg import dot
 
 from helpers import (
+    FIXTURE_ROWS,
     QUADRANT,
     TRIANGLE,
     Y1,
     STRIP,
     X_AXIS,
     brute_vertices,
+    cut,
     cross_polytope,
     cut_cross_vertices,
     lex_witness,
     polygon_product,
     rand_direction,
+    random_cost,
     random_degenerate_polyhedron,
+    random_degenerate_rows,
     random_feasible_pointed,
     random_polyhedron,
+    random_polyhedron_rows,
     random_polytope4,
     reference_columns,
     reference_edge_key,
@@ -50,6 +59,7 @@ from helpers import (
     reference_extreme_rays,
     reference_lex_basis,
     reference_rank,
+    reference_rows,
     reference_simplicial_basis,
     sufficiently_small_eps,
     walk_tests,
@@ -87,11 +97,74 @@ class TestPolyhedron:
 
     def test_dimension_checked(self):
         with pytest.raises(errors.DimensionMismatch):
-            Polyhedron(3, [HalfSpace((1, 0), 0)])
+            Polyhedron(3, [(1, 0, 0)])
 
     def test_json_round_trip(self):
         for P in (TRIANGLE, Y1, STRIP):
             assert polyhedron_from_dict(polyhedron_to_dict(P)) == P
+
+
+def _row_inputs():
+    """(n, rows (a, b)) of every fixture in ``helpers``, 150 acceptance
+    draws and 100 degenerate draws (n = 1-4)."""
+    rng = random.Random(71)
+    yield from FIXTURE_ROWS
+    for _ in range(150):
+        yield random_polyhedron_rows(rng)
+    for i in range(100):
+        yield 1 + i % 4, random_degenerate_rows(rng, 1 + i % 4)
+
+
+class TestStoredRows:
+    def test_rows_are_the_scaled_halfspaces(self):
+        # each row as its L-infinity HalfSpace, then cleared of denominators
+        for n, rows in _row_inputs():
+            P = Polyhedron.from_rows(n, rows)
+            assert P.rows == tuple(reference_rows(rows))
+            assert all(gcd(*row) == 1 for row in P.rows)
+            assert P.halfspaces == tuple(HalfSpace(a, b) for a, b in rows)
+            assert P.m == len(rows) and P.row_matrix() == [HalfSpace(a, b).a for a, b in rows]
+            assert polyhedron_to_dict(P)["constraints"] == [
+                {"a": [str(x) for x in hs.a], "b": str(hs.b)} for hs in P.halfspaces]
+
+    def test_equal_exactly_when_the_halfspaces_are(self):
+        rng = random.Random(72)
+        inputs = list(_row_inputs())
+        for (n, rows), (_, others) in zip(inputs, inputs[1:] + inputs[:1]):
+            P = Polyhedron.from_rows(n, rows)
+            # each row rescaled by its own positive factor: the same half-spaces
+            rescaled = Polyhedron.from_rows(n, [([t * x for x in a], t * b) for a, b in rows
+                                                for t in [F(rng.randint(1, 9), rng.randint(1, 9))]])
+            moved = Polyhedron.from_rows(n, [(rows[0][0], rows[0][1] + 1)] + rows[1:])
+            for Q in (rescaled, moved, Polyhedron.from_rows(len(others[0][0]), others), Polyhedron(n, P.rows)):
+                assert (P == Q) == (P.halfspaces == Q.halfspaces)
+                assert P != Q or hash(P) == hash(Q)
+            assert P == rescaled and hash(P) == hash(rescaled) and P != moved
+
+    def test_constructor_takes_rows_and_makes_them_primitive(self):
+        assert Polyhedron(2, [(2, 4, 6), [F(1, 2), F(-1, 3), "1/6"]]).rows == ((1, 2, 3), (3, -2, 1))
+        assert TRIANGLE.with_rows([(2, 2, 2), (F(-1, 2), 0, 1)]).rows == TRIANGLE.rows + ((1, 1, 1), (-1, 0, 2))
+
+    def test_kernel_entries_never_build_the_halfspace_view(self, monkeypatch):
+        built = []
+        view = Polyhedron.halfspaces
+        monkeypatch.setattr(Polyhedron, "halfspaces", property(lambda P: built.append(P) or view.fget(P)))
+        rng = random.Random(73)
+        draws = [random_polyhedron(rng) for _ in range(100)]
+        draws += [random_degenerate_polyhedron(rng, 1 + i % 4) for i in range(40)]
+        for P, Q in zip(draws, draws[1:] + draws[:1]):
+            for sense in ("min", "max"):
+                solve_glp(P, random_cost(rng, P.n), sense)
+            enumerate_vertices(P)
+            if P.n == Q.n:
+                poly_contains(P, Q)
+            try:
+                is_bounded(P), structure(P), remove_redundant(P), reconstruct_check(P)
+            except (errors.EmptyPolyhedron, errors.NoVertices):
+                pass
+        assert built == []
+        TRIANGLE.halfspaces
+        assert built == [TRIANGLE]
 
 
 class TestActiveSet:
@@ -230,7 +303,7 @@ def _read(states) -> list:
 
 class TestRaysFromTheWalk:
     def _walk(self, P):
-        _, states, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
+        _, states, rays, _ = geometry._minkowski_weyl(P.rows, P.n)
         return states, {canonical_ray(r) for r in rays}
 
     def test_quadrant_rays_on_one_row_each(self):
@@ -243,7 +316,7 @@ class TestRaysFromTheWalk:
         assert self._walk(TRIANGLE)[1] == set()
         # STRIP is not pointed: the walk runs on its slice x = 0
         assert enumerate_vertices(STRIP) == []
-        assert geometry._minkowski_weyl(geometry._integer_rows(STRIP), 2)[0]
+        assert geometry._minkowski_weyl(STRIP.rows, 2)[0]
         assert self._walk(STRIP)[1] == set()
 
     def test_each_ray_once(self):
@@ -251,7 +324,7 @@ class TestRaysFromTheWalk:
         # (0, 1), and the ray is listed once, also by phase two when the
         # cost C = (0, -1) falls along it
         P = Polyhedron.from_rows(2, [((1, 0), 1), ((-1, 0), 0), ((0, -1), 0)])
-        aug = geometry._integer_rows(P)
+        aug = P.rows
         assert geometry._minkowski_weyl(aug, P.n)[2] == [[0, 1]]
         A = [tuple(row[:2]) for row in aug]
         start, _ = geometry._phase_one(A, aug, 2)
@@ -270,7 +343,7 @@ class TestRaysFromTheWalk:
         for n in range(1, 5):
             for _ in range(5):
                 P = random_degenerate_polyhedron(rng, n)
-                lineality, states, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
+                lineality, states, rays, _ = geometry._minkowski_weyl(P.rows, P.n)
                 if lineality:
                     # not pointed: the walk ran on the slice, and P has no vertex
                     assert enumerate_vertices(P) == []
@@ -395,7 +468,7 @@ class TestEdgeKeys:
         the box [-2, 2]^n."""
         rng = random.Random(47)
         P, _ = polygon_product(4, 6)
-        yield P.with_rows(HalfSpace([2 * x for x in hs.a], 2 * hs.b) for hs in P.halfspaces), brute_vertices, True
+        yield P.with_rows([2 * x for x in row] for row in P.rows), brute_vertices, True
         yield polygon_product(5, 6, tangent=True)[0], brute_vertices, True
         for n in (4, 5, 6, 7):
             yield cross_polytope(n, rng, 3), cut_cross_vertices, True
@@ -409,9 +482,9 @@ class TestEdgeKeys:
         seen = {"cases": 0, "rays": 0, "degenerate": 0}
         for P, oracle, boxed in self._cases():
             del walk_tests[:]
-            lineality, states, rays, farkas = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
+            lineality, states, rays, farkas = geometry._minkowski_weyl(P.rows, P.n)
             # the slice orthogonal to the lineality space, as the walk runs on it
-            Q = P.with_rows(HalfSpace(s, 0) for v in lineality for s in (v, tuple(-x for x in v)))
+            Q = cut(P, *(HalfSpace(s, 0) for v in lineality for s in (v, tuple(-x for x in v))))
             points = [tuple(F(x, D) for x in X) for _, X, D, _ in states]
             assert points == oracle(Q)
             if farkas is not None:
@@ -422,7 +495,7 @@ class TestEdgeKeys:
             unbounded = [(p, d) for p, q, d in walk_tests if q is None]
             # the first unblocked ratio test along each direction lists its ray
             assert [list(d) for d in dict.fromkeys(d for _, d in unbounded)] == rays
-            A = [tuple(row[:P.n]) for row in geometry._integer_rows(Q)]
+            A = [row[:P.n] for row in Q.rows]
             # every edge at a vertex that no row blocks, from the subset search
             expected = [] if boxed else [
                 (p, d) for p, (active, _, _, _) in zip(points, states)
@@ -453,7 +526,7 @@ def test_edges_agree_with_the_subset_search():
     # them when it finds the vertex
     degenerate = 0
     for P in _edge_cases():
-        aug = geometry._integer_rows(P)
+        aug = P.rows
         A = [tuple(row[:P.n]) for row in aug]
         start, _ = geometry._phase_one(A, aug, P.n)
         if start is None:
@@ -495,10 +568,10 @@ class TestVertexRecord:
     def test_defining_is_the_lexicographic_basis(self):
         seen = {"vertices": 0, "optimal": 0}
         for P, c in _record_cases():
-            A = [tuple(row[:P.n]) for row in geometry._integer_rows(P)]
+            A = [row[:P.n] for row in P.rows]
             for sense in ("min", "max"):
                 sol = solve_glp(P, c, sense)
-                rows = [tuple(row[:P.n]) for row in geometry._integer_rows(sol.solved_on or P)]
+                rows = [row[:P.n] for row in (sol.solved_on or P).rows]
                 for v in sol.optimal_vertices:
                     assert v.defining == reference_lex_basis(rows, v.active, P.n)
                     seen["optimal"] += 1
@@ -587,10 +660,9 @@ def test_row_permutation_permutes_the_vertices(seed, n, duplicate, data):
     rng = random.Random(seed)
     P = random_degenerate_polyhedron(rng, n)
     if duplicate:
-        hs = P.halfspaces[rng.randrange(P.m)]
-        P = P.with_rows([HalfSpace([3 * x for x in hs.a], 3 * hs.b)])
+        P = P.with_rows([[3 * x for x in P.rows[rng.randrange(P.m)]]])
     order = data.draw(st.permutations(range(P.m)))
-    Q = Polyhedron(P.n, [P.halfspaces[i] for i in order])
+    Q = Polyhedron(P.n, [P.rows[i] for i in order])
     moved = {i: k for k, i in enumerate(order)}
     before, after = enumerate_vertices(P), enumerate_vertices(Q)
     assert [v.point for v in after] == [v.point for v in before]
@@ -621,7 +693,7 @@ class TestBeyondAcceptance:
         rng = random.Random(31)
         for m in (8, 12, 20):
             P = random_polytope4(rng, m, empty=True)
-            _, verts, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(P), P.n)
+            _, verts, rays, _ = geometry._minkowski_weyl(P.rows, P.n)
             assert verts == []
             assert rays == []
             assert not is_feasible(P)

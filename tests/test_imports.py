@@ -346,9 +346,9 @@ def test_structure_layer_reads_the_walk_states():
 
 _READOUT_CLEAN = {
     "structure.py": (
-        "def is_bounded(P):\n    return _bounded(*_nonempty(_start(_integer_rows(P), P.n))[1:])\n"
+        "def is_bounded(P):\n    return _bounded(*_nonempty(_start(P.rows, P.n))[1:])\n"
         "def _nonempty(found):\n    return found[:-1]\n"
-        "def structure(P):\n    return _structure(_integer_rows(P), P.n)\n"
+        "def structure(P):\n    return _structure(P.rows, P.n)\n"
         "def _structure(aug, n) -> list:\n    return _nonempty(_minkowski_weyl(aug, n))\n"
         "def reconstruct_check(P):\n    return _implied(aug, A, _walk(A, P.n, start))\n"
         "def _contains(outer, inner, n):\n    return _minkowski_weyl(inner, n)\n"
@@ -370,7 +370,7 @@ def _tampered(path: str, old: str, new: str) -> dict[str, str]:
     "sources, faults",
     [
         (_READOUT_CLEAN, set()),
-        (_tampered("structure.py", "return _bounded(*_nonempty(_start(_integer_rows(P), P.n))[1:])",
+        (_tampered("structure.py", "return _bounded(*_nonempty(_start(P.rows, P.n))[1:])",
                    "return not enumerate_vertices(P)"),
          {"structure.py::is_bounded reaches enumerate_vertices"}),
         (_tampered("structure.py", "def _structure(aug, n) -> list:", "def _structure(aug, n) -> list[Vertex]:"),

@@ -39,7 +39,7 @@ from polycone import (
     verify_convergence,
     window_distance,
 )
-from polycone.geometry import Vertex, _integer_rows
+from polycone.geometry import Vertex
 from polycone.kuratowski import convergence
 from polycone.kuratowski.convergence import (
     _as_rows, _box_rows, _window_support, default_directions, default_window
@@ -52,10 +52,13 @@ from helpers import (
     TRIANGLE,
     X_AXIS,
     brute_vertices,
+    cut,
     random_generator_cone,
     reference_boundary_convergence,
     reference_cone_convergence,
     reference_cone_window_support,
+    reference_rows,
+    reference_sample_halfspaces,
     reference_sample_polyhedron,
     reference_track_vertices,
     reference_verify_convergence,
@@ -299,7 +302,7 @@ class TestWindowDistance:
         for R in (F(1, 7), F(1), F(5, 2), F(10)):
             rows = [HalfSpace(tuple(s * int(k == j) for k in range(n)), b)
                     for j in range(n) for s in (1, -1) for b in (0, R)]
-            points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(Polyhedron(n, rows))]
+            points = [tuple(float(x) for x in v.point) for v in enumerate_vertices(Polyhedron.from_rows(n, rows))]
             walked = [max(sum(u * x for u, x in zip(d, p)) for p in points) for d in dirs]
             assert repr(_window_support(_as_rows(trivial), _box_rows(n, R), dirs)) == repr(walked)
 
@@ -307,7 +310,7 @@ class TestWindowDistance:
         # the LP support equals the support over the vertices that the
         # subset search finds, exactly
         box_rows = [((1, 0), 2), ((-1, 0), 2), ((0, 1), 2), ((0, -1), 2)]
-        boxed = REMARK_LIMIT.with_rows(Polyhedron.from_rows(2, box_rows).halfspaces)
+        boxed = REMARK_LIMIT.with_rows((*a, b) for a, b in box_rows)
         pts = brute_vertices(boxed)
         assert len(pts) >= 3
         for u in default_directions(2)[:12]:
@@ -468,7 +471,8 @@ class TestConeConvergence:
 
             monkeypatch.setattr(cls, name, counting)
         # the counters count
-        Polyhedron(1, [HalfSpace((1,), 0)])
+        HalfSpace((1,), 0)
+        Polyhedron(1, [(1, 0)])
         Cone(1, generators=((1,),))
         Vertex(point=(0,), active=(0,), defining=(0,))
         assert built == {"HalfSpace": 1, "Polyhedron": 1, "Cone": 1, "Vertex": 1}
@@ -583,11 +587,7 @@ class TestNumericInvariants:
         Pk = T.sample_polyhedron(k)
         rng = random.Random(61)
         pts = []
-        boxed = Pk.with_rows(
-            Polyhedron.from_rows(
-                2, [((1, 0), 2), ((-1, 0), 2), ((0, 1), 2), ((0, -1), 2)]
-            ).halfspaces
-        )
+        boxed = Pk.with_rows([(1, 0, 2), (-1, 0, 2), (0, 1, 2), (0, -1, 2)])
         verts = [v.point for v in enumerate_vertices(boxed)]
         for _ in range(20):
             a, b = rng.choice(verts), rng.choice(verts)
@@ -601,11 +601,7 @@ class TestNumericInvariants:
         T = ex31_trajectory(with_cost=False)
         for k in (0, T.sample_count // 2, T.sample_count - 1):
             Pk = T.sample_polyhedron(k)
-            boxed = Pk.with_rows(
-                Polyhedron.from_rows(
-                    2, [((1, 0), 3), ((-1, 0), 3), ((0, 1), 3), ((0, -1), 3)]
-                ).halfspaces
-            )
+            boxed = Pk.with_rows([(1, 0, 3), (-1, 0, 3), (0, 1, 3), (0, -1, 3)])
             for v in enumerate_vertices(boxed):
                 for hs in Y1.halfspaces:
                     assert float(hs.slack(v.point)) > -1e-6
@@ -759,8 +755,8 @@ class TestDiagnosticsAgainstWindowDistance:
             for hs in limit_min.halfspaces:
                 gap, j = min((_row_gap(hs, g), j) for j, g in enumerate(Pk.halfspaces))
                 if gap <= 0.5:
-                    facet = Pk.with_rows([Pk.halfspaces[j].flipped()])
-                    gaps.append(direct(facet, limit_min.with_rows([hs.flipped()])))
+                    facet = cut(Pk, Pk.halfspaces[j].flipped())
+                    gaps.append(direct(facet, cut(limit_min, hs.flipped())))
             expected.append(max(gaps) if gaps else math.inf)
         assert [d for _, d in rep.metrics] == expected
 
@@ -901,7 +897,7 @@ class TestLimitWalkedOnce:
         """A 1 for each walk over the limit's rows, each from one vertex;
         ``solve_glp``'s walk of the optimal face, which follows a cost, is
         not one."""
-        A = [tuple(row[:limit.n]) for row in _integer_rows(limit)]
+        A = [row[:limit.n] for row in limit.rows]
         walks, walk = [], geometry._walk
 
         def counted(B, n, start, rays=None, C=None):
@@ -967,9 +963,10 @@ def test_sample_rows_are_the_integer_rows_of_the_sample(name):
     # against the Fraction of each binary64 entry, with no integer rows between
     T = ALL_FAMILIES[name]()
     for k in range(T.sample_count):
-        reference = reference_sample_polyhedron(T, k)
-        assert T.sample_rows(k) == _integer_rows(reference)
-        assert repr(T.sample_polyhedron(k)) == repr(reference)
+        halfspaces = reference_sample_halfspaces(T, k)
+        assert T.sample_rows(k) == [list(row) for row in reference_rows(halfspaces)]
+        assert T.sample_polyhedron(k).halfspaces == tuple(halfspaces)
+        assert repr(T.sample_polyhedron(k)) == repr(reference_sample_polyhedron(T, k))
 
 
 @pytest.mark.parametrize(
@@ -1015,7 +1012,7 @@ def test_primitive_row_is_the_halfspace_row(row):
     *a, b = row
     assume(any(a))
     got = _primitive_row(row)
-    assert got == _integer_rows(Polyhedron(len(a), [HalfSpace(a, b)]))[0]
+    assert got == list(reference_rows([(a, b)])[0])
     assert math.gcd(*got) == 1
     # and through a trajectory, whose unit offset |b| / ||a|| is refused
     # exactly when it reaches _OVERFLOW; a rounded norm (two or more
@@ -1031,7 +1028,7 @@ def test_primitive_row_is_the_halfspace_row(row):
             trajectory()
     else:
         T = trajectory()
-        assert T.sample_rows(2) == _integer_rows(reference_sample_polyhedron(T, 2))
+        assert T.sample_rows(2) == [list(row) for row in reference_rows(reference_sample_halfspaces(T, 2))]
 
 
 class TestIntegerRowsAgainstHalfSpaces:
@@ -1051,9 +1048,9 @@ class TestIntegerRowsAgainstHalfSpaces:
     def _facets(self, P, R, dirs):
         # each facet as boundary_convergence forms it: the rows plus one negated
         P = remove_redundant(P)
-        aug = _integer_rows(P)
+        aug = P.rows
         for i, hs in enumerate(P.halfspaces):
-            self._agree(P, R, dirs, aug + [[-x for x in aug[i]]], P.with_rows([hs.flipped()]))
+            self._agree(P, R, dirs, [*aug, [-x for x in aug[i]]], cut(P, hs.flipped()))
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_family_sets_facets_cones_and_faces(self, name):

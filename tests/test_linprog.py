@@ -71,8 +71,9 @@ class TestSolveLP:
                 continue
             mu = res.certificate
             assert all(v >= 0 for v in mu)
+            halfspaces = P.halfspaces
             combo = [
-                sum(mu[i] * P.halfspaces[i].a[j] for i in range(P.m)) for j in range(P.n)
+                sum(mu[i] * halfspaces[i].a[j] for i in range(P.m)) for j in range(P.n)
             ]
             assert all(v == 0 for v in combo)
             assert dot(mu, [hs.b for hs in P.halfspaces]) < 0
@@ -156,8 +157,8 @@ class TestSolveLP:
         # the column (1, 1), which rises on x + y <= 1: ``_descent`` refuses
         # both, and so does solve_lp
         monkeypatch.setattr(geometry, "_bland", lambda rows, C, vertex: (vertex, outcome))
-        aug = geometry._integer_rows(TRIANGLE)
-        A = [tuple(row[:2]) for row in aug]
+        aug = TRIANGLE.rows
+        A = [row[:2] for row in aug]
         start, _ = geometry._phase_one(A, aug, 2)
         assert start[0][1] == [0, 0]
         pattern = f"^{message} failed verification$"

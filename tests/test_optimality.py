@@ -37,6 +37,7 @@ from helpers import (
     X_AXIS,
     Y1,
     cross_polytope,
+    cut,
     highs,
     is_farkas,
     polygon_product,
@@ -191,7 +192,7 @@ class TestWithoutSimplex:
             (STRIP, (1, 0), "UnboundedBelow"),
             (Polyhedron.from_rows(2, [((0, -1), 0)]), (0, -1), "UnboundedBelow"),
             (Polyhedron.from_rows(2, [((0, 1), -1), ((0, -1), 0)]), (0, 1), "Infeasible"),
-            (TRIANGLE.with_rows([HalfSpace((1, 0), 1)]), (-1, 0), "Attained"),
+            (TRIANGLE.with_rows([(1, 0, 1)]), (-1, 0), "Attained"),
         ],
         ids=["pointed-attained", "pointed-tied", "pointed-unbounded", "pointed-empty", "strip-attained",
              "strip-lineality-ray", "halfplane-slice-ray", "non-pointed-empty", "non-simplicial-tie"],
@@ -317,7 +318,7 @@ def _phase_one_corpus():
         for _ in range(count):
             P = random_degenerate_polyhedron(rng, n)
             hs = P.halfspaces[rng.randrange(P.m)]
-            for Q in (P, P.with_rows([HalfSpace(vec_neg(hs.a), -hs.b - 1)])):
+            for Q in (P, cut(P, HalfSpace(vec_neg(hs.a), -hs.b - 1))):
                 yield Q, tuple(F(rng.randint(-2, 2)) for _ in range(n))
     for m in (8, 10, 12, 14):
         yield random_polytope4(rng, m, empty=True), random_cost(rng, 4)
@@ -337,7 +338,7 @@ class TestPhaseOne:
             for Q in walked:
                 reference_rays = []
                 reference = reference_walk(Q, reference_rays)
-                lineality, states, rays, _ = geometry._minkowski_weyl(geometry._integer_rows(Q), Q.n)
+                lineality, states, rays, _ = geometry._minkowski_weyl(Q.rows, Q.n)
                 if lineality:
                     # not pointed: the walk ran on the slice, the next Q
                     assert reference == [] == enumerate_vertices(Q)
@@ -352,7 +353,7 @@ class TestPhaseOne:
             if sol.status == "Infeasible":
                 assert is_farkas(P, sol.farkas)
                 seen["Infeasible"] += 1
-                seen["non-pointed Infeasible"] += reference_lex_basis(geometry._integer_rows(P), range(P.m), P.n) is None
+                seen["non-pointed Infeasible"] += reference_lex_basis(P.rows, range(P.m), P.n) is None
                 continue
             seen["pointed" if len(walked) == 1 else "slices"] += 1
             _assert_certified(P, c, sol)
@@ -459,7 +460,7 @@ class TestWorkBudget:
         # x <= 1 touches TRIANGLE at (1, 0), which then has three distinct
         # active normals in the plane: its certificate comes from the
         # adjugate of the first two, with 0 on x <= 1
-        P = TRIANGLE.with_rows([HalfSpace((1, 0), 1)])
+        P = TRIANGLE.with_rows([(1, 0, 1)])
         sol = solve_glp(P, (-1, 0))
         assert sol.status == "Attained" and [v.point for v in sol.optimal_vertices] == [(1, 0)]
         assert sol.certificate[0].multipliers == (1, 1, 0)
@@ -519,7 +520,7 @@ class TestWorkBudget:
                 if sol.status != "UnboundedBelow" or not walk_tests:
                     continue
                 unbounded += 1
-                (_, X, D, _), _ = geometry._start(geometry._integer_rows(P), P.n)[2]
+                (_, X, D, _), _ = geometry._start(P.rows, P.n)[2]
                 descended += walk_tests[0][0] != tuple(F(x, D) for x in X)
                 solve = walk_tests[:]
                 del walk_tests[:]
@@ -696,8 +697,8 @@ def _descent_corpus():
             P = random_degenerate_polyhedron(rng, n)
             hs = P.halfspaces[rng.randrange(P.m)]
             vertices = enumerate_vertices(P)
-            flat = [P.with_rows([P.halfspaces[rng.choice(rng.choice(vertices).active)].flipped()])] if vertices else []
-            for Q in [P, P.with_rows([HalfSpace(vec_neg(hs.a), -hs.b - 1)])] + flat:
+            flat = [cut(P, P.halfspaces[rng.choice(rng.choice(vertices).active)].flipped())] if vertices else []
+            for Q in [P, cut(P, HalfSpace(vec_neg(hs.a), -hs.b - 1))] + flat:
                 c = [F(rng.randint(-2, 2)) for _ in range(n)]
                 if rng.random() < 0.5:
                     c[-1] = F(0)
@@ -825,7 +826,7 @@ def test_against_highs():
 def test_unverified_ray_is_refused(ray):
     # QUADRANT with cost (-1, 0): only rays inside it that raise x improve,
     # and (1, -1) improves but leaves it
-    rows = geometry._integer_rows(QUADRANT)
+    rows = QUADRANT.rows
     with pytest.raises(AssertionError, match="ray"):
         optimality._unbounded(rows, [-1, 0], tuple(map(F, ray)), QUADRANT, ())
 
@@ -836,7 +837,7 @@ def test_unverified_farkas_is_refused(y):
     # x <= -1, -x <= 0 and x <= 5: the multiples of (1, 1, 0) alone prove
     # the set empty
     P = Polyhedron.from_rows(1, [((1,), -1), ((-1,), 0), ((1,), 5)])
-    rows = geometry._integer_rows(P)
+    rows = P.rows
     assert geometry._farkas(rows, [2, 2, 0]) == (1, 1, 0)
     with pytest.raises(AssertionError, match="Farkas"):
         geometry._farkas(rows, y)
@@ -860,8 +861,8 @@ def test_tie_certificate_outside_the_cone_is_refused(C):
     assert geometry._tie_certificate(rows, _apex(rows), [1, 2], 3) == (F(1, 3), F(2, 3))
     with pytest.raises(AssertionError, match="normal cone"):
         geometry._tie_certificate(rows, _apex(rows), C, 1)
-    aug = geometry._integer_rows(TRIANGLE)
-    A = [tuple(row[:2]) for row in aug]
+    aug = TRIANGLE.rows
+    A = [row[:2] for row in aug]
     start, _ = geometry._phase_one(A, aug, 2)
     corner = next(vertex for vertex in geometry._walk(A, 2, start) if vertex[0][1] == [0, 0])
     assert geometry._tie_certificate(A, corner, [1, 2], 3) == (F(1, 3), F(2, 3))
@@ -902,8 +903,9 @@ def _rescaled_permutation(data, P):
     HalfSpace's canonical form absorbs, so only the order reaches the walk)."""
     order = data.draw(st.permutations(range(P.m)))
     scales = data.draw(st.lists(st.fractions(F(1, 9), 9), min_size=P.m, max_size=P.m))
-    rows = [P.halfspaces[i] for i in order]
-    return Polyhedron(P.n, [HalfSpace([t * x for x in hs.a], t * hs.b) for hs, t in zip(rows, scales)])
+    halfspaces = P.halfspaces
+    rows = [halfspaces[i] for i in order]
+    return Polyhedron.from_rows(P.n, [HalfSpace([t * x for x in hs.a], t * hs.b) for hs, t in zip(rows, scales)])
 
 
 @settings(max_examples=60, deadline=None)

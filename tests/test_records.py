@@ -6,7 +6,9 @@ A frozen dataclass built from a type's fields (``make_dataclass``)
 generates the repr, hash and equality the type had as a frozen
 dataclass, so every record made on the family fixtures is compared with
 that twin.  The reprs of all of them are also pinned by one digest,
-taken with the frozen dataclasses.  The four records that stay dataclasses
+taken with the frozen dataclasses; a Polyhedron, which now holds integer
+rows, prints them, and a second digest, with each Polyhedron printed as
+its L-infinity half-spaces, pins every other repr as it was.  The four records that stay dataclasses
 (``Vertex``, ``ConeMembership``, ``GLPSolution``, ``StructureReport``) are
 out of scope here; ``tests/test_imports.py`` guards the split.
 
@@ -65,8 +67,12 @@ PLAIN = (LPResult, StabilityCone, VertexTrack, TrackReport, ConeConvergenceRepor
 VALIDATING = (HalfSpace, Polyhedron, Cone, ConstraintTrajectory, CostTrajectory, PolyhedronTrajectory)
 
 # sha256 of the reprs of ``_records()``, one per line, as the frozen
-# dataclasses gave them
-REPR_DIGEST = "ed359c33a44b23dab86eb1e1ef30607998ea9a16411224372389882f1857f837"
+# dataclasses gave them, with each Polyhedron printed as the integer rows
+# it holds
+REPR_DIGEST = "5106e90dad3544d81c82d4fd9dd7a698274a2c2f65ea3a508f8f405fb484f834"
+# the same with each Polyhedron printed as its L-infinity half-spaces, the
+# field a Polyhedron held before its integer rows
+HALFSPACE_REPR_DIGEST = "ed359c33a44b23dab86eb1e1ef30607998ea9a16411224372389882f1857f837"
 
 
 @functools.cache
@@ -104,6 +110,13 @@ def test_fixtures_cover_every_record_type():
 def test_reprs_are_the_dataclass_reprs():
     text = "\n".join(map(repr, _records()))
     assert hashlib.sha256(text.encode()).hexdigest() == REPR_DIGEST
+
+
+def test_only_the_polyhedron_repr_moved(monkeypatch):
+    # every other repr, and every value a Polyhedron prints, is as before
+    monkeypatch.setattr(Polyhedron, "__repr__", lambda P: f"Polyhedron(n={P.n!r}, halfspaces={P.halfspaces!r})")
+    text = "\n".join(map(repr, _records()))
+    assert hashlib.sha256(text.encode()).hexdigest() == HALFSPACE_REPR_DIGEST
 
 
 @pytest.mark.parametrize("cls", PLAIN + VALIDATING, ids=lambda cls: cls.__name__)
@@ -209,8 +222,16 @@ NAN = math.nan
         (lambda: HalfSpace((0, 0), 1), ValueError, "half-space normal must be nonzero"),
         (lambda: HalfSpace((), 1), ValueError, "half-space normal must be nonzero"),
         (lambda: Polyhedron(2, []), ValueError, "a polyhedron needs at least one constraint (R^n is excluded)"),
-        (lambda: Polyhedron(3, [HalfSpace((1, 0), 0)]), errors.DimensionMismatch,
-         "constraint dimension 2 != ambient 3"),
+        (lambda: Polyhedron(3, [(1, 0, 0)]), errors.DimensionMismatch, "constraint dimension 2 != ambient 3"),
+        (lambda: Polyhedron(2, [(0, 0, 1)]), ValueError, "half-space normal must be nonzero"),
+        (lambda: Polyhedron(2, [(1, 0, 0)]).with_rows([(1, 2)]), errors.DimensionMismatch,
+         "constraint dimension 1 != ambient 2"),
+        (lambda: Polyhedron(2, [(1, 0, 0)]).with_rows([(0, 0, 2)]), ValueError, "half-space normal must be nonzero"),
+        (lambda: Polyhedron(2.0, [(1, 0, 0)]), ValueError, "n must be an integer, got 2.0"),
+        (lambda: Polyhedron(True, [(1, 1)]), ValueError, "n must be an integer, got True"),
+        (lambda: Polyhedron.from_rows(True, [((1,), 1)]), ValueError, "n must be an integer, got True"),
+        (lambda: Cone(2.0, hform=(HalfSpace((1, 0), 0),)), ValueError, "n must be an integer, got 2.0"),
+        (lambda: Cone(True, generators=((1,),)), ValueError, "n must be an integer, got True"),
         (lambda: Cone(2), ValueError, "cone needs exactly one of hform / generators"),
         (lambda: Cone(2, hform=(), generators=()), ValueError, "cone needs exactly one of hform / generators"),
         (lambda: Cone(3, hform=(HalfSpace((1, 0), 0),)), errors.DimensionMismatch, "cone row dimension mismatch"),

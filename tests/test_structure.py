@@ -17,7 +17,6 @@ from polycone import (
     remove_redundant,
     structure,
 )
-from polycone.geometry import _integer_rows
 from polycone.linalg import vec_neg
 
 import helpers
@@ -29,6 +28,7 @@ from helpers import (
     X_AXIS,
     brute_vertices,
     cross_polytope,
+    cut,
     cut_cross_vertices,
     random_degenerate_polyhedron,
     random_feasible_pointed,
@@ -125,21 +125,21 @@ class TestFacetsAreMaximalFaces:
             (STRIP, 2, 2, [[0], [1]]),
             (PYRAMID, 5, 3, [[0], [1], [2], [3], [4]]),
             # z <= 1 touches only the apex, a face inside each side facet
-            (PYRAMID.with_rows([HalfSpace((0, 0, 1), 1)]), 5, 3, [[0], [1], [2], [3], [4]]),
+            (PYRAMID.with_rows([(0, 0, 1, 1)]), 5, 3, [[0], [1], [2], [3], [4]]),
         ],
         ids=["segment", "point", "strip", "pyramid", "pyramid-apex-row"],
     )
     def test_hand_picked(self, P, facets, dimension, groups):
-        report, rows, _ = structure_module._structure(_integer_rows(P), P.n)
+        report, rows, _ = structure_module._structure(P.rows, P.n)
         assert (report.facet_count, report.dimension, rows) == (facets, dimension, groups)
         assert report == reference_structure(P)
 
     def test_rescaled_duplicate_is_one_group(self):
         # x + y <= 1 again as the integer row 2x + 2y <= 2, which no
-        # Polyhedron holds (HalfSpace rescales it) but integer rows may
-        report, rows, _ = structure_module._structure(_integer_rows(TRIANGLE) + [[2, 2, 2]], 2)
+        # Polyhedron holds (its rows are primitive) but integer rows may
+        report, rows, _ = structure_module._structure([*TRIANGLE.rows, [2, 2, 2]], 2)
         assert (report.facet_count, rows) == (3, [[0], [1], [2, 3]])
-        assert report == reference_structure(TRIANGLE.with_rows([HalfSpace((2, 2), 2)]))
+        assert report == reference_structure(TRIANGLE.with_rows([(2, 2, 2)]))
 
     def test_cross_polytope(self, monkeypatch):
         # n = 5: 32 rows, each a facet, with 16 of them tight at each of the 10 vertices
@@ -190,7 +190,7 @@ class TestStructure:
 
 class TestRemoveRedundant:
     def test_extra_box_row_dropped(self):
-        P = TRIANGLE.with_rows([Polyhedron.from_rows(2, [((1, 0), 5)]).halfspaces[0]])
+        P = TRIANGLE.with_rows([(1, 0, 5)])
         assert remove_redundant(P) == TRIANGLE
 
     def test_dominated_parallel_row_dropped(self):
@@ -210,7 +210,7 @@ class TestRemoveRedundant:
         # x <= 0 goes, its normal (1, 0) = (1, 1) + (0, -1) in the cone of
         # the rows kept before it
         P = Polyhedron.from_rows(2, [((1, 1), 0), ((0, -1), 0), ((-1, 0), 0), ((1, 0), 0)])
-        assert remove_redundant(P) == Polyhedron(P.n, P.halfspaces[:3])
+        assert remove_redundant(P) == Polyhedron(P.n, P.rows[:3])
         assert structure(P).implicit_equalities == (0, 1, 2, 3)
 
     def test_point_set_preserved(self):
@@ -233,7 +233,7 @@ class TestPolyContains:
 
     def test_redundant_description_equal_both_ways(self):
         P = TRIANGLE
-        Q = TRIANGLE.with_rows([Polyhedron.from_rows(2, [((1, 0), 9)]).halfspaces[0]])
+        Q = TRIANGLE.with_rows([(1, 0, 9)])
         assert poly_contains(P, Q).holds and poly_contains(Q, P).holds
 
     @pytest.mark.parametrize("P", [HALF_LINE, Polyhedron.from_rows(2, [((1, 0), 0)])], ids=["x >= 0", "x <= 0"])
@@ -309,7 +309,7 @@ class TestWorkBudget:
         poly_contains(P, P)
         assert counts["solve_lp"] == 0
 
-    @pytest.mark.parametrize("P, kept, cone_tests", [(TRIANGLE.with_rows([HalfSpace((1, 0), 5)]), 3, 0),
+    @pytest.mark.parametrize("P, kept, cone_tests", [(TRIANGLE.with_rows([(1, 0, 5)]), 3, 0),
                                                      (QUADRANT, 2, 0), (STRIP, 2, 0)],
                              ids=["triangle", "quadrant", "strip"])
     def test_remove_redundant_full_dimensional_no_equality_cone_test(self, counts, P, kept, cone_tests):
@@ -326,11 +326,11 @@ class TestWorkBudget:
         # x <= 5 is active at no vertex of the triangle: one Bland descent,
         # maximizing x over the triangle's own rows (phase one, which
         # starts at the feasible (0, 0), runs none)
-        P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
+        P = TRIANGLE.with_rows([(1, 0, 5)])
         calls, bland = [], geometry_module._bland
         monkeypatch.setattr(geometry_module, "_bland", lambda *args: calls.append(args) or bland(*args))
         assert reconstruct_check(P)
-        triangle = [tuple(row[:2]) for row in _integer_rows(TRIANGLE)]
+        triangle = [row[:2] for row in TRIANGLE.rows]
         assert [(rows, C) for rows, C, _ in calls] == [(triangle, [-1, 0])]
         assert counts == {"cone_member": 0, "solve_lp": 0}
 
@@ -368,8 +368,8 @@ def test_reconstruct_walks_once(walk_work, monkeypatch):
     # x <= 5 is active at no vertex of the triangle: phase one and one walk
     # of P, and the descent from (1, 0), where x is largest and whose two
     # rows are a basis, takes no step; no second walk of the rows used
-    P = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
-    geometry_module._start(_integer_rows(P), P.n)
+    P = TRIANGLE.with_rows([(1, 0, 5)])
+    geometry_module._start(P.rows, P.n)
     phase_one = walk_work["other ratio tests"]
     monkeypatch.setattr(structure_module, "_walk", geometry_module._walk, raising=False)
     contains, calls = structure_module._contains, []
@@ -392,7 +392,7 @@ class TestBoundednessWorkBudget:
     def test_one_descent_and_no_walk(self, walk_work, P, bounded, descent):
         # descent counts the ratio tests after phase one's; where C = 1 A
         # is 0 (TRIANGLE, the cross-polytope) or P has lines, none
-        geometry_module._start(_integer_rows(P), P.n)
+        geometry_module._start(P.rows, P.n)
         phase_one = walk_work["other ratio tests"]
         assert is_bounded(P) is bounded
         assert walk_work == {"walks": 0, "walk ratio tests": 0, "other ratio tests": 2 * phase_one + descent}
@@ -432,7 +432,7 @@ def test_tampered_ray_fails_the_integer_check(monkeypatch):
 
     monkeypatch.setattr(structure_module, "_minkowski_weyl", tampered)
     with pytest.raises(AssertionError, match="^containment witness failed verification$"):
-        structure_module._contains([[1, 0, 2]], _integer_rows(TRIANGLE), 2)
+        structure_module._contains([[1, 0, 2]], TRIANGLE.rows, 2)
 
 
 # the line of the strip {0 <= 2x + 3y <= 1}, as the walk scales it, is (-3/2, 1)
@@ -462,7 +462,7 @@ def test_witnesses_are_pinned(P, Q, witness):
 def _listed(monkeypatch, P, kept):
     """Make reconstruct_check see the records of P's walk whose points
     ``kept`` accepts, in walk order, as if the walk had found no other."""
-    aug, walk = _integer_rows(P), geometry_module._walk
+    aug, walk = P.rows, geometry_module._walk
     _, A, start, _ = geometry_module._start(aug, P.n)
     listed = [record for record in walk(A, P.n, start) if kept(tuple(F(x, record[0][2]) for x in record[0][1]))]
     monkeypatch.setattr(structure_module, "_walk", lambda rows, n, start: listed if rows == A else walk(rows, n, start))
@@ -494,7 +494,7 @@ def test_reconstruct_catches_missing_vertices_of_a_polytope(monkeypatch):
 # x <= 5 is active at no vertex of TRIANGLE; the descent maximizing x from
 # (1, 0) stops there at once, with multipliers 1 and 1 on y >= 0 and
 # x + y <= 1, and y.b_B = 1
-LOOSE_TRIANGLE = TRIANGLE.with_rows([HalfSpace((1, 0), 5)])
+LOOSE_TRIANGLE = TRIANGLE.with_rows([(1, 0, 5)])
 
 
 class TestReconstructCertificates:
@@ -540,7 +540,7 @@ def _differential_corpus(rng):
             P = random_degenerate_polyhedron(rng, n)
             if i % 7 == 3:
                 a = P.halfspaces[rng.randrange(P.m)].a
-                P = P.with_rows([HalfSpace(a, -1), HalfSpace(vec_neg(a), -1)])
+                P = cut(P, HalfSpace(a, -1), HalfSpace(vec_neg(a), -1))
             draws.append(P)
     for n, count in ((1, 20), (2, 50), (3, 30)):
         while count:
@@ -548,7 +548,7 @@ def _differential_corpus(rng):
             vertices = enumerate_vertices(P)
             if vertices:
                 active = rng.choice(vertices).active
-                draws.append(P.with_rows([P.halfspaces[rng.choice(active)].flipped()]))
+                draws.append(cut(P, P.halfspaces[rng.choice(active)].flipped()))
                 count -= 1
     return draws
 
@@ -590,7 +590,7 @@ def test_agrees_with_reference_oracles(monkeypatch):
                         lambda A, n, start: shown["records"] if A == shown["A"] else walk(A, n, start))
     monkeypatch.setattr(helpers, "brute_vertices", lambda Q: shown["points"])
     for k, P in enumerate(corpus[:1000]):
-        rows, points = _integer_rows(P), brute_vertices(P)
+        rows, points = P.rows, brute_vertices(P)
         lineality, A, start, _ = geometry_module._start(rows, P.n)
         records = [] if start is None else geometry_module._in_order(walk(A, P.n, start))
         if not lineality:
@@ -622,7 +622,7 @@ def _containment_pairs(rng):
         dropped = rng.sample(rows, rng.randint(1, len(rows)))
         k = rng.randrange(len(rows))
         moved = rows[:k] + [HalfSpace(rows[k].a, rows[k].b - 1)] + rows[k + 1:]
-        for P in (rng.choice(by_n[Q.n]), Polyhedron(Q.n, dropped), Polyhedron(Q.n, moved)):
+        for P in (rng.choice(by_n[Q.n]), Polyhedron.from_rows(Q.n, dropped), Polyhedron.from_rows(Q.n, moved)):
             yield P, Q, kind
 
 
