@@ -2,9 +2,10 @@
 
 A polyhedron is a nonempty list of closed half-spaces ``<a, x> <= b`` over
 exact rationals.  It holds each one once, as its primitive integer row
-``(a..., b)``: the integers on its ray with gcd 1, made as the Polyhedron
-is built, which every kernel entry below reads as it is.  ``HalfSpace``,
-the L-infinity canonical form (``max|a_j| = 1``), is the view of a row
+``(a..., b)``: the integers on its ray with gcd 1 (``linalg.primitive``,
+the one normal form of exact rows, edge directions and vertex points),
+made as the Polyhedron is built, which every kernel entry below reads as
+it is.  ``HalfSpace``, the L-infinity canonical form (``max|a_j| = 1``), is the view of a row
 for callers and printing, built only on request (``P.halfspaces``).  The
 whole space is deliberately not representable as a Polyhedron (a Cone in
 H-form may be all of R^n, a Polyhedron may not).
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InfeasiblePoint
-from .linalg import Vector, dot, extend, nullspace, scaled, vec_neg
+from .linalg import Vector, dot, extend, nullspace, primitive, scaled, vec_neg
 from .rationals import format_rational, parse_rational, parse_vector
 
 IndexSet = tuple[int, ...]
@@ -89,33 +90,28 @@ def _integer(n) -> int:
     return n
 
 
-def _primitive(row: Iterable) -> tuple[int, ...]:
-    """The rational row ``[a..., b]`` of ``a.x <= b`` as the primitive
-    integer row on its ray: cleared of denominators (``scaled``), then
-    divided by the gcd of its entries.  Equal half-spaces, whatever their
-    scale, give the same row."""
-    row = tuple(row)
-    if not all(type(v) is int for v in row):
-        row = scaled([v if type(v) is Fraction else Fraction(v) for v in row])[0]
-    if not any(row[:-1]):
-        raise ValueError("half-space normal must be nonzero")
-    g = gcd(*row)
-    return tuple(row) if g == 1 else tuple([x // g for x in row])
-
-
 def _rows(n: int, rows: Iterable[Iterable]) -> tuple[tuple[int, ...], ...]:
-    """The rows ``[a..., b]`` of a polyhedron in R^n, each made primitive
-    (``_primitive``), then checked to have n + 1 entries."""
-    rows = tuple([_primitive(row) for row in rows])
+    """The rational rows ``[a..., b]`` of ``a.x <= b`` in R^n, each as the
+    primitive integer row on its ray: cleared of denominators (``scaled``;
+    ints and Fractions are taken as they are), checked to have a nonzero
+    normal, then divided by its gcd (``linalg.primitive``), so equal
+    half-spaces, whatever their scale, give the same row; then each is
+    checked to have n + 1 entries."""
+    made = []
     for row in rows:
+        row = scaled([v if type(v) is int or type(v) is Fraction else Fraction(v) for v in row])[0]
+        if not any(row[:-1]):
+            raise ValueError("half-space normal must be nonzero")
+        made.append(primitive(row))
+    for row in made:
         if len(row) != n + 1:
             raise DimensionMismatch(f"constraint dimension {len(row) - 1} != ambient {n}")
-    return rows
+    return tuple(made)
 
 
 class Polyhedron(_Checked, NamedTuple("Polyhedron", [("n", int), ("rows", tuple[tuple[int, ...], ...])])):
     """H-polyhedron ``{x : A x <= b}`` over exact rationals, held as one
-    primitive integer row ``(a..., b)`` per half-space (``_primitive``),
+    primitive integer row ``(a..., b)`` per half-space (``_rows``),
     the rows the kernel runs on.
 
     The constructor takes rows ``[a..., b]`` of rationals, ``from_rows``
@@ -435,12 +431,14 @@ def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
     spanning tree of its vertex graph, and each edge no row blocks once.
     Cost per vertex: one O(n^2) exchange if simplicial, else a basis
     search and the double description's; then a column and one m n ratio
-    test per edge that no key settles.  The direction of each edge no row
-    blocks is appended to ``rays``, if given, unless it is there: parallel
-    rays leave several vertices, and each is listed once, where the walk
-    first meets it.  With an integer cost C, only the edges d with ``C.d
-    = 0`` are followed: from an optimal vertex, the walk lists the optimal
-    face."""
+    test per edge that no key settles.  Every edge direction is the
+    primitive integer vector on its ray (``linalg.primitive``, through
+    ``_column`` or ``_edges``), so parallel edges have equal directions.
+    The direction of each edge no row blocks is appended to ``rays``, if
+    given, unless it is there: parallel rays leave several vertices, and
+    each is listed once, where the walk first meets it.  With an integer
+    cost C, only the edges d with ``C.d = 0`` are followed: from an
+    optimal vertex, the walk lists the optimal face."""
     ends, todo, points = {}, [], []
 
     def enter(state, adjugate, j=None, k=None):
@@ -474,7 +472,7 @@ def _walk(A, n: int, start, rays: list | None = None, C=None) -> list:
                 continue
             blocked = _pivot(A, X, D, S, d)
             if blocked is None:
-                # d is gcd-reduced, so a parallel ray is an equal list
+                # d is primitive, so a parallel ray is an equal list
                 if rays is not None and list(d) not in rays:
                     rays.append(list(d))
                 continue
@@ -774,9 +772,9 @@ def _adjugate(A, rows: Iterable[int], n: int):
 
 
 def _column(col, det: int) -> tuple[int, ...]:
-    """The column ``-col / det`` as a gcd-reduced integer direction."""
-    g = gcd(*col) if det < 0 else -gcd(*col)
-    return tuple(x // g for x in col)
+    """The column ``-col / det`` as the primitive integer direction on its
+    ray (``linalg.primitive``): col's, negated when det > 0."""
+    return primitive(col if det < 0 else [-x for x in col])
 
 
 def _exchange(rows, adjugate, j: int, k: int):
@@ -795,28 +793,34 @@ def _exchange(rows, adjugate, j: int, k: int):
 
 def _lowest(X: list[int], D: int, S: list[int]):
     """The state of the vertex X / D with slacks S, in lowest terms: its
-    active set, X, D and S."""
-    g = gcd(D, *X)
-    if g > 1:
-        X, D, S = [x // g for x in X], D // g, [s // g for s in S]
+    active set, X, D and S, with ``(D, X)`` the primitive integer vector
+    on its ray (``linalg.primitive``) and S divided by the same factor.
+    Every slack is an integer combination of D and X, so the factor
+    divides S, which is left out of the gcd."""
+    E, *X = primitive([D, *X])
+    if E != D:
+        g, D = D // E, E
+        S = [s // g for s in S]
     return tuple(i for i, s in enumerate(S) if not s), X, D, S
 
 
 def _edges(A, n: int, active: IndexSet, adjugate) -> list[tuple[int, tuple[int, ...]]]:
-    """The edges at a vertex, each once as ``(key, d)`` with its
-    gcd-reduced direction d and its tight rows as ``_walk`` keys them, from
-    the adjugate ``(basis, M, det)`` of its witness basis: the extreme rays
-    of its tangent cone ``{d : A_I d <= 0}`` by double description (Motzkin
-    et al. 1953; Fukuda and Prodon 1996).  It starts from the adjugate's
-    columns (column j of ``-M / det`` leaves basis row j and keeps the
-    others tight), and each other distinct active row cuts the cone in
-    turn, so at a simplicial vertex the edges are the columns.  A ray
-    carries the bit set of the rows it leaves, each set of identical rows
-    by its first (``_firsts``), and a rising and a falling ray join on the
-    row when every third ray leaves a row that both are tight on.  An
-    edge's key is the distinct active rows without those it leaves.  The
-    walk lists a vertex's edges once, when it finds the vertex: one
-    ``_adjugate`` and the joins of one cut per extra distinct row."""
+    """The edges at a vertex, each once as ``(key, d)`` with its primitive
+    integer direction d (``linalg.primitive``) and its tight rows as
+    ``_walk`` keys them, from the adjugate ``(basis, M, det)`` of its
+    witness basis: the extreme rays of its tangent cone ``{d : A_I d <=
+    0}`` by double description (Motzkin et al. 1953; Fukuda and Prodon
+    1996).  It starts from the adjugate's columns (column j of ``-M /
+    det`` leaves basis row j and keeps the others tight, ``_column``), and
+    each other distinct active row cuts the cone in turn, so at a
+    simplicial vertex the edges are the columns.  A ray carries the bit
+    set of the rows it leaves, each set of identical rows by its first
+    (``_firsts``), and a rising and a falling ray join on the row, into
+    the primitive direction of the join, when every third ray leaves a
+    row that both are tight on.  An edge's key is the distinct active
+    rows without those it leaves.  The walk lists a vertex's edges once,
+    when it finds the vertex: one ``_adjugate`` and the joins of one cut
+    per extra distinct row."""
     basis, M, det = adjugate
     first = _firsts(A, active)
     rays = [(_column(col, det), first[A[i]]) for i, col in zip(basis, M)]
@@ -830,9 +834,7 @@ def _edges(A, n: int, active: IndexSet, adjugate) -> list[tuple[int, tuple[int, 
             for eq, q, zq in signed:
                 left = zp | zq
                 if ep > 0 > eq and all(z | left != left for _, _, z in signed if z not in (zp, zq)):
-                    d = [ep * y - eq * x for x, y in zip(p, q)]
-                    g = gcd(*d)
-                    rays.append((tuple(x // g for x in d), left))
+                    rays.append((primitive([ep * y - eq * x for x, y in zip(p, q)]), left))
     full = sum(first.values())
     return [(full & ~z, d) for d, z in rays]
 

@@ -39,14 +39,15 @@ from ..geometry import (
     Cone,
     Polyhedron,
     _minkowski_weyl,
+    _rows,
+    _slice,
     _start,
     _tight_rows,
     _vertices,
     _walk,
-    canonical_ray,
     enumerate_vertices,
 )
-from ..linalg import Vector, scaled, vec_neg
+from ..linalg import Vector, scaled
 from ..optimality import solve_glp
 from ..rationals import format_rational, format_vector, simplest_within
 from ..structure import _minimal_rows
@@ -130,12 +131,14 @@ def _checked_window(R: float, n: int, m: int) -> Fraction:
 
 def _as_rows(obj: Polyhedron | Cone):
     """The integer rows ``[a..., b]`` of a polyhedron or a cone, a
-    generator cone through the walk of its polar (``_polar_rows``)."""
+    generator cone through the walk of its polar (``_polar_rows``) on the
+    rows ``[g..., 0]`` of its generators g, made primitive as a
+    Polyhedron's rows are (``geometry._rows``)."""
     if isinstance(obj, Polyhedron):
         return obj.rows
     if obj.hform is not None:
         return [[*scaled(hs.a)[0], 0] for hs in obj.hform]
-    return _polar_rows([[*scaled(canonical_ray(g))[0], 0] for g in obj.generators], obj.n)
+    return _polar_rows(_rows(obj.n, [(*g, 0) for g in obj.generators]), obj.n)
 
 
 def _polar_rows(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -143,9 +146,10 @@ def _polar_rows(rows: list[list[int]], n: int) -> list[list[int]]:
     ``[g..., 0]`` in R^n.  One walk from the apex writes their cone ``{y :
     g.y <= 0}``, the polar, as ``lin L + cone D``, so cone(G) = ``{x : d.x
     <= 0, l.x = 0}`` (bipolar theorem); the rays D are the edges no row
-    blocks (``_minkowski_weyl``), and no vertex is read out."""
+    blocks (``_minkowski_weyl``), and no vertex is read out; the rows
+    ``[+-l, 0]`` are the lineality slice's (``geometry._slice``)."""
     lines, _, rays, _ = _minkowski_weyl(rows, n)
-    return [[*d, 0] for d in rays] + [[*scaled(s)[0], 0] for v in lines for s in (v, vec_neg(v))]
+    return [[*d, 0] for d in rays] + _slice(lines)
 
 
 def _window_states(rows: list[list[int]], box: list[list[int]]) -> list:

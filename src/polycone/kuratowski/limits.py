@@ -25,6 +25,7 @@ from ..errors import (
     TooFewSamples,
 )
 from ..geometry import HalfSpace, Polyhedron, _Checked
+from ..linalg import primitive
 from ..rationals import (
     format_rational,
     format_vector,
@@ -85,17 +86,6 @@ def _unit_row(a: Sequence, b) -> tuple[FloatVector, float]:
         return tuple(v / norm for v in vec), math.ldexp(offset / norm, -e)
     except OverflowError:
         raise ValueError(message) from None
-
-
-def _primitive_row(values: Sequence[float]) -> list[int]:
-    """The binary64 row values, not all zero, as the primitive integer row
-    on the same ray.  Each value is an exact ratio p / q with q a power of
-    2, so the lcm of the q is their maximum."""
-    ratios = [v.as_integer_ratio() for v in values]
-    L = max(q for _, q in ratios)
-    row = [p * (L // q) for p, q in ratios]
-    g = math.gcd(*row)
-    return [x // g for x in row]
 
 
 def _sample_index(k) -> float:
@@ -201,9 +191,17 @@ class PolyhedronTrajectory(_Checked, NamedTuple("PolyhedronTrajectory", [
 
     def sample_rows(self, k: int) -> list[list[int]]:
         """The k-th sampled polyhedron as primitive integer rows ``[a...,
-        b]``, one per constraint, exactly (``_primitive_row``, the one
-        conversion of binary64 data to exact values): no further rounding."""
-        return [_primitive_row((*t.normals[k], t.offsets[k])) for t in self.constraints]
+        b]``, one per constraint, exactly, with no further rounding: the one
+        conversion of binary64 data to exact values.  Each value is an
+        exact ratio p / q with q a power of 2, so the lcm of a row's q is
+        their largest; the row over it is made primitive
+        (``linalg.primitive``)."""
+        rows = []
+        for t in self.constraints:
+            ratios = [v.as_integer_ratio() for v in (*t.normals[k], t.offsets[k])]
+            L = max([q for _, q in ratios])
+            rows.append(list(primitive([p * (L // q) for p, q in ratios])))
+        return rows
 
     def sample_polyhedron(self, k: int) -> Polyhedron:
         """The k-th sampled polyhedron, on the rows ``sample_rows(k)``."""

@@ -5,11 +5,13 @@ fraction-free reduced echelon form (Bareiss 1968).  Its rows share one
 denominator, the pivot minor ``det``, and ``row / det`` is a row of the
 unique reduced row echelon form.  Rational rows are scaled to integers
 once (``scaled``), and Fractions appear only when a result is read out.
+An exact row, direction or point, fixed only up to a positive scale, is
+kept in one normal form, its primitive integer vector (``primitive``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -32,6 +34,15 @@ def scaled(values) -> tuple[list[int], int]:
     # free lists (2000 per size, about 2 MB of peak memory after a few thousand LPs)
     L = lcm(*[v.denominator for v in values])
     return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integers ints, not all zero, divided by their gcd with their
+    signs kept: the primitive integer vector on their ray, the one normal
+    form of every exact row, direction and point.  There is no division
+    when the gcd is 1."""
+    g = gcd(*ints)
+    return tuple(ints) if g == 1 else tuple([x // g for x in ints])
 
 
 def extend(echelon: list[list[int]], pivots: tuple[int, ...], det: int, new, width: int):

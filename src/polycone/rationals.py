@@ -30,8 +30,10 @@ def parse_rational(token) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: ``"p/q"`` in lowest terms, or ``"p"`` for integers."""
-    return str(Fraction(value))
+    """Canonical string form: ``"p/q"`` in lowest terms, or ``"p"`` for
+    integers.  A Fraction or an int prints as it is; anything else, a bool
+    among them, is made a Fraction first."""
+    return str(value if type(value) is Fraction or type(value) is int else Fraction(value))
 
 
 def parse_vector(tokens: list | tuple) -> tuple[Fraction, ...]:

@@ -74,6 +74,11 @@ reaches a basis search (``_adjugate``).  ``_defining``, the witness of a
 point given by its coordinates, has one caller,
 ``optimality.stability_cone``.
 
+An exact row, edge direction or vertex point is fixed only up to a
+positive scale, and one function fixes it: ``linalg.primitive``, the one
+function of the package that takes a gcd, called or passed on.  The
+oracles in ``tests/helpers.py`` keep their own gcd, to stay independent.
+
 ``geometry`` has one edge search at vertices that are not simplicial, the
 double description in ``_edges``: it defines no (n-1)-subset search and
 uses no ``null_direction``.  That subset search lives on in
@@ -684,6 +689,49 @@ def test_reference_walk_reaches_no_edge_search_of_geometry():
 )
 def test_walk_oracle_guard_sees_each_reach(source, reached):
     assert ("_edges" in _reached(source, ["f"])) == reached
+
+
+# the one gcd normal form of exact rows, directions and points
+def _gcd_users(source: str) -> set[str]:
+    """The top-level functions and classes of source that use ``gcd``,
+    called or passed on (``gcd(*v)``, ``math.gcd(*v)``, ``reduce(gcd,
+    v)``), with ``<module>`` for its other statements and ``as <name>``
+    for an import of it under another name."""
+    found = set()
+    for node in ast.parse(source).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.alias) and sub.name.split(".")[-1] == "gcd" and sub.asname:
+                found.add(f"as {sub.asname}")
+            elif getattr(sub, "id", getattr(sub, "attr", None)) == "gcd":
+                found.add(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_one_function_takes_a_gcd():
+    users = {
+        (path.relative_to(SRC).as_posix(), user)
+        for path in SRC.rglob("*.py")
+        for user in _gcd_users(path.read_text(encoding="utf-8"))
+    }
+    assert users == {("linalg.py", "primitive")}
+
+
+@pytest.mark.parametrize(
+    "source, users",
+    [
+        ("from math import gcd\ndef primitive(ints):\n    g = gcd(*ints)\n    return ints", {"primitive"}),
+        ("def _column(col, det):\n    return math.gcd(*col)", {"_column"}),
+        ("def _edges(A):\n    def join(d):\n        return gcd(*d)\n    return join", {"_edges"}),
+        ("class T:\n    def sample_rows(self, row):\n        return math.gcd(*row)", {"T"}),
+        ("def _lowest(X, D):\n    return functools.reduce(gcd, X, D)", {"_lowest"}),
+        ("g = gcd(4, 6)", {"<module>"}),
+        ("from math import gcd as common\ndef f(v):\n    return common(*v)", {"as common"}),
+        ("from math import gcd, lcm\ndef f(v):\n    return lcm(*v)", set()),
+    ],
+    ids=["helper", "attribute", "nested", "method", "passed-on", "module", "alias", "import-only"],
+)
+def test_gcd_guard_sees_each_use(source, users):
+    assert _gcd_users(source) == users
 
 
 # the records that stay frozen dataclasses; every other record is a NamedTuple

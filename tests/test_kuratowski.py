@@ -44,7 +44,7 @@ from polycone.kuratowski import convergence
 from polycone.kuratowski.convergence import (
     _as_rows, _box_rows, _window_support, default_directions, default_window
 )
-from polycone.kuratowski.limits import _primitive_row, _unit_row
+from polycone.kuratowski.limits import _unit_row
 
 from helpers import (
     HALF_LINE,
@@ -1009,14 +1009,12 @@ _OVERFLOW = Fraction(2**1024 - 2**970)
 @given(row=st.lists(_BINARY64, min_size=2, max_size=5))
 @example(row=[2.487362698589574e-95, 4.471514847167081e213])
 def test_primitive_row_is_the_halfspace_row(row):
+    # sample_rows gives each binary64 sample row as the primitive integer
+    # row of its exact half-space; a trajectory's unit offset |b| / ||a|| is
+    # refused exactly when it reaches _OVERFLOW, and a rounded norm (two or
+    # more entries) blurs that within a few ulps
     *a, b = row
     assume(any(a))
-    got = _primitive_row(row)
-    assert got == list(reference_rows([(a, b)])[0])
-    assert math.gcd(*got) == 1
-    # and through a trajectory, whose unit offset |b| / ||a|| is refused
-    # exactly when it reaches _OVERFLOW; a rounded norm (two or more
-    # entries) blurs that within a few ulps
     ratio = Fraction(b) ** 2 / sum(Fraction(v) ** 2 for v in a) / _OVERFLOW**2
     assume(len(a) == 1 or abs(ratio - 1) > 1e-14)
 
@@ -1028,7 +1026,9 @@ def test_primitive_row_is_the_halfspace_row(row):
             trajectory()
     else:
         T = trajectory()
-        assert T.sample_rows(2) == [list(row) for row in reference_rows(reference_sample_halfspaces(T, 2))]
+        got = T.sample_rows(2)
+        assert got == [list(row) for row in reference_rows(reference_sample_halfspaces(T, 2))]
+        assert math.gcd(*got[0]) == 1
 
 
 class TestIntegerRowsAgainstHalfSpaces:

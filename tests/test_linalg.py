@@ -1,10 +1,14 @@
-"""The fraction-free linear algebra against the Fraction Gauss-Jordan references."""
+"""The fraction-free linear algebra against the Fraction Gauss-Jordan
+references, and the one gcd normal form (``primitive``) against Fractions."""
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from hypothesis import given, strategies as st
 
-from polycone.linalg import nullspace, solve_square
+from polycone.geometry import _lowest
+from polycone.linalg import nullspace, primitive, solve_square
 
 from helpers import reference_nullspace, reference_rank, reference_solve_square
 
@@ -93,3 +97,43 @@ def test_small_integer_matrices(case):
     if len(rows) >= w:
         square, rhs = rows[:w], [F(sum(row)) for row in rows[:w]]
         assert repr(solve_square(square, rhs)) == repr(reference_solve_square(square, rhs))
+
+
+_VECTOR = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6).filter(any)
+
+
+def _signs(v):
+    return [(x > 0) - (x < 0) for x in v]
+
+
+@given(v=_VECTOR, k=st.integers(1, 10**9))
+def test_primitive_is_one_vector_per_ray(v, k):
+    p = primitive(v)
+    assert primitive([k * x for x in v]) == p
+    assert gcd(*p) == 1
+    assert _signs(p) == _signs(v)
+    # on v's own ray: v is p times the gcd of v
+    assert [gcd(*v) * x for x in p] == v
+    assert type(p) is tuple and primitive(tuple(v)) == p
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-60, 60), min_size=n, max_size=n),
+            st.integers(1, 60),
+            st.integers(1, 12),
+            st.lists(st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1), max_size=6),
+        )
+    )
+)
+def test_lowest_is_the_point_in_lowest_terms(case):
+    # the point X / D as k X / k D, with the slacks b D - a.X of integer rows
+    X, D, k, rows = case
+    X, D = [k * x for x in X], k * D
+    active, Y, E, S = _lowest(X, D, [b * D - sum(map(mul, a, X)) for *a, b in rows])
+    point = [Fraction(x, D) for x in X]
+    assert E == lcm(*[p.denominator for p in point])
+    assert Y == [int(p * E) for p in point]
+    assert S == [b * E - sum(map(mul, a, Y)) for *a, b in rows]
+    assert active == tuple(i for i, s in enumerate(S) if not s)
