@@ -173,8 +173,10 @@ class Cone(_Checked, NamedTuple("Cone", [("n", int), ("hform", tuple[HalfSpace, 
     """Polyhedral cone in exactly one of two representations.
 
     H-form rows are half-spaces through the origin; generator form is a
-    finite set of rays.  Empty H-form means all of R^n, the empty generator
-    list means the trivial cone {0}.
+    finite set of rays, each converted to Fractions on entry as
+    ``HalfSpace`` converts its normal (a value that does not parse raises
+    ValueError).  Empty H-form means all of R^n, the empty generator list
+    means the trivial cone {0}.
     """
 
     __slots__ = ()
@@ -191,6 +193,7 @@ class Cone(_Checked, NamedTuple("Cone", [("n", int), ("hform", tuple[HalfSpace, 
                 if hs.b != 0:
                     raise ValueError("cone half-spaces must pass through the origin")
         if generators is not None:
+            generators = tuple(_coerce_vector(g) for g in generators)
             rays = set()
             for g in generators:
                 if len(g) != n:
@@ -530,26 +533,27 @@ def _defining(A, active: IndexSet, n: int) -> IndexSet | None:
 def _phase_two(A, n: int, start, C: list[int]):
     """Minimize ``C.x`` from phase one's vertex ``start``: ``(face, None)``
     with the optimal face's vertices as ``_walk`` leaves them, or
-    ``(None, rays)`` when C is unbounded below, with every ray of the
-    polyhedron, each once, as ``_minkowski_weyl`` lists them.
+    ``(None, rays)`` when C is unbounded below, with every extreme ray of
+    the recession cone ``{d : A d <= 0}``, each once as its primitive
+    integer direction: the set ``_minkowski_weyl`` lists, in another order.
 
     Bland's rule (``_bland``) descends from ``start`` on the basis phase
     one hands over.  Where it stops with ``y >= 0``, ``-C`` lies in the
     normal cone of its vertex, which is optimal, and the walk along the
     edges with ``C.d = 0`` from it lists the optimal face.  Where C falls
-    along a column no row blocks, the walk of the whole vertex graph from
-    its vertex lists every ray, as ``_minkowski_weyl`` does.  Neither
+    along a column no row blocks, the recession cone is the tangent cone
+    of every row at an apex, and one double description (``_edges``) over
+    every row, from the adjugate of the descent's final basis, lists its
+    extreme rays; no vertex beyond the descent's is visited.  Neither
     outcome is checked here: ``solve_glp`` checks each face vertex's
     multipliers (``_tie_certificate``) and the ray it reports
     (``_checked_ray``).  Cost: one ratio test per Bland step, then the
-    walk's: one per vertex it finds but the first, and one per edge no row
-    blocks."""
+    walk's, one per face vertex it finds but the first, or the double
+    description's joins, one cut per distinct row outside the basis."""
     vertex, d = _bland(A, C, start)
     if d is None:
         return _walk(A, n, vertex, C=C), None
-    rays = []
-    _walk(A, n, vertex, rays)
-    return None, rays
+    return None, [d for _, d in _edges(A, n, tuple(range(len(A))), vertex[1])]
 
 
 def _descent(rows, C, vertex):
@@ -820,7 +824,11 @@ def _edges(A, n: int, active: IndexSet, adjugate) -> list[tuple[int, tuple[int, 
     row that both are tight on.  An edge's key is the distinct active
     rows without those it leaves.  The walk lists a vertex's edges once,
     when it finds the vertex: one ``_adjugate`` and the joins of one cut
-    per extra distinct row."""
+    per extra distinct row.  With every row active, the tangent cone is
+    the recession cone ``{d : A d <= 0}`` and the edges are its extreme
+    rays: ``_phase_two`` lists them so, from the adjugate of its descent's
+    final basis (any basis of A serves, since A has rank n and the cone
+    is pointed)."""
     basis, M, det = adjugate
     first = _firsts(A, active)
     rays = [(_column(col, det), first[A[i]]) for i, col in zip(basis, M)]

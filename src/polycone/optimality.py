@@ -2,8 +2,10 @@
 
 A vertex is optimal exactly when ``-c`` lies in its normal cone.  That is
 the test Bland's rule in ``geometry`` stops on, so phase two runs that one
-descent from phase one's basis, then walks the optimal face (or, when the
-objective is unbounded, the whole vertex graph for its rays).
+descent from phase one's basis, then walks the optimal face.  When the
+objective is unbounded, it falls along an extreme ray of the recession
+cone ``{d : A d <= 0}``, and one double description of that cone lists
+them, with no vertex visited.
 
 The attainment theorem needs a pointed feasible region; inputs with a
 nontrivial lineality space are quotiented by slicing with the orthogonal
@@ -62,9 +64,9 @@ class GLPSolution:
       space, it is minus that component.  Otherwise it is, of the extreme
       rays r of ``solved_on``'s recession cone with ``<c_min, r> < 0``
       normalised to ``<c_min, r> = -1``, the lexicographically smallest;
-      ``c_min`` is c for minimization and -c for maximization; the walk
-      of the whole vertex graph lists them all, whichever column
-      stopped the descent.
+      ``c_min`` is c for minimization and -c for maximization; one
+      double description of the recession cone lists them all,
+      whichever column stopped the descent.
     - Infeasible: ``farkas`` holds multipliers y >= 0 over
       ``P.halfspaces`` (the canonical rows) with ``y.A = 0`` and
       ``y.b = -1``, read off the final basis of the walk's phase one (run
@@ -102,17 +104,20 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     the objective is unbounded if it falls along L.  Phase two
     (``geometry._phase_two``) runs Bland's rule from the basis and
     adjugate phase one ends on.  A column along which the objective falls
-    and no row blocks proves it unbounded; the walk of the vertex graph
-    then lists every ray, to report the lexicographically smallest
-    improving one: the rays are compared as integers over one common
-    denominator, and only that one is read out as Fractions.  Where Bland's rule stops, ``y = -C M / det >= 0``
-    puts ``-c`` (for minimization) in the normal cone of its vertex, and
-    the walk along the edges with ``<c, d> = 0`` lists the optimal face's
-    vertices, each with the adjugate of its witness basis.  Each one's
-    certificate is the same sign test on that adjugate, or on the one that
-    degenerate Bland's-rule exchanges reach from it where its distinct
-    active rows number more than n (``geometry._tie_certificate``): no
-    simplex runs, and no certificate searches for a basis.  The reported
+    and no row blocks proves it unbounded; one double description of the
+    recession cone ``{d : A d <= 0}`` over every row, from the adjugate of
+    the descent's final basis (``geometry._edges``), then lists its
+    extreme rays, to report the lexicographically smallest improving one:
+    the rays are compared as integers over one common denominator, and
+    only that one is read out as Fractions.  Where Bland's rule stops,
+    ``y = -C M / det >= 0`` puts ``-c`` (for minimization) in the normal
+    cone of its vertex, and the walk along the edges with ``<c, d> = 0``
+    lists the optimal face's vertices, each with the adjugate of its
+    witness basis.  Each one's certificate is the same sign test on that
+    adjugate, or on the one that degenerate Bland's-rule exchanges reach
+    from it where its distinct active rows number more than n
+    (``geometry._tie_certificate``): no simplex runs, and no certificate
+    searches for a basis.  The reported
     polyhedra append integer rows to P's: ``argmin_face`` the two level
     rows of the optimal value (``_level_face``), and a lineality slice
     ``solved_on`` the rows the walk ran on (``geometry._slice``).
@@ -120,9 +125,9 @@ def solve_glp(P: Polyhedron, c: Sequence, sense: str = "min") -> GLPSolution:
     integer rows before it is returned.  Cost: phase one's pivots and one
     ratio test (m n) and one O(n^2) exchange per Bland step, then the
     walk's ratio tests: one per vertex of the optimal face but the first,
-    a spanning tree of its edges, or, when unbounded, one per vertex but
-    the first and one per edge no row blocks of the whole vertex graph
-    (``geometry._walk``).
+    a spanning tree of its edges (``geometry._walk``), or, when unbounded,
+    none, and the double description's joins, one cut per distinct row
+    outside the basis.
     """
     cv = _coerce_vector(c)
     if len(cv) != P.n:

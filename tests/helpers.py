@@ -256,6 +256,18 @@ def cross_polytope(n: int, rng: random.Random | None = None, cuts: int = 0) -> P
     return Polyhedron.from_rows(n, rows)
 
 
+def cube_times_half_line(n: int) -> Polyhedron:
+    """The cube ``[0, 1]^(n-1)`` times the half-line ``x_n >= 0``: 2^(n-1)
+    vertices, each leaving along the one extreme ray e_n of its recession
+    cone.  Its rows are ``x_j <= 1`` and ``-x_j <= 0`` for each j < n, then
+    ``-x_n <= 0``."""
+    rows = []
+    for j in range(n - 1):
+        e = tuple(int(i == j) for i in range(n))
+        rows += [(e, 1), (vec_neg(e), 0)]
+    return Polyhedron.from_rows(n, rows + [(tuple(-int(i == n - 1) for i in range(n)), 0)])
+
+
 def cut_cross_vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     """Independent enumeration of the vertices of a ``cross_polytope`` with
     cuts, whose 2^n rows put ``brute_vertices`` out of reach past n = 4.
@@ -607,7 +619,9 @@ def _reference_walk_all(Q: Polyhedron):
 
 def reference_phase_two(A, n: int, start, C):
     """Reference for ``geometry._phase_two``: the edge descent that Bland's
-    rule replaced, with the same walks after it.  At each vertex the first
+    rule replaced, with the walks that followed it (the whole vertex
+    graph's for the rays, which the double description of the recession
+    cone replaced).  At each vertex the first
     edge d with ``C.d < 0`` (an adjugate column at a simplicial vertex,
     handed on as ``reference_walk`` hands it, a double-description edge at
     any other, from a fresh adjugate) is ratio-tested and followed,

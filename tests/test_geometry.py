@@ -319,16 +319,19 @@ class TestRaysFromTheWalk:
         assert geometry._minkowski_weyl(STRIP.rows, 2)[0]
         assert self._walk(STRIP)[1] == set()
 
-    def test_each_ray_once(self):
+    def test_each_ray_once(self, walk_tests):
         # {0 <= x <= 1, y >= 0}: the walk leaves both vertices up along
-        # (0, 1), and the ray is listed once, also by phase two when the
-        # cost C = (0, -1) falls along it
+        # (0, 1), and the ray is listed once; phase two, when the cost
+        # C = (0, -1) falls along it, lists it once from the recession cone
+        # alone, without a walk
         P = Polyhedron.from_rows(2, [((1, 0), 1), ((-1, 0), 0), ((0, -1), 0)])
         aug = P.rows
         assert geometry._minkowski_weyl(aug, P.n)[2] == [[0, 1]]
         A = [tuple(row[:2]) for row in aug]
         start, _ = geometry._phase_one(A, aug, 2)
-        assert geometry._phase_two(A, 2, start, [0, -1]) == (None, [[0, 1]])
+        del walk_tests[:]
+        assert geometry._phase_two(A, 2, start, [0, -1]) == (None, [(0, 1)])
+        assert walk_tests == []
 
     def test_producer_piece(self):
         # Y1's two unbounded edges leave (-2, 1) along y = 1 and (0, 0)

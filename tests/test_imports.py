@@ -61,9 +61,11 @@ whose unblocked column leads to a witness it checks on its own, call
 ``_farkas``, ``_tie_certificate`` and ``solve_glp``'s ray check.
 Only ``_bland`` and ``_walk`` exchange a row into an adjugate, only
 ``_bland`` and ``_walk`` ratio-test, only ``_pivot`` holds the ratio test,
-and the one basis search is ``_adjugate`` (no ``_lex_basis``).  The edge
-descent that phase two ran before lives on in ``tests/helpers.py`` as
-``reference_phase_two``.
+and the one basis search is ``_adjugate`` (no ``_lex_basis``).  Only
+``_minkowski_weyl`` walks for rays: phase two lists an unbounded
+objective's rays by the double description of ``_edges`` over every
+row.  The edge descent that phase two ran before lives on in
+``tests/helpers.py`` as ``reference_phase_two``.
 
 The walk keeps one vertex record: every vertex carries its state with the
 adjugate of its witness basis, so ``geometry`` defines no ``_columns``
@@ -569,6 +571,50 @@ def test_geometry_has_one_descent_and_one_ratio_test():
     assert _callers(source, "_exchange") == {"_bland", "_walk"}
     assert _callers(source, "_pivot") == {"_bland", "_walk"}
     assert _ratio_tests(source) == {"_pivot"}
+
+
+def _ray_walks(source: str) -> set[str]:
+    """The top-level functions of source, with ``<module>`` for its other
+    statements, that call ``_walk`` with a list for its rays: a fourth
+    positional argument or ``rays=``."""
+    found = set()
+    for node in ast.parse(source).body:
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Call):
+                continue
+            name = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+            if name == "_walk" and (len(sub.args) > 3 or any(k.arg == "rays" for k in sub.keywords)):
+                found.add(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_only_minkowski_weyl_walks_for_rays():
+    # an unbounded objective's rays come from one double description of
+    # the recession cone in phase two, not from a walk of the vertex graph
+    walks = {
+        (path.relative_to(SRC).as_posix(), caller)
+        for path in SRC.rglob("*.py")
+        for caller in _ray_walks(path.read_text(encoding="utf-8"))
+    }
+    assert walks == {("geometry.py", "_minkowski_weyl")}
+    phase_two = next(node for node in ast.parse((SRC / "geometry.py").read_text(encoding="utf-8")).body
+                     if getattr(node, "name", None) == "_phase_two")
+    assert "_edges" in _called(phase_two)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(A, n, v):\n    rays = []\n    _walk(A, n, v, rays)\n    return rays", {"f"}),
+        ("def f(A, n, v):\n    return geometry._walk(A, n, v, rays=[])", {"f"}),
+        ("rays = _walk(A, n, v, [])", {"<module>"}),
+        ("def f(A, n, v, C):\n    return _walk(A, n, v, C=C)", set()),
+        ("def f(A, n, v):\n    return _edges(A, n, v, None)", set()),
+    ],
+    ids=["positional", "keyword", "module", "face", "edges"],
+)
+def test_ray_walk_guard_sees_each_form(source, found):
+    assert _ray_walks(source) == found
 
 
 def test_only_the_checked_descent_and_implied_call_dual():

@@ -25,7 +25,7 @@ from polycone import (
     solve_lp,
     stability_cone,
 )
-from polycone.geometry import active_normals
+from polycone.geometry import active_normals, canonical_ray
 from polycone.linalg import dot, project_onto_span, vec_neg
 
 from helpers import (
@@ -37,6 +37,7 @@ from helpers import (
     X_AXIS,
     Y1,
     cross_polytope,
+    cube_times_half_line,
     cut,
     highs,
     is_farkas,
@@ -56,7 +57,6 @@ from helpers import (
     reference_solve_glp,
     reference_walk,
     walk_tests,
-    walk_tree,
 )
 
 F = Fraction
@@ -267,8 +267,9 @@ class TestRaysAgainstRayPolyhedron:
     def test_against_reference_recession_ray(self, monkeypatch):
         # the ray polyhedron {d : A d <= 0, <c_min, d> <= -1} is the
         # reference: its first vertex is the certificate, and its vertex set
-        # is every improving extreme ray, which the walk must find in full
-        # once phase two meets one (and none where the minimum is attained)
+        # is every improving extreme ray, which phase two's double
+        # description must list in full once Bland's rule meets one (and
+        # none where the minimum is attained)
         walked, descend = {}, optimality._phase_two
 
         def kept(*args):
@@ -305,6 +306,79 @@ class TestRaysAgainstRayPolyhedron:
                     seen["Attained"] += 1
                     assert ray is None
         assert seen.pop("lineality") >= 50 and min(seen.values()) >= 100, seen
+
+
+def _recession_corpus():
+    """(P, c) pairs for the double description of the recession cone: 200
+    acceptance draws, every fifth also lifted to R^(n+1) with the
+    lineality line of the ones vector (row a becomes ``(a, -sum a)``, and
+    so does the cost, so its slice reaches phase two), and
+    ``random_degenerate_polyhedron`` at n = 2..5 (fewer as the reference's
+    subset search grows dearer), about a third of whose draws have the
+    lineality line e_n; their costs are orthogonal to it."""
+    rng = random.Random(89)
+    for i in range(200):
+        P = random_polyhedron(rng)
+        c = random_cost(rng, P.n)
+        yield P, c
+        if i % 5 == 0:
+            yield Polyhedron(P.n + 1, [(*a, -sum(a), b) for *a, b in P.rows]), (*c, -sum(c))
+    for n, count in zip(range(2, 6), (80, 30, 10, 2)):
+        for _ in range(count):
+            P = random_degenerate_polyhedron(rng, n)
+            c = [rng.randint(-2, 2) for _ in range(n)]
+            if not any(row[n - 1] for row in P.rows):
+                c[-1] = 0
+            yield P, tuple(F(v) for v in c)
+
+
+@pytest.fixture
+def phase_two_rays(monkeypatch) -> list:
+    """The rays, or None, that each ``optimality._phase_two`` call in the
+    test returns, in call order."""
+    listed, descend = [], optimality._phase_two
+
+    def kept(*args):
+        face, rays = descend(*args)
+        listed.append(rays)
+        return face, rays
+
+    monkeypatch.setattr(optimality, "_phase_two", kept)
+    return listed
+
+
+def test_recession_cone_double_description_lists_the_extreme_rays(phase_two_rays):
+    # the double description of {d : A d <= 0} over every row lists each
+    # extreme ray once: the set the walk of the whole vertex graph lists
+    # (geometry._minkowski_weyl) and the subset search finds
+    # (reference_extreme_rays), both from phase one's basis on every
+    # nonempty draw and, in phase two, from the descent's final basis;
+    # solve_glp reports the least improving one
+    seen = {"pointed": 0, "slices": 0, "with rays": 0, "unbounded": 0, "unbounded slices": 0}
+    for P, c in _recession_corpus():
+        lineality, A, start, farkas = geometry._start(P.rows, P.n)
+        if farkas is not None:
+            continue
+        work = P.with_rows(geometry._slice(lineality)) if lineality else P
+        walked = {tuple(r) for r in geometry._minkowski_weyl(P.rows, P.n)[2]}
+        expected = reference_extreme_rays(work)
+        assert {canonical_ray(r) for r in walked} == expected
+        rays = [d for _, d in geometry._edges(A, P.n, tuple(range(len(A))), start[1])]
+        assert len(set(rays)) == len(rays) and set(rays) == walked
+        seen["slices" if lineality else "pointed"] += 1
+        seen["with rays"] += bool(rays)
+        for sense in ("min", "max"):
+            del phase_two_rays[:]
+            sol = solve_glp(P, c, sense)
+            if sol.status != "UnboundedBelow" or not phase_two_rays:
+                continue
+            seen["unbounded"] += 1
+            seen["unbounded slices"] += bool(lineality)
+            [rays] = phase_two_rays
+            cmin = c if sense == "min" else vec_neg(c)
+            assert len(set(rays)) == len(rays) and set(rays) == walked
+            assert repr(sol.ray) == repr(min(_normalised(rays, cmin))) == repr(min(_normalised(expected, cmin)))
+    assert min(seen.values()) >= 20, seen
 
 
 def _phase_one_corpus():
@@ -406,12 +480,27 @@ class TestWorkBudget:
     one's lifted steps, of Bland's descent and of the walks that follow it,
     ``certificates`` the tied vertices certified
     (``geometry._tie_certificate``),
-    and ``cone tests`` the simplex runs of ``cone_member``, counted in
-    ``linprog``."""
+    ``cone tests`` the simplex runs of ``cone_member``, counted in
+    ``linprog``, and ``double descriptions`` the runs of
+    ``geometry._edges`` outside a walk (``geometry._walk``): phase two's
+    one listing of the recession cone's extreme rays in an UnboundedBelow
+    verdict that it reaches, and none otherwise."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"phase ones": 0, "ratio tests": 0, "certificates": 0, "cone tests": 0}
+        counts = {"phase ones": 0, "ratio tests": 0, "certificates": 0, "cone tests": 0, "double descriptions": 0}
+        walking, list_edges, walk = [], geometry._edges, geometry._walk
+
+        def listed(*args):
+            counts["double descriptions"] += not walking
+            return list_edges(*args)
+
+        def walked(*args, **kwargs):
+            walking.append(True)
+            try:
+                return walk(*args, **kwargs)
+            finally:
+                walking.pop()
 
         def counted(name, fn):
             def wrapper(*args):
@@ -422,6 +511,8 @@ class TestWorkBudget:
         monkeypatch.setattr(geometry, "_phase_one", counted("phase ones", geometry._phase_one))
         monkeypatch.setattr(geometry, "_pivot", counted("ratio tests", geometry._pivot))
         monkeypatch.setattr(optimality, "_tie_certificate", counted("certificates", geometry._tie_certificate))
+        monkeypatch.setattr(geometry, "_edges", listed)
+        monkeypatch.setattr(geometry, "_walk", walked)
         cone = linprog.cone_member
         for module in (linprog, optimality, structure_module):
             if getattr(module, "cone_member", None) is cone:
@@ -438,10 +529,12 @@ class TestWorkBudget:
     def test_unbounded_ray_on_the_last_row_alone(self, counts):
         # the improving ray (1, 0) is QUADRANT's edge along its last row:
         # Bland's rule meets it in one ratio test at phase one's vertex, and
-        # the walk from there tests both edges to list every ray
+        # one double description of the recession cone lists every ray,
+        # with no further ratio test
         sol = solve_glp(QUADRANT, (-1, 0))
         assert sol.status == "UnboundedBelow" and sol.ray == (1, 0)
-        assert counts == {"phase ones": 1, "ratio tests": 3, "certificates": 0, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": 1, "certificates": 0, "cone tests": 0,
+                          "double descriptions": 1}
 
     @pytest.mark.parametrize("P, c, tied", [(TRIANGLE, (1, 1), 1), (TRIANGLE, (0, 1), 2),
                                             (TRIANGLE, (0, 0), 3), (QUADRANT, (1, 0), 1)])
@@ -453,7 +546,8 @@ class TestWorkBudget:
         sol = solve_glp(P, c)
         assert sol.status == "Attained" and len(sol.optimal_vertices) == tied
         tests = counts["ratio tests"]
-        assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0,
+                          "double descriptions": 0}
         assert tests <= self._full_walk(counts, P)
 
     def test_non_simplicial_tie_runs_no_cone_test(self, counts):
@@ -464,7 +558,8 @@ class TestWorkBudget:
         sol = solve_glp(P, (-1, 0))
         assert sol.status == "Attained" and [v.point for v in sol.optimal_vertices] == [(1, 0)]
         assert sol.certificate[0].multipliers == (1, 1, 0)
-        assert counts == {"phase ones": 1, "ratio tests": 1, "certificates": 1, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": 1, "certificates": 1, "cone tests": 0,
+                          "double descriptions": 0}
         _assert_certified(P, (-1, 0), sol)
 
     def test_infeasible(self, counts):
@@ -472,17 +567,20 @@ class TestWorkBudget:
         # proves it empty: no edge and no cone test
         sol = solve_glp(Polyhedron.from_rows(2, [((1, 0), -1), ((-1, 0), 0)]), (1, 1))
         assert sol.status == "Infeasible"
-        assert counts == {"phase ones": 2, "ratio tests": 0, "certificates": 0, "cone tests": 0}
+        assert counts == {"phase ones": 2, "ratio tests": 0, "certificates": 0, "cone tests": 0,
+                          "double descriptions": 0}
 
     @pytest.mark.parametrize("c, status, certificates", [((1, 0), "UnboundedBelow", 0), ((0, 1), "Attained", 1)])
     def test_lineality_walks_its_slice(self, counts, c, status, certificates):
         # STRIP's rows have rank 1, so it has no vertex and phase one runs
         # on its slice x = 0.  c = (1, 0) falls along the lineality space,
-        # which needs no edge; for c = (0, 1) phase one's vertex (0, 0) is
-        # optimal, with no edge along c = 0, and has three active rows, so
-        # its certificate pivots, and runs no cone test
+        # which needs no edge and no double description; for c = (0, 1)
+        # phase one's vertex (0, 0) is optimal, with no edge along c = 0,
+        # and has three active rows, so its certificate pivots, and runs no
+        # cone test
         assert solve_glp(STRIP, c).status == status
-        assert counts == {"phase ones": 2, "ratio tests": 0, "certificates": certificates, "cone tests": 0}
+        assert counts == {"phase ones": 2, "ratio tests": 0, "certificates": certificates, "cone tests": 0,
+                          "double descriptions": 0}
 
     @pytest.mark.parametrize("c, tied, tests", [((1, 2, -3, 1), 2, 3), ((3, -1, 2, 5), 1, 2),
                                                 ((-3, 1, -2, -5), 1, 5), ((0, 0, 0, 0), 42, 41)],
@@ -500,38 +598,59 @@ class TestWorkBudget:
         assert sol.status == "Attained" and sol.value == best
         assert [v.point for v in sol.optimal_vertices] == sorted(v for v in vertices if dot(c, v) == best)
         assert len(sol.optimal_vertices) == tied
-        assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0}
+        assert counts == {"phase ones": 1, "ratio tests": tests, "certificates": tied, "cone tests": 0,
+                          "double descriptions": 0}
         assert self._full_walk(counts, P) == 41
 
-    def test_unbounded_tests_each_edge_once(self, walk_tests):
-        # once Bland's rule meets an improving column no row blocks, the
-        # continuation walk from its vertex lists every ray: it ratio-tests
-        # each ray once, as the walk over every vertex does, and the ray is
-        # the lexicographically smallest improving extreme ray.  In each
-        # walk every test of a bounded edge finds a new vertex, so no edge
-        # is tested from both ends.  Only the walks' ratio tests are
-        # recorded; the descent is seen to move off phase one's vertex often
+    def test_unbounded_ratio_tests_no_edge(self, monkeypatch, walk_tests):
+        # once Bland's rule meets an improving column no row blocks, one
+        # double description over every row, from the adjugate of the
+        # descent's final basis, lists the recession cone's extreme rays: no
+        # walk runs, so no edge is ratio-tested, and the ray is the
+        # lexicographically smallest improving extreme ray.  The descent is
+        # seen to move off phase one's basis often
+        listings, list_edges = [], geometry._edges
+
+        def listed(A, n, active, adjugate):
+            listings.append((active, adjugate[0]))
+            return list_edges(A, n, active, adjugate)
+
+        monkeypatch.setattr(geometry, "_edges", listed)
         descended = unbounded = 0
         for P, c in _ray_corpus():
             for sense in ("min", "max"):
-                del walk_tests[:]
+                del walk_tests[:], listings[:]
                 sol = solve_glp(P, c, sense)
                 cmin = c if sense == "min" else vec_neg(c)
-                if sol.status != "UnboundedBelow" or not walk_tests:
+                if sol.status != "UnboundedBelow" or not listings:
+                    # Attained walks its optimal face; a cost falling
+                    # along the lineality space needs no ray listing
                     continue
                 unbounded += 1
-                (_, X, D, _), _ = geometry._start(P.rows, P.n)[2]
-                descended += walk_tests[0][0] != tuple(F(x, D) for x in X)
-                solve = walk_tests[:]
-                del walk_tests[:]
-                verts = enumerate_vertices(sol.solved_on)
-                for walked in (solve, walk_tests):
-                    assert len(set(walked)) == len(walked)
-                    assert walk_tree(walked) == {v.point for v in verts}
-                assert {test for test in solve if test[1] is None} == {test for test in walk_tests if test[1] is None}
+                assert walk_tests == []
+                [(active, basis)] = listings
+                assert active == tuple(range(sol.solved_on.m))
+                descended += basis != geometry._start(P.rows, P.n)[2][1][0]
                 rays = reference_extreme_rays(sol.solved_on)
                 assert repr(sol.ray) == repr(min(_normalised(rays, cmin)))
         assert unbounded >= 300 and descended >= 50, (unbounded, descended)
+
+    @pytest.mark.parametrize("n", [6, 14])
+    def test_unbounded_cube_times_half_line_lists_one_ray(self, counts, walk_tests, phase_two_rays, n):
+        # the cube [0, 1]^(n-1) times a half-line has 2^(n-1) vertices,
+        # each leaving along e_n: a walk of its vertex graph would
+        # ratio-test every one of them, where one double description of
+        # its recession cone lists the ray.  Phase one's first basis is
+        # feasible and Bland's rule meets e_n in its first ratio test
+        P = cube_times_half_line(n)
+        e_n = tuple(F(int(j == n - 1)) for j in range(n))
+        sol = solve_glp(P, vec_neg(e_n))
+        assert sol.status == "UnboundedBelow" and sol.ray == e_n
+        assert walk_tests == [] and phase_two_rays == [[(0,) * (n - 1) + (1,)]]
+        assert counts == {"phase ones": 1, "ratio tests": 1, "certificates": 0, "cone tests": 0,
+                          "double descriptions": 1}
+        if n <= 6:
+            assert {canonical_ray(r) for r in phase_two_rays[0]} == reference_extreme_rays(P) == {e_n}
 
 
 class TestBasisSearches:

@@ -177,6 +177,15 @@ def test_replace_and_make_validate(build, expected):
     assert build() == expected
 
 
+def test_cone_converts_its_generators():
+    # as HalfSpace converts its normal: each entry is held as a Fraction,
+    # so cones equal in value are equal
+    cone = Cone(2, generators=(("1/2", 3), (0, -1)))
+    assert cone.generators == ((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(-1)))
+    assert {type(x) for g in cone.generators for x in g} == {Fraction}
+    assert cone == Cone(2, generators=[[Fraction(1, 2), 3], (0, -1)])
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -241,6 +250,7 @@ NAN = math.nan
         (lambda: Cone(2, generators=((0, 0),)), ValueError, "cone generators must be nonzero"),
         (lambda: Cone(2, generators=((1, 2), (2, 4))), ValueError,
          "cone generators duplicate after canonical scaling"),
+        (lambda: Cone(2, generators=(("1/2", 3), ("x", 1))), ValueError, "Invalid literal for Fraction: 'x'"),
         (lambda: _constraint(KS[:2]), errors.TooFewSamples, "need >= 3 samples, got 2"),
         (lambda: _constraint(KS, a=(0.0, 0.0)), ValueError, "zero normal in trajectory sample"),
         (lambda: _constraint(KS, b=NAN), ValueError, "non-finite value in trajectory sample"),
